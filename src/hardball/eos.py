@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import brentq
@@ -277,20 +278,17 @@ class EosModel:
     hard-sphere-CS-Speedy composes the Carnahan-Starling fluid branch
     with Speedy's solid branch across the kink at gamma_fs; CS-extended
     keeps the fluid formulas on all of eta in (0,1); ideal-gas replaces
-    the density map by e^gamma.
+    the density map by e^gamma.  Only mode is settable; the freezing
+    and inflection constants are the module's, read-only on the class.
     """
 
     mode: str = MODE_HARD_SPHERE
-    eta_fs_lo: float = ETA_FS_LO
-    eta_fs_hi: float = ETA_FS_HI
-    eta_fcc: float = ETA_FCC
-    gamma_fs: float = GAMMA_FS
-    eta_wr: float = _ETA_WR
-    gamma_wr: float = _GAMMA_WR
-    K_gamma_fs: float = _K_GAMMA_FS
-    speedy_a: float = SPEEDY_A
-    speedy_b: float = SPEEDY_B
-    speedy_c: float = SPEEDY_C
+    eta_fs_lo: ClassVar[float] = ETA_FS_LO
+    eta_fs_hi: ClassVar[float] = ETA_FS_HI
+    gamma_fs: ClassVar[float] = GAMMA_FS
+    eta_wr: ClassVar[float] = _ETA_WR
+    gamma_wr: ClassVar[float] = _GAMMA_WR
+    K_gamma_fs: ClassVar[float] = _K_GAMMA_FS
 
     def __post_init__(self):
         if self.mode not in MODES:

@@ -8,11 +8,18 @@ values.  Monotone Picard iteration reaches the extremal solutions from
 constant sub- and supersolutions; damped Newton reaches the unstable
 branch inbetween; a handful of closed-form predicates settle existence,
 uniqueness, and fluid-range membership a priori.
+
+One private loop, `_fixed_point`, iterates eta -> wp'(gamma + alpha M eta)
+for a rule that picks gamma from the potential: a constant for Picard,
+the mass-holding multiplier for `phase.droplet_solve`.  Every
+SolveReport is built by `_report`, the one home of the certified-fluid
+rule.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -60,6 +67,9 @@ class RadialDomain:
     weights: np.ndarray
     edges: np.ndarray | None = None
     _rings: dict = dc_field(default_factory=dict, repr=False)
+    _ring_lock: threading.Lock = dc_field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
 
     def __post_init__(self):
         if self.R <= 0:
@@ -218,11 +228,15 @@ def _ring_matrix(spec, domain, targets):
 
 
 def _self_ring(spec, domain):
-    """Node-to-node convolution matrix, cached on the domain."""
-    key = spec
-    if key not in domain._rings:
-        domain._rings[key] = _ring_matrix(spec, domain, domain.nodes)
-    return domain._rings[key]
+    """Node-to-node convolution matrix, cached on the domain.
+
+    The check-and-assemble holds the domain's lock, so sweep threads
+    sharing a domain assemble each matrix once.
+    """
+    with domain._ring_lock:
+        if spec not in domain._rings:
+            domain._rings[spec] = _ring_matrix(spec, domain, domain.nodes)
+        return domain._rings[spec]
 
 
 def apply_kernel(spec, alpha, domain, values):
@@ -256,21 +270,38 @@ def _default_model(model):
     return eos.EosModel() if model is None else model
 
 
-def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10, model=None):
-    """Fixed-point iteration eta -> wp'(gamma + alpha(-V*eta)).
+def _report(domain, values, gamma, u, iterations, residual, direction="none"):
+    """SolveReport of a converged field, with the certified-fluid rule.
 
-    Stops only when the sup-norm change drops below tol AND the
-    fixed-point residual drops below 1e-9; a stalled but unconverged
-    sequence therefore runs into max_iter and raises instead of
-    reporting false convergence.  The monotone direction is read off
-    the first step.
+    The field is certified fluid when every argument gamma + u stays
+    strictly below the freezing chemical potential.
     """
-    model = _default_model(model)
-    M = _self_ring(spec, eta0.domain)
-    v = eta0.values.copy()
+    return SolveReport(
+        field=DensityField(domain, values),
+        iterations=iterations,
+        residual=residual,
+        monotone_direction=direction,
+        branch_label="other",
+        certified_fluid=bool(np.max(gamma + u) < _GAMMA_FS - _FLUID_MARGIN),
+    )
+
+
+def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol):
+    """Iterate eta -> wp'(gamma + u) with u = alpha M eta, gamma = gamma_rule(u).
+
+    The one loop behind the grand problem (gamma_rule a constant) and
+    the mass-constrained one (gamma_rule the Lagrange multiplier that
+    holds the mass).  Stops only when the sup-norm change drops below
+    tol AND the residual at the last step's gamma drops below 1e-9, so
+    a stalled sequence runs into max_iter and raises instead of
+    reporting false convergence.  The monotone direction is read off
+    the first step.  Returns the report and the last gamma.
+    """
+    v = eta0.values
     direction = "none"
     for it in range(1, max_iter + 1):
         u = alpha * (M @ v)
+        gamma = gamma_rule(u)
         new = np.asarray(model.wp_prime(gamma + u, side="left"), dtype=float)
         if np.any(new >= 1.0) or np.any(new <= 0.0):
             raise ValueError("iteration left the volume-fraction range (0, 1)")
@@ -290,16 +321,19 @@ def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10, model=No
                 np.max(np.abs(np.asarray(model.wp_prime(gamma + u, side="left")) - v))
             )
             if res < _RESIDUAL_TOL:
-                certified = bool(np.max(gamma + u) < _GAMMA_FS - _FLUID_MARGIN)
-                return SolveReport(
-                    field=DensityField(eta0.domain, v),
-                    iterations=it,
-                    residual=res,
-                    monotone_direction=direction,
-                    branch_label="other",
-                    certified_fluid=certified,
-                )
+                return _report(eta0.domain, v, gamma, u, it, res, direction), gamma
     raise RuntimeError(f"no convergence within {max_iter} iterations")
+
+
+def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10, model=None):
+    """Fixed-point iteration eta -> wp'(gamma + alpha(-V*eta)) at fixed gamma.
+
+    Runs the shared loop `_fixed_point` with a constant gamma; see
+    there for the stopping rule and the monotone direction.
+    """
+    model = _default_model(model)
+    M = _self_ring(spec, eta0.domain)
+    return _fixed_point(M, alpha, model, eta0, lambda u: gamma, max_iter, tol)[0]
 
 
 def minimal_solution(spec, alpha, gamma, domain, model=None, max_iter=20000, tol=1e-10):
@@ -428,16 +462,7 @@ def newton_solve(spec, alpha, gamma, eta0, tol=1e-12, max_iter=60, model=None,
         callback(0, norm)
     for it in range(1, max_iter + 1):
         if norm < tol:
-            u2 = M @ v
-            certified = bool(np.max(gamma + u2) < _GAMMA_FS - _FLUID_MARGIN)
-            return SolveReport(
-                field=DensityField(eta0.domain, v),
-                iterations=it - 1,
-                residual=norm,
-                monotone_direction="none",
-                branch_label="other",
-                certified_fluid=certified,
-            )
+            return _report(eta0.domain, v, gamma, u, it - 1, norm)
         J = np.eye(v.size) - np.asarray(model.wp_double_prime(gamma + u))[:, None] * M
         try:
             step = np.linalg.solve(J, -F)

@@ -125,7 +125,7 @@ def gamma_of(spec, alpha, fld, model=None, tol=1e-5):
     solution produces the same value at every node.  Hard-sphere fields
     with values in the branch gap (eta_fs^<, eta_fs^>) solve nothing.
     """
-    model = eos.EosModel() if model is None else model
+    model = field_mod._default_model(model)
     u = field_mod.convolve(spec, alpha, fld)
     v = fld.values
     if model.mode == eos.MODE_IDEAL_GAS:
@@ -149,7 +149,7 @@ def gamma_of(spec, alpha, fld, model=None, tol=1e-5):
 
 def pressure_functional(spec, alpha, gamma, fld, model=None):
     """Grand-potential functional: int wp(gamma + alpha(-V*eta)) - interaction."""
-    model = eos.EosModel() if model is None else model
+    model = field_mod._default_model(model)
     u = field_mod.convolve(spec, alpha, fld)
     local = np.asarray(model.wp(gamma + u), dtype=float)
     return float(volume_weights(fld.domain) @ local) - alpha * _interaction(spec, fld)
@@ -174,7 +174,7 @@ def second_variation_P(spec, alpha, gamma, fld, sigma, model=None):
     maximum of P.  Raises at the hard-sphere kink, where wp'' does not
     exist.
     """
-    model = eos.EosModel() if model is None else model
+    model = field_mod._default_model(model)
     sig = np.asarray(sigma, dtype=float)
     u = field_mod.convolve(spec, alpha, fld)
     curv = np.asarray(model.wp_double_prime(gamma + u), dtype=float)
@@ -247,7 +247,7 @@ def p_stability(spec, alpha, gamma, fld, model=None, n_probes=100, seed=0):
     iteration to the largest eigenvalue; stable means the form is
     negative for every perturbation.
     """
-    model = eos.EosModel() if model is None else model
+    model = field_mod._default_model(model)
     dom = fld.domain
     u = field_mod.convolve(spec, alpha, fld)
     curv = np.asarray(model.wp_double_prime(gamma + u), dtype=float)

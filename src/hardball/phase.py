@@ -8,6 +8,10 @@ reached by a mass-constrained iteration: plain damped Newton at fixed
 gamma stalls when started from a ball trial in a large container, but
 re-solving gamma each step so the iterate keeps its mass follows the
 canonical-ensemble valley, where the droplet is a stable minimizer.
+That iteration is the fixed-point loop of `field` with the mass
+multiplier `_gamma_for_mass` as its gamma rule.  Every gas/liquid
+comparison goes through `_launch_gap`: the minimal and maximal launches
+at one gamma, their pressure gap, and whether they are distinct.
 """
 
 import math
@@ -36,6 +40,7 @@ __all__ = [
 
 _MASS_RTOL = 1e-9  # relative mass residual for constrained solves
 _JUMP_FACTOR = 10.0  # continuation step ratio that flags a branch switch
+_DISTINCT = 1e-7  # sup-norm separation below which two launches coincide
 
 
 class BranchLostError(RuntimeError):
@@ -109,6 +114,21 @@ def _branch_point(spec, alpha, gamma, report, model):
     )
 
 
+def _launch_gap(spec, alpha, gamma, domain, model):
+    """Minimal and maximal launches at gamma, and their pressure gap.
+
+    Returns (P[maximal] - P[minimal], sup-norm separation, minimal
+    report, maximal report).  Where the separation is below _DISTINCT
+    the launches coincide and the gap is quadrature noise, not a sign.
+    """
+    lo = field.minimal_solution(spec, alpha, gamma, domain, model=model)
+    hi = field.maximal_solution(spec, alpha, gamma, domain, model=model)
+    gap = functionals.pressure_functional(
+        spec, alpha, gamma, hi.field, model=model
+    ) - functionals.pressure_functional(spec, alpha, gamma, lo.field, model=model)
+    return gap, float(np.max(np.abs(hi.field.values - lo.field.values))), lo, hi
+
+
 def grand_canonical_transition(spec, alpha, domain, gamma_bracket, model=None,
                                droplet_hint=None):
     """Locate the gas/liquid pressure crossing inside gamma_bracket.
@@ -126,21 +146,10 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket, model=None,
         raise ValueError("gamma_bracket must be increasing")
     D = functionals.volume_weights(domain)
 
-    def gap(g):
-        lo = field.minimal_solution(spec, alpha, g, domain, model=model)
-        hi = field.maximal_solution(spec, alpha, g, domain, model=model)
-        p_lo = functionals.pressure_functional(
-            spec, alpha, g, lo.field, model=model
-        )
-        p_hi = functionals.pressure_functional(
-            spec, alpha, g, hi.field, model=model
-        )
-        return p_hi - p_lo, lo, hi, p_lo, p_hi
-
-    gap_lo, lo_a, hi_a = gap(g_lo)[:3]
-    gap_hi, lo_b, hi_b = gap(g_hi)[:3]
-    for g, lo_rep, hi_rep in ((g_lo, lo_a, hi_a), (g_hi, lo_b, hi_b)):
-        if np.max(np.abs(hi_rep.field.values - lo_rep.field.values)) < 1e-7:
+    gap_lo, sep_lo = _launch_gap(spec, alpha, g_lo, domain, model)[:2]
+    gap_hi, sep_hi = _launch_gap(spec, alpha, g_hi, domain, model)[:2]
+    for g, sep in ((g_lo, sep_lo), (g_hi, sep_hi)):
+        if sep < _DISTINCT:
             raise ValueError(
                 f"the launches coincide at gamma {g:.6f}; the pressure gap "
                 "there is quadrature noise, so shrink the bracket"
@@ -150,16 +159,16 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket, model=None,
             "pressure gap does not change sign over the bracket; one "
             "branch may be absent"
         )
-    gamma_gl = float(
-        brentq(lambda g: gap(g)[0], g_lo, g_hi, xtol=1e-12, rtol=8.9e-16)
-    )
-    delta, lo, hi, p_lo, p_hi = gap(gamma_gl)
-    scale = max(1.0, abs(p_lo), abs(p_hi))
-    if abs(delta) > 1e-8 * scale:
-        raise RuntimeError("pressure gap at the located crossing is too wide")
-
+    gamma_gl = float(brentq(
+        lambda g: _launch_gap(spec, alpha, g, domain, model)[0],
+        g_lo, g_hi, xtol=1e-12, rtol=8.9e-16,
+    ))
+    delta, _, lo, hi = _launch_gap(spec, alpha, gamma_gl, domain, model)
     gas = _branch_point(spec, alpha, gamma_gl, lo, model)
     liquid = _branch_point(spec, alpha, gamma_gl, hi, model)
+    scale = max(1.0, abs(gas.functionals.P), abs(liquid.functionals.P))
+    if abs(delta) > 1e-8 * scale:
+        raise RuntimeError("pressure gap at the located crossing is too wide")
     pressures = {"minimal": gas.functionals.P, "maximal": liquid.functionals.P}
 
     # enumerate further critical points; failures just shorten the list
@@ -440,57 +449,34 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=None, tol=1e-12,
                   max_iter=20000, check_collapse=True):
     """Land on the droplet branch at fixed mass N.
 
-    Iterates the density map with gamma re-solved every step to hold
-    the mass.  The droplet minimizes F under the mass constraint, so
-    this iteration converges from a crude ball trial where fixed-gamma
-    Newton stalls.  The converged gamma is the chemical potential of
-    the droplet, and the profile solves the fixed-gamma equation to
-    the usual residual.
+    Runs the fixed-point loop `field._fixed_point` with gamma re-solved
+    every step by `_gamma_for_mass` to hold the mass, under Picard's
+    stopping rule.  The droplet minimizes F under the mass constraint,
+    so this iteration converges from a crude ball trial where
+    fixed-gamma Newton stalls.  The converged gamma is the chemical
+    potential of the droplet, and the profile solves the fixed-gamma
+    equation to the usual residual.
     """
     model = field._default_model(model)
     D = functionals.volume_weights(domain)
+    N = float(N)
     if start is None:
         atau = alpha * kernels.l1_norm_r3(spec)
         gamma_hat = uniform.gamma_boundaries(atau)[1]
         eta_big = uniform.solve_uniform(atau, gamma_hat).roots[-1]
-        fraction = min(0.9, float(N) / (eta_big * float(np.sum(D))))
+        fraction = min(0.9, N / (eta_big * float(np.sum(D))))
         start = droplet_trial(spec, alpha, domain, N, fraction)
-    ring = alpha * field._self_ring(spec, domain)
-    v = start.values.copy()
-    gamma = math.nan
-    for it in range(1, max_iter + 1):
-        u = ring @ v
-        gamma = _gamma_for_mass(model, D, u, float(N))
-        new = np.asarray(model.wp_prime(gamma + u, side="left"), dtype=float)
-        change = float(np.max(np.abs(new - v)))
-        v = new
-        if change < tol:
-            break
-    else:
-        raise RuntimeError(
-            f"mass-constrained iteration did not settle in {max_iter} steps"
-        )
-    u = ring @ v
-    residual = float(
-        np.max(np.abs(np.asarray(model.wp_prime(gamma + u, side="left")) - v))
+    report, gamma = field._fixed_point(
+        field._self_ring(spec, domain), alpha, model, start,
+        lambda u: _gamma_for_mass(model, D, u, N), max_iter, tol,
     )
-    if residual >= field._RESIDUAL_TOL:
-        raise RuntimeError("landed profile fails the fixed-gamma residual")
     if check_collapse:
         vapor = field.minimal_solution(spec, alpha, gamma, domain, model=model)
-        if float(np.max(np.abs(v - vapor.field.values))) < 1e-6:
+        if float(np.max(np.abs(report.field.values - vapor.field.values))) < 1e-6:
             raise BranchLostError(
                 "mass-constrained iteration collapsed onto the vapor branch"
             )
-    certified = bool(np.max(gamma + u) < field._GAMMA_FS - field._FLUID_MARGIN)
-    report = field.SolveReport(
-        field=field.DensityField(domain, v),
-        iterations=it,
-        residual=residual,
-        monotone_direction="none",
-        branch_label="middle",
-        certified_fluid=certified,
-    )
+    report.monotone_direction, report.branch_label = "none", "middle"
     return _branch_point(spec, alpha, gamma, report, model)
 
 
@@ -531,16 +517,9 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
         gas, liquid = grand.gas, grand.liquid
     else:
         gamma_gl = float(gamma_gl)
-        gas = _branch_point(
-            spec, alpha, gamma_gl,
-            field.minimal_solution(spec, alpha, gamma_gl, domain, model=model),
-            model,
-        )
-        liquid = _branch_point(
-            spec, alpha, gamma_gl,
-            field.maximal_solution(spec, alpha, gamma_gl, domain, model=model),
-            model,
-        )
+        _, _, lo, hi = _launch_gap(spec, alpha, gamma_gl, domain, model)
+        gas = _branch_point(spec, alpha, gamma_gl, lo, model)
+        liquid = _branch_point(spec, alpha, gamma_gl, hi, model)
     n_gas = gas.functionals.N
     n_liquid = liquid.functionals.N
 
@@ -653,28 +632,15 @@ def pressure_crossing_bracket(spec, alpha, domain, gamma_bracket,
     where the launches are genuinely distinct; where they coincide
     the gap is quadrature noise and must not count as a sign."""
     grid = np.linspace(gamma_bracket[0], gamma_bracket[1], points)
-
-    def gap(g):
-        lo = field.minimal_solution(spec, alpha, g, domain, model=model)
-        hi = field.maximal_solution(spec, alpha, g, domain, model=model)
-        sep = float(np.max(np.abs(hi.field.values - lo.field.values)))
-        value = (
-            functionals.pressure_functional(spec, alpha, g, hi.field, model=model)
-            - functionals.pressure_functional(spec, alpha, g, lo.field, model=model)
-        )
-        return value, sep
-
-    previous = gap(grid[0])
     prev_g = grid[0]
+    prev_gap, prev_sep = _launch_gap(spec, alpha, prev_g, domain, model)[:2]
     for right in grid[1:]:
-        current = gap(right)
-        if (
-            previous[1] >= 1e-7 and current[1] >= 1e-7
-            and (previous[0] < 0.0) != (current[0] < 0.0)
-        ):
+        gap, sep = _launch_gap(spec, alpha, right, domain, model)[:2]
+        if sep < _DISTINCT:
+            continue
+        if prev_sep >= _DISTINCT and (prev_gap < 0.0) != (gap < 0.0):
             return (float(prev_g), float(right))
-        if current[1] >= 1e-7:
-            previous, prev_g = current, right
+        prev_g, prev_gap, prev_sep = right, gap, sep
     raise ValueError(
         "no pressure-gap sign change between distinct-branch gammas "
         "inside the bracket"

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import eos, field, kernels, uniform
+from . import eos, field, functionals, kernels, uniform
 
 __all__ = [
     "SpectralReport",
@@ -50,7 +50,7 @@ def spectral_radius(spec, domain, tol=1e-10, max_iter=20000):
     the ball from above; both are attached to the report.
     """
     matrix = field._self_ring(spec, domain)
-    weights = 4.0 * np.pi * domain.nodes**2 * domain.weights
+    weights = functionals.volume_weights(domain)
     volume = 4.0 * np.pi * domain.R**3 / 3.0
     lower = kernels.ball_double_integral(spec, domain.R) / volume
     upper = kernels.ball_l1(spec, domain.R)

@@ -218,6 +218,10 @@ class TestEosModel:
         with pytest.raises(ValueError):
             eos.EosModel(mode="none-such")
 
+    def test_only_mode_is_settable(self):
+        with pytest.raises(TypeError):
+            eos.EosModel(gamma_fs=1.0)
+
     def test_constants(self):
         model = eos.EosModel()
         assert model.gamma_fs == pytest.approx(eos.g2(model.eta_fs_lo), abs=1e-14)

@@ -9,6 +9,9 @@ spline interpolant of the converged density.
 
 import math
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -55,6 +58,40 @@ class TestRadialDomain:
         with pytest.raises(ValueError):
             field.RadialDomain(R=1.0, n=2, nodes=np.array([0.25, 0.75]),
                                weights=np.array([0.5, 0.5]))
+
+
+class TestRingCache:
+    def test_threads_sharing_a_domain_assemble_once(self, monkeypatch):
+        dom = field.make_domain(5.0, n=64)
+        original = field._ring_matrix
+        calls = []
+
+        def counted(*args):
+            calls.append(threading.get_ident())
+            time.sleep(0.05)  # hold the race window open without the lock
+            return original(*args)
+
+        monkeypatch.setattr(field, "_ring_matrix", counted)
+        start = threading.Barrier(4)
+        rings = []
+
+        def worker():
+            start.wait(timeout=10)
+            rings.append(field._self_ring(SPEC_Y, dom))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(calls) == 1
+        assert len(rings) == 4 and all(r is rings[0] for r in rings)
 
 
 class TestDensityField:

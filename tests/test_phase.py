@@ -284,6 +284,34 @@ class TestGrandTransition:
         assert gaps[0] > gaps[1] > gaps[2] > 0
 
 
+class TestPressureCrossingBracket:
+    def test_sub_bracket_has_distinct_launches_and_sign_change(self):
+        dom = field.make_domain(0.5, n=64)
+        lo, hi = phase.pressure_crossing_bracket(
+            SPEC_Y, 100.0, dom, (-22.0, -14.0), model=EXT,
+        )
+        assert -22.0 <= lo < hi <= -14.0
+        gaps = []
+        for g in (lo, hi):
+            gas = field.minimal_solution(SPEC_Y, 100.0, g, dom, model=EXT)
+            liquid = field.maximal_solution(SPEC_Y, 100.0, g, dom, model=EXT)
+            assert np.max(np.abs(liquid.field.values - gas.field.values)) >= 1e-7
+            gaps.append(
+                functionals.pressure_functional(
+                    SPEC_Y, 100.0, g, liquid.field, model=EXT)
+                - functionals.pressure_functional(
+                    SPEC_Y, 100.0, g, gas.field, model=EXT)
+            )
+        assert (gaps[0] < 0.0) != (gaps[1] < 0.0)
+
+    def test_coincident_launches_rejected(self):
+        dom = field.make_domain(15.0, n=64)
+        with pytest.raises(ValueError, match="no pressure-gap sign change"):
+            phase.pressure_crossing_bracket(
+                SPEC_Y, ALPHA_31, dom, (-5.30, -5.10), model=EXT,
+            )
+
+
 @pytest.fixture(scope="module")
 def transition(dom15):
     return phase.petit_canonical_transition(
