@@ -321,20 +321,14 @@ def cmd_transition(cfg):
     """Locate the grand transition and, when enabled, the petit one."""
     cfg.require("alpha")
     spec, model, domain = cfg.kernel_spec(), cfg.eos_model(), cfg.domain()
+    gamma_bracket = None  # phase scans the algebraic band by default
     if cfg.gamma_lo is not None and cfg.gamma_hi is not None:
         gamma_bracket = (cfg.gamma_lo, cfg.gamma_hi)
-    else:
-        atau = cfg.alpha * kernels.l1_norm_r3(spec)
-        if not atau > uniform.ALPHA_TAU_MIN:
-            raise ConfigError(
-                "transition: attraction too weak for a transition; "
-                "set transition.gamma_lo/gamma_hi explicitly")
-        g_lo, g_hi = uniform.gamma_boundaries(atau)
-        gamma_bracket = (g_lo + 1e-6, g_hi - 1e-6)
+    elif not cfg.alpha * kernels.l1_norm_r3(spec) > uniform.ALPHA_TAU_MIN:
+        raise ConfigError(
+            "transition: attraction too weak for a transition; "
+            "set transition.gamma_lo/gamma_hi explicitly")
 
-    summary = []
-    profile_cols = ["r"]
-    profile_data = [domain.nodes]
     if cfg.petit:
         mass_bracket = None
         if cfg.mass_lo is not None and cfg.mass_hi is not None:
@@ -342,31 +336,20 @@ def cmd_transition(cfg):
         result = phase.petit_canonical_transition(
             spec, cfg.alpha, domain, N_bracket=mass_bracket,
             model=model, gamma_bracket=gamma_bracket)
-        pairs = [("gas", result.gas), ("liquid", result.liquid),
-                 ("vapor", result.vapor), ("droplet", result.droplet)]
-        summary += [
-            ("gamma_gl", result.gamma_gl),
-            ("delta_N", result.liquid.functionals.N
-             - result.gas.functionals.N),
-            ("N_vd", result.N_vd),
-            ("delta_Gamma", result.delta_Gamma),
-            ("delta_E", result.delta_E),
-            ("delta_S", result.delta_S),
-            ("embedding_ok", result.embedding_ok),
-            ("crossings", result.crossings),
-        ]
+        labels = ("gas", "liquid", "vapor", "droplet")
+        quantities = ("N_vd", "delta_Gamma", "delta_E", "delta_S",
+                      "embedding_ok", "crossings")
     else:
-        bracket = phase.pressure_crossing_bracket(
+        result = phase._scan_and_locate(
             spec, cfg.alpha, domain, gamma_bracket, model)
-        result = phase.grand_canonical_transition(
-            spec, cfg.alpha, domain, bracket, model=model)
-        pairs = [("gas", result.gas), ("liquid", result.liquid)]
-        summary += [
-            ("gamma_gl", result.gamma_gl),
-            ("delta_N", result.delta_N),
-            ("best_known", result.best_known),
-        ]
-    for label, point in pairs:
+        labels, quantities = ("gas", "liquid"), ("best_known",)
+    summary = [("gamma_gl", result.gamma_gl),
+               ("delta_N", result.liquid.functionals.N
+                - result.gas.functionals.N)]
+    summary += [(name, getattr(result, name)) for name in quantities]
+    profile_cols, profile_data = ["r"], [domain.nodes]
+    for label in labels:
+        point = getattr(result, label)
         summary += [(f"gamma_{label}", point.gamma),
                     (f"N_{label}", point.functionals.N),
                     (f"P_{label}", point.functionals.P),
@@ -375,9 +358,7 @@ def cmd_transition(cfg):
         profile_data.append(point.solution.field.values)
 
     paths = [_write_csv(cfg, "transition", "transition_summary.csv",
-                        ("quantity", "value"),
-                        [(k, v if isinstance(v, str) else v)
-                         for k, v in summary])]
+                        ("quantity", "value"), summary)]
     rows = list(zip(*profile_data))
     paths.append(_write_csv(cfg, "transition", "transition_profiles.csv",
                             tuple(profile_cols), rows))

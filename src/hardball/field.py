@@ -555,8 +555,8 @@ def write_csv(path, fld, spec, alpha, gamma, branch_label="other"):
 def read_csv(path):
     """Load a density field written by write_csv; returns (field, meta).
 
-    The quadrature weights are not stored, so the grid is rebuilt from
-    (R, n) and checked against the stored abscissae.
+    Weights and panel size are not stored: the grid is rebuilt from (R, n)
+    with the first panel size dividing n whose nodes match the abscissae.
     """
     meta = {}
     rows = []
@@ -581,9 +581,14 @@ def read_csv(path):
     )
     meta["alpha"] = float(meta["alpha"])
     meta["gamma"] = float(meta["gamma"])
-    domain = make_domain(float(meta["R"]), n=int(meta["n"]))
+    R, n = float(meta["R"]), int(meta["n"])
     nodes = np.array([r for r, _ in rows])
-    if nodes.size != domain.n or np.max(np.abs(nodes - domain.nodes)) > 1e-12 * domain.R:
+    panels = [p for p in range(2, n + 1) if n % p == 0] if nodes.size == n else []
+    for panel in sorted(panels, key=lambda p: p != 8):  # the default first
+        domain = make_domain(R, n=n, panel=panel)
+        if np.max(np.abs(nodes - domain.nodes)) <= 1e-12 * R:
+            break
+    else:
         raise ValueError("stored abscissae do not match the rebuilt grid")
     values = np.array([v for _, v in rows])
     return DensityField(domain, values), meta

@@ -67,18 +67,18 @@ class KernelSpec:
 def kernel_eval(spec, r):
     """Pointwise kernel value; strictly negative for r > 0."""
     rr = np.asarray(r, dtype=float)
-    if np.any(rr < 0):
+    if (rr < 0).any():
         raise ValueError("r must be non-negative")
-    if spec.singular and np.any(rr == 0):
+    if spec.singular and (rr == 0).any():
         raise ValueError("kernel is singular at r = 0")
-    out = np.zeros_like(rr)
+    out = 0.0  # broadcasts to rr's shape at the first term
     if spec.a_w:
         out -= spec.a_w / (1.0 + spec.varkappa**2 * rr**2) ** 3
     if spec.a_y:
         out -= spec.a_y * np.exp(-spec.kappa * rr) / rr
     if spec.a_n:
         out -= spec.a_n / rr
-    if np.ndim(r) == 0:
+    if rr.ndim == 0:
         return float(out)
     return out
 
@@ -265,9 +265,9 @@ def ring_primitive(spec, t):
     antiderivative, which is elementary for all three families.
     """
     tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0):
+    if (tt < 0).any():
         raise ValueError("t must be non-negative")
-    out = np.zeros_like(tt)
+    out = 0.0  # broadcasts to tt's shape at the first term
     if spec.a_w:
         vk2 = spec.varkappa**2
         out += spec.a_w / (4.0 * vk2) * (1.0 - 1.0 / (1.0 + vk2 * tt**2) ** 2)
@@ -275,6 +275,6 @@ def ring_primitive(spec, t):
         out += spec.a_y * (1.0 - np.exp(-spec.kappa * tt)) / spec.kappa
     if spec.a_n:
         out += spec.a_n * tt
-    if np.ndim(t) == 0:
+    if tt.ndim == 0:
         return float(out)
     return out

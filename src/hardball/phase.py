@@ -11,9 +11,12 @@ canonical-ensemble valley, where the droplet is a stable minimizer.
 That iteration is the fixed-point loop of `field` with the mass
 multiplier `_gamma_for_mass` as its gamma rule.  Every gas/liquid
 comparison goes through `_launch_gap`: the minimal and maximal launches
-at one gamma, their pressure gap, and whether they are distinct.
+at one gamma, their pressure gap, and whether they are distinct, read
+through `_launch_memo` so one public call launches each gamma once.
+`_scan_and_locate` scans (by default the algebraic band), then locates.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,6 +44,7 @@ __all__ = [
 _MASS_RTOL = 1e-9  # relative mass residual for constrained solves
 _JUMP_FACTOR = 10.0  # continuation step ratio that flags a branch switch
 _DISTINCT = 1e-7  # sup-norm separation below which two launches coincide
+_SCAN_POINTS = 9  # gammas the pressure-gap scan visits across its bracket
 
 
 class BranchLostError(RuntimeError):
@@ -129,6 +133,12 @@ def _launch_gap(spec, alpha, gamma, domain, model):
     return gap, float(np.max(np.abs(hi.field.values - lo.field.values))), lo, hi
 
 
+def _launch_memo(spec, alpha, domain, model):
+    """_launch_gap as a function of gamma, solved once per float(gamma)."""
+    solve = functools.cache(lambda g: _launch_gap(spec, alpha, g, domain, model))
+    return lambda gamma: solve(float(gamma))
+
+
 def grand_canonical_transition(spec, alpha, domain, gamma_bracket, model=None,
                                droplet_hint=None):
     """Locate the gas/liquid pressure crossing inside gamma_bracket.
@@ -141,13 +151,28 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket, model=None,
     droplet_hint) is recorded with its pressure.
     """
     model = field._default_model(model)
+    launch = _launch_memo(spec, alpha, domain, model)
+    return _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch,
+                            droplet_hint)
+
+
+def _scan_and_locate(spec, alpha, domain, gamma_bracket, model):
+    """Scan gamma_bracket (default: the algebraic band), then locate; one memo."""
+    if gamma_bracket is None:
+        g_lo, g_hi = uniform.gamma_boundaries(alpha * kernels.l1_norm_r3(spec))
+        gamma_bracket = (g_lo + 1e-6, g_hi - 1e-6)
+    launch = _launch_memo(spec, alpha, domain, model)
+    bracket = _scan_for_crossing(launch, gamma_bracket)
+    return _locate_crossing(spec, alpha, domain, bracket, model, launch)
+
+
+def _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch, droplet_hint=None):
+    """Body of grand_canonical_transition, reading launches from launch."""
     g_lo, g_hi = float(gamma_bracket[0]), float(gamma_bracket[1])
     if not g_lo < g_hi:
         raise ValueError("gamma_bracket must be increasing")
-    D = functionals.volume_weights(domain)
-
-    gap_lo, sep_lo = _launch_gap(spec, alpha, g_lo, domain, model)[:2]
-    gap_hi, sep_hi = _launch_gap(spec, alpha, g_hi, domain, model)[:2]
+    gap_lo, sep_lo = launch(g_lo)[:2]
+    gap_hi, sep_hi = launch(g_hi)[:2]
     for g, sep in ((g_lo, sep_lo), (g_hi, sep_hi)):
         if sep < _DISTINCT:
             raise ValueError(
@@ -160,10 +185,9 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket, model=None,
             "branch may be absent"
         )
     gamma_gl = float(brentq(
-        lambda g: _launch_gap(spec, alpha, g, domain, model)[0],
-        g_lo, g_hi, xtol=1e-12, rtol=8.9e-16,
+        lambda g: launch(g)[0], g_lo, g_hi, xtol=1e-12, rtol=8.9e-16,
     ))
-    delta, _, lo, hi = _launch_gap(spec, alpha, gamma_gl, domain, model)
+    delta, _, lo, hi = launch(gamma_gl)
     gas = _branch_point(spec, alpha, gamma_gl, lo, model)
     liquid = _branch_point(spec, alpha, gamma_gl, hi, model)
     scale = max(1.0, abs(gas.functionals.P), abs(liquid.functionals.P))
@@ -203,7 +227,7 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket, model=None,
         gamma_gl=gamma_gl,
         gas=gas,
         liquid=liquid,
-        delta_N=float(D @ hi.field.values - D @ lo.field.values),
+        delta_N=liquid.functionals.N - gas.functionals.N,
         pressures=pressures,
         best_known=best_known,
     )
@@ -490,8 +514,8 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
     exists is stepped over instead of mistaken for a crossing.  Needs
     the gas/liquid coexistence point for the embedding report; pass
     gamma_gl when it is already known, or gamma_bracket to have it
-    located here (defaulting to a scan between the algebraic
-    boundaries).
+    located here by `_scan_and_locate` (defaulting to the algebraic
+    band).
     """
     model = field._default_model(model)
     crit = droplet_criterion(spec, alpha)
@@ -500,19 +524,9 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
             "droplet criterion does not fire at this alpha; no droplet "
             "branch is expected"
         )
-    D = functionals.volume_weights(domain)
 
     if gamma_gl is None:
-        if gamma_bracket is None:
-            atau = alpha * kernels.l1_norm_r3(spec)
-            g_lo, g_hi = uniform.gamma_boundaries(atau)
-            gamma_bracket = (g_lo + 1e-6, g_hi - 1e-6)
-        grand = grand_canonical_transition(
-            spec, alpha, domain, pressure_crossing_bracket(
-                spec, alpha, domain, gamma_bracket, model
-            ),
-            model=model,
-        )
+        grand = _scan_and_locate(spec, alpha, domain, gamma_bracket, model)
         gamma_gl = grand.gamma_gl
         gas, liquid = grand.gas, grand.liquid
     else:
@@ -520,24 +534,20 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
         _, _, lo, hi = _launch_gap(spec, alpha, gamma_gl, domain, model)
         gas = _branch_point(spec, alpha, gamma_gl, lo, model)
         liquid = _branch_point(spec, alpha, gamma_gl, hi, model)
-    n_gas = gas.functionals.N
-    n_liquid = liquid.functionals.N
 
     atau = alpha * kernels.l1_norm_r3(spec)
     gamma_hat = uniform.gamma_boundaries(atau)[1]
     hat_report = field.minimal_solution(
         spec, alpha, gamma_hat, domain, model=model
     )
-    hat_mass = float(D @ hat_report.field.values)
+    hat_mass = functionals.n_functional(hat_report.field)
     if N_bracket is None:
-        N_bracket = (n_gas, hat_mass)
+        N_bracket = (gas.functionals.N, hat_mass)
     n_lo, n_hi = float(N_bracket[0]), float(N_bracket[1])
     if not n_lo < n_hi:
         raise ValueError("N_bracket must be increasing")
 
     droplet_cache = []  # (N, values) for warm starts
-    point_cache = {}
-    gap_cache = {}
     vapor_gamma = [gamma_gl]
 
     def vapor_at(n):
@@ -563,9 +573,9 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
             check_collapse=False,
         )
 
-    def gap(n):
-        if n in gap_cache:
-            return gap_cache[n]
+    @functools.cache
+    def points(n):
+        # (vapor, droplet, F[vapor] - F[droplet]) at mass n, solved once
         vapor = vapor_at(n)
         droplet = droplet_at(n)
         sep = float(np.max(np.abs(
@@ -574,25 +584,25 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
         if sep < 1e-6:
             # no droplet at this mass; score for the vapor side, and do
             # not let the collapsed profile seed later droplet solves
-            point_cache[n] = (vapor, None)
-            value = -1e-3 * max(1.0, abs(vapor.functionals.F))
-        else:
-            droplet_cache.append((n, droplet.solution.field.values))
-            point_cache[n] = (vapor, droplet)
-            value = vapor.functionals.F - droplet.functionals.F
-        gap_cache[n] = value
-        return value
+            return vapor, None, -1e-3 * max(1.0, abs(vapor.functionals.F))
+        droplet_cache.append((n, droplet.solution.field.values))
+        return vapor, droplet, vapor.functionals.F - droplet.functionals.F
 
-    gap_lo, gap_hi = gap(n_lo), gap(n_hi)
+    def crossing(n):
+        vapor, droplet, _ = points(n)
+        if droplet is None:
+            raise BranchLostError("droplet branch unavailable at the crossing")
+        return vapor, droplet
+
+    gap_lo, gap_hi = points(n_lo)[2], points(n_hi)[2]
     if gap_lo == 0.0 or gap_hi == 0.0 or (gap_lo < 0.0) == (gap_hi < 0.0):
         raise ValueError(
             "free-energy gap does not change sign over the mass bracket"
         )
-    n_vd = float(brentq(gap, n_lo, n_hi, xtol=1e-4, rtol=8.9e-16))
-    gap(n_vd)
-    vapor, droplet = point_cache[n_vd]
-    if droplet is None:
-        raise BranchLostError("droplet branch unavailable at the crossing")
+    n_vd = float(brentq(
+        lambda n: points(n)[2], n_lo, n_hi, xtol=1e-4, rtol=8.9e-16,
+    ))
+    vapor, droplet = crossing(n_vd)
 
     # polish the crossing with the known slope dF/dN = Gamma per branch
     for _ in range(8):
@@ -602,10 +612,7 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
             break
         slope = vapor.gamma - droplet.gamma
         n_vd -= fgap / slope
-        gap(n_vd)
-        vapor, droplet = point_cache[n_vd]
-        if droplet is None:
-            raise BranchLostError("droplet branch unavailable at the crossing")
+        vapor, droplet = crossing(n_vd)
     else:
         raise RuntimeError("free-energy gap failed to close at the crossing")
 
@@ -619,23 +626,27 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
         delta_Gamma=droplet.gamma - vapor.gamma,
         delta_E=droplet.functionals.E - vapor.functionals.E,
         delta_S=droplet.functionals.S - vapor.functionals.S,
-        embedding_ok=bool(n_gas <= n_vd < n_liquid),
+        embedding_ok=bool(gas.functionals.N <= n_vd < liquid.functionals.N),
         crossings=rearrangement_intersections(
             vapor.solution.field, droplet.solution.field
         ),
     )
 
 
-def pressure_crossing_bracket(spec, alpha, domain, gamma_bracket,
-                              model=None, points=9):
+def pressure_crossing_bracket(spec, alpha, domain, gamma_bracket, model=None):
+    """Sub-bracket of gamma_bracket over which the pressure gap changes sign."""
+    return _scan_for_crossing(_launch_memo(spec, alpha, domain, model), gamma_bracket)
+
+
+def _scan_for_crossing(launch, gamma_bracket):
     """Scan the bracket for a pressure-gap sign change between gammas
     where the launches are genuinely distinct; where they coincide
     the gap is quadrature noise and must not count as a sign."""
-    grid = np.linspace(gamma_bracket[0], gamma_bracket[1], points)
+    grid = np.linspace(gamma_bracket[0], gamma_bracket[1], _SCAN_POINTS)
     prev_g = grid[0]
-    prev_gap, prev_sep = _launch_gap(spec, alpha, prev_g, domain, model)[:2]
+    prev_gap, prev_sep = launch(prev_g)[:2]
     for right in grid[1:]:
-        gap, sep = _launch_gap(spec, alpha, right, domain, model)[:2]
+        gap, sep = launch(right)[:2]
         if sep < _DISTINCT:
             continue
         if prev_sep >= _DISTINCT and (prev_gap < 0.0) != (gap < 0.0):

@@ -9,7 +9,7 @@ the documented contract (0 success, 1 solver failure, 2 config error).
 import numpy as np
 import pytest
 
-from hardball import cli
+from hardball import cli, field
 
 SMALL_BALL = """\
 [eos]
@@ -249,6 +249,31 @@ class TestTransition:
         gas = [float(x) for x in column(prows, pcolumns, "eta_gas")]
         liq = [float(x) for x in column(prows, pcolumns, "eta_liquid")]
         assert min(b - a for a, b in zip(gas, liq)) > 0
+
+    def test_scan_and_locate_launch_each_gamma_once(self, config, tmp_path,
+                                                    monkeypatch):
+        # the scan's sub-bracket ends are not solved again by the locator
+        gammas = []
+        maximal = field.maximal_solution
+
+        def recorder(spec, alpha, gamma, *args, **kwargs):
+            gammas.append(float(gamma))
+            return maximal(spec, alpha, gamma, *args, **kwargs)
+
+        monkeypatch.setattr(field, "maximal_solution", recorder)
+        assert cli.main(["transition", "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert len(gammas) == len(set(gammas)) == 10
+
+    def test_weak_attraction_without_bracket_is_config_error(self, tmp_path,
+                                                             capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SMALL_BALL.replace("alpha = 100.0", "alpha = 1.0")
+                       + "\n[transition]\npetit = no\n")
+        rc = cli.main(["transition", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "attraction too weak" in capsys.readouterr().err
 
     def test_one_signed_bracket_is_solver_failure(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"

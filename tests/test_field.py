@@ -509,6 +509,17 @@ class TestCsvRoundTrip:
         assert meta["gamma"] == -2.0
         assert meta["branch_label"] == "minimal"
 
+    def test_roundtrip_on_wider_panels(self, tmp_path):
+        # the panel size is not in the header; read_csv infers it
+        dom = field.make_domain(2.0, n=64, panel=16)
+        fld = field.constant_field(dom, 0.2)
+        path = os.path.join(tmp_path, "field.csv")
+        field.write_csv(path, fld, SPEC_Y, 1.0, -2.0)
+        back, _ = field.read_csv(path)
+        assert np.array_equal(back.domain.nodes, dom.nodes)
+        assert np.array_equal(back.domain.weights, dom.weights)
+        assert np.array_equal(back.values, fld.values)
+
     def test_header_is_self_describing(self, dom5, tmp_path):
         path = os.path.join(tmp_path, "field.csv")
         field.write_csv(path, field.constant_field(dom5, 0.2), SPEC_Y, 1.0, -2.0)

@@ -263,6 +263,21 @@ class TestGrandTransition:
                 SPEC_Y, ALPHA_31, dom15, (-4.45, -4.30), model=EXT,
             )
 
+    def test_each_gamma_launched_once(self, dom_small, monkeypatch):
+        # the end checks, brentq and the final pair share one launch per gamma
+        gammas = []
+        maximal = field.maximal_solution
+
+        def recorder(spec, alpha, gamma, *args, **kwargs):
+            gammas.append(float(gamma))
+            return maximal(spec, alpha, gamma, *args, **kwargs)
+
+        monkeypatch.setattr(field, "maximal_solution", recorder)
+        phase.grand_canonical_transition(
+            SPEC_Y, 100.0, dom_small, (-22.0, -14.0), model=EXT,
+        )
+        assert len(gammas) == len(set(gammas)) == 8
+
     @pytest.mark.slow
     def test_large_container_limit(self):
         # the finite-container transition approaches the algebraic
