@@ -196,9 +196,16 @@ def load_config(path):
     return replace(RunConfig(), **updates).validate()
 
 
+# where and how a run happens, not what it computes: kept out of headers
+# so the same physics gives the same bytes in any directory
+_UNECHOED = ("out", "jobs")
+
+
 def _header(cfg, command):
     lines = [f"# hardball {command}"]
     for spec_field in fields(RunConfig):
+        if spec_field.name in _UNECHOED:
+            continue
         value = getattr(cfg, spec_field.name)
         lines.append(f"# {spec_field.name} = {value!r}")
     return "".join(line + "\n" for line in lines)

@@ -92,18 +92,26 @@ def g1_prime(eta):
     return _scalar_like(eta, d)
 
 
+def _g2(e):
+    """g2 on an array already known to lie in (0, 1); no checks."""
+    return np.log(e) + (8.0 * e - 9.0 * e**2 + 3.0 * e**3) / (1.0 - e) ** 3
+
+
+def _g2_prime(e):
+    """First derivative of g2, unchecked like _g2."""
+    return 1.0 / e + (8.0 - 2.0 * e) / (1.0 - e) ** 4
+
+
 def g2(eta):
     """Carnahan-Starling reduced chemical potential on the fluid branch."""
-    e = _check_range(eta, 0.0, 1.0)
-    g = np.log(e) + (8.0 * e - 9.0 * e**2 + 3.0 * e**3) / (1.0 - e) ** 3
-    return _scalar_like(eta, g)
+    return _scalar_like(eta, _g2(_check_range(eta, 0.0, 1.0)))
 
 
 def g2_derivs(eta, order):
     """Closed-form derivative of g2 of the requested order (1, 2, or 3)."""
     e = _check_range(eta, 0.0, 1.0)
     if order == 1:
-        d = 1.0 / e + (8.0 - 2.0 * e) / (1.0 - e) ** 4
+        d = _g2_prime(e)
     elif order == 2:
         d = -1.0 / e**2 + (30.0 - 6.0 * e) / (1.0 - e) ** 5
     elif order == 3:
@@ -117,51 +125,88 @@ def _solve_increasing(fn, dfn, target, lo, hi, x0, maxiter=200):
     """Vectorized safeguarded Newton for a strictly increasing function.
 
     Newton steps that leave the current sign-change bracket fall back to
-    bisection, so convergence is unconditional on [lo, hi].
+    bisection, so convergence is unconditional on [lo, hi], which may
+    differ per lane (broadcast like x0 against target).  A lane is
+    frozen once its residual meets the tolerance: each sweep updates and
+    evaluates only the lanes still open, and the solve returns when none
+    are left.  fn and dfn run unchecked, so x0 must lie in [lo, hi].
     """
     t = np.asarray(target, dtype=float)
     shape = t.shape
-    t = np.atleast_1d(t).astype(float)
-    lo_a = np.full(t.shape, lo, dtype=float)
-    hi_a = np.full(t.shape, hi, dtype=float)
-    x = np.broadcast_to(np.asarray(x0, dtype=float), t.shape).copy()
+
+    def flat(a):
+        return np.array(np.broadcast_to(np.asarray(a, dtype=float), shape)).ravel()
+
+    t, x, lo_a, hi_a = flat(t), flat(x0), flat(lo), flat(hi)
     # relative above |target| = 1: near the right endpoint one ulp of x
     # moves fn by ~1e-11 |target|, so an absolute demand is unattainable
     tol = _RESIDUAL_TOL * np.maximum(1.0, np.abs(t))
-    f = fn(x) - t
+    lanes = np.arange(t.size)  # positions in x of the open lanes
+    xa = x
+    f = fn(xa) - t
     for _ in range(maxiter):
-        if np.all(np.abs(f) < tol):
-            break
-        lo_a = np.where(f < 0.0, x, lo_a)
-        hi_a = np.where(f > 0.0, x, hi_a)
+        done = np.abs(f) < tol
+        if done.any():
+            x[lanes[done]] = xa[done]
+            keep = ~done
+            if not keep.any():
+                return x.reshape(shape)
+            lanes, xa, t, tol, f, lo_a, hi_a = (
+                a[keep] for a in (lanes, xa, t, tol, f, lo_a, hi_a)
+            )
+        lo_a = np.where(f < 0.0, xa, lo_a)
+        hi_a = np.where(f > 0.0, xa, hi_a)
         with np.errstate(all="ignore"):
-            xn = x - f / dfn(x)
+            xn = xa - f / dfn(xa)
         inside = np.isfinite(xn) & (xn > lo_a) & (xn < hi_a)
-        x = np.where(inside, xn, 0.5 * (lo_a + hi_a))
-        f = fn(x) - t
-    else:
-        raise RuntimeError("inversion did not reach the residual tolerance")
-    return x.reshape(shape)
+        xa = np.where(inside, xn, 0.5 * (lo_a + hi_a))
+        f = fn(xa) - t
+    raise RuntimeError("inversion did not reach the residual tolerance")
 
 
+def _logit_table(fn, lo, hi):
+    """Nodes from lo to hi, uniform in the logit of their position, and fn there.
+
+    Each target's table cell is its starting bracket, so no start lies
+    far from its root: from deep inside a pole (g2 at eta -> 1, g4 at
+    close packing) Newton only creeps.
+    """
+    z = 1.0 / (1.0 + np.exp(-np.linspace(-27.0, 27.0, 109)))
+    x = lo + (hi - lo) * z
+    x[[0, -1]] = lo, hi
+    return x, fn(x)
+
+
+def _invert(fn, dfn, table, gamma, seed):
+    """Solve fn(eta) = gamma lane by lane from seed, inside gamma's table cell."""
+    x_tab, f_tab = table
+    cell = np.clip(np.searchsorted(f_tab, gamma), 1, f_tab.size - 1)
+    lo, hi = x_tab[cell - 1], x_tab[cell]
+    return _solve_increasing(fn, dfn, gamma, lo, hi, np.clip(seed, lo, hi))
+
+
+_G2_TABLE = _logit_table(_g2, _BRACKET_LO, _BRACKET_HI)
 # Bracket images, used to reject unreachable targets before iterating.
-_G2_LO = float(g2(_BRACKET_LO))
-_G2_HI = float(g2(_BRACKET_HI))
+_G2_LO, _G2_HI = float(_G2_TABLE[1][0]), float(_G2_TABLE[1][-1])
 
 
-def g2_inverse(gamma):
+def g2_inverse(gamma, seed=None):
     """Invert g2 on (0, 1) by safeguarded Newton with bisection fallback.
 
     The residual |g2(result) - gamma| is driven below 1e-12 max(1, |gamma|).
+    seed, a packing fraction per target (e.g. the caller's current
+    profile), replaces the built-in starting guess; it is clipped into
+    the target's table cell, so any seed is safe.
     """
     g = np.asarray(gamma, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("gamma must be finite")
     if np.any(g < _G2_LO) or np.any(g > _G2_HI):
         raise ValueError("gamma outside the invertible bracket")
-    # Below gamma ~ -3 the ideal-gas exponential is an excellent seed.
-    x0 = np.where(g < 0.0, np.clip(np.exp(np.clip(g, -27.0, 0.0)), 1e-11, 0.2), 0.25)
-    x = _solve_increasing(g2, lambda e: g2_derivs(e, 1), g, _BRACKET_LO, _BRACKET_HI, x0)
+    if seed is None:
+        # Below gamma ~ -3 the ideal-gas exponential is an excellent seed.
+        seed = np.where(g < 0.0, np.exp(np.clip(g, -27.0, 0.0)), 0.25)
+    x = _invert(_g2, _g2_prime, _G2_TABLE, g, seed)
     return _scalar_like(gamma, x)
 
 
@@ -199,6 +244,20 @@ _Y_MELT = ETA_FS_HI / ETA_FCC
 _Z_MELT = _speedy_z(_Y_MELT)
 
 
+def _speedy_g4(e):
+    """speedy_g4 on an array already known to lie in [0.54, eta_fcc)."""
+    y = e / ETA_FCC
+    a, b, c = SPEEDY_A, SPEEDY_B, SPEEDY_C
+    return (
+        GAMMA_FS
+        + _speedy_z(y)
+        - _Z_MELT
+        + (3.0 - a * b / c) * np.log(y / _Y_MELT)
+        - 3.0 * np.log((1.0 - y) / (1.0 - _Y_MELT))
+        - a * (c - b) / c * np.log((y - c) / (_Y_MELT - c))
+    )
+
+
 def speedy_g4(eta):
     """Speedy reduced chemical potential on the solid branch.
 
@@ -208,37 +267,27 @@ def speedy_g4(eta):
     equals the freezing chemical potential exactly.
     """
     e = _check_range(eta, ETA_FS_HI, ETA_FCC, closed_lo=True)
-    y = e / ETA_FCC
-    a, b, c = SPEEDY_A, SPEEDY_B, SPEEDY_C
-    g = (
-        GAMMA_FS
-        + _speedy_z(y)
-        - _Z_MELT
-        + (3.0 - a * b / c) * np.log(y / _Y_MELT)
-        - 3.0 * np.log((1.0 - y) / (1.0 - _Y_MELT))
-        - a * (c - b) / c * np.log((y - c) / (_Y_MELT - c))
-    )
-    return _scalar_like(eta, g)
+    return _scalar_like(eta, _speedy_g4(e))
 
 
 _G4_HI_ETA = ETA_FCC * (1.0 - 1e-13)
 _G4_HI = float(speedy_g4(_G4_HI_ETA))
+_G4_TABLE = _logit_table(_speedy_g4, ETA_FS_HI, _G4_HI_ETA)
 
 
-def g4_inverse(gamma):
-    """Invert speedy_g4 on [0.54, eta_fcc)."""
+def g4_inverse(gamma, seed=None):
+    """Invert speedy_g4 on [0.54, eta_fcc); seed as for g2_inverse."""
     g = np.asarray(gamma, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("gamma must be finite")
     if np.any(g < GAMMA_FS) or np.any(g > _G4_HI):
         raise ValueError("gamma outside the solid branch")
-    x = _solve_increasing(
-        speedy_g4,
+    x = _invert(
+        _speedy_g4,
         lambda e: _speedy_g3_prime(e) / e,
+        _G4_TABLE,
         g,
-        ETA_FS_HI,
-        _G4_HI_ETA,
-        0.6,
+        0.6 if seed is None else seed,
     )
     return _scalar_like(gamma, x)
 
@@ -314,24 +363,32 @@ class EosModel:
             out[~fluid] = _SOLID_PRESSURE_SHIFT + speedy_g3(g4_inverse(g[~fluid]))
         return _scalar_like(gamma, out.reshape(np.shape(gamma)))
 
-    def wp_prime(self, gamma, side="left"):
+    def wp_prime(self, gamma, side="left", seed=None):
         """Equilibrium packing fraction at chemical potential gamma.
 
         At the kink the left derivative returns 0.49 and the right
         derivative 0.54; elsewhere the side argument is irrelevant.
+        seed, a packing fraction per gamma that the caller already
+        holds (say the current profile), starts the inversion there; in
+        hard-sphere mode each lane's seed goes to the branch its gamma
+        falls on and is clipped into that branch's bracket, so a seed
+        from the other branch is harmless.  The result meets the same
+        residual with or without a seed.
         """
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         if self.mode == MODE_IDEAL_GAS:
             return ideal_gas_wp_prime(gamma)
         if self.mode == MODE_CS_EXTENDED:
-            return g2_inverse(gamma)
+            return g2_inverse(gamma, seed)
         g, fluid = self._split(gamma, kink_to_solid=(side == "right"))
+        if seed is not None:
+            seed = np.broadcast_to(np.asarray(seed, dtype=float), g.shape)
         out = np.empty_like(g)
         if np.any(fluid):
-            out[fluid] = g2_inverse(g[fluid])
+            out[fluid] = g2_inverse(g[fluid], None if seed is None else seed[fluid])
         if np.any(~fluid):
-            out[~fluid] = g4_inverse(g[~fluid])
+            out[~fluid] = g4_inverse(g[~fluid], None if seed is None else seed[~fluid])
         return _scalar_like(gamma, out.reshape(np.shape(gamma)))
 
     def wp_double_prime(self, gamma):

@@ -49,6 +49,7 @@ __all__ = [
 _GAMMA_FS = eos.GAMMA_FS
 _FLUID_MARGIN = 1e-9  # strict margin for the certified-fluid flag
 _RESIDUAL_TOL = 1e-9  # fixed-point residual required on top of the change test
+_ASSEMBLY_ROWS = 64  # rows of the ring matrix assembled per elementwise pass
 
 
 @dataclass(eq=False)
@@ -180,6 +181,8 @@ def _ring_matrix(spec, domain, targets):
     target is re-integrated in two smooth halves against the panel's own
     Lagrange basis.  A zero target radius uses the limit row
     4 pi int s^2 (-V(s)) eta(s) ds instead of the 2pi/t reduction.
+    The dense rows are written into M a block of rows at a time, so the
+    temporaries of the elementwise expression stay block-sized.
     """
     t = np.asarray(targets, dtype=float)
     s = domain.nodes
@@ -187,12 +190,14 @@ def _ring_matrix(spec, domain, targets):
     M = np.zeros((t.size, s.size))
 
     pos = t > 0.0
-    if np.any(pos):
-        tp = t[pos][:, None]
-        ring = kernels.ring_primitive(spec, tp + s[None, :]) - kernels.ring_primitive(
-            spec, np.abs(tp - s[None, :])
+    rows = np.flatnonzero(pos)
+    for start in range(0, rows.size, _ASSEMBLY_ROWS):
+        block = rows[start:start + _ASSEMBLY_ROWS]
+        tp = t[block][:, None]
+        ring = kernels.ring_primitive(spec, tp + s) - kernels.ring_primitive(
+            spec, np.abs(tp - s)
         )
-        M[pos] = (2.0 * math.pi / tp) * w[None, :] * s[None, :] * ring
+        M[block] = (2.0 * math.pi / tp) * w * s * ring
     if np.any(~pos):
         M[~pos] = 4.0 * math.pi * w * s**2 * (-kernels.kernel_eval(spec, s))
 
@@ -287,7 +292,7 @@ def _report(domain, values, gamma, u, iterations, residual, direction="none"):
 
 
 def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol):
-    """Iterate eta -> wp'(gamma + u) with u = alpha M eta, gamma = gamma_rule(u).
+    """Iterate eta -> wp'(gamma + u), u = alpha M eta, gamma = gamma_rule(u, eta).
 
     The one loop behind the grand problem (gamma_rule a constant) and
     the mass-constrained one (gamma_rule the Lagrange multiplier that
@@ -295,14 +300,15 @@ def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol):
     tol AND the residual at the last step's gamma drops below 1e-9, so
     a stalled sequence runs into max_iter and raises instead of
     reporting false convergence.  The monotone direction is read off
-    the first step.  Returns the report and the last gamma.
+    the first step.  Every EOS inversion starts from the current
+    profile.  Returns the report and the last gamma.
     """
     v = eta0.values
     direction = "none"
     for it in range(1, max_iter + 1):
         u = alpha * (M @ v)
-        gamma = gamma_rule(u)
-        new = np.asarray(model.wp_prime(gamma + u, side="left"), dtype=float)
+        gamma = gamma_rule(u, v)
+        new = np.asarray(model.wp_prime(gamma + u, side="left", seed=v), dtype=float)
         if np.any(new >= 1.0) or np.any(new <= 0.0):
             raise ValueError("iteration left the volume-fraction range (0, 1)")
         change = float(np.max(np.abs(new - v)))
@@ -317,9 +323,9 @@ def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol):
         v = new
         if change < tol:
             u = alpha * (M @ v)
-            res = float(
-                np.max(np.abs(np.asarray(model.wp_prime(gamma + u, side="left")) - v))
-            )
+            res = float(np.max(np.abs(
+                np.asarray(model.wp_prime(gamma + u, side="left", seed=v)) - v
+            )))
             if res < _RESIDUAL_TOL:
                 return _report(eta0.domain, v, gamma, u, it, res, direction), gamma
     raise RuntimeError(f"no convergence within {max_iter} iterations")
@@ -333,7 +339,7 @@ def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10, model=No
     """
     model = _default_model(model)
     M = _self_ring(spec, eta0.domain)
-    return _fixed_point(M, alpha, model, eta0, lambda u: gamma, max_iter, tol)[0]
+    return _fixed_point(M, alpha, model, eta0, lambda u, v: gamma, max_iter, tol)[0]
 
 
 def minimal_solution(spec, alpha, gamma, domain, model=None, max_iter=20000, tol=1e-10):
@@ -454,7 +460,8 @@ def newton_solve(spec, alpha, gamma, eta0, tol=1e-12, max_iter=60, model=None,
 
     def resid(vec):
         u = M @ vec
-        return vec - np.asarray(model.wp_prime(gamma + u, side="left")), u
+        wp = model.wp_prime(gamma + u, side="left", seed=vec)
+        return vec - np.asarray(wp), u
 
     F, u = resid(v)
     norm = float(np.max(np.abs(F)))

@@ -446,11 +446,15 @@ def droplet_trial(spec, alpha, domain, N, ball_fraction, floor=1e-12):
     return field.DensityField(domain, np.where(inside, density, floor))
 
 
-def _gamma_for_mass(model, D, u, N):
-    """Chemical potential at which the profile wp'(gamma + u) has mass N."""
+def _gamma_for_mass(model, D, u, N, seed):
+    """Chemical potential at which the profile wp'(gamma + u) has mass N.
+
+    seed, the profile the caller holds, starts every EOS inversion.
+    """
 
     def mass_gap(g):
-        return float(D @ np.asarray(model.wp_prime(g + u, side="left"))) - N
+        eta = model.wp_prime(g + u, side="left", seed=seed)
+        return float(D @ np.asarray(eta)) - N
 
     lo, hi = -26.0, 4.0
     if mass_gap(lo) >= 0.0:
@@ -492,7 +496,7 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=None, tol=1e-12,
         start = droplet_trial(spec, alpha, domain, N, fraction)
     report, gamma = field._fixed_point(
         field._self_ring(spec, domain), alpha, model, start,
-        lambda u: _gamma_for_mass(model, D, u, N), max_iter, tol,
+        lambda u, v: _gamma_for_mass(model, D, u, N, v), max_iter, tol,
     )
     if check_collapse:
         vapor = field.minimal_solution(spec, alpha, gamma, domain, model=model)

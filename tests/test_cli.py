@@ -9,7 +9,7 @@ the documented contract (0 success, 1 solver failure, 2 config error).
 import numpy as np
 import pytest
 
-from hardball import cli, field
+from hardball import cli, field, phase
 
 SMALL_BALL = """\
 [eos]
@@ -190,6 +190,20 @@ class TestSolve:
         gammas = [float(g) for g in column(rows_a, columns_a, "gamma")]
         assert gammas == [-20.0, -18.0, -16.0]
 
+    def test_grid_sweep_bytes_ignore_jobs_and_out(self, config, tmp_path):
+        # out and jobs pick where and how a run happens, not what it computes
+        grid = config.read_text() + "\n[grid]\ngamma = -20.0, -18.0\n"
+        cfg = tmp_path / "grid.ini"
+        cfg.write_text(grid)
+        out_a, out_b = tmp_path / "a", tmp_path / "b-longer-name"
+        assert cli.main(["solve", "--config", str(cfg), "--jobs", "3",
+                         "--out", str(out_a)]) == 0
+        assert cli.main(["solve", "--config", str(cfg), "--jobs", "1",
+                         "--out", str(out_b)]) == 0
+        first = (out_a / "solve_summary.csv").read_bytes()
+        assert (out_b / "solve_summary.csv").read_bytes() == first
+        assert b"# out" not in first and b"# jobs" not in first
+
     def test_rerun_is_byte_identical(self, config, tmp_path):
         out = tmp_path / "out"
         args = ["solve", "--config", str(config), "--gamma", "-18.0",
@@ -253,17 +267,33 @@ class TestTransition:
     def test_scan_and_locate_launch_each_gamma_once(self, config, tmp_path,
                                                     monkeypatch):
         # the scan's sub-bracket ends are not solved again by the locator
-        gammas = []
+        gammas, asked, brackets = [], set(), []
         maximal = field.maximal_solution
+        root_finder = phase.brentq
 
         def recorder(spec, alpha, gamma, *args, **kwargs):
             gammas.append(float(gamma))
             return maximal(spec, alpha, gamma, *args, **kwargs)
 
+        def recording_brentq(f, a, b, *args, **kwargs):
+            brackets.append((a, b))
+
+            def objective(g):
+                asked.add(float(g))
+                return f(g)
+
+            return root_finder(objective, a, b, *args, **kwargs)
+
         monkeypatch.setattr(field, "maximal_solution", recorder)
+        monkeypatch.setattr(phase, "brentq", recording_brentq)
         assert cli.main(["transition", "--config", str(config),
                          "--out", str(tmp_path / "out")]) == 0
-        assert len(gammas) == len(set(gammas)) == 10
+        # the scan visits its grid up to the sub-bracket it hands to brentq
+        [(_, right)] = brackets
+        grid = np.linspace(-22.0, -14.0, phase._SCAN_POINTS)
+        asked |= {float(g) for g in grid if g <= right}
+        assert len(gammas) == len(set(gammas))
+        assert set(gammas) == asked
 
     def test_weak_attraction_without_bracket_is_config_error(self, tmp_path,
                                                              capsys):

@@ -112,6 +112,71 @@ class TestG2Inverse:
         assert isinstance(eos.g2_inverse(0.0), float)
 
 
+def _count_sweeps(monkeypatch):
+    """Count the calls of each inversion's fn and the lanes they evaluate."""
+    counts = {"sweeps": 0, "lanes": 0}
+    solve = eos._solve_increasing
+
+    def counted(fn, *args, **kwargs):
+        def sweep(x):
+            counts["sweeps"] += 1
+            counts["lanes"] += np.size(x)
+            return fn(x)
+
+        return solve(sweep, *args, **kwargs)
+
+    monkeypatch.setattr(eos, "_solve_increasing", counted)
+    return counts
+
+
+class TestInversionWork:
+    GAMMA = np.linspace(-5.0, 8.0, 514)[1:-1]  # 512 targets inside (-5, 8)
+
+    def test_sweeps_bounded(self, monkeypatch):
+        counts = _count_sweeps(monkeypatch)
+        eta = eos.g2_inverse(self.GAMMA)
+        assert counts["sweeps"] <= 10
+        scale = np.maximum(1.0, np.abs(self.GAMMA))
+        assert np.max(np.abs(eos.g2(eta) - self.GAMMA) / scale) < 1e-12
+
+    def test_converged_lanes_are_not_evaluated_again(self, monkeypatch):
+        seed = eos.g2_inverse(self.GAMMA)
+        seed[0] = 0.9  # one lane starts far above its root
+        counts = _count_sweeps(monkeypatch)
+        eos.g2_inverse(self.GAMMA, seed=seed)
+        assert counts["sweeps"] > 2
+        # the first sweep sees every lane, each later one only the open lane
+        assert counts["lanes"] == self.GAMMA.size + counts["sweeps"] - 1
+
+    def test_exact_seed_returns_after_one_evaluation(self, monkeypatch):
+        exact = eos.g2_inverse(self.GAMMA)
+        counts = _count_sweeps(monkeypatch)
+        assert np.array_equal(eos.g2_inverse(self.GAMMA, seed=exact), exact)
+        assert counts == {"sweeps": 1, "lanes": self.GAMMA.size}
+
+    def test_seeds_on_the_wrong_side_still_converge(self):
+        model = eos.EosModel()
+        gamma = np.linspace(eos.GAMMA_FS - 3.0, eos.GAMMA_FS + 3.0, 61)
+        fluid = gamma <= eos.GAMMA_FS
+        crossed = np.where(fluid, 0.6, 0.3)  # each lane seeded on the other branch
+        for seed in (0.3, 0.6, crossed, -1.0, 2.0):
+            eta = model.wp_prime(gamma, seed=seed)
+            back = np.where(fluid, eos.g2(np.where(fluid, eta, 0.3)),
+                            eos.speedy_g4(np.where(fluid, 0.6, eta)))
+            scale = np.maximum(1.0, np.abs(gamma))
+            assert np.max(np.abs(back - gamma) / scale) < 1e-12
+        assert isinstance(model.wp_prime(eos.GAMMA_FS + 1.0, seed=0.3), float)
+        assert eos.g4_inverse(eos.GAMMA_FS + 1.0, seed=0.3) == pytest.approx(
+            eos.g4_inverse(eos.GAMMA_FS + 1.0), rel=1e-12
+        )
+
+    def test_seeded_shape_preserved(self):
+        gamma = np.array([[0.0, 1.0], [2.0, 3.0]])
+        out = eos.g2_inverse(gamma, seed=np.full((2, 2), 0.3))
+        assert out.shape == (2, 2)
+        assert np.allclose(out, eos.g2_inverse(gamma), rtol=1e-12)
+
+
 class TestSolidBranch:
     def test_pressure_monotone_and_pole(self):
         grid = np.linspace(0.54, 0.73, 400)

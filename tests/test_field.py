@@ -94,6 +94,33 @@ class TestRingCache:
         assert len(rings) == 4 and all(r is rings[0] for r in rings)
 
 
+class TestRingAssembly:
+    @pytest.mark.parametrize("spec", [
+        SPEC_W, SPEC_Y, SPEC_N,
+        kernels.KernelSpec(a_w=0.5, a_y=1.2, a_n=0.3, varkappa=0.7, kappa=1.3),
+    ])
+    def test_dense_rows_equal_the_textbook_expression(self, spec):
+        # the row-blocked assembly must give the same bits as the whole-
+        # matrix expression; no panel edges, so every row is the dense one
+        grid = field.make_domain(4.0, n=256)
+        dom = field.RadialDomain(R=grid.R, n=grid.n, nodes=grid.nodes,
+                                 weights=grid.weights)
+        s, w = dom.nodes, dom.weights
+        tp = s[:, None]
+
+        def prim(x):  # int_0^x u(-V(u)) du, terms in kernels' order
+            vk2 = spec.varkappa**2
+            return (
+                0.0
+                + spec.a_w / (4.0 * vk2) * (1.0 - 1.0 / (1.0 + vk2 * x**2) ** 2)
+                + spec.a_y * (1.0 - np.exp(-spec.kappa * x)) / spec.kappa
+                + spec.a_n * x
+            )
+
+        expected = (2.0 * math.pi / tp) * w * s * (prim(tp + s) - prim(np.abs(tp - s)))
+        assert np.array_equal(field._ring_matrix(spec, dom, s), expected)
+
+
 class TestDensityField:
     def test_validation(self):
         dom = field.make_domain(1.0, n=16)
