@@ -58,6 +58,7 @@ MODES = (MODE_HARD_SPHERE, MODE_CS_EXTENDED, MODE_IDEAL_GAS)
 _BRACKET_LO = 1e-12
 _BRACKET_HI = 1.0 - 1e-12
 _RESIDUAL_TOL = 1e-12
+_SLOW_SWEEPS = 30  # sweeps after which a lane may also stop on its bracket width
 
 
 def _check_range(x, lo, hi, *, closed_lo=False, name="eta"):
@@ -135,17 +136,24 @@ def _solve_increasing(fn, dfn, target, lo, hi, x0, maxiter=200):
     shape = t.shape
 
     def flat(a):
-        return np.array(np.broadcast_to(np.asarray(a, dtype=float), shape)).ravel()
+        # a view where the shape already fits: only x is written in place
+        a = np.asarray(a, dtype=float)
+        return (a if a.shape == shape else np.broadcast_to(a, shape)).ravel()
 
-    t, x, lo_a, hi_a = flat(t), flat(x0), flat(lo), flat(hi)
+    t, lo_a, hi_a = flat(t), flat(lo), flat(hi)
+    x = flat(x0).copy()
     # relative above |target| = 1: near the right endpoint one ulp of x
     # moves fn by ~1e-11 |target|, so an absolute demand is unattainable
     tol = _RESIDUAL_TOL * np.maximum(1.0, np.abs(t))
     lanes = np.arange(t.size)  # positions in x of the open lanes
     xa = x
     f = fn(xa) - t
-    for _ in range(maxiter):
+    for sweep in range(maxiter):
         done = np.abs(f) < tol
+        if sweep >= _SLOW_SWEEPS:
+            # near a pole one ulp of x moves fn by more than tol; a lane
+            # bracketed to a few ulps is as converged as doubles allow
+            done |= hi_a - lo_a <= 4.0 * np.spacing(hi_a)
         if done.any():
             x[lanes[done]] = xa[done]
             keep = ~done
@@ -306,10 +314,13 @@ def find_inflection():
 _ETA_WR, _GAMMA_WR, _K_GAMMA_FS = find_inflection()
 
 
+_IDEAL_GAS_HI = 700.0  # largest ideal-gas gamma, clear of exp overflow
+
+
 def ideal_gas_wp_prime(gamma):
     """Ideal-gas density e^gamma, for low-density cross-checks."""
     g = np.asarray(gamma, dtype=float)
-    if np.any(g > 700.0):
+    if np.any(g > _IDEAL_GAS_HI):
         raise OverflowError("gamma too large for the ideal-gas exponential")
     return _scalar_like(gamma, np.exp(g))
 
@@ -393,22 +404,53 @@ class EosModel:
 
     def wp_double_prime(self, gamma):
         """Density response d eta / d gamma; undefined at the kink."""
-        if self.mode == MODE_IDEAL_GAS:
-            return ideal_gas_wp_prime(gamma)
-        if self.mode == MODE_CS_EXTENDED:
-            return _scalar_like(
-                gamma, 1.0 / g2_derivs(g2_inverse(np.asarray(gamma, dtype=float)), 1)
-            )
-        g, fluid = self._split(gamma, kink_to_solid=False)
-        if np.any(g == self.gamma_fs):
+        if self.mode == MODE_HARD_SPHERE and np.any(
+            np.asarray(gamma, dtype=float) == self.gamma_fs
+        ):
             raise ValueError("density response is undefined at the kink gamma_fs")
-        out = np.empty_like(g)
-        if np.any(fluid):
-            out[fluid] = 1.0 / g2_derivs(g2_inverse(g[fluid]), 1)
-        if np.any(~fluid):
-            eta = g4_inverse(g[~fluid])
-            out[~fluid] = eta / _speedy_g3_prime(eta)
-        return _scalar_like(gamma, out.reshape(np.shape(gamma)))
+        return _scalar_like(gamma, self.response_at(self.wp_prime(gamma)))
+
+    def response_at(self, eta):
+        """wp'' where wp' equals eta, read off eta with no inversion.
+
+        eta/g3'(eta) on the solid branch (eta >= 0.54 in hard-sphere
+        mode), eta for the ideal gas, 1/g2'(eta) otherwise; for
+        eta = wp_prime(gamma) this is wp_double_prime(gamma).
+        """
+        e = np.asarray(eta, dtype=float)
+        if self.mode == MODE_IDEAL_GAS:
+            return e
+        if self.mode == MODE_CS_EXTENDED:
+            return 1.0 / _g2_prime(e)
+        solid = np.minimum(np.maximum(e, ETA_FS_HI), _G4_HI_ETA)
+        return np.where(e < ETA_FS_HI, 1.0 / _g2_prime(e), solid / _speedy_g3_prime(solid))
+
+    def gamma_at(self, eta):
+        """Chemical potential at which wp' equals eta, in closed form.
+
+        g2(eta), speedy_g4(eta) or log(eta) by mode and branch, with no
+        inversion; in hard-sphere mode the coexistence gap (0.49, 0.54)
+        maps to the kink gamma_fs and close packing to the solid top.
+        """
+        e = _check_range(eta, 0.0, math.inf if self.mode == MODE_IDEAL_GAS else 1.0)
+        if self.mode == MODE_IDEAL_GAS:
+            return _scalar_like(eta, np.log(e))
+        if self.mode == MODE_CS_EXTENDED:
+            return _scalar_like(eta, _g2(e))
+        solid = np.minimum(np.maximum(e, ETA_FS_HI), _G4_HI_ETA)
+        g = np.where(e < ETA_FS_HI, _g2(np.minimum(e, ETA_FS_LO)), _speedy_g4(solid))
+        return _scalar_like(eta, g)
+
+    def gamma_range(self):
+        """Lowest and highest gamma that wp_prime accepts in this mode.
+
+        The floor is the fluid inversion's, density 1e-12, for every
+        mode; the ceiling is the fluid branch's near eta = 1
+        (CS-extended), the solid branch's near close packing
+        (hard-sphere) or the exponential's overflow guard (ideal gas).
+        """
+        top = {MODE_CS_EXTENDED: _G2_HI, MODE_HARD_SPHERE: _G4_HI}
+        return _G2_LO, top.get(self.mode, _IDEAL_GAS_HI)
 
     def g2_inverse(self, gamma):
         """Fluid-branch density, enforcing the mode's branch restriction."""

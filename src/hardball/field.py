@@ -50,6 +50,7 @@ _GAMMA_FS = eos.GAMMA_FS
 _FLUID_MARGIN = 1e-9  # strict margin for the certified-fluid flag
 _RESIDUAL_TOL = 1e-9  # fixed-point residual required on top of the change test
 _ASSEMBLY_ROWS = 64  # rows of the ring matrix assembled per elementwise pass
+_STALL_STEPS, _STALL_CUT = 8, 0.99  # Newton stalls: 8 accepted steps, < 1% cut
 
 
 @dataclass(eq=False)
@@ -451,8 +452,10 @@ def newton_solve(spec, alpha, gamma, eta0, tol=1e-12, max_iter=60, model=None,
     The Jacobian I - diag(wp'') alpha M is assembled densely, which the
     node counts in use comfortably allow.  Unlike Picard this also
     reaches iteration-unstable solutions, at quadratic rate near any
-    root.  callback, if given, receives (iteration, residual) after
-    every accepted step.
+    root.  A solve whose last 8 accepted steps together cut the
+    residual by less than 1% has stalled and raises RuntimeError.
+    callback, if given, receives (iteration, residual) after every
+    accepted step.
     """
     model = _default_model(model)
     M = alpha * _self_ring(spec, eta0.domain)
@@ -465,11 +468,17 @@ def newton_solve(spec, alpha, gamma, eta0, tol=1e-12, max_iter=60, model=None,
 
     F, u = resid(v)
     norm = float(np.max(np.abs(F)))
+    norms = [norm]  # residual after each accepted step
     if callback is not None:
         callback(0, norm)
     for it in range(1, max_iter + 1):
         if norm < tol:
             return _report(eta0.domain, v, gamma, u, it - 1, norm)
+        if len(norms) > _STALL_STEPS and norm > _STALL_CUT * norms[-1 - _STALL_STEPS]:
+            raise RuntimeError(
+                f"Newton stalled at gamma {gamma!r}: residual {norm:.3e} after "
+                f"step {it - 1}, cut by under 1% over the last {_STALL_STEPS} steps"
+            )
         J = np.eye(v.size) - np.asarray(model.wp_double_prime(gamma + u))[:, None] * M
         try:
             step = np.linalg.solve(J, -F)
@@ -487,6 +496,7 @@ def newton_solve(spec, alpha, gamma, eta0, tol=1e-12, max_iter=60, model=None,
             nc = float(np.max(np.abs(Fc)))
             if nc < (1.0 - 0.25 * lam) * norm:
                 v, F, u, norm = cand, Fc, uc, nc
+                norms.append(norm)
                 if callback is not None:
                     callback(it, norm)
                 break

@@ -9,10 +9,11 @@ gamma stalls when started from a ball trial in a large container, but
 re-solving gamma each step so the iterate keeps its mass follows the
 canonical-ensemble valley, where the droplet is a stable minimizer.
 That iteration is the fixed-point loop of `field` with the mass
-multiplier `_gamma_for_mass` as its gamma rule.  Every gas/liquid
-comparison goes through `_launch_gap`: the minimal and maximal launches
-at one gamma, their pressure gap, and whether they are distinct, read
-through `_launch_memo` so one public call launches each gamma once.
+multiplier `_gamma_for_mass`, safeguarded Newton on gamma, as its gamma
+rule.  Every gas/liquid comparison goes through `_launch_gap`: the
+minimal and maximal launches at one gamma, their pressure gap, and
+whether they are distinct, read through `_launch_memo` so one public
+call launches each gamma once.
 `_scan_and_locate` scans (by default the algebraic band), then locates.
 """
 
@@ -45,6 +46,7 @@ _MASS_RTOL = 1e-9  # relative mass residual for constrained solves
 _JUMP_FACTOR = 10.0  # continuation step ratio that flags a branch switch
 _DISTINCT = 1e-7  # sup-norm separation below which two launches coincide
 _SCAN_POINTS = 9  # gammas the pressure-gap scan visits across its bracket
+_MASS_MATCH_STEPS = 200  # Newton/bisection steps of one mass match, at most
 
 
 class BranchLostError(RuntimeError):
@@ -253,9 +255,12 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=None,
     if not 0.0 < N_target < volume:
         raise ValueError("N_target outside the attainable mass range")
 
-    # the extremal branches end at the algebraic folds; keep the secant
-    # from extrapolating across them before it has a bracket
-    g_floor, g_ceil = -27.0, 60.0
+    # wp'(gamma + u) must stay invertible for 0 <= u < alpha phi (eta < 1);
+    # the extremal branches end at the algebraic folds: keep the secant
+    # from extrapolating across either before it has a bracket
+    phi = kernels.phi_lambda(spec, domain.R)
+    g_floor, g_ceil = model.gamma_range()
+    g_ceil -= alpha * phi
     atau = alpha * kernels.l1_norm_r3(spec)
     if atau > uniform.ALPHA_TAU_MIN:
         g_check, g_hat = uniform.gamma_boundaries(atau)
@@ -275,7 +280,6 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=None,
         if branch == "maximal":
             return field.maximal_solution(spec, alpha, g, domain, model=model)
         if warm[0] is None:
-            phi = kernels.phi_lambda(spec, domain.R)
             roots = uniform.solve_uniform(alpha * phi, g).roots
             if len(roots) < 3:
                 raise ValueError(
@@ -306,12 +310,7 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=None,
 
     mean = N_target / volume
     if gamma_seed is None:
-        phi = kernels.phi_lambda(spec, domain.R)
-        g_mean = brentq(
-            lambda g: float(model.wp_prime(g, side="left")) - mean,
-            -27.0, 40.0, xtol=1e-12, rtol=8.9e-16,
-        )
-        gamma_seed = g_mean - alpha * phi * mean
+        gamma_seed = model.gamma_at(mean) - alpha * phi * mean
     g_prev = clamp(float(gamma_seed))
     rep_prev, n_prev = evaluate(g_prev)
     h_prev = n_prev - N_target
@@ -449,28 +448,64 @@ def droplet_trial(spec, alpha, domain, N, ball_fraction, floor=1e-12):
 def _gamma_for_mass(model, D, u, N, seed):
     """Chemical potential at which the profile wp'(gamma + u) has mass N.
 
-    seed, the profile the caller holds, starts every EOS inversion.
+    Safeguarded Newton on gamma.  The mass D.wp'(gamma + u) rises
+    strictly with slope D.wp''(gamma + u), which `EosModel.response_at`
+    reads off each evaluated profile, so every step costs one EOS
+    inversion.  The start linearizes each lane about seed, the profile
+    the caller holds, which also starts the first inversion; later ones
+    start from the last profile.  A step leaving the sign bracket
+    bisects it instead; the bracket starts as the window where every
+    lane gamma + u is invertible, and a target outside that window
+    raises ValueError.  Each lane is inverted to 1e-12 max(1, |gamma +
+    u|), so the solve stops once the step is below that resolution and
+    returns the last gamma evaluated.
     """
+    g_min, g_max = model.gamma_range()
+    u_lo, u_hi = float(np.min(u)), float(np.max(u))
+    # keep every lane strictly inside the range after rounding of gamma + u
+    bottom = g_min - u_lo + 1e-12 * (abs(g_min) + abs(u_lo))
+    top = g_max - u_hi - 1e-12 * (abs(g_max) + abs(u_hi))
+    u_abs = float(np.max(np.abs(u)))
+    lo, hi = bottom, top  # sign bracket; an end counts once evaluated
+    lo_seen = hi_seen = False
 
-    def mass_gap(g):
-        eta = model.wp_prime(g + u, side="left", seed=seed)
-        return float(D @ np.asarray(eta)) - N
-
-    lo, hi = -26.0, 4.0
-    if mass_gap(lo) >= 0.0:
-        lo = -27.4
-        if mass_gap(lo) >= 0.0:
-            raise ValueError("mass target below the dilute gamma window")
-    while mass_gap(hi) <= 0.0:
-        hi += 6.0
-        if hi > 46.0:
-            raise ValueError("mass target above the reachable gamma window")
-    gamma = float(brentq(mass_gap, lo, hi, xtol=1e-13, rtol=8.9e-16))
-    if abs(mass_gap(gamma)) > 1e-6 * max(1.0, N):
+    w = D * model.response_at(seed)
+    g = float((w @ (model.gamma_at(seed) - u) + N - D @ seed) / np.sum(w))
+    g = min(max(g, bottom), top)
+    eta = seed
+    for _ in range(_MASS_MATCH_STEPS):
+        eta = np.asarray(model.wp_prime(g + u, side="left", seed=eta), dtype=float)
+        gap = float(D @ eta) - N
+        if gap == 0.0:
+            return g
+        if (gap < 0.0 and g == top) or (gap > 0.0 and g == bottom):
+            raise ValueError(
+                f"mass target {N!r} lies outside the gamma window "
+                f"[{bottom!r}, {top!r}] where wp'(gamma + u) is invertible"
+            )
+        if gap < 0.0:
+            lo, lo_seen = g, True
+        else:
+            hi, hi_seen = g, True
+        step = gap / float(D @ model.response_at(eta))
+        resolution = 1e-12 * max(1.0, abs(g) + u_abs)
+        if abs(step) <= resolution or hi - lo <= resolution:
+            break
+        g_next = g - step
+        if not lo < g_next < hi:
+            # an unevaluated window end is tried first, then bisection
+            if g_next <= lo and not lo_seen:
+                g_next = lo
+            elif g_next >= hi and not hi_seen:
+                g_next = hi
+            else:
+                g_next = 0.5 * (lo + hi)
+        g = g_next
+    if abs(gap) > 1e-6 * max(1.0, N):
         raise RuntimeError(
             "mass cannot be matched by a single-branch density profile"
         )
-    return gamma
+    return g
 
 
 def droplet_solve(spec, alpha, domain, N, start=None, model=None, tol=1e-12,
@@ -478,8 +513,8 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=None, tol=1e-12,
     """Land on the droplet branch at fixed mass N.
 
     Runs the fixed-point loop `field._fixed_point` with gamma re-solved
-    every step by `_gamma_for_mass` to hold the mass, under Picard's
-    stopping rule.  The droplet minimizes F under the mass constraint,
+    every step by `_gamma_for_mass` (Newton on gamma, started from the
+    current profile) to hold the mass, under Picard's stopping rule.  The droplet minimizes F under the mass constraint,
     so this iteration converges from a crude ball trial where
     fixed-gamma Newton stalls.  The converged gamma is the chemical
     potential of the droplet, and the profile solves the fixed-gamma

@@ -170,6 +170,18 @@ class TestInversionWork:
             eos.g4_inverse(eos.GAMMA_FS + 1.0), rel=1e-12
         )
 
+    def test_range_ends_invert(self):
+        # near the poles one ulp of eta moves g2 or g4 by more than the
+        # residual tolerance; the ends of each accepted range still invert
+        for mode in (eos.MODE_CS_EXTENDED, eos.MODE_HARD_SPHERE):
+            model = eos.EosModel(mode=mode)
+            lo, hi = model.gamma_range()
+            eta = model.wp_prime(np.array([lo, 1e3, 1e9, hi]))
+            assert np.all(np.diff(eta) > 0.0)
+            assert eta[0] == pytest.approx(1e-12, rel=1e-9)
+            assert eta[-1] == pytest.approx(1.0 if mode == eos.MODE_CS_EXTENDED
+                                            else eos.ETA_FCC, rel=1e-11)
+
     def test_seeded_shape_preserved(self):
         gamma = np.array([[0.0, 1.0], [2.0, 3.0]])
         out = eos.g2_inverse(gamma, seed=np.full((2, 2), 0.3))

@@ -383,6 +383,24 @@ class TestNewton:
                 break
             assert nxt < 0.5 * prev**1.7
 
+    def test_stall_raises_early(self):
+        # at the R=15 grand crossing the solve from the middle root stalls
+        # near residual 0.038 from step 12 on; it used to take 37 steps
+        # before the line search failed
+        spec = kernels.KernelSpec(a_y=1.0, kappa=1.0)
+        alpha, gamma = 31.0 / kernels.l1_norm_r3(spec), -4.8481
+        dom = field.make_domain(15.0, n=64)
+        roots = uniform.solve_uniform(alpha * kernels.phi_lambda(spec, 15.0), gamma)
+        steps = []
+        with pytest.raises(RuntimeError, match=r"stalled at gamma -4\.8481"):
+            field.newton_solve(spec, alpha, gamma,
+                               field.constant_field(dom, roots.roots[1]),
+                               model=eos.EosModel(mode=eos.MODE_CS_EXTENDED),
+                               callback=lambda k, r: steps.append(r))
+        # 8 accepted steps past the plateau's start, 1% cut not reached
+        assert len(steps) - 1 <= 20
+        assert steps[-1] > 0.99 * steps[-9] > 1e-2
+
 
 class TestPredicates:
     def test_alpha_zero_gamma_zero(self, dom5):

@@ -226,6 +226,64 @@ class TestDropletSolve:
         assert warm.gamma > cold.gamma
 
 
+class TestMassMatch:
+    """phase._gamma_for_mass in each EOS mode, on a fixed potential u."""
+
+    # (mode, potential, gamma the target mass is built at)
+    CASES = [
+        (eos.MODE_CS_EXTENDED, np.linspace(0.0, 8.0, 64), -4.0),
+        # gamma + u runs from 10 to 20, across the freezing point ~15.2
+        (eos.MODE_HARD_SPHERE, np.linspace(0.0, 10.0, 64), 10.0),
+        (eos.MODE_IDEAL_GAS, np.linspace(0.0, 3.0, 64), -3.0),
+    ]
+    D = functionals.volume_weights(field.make_domain(15.0, n=64))
+
+    def target(self, mode, u, gamma):
+        model = eos.EosModel(mode=mode)
+        eta = np.asarray(model.wp_prime(gamma + u), dtype=float)
+        return model, eta, float(self.D @ eta)
+
+    @pytest.mark.parametrize("mode,u,gamma", CASES)
+    def test_mass_matched_from_crude_seeds(self, mode, u, gamma):
+        model, _, N = self.target(mode, u, gamma)
+        if mode == eos.MODE_HARD_SPHERE:
+            assert np.any(gamma + u > eos.GAMMA_FS) and np.any(gamma + u < eos.GAMMA_FS)
+        for seed in (np.full(u.size, 0.3), np.full(u.size, 0.01)):
+            g = phase._gamma_for_mass(model, self.D, u, N, seed)
+            mass = float(self.D @ np.asarray(model.wp_prime(g + u)))
+            assert abs(mass - N) <= 1e-9 * N
+            assert g == pytest.approx(gamma, abs=1e-9)
+
+    @pytest.mark.parametrize("mode,u,gamma", CASES)
+    def test_seed_holding_the_mass_costs_at_most_two_inversions(
+        self, mode, u, gamma, monkeypatch
+    ):
+        model, eta, N = self.target(mode, u, gamma)
+        calls = []
+        wp_prime = eos.EosModel.wp_prime
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return wp_prime(self, *args, **kwargs)
+
+        monkeypatch.setattr(eos.EosModel, "wp_prime", counted)
+        g = phase._gamma_for_mass(model, self.D, u, N, eta)
+        assert len(calls) <= 2
+        assert g == pytest.approx(gamma, abs=1e-9)
+
+    @pytest.mark.parametrize("mode,u,gamma", CASES)
+    def test_unreachable_targets_raise(self, mode, u, gamma):
+        model, eta, _ = self.target(mode, u, gamma)
+        volume = float(np.sum(self.D))
+        # below a density of 1e-12 everywhere; for the fluid modes, above eta = 1
+        targets = [1e-14 * volume]
+        if mode != eos.MODE_IDEAL_GAS:
+            targets.append(volume)
+        for N in targets:
+            with pytest.raises(ValueError, match="outside the gamma window"):
+                phase._gamma_for_mass(model, self.D, u, N, eta)
+
+
 class TestGrandTransition:
     def test_small_container(self, dom_small):
         tr = phase.grand_canonical_transition(
