@@ -402,12 +402,16 @@ class EosModel:
             out[~fluid] = g4_inverse(g[~fluid], None if seed is None else seed[~fluid])
         return _scalar_like(gamma, out.reshape(np.shape(gamma)))
 
-    def wp_double_prime(self, gamma):
-        """Density response d eta / d gamma; undefined at the kink."""
+    def _reject_kink(self, gamma):
+        """Raise ValueError if any gamma sits on the hard-sphere kink, where wp'' is undefined."""
         if self.mode == MODE_HARD_SPHERE and np.any(
             np.asarray(gamma, dtype=float) == self.gamma_fs
         ):
             raise ValueError("density response is undefined at the kink gamma_fs")
+
+    def wp_double_prime(self, gamma):
+        """Density response d eta / d gamma; undefined at the kink."""
+        self._reject_kink(gamma)
         return _scalar_like(gamma, self.response_at(self.wp_prime(gamma)))
 
     def response_at(self, eta):

@@ -305,7 +305,7 @@ def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol):
     profile.  Returns the report and the last gamma.
     """
     v = eta0.values
-    direction = "none"
+    direction, gamma, change = "none", None, math.inf
     for it in range(1, max_iter + 1):
         u = alpha * (M @ v)
         gamma = gamma_rule(u, v)
@@ -329,7 +329,8 @@ def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol):
             )))
             if res < _RESIDUAL_TOL:
                 return _report(eta0.domain, v, gamma, u, it, res, direction), gamma
-    raise RuntimeError(f"no convergence within {max_iter} iterations")
+    raise RuntimeError(f"no convergence within {max_iter} iterations: last gamma "
+                       f"{gamma!r}, sup-norm change {change:.3e}")
 
 
 def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10, model=None):
@@ -450,10 +451,12 @@ def newton_solve(spec, alpha, gamma, eta0, tol=1e-12, max_iter=60, model=None,
     """Damped Newton on F(eta) = eta - wp'(gamma + alpha(-V*eta)).
 
     The Jacobian I - diag(wp'') alpha M is assembled densely, which the
-    node counts in use comfortably allow.  Unlike Picard this also
-    reaches iteration-unstable solutions, at quadratic rate near any
-    root.  A solve whose last 8 accepted steps together cut the
-    residual by less than 1% has stalled and raises RuntimeError.
+    node counts in use comfortably allow; its wp'' is read off the
+    profile the residual has just inverted, with no second inversion.
+    Unlike Picard this also reaches iteration-unstable solutions, at
+    quadratic rate near any root.  A solve whose last 8 accepted steps
+    together cut the residual by less than 1% has stalled and raises
+    RuntimeError; every failure names gamma and the last residual.
     callback, if given, receives (iteration, residual) after every
     accepted step.
     """
@@ -463,10 +466,13 @@ def newton_solve(spec, alpha, gamma, eta0, tol=1e-12, max_iter=60, model=None,
 
     def resid(vec):
         u = M @ vec
-        wp = model.wp_prime(gamma + u, side="left", seed=vec)
-        return vec - np.asarray(wp), u
+        eta = np.asarray(model.wp_prime(gamma + u, side="left", seed=vec))
+        return vec - eta, u, eta
 
-    F, u = resid(v)
+    def failure(what):
+        return RuntimeError(f"{what} at gamma {gamma!r}: residual {norm:.3e}")
+
+    F, u, eta = resid(v)
     norm = float(np.max(np.abs(F)))
     norms = [norm]  # residual after each accepted step
     if callback is not None:
@@ -479,31 +485,32 @@ def newton_solve(spec, alpha, gamma, eta0, tol=1e-12, max_iter=60, model=None,
                 f"Newton stalled at gamma {gamma!r}: residual {norm:.3e} after "
                 f"step {it - 1}, cut by under 1% over the last {_STALL_STEPS} steps"
             )
-        J = np.eye(v.size) - np.asarray(model.wp_double_prime(gamma + u))[:, None] * M
+        model._reject_kink(gamma + u)
+        J = np.eye(v.size) - model.response_at(eta)[:, None] * M
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
-            raise RuntimeError("singular Jacobian in the density solve") from exc
+            raise failure("singular Jacobian in the density solve") from exc
         lam = 1.0
         while lam > 1e-6:
             cand = v + lam * step
             try:
-                Fc, uc = resid(cand)
+                Fc, uc, etac = resid(cand)
             except (ValueError, OverflowError):
                 # candidate left the branch's invertible range; shorten
                 lam *= 0.5
                 continue
             nc = float(np.max(np.abs(Fc)))
             if nc < (1.0 - 0.25 * lam) * norm:
-                v, F, u, norm = cand, Fc, uc, nc
+                v, F, u, eta, norm = cand, Fc, uc, etac, nc
                 norms.append(norm)
                 if callback is not None:
                     callback(it, norm)
                 break
             lam *= 0.5
         else:
-            raise RuntimeError("damped step failed to reduce the residual")
-    raise RuntimeError(f"no convergence within {max_iter} Newton steps")
+            raise failure("damped step failed to reduce the residual")
+    raise failure(f"no convergence within {max_iter} Newton steps")
 
 
 def predicates(spec, alpha, gamma, domain, model=None):

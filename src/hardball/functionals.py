@@ -5,8 +5,9 @@ All functionals integrate over the ball with the volume element
 solutions make stationary at fixed chemical potential; F = E - S is its
 Legendre partner at fixed particle content, so gamma N - F = P holds on
 every solution.  Second variations are evaluated as explicit quadratic
-forms and classified by random probes plus a shifted power iteration
-for the extremal eigenvalue.
+forms on random probes and classified by the extremal eigenvalue of
+the discretized form in the volume metric, from one dense symmetric
+eigensolve.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import eos, field as field_mod
 
@@ -62,10 +64,15 @@ class FunctionalValues:
 class StabilityReport:
     """Sign classification of a second-variation quadratic form.
 
-    label is "stable", "unstable", or "indifferent"; extremal_eigenvalue
-    is the eigenvalue of the discretized form that decides the label
-    (largest for P, smallest mass-preserving for F); probe_failures
-    counts random probes violating the stable sign.
+    label is "stable", "unstable", or "indifferent"; probe_failures
+    counts random probes violating the stable sign.  extremal_eigenvalue
+    decides the label.  For P it is the largest eigenvalue of the form
+    relative to int sigma alpha(-V*sigma), equal to (rho(K) - 1)/2 for
+    the spectral radius rho(K) of the linearized fixed-point map, so
+    stable means rho(K) < 1; perturbations with alpha M sigma = 0 do
+    not count.  For F it is the smallest eigenvalue of the form
+    relative to int sigma^2 over zero-mass sigma, and stable means it
+    is positive.
     """
 
     label: str
@@ -167,6 +174,37 @@ def functional_values(spec, alpha, gamma, fld, model=None):
     )
 
 
+def _ring_volume_metric(spec, alpha, domain):
+    """T = D^(-1/2) sym(D alpha M) D^(-1/2): int sigma alpha(-V*sigma) in the volume metric."""
+    D = volume_weights(domain)
+    DA = D[:, None] * (alpha * field_mod._self_ring(spec, domain))
+    d = 1.0 / np.sqrt(D)
+    return d[:, None] * (0.5 * (DA + DA.T)) * d
+
+
+def _zero_mass(D, sig):
+    """sig minus its component along D: the row(s) then integrate to zero."""
+    return sig - np.multiply.outer(sig @ D / (D @ D), D)
+
+
+def _p_curvature(spec, alpha, gamma, fld, model):
+    """wp''(gamma + u) at the field's own potential; raises at the kink."""
+    u = field_mod.convolve(spec, alpha, fld)
+    return np.asarray(field_mod._default_model(model).wp_double_prime(gamma + u), dtype=float)
+
+
+def _form_P(spec, alpha, fld, curv, sig):
+    """(1/2)int wp'' w^2 - (1/2)int sig w, w = alpha(-V*sig); one value per row of sig."""
+    w = field_mod.apply_kernel(spec, alpha, fld.domain, sig.T).T
+    return 0.5 * ((curv * w**2 - sig * w) @ volume_weights(fld.domain))
+
+
+def _form_F(spec, alpha, fld, curv, sig):
+    """-(1/2)int s'' sig^2 - (1/2)int sig w, w = alpha(-V*sig); one value per row of sig."""
+    w = field_mod.apply_kernel(spec, alpha, fld.domain, sig.T).T
+    return -0.5 * ((curv * sig**2 + sig * w) @ volume_weights(fld.domain))
+
+
 def second_variation_P(spec, alpha, gamma, fld, sigma, model=None):
     """Quadratic form (1/2)int wp''(gamma+u)(alpha V*sigma)^2 + (1/2)int int alpha V sigma sigma.
 
@@ -174,13 +212,8 @@ def second_variation_P(spec, alpha, gamma, fld, sigma, model=None):
     maximum of P.  Raises at the hard-sphere kink, where wp'' does not
     exist.
     """
-    model = field_mod._default_model(model)
-    sig = np.asarray(sigma, dtype=float)
-    u = field_mod.convolve(spec, alpha, fld)
-    curv = np.asarray(model.wp_double_prime(gamma + u), dtype=float)
-    w = field_mod.apply_kernel(spec, alpha, fld.domain, sig)
-    D = volume_weights(fld.domain)
-    return 0.5 * float(D @ (curv * w**2)) - 0.5 * float(D @ (sig * w))
+    curv = _p_curvature(spec, alpha, gamma, fld, model)
+    return float(_form_P(spec, alpha, fld, curv, np.asarray(sigma, dtype=float)))
 
 
 def second_variation_F(spec, alpha, fld, sigma, project=True):
@@ -196,124 +229,60 @@ def second_variation_F(spec, alpha, fld, sigma, project=True):
     if abs(mass) > 1e-12 * max(1.0, float(np.max(np.abs(sig)))):
         if not project:
             raise ValueError("sigma must integrate to zero over the ball")
-        sig = sig - D * (mass / float(D @ D))
-    curv = np.asarray(entropy_density_second(fld.values), dtype=float)
-    w = field_mod.apply_kernel(spec, alpha, fld.domain, sig)
-    return -0.5 * float(D @ (curv * sig**2)) - 0.5 * float(D @ (sig * w))
+        sig = _zero_mass(D, sig)
+    return float(_form_F(spec, alpha, fld, entropy_density_second(fld.values), sig))
 
 
-def _power_extremal(matvec, n, rng, largest, iters=3000, rtol=1e-11):
-    """Extremal eigenvalue of a symmetric operator by shifted power iteration."""
-    # crude spectral-radius bound from a few random Rayleigh quotients
-    bound = 0.0
-    for _ in range(4):
-        z = rng.standard_normal(n)
-        bound = max(bound, float(np.linalg.norm(matvec(z)) / np.linalg.norm(z)))
-    shift = 2.0 * bound + 1e-30
-    sign = 1.0 if largest else -1.0
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(iters):
-        y = sign * matvec(x) + shift * x
-        ny = float(np.linalg.norm(y))
-        if ny == 0.0:
-            return 0.0, x
-        x_new = y / ny
-        lam_new = float(x_new @ (sign * matvec(x_new) + shift * x_new))
-        if abs(lam_new - lam) < rtol * max(1.0, abs(lam_new)):
-            lam = lam_new
-            x = x_new
-            break
-        lam, x = lam_new, x_new
-    return sign * (lam - shift), x
-
-
-def _classify(extremal, stable_when_negative, scale):
-    tol = 1e-10 * max(1.0, scale)
-    val = extremal if stable_when_negative else -extremal
-    if val < -tol:
-        return "stable"
-    if val > tol:
-        return "unstable"
-    return "indifferent"
+def _stability(lam, stable_sign, B, failures):
+    """Report for eigenvalue lam of B; stable when stable_sign * lam clears roundoff."""
+    margin, tol = stable_sign * lam, 1e-10 * max(1.0, float(np.max(np.abs(B))))
+    label = "stable" if margin > tol else "unstable" if margin < -tol else "indifferent"
+    return StabilityReport(label, lam, failures)
 
 
 def p_stability(spec, alpha, gamma, fld, model=None, n_probes=100, seed=0):
     """Classify the P second variation at a solution.
 
-    Builds the discretized symmetric form, checks n_probes random
-    perturbations for sign violations, and drives a shifted power
-    iteration to the largest eigenvalue; stable means the form is
-    negative for every perturbation.
+    probe_failures counts the n_probes random perturbations on which
+    the form is not negative.  extremal_eigenvalue is the form's largest
+    eigenvalue relative to int sigma alpha(-V*sigma): the top one of
+    (c T c - I)/2, c = wp''(gamma+u)^(1/2) and T the attraction in the
+    volume metric, from one dense symmetric eigensolve.  c T c has the
+    spectrum of the linearized fixed-point map K = diag(wp'') alpha M,
+    so rho(K) = 1 + 2 extremal_eigenvalue, and stable means rho(K) < 1.
+    Perturbations with alpha M sigma = 0 leave the potential unchanged
+    and do not count.  Assumes a positive semidefinite attraction, as
+    for the Yukawa, Newton and van der Waals kernels.
     """
-    model = field_mod._default_model(model)
-    dom = fld.domain
-    u = field_mod.convolve(spec, alpha, fld)
-    curv = np.asarray(model.wp_double_prime(gamma + u), dtype=float)
-    D = volume_weights(dom)
-    A = alpha * field_mod._self_ring(spec, dom)
-
-    def form(sig):
-        w = A @ sig
-        return 0.5 * float(D @ (curv * w**2)) - 0.5 * float(D @ (sig * w))
-
-    # symmetric matrix of the form in plain coordinates
-    B = 0.5 * (A.T * (D * curv)) @ A - 0.25 * (D[:, None] * A + (D[:, None] * A).T)
-    B = 0.5 * (B + B.T)
-
-    rng = np.random.default_rng(seed)
-    failures = 0
-    for _ in range(n_probes):
-        sig = rng.standard_normal(dom.n)
-        if form(sig) >= 0.0:
-            failures += 1
-    lam, _ = _power_extremal(lambda z: B @ z, dom.n, rng, largest=True)
-    scale = float(np.max(np.abs(B)))
-    return StabilityReport(
-        label=_classify(lam, stable_when_negative=True, scale=scale),
-        extremal_eigenvalue=lam,
-        probe_failures=failures,
-    )
+    curv = _p_curvature(spec, alpha, gamma, fld, model)
+    n = fld.domain.n
+    probes = np.random.default_rng(seed).standard_normal((n_probes, n))
+    failures = int(np.count_nonzero(_form_P(spec, alpha, fld, curv, probes) >= 0.0))
+    c = np.sqrt(curv)
+    B = 0.5 * (c[:, None] * _ring_volume_metric(spec, alpha, fld.domain) * c - np.eye(n))
+    lam = float(scipy.linalg.eigh(B, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0])
+    return _stability(lam, -1.0, B, failures)
 
 
 def f_stability(spec, alpha, fld, n_probes=100, seed=0):
     """Classify the F second variation over mass-preserving perturbations.
 
-    stable means the form is positive for every zero-mass perturbation;
-    probes and the power iteration are projected against the volume
-    weight vector accordingly.
+    probe_failures counts the n_probes random zero-mass perturbations on
+    which the form is not positive.  extremal_eigenvalue is the form's
+    smallest eigenvalue relative to int sigma^2 over zero-mass sigma:
+    that of -(1/2)(diag(s''(eta)) + T), T the attraction in the volume
+    metric, on an orthonormal basis orthogonal to D^(1/2), from one
+    dense symmetric eigensolve.  Stable means it is positive.
     """
-    dom = fld.domain
-    D = volume_weights(dom)
-    curv = np.asarray(entropy_density_second(fld.values), dtype=float)
-    A = alpha * field_mod._self_ring(spec, dom)
-    B = -0.5 * np.diag(D * curv) - 0.25 * (D[:, None] * A + (D[:, None] * A).T)
-    B = 0.5 * (B + B.T)
-
-    d_unit = D / np.linalg.norm(D)
-
-    def project(z):
-        return z - d_unit * float(d_unit @ z)
-
-    def form(sig):
-        return float(sig @ (B @ sig))
-
-    rng = np.random.default_rng(seed)
-    failures = 0
-    for _ in range(n_probes):
-        sig = project(rng.standard_normal(dom.n))
-        if form(sig) <= 0.0:
-            failures += 1
-    lam, _ = _power_extremal(
-        lambda z: project(B @ project(z)), dom.n, rng, largest=False
-    )
-    scale = float(np.max(np.abs(B)))
-    return StabilityReport(
-        label=_classify(lam, stable_when_negative=False, scale=scale),
-        extremal_eigenvalue=lam,
-        probe_failures=failures,
-    )
+    D = volume_weights(fld.domain)
+    curv = entropy_density_second(fld.values)
+    probes = _zero_mass(D, np.random.default_rng(seed).standard_normal((n_probes, D.size)))
+    failures = int(np.count_nonzero(_form_F(spec, alpha, fld, curv, probes) <= 0.0))
+    basis = scipy.linalg.null_space(np.sqrt(D)[None, :])
+    T = _ring_volume_metric(spec, alpha, fld.domain)
+    B = basis.T @ (-0.5 * (np.diag(curv) + T)) @ basis
+    lam = float(scipy.linalg.eigh(B, eigvals_only=True, subset_by_index=[0, 0])[0])
+    return _stability(lam, 1.0, B, failures)
 
 
 def branch_derivatives(spec, alpha, gamma, fld, model=None):

@@ -12,6 +12,7 @@ import os
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +196,11 @@ class TestPicard:
     def test_non_convergence_raises(self, dom5):
         start = field.constant_field(dom5, float(eos.g2_inverse(-2.0)))
         with pytest.raises(RuntimeError):
+            field.picard_iterate(SPEC_Y, 20.0 / PHI_Y5, -2.0, start, max_iter=3)
+
+    def test_non_convergence_names_gamma(self, dom5):
+        start = field.constant_field(dom5, float(eos.g2_inverse(-2.0)))
+        with pytest.raises(RuntimeError, match=r"last gamma -2\.0, sup-norm change"):
             field.picard_iterate(SPEC_Y, 20.0 / PHI_Y5, -2.0, start, max_iter=3)
 
     def test_ideal_gas_leaves_branch(self, dom5):
@@ -401,6 +407,29 @@ class TestNewton:
         assert len(steps) - 1 <= 20
         assert steps[-1] > 0.99 * steps[-9] > 1e-2
 
+    def test_jacobian_reuses_the_residual_inversion(self, triple, monkeypatch):
+        # wp'' comes from response_at of the profile resid inverted
+        dom, model, roots = triple
+        calls = []
+        real = eos.EosModel.wp_double_prime
+        monkeypatch.setattr(eos.EosModel, "wp_double_prime",
+                            lambda self, g: calls.append(1) or real(self, g))
+        rep = field.newton_solve(self.SPEC, self.ALPHA, self.GAMMA,
+                                 field.constant_field(dom, roots.roots[1]),
+                                 model=model)
+        assert rep.residual < 1e-12
+        assert rep.iterations > 0
+        assert calls == []
+
+    def test_kink_argument_raises(self):
+        # alpha = 0 puts every argument exactly on gamma_fs, where wp''
+        # does not exist
+        dom = field.make_domain(1.0, n=16)
+        with pytest.raises(ValueError, match="kink"):
+            field.newton_solve(SPEC_Y, 0.0, eos.GAMMA_FS,
+                               field.constant_field(dom, 0.3),
+                               model=eos.EosModel())
+
 
 class TestPredicates:
     def test_alpha_zero_gamma_zero(self, dom5):
@@ -568,7 +597,7 @@ class TestCsvRoundTrip:
     def test_header_is_self_describing(self, dom5, tmp_path):
         path = os.path.join(tmp_path, "field.csv")
         field.write_csv(path, field.constant_field(dom5, 0.2), SPEC_Y, 1.0, -2.0)
-        head = open(path).read().splitlines()[:7]
+        head = Path(path).read_text().splitlines()[:7]
         assert head[0].startswith("# R=")
         assert head[1] == "# n=512"
         assert head[6] == "r,eta"
@@ -576,7 +605,7 @@ class TestCsvRoundTrip:
     def test_tampered_grid_rejected(self, dom5, tmp_path):
         path = os.path.join(tmp_path, "field.csv")
         field.write_csv(path, field.constant_field(dom5, 0.2), SPEC_Y, 1.0, -2.0)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         r, eta = lines[8].split(",")
         lines[8] = f"{float(r) + 0.01},{eta}"
         with open(path, "w") as fh:

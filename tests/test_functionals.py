@@ -265,6 +265,69 @@ class TestStability:
         assert frep.label == "stable"
 
 
+class TestStabilitySpectrum:
+    """extremal_eigenvalue against written-out dense linear algebra."""
+
+    def test_p_value_is_half_spectral_radius_minus_one(self, triple_branches):
+        # (rho(K) - 1)/2 for the linearized fixed-point map K = diag(wp'') alpha M
+        dom, alpha, gamma, model, lo, mid, hi = triple_branches
+        ring = alpha * field._self_ring(SPEC_W, dom)
+        for fld, expected in ((lo, -0.476189), (mid, 0.688718), (hi, -0.318826)):
+            curv = model.wp_double_prime(gamma + field.convolve(SPEC_W, alpha, fld))
+            rho = np.max(np.abs(np.linalg.eigvals(curv[:, None] * ring)))
+            rep = functionals.p_stability(SPEC_W, alpha, gamma, fld, model=model)
+            assert rep.extremal_eigenvalue == pytest.approx(0.5 * (rho - 1.0), abs=1e-10)
+            assert rep.extremal_eigenvalue == pytest.approx(expected, abs=1e-6)
+
+    def test_values_do_not_depend_on_the_grid(self, triple_branches):
+        _, alpha, gamma, model, *_ = triple_branches
+        roots = uniform.solve_uniform(alpha * kernels.phi_lambda(SPEC_W, 0.5), gamma)
+        values = []
+        for n in (128, 256):
+            dom = field.make_domain(0.5, n=n)
+            flds = (
+                field.minimal_solution(SPEC_W, alpha, gamma, dom, model=model).field,
+                field.newton_solve(SPEC_W, alpha, gamma,
+                                   field.constant_field(dom, roots.roots[1]),
+                                   model=model).field,
+                field.maximal_solution(SPEC_W, alpha, gamma, dom, model=model).field,
+            )
+            values.append([
+                (functionals.p_stability(SPEC_W, alpha, gamma, f, model=model).extremal_eigenvalue,
+                 functionals.f_stability(SPEC_W, alpha, f).extremal_eigenvalue)
+                for f in flds
+            ])
+        assert np.allclose(values[0], values[1], rtol=1e-3, atol=0.0)
+
+    def test_f_value_matches_written_out_reference(self, triple_branches):
+        # smallest eigenvalue of the volume-metric form on a QR basis of
+        # the zero-mass directions
+        dom, alpha, gamma, model, lo, mid, hi = triple_branches
+        D = functionals.volume_weights(dom)
+        DA = D[:, None] * (alpha * field._self_ring(SPEC_W, dom))
+        form = (-0.5 * np.diag(D * functionals.entropy_density_second(mid.values))
+                - 0.25 * (DA + DA.T))
+        d = 1.0 / np.sqrt(D)
+        volume_form = d[:, None] * form * d
+        q, _ = np.linalg.qr(np.column_stack([np.sqrt(D), np.eye(dom.n)[:, 1:]]))
+        basis = q[:, 1:]
+        ref = np.linalg.eigvalsh(basis.T @ volume_form @ basis)[0]
+        rep = functionals.f_stability(SPEC_W, alpha, mid)
+        assert rep.extremal_eigenvalue == pytest.approx(ref, rel=1e-10)
+
+    def test_probe_block_matches_sequential_draws(self, triple_branches):
+        dom, alpha, gamma, model, lo, mid, hi = triple_branches
+        block = np.random.default_rng(4).standard_normal((30, dom.n))
+        rng = np.random.default_rng(4)
+        rows = [rng.standard_normal(dom.n) for _ in range(30)]
+        assert np.array_equal(block, np.array(rows))
+        forms = [functionals.second_variation_P(SPEC_W, alpha, gamma, mid, z, model=model)
+                 for z in rows]
+        rep = functionals.p_stability(SPEC_W, alpha, gamma, mid, model=model,
+                                      n_probes=30, seed=4)
+        assert rep.probe_failures == sum(f >= 0.0 for f in forms)
+
+
 class TestBranchDerivatives:
     def test_structural_identities(self, fluid_branch):
         alpha, gamma, fld = fluid_branch
