@@ -10,10 +10,10 @@ branch inbetween; a handful of closed-form predicates settle existence,
 uniqueness, and fluid-range membership a priori.
 
 One private loop, `_fixed_point`, iterates eta -> wp'(gamma + alpha M eta)
-for a rule that picks gamma from the potential: a constant for Picard,
-the mass-holding multiplier for `phase.droplet_solve`.  Every
-SolveReport is built by `_report`, the one home of the certified-fluid
-rule.
+for a rule that picks gamma from the potential and hands back the
+profile there: a constant for Picard, the mass-holding multiplier for
+`phase.droplet_solve`.  Every SolveReport is built by `_report`, the
+one home of the certified-fluid rule.
 """
 
 from __future__ import annotations
@@ -293,23 +293,24 @@ def _report(domain, values, gamma, u, iterations, residual, direction="none"):
 
 
 def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol):
-    """Iterate eta -> wp'(gamma + u), u = alpha M eta, gamma = gamma_rule(u, eta).
+    """Iterate eta -> wp'(gamma + u), u = alpha M eta, with gamma_rule(u, eta).
 
-    The one loop behind the grand problem (gamma_rule a constant) and
-    the mass-constrained one (gamma_rule the Lagrange multiplier that
-    holds the mass).  Stops only when the sup-norm change drops below
-    tol AND the residual at the last step's gamma drops below 1e-9, so
-    a stalled sequence runs into max_iter and raises instead of
-    reporting false convergence.  The monotone direction is read off
-    the first step.  Every EOS inversion starts from the current
-    profile.  Returns the report and the last gamma.
+    gamma_rule returns gamma and the new profile wp'(gamma + u), each
+    EOS inversion seeded by the current profile.  The one loop behind
+    the grand problem (gamma_rule a constant) and the mass-constrained
+    one (gamma_rule the Lagrange multiplier that holds the mass, which
+    holds the profile at the gamma it returns).  Stops only when the
+    sup-norm change drops below tol AND the residual at the last step's
+    gamma drops below 1e-9, so a stalled sequence runs into max_iter
+    and raises instead of reporting false convergence.  The monotone
+    direction is read off the first step.  Returns the report and the
+    last gamma.
     """
     v = eta0.values
     direction, gamma, change = "none", None, math.inf
     for it in range(1, max_iter + 1):
         u = alpha * (M @ v)
-        gamma = gamma_rule(u, v)
-        new = np.asarray(model.wp_prime(gamma + u, side="left", seed=v), dtype=float)
+        gamma, new = gamma_rule(u, v)
         if np.any(new >= 1.0) or np.any(new <= 0.0):
             raise ValueError("iteration left the volume-fraction range (0, 1)")
         change = float(np.max(np.abs(new - v)))
@@ -341,7 +342,12 @@ def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10, model=No
     """
     model = _default_model(model)
     M = _self_ring(spec, eta0.domain)
-    return _fixed_point(M, alpha, model, eta0, lambda u, v: gamma, max_iter, tol)[0]
+
+    def rule(u, v):
+        eta = model.wp_prime(gamma + u, side="left", seed=v)
+        return gamma, np.asarray(eta, dtype=float)
+
+    return _fixed_point(M, alpha, model, eta0, rule, max_iter, tol)[0]
 
 
 def minimal_solution(spec, alpha, gamma, domain, model=None, max_iter=20000, tol=1e-10):

@@ -128,25 +128,21 @@ def f_functional(spec, alpha, fld):
 def gamma_of(spec, alpha, fld, model=None, tol=1e-5):
     """Chemical potential the field solves for, or None.
 
-    Inverts the density map nodewise and subtracts the potential; a
-    solution produces the same value at every node.  Hard-sphere fields
-    with values in the branch gap (eta_fs^<, eta_fs^>) solve nothing.
+    Inverts the density map nodewise by `EosModel.gamma_at` and
+    subtracts the potential; a solution produces the same value at
+    every node.  Hard-sphere fields with values in the branch gap
+    (eta_fs^<, eta_fs^>), up to 1e-12 at either end, solve nothing.
+    gamma_at clips nodes within 1e-13 of close packing, or past it, to
+    the solid top, and reads nodes within 1e-12 below eta_fs^> as
+    g2(eta_fs^<), one ulp from g4(eta_fs^>).
     """
     model = field_mod._default_model(model)
-    u = field_mod.convolve(spec, alpha, fld)
     v = fld.values
-    if model.mode == eos.MODE_IDEAL_GAS:
-        local = np.log(v)
-    elif model.mode == eos.MODE_CS_EXTENDED:
-        local = eos.g2(v)
-    else:
-        fluid = v <= eos.ETA_FS_LO + 1e-12
-        solid = v >= eos.ETA_FS_HI - 1e-12
-        if not np.all(fluid | solid):
-            return None
-        local = np.where(fluid, eos.g2(np.minimum(v, eos.ETA_FS_LO)),
-                         eos.speedy_g4(np.maximum(v, eos.ETA_FS_HI)))
-    cand = local - u
+    if model.mode == eos.MODE_HARD_SPHERE and not np.all(
+        (v <= eos.ETA_FS_LO + 1e-12) | (v >= eos.ETA_FS_HI - 1e-12)
+    ):
+        return None
+    cand = model.gamma_at(v) - field_mod.convolve(spec, alpha, fld)
     if float(np.max(cand) - np.min(cand)) > tol:
         return None
     return float(volume_weights(fld.domain) @ cand) / float(

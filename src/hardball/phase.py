@@ -9,11 +9,13 @@ gamma stalls when started from a ball trial in a large container, but
 re-solving gamma each step so the iterate keeps its mass follows the
 canonical-ensemble valley, where the droplet is a stable minimizer.
 That iteration is the fixed-point loop of `field` with the mass
-multiplier `_gamma_for_mass`, safeguarded Newton on gamma, as its gamma
-rule.  Every gas/liquid comparison goes through `_launch_gap`: the
-minimal and maximal launches at one gamma, their pressure gap, and
-whether they are distinct, read through `_launch_memo` so one public
-call launches each gamma once.
+multiplier `_gamma_for_mass` as its gamma rule, which hands back the
+profile at the gamma it finds.  Both mass matches, that one and
+`constrained_solve`'s, run the one safeguarded Newton on gamma,
+`_newton_on_gamma`, on an exact slope.  Every gas/liquid comparison
+goes through `_launch_gap`: the minimal and maximal launches at one
+gamma, their pressure gap, and whether they are distinct, read through
+`_launch_memo` so one public call launches each gamma once.
 `_scan_and_locate` scans (by default the algebraic band), then locates.
 """
 
@@ -141,21 +143,18 @@ def _launch_memo(spec, alpha, domain, model):
     return lambda gamma: solve(float(gamma))
 
 
-def grand_canonical_transition(spec, alpha, domain, gamma_bracket, model=None,
-                               droplet_hint=None):
+def grand_canonical_transition(spec, alpha, domain, gamma_bracket, model=None):
     """Locate the gas/liquid pressure crossing inside gamma_bracket.
 
     Both endpoints must give pressure gaps P[maximal] - P[minimal] of
     opposite sign; a one-signed bracket means the launches coincide or
     one branch is absent there, and raises.  At the crossing every
-    solution this module can reach (the two launches, a Newton solve
-    from the middle algebraic root, optionally a droplet seeded by
-    droplet_hint) is recorded with its pressure.
+    solution this module can reach (the two launches and a Newton solve
+    from the middle algebraic root) is recorded with its pressure.
     """
     model = field._default_model(model)
     launch = _launch_memo(spec, alpha, domain, model)
-    return _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch,
-                            droplet_hint)
+    return _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch)
 
 
 def _scan_and_locate(spec, alpha, domain, gamma_bracket, model):
@@ -168,7 +167,7 @@ def _scan_and_locate(spec, alpha, domain, gamma_bracket, model):
     return _locate_crossing(spec, alpha, domain, bracket, model, launch)
 
 
-def _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch, droplet_hint=None):
+def _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch):
     """Body of grand_canonical_transition, reading launches from launch."""
     g_lo, g_hi = float(gamma_bracket[0]), float(gamma_bracket[1])
     if not g_lo < g_hi:
@@ -209,13 +208,6 @@ def _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch, droplet_
             )
     except (ValueError, RuntimeError):
         pass
-    if droplet_hint is not None:
-        try:
-            extras["droplet"] = field.newton_solve(
-                spec, alpha, gamma_gl, droplet_hint, model=model
-            )
-        except (ValueError, RuntimeError):
-            pass
     for name, rep in extras.items():
         new = rep.field.values
         known = [lo.field.values, hi.field.values]
@@ -235,14 +227,66 @@ def _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch, droplet_
     )
 
 
+def _newton_on_gamma(evaluate, gamma, window, ftol, xtol, message, steps):
+    """Safeguarded Newton for the root of a monotone f(gamma) in a window.
+
+    evaluate(gamma) returns (f, slope, payload); f may rise or fall.
+    Until f has been seen with both signs the start and each step are
+    clamped into window, and a step clamped onto the gamma just
+    evaluated means the root lies beyond the window:
+    ValueError(message).  Once both signs are seen, a step leaving
+    their bracket bisects it.  An evaluation that raises ValueError
+    retreats halfway to the last good gamma (a first evaluation has
+    none and re-raises).  Stops at |f| <= ftol, at a step
+    |f / slope| <= xtol(gamma), or after steps evaluations, and
+    returns the last good (gamma, f, payload).
+    """
+    lo, hi = window
+    gamma = min(max(gamma, lo), hi)
+    good = None
+    neg = pos = None  # gammas where f < 0 and f > 0
+    for _ in range(steps):
+        try:
+            f, slope, payload = evaluate(gamma)
+        except ValueError:
+            if good is None:
+                raise
+            gamma = 0.5 * (gamma + good[0])
+            continue
+        good = (gamma, f, payload)
+        if abs(f) <= ftol:
+            break
+        if f < 0.0:
+            neg = gamma
+        else:
+            pos = gamma
+        step = f / slope
+        if abs(step) <= xtol(gamma):
+            break
+        g_next = gamma - step
+        if neg is not None and pos is not None:
+            a, b = min(neg, pos), max(neg, pos)
+            if not a < g_next < b:
+                g_next = 0.5 * (a + b)
+        else:
+            g_next = min(max(g_next, lo), hi)
+            if g_next == gamma:
+                raise ValueError(message)
+        gamma = g_next
+    return good
+
+
 def constrained_solve(spec, alpha, domain, N_target, branch, model=None,
                       start=None, gamma_seed=None, max_outer=80):
-    """Solve at fixed mass by a secant loop on the chemical potential.
+    """Solve at fixed mass by safeguarded Newton on the chemical potential.
 
     The inner solve is the branch's own method: certified launches for
     the extremal branches, warm-started Newton for the middle branch
     (seeded by start, or by the middle algebraic root when start is
-    omitted).  A sup-norm step more than ten times the size predicted
+    omitted).  The outer step `_newton_on_gamma` takes the exact branch
+    slope dN/dgamma = D.(I - diag(c) alpha M)^-1 c, c = wp'' of the
+    inner solution, from one dense solve; it is negative on the middle
+    branch.  A sup-norm step more than ten times the size predicted
     from the previous continuation step means the inner solve jumped
     branches and raises BranchLostError.
     """
@@ -256,8 +300,8 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=None,
         raise ValueError("N_target outside the attainable mass range")
 
     # wp'(gamma + u) must stay invertible for 0 <= u < alpha phi (eta < 1);
-    # the extremal branches end at the algebraic folds: keep the secant
-    # from extrapolating across either before it has a bracket
+    # the extremal branches end at the algebraic folds: keep Newton from
+    # extrapolating across either before it has a bracket
     phi = kernels.phi_lambda(spec, domain.R)
     g_floor, g_ceil = model.gamma_range()
     g_ceil -= alpha * phi
@@ -268,9 +312,7 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=None,
             g_ceil = g_hat - 1e-9
         elif branch == "maximal":
             g_floor = g_check + 1e-9
-
-    def clamp(g):
-        return min(max(g, g_floor), g_ceil)
+    M = alpha * field._self_ring(spec, domain)
 
     warm = [start]
 
@@ -306,66 +348,26 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=None,
                         "sup-norm step exceeds ten times the prediction"
                     )
         history.append((g, v))
-        return rep, float(D @ v)
+        c = model.response_at(v)
+        slope = float(D @ np.linalg.solve(np.eye(v.size) - c[:, None] * M, c))
+        return float(D @ v) - N_target, slope, rep
 
     mean = N_target / volume
     if gamma_seed is None:
         gamma_seed = model.gamma_at(mean) - alpha * phi * mean
-    g_prev = clamp(float(gamma_seed))
-    rep_prev, n_prev = evaluate(g_prev)
-    h_prev = n_prev - N_target
-    if abs(h_prev) <= _MASS_RTOL * max(1.0, N_target):
-        rep_prev.branch_label = branch
-        return _branch_point(spec, alpha, g_prev, rep_prev, model)
-    g_cur = clamp(g_prev - math.copysign(max(0.01, 1e-3 * abs(g_prev)), h_prev))
-    if g_cur == g_prev:
-        # the seed already sits on a fold cap; probe inward instead
-        g_cur = clamp(g_prev + math.copysign(0.01, h_prev))
-
-    # bracketing pair (sign change) once seen keeps the secant safeguarded
-    lo_pt = hi_pt = None  # (gamma, h) with h < 0 / h > 0
-    if h_prev < 0.0:
-        lo_pt = (g_prev, h_prev)
-    else:
-        hi_pt = (g_prev, h_prev)
-
-    for _ in range(max_outer):
-        try:
-            rep_cur, n_cur = evaluate(g_cur)
-        except ValueError:
-            # left the model's invertible window; retreat halfway
-            g_cur = 0.5 * (g_cur + g_prev)
-            continue
-        h_cur = n_cur - N_target
-        if abs(h_cur) <= _MASS_RTOL * max(1.0, N_target):
-            report = rep_cur
-            report.branch_label = branch
-            return _branch_point(spec, alpha, g_cur, report, model)
-        if h_cur < 0.0:
-            lo_pt = (g_cur, h_cur)
-        else:
-            hi_pt = (g_cur, h_cur)
-        if h_cur == h_prev:
-            raise ValueError(
-                f"mass does not respond to gamma on the {branch} branch; "
-                "N_target may be outside its range"
-            )
-        g_next = g_cur - h_cur * (g_cur - g_prev) / (h_cur - h_prev)
-        if lo_pt is not None and hi_pt is not None:
-            g_lo, g_hi = sorted((lo_pt[0], hi_pt[0]))
-            if not g_lo < g_next < g_hi:
-                g_next = 0.5 * (g_lo + g_hi)
-        else:
-            g_next = clamp(g_next)
-            if g_next == g_cur:
-                raise ValueError(
-                    f"N_target appears beyond the {branch} branch's fold"
-                )
-        g_prev, h_prev, g_cur = g_cur, h_cur, g_next
-    raise ValueError(
-        f"no mass match within {max_outer} outer steps on the {branch} "
-        "branch; N_target may be outside its range"
+    ftol = _MASS_RTOL * max(1.0, N_target)
+    gamma, h, report = _newton_on_gamma(
+        evaluate, float(gamma_seed), (g_floor, g_ceil),
+        ftol, lambda g: 1e-15 * max(1.0, abs(g)),
+        f"N_target appears beyond the {branch} branch's fold", max_outer + 1,
     )
+    if abs(h) > ftol:
+        raise ValueError(
+            f"no mass match within {max_outer} outer steps on the {branch} "
+            "branch; N_target may be outside its range"
+        )
+    report.branch_label = branch
+    return _branch_point(spec, alpha, gamma, report, model)
 
 
 def droplet_criterion(spec, alpha):
@@ -446,19 +448,15 @@ def droplet_trial(spec, alpha, domain, N, ball_fraction, floor=1e-12):
 
 
 def _gamma_for_mass(model, D, u, N, seed):
-    """Chemical potential at which the profile wp'(gamma + u) has mass N.
+    """Chemical potential gamma at which eta = wp'(gamma + u) has mass N.
 
-    Safeguarded Newton on gamma.  The mass D.wp'(gamma + u) rises
-    strictly with slope D.wp''(gamma + u), which `EosModel.response_at`
-    reads off each evaluated profile, so every step costs one EOS
-    inversion.  The start linearizes each lane about seed, the profile
-    the caller holds, which also starts the first inversion; later ones
-    start from the last profile.  A step leaving the sign bracket
-    bisects it instead; the bracket starts as the window where every
-    lane gamma + u is invertible, and a target outside that window
-    raises ValueError.  Each lane is inverted to 1e-12 max(1, |gamma +
-    u|), so the solve stops once the step is below that resolution and
-    returns the last gamma evaluated.
+    Returns (gamma, eta).  The start linearizes each lane about seed,
+    the profile the caller holds; each step of `_newton_on_gamma` is
+    one `wp_prime` inversion seeded by the last profile, with slope
+    D.wp'' read off it by `EosModel.response_at`.  The window is where
+    every lane gamma + u is invertible; a target outside it raises
+    ValueError.  The solve stops once the step is below the inversion's
+    resolution 1e-12 max(1, |gamma + u|).
     """
     g_min, g_max = model.gamma_range()
     u_lo, u_hi = float(np.min(u)), float(np.max(u))
@@ -466,46 +464,27 @@ def _gamma_for_mass(model, D, u, N, seed):
     bottom = g_min - u_lo + 1e-12 * (abs(g_min) + abs(u_lo))
     top = g_max - u_hi - 1e-12 * (abs(g_max) + abs(u_hi))
     u_abs = float(np.max(np.abs(u)))
-    lo, hi = bottom, top  # sign bracket; an end counts once evaluated
-    lo_seen = hi_seen = False
+    last = [seed]
+
+    def evaluate(g):
+        eta = np.asarray(model.wp_prime(g + u, side="left", seed=last[0]), dtype=float)
+        last[0] = eta
+        return float(D @ eta) - N, float(D @ model.response_at(eta)), eta
 
     w = D * model.response_at(seed)
     g = float((w @ (model.gamma_at(seed) - u) + N - D @ seed) / np.sum(w))
-    g = min(max(g, bottom), top)
-    eta = seed
-    for _ in range(_MASS_MATCH_STEPS):
-        eta = np.asarray(model.wp_prime(g + u, side="left", seed=eta), dtype=float)
-        gap = float(D @ eta) - N
-        if gap == 0.0:
-            return g
-        if (gap < 0.0 and g == top) or (gap > 0.0 and g == bottom):
-            raise ValueError(
-                f"mass target {N!r} lies outside the gamma window "
-                f"[{bottom!r}, {top!r}] where wp'(gamma + u) is invertible"
-            )
-        if gap < 0.0:
-            lo, lo_seen = g, True
-        else:
-            hi, hi_seen = g, True
-        step = gap / float(D @ model.response_at(eta))
-        resolution = 1e-12 * max(1.0, abs(g) + u_abs)
-        if abs(step) <= resolution or hi - lo <= resolution:
-            break
-        g_next = g - step
-        if not lo < g_next < hi:
-            # an unevaluated window end is tried first, then bisection
-            if g_next <= lo and not lo_seen:
-                g_next = lo
-            elif g_next >= hi and not hi_seen:
-                g_next = hi
-            else:
-                g_next = 0.5 * (lo + hi)
-        g = g_next
+    g, gap, eta = _newton_on_gamma(
+        evaluate, g, (bottom, top), 0.0,
+        lambda g: 1e-12 * max(1.0, abs(g) + u_abs),
+        f"mass target {N!r} lies outside the gamma window "
+        f"[{bottom!r}, {top!r}] where wp'(gamma + u) is invertible",
+        _MASS_MATCH_STEPS,
+    )
     if abs(gap) > 1e-6 * max(1.0, N):
         raise RuntimeError(
             "mass cannot be matched by a single-branch density profile"
         )
-    return g
+    return g, eta
 
 
 def droplet_solve(spec, alpha, domain, N, start=None, model=None, tol=1e-12,
@@ -514,11 +493,12 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=None, tol=1e-12,
 
     Runs the fixed-point loop `field._fixed_point` with gamma re-solved
     every step by `_gamma_for_mass` (Newton on gamma, started from the
-    current profile) to hold the mass, under Picard's stopping rule.  The droplet minimizes F under the mass constraint,
-    so this iteration converges from a crude ball trial where
-    fixed-gamma Newton stalls.  The converged gamma is the chemical
-    potential of the droplet, and the profile solves the fixed-gamma
-    equation to the usual residual.
+    current profile), whose profile at that gamma is the next iterate,
+    under Picard's stopping rule.  The droplet minimizes F under the
+    mass constraint, so this iteration converges from a crude ball
+    trial where fixed-gamma Newton stalls.  The converged gamma is the
+    chemical potential of the droplet, and the profile solves the
+    fixed-gamma equation to the usual residual.
     """
     model = field._default_model(model)
     D = functionals.volume_weights(domain)
@@ -591,7 +571,7 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
 
     def vapor_at(n):
         # the vapor mass peaks at gamma_hat; solving there directly
-        # avoids a secant against the fold
+        # avoids Newton steps against the fold
         if abs(n - hat_mass) <= 1e-9 * max(1.0, hat_mass):
             return _branch_point(spec, alpha, gamma_hat, hat_report, model)
         point = constrained_solve(

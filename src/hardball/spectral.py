@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import eos, field, functionals, kernels, uniform
+from . import field, functionals, kernels, uniform
 
 __all__ = [
     "SpectralReport",
@@ -96,5 +96,4 @@ def spinodal_gamma_hat(alpha_v):
             "spinodal estimate needs alpha_v above the inflection slope"
             f" {uniform.ALPHA_TAU_MIN:.4f}"
         )
-    eta_lt, _ = uniform.eta_bounds(alpha_v)
-    return float(eos.g2(eta_lt)) - alpha_v * eta_lt
+    return uniform.gamma_boundaries(alpha_v)[1]

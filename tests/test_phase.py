@@ -9,6 +9,8 @@ algebraic coexistence point as the large-container limit of the
 finite-container transition.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,133 @@ class TestConstrainedSolve:
             phase.constrained_solve(SPEC_Y, 0.0, dom5, 1.1 * vol, "minimal")
 
 
+class TestConstrainedWork:
+    """Inner solves per constrained_solve, and the exact slope it steps on."""
+
+    @pytest.fixture
+    def inner_calls(self, monkeypatch):
+        calls = []
+        for name in ("minimal_solution", "maximal_solution", "newton_solve"):
+            def counted(*args, _solve=getattr(field, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(field, name, counted)
+        return calls
+
+    def test_minimal_branch_inner_solves(self, dom5, inner_calls):
+        alpha = 20.0 / PHI_Y5
+        vol = float(functionals.volume_weights(dom5).sum())
+        for f in (0.05, 0.10, 0.15):
+            inner_calls.clear()
+            phase.constrained_solve(SPEC_Y, alpha, dom5, f * vol, "minimal")
+            assert 1 <= len(inner_calls) <= 6
+            assert set(inner_calls) == {"minimal_solution"}
+
+    def test_maximal_branch_inner_solves(self, dom_small, inner_calls):
+        liq = field.maximal_solution(SPEC_Y, 100.0, -7.0, dom_small, model=EXT)
+        n_liq = total_mass(dom_small, liq.field)
+        inner_calls.clear()
+        phase.constrained_solve(
+            SPEC_Y, 100.0, dom_small, 0.98 * n_liq, "maximal",
+            model=EXT, gamma_seed=-7.0,
+        )
+        assert 1 <= len(inner_calls) <= 5
+        assert set(inner_calls) == {"maximal_solution"}
+
+    def test_middle_branch_inner_solves(self, dom_small, inner_calls):
+        roots = uniform.solve_uniform(100.0 * PHI_Y_HALF, -7.0).roots
+        mid = field.newton_solve(
+            SPEC_Y, 100.0, -7.0,
+            field.constant_field(dom_small, roots[1]), model=EXT,
+        )
+        n_mid = total_mass(dom_small, mid.field)
+        inner_calls.clear()
+        phase.constrained_solve(
+            SPEC_Y, 100.0, dom_small, 1.02 * n_mid, "middle",
+            model=EXT, gamma_seed=-7.0,
+        )
+        assert 1 <= len(inner_calls) <= 4
+        assert set(inner_calls) == {"newton_solve"}
+
+    def test_exact_slope_matches_centred_difference(self, dom5, monkeypatch):
+        alpha, gamma, h = 20.0 / PHI_Y5, -2.9, 1e-4
+        vol = float(functionals.volume_weights(dom5).sum())
+        seen = {}
+
+        class Probed(Exception):
+            pass
+
+        def probe(evaluate, *args):
+            seen["slope"] = evaluate(gamma)[1]
+            raise Probed
+
+        monkeypatch.setattr(phase, "_newton_on_gamma", probe)
+        with pytest.raises(Probed):
+            phase.constrained_solve(SPEC_Y, alpha, dom5, 0.1 * vol, "minimal")
+
+        def mass(g):
+            rep = field.minimal_solution(SPEC_Y, alpha, g, dom5)
+            return total_mass(dom5, rep.field)
+
+        centred = (mass(gamma + h) - mass(gamma - h)) / (2.0 * h)
+        assert seen["slope"] == pytest.approx(centred, rel=1e-6)
+
+
+class TestNewtonOnGamma:
+    """phase._newton_on_gamma on closed-form monotone functions."""
+
+    @staticmethod
+    def xtol(g):
+        return 1e-14
+
+    def test_decreasing_root(self):
+        def evaluate(g):
+            return 2.0 - g**3, -3.0 * g**2, g
+
+        g, f, payload = phase._newton_on_gamma(
+            evaluate, 1.0, (0.5, 4.0), 0.0, self.xtol, "unused", 100,
+        )
+        assert g == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-14)
+        assert payload == g
+        assert abs(f) <= 1e-14
+
+    def test_root_beyond_window_raises_message(self):
+        def evaluate(g):
+            return g - 5.0, 1.0, None
+
+        with pytest.raises(ValueError, match="^beyond the window$"):
+            phase._newton_on_gamma(
+                evaluate, 0.0, (-1.0, 3.0), 0.0, self.xtol, "beyond the window", 100,
+            )
+
+    def test_failed_evaluation_retreats(self):
+        # f = exp(g) - 2 steps from g = -3 to about 16, where it is undefined
+        asked = []
+
+        def evaluate(g):
+            asked.append(g)
+            if g > 1.0:
+                raise ValueError("undefined here")
+            return math.exp(g) - 2.0, math.exp(g), None
+
+        g, f, _ = phase._newton_on_gamma(
+            evaluate, -3.0, (-10.0, 30.0), 1e-12, self.xtol, "unused", 100,
+        )
+        assert asked[1] > 1.0
+        assert -3.0 < asked[2] < asked[1]
+        assert g == pytest.approx(math.log(2.0), abs=1e-12)
+
+    def test_failed_first_evaluation_raises(self):
+        def evaluate(g):
+            raise ValueError("no start")
+
+        with pytest.raises(ValueError, match="no start"):
+            phase._newton_on_gamma(
+                evaluate, 0.0, (-1.0, 1.0), 0.0, self.xtol, "unused", 100,
+            )
+
+
 class TestDropletTrial:
     def test_mass_is_exact(self, dom15):
         D = functionals.volume_weights(dom15)
@@ -249,9 +378,10 @@ class TestMassMatch:
         if mode == eos.MODE_HARD_SPHERE:
             assert np.any(gamma + u > eos.GAMMA_FS) and np.any(gamma + u < eos.GAMMA_FS)
         for seed in (np.full(u.size, 0.3), np.full(u.size, 0.01)):
-            g = phase._gamma_for_mass(model, self.D, u, N, seed)
+            g, eta = phase._gamma_for_mass(model, self.D, u, N, seed)
             mass = float(self.D @ np.asarray(model.wp_prime(g + u)))
             assert abs(mass - N) <= 1e-9 * N
+            assert abs(float(self.D @ eta) - N) <= 1e-9 * N
             assert g == pytest.approx(gamma, abs=1e-9)
 
     @pytest.mark.parametrize("mode,u,gamma", CASES)
@@ -267,9 +397,10 @@ class TestMassMatch:
             return wp_prime(self, *args, **kwargs)
 
         monkeypatch.setattr(eos.EosModel, "wp_prime", counted)
-        g = phase._gamma_for_mass(model, self.D, u, N, eta)
+        g, held = phase._gamma_for_mass(model, self.D, u, N, eta)
         assert len(calls) <= 2
         assert g == pytest.approx(gamma, abs=1e-9)
+        assert abs(float(self.D @ held) - N) <= 1e-9 * N
 
     @pytest.mark.parametrize("mode,u,gamma", CASES)
     def test_unreachable_targets_raise(self, mode, u, gamma):
