@@ -89,6 +89,19 @@ class RadialDomain:
         third = float(self.weights @ self.nodes**2)
         if abs(third - self.R**3 / 3.0) > 1e-12 * self.R**3 / 3.0:
             raise ValueError("weights do not reproduce int_0^R s^2 ds")
+        if self.edges is not None:
+            # the panel split reads each panel's nodes off these edges
+            e = self.edges = np.asarray(self.edges, dtype=float)
+            if e.ndim != 1 or e.size < 2 or np.any(np.diff(e) <= 0):
+                raise ValueError("edges must be strictly increasing")
+            if e[0] != 0.0 or e[-1] != self.R:
+                raise ValueError("edges must run from 0 to R")
+            if self.n % (e.size - 1) or self.n // (e.size - 1) < 2:
+                raise ValueError("n must be a multiple of the panel count, "
+                                 "with at least 2 nodes per panel")
+            pn = self.nodes.reshape(e.size - 1, -1)
+            if np.any(pn[:, 0] <= e[:-1]) or np.any(pn[:, -1] >= e[1:]):
+                raise ValueError("panel nodes must lie strictly inside their edges")
 
 
 def make_domain(R, n=512, panel=8):
@@ -157,22 +170,6 @@ def constant_field(domain, value):
     return DensityField(domain, np.full(domain.n, float(value)))
 
 
-def _barycentric_rows(nodes, points):
-    """Lagrange basis values L_j(points) for the given interpolation nodes."""
-    bw = np.ones_like(nodes)
-    for j in range(nodes.size):
-        bw[j] = 1.0 / np.prod(np.delete(nodes[j] - nodes, j))
-    diff = points[:, None] - nodes[None, :]
-    exact = np.isclose(diff, 0.0, atol=1e-300, rtol=0.0)
-    diff = np.where(exact, 1.0, diff)
-    terms = bw[None, :] / diff
-    rows = terms / terms.sum(axis=1, keepdims=True)
-    hit = exact.any(axis=1)
-    if np.any(hit):
-        rows[hit] = exact[hit].astype(float)
-    return rows
-
-
 def _ring_matrix(spec, domain, targets):
     """Matrix M with (M @ eta)(t) = -(V*eta)(t) for the ball B_R.
 
@@ -180,10 +177,11 @@ def _ring_matrix(spec, domain, targets):
     prim(|t-s|) has a kink at s = t whenever the kernel has a nonzero
     contact value s(-V(s)) at s = 0+, so the panel containing an interior
     target is re-integrated in two smooth halves against the panel's own
-    Lagrange basis.  A zero target radius uses the limit row
-    4 pi int s^2 (-V(s)) eta(s) ds instead of the 2pi/t reduction.
-    The dense rows are written into M a block of rows at a time, so the
-    temporaries of the elementwise expression stay block-sized.
+    Lagrange basis, evaluated in barycentric form.  A zero target radius
+    uses the limit row 4 pi int s^2 (-V(s)) eta(s) ds instead of the 2pi/t
+    reduction.  Both the dense rows and the panel split are assembled a
+    block of rows at a time, so the temporaries of the elementwise
+    expressions stay block-sized.
     """
     t = np.asarray(targets, dtype=float)
     s = domain.nodes
@@ -206,30 +204,37 @@ def _ring_matrix(spec, domain, targets):
         return M
 
     # panel split: targets strictly inside a panel see the |t-s| kink there
-    panel = s.size // (domain.edges.size - 1)
+    edges = domain.edges
+    pn = s.reshape(edges.size - 1, -1)  # the nodes of each panel
+    panel = pn.shape[1]
     xg, wg = np.polynomial.legendre.leggauss(panel)
-    idx = np.searchsorted(domain.edges, t, side="right") - 1
-    for i in range(t.size):
-        p = idx[i]
-        if not 0 <= p < domain.edges.size - 1:
-            continue
-        a, b = domain.edges[p], domain.edges[p + 1]
-        ti = t[i]
-        if not a < ti < b:
-            continue
-        cols = slice(p * panel, (p + 1) * panel)
-        pn = s[cols]
-        row = np.zeros(panel)
-        for lo, hi in ((a, ti), (ti, b)):
-            if hi <= lo:
-                continue
-            xs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xg
-            ws = 0.5 * (hi - lo) * wg
-            ring = kernels.ring_primitive(spec, ti + xs) - kernels.ring_primitive(
-                spec, np.abs(ti - xs)
-            )
-            row += (ws * xs * ring) @ _barycentric_rows(pn, xs)
-        M[i, cols] = (2.0 * math.pi / ti) * row
+    gap = pn[:, :, None] - pn[:, None, :]
+    gap[:, np.arange(panel), np.arange(panel)] = 1.0
+    bw = 1.0 / np.prod(gap, axis=2)  # barycentric weights of each panel
+    k = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, edges.size - 2)
+    rows = np.flatnonzero((edges[k] < t) & (t < edges[k + 1]))
+    for start in range(0, rows.size, _ASSEMBLY_ROWS):
+        block = rows[start:start + _ASSEMBLY_ROWS]
+        kb = k[block]
+        tb = t[block][:, None, None]
+        a, b = edges[kb][:, None, None], edges[kb + 1][:, None, None]
+        lo = np.concatenate((a, tb), axis=1)  # (T, 2, 1): the two halves
+        hi = np.concatenate((tb, b), axis=1)
+        xs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xg  # (T, 2, p) Gauss points
+        ws = 0.5 * (hi - lo) * wg
+        ring = kernels.ring_primitive(spec, tb + xs) - kernels.ring_primitive(
+            spec, np.abs(tb - xs)
+        )
+        # Lagrange basis of the target's panel at every Gauss point, (T, 2, p, p)
+        diff = xs[..., None] - pn[kb][:, None, None, :]
+        exact = np.abs(diff) <= 1e-300
+        terms = bw[kb][:, None, None, :] / np.where(exact, 1.0, diff)
+        basis = terms / terms.sum(axis=3, keepdims=True)
+        hit = exact.any(axis=3)
+        basis[hit] = exact[hit]
+        row = np.einsum("tqi,tqij->tj", ws * xs * ring, basis)
+        cols = kb[:, None] * panel + np.arange(panel)
+        M[block[:, None], cols] = (2.0 * math.pi / t[block])[:, None] * row
     return M
 
 

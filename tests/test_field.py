@@ -12,6 +12,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,27 @@ class TestRadialDomain:
         with pytest.raises(ValueError):
             field.RadialDomain(R=1.0, n=2, nodes=np.array([0.25, 0.75]),
                                weights=np.array([0.5, 0.5]))
+
+    def test_edges_must_match_the_panels(self):
+        grid = field.make_domain(1.0, n=16)
+
+        def rebuilt(edges):
+            return field.RadialDomain(R=1.0, n=16, nodes=grid.nodes,
+                                      weights=grid.weights, edges=edges)
+
+        rebuilt(grid.edges)
+        for edges in (
+            np.linspace(0.0, 1.0, 4),  # 16 nodes do not split into 3 panels
+            np.linspace(0.0, 2.0, 3),  # runs past R
+            np.array([0.1, 0.5, 1.0]),  # starts above 0
+            np.array([0.0, 0.5, 0.5, 1.0]),  # not strictly increasing
+            np.array([0.0, 0.3, 1.0]),  # first panel's nodes spill past 0.3
+            np.linspace(0.0, 1.0, 17),  # one node per panel
+        ):
+            with pytest.raises(ValueError):
+                rebuilt(edges)
+        for panel in (2, 4, 8, 16):
+            assert field.make_domain(3.0, n=16, panel=panel).edges.size == 16 // panel + 1
 
 
 class TestRingCache:
@@ -120,6 +142,104 @@ class TestRingAssembly:
 
         expected = (2.0 * math.pi / tp) * w * s * (prim(tp + s) - prim(np.abs(tp - s)))
         assert np.array_equal(field._ring_matrix(spec, dom, s), expected)
+
+
+def _barycentric_rows(nodes, points):
+    """Lagrange basis values L_j(points), one weight loop per call."""
+    bw = np.ones_like(nodes)
+    for j in range(nodes.size):
+        bw[j] = 1.0 / np.prod(np.delete(nodes[j] - nodes, j))
+    diff = points[:, None] - nodes[None, :]
+    exact = np.isclose(diff, 0.0, atol=1e-300, rtol=0.0)
+    diff = np.where(exact, 1.0, diff)
+    terms = bw[None, :] / diff
+    rows = terms / terms.sum(axis=1, keepdims=True)
+    hit = exact.any(axis=1)
+    if np.any(hit):
+        rows[hit] = exact[hit].astype(float)
+    return rows
+
+
+def _per_target_ring(spec, dom, targets):
+    """Ring matrix with the panel split written out one target at a time."""
+    t = np.asarray(targets, dtype=float)
+    s = dom.nodes
+    plain = field.RadialDomain(R=dom.R, n=dom.n, nodes=s, weights=dom.weights)
+    M = field._ring_matrix(spec, plain, t)  # the dense rows, checked above
+    panel = s.size // (dom.edges.size - 1)
+    xg, wg = np.polynomial.legendre.leggauss(panel)
+    idx = np.searchsorted(dom.edges, t, side="right") - 1
+    for i in range(t.size):
+        p = idx[i]
+        if not 0 <= p < dom.edges.size - 1:
+            continue
+        a, b = dom.edges[p], dom.edges[p + 1]
+        ti = t[i]
+        if not a < ti < b:
+            continue
+        cols = slice(p * panel, (p + 1) * panel)
+        row = np.zeros(panel)
+        for lo, hi in ((a, ti), (ti, b)):
+            xs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xg
+            ws = 0.5 * (hi - lo) * wg
+            ring = kernels.ring_primitive(spec, ti + xs) - kernels.ring_primitive(
+                spec, np.abs(ti - xs)
+            )
+            row += (ws * xs * ring) @ _barycentric_rows(s[cols], xs)
+        M[i, cols] = (2.0 * math.pi / ti) * row
+    return M
+
+
+def _radius_hitting_a_node(dom):
+    """A radius in panel 3 whose lower half puts a Gauss point on a node."""
+    xg = np.polynomial.legendre.leggauss(8)[0]
+    a, node = dom.edges[3], dom.nodes[24]
+    t = a + (node - a) / (0.5 * (1.0 + xg[7]))
+    for _ in range(64):
+        x = 0.5 * (t + a) + 0.5 * (t - a) * xg[7]
+        if x == node:
+            return t
+        t = np.nextafter(t, np.inf if x < node else -np.inf)
+    raise AssertionError("no radius puts the Gauss point exactly on the node")
+
+
+class TestPanelSplit:
+    SPECS = [
+        SPEC_W, SPEC_Y, SPEC_N,
+        kernels.KernelSpec(a_w=0.5, a_y=1.2, a_n=0.3, varkappa=0.7, kappa=1.3),
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_self_ring_matches_the_per_target_loop(self, spec):
+        dom = field.make_domain(4.0, n=256)
+        got = field._ring_matrix(spec, dom, dom.nodes)
+        expected = _per_target_ring(spec, dom, dom.nodes)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_convolve_at_matches_the_per_target_loop(self, spec):
+        dom = field.make_domain(4.0, n=256)
+        s = dom.nodes
+        radii = np.concatenate((
+            [0.0, dom.edges[7], 4.0, 6.0],  # center, a panel edge, R, 1.5 R
+            0.5 * (s[1:] + s[:-1])[::5],  # off-node radii inside panels
+            [_radius_hitting_a_node(dom)],  # the exact-hit rule
+        ))
+        fld = field.DensityField(dom, 0.2 + 0.1 * np.cos(s))
+        got = field.convolve_at(spec, 1.5, fld, radii)
+        expected = 1.5 * (_per_target_ring(spec, dom, radii) @ fld.values)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_assembly_temporaries_stay_block_sized(self):
+        dom = field.make_domain(4.0, n=1024)
+        tracemalloc.start()
+        try:
+            M = field._ring_matrix(SPEC_Y, dom, dom.nodes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.4 * M.nbytes
 
 
 class TestDensityField:
