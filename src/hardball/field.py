@@ -386,12 +386,13 @@ def maximal_solution(spec, alpha, gamma, domain, model=None, max_iter=20000, tol
     if model.mode == eos.MODE_IDEAL_GAS:
         raise ValueError("supersolution construction needs a hard-sphere branch")
     phi = kernels.phi_lambda(spec, domain.R)
-    roots = uniform.solve_uniform(alpha * phi, gamma)
     if model.mode == eos.MODE_CS_EXTENDED:
-        start_value, certification = roots.roots[-1], "algebraic-ceiling"
+        start_value = uniform.solve_uniform(alpha * phi, gamma).roots[-1]
+        certification = "algebraic-ceiling"
     elif gamma - _GAMMA_FS + alpha * phi * eos.ETA_FS_LO <= 0.0:
         start_value, certification = eos.ETA_FS_LO, "fluid-ceiling"
     else:
+        roots = uniform.solve_uniform(alpha * phi, gamma)
         fluid = [r for r in roots.roots if r <= eos.ETA_FS_LO + 1e-12]
         if not fluid:
             raise ValueError(

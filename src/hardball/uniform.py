@@ -5,6 +5,12 @@ the triple-solution region boundaries gamma_check/gamma_hat, the Maxwell
 coexistence curve, uniform pressure and free-energy densities, and the
 touching-scale system that pairs a shrunken-domain lower slope with a
 full-domain upper slope.
+
+All roots come from one rule.  h = g2 - gamma - alpha*tau*eta turns only
+at the two points ``eta_bounds`` where g2' = alpha*tau, so h is monotone
+on at most three pieces of (0, 1) and each piece holds at most one root.
+A turning point where h vanishes to ``_TANGENT_TOL`` is a tangency: the
+double root that sits on the band edges gamma_check and gamma_hat.
 """
 
 import math
@@ -23,15 +29,7 @@ ALPHA_TAU_MIN = float(eos.g2_derivs(ETA_WR, 1))
 ALPHA_TAU_FS = float(eos.g2_derivs(eos.ETA_FS_LO, 1))
 
 _TANGENT_TOL = 1e-9  # |g2 - gamma - at*eta| below this at a critical point
-_MERGE_TOL = 1e-6  # tangent root counted once if a scanned root sits closer
-
-# scan grid: log-spaced through the ln(eta) regime, uniform above 1e-3
-_SCAN_GRID = np.concatenate(
-    [
-        np.geomspace(1e-300, 1e-3, 4000, endpoint=False),
-        np.linspace(1e-3, 1.0 - 1e-9, 6001),
-    ]
-)
+_ETA_SPAN = (1e-300, 1.0 - 1e-9)  # roots are sought between these
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,7 @@ class UniformRoots:
 
     A root is iteration-stable when g2'(root) > alpha_tau, i.e. the
     fixed-point map has local slope below one there.  ``degenerate`` marks
-    a tangency: two of the listed roots coincide to merge tolerance.
+    a tangency: two of the listed roots are the same critical point.
     """
 
     roots: tuple
@@ -55,7 +53,17 @@ class UniformRoots:
 
 
 def solve_uniform(alpha_tau, gamma):
-    """All roots of g2(eta) = gamma + alpha_tau*eta in (0,1)."""
+    """All roots of g2(eta) = gamma + alpha_tau*eta in (0,1).
+
+    h = g2 - gamma - alpha_tau*eta has h' = g2' - alpha_tau, which vanishes
+    only at ``eta_bounds(alpha_tau)`` (nowhere when alpha_tau <=
+    ALPHA_TAU_MIN).  Those critical points cut the span 1e-300 .. 1 - 1e-9
+    into at most three pieces on which h is monotone, so each piece holds
+    at most one root, found by brentq in log(eta) where h changes sign.
+    A critical point with |h| < _TANGENT_TOL is a tangency: it is the root
+    of both pieces it joins, and it sets ``degenerate``.  Roots come out
+    sorted because the pieces are.
+    """
     if alpha_tau < 0:
         raise ValueError("alpha_tau must be nonnegative")
     gamma = float(gamma)
@@ -63,46 +71,30 @@ def solve_uniform(alpha_tau, gamma):
         raise ValueError("gamma must be finite")
 
     def h(x):
-        return eos.g2(x) - gamma - alpha_tau * x
+        return float(eos.g2(x)) - gamma - alpha_tau * x
 
-    values = h(_SCAN_GRID)
-    sign = np.sign(values)
-    hits = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    roots = [
-        optimize.brentq(
-            h, _SCAN_GRID[i], _SCAN_GRID[i + 1], xtol=1e-13, rtol=8.9e-16
-        )
-        for i in hits
-    ]
-    roots.extend(_SCAN_GRID[np.nonzero(values == 0.0)[0]].tolist())
-    # bisection tolerance is absolute in eta; polish so the residual is
-    # small even where g2' ~ 1/eta blows up
-    for _ in range(3):
-        moved = False
-        for k, r in enumerate(roots):
-            res = h(r)
-            if abs(res) > 1e-12 * max(1.0, abs(gamma)):
-                step = res / (float(eos.g2_derivs(r, 1)) - alpha_tau)
-                cand = r - step
-                if 0.0 < cand < 1.0 and abs(h(cand)) < abs(res):
-                    roots[k] = cand
-                    moved = True
-        if not moved:
-            break
-
-    # a tangency leaves no sign change; it can only sit where h' vanishes
-    degenerate = False
-    if alpha_tau > ALPHA_TAU_MIN:
-        for eta_t in eta_bounds(alpha_tau):
-            if abs(h(eta_t)) < _TANGENT_TOL:
-                degenerate = True
-                if not roots or min(abs(r - eta_t) for r in roots) > _MERGE_TOL:
-                    roots.extend([eta_t, eta_t])
+    critical = eta_bounds(alpha_tau) if alpha_tau > ALPHA_TAU_MIN else ()
+    knots = (_ETA_SPAN[0], *critical, _ETA_SPAN[1])
+    values = [h(x) for x in knots]
+    tangent = [False, *(abs(v) < _TANGENT_TOL for v in values[1:-1]), False]
+    roots = []
+    for i in range(len(knots) - 1):
+        ends = [j for j in (i, i + 1) if tangent[j]]
+        if ends:
+            # just above ALPHA_TAU_MIN both ends of the middle piece can
+            # be tangent; the one closer to a root is its root
+            roots.append(knots[min(ends, key=lambda j: abs(values[j]))])
+        elif values[i] * values[i + 1] <= 0.0:
+            # log scale: small roots reach e^-690, where g2 ~ ln(eta)
+            t = optimize.brentq(lambda t: h(math.exp(t)), math.log(knots[i]),
+                                math.log(knots[i + 1]), xtol=1e-16, rtol=8.9e-16)
+            roots.append(math.exp(t))
     if not roots:
-        raise RuntimeError("root scan failed; gamma far outside the grid range")
-    roots = sorted(roots)
+        raise RuntimeError(
+            f"no uniform root in {_ETA_SPAN} at alpha_tau={alpha_tau}, gamma={gamma}"
+        )
     stability = tuple(bool(eos.g2_derivs(r, 1) > alpha_tau) for r in roots)
-    return UniformRoots(tuple(roots), stability, degenerate)
+    return UniformRoots(tuple(roots), stability, any(tangent))
 
 
 def eta_bounds(alpha_tau):
@@ -179,37 +171,27 @@ def _pi_at_root(alpha_tau, eta):
     return float(eos.g1(eta)) - 0.5 * alpha_tau * eta**2
 
 
-def coexistence_gamma(alpha_tau, fluid_restricted=False):
-    """Maxwell point: gamma where gas and liquid pressures balance."""
-    if fluid_restricted and alpha_tau >= ALPHA_TAU_FS:
-        raise ValueError("no fluid-restricted coexistence above g2'(0.49)")
+def coexistence_gamma(alpha_tau):
+    """Maxwell point: gamma where gas and liquid pressures balance.
+
+    The outer roots of ``solve_uniform`` are continuous over the closed
+    band [gamma_check, gamma_hat]: at each edge the tangency rule pins
+    the merging pair to its critical point.  The pressure gap is negative
+    at gamma_check and positive at gamma_hat, so one brentq over the band
+    finds the balance.  Just above ALPHA_TAU_MIN the band is narrower
+    than 2*_TANGENT_TOL and the gap is flat where both turning points
+    are tangencies; there h is near an odd cubic about the inflection,
+    whose balance is the middle of the band.
+    """
     gamma_check, gamma_hat = gamma_boundaries(alpha_tau)
+    if gamma_hat - gamma_check < 2.0 * _TANGENT_TOL:
+        return 0.5 * (gamma_check + gamma_hat)
 
     def varpi(gamma):
         roots = solve_uniform(alpha_tau, gamma).roots
         return _pi_at_root(alpha_tau, roots[-1]) - _pi_at_root(alpha_tau, roots[0])
 
-    # the outer root pair merges at the band edges faster than the scan
-    # grid resolves, so walk inward until both signs are trustworthy
-    band = gamma_hat - gamma_check
-    lo = hi = None
-    for frac in (1e-9, 1e-7, 1e-5, 1e-3, 1e-2, 0.05, 0.15):
-        if lo is None and varpi(gamma_check + frac * band) < 0.0:
-            lo = gamma_check + frac * band
-        if hi is None and varpi(gamma_hat - frac * band) > 0.0:
-            hi = gamma_hat - frac * band
-    if lo is None or hi is None or lo >= hi:
-        raise RuntimeError("pressure gap does not change sign across the band")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = varpi(mid)
-        if fm < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, abs(mid)) and abs(fm) < 1e-10:
-            return mid
-    raise RuntimeError("coexistence bisection stalled")
+    return optimize.brentq(varpi, gamma_check, gamma_hat, xtol=1e-14, rtol=8.9e-16)
 
 
 def f_uniform(alpha_norm, eta):
@@ -329,9 +311,7 @@ def touching_scale(spec, alpha_range, diam, volume):
         return found[1] if found is not None else -1.0
 
     sigma_acute = optimize.brentq(gap_at_scale, s_lo, s_hi, xtol=1e-10)
-    alpha_star = peak(sigma_acute)[0] if peak(sigma_acute) else None
-    if alpha_star is None:
-        alpha_star = peak(s_lo)[0]
+    alpha_star = (peak(sigma_acute) or peak(s_lo))[0]
 
     def residual(x):
         a, s = x

@@ -377,6 +377,19 @@ class TestExtremalSolutions:
         assert rep.certification == "fluid-ceiling"
         assert rep.certified_fluid
 
+    def test_fluid_ceiling_solves_no_uniform_roots(self, dom5, monkeypatch):
+        # the freezing-constant start needs no algebraic root
+        calls = []
+
+        def counted(*args, _solve=uniform.solve_uniform, **kwargs):
+            calls.append(args)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(uniform, "solve_uniform", counted)
+        rep = field.maximal_solution(SPEC_Y, 20.0 / PHI_Y5, -2.0, dom5)
+        assert rep.certification == "fluid-ceiling"
+        assert calls == []
+
     def test_maximal_certification_algebraic_ceiling(self, dom5):
         # freezing constant fails the supersolution test, but an
         # algebraic root below it exists

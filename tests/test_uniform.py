@@ -46,6 +46,24 @@ class TestSolveUniform:
         assert abs(roots.roots[0] - roots.roots[1]) < 1e-9
         assert roots.roots[0] == pytest.approx(eta_lt, abs=1e-10)
 
+    @pytest.mark.parametrize("at", [ATMIN + 1e-9, ATMIN + 1e-6, 25.0, 31.0, 100.0])
+    def test_three_roots_at_band_edges(self, at):
+        for gamma in uniform.gamma_boundaries(at):
+            roots = uniform.solve_uniform(at, gamma)
+            assert roots.degenerate
+            assert len(roots.roots) == 3
+            assert list(roots.roots) == sorted(roots.roots)
+
+    def test_root_near_lower_end(self):
+        # g2 ~ ln(eta) here: the root is about e^-600
+        roots = uniform.solve_uniform(0.0, -600.0)
+        assert len(roots.roots) == 1
+        assert abs(float(eos.g2(roots.roots[0])) + 600.0) <= 1e-12 * 600.0
+
+    def test_no_root_above_lower_end(self):
+        with pytest.raises(RuntimeError):
+            uniform.solve_uniform(0.0, -700.0)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             uniform.solve_uniform(-1.0, 0.0)
@@ -233,6 +251,25 @@ class TestCoexistence:
         flips = np.nonzero(np.diff(signs))[0]
         assert len(flips) == 1
         assert gammas[flips[0]] < gl < gammas[flips[0] + 1]
+
+    def test_solve_count(self, monkeypatch):
+        calls = []
+
+        def counted(*args, _solve=uniform.solve_uniform, **kwargs):
+            calls.append(args)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(uniform, "solve_uniform", counted)
+        uniform.coexistence_gamma(31.0)
+        assert len(calls) <= 15
+
+    @pytest.mark.parametrize("delta, tol", [(1e-9, 0.2), (1e-6, 0.01), (1e-4, 0.01)])
+    def test_near_threshold_mid_band(self, delta, tol):
+        # h is close to an odd cubic about the inflection, so the pressures
+        # balance in the middle of the band (a few ulps wide at 1e-9)
+        check, hat = uniform.gamma_boundaries(ATMIN + delta)
+        gl = uniform.coexistence_gamma(ATMIN + delta)
+        assert (gl - check) / (hat - check) == pytest.approx(0.5, abs=tol)
 
     def test_decreasing_in_alpha_tau(self):
         gls = [uniform.coexistence_gamma(at) for at in (23.0, 27.0, 35.0, 50.0)]
