@@ -530,7 +530,11 @@ def predicates(spec, alpha, gamma, domain, model=None):
 
     existence_sufficient: the algebraic equation at slope alpha Phi has
     a root in the fluid range, so a constant supersolution exists and
-    the extremal fluid solutions with it.  all_fluid_sufficient: the
+    the extremal fluid solutions with it.  Its residual h = g2 - gamma -
+    alpha Phi eta falls to -inf at 0+ and below 0.49 turns only at its
+    local maximum ``eta_bounds(alpha Phi)[0]`` < ETA_WR, so a root lies
+    in (0, 0.49] exactly when h >= 0 at 0.49 or at that maximum; no root
+    is solved for.  all_fluid_sufficient: the
     freezing constant is a supersolution, so every solution below it is
     fluid everywhere.  no_nonfluid_sufficient: even an fcc-packed field
     cannot push the argument past the kink, so no solution leaves the
@@ -541,13 +545,15 @@ def predicates(spec, alpha, gamma, domain, model=None):
     whole-space argument bound keeps even fcc packing below the kink,
     the regime where three branches can coexist.
     """
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
     model = _default_model(model)
     phi = kernels.phi_lambda(spec, domain.R)
-    try:
-        root_small = uniform.solve_uniform(alpha * phi, gamma).roots[0]
-    except ValueError:
-        root_small = math.inf
-    existence = root_small <= eos.ETA_FS_LO + 1e-12
+    at = alpha * phi
+    probes = [eos.ETA_FS_LO]
+    if at > uniform.ALPHA_TAU_MIN:
+        probes.append(uniform.eta_bounds(at)[0])
+    existence = max(float(eos.g2(x)) - gamma - at * x for x in probes) >= 0.0
     all_fluid = gamma - _GAMMA_FS + alpha * phi * eos.ETA_FS_LO <= 0.0
     no_nonfluid = gamma - _GAMMA_FS + alpha * phi * eos.ETA_FCC <= 0.0
     floor = float(model.wp_prime(gamma, side="left"))

@@ -4,8 +4,9 @@ A kernel is a non-negative linear combination of three radial families,
 all strictly negative: van der Waals (1+vk^2 r^2)^-3, Yukawa e^-kr/r,
 and Newton 1/r.  For a ball domain every integral the solvers need has
 a closed form: the in-ball potential of a uniform density, its sup and
-L1 norms, the double integral, plus the geometric functionals Phi and
-Psi and the scaling optimum used to build subsolutions.
+L1 norms, the double integral, the second moment and the boundary
+(tail-mass) constant, plus the geometric functionals Phi and Psi and
+the scaling optimum used to build subsolutions.
 
 Sign convention: integrals of the attraction are reported positive,
 i.e. ball_potential returns -(V*1)(r).
@@ -17,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 __all__ = [
@@ -250,12 +250,14 @@ def second_moment(spec):
 
 
 def boundary_constant(spec):
-    """Tail-mass constant int_0^inf (|V|_L1(R^3) - |V|_L1(B_R)) dR."""
+    """Tail-mass constant int_0^inf (|V|_L1(R^3) - |V|_L1(B_R)) dR.
+
+    Closed form: the van der Waals tail integrates to pi/vk^4 through
+    its arctan terms, the Yukawa tail (4 pi/k^2)(1+kR)e^-kR to 8 pi/k^3.
+    """
     if spec.a_n > 0:
         raise ValueError("requires an integrable kernel")
-    total = l1_norm_r3(spec)
-    val, err = quad(lambda R: total - ball_l1(spec, R), 0.0, np.inf, epsrel=1e-10, limit=200)
-    return val
+    return spec.a_w * math.pi / spec.varkappa**4 + 8.0 * math.pi * spec.a_y / spec.kappa**3
 
 
 def ring_primitive(spec, t):

@@ -3,14 +3,19 @@
 Roots of the algebraic fixed point eta = g2^-1(gamma + alpha*tau*eta),
 the triple-solution region boundaries gamma_check/gamma_hat, the Maxwell
 coexistence curve, uniform pressure and free-energy densities, and the
-touching-scale system that pairs a shrunken-domain lower slope with a
-full-domain upper slope.
+touching scale where the fluid band of a shrunken domain just touches
+the band of the full one.
 
 All roots come from one rule.  h = g2 - gamma - alpha*tau*eta turns only
 at the two points ``eta_bounds`` where g2' = alpha*tau, so h is monotone
 on at most three pieces of (0, 1) and each piece holds at most one root.
 A turning point where h vanishes to ``_TANGENT_TOL`` is a tangency: the
 double root that sits on the band edges gamma_check and gamma_hat.
+
+The fluid-restricted gamma_hat follows the convex gamma_hat up to the
+universal slope ``ALPHA_TAU_KINK`` and the fluid line GAMMA_FS -
+ETA_FS_LO*alpha_tau beyond it, so band gaps peak at that kink or at an
+end of their range.
 """
 
 import math
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import optimize
 
-from . import eos
+from . import eos, kernels
 
 # slope thresholds: below ALPHA_TAU_MIN the map eta -> g2(eta) - at*eta is
 # injective; at ALPHA_TAU_FS the small-slope root hits the freezing density
@@ -27,6 +32,15 @@ _INFLECTION = eos.find_inflection()
 ETA_WR = _INFLECTION[0]
 ALPHA_TAU_MIN = float(eos.g2_derivs(ETA_WR, 1))
 ALPHA_TAU_FS = float(eos.g2_derivs(eos.ETA_FS_LO, 1))
+# at ALPHA_TAU_KINK the small-eta tangent of g2 passes through the freezing
+# point (ETA_FS_LO, GAMMA_FS), so gamma_hat meets the fluid line there; the
+# tangent's value at ETA_FS_LO falls monotonically as its point of contact
+# moves from 0+ (where it is +inf) up to the inflection
+_ETA_KINK = optimize.brentq(
+    lambda x: float(eos.g2(x) + eos.g2_derivs(x, 1) * (eos.ETA_FS_LO - x)) - eos.GAMMA_FS,
+    1e-3, ETA_WR, xtol=1e-15, rtol=8.9e-16,
+)
+ALPHA_TAU_KINK = float(eos.g2_derivs(_ETA_KINK, 1))
 
 _TANGENT_TOL = 1e-9  # |g2 - gamma - at*eta| below this at a critical point
 _ETA_SPAN = (1e-300, 1.0 - 1e-9)  # roots are sought between these
@@ -206,50 +220,16 @@ def f_uniform(alpha_norm, eta):
 def common_tangent(alpha_norm):
     """Touching points and slope of the double tangent under f_uniform.
 
-    Seeds come from the lower convex hull of a dense graph sample, then a
-    two-dimensional Newton (on equal slopes at both points matching the
-    secant) sharpens them.  Independent of the Maxwell construction.
+    f_uniform' = g2 - alpha_norm*eta, so a line of slope mu touches the
+    graph at the uniform roots for gamma = mu, and its intercept there is
+    minus the pressure.  It touches at the gas and the liquid root at once
+    where their pressures balance: the slope is ``coexistence_gamma``.
     """
     if alpha_norm <= ALPHA_TAU_MIN:
         raise ValueError("f_uniform is convex; no double tangent exists")
-    grid = np.concatenate(
-        [np.geomspace(1e-8, 1e-2, 2000, endpoint=False), np.linspace(1e-2, 0.999, 30000)]
-    )
-    vals = f_uniform(alpha_norm, grid)
-
-    # Andrew-monotone-chain lower hull over the sampled graph
-    hull = []
-    for i in range(grid.size):
-        while len(hull) >= 2:
-            j, k = hull[-2], hull[-1]
-            cross = (grid[k] - grid[j]) * (vals[i] - vals[j]) - (
-                grid[i] - grid[j]
-            ) * (vals[k] - vals[j])
-            if cross <= 0.0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    gaps = np.diff(hull)
-    widest = int(np.argmax(gaps))
-    a0, b0 = grid[hull[widest]], grid[hull[widest + 1]]
-    if gaps[widest] <= 1:
-        raise RuntimeError("hull found no excluded band; tangent seeds missing")
-
-    def residual(x):
-        a, b = x
-        fa, fb = f_uniform(alpha_norm, a), f_uniform(alpha_norm, b)
-        s = (fb - fa) / (b - a)
-        slope_a = float(eos.g2(a)) - alpha_norm * a
-        slope_b = float(eos.g2(b)) - alpha_norm * b
-        return [slope_a - s, slope_b - s]
-
-    sol = optimize.root(residual, [a0, b0], method="hybr", tol=1e-13)
-    if not sol.success:
-        raise RuntimeError("tangent refinement failed: " + sol.message)
-    a, b = sorted(sol.x)
-    slope = float(eos.g2(a)) - alpha_norm * a
-    return a, b, slope
+    slope = coexistence_gamma(alpha_norm)
+    roots = solve_uniform(alpha_norm, slope).roots
+    return roots[0], roots[-1], slope
 
 
 def _gamma_gap(alpha, phi, psi):
@@ -261,73 +241,47 @@ def _gamma_gap(alpha, phi, psi):
 
 
 def _best_alpha(phi, psi, alpha_range):
+    # hat(alpha*phi) is convex below the kink and linear above it, and
+    # -check(alpha*psi) is convex, so the gap's maximum over the admissible
+    # alphas sits at the kink or at an end
     lo = max(alpha_range[0], ALPHA_TAU_MIN / psi * (1.0 + 1e-9))
     hi = min(alpha_range[1], ALPHA_TAU_FS / phi * (1.0 - 1e-9))
     if lo >= hi:
         return None
-    grid = np.geomspace(lo, hi, 200)
-    vals = [_gamma_gap(a, phi, psi) for a in grid]
-    i = int(np.argmax(vals))
-    a, b = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
-    res = optimize.minimize_scalar(
-        lambda a_: -_gamma_gap(a_, phi, psi),
-        bounds=(a, b),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return res.x, -res.fun
+    kink = min(max(ALPHA_TAU_KINK / phi, lo), hi)
+    return max(((a, _gamma_gap(a, phi, psi)) for a in (lo, kink, hi)), key=lambda p: p[1])
 
 
 def touching_scale(spec, alpha_range, diam, volume):
     """Scale where the shrunken-domain band just touches the full band.
 
-    Solves gamma_check(alpha*Psi) = gamma_hat_fluid(alpha*Phi(s)) together
-    with tangency in alpha, via a bracketed scan over the scale s and a
-    final two-dimensional Newton polish.
+    The peak over alpha of gamma_hat_fluid(alpha*Phi(s)) -
+    gamma_check(alpha*Psi) comes in closed form from ``_best_alpha``.
+    A walk outward from the optimal scale brackets where that peak turns
+    negative, and one brentq in s finds its zero.  Returns the scale and
+    the alpha of the peak there.
     """
-    from . import kernels
-
     sigma_grave, psi_max = kernels.optimal_scaling(spec, diam, volume)
     radius = 0.5 * diam
 
     def peak(s):
         return _best_alpha(kernels.ball_l1(spec, s * radius), psi_max, alpha_range)
 
-    base = peak(sigma_grave)
-    if base is None or base[1] <= 0.0:
+    def gap_at_scale(s):
+        found = peak(s)
+        return found[1] if found is not None else -1.0
+
+    if gap_at_scale(sigma_grave) <= 0.0:
         raise ValueError("regions never overlap inside the alpha range")
     s_lo, s_hi = sigma_grave, sigma_grave
     for _ in range(60):
         s_hi *= 1.25
-        trial = peak(s_hi)
-        if trial is None or trial[1] < 0.0:
+        if gap_at_scale(s_hi) < 0.0:
             break
         s_lo = s_hi
     else:
         raise ValueError("bands still overlap at the largest probed scale")
 
-    def gap_at_scale(s):
-        found = peak(s)
-        return found[1] if found is not None else -1.0
-
-    sigma_acute = optimize.brentq(gap_at_scale, s_lo, s_hi, xtol=1e-10)
+    sigma_acute = optimize.brentq(gap_at_scale, s_lo, s_hi, xtol=1e-15, rtol=8.9e-16)
     alpha_star = (peak(sigma_acute) or peak(s_lo))[0]
-
-    def residual(x):
-        a, s = x
-        phi = kernels.ball_l1(spec, s * radius)
-        da = 1e-6 * a
-        g0 = _gamma_gap(a, phi, psi_max)
-        g1_ = _gamma_gap(a + da, phi, psi_max)
-        g2_ = _gamma_gap(a - da, phi, psi_max)
-        return [g0, (g1_ - g2_) / (2 * da)]
-
-    sol = optimize.root(residual, [alpha_star, sigma_acute], method="hybr", tol=1e-12)
-    if (
-        sol.success
-        and sol.x[1] > sigma_grave
-        and alpha_range[0] <= sol.x[0] <= alpha_range[1]
-        and abs(gap_at_scale(float(sol.x[1]))) < abs(gap_at_scale(sigma_acute))
-    ):
-        alpha_star, sigma_acute = float(sol.x[0]), float(sol.x[1])
     return sigma_acute, alpha_star

@@ -583,6 +583,20 @@ class TestPredicates:
         rep31 = field.predicates(SPEC_Y, 31.0 / PHI_Y5, -2.0, dom5)
         assert not rep31.uniqueness_contraction
 
+    def test_far_below_gas_side_ideal_gas(self, dom5):
+        # at gamma = -700 the uniform root lies near e^-700, well inside the
+        # fluid range; the ideal-gas EOS still inverts there
+        rep = field.predicates(SPEC_Y, 1.0, -700.0, dom5, model=eos.EosModel(eos.MODE_IDEAL_GAS))
+        assert rep.existence_sufficient
+
+    def test_far_below_gas_side_hard_sphere_raises_eos_error(self, dom5):
+        with pytest.raises(ValueError, match="invertible bracket"):
+            field.predicates(SPEC_Y, 1.0, -700.0, dom5)
+
+    def test_negative_alpha_raises(self, dom5):
+        with pytest.raises(ValueError, match="non-negative"):
+            field.predicates(SPEC_Y, -1.0, -2.0, dom5)
+
     def test_newton_kernel_never_triple_candidate(self):
         dom = field.make_domain(1.0, n=16)
         rep = field.predicates(SPEC_N, 0.5, -2.0, dom)

@@ -7,6 +7,10 @@ the radial integral, the double integral via a bipolar double quad.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -277,6 +281,15 @@ class TestBoundaryConstant:
         assert kernels.boundary_constant(half) == pytest.approx(
             8 * kernels.boundary_constant(YUK), rel=1e-6
         )
+        # the tail integral is linear in the kernel: the parts add up
+        assert kernels.boundary_constant(MIXY) == pytest.approx(math.pi + 8 * math.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [VDW, YUK, KernelSpec(a_w=0.7, a_y=2.5, varkappa=0.3, kappa=1.7)],
+                             ids=["vdw", "yukawa", "mix"])
+    def test_against_quadrature(self, spec):
+        total = kernels.l1_norm_r3(spec)
+        val, _ = quad(lambda R: total - kernels.ball_l1(spec, R), 0.0, np.inf, epsrel=1e-10, limit=200)
+        assert kernels.boundary_constant(spec) == pytest.approx(val, rel=1e-9)
 
 
 class TestRingPrimitive:
@@ -319,3 +332,13 @@ def test_big_ball_phi_psi_ratios():
     assert sigma == pytest.approx(1.0 / (0.5 * 2 * R), rel=1e-4)
     ratio = kernels.phi_lambda(spec, R) / psi_max
     assert ratio == pytest.approx(12 * math.pi, rel=1e-3)
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # every kernel integral is closed form, so importing the package must
+    # not load scipy's quadrature module (it costs start-up time)
+    src = str(Path(kernels.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, hardball; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

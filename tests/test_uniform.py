@@ -309,6 +309,18 @@ class TestFUniform:
         with pytest.raises(ValueError):
             uniform.common_tangent(10.0)
 
+    @pytest.mark.parametrize("an", [31.0, 100.0, 1000.0])
+    def test_common_tangent_touches_twice(self, an):
+        # the slope of f_uniform at both points and the secant between them
+        # agree; at an = 100 and 1000 the gas point lies below 1e-10
+        a, b, slope = uniform.common_tangent(an)
+        assert 0.0 < a < b < 1.0
+        tol = 1e-13 * max(1.0, abs(slope))
+        for e in (a, b):
+            assert abs(float(eos.g2(e)) - an * e - slope) < tol
+        secant = (uniform.f_uniform(an, b) - uniform.f_uniform(an, a)) / (b - a)
+        assert abs(secant - slope) < tol
+
 
 class TestTouchingScale:
     # soft enough that the in-ball and worst-case couplings are close,
@@ -336,6 +348,42 @@ class TestTouchingScale:
         best = uniform._best_alpha(phi, psi, (22.0, 500.0))
         assert abs(best[1]) < 1e-6
         assert best[0] == pytest.approx(alpha_star, rel=1e-3)
+
+    def test_kink_on_fluid_line(self):
+        # at the kink slope the tangency edge gamma_hat meets the fluid line
+        k = uniform.ALPHA_TAU_KINK
+        assert uniform.ALPHA_TAU_MIN < k < uniform.ALPHA_TAU_FS
+        hat = uniform.gamma_boundaries(k)[1]
+        assert hat == pytest.approx(eos.GAMMA_FS - eos.ETA_FS_LO * k, abs=1e-12)
+
+    def test_best_alpha_dominates_dense_grid(self):
+        from hardball import kernels
+
+        sigma_grave, psi = kernels.optimal_scaling(self.SPEC, self.DIAM, self.VOL)
+        for s in (sigma_grave, 1.1 * sigma_grave):
+            phi = kernels.ball_l1(self.SPEC, s * 0.5 * self.DIAM)
+            for alpha_range in ((22.0, 500.0), (22.0, 50.0), (60.0, 500.0)):
+                alpha, best = uniform._best_alpha(phi, psi, alpha_range)
+                assert best == uniform._gamma_gap(alpha, phi, psi)
+                lo = max(alpha_range[0], uniform.ALPHA_TAU_MIN / psi * (1.0 + 1e-9))
+                hi = min(alpha_range[1], uniform.ALPHA_TAU_FS / phi * (1.0 - 1e-9))
+                for a in np.geomspace(lo, hi, 150):
+                    assert uniform._gamma_gap(a, phi, psi) <= best
+
+    # the peak sits at the kink for the wide range, at its low end for the
+    # range starting above the kink
+    @pytest.mark.parametrize("alpha_range", [(22.0, 500.0), (60.0, 500.0)])
+    def test_peak_gap_vanishes_at_touching_scale(self, alpha_range):
+        from hardball import kernels
+
+        _, psi = kernels.optimal_scaling(self.SPEC, self.DIAM, self.VOL)
+        sigma_acute, alpha_star = uniform.touching_scale(
+            self.SPEC, alpha_range, self.DIAM, self.VOL
+        )
+        phi = kernels.ball_l1(self.SPEC, sigma_acute * 0.5 * self.DIAM)
+        alpha, best = uniform._best_alpha(phi, psi, alpha_range)
+        assert alpha == alpha_star
+        assert abs(best) < 1e-12
 
     def test_no_touch_error(self):
         # a large Yukawa ball has Phi/Psi far above the workable ratio
