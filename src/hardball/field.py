@@ -13,7 +13,13 @@ One private loop, `_fixed_point`, iterates eta -> wp'(gamma + alpha M eta)
 for a rule that picks gamma from the potential and hands back the
 profile there: a constant for Picard, the mass-holding multiplier for
 `phase.droplet_solve`.  Every SolveReport is built by `_report`, the
-one home of the certified-fluid rule.
+one home of the certified-fluid rule.  One private damped Newton loop,
+`_newton`, serves `newton_solve` and the finish of slow monotone Picard
+launches.  That finish keeps the extremal labels: the Newton limit v*
+replaces the Picard limit only when v* lies beyond the last monotone
+iterate v_k, so the Picard limit lies in the order interval between
+them, and a Collatz-Wielandt bound shows the map to be a contraction
+on that interval, so the interval holds one fixed point.
 """
 
 from __future__ import annotations
@@ -51,6 +57,11 @@ _FLUID_MARGIN = 1e-9  # strict margin for the certified-fluid flag
 _RESIDUAL_TOL = 1e-9  # fixed-point residual required on top of the change test
 _ASSEMBLY_ROWS = 64  # rows of the ring matrix assembled per elementwise pass
 _STALL_STEPS, _STALL_CUT = 8, 0.99  # Newton stalls: 8 accepted steps, < 1% cut
+_NEWTON_TOL, _NEWTON_STEPS = 1e-12, 60  # Newton's residual target and step limit
+_FINISH_RATIO, _FINISH_FROM = 0.9, 3  # Newton finish: change ratio > 0.9 from step 3
+_DENSE_MAX = 2048  # largest node count for a dense Newton solve
+_POWER_STEPS = 8  # power steps per contraction bound
+_PERRON_STEPS = 300  # power steps for the Perron vector, at most
 
 
 @dataclass(eq=False)
@@ -142,6 +153,10 @@ class SolveReport:
     the freezing constant itself was the supersolution, so the result
     is maximal among all fluid fields; "algebraic-ceiling" when only an
     algebraic root was available, certifying maximality below that root.
+    iterations counts fixed-point steps plus, for a Picard launch with
+    a Newton finish, the finishing Newton steps.  A finished profile is
+    the monotone limit the labels speak of, by the contraction
+    certificate of `picard_iterate`, to Newton's residual.
     """
 
     field: DensityField
@@ -297,7 +312,7 @@ def _report(domain, values, gamma, u, iterations, residual, direction="none"):
     )
 
 
-def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol):
+def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol, finish=None):
     """Iterate eta -> wp'(gamma + u), u = alpha M eta, with gamma_rule(u, eta).
 
     gamma_rule returns gamma and the new profile wp'(gamma + u), each
@@ -308,7 +323,11 @@ def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol):
     sup-norm change drops below tol AND the residual at the last step's
     gamma drops below 1e-9, so a stalled sequence runs into max_iter
     and raises instead of reporting false convergence.  The monotone
-    direction is read off the first step.  Returns the report and the
+    direction is read off the first step.  finish, if given, is offered
+    every later iterate of a monotone sequence that has not yet stopped,
+    as finish(iteration, eta, change, direction); a non-None answer
+    (profile, potential, residual, steps) ends the loop there, with its
+    steps added to the iteration count.  Returns the report and the
     last gamma.
     """
     v = eta0.values
@@ -317,7 +336,8 @@ def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol):
         u = alpha * (M @ v)
         gamma, new = gamma_rule(u, v)
         if np.any(new >= 1.0) or np.any(new <= 0.0):
-            raise ValueError("iteration left the volume-fraction range (0, 1)")
+            raise ValueError("iteration left the volume-fraction range (0, 1) "
+                             f"at gamma {gamma!r}, iteration {it}")
         change = float(np.max(np.abs(new - v)))
         if it == 1:
             scale = 1e-14 * max(1.0, float(np.max(np.abs(v))))
@@ -335,15 +355,166 @@ def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol):
             )))
             if res < _RESIDUAL_TOL:
                 return _report(eta0.domain, v, gamma, u, it, res, direction), gamma
+        if finish is not None and direction != "none":
+            done = finish(it, v, change, direction)
+            if done is not None:
+                star, u, res, steps = done
+                return _report(eta0.domain, star, gamma, u, it + steps, res,
+                               direction), gamma
     raise RuntimeError(f"no convergence within {max_iter} iterations: last gamma "
                        f"{gamma!r}, sup-norm change {change:.3e}")
+
+
+def _perron_vector(absM, r, domain):
+    """Positive approximate Perron vector x of B = diag(r) absM.
+
+    absM is alpha|M| and r > 0.  With D the volume weights, D absM is
+    symmetric up to the panel split's quadrature, so B is similar to
+    the symmetric, entrywise nonnegative C = s sym(D absM) s with
+    s = (r/D)^(1/2), and x = s y for the top eigenvector y of C.  y
+    comes from power steps on C from the ones vector, which keep it
+    positive, until it moves by at most 1e-14 of its largest entry (at
+    most 300 steps); a floor of 1e-14 guards entries that underflow.
+    Any positive x gives a valid `_contraction_bound`; this one makes
+    the bound at a single profile its spectral radius to about 1e-9.
+    """
+    D = domain.weights * domain.nodes**2
+    s = np.sqrt(r / D)
+    DA = D[:, None] * absM
+    C = s[:, None] * (0.5 * (DA + DA.T)) * s
+    y = np.ones(r.size)
+    for _ in range(_PERRON_STEPS):
+        z = C @ y
+        z /= np.max(z)
+        moved = float(np.max(np.abs(z - y)))
+        y = z
+        if moved <= 1e-14:
+            break
+    return s * (y + 1e-14)
+
+
+def _contraction_bound(aM, absM, gamma, model, lo, hi, x):
+    """Collatz-Wielandt bound on the Picard map's contraction over [lo, hi].
+
+    T(eta) = wp'(gamma + aM eta), aM = alpha M, absM = |aM|.  Over the
+    order interval lo <= eta <= hi the argument at node i stays within
+    gamma + (aM lo)_i - s_i .. gamma + (aM hi)_i + s_i, s the negative
+    part of aM applied to hi - lo, and wp'' there is at most r_i, its
+    value at gamma_wr clipped into that range (the fluid wp'' is
+    unimodal in gamma with its peak at gamma_wr).  So |T(a) - T(b)| <=
+    B|a - b| with B = diag(r) absM, and for every positive y,
+    max_i (By)_i/y_i bounds the contraction of T in the y-weighted sup
+    norm (Varga, Matrix Iterative Analysis): below 1, T has at most one
+    fixed point in [lo, hi].  y starts at x and takes up to 8 power
+    steps y -> By, which never raise the bound, until it drops below 1.
+    Returns the smallest bound seen, or inf when an argument reaches the
+    hard-sphere kink.
+    """
+    ulo, uhi = aM @ lo, aM @ hi
+    spread = np.maximum(0.5 * (absM @ (hi - lo) - (uhi - ulo)), 0.0)
+    glo, ghi = gamma + ulo - spread, gamma + uhi + spread
+    if model.mode == eos.MODE_HARD_SPHERE and np.max(ghi) >= model.gamma_fs:
+        return math.inf
+    peak = np.clip(model.gamma_wr, glo, ghi)
+    r = model.response_at(np.asarray(model.wp_prime(peak, side="left", seed=hi)))
+    bound, y = math.inf, x
+    for _ in range(_POWER_STEPS + 1):
+        By = r * (absM @ y)
+        bound = min(bound, float(np.max(By / y)))
+        if bound < 1.0:
+            break
+        y = By / np.max(By)
+    return bound
+
+
+class _NewtonFinish:
+    """Certified Newton finish of one monotone Picard launch at fixed gamma.
+
+    `_fixed_point` offers it every monotone iterate v_k.  It arms at the
+    first step (from step 3) whose ratio of successive sup-norm changes
+    exceeds 0.9, and fires once the change has halved since then at a
+    step whose ratio still does: Picard is slow and converging, not
+    sliding through a bottleneck, where a Newton solve from v_k fails.
+    Firing runs one damped Newton solve from v_k to a limit v*; the
+    solve gives up as soon as a step cuts the residual by less than
+    that Picard step cut the change, for Picard then does as well far
+    more cheaply (n <= 2048 keeps the dense solve affordable).  If v*
+    lies beyond v_k (up to
+    Newton's tolerance), the Picard limit L lies in the order interval
+    between them ([v_k, v*] going up, [v*, v_k] going down), since the
+    map is monotone and v* is fixed.  v* is accepted once
+    `_contraction_bound` on that interval is below 1: T then has one
+    fixed point there, so L = v* (to Newton's residual over 1 - bound).
+    Otherwise Picard goes on, and the bound is checked again against a
+    newer v_k each time the change has halved, with no second solve.  A
+    failed solve, or a v* on the wrong side, leaves plain Picard.
+    """
+
+    def __init__(self, M, alpha, gamma, model, domain):
+        self.M, self.alpha, self.gamma = M, alpha, gamma
+        self.model, self.domain = model, domain
+        self.change = self.checked = math.inf
+        self.tried, self.limit = False, None
+        self.aM = self.absM = self.x = None
+
+    def __call__(self, it, v, change, direction):
+        ratio = change / self.change if self.change else 0.0
+        self.change = change
+        slow = it >= _FINISH_FROM and ratio > _FINISH_RATIO
+        if self.limit is None and (self.tried or not slow):
+            return None
+        if change > 0.5 * self.checked:
+            return None
+        armed, self.checked = self.checked < math.inf, change
+        if not armed:
+            return None
+        if self.limit is None:
+            self.tried = True
+            self.limit = self._solve(v, ratio)
+            if self.limit is None:
+                return None
+        star = self.limit[0]
+        lo, hi = (v, star) if direction == "up" else (star, v)
+        if np.any(lo > hi + _NEWTON_TOL):
+            self.limit = None
+            return None
+        if self.x is None:
+            self.absM = np.abs(self.aM)
+            self.x = _perron_vector(self.absM, self.model.response_at(star), self.domain)
+        bound = _contraction_bound(self.aM, self.absM, self.gamma, self.model,
+                                   np.minimum(lo, hi), hi, self.x)
+        return self.limit if bound < 1.0 else None
+
+    def _solve(self, v, ratio):
+        """Newton from v; None if it fails or a step cuts the residual less than ratio."""
+        self.aM = self.alpha * self.M
+        norms = []
+
+        def watch(step, norm):
+            if norms and norm > ratio * norms[-1]:
+                raise RuntimeError(f"Newton step {step} cut the residual less than Picard")
+            norms.append(norm)
+
+        try:
+            return _newton(self.aM, self.gamma, self.model, v, _NEWTON_TOL,
+                           _NEWTON_STEPS, watch)
+        except (RuntimeError, ValueError):
+            return None
 
 
 def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10, model=None):
     """Fixed-point iteration eta -> wp'(gamma + alpha(-V*eta)) at fixed gamma.
 
     Runs the shared loop `_fixed_point` with a constant gamma; see
-    there for the stopping rule and the monotone direction.
+    there for the stopping rule and the monotone direction.  A slow
+    monotone sequence (change ratio above 0.9, n <= 2048, not the ideal
+    gas) is finished by one damped Newton solve whose limit is accepted
+    only with a certificate that it is the limit the monotone sequence
+    converges to: the Collatz-Wielandt bound of `_contraction_bound`
+    below 1 on the order interval between the last iterate and the
+    Newton limit (see `_NewtonFinish`).  Without the certificate the
+    iteration runs on as plain Picard.  The report then counts Picard
+    and Newton steps.
     """
     model = _default_model(model)
     M = _self_ring(spec, eta0.domain)
@@ -352,7 +523,10 @@ def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10, model=No
         eta = model.wp_prime(gamma + u, side="left", seed=v)
         return gamma, np.asarray(eta, dtype=float)
 
-    return _fixed_point(M, alpha, model, eta0, rule, max_iter, tol)[0]
+    finish = None
+    if model.mode != eos.MODE_IDEAL_GAS and eta0.domain.n <= _DENSE_MAX:
+        finish = _NewtonFinish(M, alpha, gamma, model, eta0.domain)
+    return _fixed_point(M, alpha, model, eta0, rule, max_iter, tol, finish)[0]
 
 
 def minimal_solution(spec, alpha, gamma, domain, model=None, max_iter=20000, tol=1e-10):
@@ -360,7 +534,9 @@ def minimal_solution(spec, alpha, gamma, domain, model=None, max_iter=20000, tol
 
     The attraction only raises the argument of wp', so the constant
     wp'(gamma) is a subsolution and the iteration climbs monotonically
-    to the minimal solution.
+    to the minimal solution.  A slow climb may end in a Newton finish,
+    accepted only with `picard_iterate`'s contraction certificate, so
+    the label stays true.
     """
     model = _default_model(model)
     start = constant_field(domain, float(model.wp_prime(gamma, side="left")))
@@ -380,7 +556,10 @@ def maximal_solution(spec, alpha, gamma, domain, model=None, max_iter=20000, tol
     fields); otherwise the largest algebraic root at slope alpha Phi
     that is still in the fluid range (certification "algebraic-ceiling":
     maximal below that root).  CS-extended mode always descends from
-    the largest algebraic root, which bounds every solution.
+    the largest algebraic root, which bounds every solution.  A slow
+    descent may end in a Newton finish, accepted only with
+    `picard_iterate`'s contraction certificate, so the label and the
+    certification stay true.
     """
     model = _default_model(model)
     if model.mode == eos.MODE_IDEAL_GAS:
@@ -396,7 +575,8 @@ def maximal_solution(spec, alpha, gamma, domain, model=None, max_iter=20000, tol
         fluid = [r for r in roots.roots if r <= eos.ETA_FS_LO + 1e-12]
         if not fluid:
             raise ValueError(
-                "supersolution unavailable: no algebraic root in the fluid range"
+                "supersolution unavailable: no algebraic root in the fluid range "
+                f"at alpha {alpha!r}, gamma {gamma!r}"
             )
         start_value, certification = fluid[-1], "algebraic-ceiling"
     report = picard_iterate(
@@ -424,7 +604,9 @@ def subsolution_launch(
     sigma_grave.  Both starts are subsolutions; mu="M" climbs past the
     minimal branch.  CS-extended equation of state throughout, and
     (alpha, gamma) must lie in the triple-solution bands of both the
-    full ball's Phi and the shrunken ball's Psi.
+    full ball's Phi and the shrunken ball's Psi; the band errors name
+    alpha and gamma.  A slow climb may end in a Newton finish, accepted
+    only with `picard_iterate`'s contraction certificate.
     """
     if mu not in ("m", "M"):
         raise ValueError("mu must be 'm' or 'M'")
@@ -438,10 +620,12 @@ def subsolution_launch(
     )
     for tau in (phi, psi):
         if alpha * tau <= uniform.ALPHA_TAU_MIN:
-            raise ValueError("alpha below the triple-solution region")
+            raise ValueError("alpha below the triple-solution region: "
+                             f"alpha {alpha!r}, gamma {gamma!r}")
         lo, hi = uniform.gamma_boundaries(alpha * tau)
         if not lo < gamma < hi:
-            raise ValueError("(alpha, gamma) outside the triple-solution region")
+            raise ValueError("(alpha, gamma) outside the triple-solution region: "
+                             f"alpha {alpha!r}, gamma {gamma!r}")
 
     roots = uniform.solve_uniform(alpha * psi, gamma)
     etabar = roots.roots[0] if mu == "m" else roots.roots[-1]
@@ -458,26 +642,16 @@ def subsolution_launch(
     return report
 
 
-def newton_solve(spec, alpha, gamma, eta0, tol=1e-12, max_iter=60, model=None,
-                 callback=None):
-    """Damped Newton on F(eta) = eta - wp'(gamma + alpha(-V*eta)).
+def _newton(aM, gamma, model, v, tol, max_iter, callback=None):
+    """Damped Newton on F(eta) = eta - wp'(gamma + aM eta) from v.
 
-    The Jacobian I - diag(wp'') alpha M is assembled densely, which the
-    node counts in use comfortably allow; its wp'' is read off the
-    profile the residual has just inverted, with no second inversion.
-    Unlike Picard this also reaches iteration-unstable solutions, at
-    quadratic rate near any root.  A solve whose last 8 accepted steps
+    The one loop behind `newton_solve` and the Picard finish.  Returns
+    (eta, aM eta, residual, steps).  A solve whose last 8 accepted steps
     together cut the residual by less than 1% has stalled and raises
     RuntimeError; every failure names gamma and the last residual.
-    callback, if given, receives (iteration, residual) after every
-    accepted step.
     """
-    model = _default_model(model)
-    M = alpha * _self_ring(spec, eta0.domain)
-    v = eta0.values.copy()
-
     def resid(vec):
-        u = M @ vec
+        u = aM @ vec
         eta = np.asarray(model.wp_prime(gamma + u, side="left", seed=vec))
         return vec - eta, u, eta
 
@@ -491,14 +665,14 @@ def newton_solve(spec, alpha, gamma, eta0, tol=1e-12, max_iter=60, model=None,
         callback(0, norm)
     for it in range(1, max_iter + 1):
         if norm < tol:
-            return _report(eta0.domain, v, gamma, u, it - 1, norm)
+            return v, u, norm, it - 1
         if len(norms) > _STALL_STEPS and norm > _STALL_CUT * norms[-1 - _STALL_STEPS]:
             raise RuntimeError(
                 f"Newton stalled at gamma {gamma!r}: residual {norm:.3e} after "
                 f"step {it - 1}, cut by under 1% over the last {_STALL_STEPS} steps"
             )
         model._reject_kink(gamma + u)
-        J = np.eye(v.size) - model.response_at(eta)[:, None] * M
+        J = np.eye(v.size) - model.response_at(eta)[:, None] * aM
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
@@ -523,6 +697,26 @@ def newton_solve(spec, alpha, gamma, eta0, tol=1e-12, max_iter=60, model=None,
         else:
             raise failure("damped step failed to reduce the residual")
     raise failure(f"no convergence within {max_iter} Newton steps")
+
+
+def newton_solve(spec, alpha, gamma, eta0, tol=_NEWTON_TOL, max_iter=_NEWTON_STEPS,
+                 model=None, callback=None):
+    """Damped Newton on F(eta) = eta - wp'(gamma + alpha(-V*eta)).
+
+    The Jacobian I - diag(wp'') alpha M is assembled densely, which the
+    node counts in use comfortably allow; its wp'' is read off the
+    profile the residual has just inverted, with no second inversion.
+    Unlike Picard this also reaches iteration-unstable solutions, at
+    quadratic rate near any root.  A solve whose last 8 accepted steps
+    together cut the residual by less than 1% has stalled and raises
+    RuntimeError; every failure names gamma and the last residual.
+    callback, if given, receives (iteration, residual) after every
+    accepted step.
+    """
+    model = _default_model(model)
+    v, u, norm, steps = _newton(alpha * _self_ring(spec, eta0.domain), gamma, model,
+                                eta0.values.copy(), tol, max_iter, callback)
+    return _report(eta0.domain, v, gamma, u, steps, norm)
 
 
 def predicates(spec, alpha, gamma, domain, model=None):

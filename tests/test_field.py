@@ -20,7 +20,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from hardball import eos, field, kernels, uniform
+from hardball import eos, field, functionals, kernels, uniform
 
 SPEC_Y = kernels.KernelSpec(a_y=1.0, kappa=1.0)
 SPEC_W = kernels.KernelSpec(a_w=1.0, varkappa=0.7)
@@ -330,6 +330,13 @@ class TestPicard:
         with pytest.raises(ValueError):
             field.picard_iterate(SPEC_Y, 0.1, -0.05, start, model=model)
 
+    def test_leaving_the_range_names_gamma_and_iteration(self, dom5):
+        model = eos.EosModel(mode=eos.MODE_IDEAL_GAS)
+        start = field.constant_field(dom5, float(math.exp(-0.05)))
+        with pytest.raises(ValueError, match=r"^iteration left the volume-fraction "
+                           r"range \(0, 1\) at gamma -0\.05, iteration 1$"):
+            field.picard_iterate(SPEC_Y, 0.1, -0.05, start, model=model)
+
     def test_certified_fluid_flag(self, dom5):
         rep = field.minimal_solution(SPEC_Y, 10.0 / PHI_Y5, -2.0, dom5)
         assert rep.certified_fluid
@@ -401,6 +408,12 @@ class TestExtremalSolutions:
         with pytest.raises(ValueError, match="supersolution"):
             field.maximal_solution(SPEC_Y, 20.0 / PHI_Y5, 12.0, dom5)
 
+    def test_supersolution_unavailable_names_alpha_and_gamma(self, dom5):
+        alpha = 20.0 / PHI_Y5
+        with pytest.raises(ValueError, match=r"^supersolution unavailable: .* at "
+                           rf"alpha {alpha!r}, gamma 12\.0$"):
+            field.maximal_solution(SPEC_Y, alpha, 12.0, dom5)
+
     def test_ideal_gas_maximal_rejected(self, dom5):
         with pytest.raises(ValueError):
             field.maximal_solution(SPEC_Y, 0.1, -0.5, dom5,
@@ -459,6 +472,15 @@ class TestSubsolutionLaunch:
         with pytest.raises(ValueError, match="triple-solution"):
             field.subsolution_launch(self.SPEC, 10.0, self.GAMMA, dom, "m", sg)
         with pytest.raises(ValueError, match="triple-solution"):
+            field.subsolution_launch(self.SPEC, self.ALPHA, -40.0, dom, "m", sg)
+
+    def test_band_errors_name_alpha_and_gamma(self, launch_setup):
+        dom, sg = launch_setup
+        with pytest.raises(ValueError, match=r"^alpha below the triple-solution "
+                           r"region: alpha 10\.0, gamma -9\.0$"):
+            field.subsolution_launch(self.SPEC, 10.0, self.GAMMA, dom, "m", sg)
+        with pytest.raises(ValueError, match=r"^\(alpha, gamma\) outside the "
+                           r"triple-solution region: alpha 764\.0, gamma -40\.0$"):
             field.subsolution_launch(self.SPEC, self.ALPHA, -40.0, dom, "m", sg)
 
     def test_bad_arguments(self, launch_setup):
@@ -562,6 +584,171 @@ class TestNewton:
             field.newton_solve(SPEC_Y, 0.0, eos.GAMMA_FS,
                                field.constant_field(dom, 0.3),
                                model=eos.EosModel())
+
+
+def _plain_monotone_picard(spec, alpha, gamma, start, model, tol=1e-10):
+    """Reference: monotone Picard with no finish, to the library's stopping rule."""
+    M = field._self_ring(spec, start.domain)
+    v, direction = start.values, "none"
+    for it in range(1, 20001):
+        new = np.asarray(model.wp_prime(gamma + alpha * (M @ v), side="left", seed=v))
+        change = float(np.max(np.abs(new - v)))
+        if it == 1:
+            scale = 1e-14 * max(1.0, float(np.max(np.abs(v))))
+            if change > scale and np.all(new >= v - scale):
+                direction = "up"
+            elif change > scale and np.all(new <= v + scale):
+                direction = "down"
+        v = new
+        if change < tol:
+            eta = model.wp_prime(gamma + alpha * (M @ v), side="left", seed=v)
+            res = float(np.max(np.abs(np.asarray(eta) - v)))
+            if res < 1e-9:
+                return v, res, it, direction
+    raise AssertionError("reference Picard loop did not converge")
+
+
+def _launch_with_start(monkeypatch, launch):
+    """Run a launch and capture the start field it hands to picard_iterate."""
+    starts = []
+    real = field.picard_iterate
+
+    def spy(spec, alpha, gamma, eta0, **kwargs):
+        starts.append(eta0)
+        return real(spec, alpha, gamma, eta0, **kwargs)
+
+    monkeypatch.setattr(field, "picard_iterate", spy)
+    report = launch()
+    assert len(starts) == 1
+    return report, starts[0]
+
+
+@pytest.fixture(scope="module")
+def dom30():
+    return field.make_domain(30.0, n=256)
+
+
+class TestNewtonFinish:
+    """The certified Newton finish of slow monotone launches.
+
+    At criterion 8's gamma_gl (R=30, unit Yukawa, alpha*l1 = 31,
+    CS-extended) the maximal launch contracts at rate 0.965 and took 483
+    plain Picard steps; the finish must land on the limit of that
+    monotone sequence, with the same labels.
+    """
+
+    ALPHA = 31.0 / kernels.l1_norm_r3(SPEC_Y)
+    GAMMA = -4.848100784705362  # criterion 8's recorded gamma_gl
+    EXT = eos.EosModel(mode=eos.MODE_CS_EXTENDED)
+
+    def _matches_plain_picard(self, monkeypatch, spec, alpha, gamma, launch,
+                              label, certification):
+        report, start = _launch_with_start(monkeypatch, launch)
+        values, res, steps, direction = _plain_monotone_picard(
+            spec, alpha, gamma, start, self.EXT)
+        assert float(np.max(np.abs(report.field.values - values))) <= 1e-7
+        assert report.residual <= res
+        assert report.monotone_direction == direction
+        assert (report.branch_label, report.certification) == (label, certification)
+        return report, steps
+
+    def test_maximal_launch_matches_plain_picard(self, dom30, monkeypatch):
+        report, steps = self._matches_plain_picard(
+            monkeypatch, SPEC_Y, self.ALPHA, self.GAMMA,
+            lambda: field.maximal_solution(SPEC_Y, self.ALPHA, self.GAMMA, dom30,
+                                           model=self.EXT),
+            "maximal", "algebraic-ceiling")
+        assert report.monotone_direction == "down"
+        assert report.iterations < steps  # the finish did fire
+
+    def test_minimal_launch_matches_plain_picard(self, dom30, monkeypatch):
+        report, _ = self._matches_plain_picard(
+            monkeypatch, SPEC_Y, self.ALPHA, self.GAMMA,
+            lambda: field.minimal_solution(SPEC_Y, self.ALPHA, self.GAMMA, dom30,
+                                           model=self.EXT),
+            "minimal", "")
+        assert report.monotone_direction == "up"
+
+    def test_subsolution_launch_matches_plain_picard(self, launch_setup, monkeypatch):
+        # criterion 6's small ball: with the Yukawa kernel at R=30 the
+        # shrunken ball's alpha*Psi stays below the triple-solution band
+        dom, sg = launch_setup
+        spec, alpha, gamma = (TestSubsolutionLaunch.SPEC, TestSubsolutionLaunch.ALPHA,
+                              TestSubsolutionLaunch.GAMMA)
+        report, _ = self._matches_plain_picard(
+            monkeypatch, spec, alpha, gamma,
+            lambda: field.subsolution_launch(spec, alpha, gamma, dom, "m", sg),
+            "minimal", "")
+        assert report.monotone_direction == "up"
+
+    def test_maximal_launch_iteration_count(self, dom30):
+        # Picard plus finishing Newton steps; plain Picard takes 483
+        report = field.maximal_solution(SPEC_Y, self.ALPHA, self.GAMMA, dom30,
+                                        model=self.EXT)
+        assert report.iterations < 150
+
+    def test_fast_solve_iteration_counts_unchanged(self):
+        # a cli-scan-sized hard-sphere solve contracts fast, so the
+        # finish never fires and the plain Picard counts stand
+        dom = field.make_domain(4.0, n=1024)
+        alpha = 15.0 / kernels.l1_norm_r3(SPEC_Y)
+        assert field.minimal_solution(SPEC_Y, alpha, -3.0, dom).iterations == 22
+        assert field.maximal_solution(SPEC_Y, alpha, -3.0, dom).iterations == 26
+
+    def test_bound_at_the_maximal_solution_is_its_spectral_radius(self, dom30):
+        report = field.maximal_solution(SPEC_Y, self.ALPHA, self.GAMMA, dom30,
+                                        model=self.EXT)
+        v = report.field.values
+        rho = 2.0 * functionals.p_stability(
+            SPEC_Y, self.ALPHA, self.GAMMA, report.field,
+            model=self.EXT).extremal_eigenvalue + 1.0
+        aM = self.ALPHA * field._self_ring(SPEC_Y, dom30)
+        absM = np.abs(aM)
+        x = field._perron_vector(absM, self.EXT.response_at(v), dom30)
+        bound = field._contraction_bound(aM, absM, self.GAMMA, self.EXT, v, v, x)
+        assert rho <= bound <= rho + 1e-6
+        assert bound < 1.0
+
+    def test_bound_reaches_one_around_the_middle_solution(self, ball_triple):
+        # the Newton middle solution is unstable, so no interval holding
+        # it can certify a unique fixed point
+        dom, spec, alpha, gamma, small, large, middle = ball_triple
+        aM = alpha * field._self_ring(spec, dom)
+        absM = np.abs(aM)
+        probes = [field._perron_vector(absM, self.EXT.response_at(middle), dom),
+                  field._perron_vector(absM, self.EXT.response_at(large), dom),
+                  np.ones(dom.n)]
+        assert np.all(small <= middle) and np.all(middle <= large)
+        for lo, hi in ((middle, middle), (small, middle), (middle, large), (small, large)):
+            for x in probes:
+                bound = field._contraction_bound(aM, absM, gamma, self.EXT, lo, hi, x)
+                assert bound >= 1.0
+
+    def test_finish_refuses_a_limit_it_cannot_certify(self, ball_triple):
+        # handed the middle solution as its Newton limit below a
+        # descending iterate, the finish keeps iterating
+        dom, spec, alpha, gamma, small, large, middle = ball_triple
+        M = field._self_ring(spec, dom)
+        finish = field._NewtonFinish(M, alpha, gamma, self.EXT, dom)
+        finish.tried, finish.checked, finish.aM = True, 1.0, alpha * M
+        finish.limit = (middle, finish.aM @ middle, 0.0, 0)
+        assert finish(10, large, 1e-3, "down") is None
+        assert finish.limit is not None  # on the right side, so kept for re-checks
+
+
+@pytest.fixture(scope="module")
+def ball_triple(launch_setup):
+    """Criterion 6's small-ball triple: the two launches and the Newton middle."""
+    dom, sg = launch_setup
+    spec, alpha, gamma = (TestSubsolutionLaunch.SPEC, TestSubsolutionLaunch.ALPHA,
+                          TestSubsolutionLaunch.GAMMA)
+    small = field.subsolution_launch(spec, alpha, gamma, dom, "m", sg).field.values
+    large = field.subsolution_launch(spec, alpha, gamma, dom, "M", sg).field.values
+    roots = uniform.solve_uniform(alpha * kernels.phi_lambda(spec, dom.R), gamma)
+    middle = field.newton_solve(spec, alpha, gamma,
+                                field.constant_field(dom, roots.roots[1]),
+                                model=eos.EosModel(mode=eos.MODE_CS_EXTENDED))
+    return dom, spec, alpha, gamma, small, large, middle.field.values
 
 
 class TestPredicates:
