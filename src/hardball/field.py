@@ -59,9 +59,8 @@ _ASSEMBLY_ROWS = 64  # rows of the ring matrix assembled per elementwise pass
 _STALL_STEPS, _STALL_CUT = 8, 0.99  # Newton stalls: 8 accepted steps, < 1% cut
 _NEWTON_TOL, _NEWTON_STEPS = 1e-12, 60  # Newton's residual target and step limit
 _FINISH_RATIO, _FINISH_FROM = 0.9, 3  # Newton finish: change ratio > 0.9 from step 3
-_DENSE_MAX = 2048  # largest node count for a dense Newton solve
-_POWER_STEPS = 8  # power steps per contraction bound
-_PERRON_STEPS = 300  # power steps for the Perron vector, at most
+_DENSE_MAX = 512  # largest node count for the Newton finish: the largest timed
+_POWER_STEPS, _POWER_MOVED = 100, 1e-10  # power steps per contraction bound, at most
 
 
 @dataclass(eq=False)
@@ -365,35 +364,7 @@ def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol, finish=None):
                        f"{gamma!r}, sup-norm change {change:.3e}")
 
 
-def _perron_vector(absM, r, domain):
-    """Positive approximate Perron vector x of B = diag(r) absM.
-
-    absM is alpha|M| and r > 0.  With D the volume weights, D absM is
-    symmetric up to the panel split's quadrature, so B is similar to
-    the symmetric, entrywise nonnegative C = s sym(D absM) s with
-    s = (r/D)^(1/2), and x = s y for the top eigenvector y of C.  y
-    comes from power steps on C from the ones vector, which keep it
-    positive, until it moves by at most 1e-14 of its largest entry (at
-    most 300 steps); a floor of 1e-14 guards entries that underflow.
-    Any positive x gives a valid `_contraction_bound`; this one makes
-    the bound at a single profile its spectral radius to about 1e-9.
-    """
-    D = domain.weights * domain.nodes**2
-    s = np.sqrt(r / D)
-    DA = D[:, None] * absM
-    C = s[:, None] * (0.5 * (DA + DA.T)) * s
-    y = np.ones(r.size)
-    for _ in range(_PERRON_STEPS):
-        z = C @ y
-        z /= np.max(z)
-        moved = float(np.max(np.abs(z - y)))
-        y = z
-        if moved <= 1e-14:
-            break
-    return s * (y + 1e-14)
-
-
-def _contraction_bound(aM, absM, gamma, model, lo, hi, x):
+def _contraction_bound(aM, absM, gamma, model, lo, hi, y):
     """Collatz-Wielandt bound on the Picard map's contraction over [lo, hi].
 
     T(eta) = wp'(gamma + aM eta), aM = alpha M, absM = |aM|.  Over the
@@ -405,26 +376,31 @@ def _contraction_bound(aM, absM, gamma, model, lo, hi, x):
     B|a - b| with B = diag(r) absM, and for every positive y,
     max_i (By)_i/y_i bounds the contraction of T in the y-weighted sup
     norm (Varga, Matrix Iterative Analysis): below 1, T has at most one
-    fixed point in [lo, hi].  y starts at x and takes up to 8 power
-    steps y -> By, which never raise the bound, until it drops below 1.
-    Returns the smallest bound seen, or inf when an argument reaches the
-    hard-sphere kink.
+    fixed point in [lo, hi].  Power steps y -> By/max(By) from the given
+    positive y keep it positive (absM has a positive diagonal) and turn
+    it toward the Perron vector of B, where the bound is rho(B); they
+    stop once the bound drops below 1, once y moves by at most 1e-10 of
+    its largest entry, or after 100 steps.  Returns the smallest bound
+    seen, or inf when an argument reaches the hard-sphere kink, and the
+    last y, from which a later call goes on.
     """
     ulo, uhi = aM @ lo, aM @ hi
     spread = np.maximum(0.5 * (absM @ (hi - lo) - (uhi - ulo)), 0.0)
     glo, ghi = gamma + ulo - spread, gamma + uhi + spread
     if model.mode == eos.MODE_HARD_SPHERE and np.max(ghi) >= model.gamma_fs:
-        return math.inf
+        return math.inf, y
     peak = np.clip(model.gamma_wr, glo, ghi)
     r = model.response_at(np.asarray(model.wp_prime(peak, side="left", seed=hi)))
-    bound, y = math.inf, x
-    for _ in range(_POWER_STEPS + 1):
+    bound = math.inf
+    for _ in range(_POWER_STEPS):
         By = r * (absM @ y)
         bound = min(bound, float(np.max(By / y)))
-        if bound < 1.0:
+        z = By / np.max(By)
+        moved = float(np.max(np.abs(z - y)))
+        y = z
+        if bound < 1.0 or moved <= _POWER_MOVED:
             break
-        y = By / np.max(By)
-    return bound
+    return bound, y
 
 
 class _NewtonFinish:
@@ -438,24 +414,23 @@ class _NewtonFinish:
     Firing runs one damped Newton solve from v_k to a limit v*; the
     solve gives up as soon as a step cuts the residual by less than
     that Picard step cut the change, for Picard then does as well far
-    more cheaply (n <= 2048 keeps the dense solve affordable).  If v*
-    lies beyond v_k (up to
-    Newton's tolerance), the Picard limit L lies in the order interval
-    between them ([v_k, v*] going up, [v*, v_k] going down), since the
-    map is monotone and v* is fixed.  v* is accepted once
+    more cheaply.  If v* lies beyond v_k (up to Newton's tolerance),
+    the Picard limit L lies in the order interval between them
+    ([v_k, v*] going up, [v*, v_k] going down), since the map is
+    monotone and v* is fixed.  v* is accepted once
     `_contraction_bound` on that interval is below 1: T then has one
     fixed point there, so L = v* (to Newton's residual over 1 - bound).
     Otherwise Picard goes on, and the bound is checked again against a
-    newer v_k each time the change has halved, with no second solve.  A
-    failed solve, or a v* on the wrong side, leaves plain Picard.
+    newer v_k each time the change has halved, with no second solve and
+    with its power steps going on from the vector the last check reached.
+    A failed solve, or a v* on the wrong side, leaves plain Picard.
     """
 
-    def __init__(self, M, alpha, gamma, model, domain):
-        self.M, self.alpha, self.gamma = M, alpha, gamma
-        self.model, self.domain = model, domain
+    def __init__(self, M, alpha, gamma, model):
+        self.M, self.alpha, self.gamma, self.model = M, alpha, gamma, model
         self.change = self.checked = math.inf
         self.tried, self.limit = False, None
-        self.aM = self.absM = self.x = None
+        self.aM = self.absM = self.y = None
 
     def __call__(self, it, v, change, direction):
         ratio = change / self.change if self.change else 0.0
@@ -478,11 +453,10 @@ class _NewtonFinish:
         if np.any(lo > hi + _NEWTON_TOL):
             self.limit = None
             return None
-        if self.x is None:
-            self.absM = np.abs(self.aM)
-            self.x = _perron_vector(self.absM, self.model.response_at(star), self.domain)
-        bound = _contraction_bound(self.aM, self.absM, self.gamma, self.model,
-                                   np.minimum(lo, hi), hi, self.x)
+        if self.y is None:
+            self.absM, self.y = np.abs(self.aM), np.ones(v.size)
+        bound, self.y = _contraction_bound(self.aM, self.absM, self.gamma, self.model,
+                                           np.minimum(lo, hi), hi, self.y)
         return self.limit if bound < 1.0 else None
 
     def _solve(self, v, ratio):
@@ -507,7 +481,7 @@ def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10, model=No
 
     Runs the shared loop `_fixed_point` with a constant gamma; see
     there for the stopping rule and the monotone direction.  A slow
-    monotone sequence (change ratio above 0.9, n <= 2048, not the ideal
+    monotone sequence (change ratio above 0.9, n <= 512, not the ideal
     gas) is finished by one damped Newton solve whose limit is accepted
     only with a certificate that it is the limit the monotone sequence
     converges to: the Collatz-Wielandt bound of `_contraction_bound`
@@ -525,7 +499,7 @@ def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10, model=No
 
     finish = None
     if model.mode != eos.MODE_IDEAL_GAS and eta0.domain.n <= _DENSE_MAX:
-        finish = _NewtonFinish(M, alpha, gamma, model, eta0.domain)
+        finish = _NewtonFinish(M, alpha, gamma, model)
     return _fixed_point(M, alpha, model, eta0, rule, max_iter, tol, finish)[0]
 
 

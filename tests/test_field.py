@@ -687,10 +687,13 @@ class TestNewtonFinish:
                                         model=self.EXT)
         assert report.iterations < 150
 
-    def test_fast_solve_iteration_counts_unchanged(self):
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_fast_solve_iteration_counts_unchanged(self, n):
         # a cli-scan-sized hard-sphere solve contracts fast, so the
-        # finish never fires and the plain Picard counts stand
-        dom = field.make_domain(4.0, n=1024)
+        # finish never fires and the plain Picard counts stand; n=512
+        # is the largest node count the finish is offered at, and
+        # cli-scan's n=1024 lies above it
+        dom = field.make_domain(4.0, n=n)
         alpha = 15.0 / kernels.l1_norm_r3(SPEC_Y)
         assert field.minimal_solution(SPEC_Y, alpha, -3.0, dom).iterations == 22
         assert field.maximal_solution(SPEC_Y, alpha, -3.0, dom).iterations == 26
@@ -704,8 +707,14 @@ class TestNewtonFinish:
             model=self.EXT).extremal_eigenvalue + 1.0
         aM = self.ALPHA * field._self_ring(SPEC_Y, dom30)
         absM = np.abs(aM)
-        x = field._perron_vector(absM, self.EXT.response_at(v), dom30)
-        bound = field._contraction_bound(aM, absM, self.GAMMA, self.EXT, v, v, x)
+        # each call stops its power steps once the bound is below 1;
+        # calling on from the vector reached, until it moves by at most
+        # the 1e-10 that ends a call, runs them down toward rho(K)
+        y, moved = np.ones(dom30.n), 1.0
+        while moved > 1e-10:
+            bound, z = field._contraction_bound(aM, absM, self.GAMMA, self.EXT, v, v, y)
+            y, moved = z, float(np.max(np.abs(z - y)))
+            assert bound >= rho
         assert rho <= bound <= rho + 1e-6
         assert bound < 1.0
 
@@ -715,13 +724,10 @@ class TestNewtonFinish:
         dom, spec, alpha, gamma, small, large, middle = ball_triple
         aM = alpha * field._self_ring(spec, dom)
         absM = np.abs(aM)
-        probes = [field._perron_vector(absM, self.EXT.response_at(middle), dom),
-                  field._perron_vector(absM, self.EXT.response_at(large), dom),
-                  np.ones(dom.n)]
         assert np.all(small <= middle) and np.all(middle <= large)
         for lo, hi in ((middle, middle), (small, middle), (middle, large), (small, large)):
-            for x in probes:
-                bound = field._contraction_bound(aM, absM, gamma, self.EXT, lo, hi, x)
+            for y in (np.ones(dom.n), middle, large):
+                bound, _ = field._contraction_bound(aM, absM, gamma, self.EXT, lo, hi, y)
                 assert bound >= 1.0
 
     def test_finish_refuses_a_limit_it_cannot_certify(self, ball_triple):
@@ -729,7 +735,7 @@ class TestNewtonFinish:
         # descending iterate, the finish keeps iterating
         dom, spec, alpha, gamma, small, large, middle = ball_triple
         M = field._self_ring(spec, dom)
-        finish = field._NewtonFinish(M, alpha, gamma, self.EXT, dom)
+        finish = field._NewtonFinish(M, alpha, gamma, self.EXT)
         finish.tried, finish.checked, finish.aM = True, 1.0, alpha * M
         finish.limit = (middle, finish.aM @ middle, 0.0, 0)
         assert finish(10, large, 1e-3, "down") is None
