@@ -323,11 +323,11 @@ def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol, finish=None):
     gamma drops below 1e-9, so a stalled sequence runs into max_iter
     and raises instead of reporting false convergence.  The monotone
     direction is read off the first step.  finish, if given, is offered
-    every later iterate of a monotone sequence that has not yet stopped,
-    as finish(iteration, eta, change, direction); a non-None answer
-    (profile, potential, residual, steps) ends the loop there, with its
-    steps added to the iteration count.  Returns the report and the
-    last gamma.
+    every later iterate that has not yet stopped, as finish(iteration,
+    eta, gamma, change, direction); a non-None answer (profile,
+    potential, residual, steps, gamma) ends the loop there, with its
+    steps added to the iteration count and its gamma returned.
+    Returns the report and the last gamma.
     """
     v = eta0.values
     direction, gamma, change = "none", None, math.inf
@@ -354,10 +354,10 @@ def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol, finish=None):
             )))
             if res < _RESIDUAL_TOL:
                 return _report(eta0.domain, v, gamma, u, it, res, direction), gamma
-        if finish is not None and direction != "none":
-            done = finish(it, v, change, direction)
+        if finish is not None:
+            done = finish(it, v, gamma, change, direction)
             if done is not None:
-                star, u, res, steps = done
+                star, u, res, steps, gamma = done
                 return _report(eta0.domain, star, gamma, u, it + steps, res,
                                direction), gamma
     raise RuntimeError(f"no convergence within {max_iter} iterations: last gamma "
@@ -404,35 +404,48 @@ def _contraction_bound(aM, absM, gamma, model, lo, hi, y):
 
 
 class _NewtonFinish:
-    """Certified Newton finish of one monotone Picard launch at fixed gamma.
+    """Newton finish of one slowly converging fixed-point sequence.
 
-    `_fixed_point` offers it every monotone iterate v_k.  It arms at the
-    first step (from step 3) whose ratio of successive sup-norm changes
-    exceeds 0.9, and fires once the change has halved since then at a
-    step whose ratio still does: Picard is slow and converging, not
-    sliding through a bottleneck, where a Newton solve from v_k fails.
-    Firing runs one damped Newton solve from v_k to a limit v*; the
-    solve gives up as soon as a step cuts the residual by less than
-    that Picard step cut the change, for Picard then does as well far
-    more cheaply.  If v* lies beyond v_k (up to Newton's tolerance),
-    the Picard limit L lies in the order interval between them
-    ([v_k, v*] going up, [v*, v_k] going down), since the map is
-    monotone and v* is fixed.  v* is accepted once
-    `_contraction_bound` on that interval is below 1: T then has one
-    fixed point there, so L = v* (to Newton's residual over 1 - bound).
-    Otherwise Picard goes on, and the bound is checked again against a
-    newer v_k each time the change has halved, with no second solve and
-    with its power steps going on from the vector the last check reached.
-    A failed solve, or a v* on the wrong side, leaves plain Picard.
+    `_fixed_point` offers it every iterate v_k with the gamma of that
+    step.  It arms at the first step (from step 3) whose ratio of
+    successive sup-norm changes exceeds 0.9, and fires once the change
+    has halved since then at a step whose ratio still does: the
+    sequence is slow and converging, not sliding through a bottleneck,
+    where a Newton solve from v_k fails.  Firing runs one damped Newton
+    solve from v_k to a limit v*; the solve gives up as soon as a step
+    cuts the residual by less than that fixed-point step cut the
+    change, for the iteration then does as well far more cheaply.  A
+    failed or refused solve leaves plain iteration.
+
+    At fixed gamma (no border) only monotone sequences are finished,
+    and v* is certified.  If v* lies beyond v_k (up to Newton's
+    tolerance), the Picard limit L lies in the order interval between
+    them ([v_k, v*] going up, [v*, v_k] going down), since the map is
+    monotone and v* is fixed.  v* is accepted once `_contraction_bound`
+    on that interval is below 1: T then has one fixed point there, so
+    L = v* (to Newton's residual over 1 - bound).  Otherwise Picard
+    goes on, and the bound is checked again against a newer v_k each
+    time the change has halved, with no second solve and with its
+    power steps going on from the vector the last check reached.  A v*
+    on the wrong side is dropped.
+
+    With a mass border (D, N) the solve is `_newton`'s bordered one in
+    (eta, gamma) from (v_k, gamma_k), for the mass-matched iteration
+    of `phase.droplet_solve`.  Its limit has no order interval to sit
+    in, so v* is accepted only where the linearly converging sequence
+    is heading: sup|v* - v_k| <= 2 change ratio / (1 - ratio), twice
+    the geometric tail of the changes left at the firing step.
     """
 
-    def __init__(self, M, alpha, gamma, model):
-        self.M, self.alpha, self.gamma, self.model = M, alpha, gamma, model
+    def __init__(self, M, alpha, model, border=None):
+        self.M, self.alpha, self.model, self.border = M, alpha, model, border
         self.change = self.checked = math.inf
         self.tried, self.limit = False, None
         self.aM = self.absM = self.y = None
 
-    def __call__(self, it, v, change, direction):
+    def __call__(self, it, v, gamma, change, direction):
+        if self.border is None and direction == "none":
+            return None
         ratio = change / self.change if self.change else 0.0
         self.change = change
         slow = it >= _FINISH_FROM and ratio > _FINISH_RATIO
@@ -445,21 +458,27 @@ class _NewtonFinish:
             return None
         if self.limit is None:
             self.tried = True
-            self.limit = self._solve(v, ratio)
+            self.limit = self._solve(v, gamma, ratio)
             if self.limit is None:
                 return None
         star = self.limit[0]
+        if self.border is not None:
+            tail = change * ratio / (1.0 - ratio) if ratio < 1.0 else -math.inf
+            if float(np.max(np.abs(star - v))) <= 2.0 * tail:
+                return self.limit
+            self.limit = None
+            return None
         lo, hi = (v, star) if direction == "up" else (star, v)
         if np.any(lo > hi + _NEWTON_TOL):
             self.limit = None
             return None
         if self.y is None:
             self.absM, self.y = np.abs(self.aM), np.ones(v.size)
-        bound, self.y = _contraction_bound(self.aM, self.absM, self.gamma, self.model,
+        bound, self.y = _contraction_bound(self.aM, self.absM, gamma, self.model,
                                            np.minimum(lo, hi), hi, self.y)
         return self.limit if bound < 1.0 else None
 
-    def _solve(self, v, ratio):
+    def _solve(self, v, gamma, ratio):
         """Newton from v; None if it fails or a step cuts the residual less than ratio."""
         self.aM = self.alpha * self.M
         norms = []
@@ -470,8 +489,8 @@ class _NewtonFinish:
             norms.append(norm)
 
         try:
-            return _newton(self.aM, self.gamma, self.model, v, _NEWTON_TOL,
-                           _NEWTON_STEPS, watch)
+            return _newton(self.aM, gamma, self.model, v, _NEWTON_TOL, _NEWTON_STEPS,
+                           watch, self.border)
         except (RuntimeError, ValueError):
             return None
 
@@ -499,7 +518,7 @@ def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10, model=No
 
     finish = None
     if model.mode != eos.MODE_IDEAL_GAS and eta0.domain.n <= _DENSE_MAX:
-        finish = _NewtonFinish(M, alpha, gamma, model)
+        finish = _NewtonFinish(M, alpha, model)
     return _fixed_point(M, alpha, model, eta0, rule, max_iter, tol, finish)[0]
 
 
@@ -616,44 +635,64 @@ def subsolution_launch(
     return report
 
 
-def _newton(aM, gamma, model, v, tol, max_iter, callback=None):
+def _newton(aM, gamma, model, v, tol, max_iter, callback=None, border=None):
     """Damped Newton on F(eta) = eta - wp'(gamma + aM eta) from v.
 
-    The one loop behind `newton_solve` and the Picard finish.  Returns
-    (eta, aM eta, residual, steps).  A solve whose last 8 accepted steps
-    together cut the residual by less than 1% has stalled and raises
-    RuntimeError; every failure names gamma and the last residual.
+    The one loop behind `newton_solve` and the Newton finish.  With a
+    mass border (D, N), gamma is one more unknown, started from the
+    gamma given, and the mass D.eta = N, held as the mean fraction
+    D.eta/sum(D) = N/sum(D), one more equation: each step solves the
+    bordered system [[I - diag(wp'') aM, -wp''], [D^T/sum(D), 0]] of
+    size n + 1, the tangent system of the mass-constrained branch, and
+    the residual is the largest of |F| and the mean-fraction gap.
+    Returns (eta, aM eta, residual, steps, gamma).  A solve whose last
+    8 accepted steps together cut the residual by less than 1% has
+    stalled and raises RuntimeError; every failure names gamma and the
+    last residual.
     """
-    def resid(vec):
+    n = v.size
+    if border is not None:
+        D, N = border
+        w, mean = D / np.sum(D), N / np.sum(D)
+
+    def resid(x):
+        vec, g = (x[:n], x[n]) if border is not None else (x, gamma)
         u = aM @ vec
-        eta = np.asarray(model.wp_prime(gamma + u, side="left", seed=vec))
-        return vec - eta, u, eta
+        eta = np.asarray(model.wp_prime(g + u, side="left", seed=vec))
+        F = vec - eta
+        return (F if border is None else np.append(F, w @ vec - mean)), u, eta
 
     def failure(what):
-        return RuntimeError(f"{what} at gamma {gamma!r}: residual {norm:.3e}")
+        return RuntimeError(f"{what} at gamma {g!r}: residual {norm:.3e}")
 
-    F, u, eta = resid(v)
+    x = v if border is None else np.append(v, gamma)
+    g = gamma
+    F, u, eta = resid(x)
     norm = float(np.max(np.abs(F)))
     norms = [norm]  # residual after each accepted step
     if callback is not None:
         callback(0, norm)
     for it in range(1, max_iter + 1):
         if norm < tol:
-            return v, u, norm, it - 1
+            return x[:n], u, norm, it - 1, g
         if len(norms) > _STALL_STEPS and norm > _STALL_CUT * norms[-1 - _STALL_STEPS]:
             raise RuntimeError(
-                f"Newton stalled at gamma {gamma!r}: residual {norm:.3e} after "
+                f"Newton stalled at gamma {g!r}: residual {norm:.3e} after "
                 f"step {it - 1}, cut by under 1% over the last {_STALL_STEPS} steps"
             )
-        model._reject_kink(gamma + u)
-        J = np.eye(v.size) - model.response_at(eta)[:, None] * aM
+        model._reject_kink(g + u)
+        c = model.response_at(eta)
+        J = np.eye(x.size)
+        J[:n, :n] -= c[:, None] * aM
+        if border is not None:
+            J[:n, n], J[n, :n], J[n, n] = -c, w, 0.0
         try:
             step = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
             raise failure("singular Jacobian in the density solve") from exc
         lam = 1.0
         while lam > 1e-6:
-            cand = v + lam * step
+            cand = x + lam * step
             try:
                 Fc, uc, etac = resid(cand)
             except (ValueError, OverflowError):
@@ -662,7 +701,8 @@ def _newton(aM, gamma, model, v, tol, max_iter, callback=None):
                 continue
             nc = float(np.max(np.abs(Fc)))
             if nc < (1.0 - 0.25 * lam) * norm:
-                v, F, u, eta, norm = cand, Fc, uc, etac, nc
+                x, F, u, eta, norm = cand, Fc, uc, etac, nc
+                g = float(x[n]) if border is not None else gamma
                 norms.append(norm)
                 if callback is not None:
                     callback(it, norm)
@@ -688,8 +728,8 @@ def newton_solve(spec, alpha, gamma, eta0, tol=_NEWTON_TOL, max_iter=_NEWTON_STE
     accepted step.
     """
     model = _default_model(model)
-    v, u, norm, steps = _newton(alpha * _self_ring(spec, eta0.domain), gamma, model,
-                                eta0.values.copy(), tol, max_iter, callback)
+    v, u, norm, steps, _ = _newton(alpha * _self_ring(spec, eta0.domain), gamma, model,
+                                   eta0.values.copy(), tol, max_iter, callback)
     return _report(eta0.domain, v, gamma, u, steps, norm)
 
 

@@ -208,14 +208,28 @@ def optimal_scaling(spec, diam, volume):
     """Maximize Psi over rescalings of the domain by a factor in (0, 1].
 
     Returns (sigma_grave, psi_max) where the map
-    sigma -> -sigma^3 V(sigma*diam) |Lambda| attains its global maximum;
-    on near-ties the largest maximizer wins.
+    sigma -> -sigma^3 V(sigma*diam) |Lambda| attains its global maximum.
+    A single family has one interior critical point, so its maximizer
+    is closed form and capped at 1: Yukawa sigma^2 e^(-kappa diam
+    sigma) peaks at 2/(kappa diam), van der Waals sigma^3 (1 +
+    (varkappa diam sigma)^2)^-3 at 1/(varkappa diam).  Mixtures are
+    searched by `_scan_scaling`.
     """
     if spec.a_n > 0:
         raise ValueError("scaling optimum requires an integrable kernel")
     if diam <= 0 or volume <= 0:
         raise ValueError("diam and volume must be positive")
+    if spec.a_w and spec.a_y:
+        return _scan_scaling(spec, diam, volume)
+    peak = 2.0 / (spec.kappa * diam) if spec.a_y else 1.0 / (spec.varkappa * diam)
+    sigma = min(1.0, peak)
+    return sigma, psi_lambda(spec, sigma * diam, sigma**3 * volume)
 
+
+def _scan_scaling(spec, diam, volume):
+    """`optimal_scaling` by search: a scan of 2048 scales, each interior
+    maximum polished by a bounded minimize_scalar; on near-ties the
+    largest maximizer wins."""
     def psi(s):
         return -float(kernel_eval(spec, s * diam)) * s**3 * volume
 

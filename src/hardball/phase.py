@@ -348,9 +348,7 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=None,
                         "sup-norm step exceeds ten times the prediction"
                     )
         history.append((g, v))
-        c = model.response_at(v)
-        slope = float(D @ np.linalg.solve(np.eye(v.size) - c[:, None] * M, c))
-        return float(D @ v) - N_target, slope, rep
+        return float(D @ v) - N_target, _mass_slope(model, M, D, v), rep
 
     mean = N_target / volume
     if gamma_seed is None:
@@ -368,6 +366,12 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=None,
         )
     report.branch_label = branch
     return _branch_point(spec, alpha, gamma, report, model)
+
+
+def _mass_slope(model, aM, D, v):
+    """Exact branch slope dN/dgamma = D.(I - diag(c) aM)^-1 c at the solution v, c = wp''."""
+    c = model.response_at(v)
+    return float(D @ np.linalg.solve(np.eye(v.size) - c[:, None] * aM, c))
 
 
 def droplet_criterion(spec, alpha):
@@ -482,7 +486,8 @@ def _gamma_for_mass(model, D, u, N, seed):
     )
     if abs(gap) > 1e-6 * max(1.0, N):
         raise RuntimeError(
-            "mass cannot be matched by a single-branch density profile"
+            "mass cannot be matched by a single-branch density profile: "
+            f"N {N!r}, last gamma {g!r}, mass gap {gap:.3e}"
         )
     return g, eta
 
@@ -496,9 +501,15 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=None, tol=1e-12,
     current profile), whose profile at that gamma is the next iterate,
     under Picard's stopping rule.  The droplet minimizes F under the
     mass constraint, so this iteration converges from a crude ball
-    trial where fixed-gamma Newton stalls.  The converged gamma is the
-    chemical potential of the droplet, and the profile solves the
-    fixed-gamma equation to the usual residual.
+    trial where fixed-gamma Newton stalls.  Once it converges slowly
+    (change ratio above 0.9, n <= 512) its tail is cut short by one
+    bordered Newton solve in (eta, gamma) on the mass-constrained
+    system, see `field._NewtonFinish`; the Newton limit is taken only
+    where the iteration is heading, within twice its predicted
+    remaining distance, and otherwise the iteration runs on.  The
+    report's iterations count mass-matched steps plus Newton steps.
+    The converged gamma is the chemical potential of the droplet, and
+    the profile solves the fixed-gamma equation to the usual residual.
     """
     model = field._default_model(model)
     D = functionals.volume_weights(domain)
@@ -509,34 +520,43 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=None, tol=1e-12,
         eta_big = uniform.solve_uniform(atau, gamma_hat).roots[-1]
         fraction = min(0.9, N / (eta_big * float(np.sum(D))))
         start = droplet_trial(spec, alpha, domain, N, fraction)
+    M = field._self_ring(spec, domain)
+    finish = None
+    if domain.n <= field._DENSE_MAX:
+        finish = field._NewtonFinish(M, alpha, model, border=(D, N))
     report, gamma = field._fixed_point(
-        field._self_ring(spec, domain), alpha, model, start,
-        lambda u, v: _gamma_for_mass(model, D, u, N, v), max_iter, tol,
+        M, alpha, model, start,
+        lambda u, v: _gamma_for_mass(model, D, u, N, v), max_iter, tol, finish,
     )
     if check_collapse:
         vapor = field.minimal_solution(spec, alpha, gamma, domain, model=model)
         if float(np.max(np.abs(report.field.values - vapor.field.values))) < 1e-6:
             raise BranchLostError(
-                "mass-constrained iteration collapsed onto the vapor branch"
+                "mass-constrained iteration collapsed onto the vapor branch "
+                f"at N {N!r}, gamma {gamma!r}"
             )
     report.monotone_direction, report.branch_label = "none", "middle"
     return _branch_point(spec, alpha, gamma, report, model)
 
 
 def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
-                               gamma_gl=None, gamma_bracket=None):
+                               gamma_gl=None, gamma_bracket=None, grand=None):
     """Locate the vapor/droplet free-energy crossing at fixed mass.
 
     Bisects the mass for the sign change of F[vapor] - F[droplet]; at
     masses where the droplet collapses onto the vapor the gap is
     scored for the vapor side, so the mass window where no droplet
     exists is stepped over instead of mistaken for a crossing.  Needs
-    the gas/liquid coexistence point for the embedding report; pass
-    gamma_gl when it is already known, or gamma_bracket to have it
-    located here by `_scan_and_locate` (defaulting to the algebraic
-    band).
+    the gas/liquid coexistence point for the embedding report: pass
+    grand, a `GrandTransition` on the same ball, to reuse its gamma_gl,
+    gas and liquid with no launch at gamma_gl; or gamma_gl when only
+    that is known, to launch the pair there once; or gamma_bracket to
+    have it located here by `_scan_and_locate` (defaulting to the
+    algebraic band).  The vapor at the gas's own mass is the gas.
     """
     model = field._default_model(model)
+    if grand is not None and (gamma_gl is not None or gamma_bracket is not None):
+        raise ValueError("pass grand alone, without gamma_gl or gamma_bracket")
     crit = droplet_criterion(spec, alpha)
     if not crit["fires"]:
         raise ValueError(
@@ -544,10 +564,10 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
             "branch is expected"
         )
 
-    if gamma_gl is None:
+    if grand is None and gamma_gl is None:
         grand = _scan_and_locate(spec, alpha, domain, gamma_bracket, model)
-        gamma_gl = grand.gamma_gl
-        gas, liquid = grand.gas, grand.liquid
+    if grand is not None:
+        gamma_gl, gas, liquid = grand.gamma_gl, grand.gas, grand.liquid
     else:
         gamma_gl = float(gamma_gl)
         _, _, lo, hi = _launch_gap(spec, alpha, gamma_gl, domain, model)
@@ -567,16 +587,26 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
         raise ValueError("N_bracket must be increasing")
 
     droplet_cache = []  # (N, values) for warm starts
-    vapor_gamma = [gamma_gl]
+    n_gas = gas.functionals.N
+    vapor_gamma = [None]  # gamma of the last vapor solved here
 
     def vapor_at(n):
         # the vapor mass peaks at gamma_hat; solving there directly
-        # avoids Newton steps against the fold
+        # avoids Newton steps against the fold; at the gas's mass the
+        # vapor is the gas
         if abs(n - hat_mass) <= 1e-9 * max(1.0, hat_mass):
             return _branch_point(spec, alpha, gamma_hat, hat_report, model)
+        if abs(n - n_gas) <= 1e-9 * max(1.0, n_gas):
+            return gas
+        seed = vapor_gamma[0]
+        if seed is None:
+            # the mass match's first Newton step from gamma_gl, taken from
+            # the gas already known there instead of a second launch
+            aM = alpha * field._self_ring(spec, domain)
+            D = functionals.volume_weights(domain)
+            seed = gamma_gl - (n_gas - n) / _mass_slope(model, aM, D, gas.solution.field.values)
         point = constrained_solve(
-            spec, alpha, domain, n, "minimal", model=model,
-            gamma_seed=vapor_gamma[0],
+            spec, alpha, domain, n, "minimal", model=model, gamma_seed=seed,
         )
         vapor_gamma[0] = point.gamma
         return point

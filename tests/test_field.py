@@ -735,10 +735,10 @@ class TestNewtonFinish:
         # descending iterate, the finish keeps iterating
         dom, spec, alpha, gamma, small, large, middle = ball_triple
         M = field._self_ring(spec, dom)
-        finish = field._NewtonFinish(M, alpha, gamma, self.EXT)
+        finish = field._NewtonFinish(M, alpha, self.EXT)
         finish.tried, finish.checked, finish.aM = True, 1.0, alpha * M
-        finish.limit = (middle, finish.aM @ middle, 0.0, 0)
-        assert finish(10, large, 1e-3, "down") is None
+        finish.limit = (middle, finish.aM @ middle, 0.0, 0, gamma)
+        assert finish(10, large, gamma, 1e-3, "down") is None
         assert finish.limit is not None  # on the right side, so kept for re-checks
 
 

@@ -241,6 +241,29 @@ class TestOptimalScaling:
         with pytest.raises(ValueError):
             kernels.optimal_scaling(NEW, 1.0, 1.0)
 
+    @pytest.mark.parametrize("family", ["yukawa", "vdw"])
+    def test_closed_form_equals_the_scan(self, family):
+        # inverse ranges and diameters putting the peak below, at and
+        # beyond the cap sigma = 1; the scan's bounded minimize_scalar
+        # stops at sqrt(machine eps) relative in sigma, where psi is flat
+        # to second order, so sigma agrees to 1e-7 and psi to 1e-10
+        for inv in (0.05, 0.3, 1.0, 2.5):
+            for diam in (0.1, 0.8, 2.0, 7.0, 60.0):
+                if family == "yukawa":
+                    spec = KernelSpec(a_y=1.7, kappa=inv)
+                else:
+                    spec = KernelSpec(a_w=0.6, varkappa=inv)
+                sigma, psi = kernels.optimal_scaling(spec, diam, 3.0)
+                scan_sigma, scan_psi = kernels._scan_scaling(spec, diam, 3.0)
+                assert sigma == pytest.approx(scan_sigma, rel=1e-7)
+                assert psi == pytest.approx(scan_psi, rel=1e-10)
+                assert psi >= scan_psi * (1.0 - 1e-15)
+
+    def test_caps_at_one(self):
+        assert kernels.optimal_scaling(KernelSpec(a_y=1.0, kappa=0.5), 2.0, 1.0)[0] == 1.0
+        assert kernels.optimal_scaling(KernelSpec(a_w=1.0, varkappa=0.5), 2.0, 1.0)[0] == 1.0
+        assert kernels.optimal_scaling(KernelSpec(a_w=1.0, varkappa=0.5), 2.5, 1.0)[0] == 0.8
+
 
 class TestSecondMoment:
     def test_yukawa_closed_form(self):

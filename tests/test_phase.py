@@ -338,8 +338,10 @@ class TestDropletSolve:
         assert rep.probe_failures == 0
 
     def test_low_mass_collapses_to_vapor(self, dom15):
-        with pytest.raises(phase.BranchLostError):
-            phase.droplet_solve(SPEC_Y, ALPHA_31, dom15, 0.7 * N_HAT_15, model=EXT)
+        N = 0.7 * N_HAT_15
+        with pytest.raises(phase.BranchLostError,
+                           match=rf"vapor branch at N {N!r}, gamma -4\.\d+"):
+            phase.droplet_solve(SPEC_Y, ALPHA_31, dom15, N, model=EXT)
 
     def test_warm_start_stays_on_branch(self, dom15):
         cold = phase.droplet_solve(SPEC_Y, ALPHA_31, dom15, 440.0, model=EXT)
@@ -353,6 +355,79 @@ class TestDropletSolve:
         assert v[0] > 5 * v[-1]
         # shedding mass raises the droplet's chemical potential
         assert warm.gamma > cold.gamma
+
+
+def _droplet_and_plain_run(dom, N, monkeypatch):
+    """droplet_solve at N, and its fixed-point loop rerun with no finish.
+
+    Returns the droplet's BranchPoint and the plain run's (report, gamma)
+    from the same start, mass-matching rule, tolerance and step limit.
+    The collapse check is off, so the droplet's loop is the only one.
+    """
+    calls = []
+    real = field._fixed_point
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(field, "_fixed_point", spy)
+    point = phase.droplet_solve(SPEC_Y, ALPHA_31, dom, N, model=EXT,
+                                check_collapse=False)
+    monkeypatch.setattr(field, "_fixed_point", real)
+    assert len(calls) == 1 and isinstance(calls[0][-1], field._NewtonFinish)
+    return point, real(*calls[0][:-1])
+
+
+class TestDropletFinish:
+    """The bordered Newton finish of the mass-matched droplet iteration.
+
+    At R=15, n=256 and 0.97 N_hat the iteration from the ball trial
+    converges at a steady change ratio near 0.9 and takes 246 steps.
+    """
+
+    N = 0.97 * N_HAT_15
+
+    def test_matches_the_plain_iteration(self, dom15, monkeypatch):
+        point, (plain, gamma) = _droplet_and_plain_run(dom15, self.N, monkeypatch)
+        values = point.solution.field.values
+        assert float(np.max(np.abs(values - plain.field.values))) <= 1e-10
+        assert abs(point.gamma - gamma) <= 1e-10
+        assert point.solution.residual < 1e-9
+        assert point.functionals.N == pytest.approx(self.N, rel=1e-9)
+
+    def test_iterations_fall_below_half(self, dom15, monkeypatch):
+        point, (plain, _) = _droplet_and_plain_run(dom15, self.N, monkeypatch)
+        assert point.solution.iterations < 0.5 * plain.iterations
+
+    def test_failed_solve_gives_the_plain_result(self, dom15, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("forced failure")
+
+        monkeypatch.setattr(field, "_newton", fail)
+        point, (plain, gamma) = _droplet_and_plain_run(dom15, self.N, monkeypatch)
+        assert np.array_equal(point.solution.field.values, plain.field.values)
+        assert point.gamma == gamma
+        assert point.solution.iterations == plain.iterations
+
+    def test_limit_off_the_predicted_path_is_refused(self, dom15, monkeypatch):
+        # the solve fires at a change near 3e-4 and a ratio near 0.906,
+        # so twice the remaining tail of changes is about 0.0065; a limit
+        # 0.02 off the true one lies beyond it, and the iteration runs on
+        real = field._newton
+        limits = []
+
+        def shifted(*args):
+            star, u, res, steps, gamma = real(*args)
+            limits.append(star)
+            return star + 0.02, u, res, steps, gamma
+
+        monkeypatch.setattr(field, "_newton", shifted)
+        point, (plain, gamma) = _droplet_and_plain_run(dom15, self.N, monkeypatch)
+        assert len(limits) == 1
+        assert np.array_equal(point.solution.field.values, plain.field.values)
+        assert point.gamma == gamma
+        assert point.solution.iterations == plain.iterations
 
 
 class TestMassMatch:
@@ -413,6 +488,16 @@ class TestMassMatch:
         for N in targets:
             with pytest.raises(ValueError, match="outside the gamma window"):
                 phase._gamma_for_mass(model, self.D, u, N, eta)
+
+    def test_mass_in_the_freezing_gap_raises_with_names(self):
+        # at a constant potential every lane jumps from fluid 0.494 to
+        # solid 0.545 at gamma_fs, so a mean fraction of 0.52 has no profile
+        model = eos.EosModel(mode=eos.MODE_HARD_SPHERE)
+        N = 0.52 * float(np.sum(self.D))
+        with pytest.raises(RuntimeError, match=(
+                rf"cannot be matched .*: N {N!r}, last gamma 15\.2\d*, mass gap \d")):
+            phase._gamma_for_mass(model, self.D, np.zeros(self.D.size), N,
+                                  np.full(self.D.size, 0.3))
 
 
 class TestGrandTransition:
@@ -577,6 +662,51 @@ class TestPetitTransition:
                 N_bracket=(0.35 * N_HAT_15, 0.60 * N_HAT_15),
                 model=EXT, gamma_gl=-4.655291,
             )
+
+
+class TestPetitFromGrand:
+    """petit_canonical_transition reusing a GrandTransition on the same ball."""
+
+    @pytest.fixture(scope="class")
+    def grand(self):
+        dom = field.make_domain(15.0, n=64)
+        bracket = phase.pressure_crossing_bracket(
+            SPEC_Y, ALPHA_31, dom, (-4.75, -4.45), model=EXT)
+        return dom, phase.grand_canonical_transition(
+            SPEC_Y, ALPHA_31, dom, bracket, model=EXT)
+
+    def test_same_transition_with_no_launch_at_gamma_gl(self, grand, monkeypatch):
+        dom, gt = grand
+        launched = []
+        for name in ("minimal_solution", "maximal_solution"):
+            real = getattr(field, name)
+
+            def spy(spec, alpha, gamma, *args, _real=real, **kwargs):
+                launched.append(gamma)
+                return _real(spec, alpha, gamma, *args, **kwargs)
+
+            monkeypatch.setattr(field, name, spy)
+        reused = phase.petit_canonical_transition(
+            SPEC_Y, ALPHA_31, dom, model=EXT, grand=gt)
+        assert launched and gt.gamma_gl not in launched
+        fresh = phase.petit_canonical_transition(
+            SPEC_Y, ALPHA_31, dom, model=EXT, gamma_gl=gt.gamma_gl)
+        assert gt.gamma_gl in launched
+        assert reused.gamma_gl == fresh.gamma_gl == gt.gamma_gl
+        assert reused.N_vd == fresh.N_vd
+        assert reused.delta_Gamma == fresh.delta_Gamma
+        for name in ("gas", "liquid"):
+            a, b = getattr(reused, name), getattr(fresh, name)
+            assert a.gamma == b.gamma
+            assert a.functionals.N == b.functionals.N
+            assert np.array_equal(a.solution.field.values, b.solution.field.values)
+
+    @pytest.mark.parametrize("extra", [{"gamma_gl": -4.655}, {"gamma_bracket": (-4.75, -4.45)}])
+    def test_grand_with_a_gamma_argument_rejected(self, grand, extra):
+        dom, gt = grand
+        with pytest.raises(ValueError, match="grand alone"):
+            phase.petit_canonical_transition(
+                SPEC_Y, ALPHA_31, dom, model=EXT, grand=gt, **extra)
 
 
 class TestRearrangement:
