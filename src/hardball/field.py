@@ -14,12 +14,16 @@ for a rule that picks gamma from the potential and hands back the
 profile there: a constant for Picard, the mass-holding multiplier for
 `phase.droplet_solve`.  Every SolveReport is built by `_report`, the
 one home of the certified-fluid rule.  One private damped Newton loop,
-`_newton`, serves `newton_solve` and the finish of slow monotone Picard
-launches.  That finish keeps the extremal labels: the Newton limit v*
-replaces the Picard limit only when v* lies beyond the last monotone
-iterate v_k, so the Picard limit lies in the order interval between
-them, and a Collatz-Wielandt bound shows the map to be a contraction
-on that interval, so the interval holds one fixed point.
+`_newton`, serves `newton_solve` and `_NewtonFinish`, the finish of
+slowly converging fixed-point sequences.  For a monotone Picard launch
+the finish keeps the extremal labels: the Newton limit v* replaces the
+Picard limit only when v* lies beyond the last monotone iterate v_k,
+so the Picard limit lies in the order interval between them, and a
+Collatz-Wielandt bound shows the map to be a contraction on that
+interval, so the interval holds one fixed point.  For the droplet's
+mass-matched iteration the loop carries a mass border, with gamma as
+one more unknown, and its limit is accepted only where the iteration
+is heading: within twice the geometric tail of its remaining changes.
 """
 
 from __future__ import annotations
@@ -152,8 +156,8 @@ class SolveReport:
     the freezing constant itself was the supersolution, so the result
     is maximal among all fluid fields; "algebraic-ceiling" when only an
     algebraic root was available, certifying maximality below that root.
-    iterations counts fixed-point steps plus, for a Picard launch with
-    a Newton finish, the finishing Newton steps.  A finished profile is
+    iterations counts fixed-point steps plus, for a solve with a Newton
+    finish, the finishing Newton steps.  A finished Picard profile is
     the monotone limit the labels speak of, by the contraction
     certificate of `picard_iterate`, to Newton's residual.
     """
@@ -462,9 +466,8 @@ class _NewtonFinish:
             if self.limit is None:
                 return None
         star = self.limit[0]
-        if self.border is not None:
-            tail = change * ratio / (1.0 - ratio) if ratio < 1.0 else -math.inf
-            if float(np.max(np.abs(star - v))) <= 2.0 * tail:
+        if self.border is not None:  # v* must lie where the sequence is heading
+            if ratio < 1.0 and np.max(np.abs(star - v)) <= 2.0 * change * ratio / (1.0 - ratio):
                 return self.limit
             self.limit = None
             return None

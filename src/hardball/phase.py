@@ -10,13 +10,17 @@ re-solving gamma each step so the iterate keeps its mass follows the
 canonical-ensemble valley, where the droplet is a stable minimizer.
 That iteration is the fixed-point loop of `field` with the mass
 multiplier `_gamma_for_mass` as its gamma rule, which hands back the
-profile at the gamma it finds.  Both mass matches, that one and
+profile at the gamma it finds; its slow tail ends in one bordered
+Newton solve in (eta, gamma), accepted only within twice the distance
+the iteration still has to go.  Both mass matches, that one and
 `constrained_solve`'s, run the one safeguarded Newton on gamma,
 `_newton_on_gamma`, on an exact slope.  Every gas/liquid comparison
 goes through `_launch_gap`: the minimal and maximal launches at one
 gamma, their pressure gap, and whether they are distinct, read through
 `_launch_memo` so one public call launches each gamma once.
 `_scan_and_locate` scans (by default the algebraic band), then locates.
+The petit transition reuses a `GrandTransition` passed as grand with no
+launch at its gamma_gl.
 """
 
 import functools
