@@ -19,8 +19,6 @@ goes through `_launch_gap`: the minimal and maximal launches at one
 gamma, their pressure gap, and whether they are distinct, read through
 `_launch_memo` so one public call launches each gamma once.
 `_scan_and_locate` scans (by default the algebraic band), then locates.
-The petit transition reuses a `GrandTransition` passed as grand with no
-launch at its gamma_gl.
 """
 
 import functools
@@ -544,7 +542,7 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=None, tol=1e-12,
 
 
 def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
-                               gamma_gl=None, gamma_bracket=None, grand=None):
+                               gamma_gl=None, gamma_bracket=None):
     """Locate the vapor/droplet free-energy crossing at fixed mass.
 
     Bisects the mass for the sign change of F[vapor] - F[droplet]; at
@@ -552,15 +550,12 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
     scored for the vapor side, so the mass window where no droplet
     exists is stepped over instead of mistaken for a crossing.  Needs
     the gas/liquid coexistence point for the embedding report: pass
-    grand, a `GrandTransition` on the same ball, to reuse its gamma_gl,
-    gas and liquid with no launch at gamma_gl; or gamma_gl when only
-    that is known, to launch the pair there once; or gamma_bracket to
-    have it located here by `_scan_and_locate` (defaulting to the
-    algebraic band).  The vapor at the gas's own mass is the gas.
+    gamma_gl to launch the pair there once, or gamma_bracket to have it
+    located here by `_scan_and_locate` (defaulting to the algebraic
+    band), whose gas and liquid are then reused.  The vapor at the
+    gas's own mass is the gas.
     """
     model = field._default_model(model)
-    if grand is not None and (gamma_gl is not None or gamma_bracket is not None):
-        raise ValueError("pass grand alone, without gamma_gl or gamma_bracket")
     crit = droplet_criterion(spec, alpha)
     if not crit["fires"]:
         raise ValueError(
@@ -568,9 +563,8 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
             "branch is expected"
         )
 
-    if grand is None and gamma_gl is None:
+    if gamma_gl is None:
         grand = _scan_and_locate(spec, alpha, domain, gamma_bracket, model)
-    if grand is not None:
         gamma_gl, gas, liquid = grand.gamma_gl, grand.gas, grand.liquid
     else:
         gamma_gl = float(gamma_gl)

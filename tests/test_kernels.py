@@ -244,18 +244,27 @@ class TestOptimalScaling:
     @pytest.mark.parametrize("family", ["yukawa", "vdw"])
     def test_closed_form_equals_the_scan(self, family):
         # inverse ranges and diameters putting the peak below, at and
-        # beyond the cap sigma = 1; the scan's bounded minimize_scalar
-        # stops at sqrt(machine eps) relative in sigma, where psi is flat
-        # to second order, so sigma agrees to 1e-7 and psi to 1e-10
+        # beyond the cap sigma = 1.  sigma is checked against the closed
+        # form and by local optimality, not against the scan's sigma:
+        # the scan's bounded minimize_scalar stops at sqrt(machine eps)
+        # relative in sigma, where psi is flat to second order
+        def psi_at(spec, s):
+            return kernels.psi_lambda(spec, s * diam, s**3 * 3.0)
+
         for inv in (0.05, 0.3, 1.0, 2.5):
             for diam in (0.1, 0.8, 2.0, 7.0, 60.0):
                 if family == "yukawa":
                     spec = KernelSpec(a_y=1.7, kappa=inv)
+                    peak = 2.0 / (inv * diam)
                 else:
                     spec = KernelSpec(a_w=0.6, varkappa=inv)
+                    peak = 1.0 / (inv * diam)
                 sigma, psi = kernels.optimal_scaling(spec, diam, 3.0)
-                scan_sigma, scan_psi = kernels._scan_scaling(spec, diam, 3.0)
-                assert sigma == pytest.approx(scan_sigma, rel=1e-7)
+                assert sigma == pytest.approx(min(1.0, peak), rel=1e-12)
+                for s in (sigma * (1.0 - 1e-4), sigma * (1.0 + 1e-4)):
+                    if s <= 1.0:
+                        assert psi >= psi_at(spec, s)
+                _, scan_psi = kernels._scan_scaling(spec, diam, 3.0)
                 assert psi == pytest.approx(scan_psi, rel=1e-10)
                 assert psi >= scan_psi * (1.0 - 1e-15)
 

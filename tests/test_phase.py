@@ -664,49 +664,32 @@ class TestPetitTransition:
             )
 
 
-class TestPetitFromGrand:
-    """petit_canonical_transition reusing a GrandTransition on the same ball."""
+class TestPetitLaunchesAtGammaGl:
+    """petit_canonical_transition given gamma_gl launches the pair there once."""
 
-    @pytest.fixture(scope="class")
-    def grand(self):
+    def test_pair_launched_once_and_vapor_at_gas_mass_is_the_gas(self, monkeypatch):
         dom = field.make_domain(15.0, n=64)
         bracket = phase.pressure_crossing_bracket(
             SPEC_Y, ALPHA_31, dom, (-4.75, -4.45), model=EXT)
-        return dom, phase.grand_canonical_transition(
-            SPEC_Y, ALPHA_31, dom, bracket, model=EXT)
-
-    def test_same_transition_with_no_launch_at_gamma_gl(self, grand, monkeypatch):
-        dom, gt = grand
+        gt = phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, bracket, model=EXT)
         launched = []
         for name in ("minimal_solution", "maximal_solution"):
             real = getattr(field, name)
 
-            def spy(spec, alpha, gamma, *args, _real=real, **kwargs):
-                launched.append(gamma)
+            def spy(spec, alpha, gamma, *args, _real=real, _name=name, **kwargs):
+                launched.append((_name, gamma))
                 return _real(spec, alpha, gamma, *args, **kwargs)
 
             monkeypatch.setattr(field, name, spy)
-        reused = phase.petit_canonical_transition(
-            SPEC_Y, ALPHA_31, dom, model=EXT, grand=gt)
-        assert launched and gt.gamma_gl not in launched
-        fresh = phase.petit_canonical_transition(
+        result = phase.petit_canonical_transition(
             SPEC_Y, ALPHA_31, dom, model=EXT, gamma_gl=gt.gamma_gl)
-        assert gt.gamma_gl in launched
-        assert reused.gamma_gl == fresh.gamma_gl == gt.gamma_gl
-        assert reused.N_vd == fresh.N_vd
-        assert reused.delta_Gamma == fresh.delta_Gamma
+        at_gl = sorted(name for name, g in launched if g == gt.gamma_gl)
+        assert at_gl == ["maximal_solution", "minimal_solution"]
+        assert result.gamma_gl == gt.gamma_gl
         for name in ("gas", "liquid"):
-            a, b = getattr(reused, name), getattr(fresh, name)
-            assert a.gamma == b.gamma
+            a, b = getattr(result, name), getattr(gt, name)
             assert a.functionals.N == b.functionals.N
             assert np.array_equal(a.solution.field.values, b.solution.field.values)
-
-    @pytest.mark.parametrize("extra", [{"gamma_gl": -4.655}, {"gamma_bracket": (-4.75, -4.45)}])
-    def test_grand_with_a_gamma_argument_rejected(self, grand, extra):
-        dom, gt = grand
-        with pytest.raises(ValueError, match="grand alone"):
-            phase.petit_canonical_transition(
-                SPEC_Y, ALPHA_31, dom, model=EXT, grand=gt, **extra)
 
 
 class TestRearrangement:
