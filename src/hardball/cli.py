@@ -375,7 +375,7 @@ def cmd_transition(cfg):
 def cmd_spectral(cfg):
     """Emit the interaction operator's spectral radius and eigenfield."""
     spec, domain = cfg.kernel_spec(), cfg.domain()
-    report = spectral.spectral_radius(spec, domain, tol=min(cfg.tol, 1e-10))
+    report = spectral.spectral_radius(spec, domain)
     rows = [("v_lambda", report.v_lambda),
             ("lower_bound", report.lower_bound),
             ("upper_bound", report.upper_bound),

@@ -159,7 +159,9 @@ class SolveReport:
     iterations counts fixed-point steps plus, for a solve with a Newton
     finish, the finishing Newton steps.  A finished Picard profile is
     the monotone limit the labels speak of, by the contraction
-    certificate of `picard_iterate`, to Newton's residual.
+    certificate of `picard_iterate`, to Newton's residual.  residual is
+    max|wp'(gamma + u) - eta| by an inversion seeded by eta: 0.0 means each
+    lane meets the EOS tolerance 1e-12 max(1, |gamma + u|), not an exact solution.
     """
 
     field: DensityField

@@ -6,8 +6,8 @@ solutions make stationary at fixed chemical potential; F = E - S is its
 Legendre partner at fixed particle content, so gamma N - F = P holds on
 every solution.  Second variations are evaluated as explicit quadratic
 forms on random probes and classified by the extremal eigenvalue of
-the discretized form in the volume metric, from one dense symmetric
-eigensolve.
+the discretized form in the volume metric: P's top one by Lanczos
+(`_top_eigenpair`, also `spectral`'s), F's from a dense eigensolve.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from . import eos, field as field_mod
 
@@ -178,6 +179,29 @@ def _ring_volume_metric(spec, alpha, domain):
     return d[:, None] * (0.5 * (DA + DA.T)) * d
 
 
+def _top_eigenpair(spec, alpha, domain, c):
+    """Top eigenpair of c T c by Lanczos, T of _ring_volume_metric applied, never formed.
+
+    The start c D^(1/2) is fixed.  Returns the value, c x / D^(1/2) for the
+    eigenvector x after one step of K = diag(c^2) alpha M (D M is symmetric
+    only to about 1e-6), signed to a positive sum, and the matvec count.
+    """
+    M = field_mod._self_ring(spec, domain)
+    s = np.sqrt(volume_weights(domain))
+    matvecs = 0
+
+    def matvec(x):
+        nonlocal matvecs
+        matvecs += 1
+        y = c * np.ravel(x)
+        return c * (0.5 * alpha) * (s * (M @ (y / s)) + (M.T @ (s * y)) / s)
+
+    op = scipy.sparse.linalg.LinearOperator((domain.n, domain.n), matvec=matvec, dtype=float)
+    value, x = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=c * s)
+    xi = c**2 * (M @ (c * x[:, 0] / s))
+    return float(value[0]), np.copysign(1.0, xi.sum()) * xi, matvecs
+
+
 def _zero_mass(D, sig):
     """sig minus its component along D: the row(s) then integrate to zero."""
     return sig - np.multiply.outer(sig @ D / (D @ D), D)
@@ -229,9 +253,9 @@ def second_variation_F(spec, alpha, fld, sigma, project=True):
     return float(_form_F(spec, alpha, fld, entropy_density_second(fld.values), sig))
 
 
-def _stability(lam, stable_sign, B, failures):
-    """Report for eigenvalue lam of B; stable when stable_sign * lam clears roundoff."""
-    margin, tol = stable_sign * lam, 1e-10 * max(1.0, float(np.max(np.abs(B))))
+def _stability(lam, stable_sign, scale, failures):
+    """Report for eigenvalue lam; stable when stable_sign * lam clears roundoff of scale."""
+    margin, tol = stable_sign * lam, 1e-10 * max(1.0, scale)
     label = "stable" if margin > tol else "unstable" if margin < -tol else "indifferent"
     return StabilityReport(label, lam, failures)
 
@@ -243,21 +267,20 @@ def p_stability(spec, alpha, gamma, fld, model=None, n_probes=100, seed=0):
     the form is not negative.  extremal_eigenvalue is the form's largest
     eigenvalue relative to int sigma alpha(-V*sigma): the top one of
     (c T c - I)/2, c = wp''(gamma+u)^(1/2) and T the attraction in the
-    volume metric, from one dense symmetric eigensolve.  c T c has the
-    spectrum of the linearized fixed-point map K = diag(wp'') alpha M,
-    so rho(K) = 1 + 2 extremal_eigenvalue, and stable means rho(K) < 1.
-    Perturbations with alpha M sigma = 0 leave the potential unchanged
-    and do not count.  Assumes a positive semidefinite attraction, as
-    for the Yukawa, Newton and van der Waals kernels.
+    volume metric, by Lanczos.  c T c has the spectrum of the linearized
+    fixed-point map K = diag(wp'') alpha M, so rho(K) = 1 + 2
+    extremal_eigenvalue, and stable means rho(K) < 1.  Perturbations
+    with alpha M sigma = 0 leave the potential unchanged and do not
+    count.  Assumes a positive semidefinite attraction, as for the
+    Yukawa, Newton and van der Waals kernels, so that matrix has entries
+    at most max(1/2, |lam|), its roundoff scale; at alpha = 0 it is -I/2.
     """
     curv = _p_curvature(spec, alpha, gamma, fld, model)
-    n = fld.domain.n
-    probes = np.random.default_rng(seed).standard_normal((n_probes, n))
+    probes = np.random.default_rng(seed).standard_normal((n_probes, fld.domain.n))
     failures = int(np.count_nonzero(_form_P(spec, alpha, fld, curv, probes) >= 0.0))
-    c = np.sqrt(curv)
-    B = 0.5 * (c[:, None] * _ring_volume_metric(spec, alpha, fld.domain) * c - np.eye(n))
-    lam = float(scipy.linalg.eigh(B, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0])
-    return _stability(lam, -1.0, B, failures)
+    top = _top_eigenpair(spec, alpha, fld.domain, np.sqrt(curv))[0] if alpha > 0 else 0.0
+    lam = 0.5 * (top - 1.0)
+    return _stability(lam, -1.0, max(0.5, abs(lam)), failures)
 
 
 def f_stability(spec, alpha, fld, n_probes=100, seed=0):
@@ -278,7 +301,7 @@ def f_stability(spec, alpha, fld, n_probes=100, seed=0):
     T = _ring_volume_metric(spec, alpha, fld.domain)
     B = basis.T @ (-0.5 * (np.diag(curv) + T)) @ basis
     lam = float(scipy.linalg.eigh(B, eigvals_only=True, subset_by_index=[0, 0])[0])
-    return _stability(lam, 1.0, B, failures)
+    return _stability(lam, 1.0, float(np.max(np.abs(B))), failures)
 
 
 def branch_derivatives(spec, alpha, gamma, fld, model=None):

@@ -329,3 +329,15 @@ class TestSpectral:
         _, ecolumns, erows = read_csv(out / "spectral_eigenfield.csv")
         xi = [float(x) for x in column(erows, ecolumns, "xi")]
         assert len(xi) == 64 and min(xi) > 0
+
+    def test_values_ignore_run_tol(self, tmp_path):
+        data = []
+        for tol in ("1e-6", "1e-12"):
+            config = tmp_path / f"tol{tol}.ini"
+            config.write_text("[kernel]\na_y = 1.0\nkappa = 1.0\n\n"
+                              f"[run]\nradius = 5.0\nnodes = 128\ntol = {tol}\n")
+            out = tmp_path / tol
+            assert cli.main(["spectral", "--config", str(config), "--out", str(out)]) == 0
+            data.append([read_csv(out / name)[1:] for name in
+                         ("spectral_summary.csv", "spectral_eigenfield.csv")])
+        assert data[0] == data[1]

@@ -222,6 +222,13 @@ class TestStability:
         assert rep.extremal_eigenvalue < 0.0
         assert rep.probe_failures == 0
 
+    def test_no_attraction_is_p_stable(self, fluid_branch):
+        # c T c vanishes at alpha = 0, which leaves (c T c - I)/2 = -I/2
+        _, gamma, fld = fluid_branch
+        rep = functionals.p_stability(SPEC_Y, 0.0, gamma, fld)
+        assert rep.extremal_eigenvalue == -0.5
+        assert rep.label == "stable"
+
     def test_middle_branch_is_p_unstable(self, triple_branches):
         dom, alpha, gamma, model, lo, mid, hi = triple_branches
         rep = functionals.p_stability(SPEC_W, alpha, gamma, mid, model=model)

@@ -61,6 +61,16 @@ class TestSpectralRadius:
         )
         assert growth == pytest.approx(rep.v_lambda, rel=1e-9)
 
+    def test_matches_dense_eigensolve(self):
+        # near the CLI scan's largest radius, where the spectral gap is
+        # small: value and eigenfield of the discrete operator, to roundoff
+        dom = field.make_domain(26.0, n=512)
+        M = field._self_ring(SPEC_Y, dom)
+        rep = spectral.spectral_radius(SPEC_Y, dom)
+        assert rep.v_lambda == pytest.approx(np.max(np.linalg.eigvals(M).real), rel=1e-12)
+        image = rep.v_lambda * rep.eigenfield
+        assert np.max(np.abs(M @ rep.eigenfield - image)) <= 1e-10 * np.max(np.abs(image))
+
     def test_mixed_kernel_bounds(self):
         spec = kernels.KernelSpec(a_w=0.5, varkappa=1.0, a_y=1.0, kappa=2.0, a_n=0.3)
         rep = spectral.spectral_radius(spec, field.make_domain(3.0, n=256))
