@@ -67,7 +67,6 @@ class RunConfig:
     gamma: float = None
     alpha_grid: tuple = ()
     gamma_grid: tuple = ()
-    mass_grid: tuple = ()
     radius: float = 5.0
     nodes: int = 256
     tol: float = 1e-12
@@ -101,7 +100,7 @@ class RunConfig:
             raise ConfigError("run.tol: tolerance must be positive")
         if self.jobs < 1:
             raise ConfigError("run.jobs: must be at least 1")
-        for name in ("alpha_grid", "gamma_grid", "mass_grid"):
+        for name in ("alpha_grid", "gamma_grid"):
             grid = getattr(self, name)
             if grid == ():
                 continue
@@ -136,15 +135,14 @@ _SECTIONS = {
                "kappa": float, "varkappa": float},
     "run": {"alpha": float, "gamma": float, "radius": float, "nodes": int,
             "tol": float, "out": str, "seed": int, "jobs": int},
-    "grid": {"alpha": "grid", "gamma": "grid", "mass": "grid"},
+    "grid": {"alpha": "grid", "gamma": "grid"},
     "transition": {"gamma_lo": float, "gamma_hi": float,
                    "mass_lo": float, "mass_hi": float, "petit": bool},
 }
 
 # config key -> RunConfig field, where the names differ
 _RENAMES = {("grid", "alpha"): "alpha_grid",
-            ("grid", "gamma"): "gamma_grid",
-            ("grid", "mass"): "mass_grid"}
+            ("grid", "gamma"): "gamma_grid"}
 
 
 def _parse_value(kind, raw, where):

@@ -56,7 +56,6 @@ __all__ = [
     "read_csv",
 ]
 
-_GAMMA_FS = eos.GAMMA_FS
 _FLUID_MARGIN = 1e-9  # strict margin for the certified-fluid flag
 _RESIDUAL_TOL = 1e-9  # fixed-point residual required on top of the change test
 _ASSEMBLY_ROWS = 64  # rows of the ring matrix assembled per elementwise pass
@@ -297,10 +296,6 @@ def convolve_at(spec, alpha, fld, radii):
     return float(out[0]) if np.ndim(radii) == 0 else out
 
 
-def _default_model(model):
-    return eos.EosModel() if model is None else model
-
-
 def _report(domain, values, gamma, u, iterations, residual, direction="none"):
     """SolveReport of a converged field, with the certified-fluid rule.
 
@@ -313,7 +308,7 @@ def _report(domain, values, gamma, u, iterations, residual, direction="none"):
         residual=residual,
         monotone_direction=direction,
         branch_label="other",
-        certified_fluid=bool(np.max(gamma + u) < _GAMMA_FS - _FLUID_MARGIN),
+        certified_fluid=bool(np.max(gamma + u) < eos.GAMMA_FS - _FLUID_MARGIN),
     )
 
 
@@ -500,7 +495,8 @@ class _NewtonFinish:
             return None
 
 
-def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10, model=None):
+def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10,
+                   model=eos.EosModel()):
     """Fixed-point iteration eta -> wp'(gamma + alpha(-V*eta)) at fixed gamma.
 
     Runs the shared loop `_fixed_point` with a constant gamma; see
@@ -514,7 +510,6 @@ def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10, model=No
     iteration runs on as plain Picard.  The report then counts Picard
     and Newton steps.
     """
-    model = _default_model(model)
     M = _self_ring(spec, eta0.domain)
 
     def rule(u, v):
@@ -527,7 +522,7 @@ def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10, model=No
     return _fixed_point(M, alpha, model, eta0, rule, max_iter, tol, finish)[0]
 
 
-def minimal_solution(spec, alpha, gamma, domain, model=None, max_iter=20000, tol=1e-10):
+def minimal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10):
     """Pointwise smallest solution, grown from the constant wp'(gamma).
 
     The attraction only raises the argument of wp', so the constant
@@ -536,16 +531,13 @@ def minimal_solution(spec, alpha, gamma, domain, model=None, max_iter=20000, tol
     accepted only with `picard_iterate`'s contraction certificate, so
     the label stays true.
     """
-    model = _default_model(model)
     start = constant_field(domain, float(model.wp_prime(gamma, side="left")))
-    report = picard_iterate(
-        spec, alpha, gamma, start, max_iter=max_iter, tol=tol, model=model
-    )
+    report = picard_iterate(spec, alpha, gamma, start, tol=tol, model=model)
     report.branch_label = "minimal"
     return report
 
 
-def maximal_solution(spec, alpha, gamma, domain, model=None, max_iter=20000, tol=1e-10):
+def maximal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10):
     """Pointwise largest solution below a constant algebraic supersolution.
 
     A constant c is a supersolution iff g2(c) >= gamma + alpha Phi c.
@@ -559,14 +551,13 @@ def maximal_solution(spec, alpha, gamma, domain, model=None, max_iter=20000, tol
     `picard_iterate`'s contraction certificate, so the label and the
     certification stay true.
     """
-    model = _default_model(model)
     if model.mode == eos.MODE_IDEAL_GAS:
         raise ValueError("supersolution construction needs a hard-sphere branch")
     phi = kernels.phi_lambda(spec, domain.R)
     if model.mode == eos.MODE_CS_EXTENDED:
         start_value = uniform.solve_uniform(alpha * phi, gamma).roots[-1]
         certification = "algebraic-ceiling"
-    elif gamma - _GAMMA_FS + alpha * phi * eos.ETA_FS_LO <= 0.0:
+    elif gamma - eos.GAMMA_FS + alpha * phi * eos.ETA_FS_LO <= 0.0:
         start_value, certification = eos.ETA_FS_LO, "fluid-ceiling"
     else:
         roots = uniform.solve_uniform(alpha * phi, gamma)
@@ -578,22 +569,14 @@ def maximal_solution(spec, alpha, gamma, domain, model=None, max_iter=20000, tol
             )
         start_value, certification = fluid[-1], "algebraic-ceiling"
     report = picard_iterate(
-        spec,
-        alpha,
-        gamma,
-        constant_field(domain, start_value),
-        max_iter=max_iter,
-        tol=tol,
-        model=model,
+        spec, alpha, gamma, constant_field(domain, start_value), tol=tol, model=model
     )
     report.branch_label = "maximal"
     report.certification = certification
     return report
 
 
-def subsolution_launch(
-    spec, alpha, gamma, domain, mu, sigma_grave, max_iter=20000, tol=1e-10
-):
+def subsolution_launch(spec, alpha, gamma, domain, mu, sigma_grave):
     """Monotone-up solve started from a shrunken-ball comparison field.
 
     The start is wp'(gamma + alpha etabar int_{shrunken ball} (-V)),
@@ -633,9 +616,7 @@ def subsolution_launch(
     start = DensityField(
         domain, np.asarray(model.wp_prime(gamma + u0, side="left"), dtype=float)
     )
-    report = picard_iterate(
-        spec, alpha, gamma, start, max_iter=max_iter, tol=tol, model=model
-    )
+    report = picard_iterate(spec, alpha, gamma, start, model=model)
     report.branch_label = "minimal" if mu == "m" else "other"
     return report
 
@@ -718,8 +699,8 @@ def _newton(aM, gamma, model, v, tol, max_iter, callback=None, border=None):
     raise failure(f"no convergence within {max_iter} Newton steps")
 
 
-def newton_solve(spec, alpha, gamma, eta0, tol=_NEWTON_TOL, max_iter=_NEWTON_STEPS,
-                 model=None, callback=None):
+def newton_solve(spec, alpha, gamma, eta0, tol=_NEWTON_TOL, model=eos.EosModel(),
+                 callback=None):
     """Damped Newton on F(eta) = eta - wp'(gamma + alpha(-V*eta)).
 
     The Jacobian I - diag(wp'') alpha M is assembled densely, which the
@@ -732,13 +713,12 @@ def newton_solve(spec, alpha, gamma, eta0, tol=_NEWTON_TOL, max_iter=_NEWTON_STE
     callback, if given, receives (iteration, residual) after every
     accepted step.
     """
-    model = _default_model(model)
     v, u, norm, steps, _ = _newton(alpha * _self_ring(spec, eta0.domain), gamma, model,
-                                   eta0.values.copy(), tol, max_iter, callback)
+                                   eta0.values.copy(), tol, _NEWTON_STEPS, callback)
     return _report(eta0.domain, v, gamma, u, steps, norm)
 
 
-def predicates(spec, alpha, gamma, domain, model=None):
+def predicates(spec, alpha, gamma, domain, model=eos.EosModel()):
     """Closed-form a-priori facts about the solution set on this ball.
 
     existence_sufficient: the algebraic equation at slope alpha Phi has
@@ -760,22 +740,21 @@ def predicates(spec, alpha, gamma, domain, model=None):
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    model = _default_model(model)
     phi = kernels.phi_lambda(spec, domain.R)
     at = alpha * phi
     probes = [eos.ETA_FS_LO]
     if at > uniform.ALPHA_TAU_MIN:
         probes.append(uniform.eta_bounds(at)[0])
     existence = max(float(eos.g2(x)) - gamma - at * x for x in probes) >= 0.0
-    all_fluid = gamma - _GAMMA_FS + alpha * phi * eos.ETA_FS_LO <= 0.0
-    no_nonfluid = gamma - _GAMMA_FS + alpha * phi * eos.ETA_FCC <= 0.0
+    all_fluid = gamma - eos.GAMMA_FS + alpha * phi * eos.ETA_FS_LO <= 0.0
+    no_nonfluid = gamma - eos.GAMMA_FS + alpha * phi * eos.ETA_FCC <= 0.0
     floor = float(model.wp_prime(gamma, side="left"))
-    no_fluid = gamma - _GAMMA_FS + alpha * phi * floor >= 0.0
+    no_fluid = gamma - eos.GAMMA_FS + alpha * phi * floor >= 0.0
     contraction = existence and model.K_gamma_fs * alpha * phi < 1.0
     if spec.a_n > 0:
         triple = False  # Newton tail is not integrable over all of space
     else:
-        triple = gamma + alpha * kernels.l1_norm_r3(spec) * eos.ETA_FCC <= _GAMMA_FS
+        triple = gamma + alpha * kernels.l1_norm_r3(spec) * eos.ETA_FCC <= eos.GAMMA_FS
     return PredicateReport(
         existence_sufficient=existence,
         all_fluid_sufficient=all_fluid,

@@ -40,6 +40,8 @@ __all__ = [
     "branch_derivatives",
 ]
 
+_GAMMA_SPREAD = 1e-5  # nodewise gamma spread up to which gamma_of accepts a field
+
 
 @dataclass(frozen=True)
 class FunctionalValues:
@@ -126,7 +128,7 @@ def f_functional(spec, alpha, fld):
     return e_functional(spec, alpha, fld) - s_functional(fld)
 
 
-def gamma_of(spec, alpha, fld, model=None, tol=1e-5):
+def gamma_of(spec, alpha, fld, model=eos.EosModel()):
     """Chemical potential the field solves for, or None.
 
     Inverts the density map nodewise by `EosModel.gamma_at` and
@@ -137,29 +139,27 @@ def gamma_of(spec, alpha, fld, model=None, tol=1e-5):
     the solid top, and reads nodes within 1e-12 below eta_fs^> as
     g2(eta_fs^<), one ulp from g4(eta_fs^>).
     """
-    model = field_mod._default_model(model)
     v = fld.values
     if model.mode == eos.MODE_HARD_SPHERE and not np.all(
         (v <= eos.ETA_FS_LO + 1e-12) | (v >= eos.ETA_FS_HI - 1e-12)
     ):
         return None
     cand = model.gamma_at(v) - field_mod.convolve(spec, alpha, fld)
-    if float(np.max(cand) - np.min(cand)) > tol:
+    if float(np.max(cand) - np.min(cand)) > _GAMMA_SPREAD:
         return None
     return float(volume_weights(fld.domain) @ cand) / float(
         volume_weights(fld.domain).sum()
     )
 
 
-def pressure_functional(spec, alpha, gamma, fld, model=None):
+def pressure_functional(spec, alpha, gamma, fld, model=eos.EosModel()):
     """Grand-potential functional: int wp(gamma + alpha(-V*eta)) - interaction."""
-    model = field_mod._default_model(model)
     u = field_mod.convolve(spec, alpha, fld)
     local = np.asarray(model.wp(gamma + u), dtype=float)
     return float(volume_weights(fld.domain) @ local) - alpha * _interaction(spec, fld)
 
 
-def functional_values(spec, alpha, gamma, fld, model=None):
+def functional_values(spec, alpha, gamma, fld, model=eos.EosModel()):
     """Bundle of all functionals for one field."""
     return FunctionalValues(
         P=pressure_functional(spec, alpha, gamma, fld, model=model),
@@ -210,7 +210,7 @@ def _zero_mass(D, sig):
 def _p_curvature(spec, alpha, gamma, fld, model):
     """wp''(gamma + u) at the field's own potential; raises at the kink."""
     u = field_mod.convolve(spec, alpha, fld)
-    return np.asarray(field_mod._default_model(model).wp_double_prime(gamma + u), dtype=float)
+    return np.asarray(model.wp_double_prime(gamma + u), dtype=float)
 
 
 def _form_P(spec, alpha, fld, curv, sig):
@@ -225,7 +225,7 @@ def _form_F(spec, alpha, fld, curv, sig):
     return -0.5 * ((curv * sig**2 + sig * w) @ volume_weights(fld.domain))
 
 
-def second_variation_P(spec, alpha, gamma, fld, sigma, model=None):
+def second_variation_P(spec, alpha, gamma, fld, sigma, model=eos.EosModel()):
     """Quadratic form (1/2)int wp''(gamma+u)(alpha V*sigma)^2 + (1/2)int int alpha V sigma sigma.
 
     Negative for every sigma exactly when the solution is a local
@@ -260,7 +260,7 @@ def _stability(lam, stable_sign, scale, failures):
     return StabilityReport(label, lam, failures)
 
 
-def p_stability(spec, alpha, gamma, fld, model=None, n_probes=100, seed=0):
+def p_stability(spec, alpha, gamma, fld, model=eos.EosModel(), n_probes=100, seed=0):
     """Classify the P second variation at a solution.
 
     probe_failures counts the n_probes random perturbations on which
@@ -304,7 +304,7 @@ def f_stability(spec, alpha, fld, n_probes=100, seed=0):
     return _stability(lam, 1.0, float(np.max(np.abs(B))), failures)
 
 
-def branch_derivatives(spec, alpha, gamma, fld, model=None):
+def branch_derivatives(spec, alpha, gamma, fld, model=eos.EosModel()):
     """Derivatives of P and F along a solution branch.
 
     By stationarity the implicit field variation drops out, leaving

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from . import field, functionals, kernels, uniform
+from . import eos, field, functionals, kernels, uniform
 
 __all__ = [
     "BranchLostError",
@@ -51,6 +51,9 @@ _JUMP_FACTOR = 10.0  # continuation step ratio that flags a branch switch
 _DISTINCT = 1e-7  # sup-norm separation below which two launches coincide
 _SCAN_POINTS = 9  # gammas the pressure-gap scan visits across its bracket
 _MASS_MATCH_STEPS = 200  # Newton/bisection steps of one mass match, at most
+_OUTER_STEPS = 80  # outer Newton steps on gamma of one constrained solve, at most
+_DROPLET_TOL, _DROPLET_STEPS = 1e-12, 20000  # droplet iteration: change tolerance, steps
+_TRIAL_FLOOR = 1e-12  # droplet trial's density outside the ball
 
 
 class BranchLostError(RuntimeError):
@@ -145,7 +148,7 @@ def _launch_memo(spec, alpha, domain, model):
     return lambda gamma: solve(float(gamma))
 
 
-def grand_canonical_transition(spec, alpha, domain, gamma_bracket, model=None):
+def grand_canonical_transition(spec, alpha, domain, gamma_bracket, model=eos.EosModel()):
     """Locate the gas/liquid pressure crossing inside gamma_bracket.
 
     Both endpoints must give pressure gaps P[maximal] - P[minimal] of
@@ -154,7 +157,6 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket, model=None):
     solution this module can reach (the two launches and a Newton solve
     from the middle algebraic root) is recorded with its pressure.
     """
-    model = field._default_model(model)
     launch = _launch_memo(spec, alpha, domain, model)
     return _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch)
 
@@ -278,8 +280,8 @@ def _newton_on_gamma(evaluate, gamma, window, ftol, xtol, message, steps):
     return good
 
 
-def constrained_solve(spec, alpha, domain, N_target, branch, model=None,
-                      start=None, gamma_seed=None, max_outer=80):
+def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(),
+                      start=None, gamma_seed=None):
     """Solve at fixed mass by safeguarded Newton on the chemical potential.
 
     The inner solve is the branch's own method: certified launches for
@@ -292,7 +294,6 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=None,
     from the previous continuation step means the inner solve jumped
     branches and raises BranchLostError.
     """
-    model = field._default_model(model)
     if branch not in ("minimal", "maximal", "middle"):
         raise ValueError("branch must be 'minimal', 'maximal' or 'middle'")
     N_target = float(N_target)
@@ -359,11 +360,11 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=None,
     gamma, h, report = _newton_on_gamma(
         evaluate, float(gamma_seed), (g_floor, g_ceil),
         ftol, lambda g: 1e-15 * max(1.0, abs(g)),
-        f"N_target appears beyond the {branch} branch's fold", max_outer + 1,
+        f"N_target appears beyond the {branch} branch's fold", _OUTER_STEPS + 1,
     )
     if abs(h) > ftol:
         raise ValueError(
-            f"no mass match within {max_outer} outer steps on the {branch} "
+            f"no mass match within {_OUTER_STEPS} outer steps on the {branch} "
             "branch; N_target may be outside its range"
         )
     report.branch_label = branch
@@ -410,7 +411,7 @@ def droplet_criterion(spec, alpha):
     }
 
 
-def n_hat(spec, alpha, domain, model=None):
+def n_hat(spec, alpha, domain, model=eos.EosModel()):
     """Largest vapor-branch mass: N of the minimal solution at gamma_hat."""
     atau = alpha * kernels.l1_norm_r3(spec)
     gamma_hat = uniform.gamma_boundaries(atau)[1]
@@ -419,8 +420,8 @@ def n_hat(spec, alpha, domain, model=None):
     return float(D @ rep.field.values)
 
 
-def droplet_trial(spec, alpha, domain, N, ball_fraction, floor=1e-12):
-    """Uniform ball of mass N on a floor, as droplet seed and comparator.
+def droplet_trial(spec, alpha, domain, N, ball_fraction):
+    """Uniform ball of mass N on a floor of 1e-12, as droplet seed and comparator.
 
     The ball holds the fraction ball_fraction of the container volume;
     its radius is snapped to a panel edge so the quadrature sees a
@@ -444,13 +445,13 @@ def droplet_trial(spec, alpha, domain, N, ball_fraction, floor=1e-12):
     covered = float(D @ inside)
     if covered <= 0.0:
         raise ValueError("ball_fraction too small for this grid")
-    density = (N - floor * (volume - covered)) / covered
-    if not floor < density < 1.0:
+    density = (N - _TRIAL_FLOOR * (volume - covered)) / covered
+    if not _TRIAL_FLOOR < density < 1.0:
         raise ValueError(
             "overpacking: snapped ball cannot hold this mass below unit "
             "fraction"
         )
-    return field.DensityField(domain, np.where(inside, density, floor))
+    return field.DensityField(domain, np.where(inside, density, _TRIAL_FLOOR))
 
 
 def _gamma_for_mass(model, D, u, N, seed):
@@ -494,8 +495,8 @@ def _gamma_for_mass(model, D, u, N, seed):
     return g, eta
 
 
-def droplet_solve(spec, alpha, domain, N, start=None, model=None, tol=1e-12,
-                  max_iter=20000, check_collapse=True):
+def droplet_solve(spec, alpha, domain, N, start=None, model=eos.EosModel(),
+                  check_collapse=True):
     """Land on the droplet branch at fixed mass N.
 
     Runs the fixed-point loop `field._fixed_point` with gamma re-solved
@@ -513,7 +514,6 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=None, tol=1e-12,
     The converged gamma is the chemical potential of the droplet, and
     the profile solves the fixed-gamma equation to the usual residual.
     """
-    model = field._default_model(model)
     D = functionals.volume_weights(domain)
     N = float(N)
     if start is None:
@@ -528,7 +528,8 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=None, tol=1e-12,
         finish = field._NewtonFinish(M, alpha, model, border=(D, N))
     report, gamma = field._fixed_point(
         M, alpha, model, start,
-        lambda u, v: _gamma_for_mass(model, D, u, N, v), max_iter, tol, finish,
+        lambda u, v: _gamma_for_mass(model, D, u, N, v), _DROPLET_STEPS, _DROPLET_TOL,
+        finish,
     )
     if check_collapse:
         vapor = field.minimal_solution(spec, alpha, gamma, domain, model=model)
@@ -541,7 +542,7 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=None, tol=1e-12,
     return _branch_point(spec, alpha, gamma, report, model)
 
 
-def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
+def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.EosModel(),
                                gamma_gl=None, gamma_bracket=None):
     """Locate the vapor/droplet free-energy crossing at fixed mass.
 
@@ -555,7 +556,6 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
     band), whose gas and liquid are then reused.  The vapor at the
     gas's own mass is the gas.
     """
-    model = field._default_model(model)
     crit = droplet_criterion(spec, alpha)
     if not crit["fires"]:
         raise ValueError(
@@ -680,7 +680,7 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=None,
     )
 
 
-def pressure_crossing_bracket(spec, alpha, domain, gamma_bracket, model=None):
+def pressure_crossing_bracket(spec, alpha, domain, gamma_bracket, model=eos.EosModel()):
     """Sub-bracket of gamma_bracket over which the pressure gap changes sign."""
     return _scan_for_crossing(_launch_memo(spec, alpha, domain, model), gamma_bracket)
 

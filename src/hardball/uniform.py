@@ -28,8 +28,7 @@ from . import eos, kernels
 
 # slope thresholds: below ALPHA_TAU_MIN the map eta -> g2(eta) - at*eta is
 # injective; at ALPHA_TAU_FS the small-slope root hits the freezing density
-_INFLECTION = eos.find_inflection()
-ETA_WR = _INFLECTION[0]
+ETA_WR = eos.EosModel.eta_wr
 ALPHA_TAU_MIN = float(eos.g2_derivs(ETA_WR, 1))
 ALPHA_TAU_FS = float(eos.g2_derivs(eos.ETA_FS_LO, 1))
 # at ALPHA_TAU_KINK the small-eta tangent of g2 passes through the freezing
@@ -169,13 +168,11 @@ class TriplicityRegion:
         return check < gamma < hat
 
 
-def pi_uniform(alpha_norm, gamma, eta, model=None):
+def pi_uniform(alpha_norm, gamma, eta, model=eos.EosModel()):
     """Uniform grand-potential density wp(gamma + an*eta) - an*eta^2/2."""
     eta = np.asarray(eta, dtype=float)
     if np.any(eta <= 0.0) or np.any(eta >= 1.0):
         raise ValueError("eta must lie in (0,1)")
-    if model is None:
-        model = eos.EosModel(eos.MODE_HARD_SPHERE)
     return model.wp(gamma + alpha_norm * eta) - 0.5 * alpha_norm * eta**2
 
 

@@ -80,6 +80,13 @@ class TestParsing:
         message = capsys.readouterr().err
         assert "radius" in message and "wide" in message
 
+    def test_mass_grid_is_not_a_key(self, tmp_path, capsys):
+        # no subcommand sweeps a mass grid, so the key is rejected
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[grid]\nmass = 1.0\n")
+        assert cli.main(["check", "--config", str(bad)]) == 2
+        assert "unknown key 'mass'" in capsys.readouterr().err
+
     def test_unsorted_grid_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[grid]\ngamma = -1.0, -3.0, -2.0\n")

@@ -692,6 +692,30 @@ class TestPetitLaunchesAtGammaGl:
             assert np.array_equal(a.solution.field.values, b.solution.field.values)
 
 
+class TestDefaultModel:
+    """Every solver and functional defaults to the hard-sphere model."""
+
+    def test_omitted_model_is_hard_sphere(self, dom5):
+        hs = eos.EosModel()
+        alpha, gamma = 20.0 / PHI_Y5, -2.0
+        rep = field.minimal_solution(SPEC_Y, alpha, gamma, dom5)
+        ref = field.minimal_solution(SPEC_Y, alpha, gamma, dom5, model=hs)
+        assert np.array_equal(rep.field.values, ref.field.values)
+        assert (rep.iterations, rep.residual) == (ref.iterations, ref.residual)
+        assert functionals.functional_values(
+            SPEC_Y, alpha, gamma, rep.field
+        ) == functionals.functional_values(SPEC_Y, alpha, gamma, rep.field, model=hs)
+        N = 0.1 * float(functionals.volume_weights(dom5).sum())
+        bp = phase.constrained_solve(SPEC_Y, alpha, dom5, N, "minimal")
+        ref_bp = phase.constrained_solve(SPEC_Y, alpha, dom5, N, "minimal", model=hs)
+        assert bp.gamma == ref_bp.gamma
+        assert np.array_equal(bp.solution.field.values, ref_bp.solution.field.values)
+        assert bp.functionals == ref_bp.functionals
+        eta = np.array([0.05, 0.2, 0.4])
+        assert np.array_equal(uniform.pi_uniform(10.0, -3.0, eta),
+                              uniform.pi_uniform(10.0, -3.0, eta, model=hs))
+
+
 class TestRearrangement:
     def test_equimeasurable_sums(self, dom15):
         r = dom15.nodes
