@@ -61,7 +61,17 @@ _RESIDUAL_TOL = 1e-9  # fixed-point residual required on top of the change test
 _ASSEMBLY_ROWS = 64  # rows of the ring matrix assembled per elementwise pass
 _STALL_STEPS, _STALL_CUT = 8, 0.99  # Newton stalls: 8 accepted steps, < 1% cut
 _NEWTON_TOL, _NEWTON_STEPS = 1e-12, 60  # Newton's residual target and step limit
-_FINISH_RATIO, _FINISH_FROM = 0.9, 3  # Newton finish: change ratio > 0.9 from step 3
+_FINISH_FROM = 3  # the finish arms from step 3; step 2 compares with the first step
+_FINISH_RATIO = 0.9  # the bordered finish arms at a change ratio above 0.9
+# A certified finish's cost in Picard steps, calibrated on one BLAS thread by the
+# script in BENCH_newton_cost.json: at the node counts _COST_NODES, a Newton step's
+# Jacobian build and solve (_DENSE_COST, on top of its residual) and one power step
+# of the certificate (_POWER_COST); a finish takes about _FINISH_STEPS Newton steps
+# and _FINISH_POWER power steps
+_COST_NODES = (64, 128, 256, 512)
+_DENSE_COST = (0.41, 1.2, 5.7, 19.0)
+_POWER_COST = (0.085, 0.092, 0.12, 0.23)
+_FINISH_STEPS, _FINISH_POWER = 4.5, 17.0
 _DENSE_MAX = 512  # largest node count for the Newton finish: the largest timed
 _POWER_STEPS, _POWER_MOVED = 100, 1e-10  # power steps per contraction bound, at most
 
@@ -380,10 +390,11 @@ def _contraction_bound(aM, absM, gamma, model, lo, hi, y):
     fixed point in [lo, hi].  Power steps y -> By/max(By) from the given
     positive y keep it positive (absM has a positive diagonal) and turn
     it toward the Perron vector of B, where the bound is rho(B); they
-    stop once the bound drops below 1, once y moves by at most 1e-10 of
-    its largest entry, or after 100 steps.  Returns the smallest bound
-    seen, or inf when an argument reaches the hard-sphere kink, and the
-    last y, from which a later call goes on.
+    stop once the bound drops below 1, once min_i (By)_i/y_i reaches 1
+    (a lower bound on rho(B), so then no y gives a bound below 1), once
+    y moves by at most 1e-10 of its largest entry, or after 100 steps.
+    Returns the smallest bound seen, or inf when an argument reaches the
+    hard-sphere kink, and the last y, from which a later call goes on.
     """
     ulo, uhi = aM @ lo, aM @ hi
     spread = np.maximum(0.5 * (absM @ (hi - lo) - (uhi - ulo)), 0.0)
@@ -395,34 +406,45 @@ def _contraction_bound(aM, absM, gamma, model, lo, hi, y):
     bound = math.inf
     for _ in range(_POWER_STEPS):
         By = r * (absM @ y)
-        bound = min(bound, float(np.max(By / y)))
+        ratios = By / y
+        bound = min(bound, float(np.max(ratios)))
         z = By / np.max(By)
         moved = float(np.max(np.abs(z - y)))
         y = z
-        if bound < 1.0 or moved <= _POWER_MOVED:
+        if bound < 1.0 or np.min(ratios) >= 1.0 or moved <= _POWER_MOVED:
             break
     return bound, y
+
+
+def _finish_cost(n):
+    """Predicted cost of a certified Newton finish at n nodes, in Picard steps."""
+    return (_FINISH_STEPS * (1.0 + float(np.interp(n, _COST_NODES, _DENSE_COST)))
+            + _FINISH_POWER * float(np.interp(n, _COST_NODES, _POWER_COST)))
 
 
 class _NewtonFinish:
     """Newton finish of one slowly converging fixed-point sequence.
 
     `_fixed_point` offers it every iterate v_k with the gamma of that
-    step.  It arms at the first step (from step 3) whose ratio of
-    successive sup-norm changes exceeds 0.9, and fires once the change
-    has halved since then at a step whose ratio still does: the
-    sequence is slow and converging, not sliding through a bottleneck,
-    where a Newton solve from v_k fails.  Firing runs one damped Newton
-    solve from v_k to a limit v*; the solve gives up as soon as a step
-    cuts the residual by less than that fixed-point step cut the
-    change, for the iteration then does as well far more cheaply.  A
-    failed or refused solve leaves plain iteration.
+    step.  It arms at the first step where the sequence is slow, and
+    fires once the change has halved since then at a step where it
+    still is: the sequence is slow and converging, not sliding through
+    a bottleneck, where a Newton solve from v_k fails.  Firing runs one
+    damped Newton solve from v_k to a limit v*; the solve gives up as
+    soon as a step cuts the residual by less than that fixed-point step
+    cut the change, for the iteration then does as well far more
+    cheaply.  A failed or refused solve leaves plain iteration.
 
     At fixed gamma (no border) only monotone sequences are finished,
-    and v* is certified.  If v* lies beyond v_k (up to Newton's
-    tolerance), the Picard limit L lies in the order interval between
-    them ([v_k, v*] going up, [v*, v_k] going down), since the map is
-    monotone and v* is fixed.  v* is accepted once `_contraction_bound`
+    and slow means that the Picard steps still ahead cost more than a
+    finish.  At the ratio q of the last two changes about
+    log(tol/change)/log(q) steps remain (without end once q >= 1), tol
+    the loop's change tolerance; `_finish_cost` prices the finish's
+    Newton steps and certificate power steps in Picard steps at this
+    n.  The limit v* is certified.  If v* lies beyond v_k (up to
+    Newton's tolerance), the Picard limit L lies in the order interval
+    between them ([v_k, v*] going up, [v*, v_k] going down), since the
+    map is monotone and v* is fixed.  v* is accepted once `_contraction_bound`
     on that interval is below 1: T then has one fixed point there, so
     L = v* (to Newton's residual over 1 - bound).  Otherwise Picard
     goes on, and the bound is checked again against a newer v_k each
@@ -435,11 +457,15 @@ class _NewtonFinish:
     of `phase.droplet_solve`.  Its limit has no order interval to sit
     in, so v* is accepted only where the linearly converging sequence
     is heading: sup|v* - v_k| <= 2 change ratio / (1 - ratio), twice
-    the geometric tail of the changes left at the firing step.
+    the geometric tail of the changes left at the firing step.  Slow
+    means here a change ratio above 0.9 from step 3: a finish fired
+    earlier, at larger changes, would widen that window.
     """
 
-    def __init__(self, M, alpha, model, border=None):
+    def __init__(self, M, alpha, model, tol=None, border=None):
         self.M, self.alpha, self.model, self.border = M, alpha, model, border
+        self.tol = tol
+        self.cost = _finish_cost(M.shape[0]) if border is None else None
         self.change = self.checked = math.inf
         self.tried, self.limit = False, None
         self.aM = self.absM = self.y = None
@@ -449,7 +475,12 @@ class _NewtonFinish:
             return None
         ratio = change / self.change if self.change else 0.0
         self.change = change
-        slow = it >= _FINISH_FROM and ratio > _FINISH_RATIO
+        if self.border is not None:
+            slow = ratio > _FINISH_RATIO
+        else:  # change > 0 whenever ratio > 0
+            slow = ratio >= 1.0 or (
+                ratio > 0.0 and math.log(self.tol / change) / math.log(ratio) > self.cost)
+        slow = slow and it >= _FINISH_FROM
         if self.limit is None and (self.tried or not slow):
             return None
         if change > 0.5 * self.checked:
@@ -500,10 +531,11 @@ def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10,
     """Fixed-point iteration eta -> wp'(gamma + alpha(-V*eta)) at fixed gamma.
 
     Runs the shared loop `_fixed_point` with a constant gamma; see
-    there for the stopping rule and the monotone direction.  A slow
-    monotone sequence (change ratio above 0.9, n <= 512, not the ideal
-    gas) is finished by one damped Newton solve whose limit is accepted
-    only with a certificate that it is the limit the monotone sequence
+    there for the stopping rule and the monotone direction.  A
+    monotone sequence (n <= 512, not the ideal gas) whose Picard steps
+    left to tol cost more than a Newton finish is finished by one
+    damped Newton solve whose limit is accepted only with a
+    certificate that it is the limit the monotone sequence
     converges to: the Collatz-Wielandt bound of `_contraction_bound`
     below 1 on the order interval between the last iterate and the
     Newton limit (see `_NewtonFinish`).  Without the certificate the
@@ -518,7 +550,7 @@ def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10,
 
     finish = None
     if model.mode != eos.MODE_IDEAL_GAS and eta0.domain.n <= _DENSE_MAX:
-        finish = _NewtonFinish(M, alpha, model)
+        finish = _NewtonFinish(M, alpha, model, tol=tol)
     return _fixed_point(M, alpha, model, eta0, rule, max_iter, tol, finish)[0]
 
 

@@ -65,20 +65,29 @@ class KernelSpec:
 
 
 def kernel_eval(spec, r):
-    """Pointwise kernel value; strictly negative for r > 0."""
-    rr = np.asarray(r, dtype=float)
-    if (rr < 0).any():
+    """Pointwise kernel value; strictly negative for r > 0.
+
+    A float r, as a quadrature rule passes one point at a time, skips
+    the array conversion and its reductions; the ufuncs are the same,
+    so it gets the value the array path gives.
+    """
+    if isinstance(r, float):
+        rr, negative, zero = r, r < 0, r == 0
+    else:
+        rr = np.asarray(r, dtype=float)
+        negative, zero = (rr < 0).any(), (rr == 0).any()
+    if negative:
         raise ValueError("r must be non-negative")
-    if spec.singular and (rr == 0).any():
+    if spec.singular and zero:
         raise ValueError("kernel is singular at r = 0")
     out = 0.0  # broadcasts to rr's shape at the first term
     if spec.a_w:
-        out -= spec.a_w / (1.0 + spec.varkappa**2 * rr**2) ** 3
+        out -= spec.a_w / np.power(1.0 + spec.varkappa**2 * (rr * rr), 3)
     if spec.a_y:
         out -= spec.a_y * np.exp(-spec.kappa * rr) / rr
     if spec.a_n:
         out -= spec.a_n / rr
-    if rr.ndim == 0:
+    if np.ndim(out) == 0:
         return float(out)
     return out
 

@@ -505,14 +505,16 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=eos.EosModel(),
     under Picard's stopping rule.  The droplet minimizes F under the
     mass constraint, so this iteration converges from a crude ball
     trial where fixed-gamma Newton stalls.  Once it converges slowly
-    (change ratio above 0.9, n <= 512) its tail is cut short by one
-    bordered Newton solve in (eta, gamma) on the mass-constrained
-    system, see `field._NewtonFinish`; the Newton limit is taken only
-    where the iteration is heading, within twice its predicted
-    remaining distance, and otherwise the iteration runs on.  The
-    report's iterations count mass-matched steps plus Newton steps.
-    The converged gamma is the chemical potential of the droplet, and
-    the profile solves the fixed-gamma equation to the usual residual.
+    (change ratio above 0.9, n <= 512; not Picard's cost rule, which
+    would fire earlier and widen the acceptance window below) its tail
+    is cut short by one bordered Newton solve in (eta, gamma) on the
+    mass-constrained system, see `field._NewtonFinish`; the Newton
+    limit is taken only where the iteration is heading, within twice
+    its predicted remaining distance, and otherwise the iteration runs
+    on.  The report's iterations count mass-matched steps plus Newton
+    steps.  The converged gamma is the chemical potential of the
+    droplet, and the profile solves the fixed-gamma equation to the
+    usual residual.
     """
     D = functionals.volume_weights(domain)
     N = float(N)

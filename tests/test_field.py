@@ -730,6 +730,21 @@ class TestNewtonFinish:
                 bound, _ = field._contraction_bound(aM, absM, gamma, self.EXT, lo, hi, y)
                 assert bound >= 1.0
 
+    def test_bound_stops_where_no_vector_can_certify(self, ball_triple, monkeypatch):
+        # across the whole triple every ratio (By)_i/y_i at y = ones is
+        # at least 1, a lower bound on rho(B), so the first power step
+        # settles it: the call gives what a one-step call gives
+        dom, spec, alpha, gamma, small, large, _ = ball_triple
+        aM = alpha * field._self_ring(spec, dom)
+        absM = np.abs(aM)
+        full = field._contraction_bound(aM, absM, gamma, self.EXT, small, large,
+                                        np.ones(dom.n))
+        monkeypatch.setattr(field, "_POWER_STEPS", 1)
+        one = field._contraction_bound(aM, absM, gamma, self.EXT, small, large,
+                                       np.ones(dom.n))
+        assert full[0] == one[0] >= 1.0
+        assert np.array_equal(full[1], one[1])
+
     def test_finish_refuses_a_limit_it_cannot_certify(self, ball_triple):
         # handed the middle solution as its Newton limit below a
         # descending iterate, the finish keeps iterating
@@ -740,6 +755,99 @@ class TestNewtonFinish:
         finish.limit = (middle, finish.aM @ middle, 0.0, 0, gamma)
         assert finish(10, large, gamma, 1e-3, "down") is None
         assert finish.limit is not None  # on the right side, so kept for re-checks
+
+
+class TestFinishCost:
+    """The Newton finish fires when the Picard steps left cost more than it.
+
+    The vapor launch is one of the petit-r15 benchmark's mass matches
+    (R=15, n=64, unit Yukawa, alpha*l1 = 31, CS-extended): it climbs at
+    a steady change ratio near 0.82, below any fixed threshold of 0.9,
+    and takes about 90 plain Picard steps.
+    """
+
+    ALPHA = 31.0 / kernels.l1_norm_r3(SPEC_Y)
+    GAMMA_VAPOR = -4.11284831609255
+    EXT = eos.EosModel(mode=eos.MODE_CS_EXTENDED)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record each `field._newton` call and each contraction bound."""
+        solves, bounds = [], []
+        newton, bound = field._newton, field._contraction_bound
+
+        def newton_spy(*args):
+            solves.append(args)
+            return newton(*args)
+
+        def bound_spy(*args):
+            result = bound(*args)
+            bounds.append(result[0])
+            return result
+
+        monkeypatch.setattr(field, "_newton", newton_spy)
+        monkeypatch.setattr(field, "_contraction_bound", bound_spy)
+        return solves, bounds
+
+    def test_slow_vapor_launch_fires_and_keeps_its_certificate(self, monkeypatch):
+        dom = field.make_domain(15.0, n=64)
+        solves, bounds = self._spy(monkeypatch)
+        report = field.minimal_solution(SPEC_Y, self.ALPHA, self.GAMMA_VAPOR, dom,
+                                        model=self.EXT)
+        assert len(solves) == 1
+        assert bounds and bounds[-1] < 1.0  # the limit was taken with its certificate
+        assert (report.branch_label, report.monotone_direction) == ("minimal", "up")
+
+        # the same launch with the finish turned away at every step; run
+        # to a change of 1e-12, so that its own distance from the limit,
+        # change q/(1 - q) at q = 0.82, stays near 5e-12
+        offered = []
+        monkeypatch.setattr(field._NewtonFinish, "__call__",
+                            lambda self, it, *rest: offered.append(it))
+        plain = field.minimal_solution(SPEC_Y, self.ALPHA, self.GAMMA_VAPOR, dom,
+                                       model=self.EXT, tol=1e-12)
+        assert len(solves) == 1 and offered
+        assert float(np.max(np.abs(report.field.values - plain.field.values))) <= 1e-10
+        assert report.iterations < 0.25 * plain.iterations
+
+    def test_fast_launch_does_not_fire(self, monkeypatch):
+        # the hard-sphere solve of test_fast_solve_iteration_counts_unchanged
+        # at n=256: every step the finish is offered predicts fewer Picard
+        # steps left than a finish costs there, so no Newton solve is run
+        dom = field.make_domain(4.0, n=256)
+        solves, _ = self._spy(monkeypatch)
+        seen = []
+        real = field._NewtonFinish.__call__
+
+        def offer(self, it, v, gamma, change, direction):
+            seen.append((it, change))
+            return real(self, it, v, gamma, change, direction)
+
+        monkeypatch.setattr(field._NewtonFinish, "__call__", offer)
+        report = field.minimal_solution(SPEC_Y, 15.0 / kernels.l1_norm_r3(SPEC_Y), -3.0, dom)
+        assert not solves
+        cost = field._finish_cost(256)
+        for (_, before), (it, change) in zip(seen, seen[1:]):
+            if it >= 3:
+                assert math.log(1e-10 / change) / math.log(change / before) < cost
+        assert report.iterations == len(seen) + 1
+
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    def test_fires_where_the_steps_left_cost_more(self, n):
+        # a geometric sequence at ratio 1/2 arms at step 3 and fires once
+        # its change has halved, at step 4, if the steps it has left
+        # there, log(tol/change)/log(1/2), cost more than a finish
+        cost = field._finish_cost(n)
+        v = np.full(n, 0.1)
+        for left, fires in ((0.5 * cost, False), (cost - 2.0, False), (cost + 2.0, True)):
+            finish = field._NewtonFinish(np.zeros((n, n)), 1.0, self.EXT, tol=1e-10)
+            fired = []
+            # record the firing, and fail as a solve that gives up does
+            finish._solve = lambda v, gamma, ratio: fired.append(ratio)
+            change_4 = 1e-10 * 2.0**left  # the change at step 4
+            for it in range(1, 8):
+                finish(it, v, -4.0, change_4 * 2.0 ** (4 - it), "up")
+            assert fired == ([0.5] if fires else [])
 
 
 @pytest.fixture(scope="module")
@@ -807,14 +915,17 @@ class TestGridConvergence:
     def test_minimal_solution_refines_at_second_order(self):
         # smooth integrands make panel quadrature far better than O(h^2);
         # the contract only demands the refinement differences shrink
-        # at least that fast
+        # at least that fast.  The solves run to a change of 1e-13, so
+        # a profile that Picard ends and one that a Newton finish ends
+        # both lie within the 1e-12 floor of their grid's solution, and
+        # the differences measure the grids, not the solver's tolerance
         probe = np.linspace(0.3, 4.7, 23)
         model = eos.EosModel()
         alpha = 20.0 / PHI_Y5
         out = {}
         for n in (128, 256, 512):
             dom = field.make_domain(5.0, n=n)
-            rep = field.minimal_solution(SPEC_Y, alpha, -2.0, dom)
+            rep = field.minimal_solution(SPEC_Y, alpha, -2.0, dom, tol=1e-13)
             u = field.convolve_at(SPEC_Y, alpha, rep.field, probe)
             out[n] = np.asarray(model.wp_prime(-2.0 + u, side="left"))
         d1 = np.max(np.abs(out[256] - out[128]))

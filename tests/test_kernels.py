@@ -69,6 +69,21 @@ class TestKernelEval:
             assert np.all(v < 0)
             assert np.all(np.diff(v) >= 0)
 
+    @pytest.mark.parametrize("amps", [
+        (1.3, 0.0, 0.0), (0.0, 0.7, 0.0), (0.0, 0.0, 2.1), (1.3, 0.7, 0.0),
+        (1.3, 0.0, 2.1), (0.0, 0.7, 2.1), (1.3, 0.7, 2.1),
+    ])
+    @pytest.mark.parametrize("ranges", [(1.0, 1.0), (0.37, 2.9), (3.1, 0.05)])
+    def test_float_path_equals_the_array_path(self, amps, ranges):
+        # a float r, as quadrature passes it, skips the array machinery;
+        # each value must agree with the array path's to one ulp
+        spec = KernelSpec(*amps, *ranges)
+        r = np.concatenate((np.geomspace(1e-6, 300.0, 500), [0.5, 1.0, 2.0]))
+        for x, a in zip(r.tolist(), kernels.kernel_eval(spec, r).tolist()):
+            s = kernels.kernel_eval(spec, x)
+            assert type(s) is float
+            assert abs(s - a) <= math.ulp(a)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             KernelSpec()

@@ -663,6 +663,32 @@ class TestPetitTransition:
                 model=EXT, gamma_gl=-4.655291,
             )
 
+    def test_ghost_fold_launch_spends_at_most_one_failed_solve(self, dom15, monkeypatch):
+        # the maximal launch at the bracket's low end slides through a
+        # ghost fold: its changes fall slowly at ratios rising to 0.99,
+        # then fast.  The finish fires on the slide, its Newton solve
+        # fails, and Picard finishes alone, uncertified by Newton
+        solves, failed = [], []
+        real = field._newton
+
+        def spy(*args):
+            solves.append(args)
+            try:
+                return real(*args)
+            except RuntimeError:
+                failed.append(args)
+                raise
+
+        monkeypatch.setattr(field, "_newton", spy)
+        report = field.maximal_solution(SPEC_Y, ALPHA_31, -4.75, dom15, model=EXT)
+        assert len(solves) <= 1 and len(failed) == len(solves)
+        monkeypatch.setattr(field._NewtonFinish, "__call__", lambda self, *args: None)
+        plain = field.maximal_solution(SPEC_Y, ALPHA_31, -4.75, dom15, model=EXT)
+        assert np.array_equal(report.field.values, plain.field.values)
+        assert report.iterations == plain.iterations
+        assert (report.branch_label, report.certification) == \
+            (plain.branch_label, plain.certification)
+
 
 class TestPetitLaunchesAtGammaGl:
     """petit_canonical_transition given gamma_gl launches the pair there once."""
