@@ -2,12 +2,19 @@
 
 Solves the fixed-point equation eta(r) = wp'(gamma - (alpha V*eta)(r))
 on a ball B_R.  The 3D convolution against a radial kernel reduces to a
-one-dimensional integral through the ring primitive of `kernels`, so a
-single dense matrix turns the nonlocal equation into a map on node
-values.  Monotone Picard iteration reaches the extremal solutions from
-constant sub- and supersolutions; damped Newton reaches the unstable
-branch inbetween; a handful of closed-form predicates settle existence,
-uniqueness, and fluid-range membership a priori.
+one-dimensional integral through the ring primitive of `kernels`, so
+one matrix M turns the nonlocal equation into a map on node values.  Up
+to 512 nodes, and for any kernel with a van der Waals part, M is
+assembled densely.  Above that, Yukawa and Newton kernels apply M
+through `RingOperator` in O(n p) with no n x n array: off the p x p
+panel blocks M is the rank-one radial Green's function in each
+triangle, so cumulative sums and a block-diagonal correction do the
+convolution.  Consumers that factor M or form its Jacobian (Newton,
+mass slopes, f_stability) still get the dense matrix, assembled on
+their first request.  Monotone Picard iteration reaches the extremal
+solutions from constant sub- and supersolutions; damped Newton reaches
+the unstable branch inbetween; a handful of closed-form predicates
+settle existence, uniqueness, and fluid-range membership a priori.
 
 One private loop, `_fixed_point`, iterates eta -> wp'(gamma + alpha M eta)
 for a rule that picks gamma from the potential and hands back the
@@ -28,6 +35,7 @@ is heading: within twice the geometric tail of its remaining changes.
 
 from __future__ import annotations
 
+import copy
 import math
 import threading
 from dataclasses import dataclass, field as dc_field
@@ -72,7 +80,8 @@ _COST_NODES = (64, 128, 256, 512)
 _DENSE_COST = (0.41, 1.2, 5.7, 19.0)
 _POWER_COST = (0.085, 0.092, 0.12, 0.23)
 _FINISH_STEPS, _FINISH_POWER = 4.5, 17.0
-_DENSE_MAX = 512  # largest node count for the Newton finish: the largest timed
+_DENSE_MAX = 512  # largest node count for the Newton finish and the dense ring matrix
+_SEGMENT = 500.0  # kappa-length of one segment of RingOperator's discounted sums
 _POWER_STEPS, _POWER_MOVED = 100, 1e-10  # power steps per contraction bound, at most
 
 
@@ -229,10 +238,21 @@ def _ring_matrix(spec, domain, targets):
     if np.any(~pos):
         M[~pos] = 4.0 * math.pi * w * s**2 * (-kernels.kernel_eval(spec, s))
 
-    if domain.edges is None:
-        return M
+    if domain.edges is not None:
+        panel = s.size // (domain.edges.size - 1)
+        for block, kb, vals in _panel_split(spec, domain, t):
+            M[block[:, None], kb[:, None] * panel + np.arange(panel)] = vals
+    return M
 
-    # panel split: targets strictly inside a panel see the |t-s| kink there
+
+def _panel_split(spec, domain, t):
+    """The re-integrated panel rows of `_ring_matrix`, a block of targets at a time.
+
+    Yields (rows, panels, values): the targets among t strictly inside a
+    panel, the index of that panel, and each target's row over the
+    panel's own nodes, split at the target's kink.
+    """
+    s = domain.nodes
     edges = domain.edges
     pn = s.reshape(edges.size - 1, -1)  # the nodes of each panel
     panel = pn.shape[1]
@@ -262,28 +282,142 @@ def _ring_matrix(spec, domain, targets):
         hit = exact.any(axis=3)
         basis[hit] = exact[hit]
         row = np.einsum("tqi,tqij->tj", ws * xs * ring, basis)
-        cols = kb[:, None] * panel + np.arange(panel)
-        M[block[:, None], cols] = (2.0 * math.pi / t[block])[:, None] * row
-    return M
+        yield block, kb, (2.0 * math.pi / t[block])[:, None] * row
 
 
-def _self_ring(spec, domain):
-    """Node-to-node convolution matrix, cached on the domain.
+class _Discount:
+    """S_i = sum over j <= i of e^(x_j - x_i) Y_j along increasing x, in O(n).
 
-    The check-and-assemble holds the domain's lock, so sweep threads
-    sharing a domain assemble each matrix once.
+    One cumulative sum per segment of x-length at most _SEGMENT, its
+    terms scaled from the segment's first node, so no exponential
+    overflows; each segment's total is carried into the next.
     """
+
+    def __init__(self, x):
+        starts = [0]
+        while True:
+            nxt = int(np.searchsorted(x, x[starts[-1]] + _SEGMENT, side="right"))
+            if nxt >= x.size:
+                break
+            starts.append(nxt)
+        ref = np.repeat(x[starts], np.diff(starts + [x.size]))
+        self.grow, self.decay = np.exp(x - ref)[:, None], np.exp(ref - x)[:, None]
+        self.hops = np.exp(x[starts[:-1]] - x[starts[1:]])
+        self.bounds = list(zip(starts, starts[1:] + [x.size]))
+
+    def __call__(self, Y):
+        out = np.empty_like(Y)
+        for k, (a, b) in enumerate(self.bounds):
+            c = np.cumsum(self.grow[a:b] * Y[a:b], axis=0)
+            if k:
+                c += self.hops[k - 1] * carry
+            out[a:b] = self.decay[a:b] * c
+            carry = c[-1]
+        return out
+
+
+class RingOperator:
+    """The node-to-node ring matrix of a kernel with no van der Waals part, in O(n p).
+
+    Off the panel split, entry (i, j) of `_ring_matrix` is (2 pi/t_i)
+    w_j s_j G(t_i, s_j), with the radial Green's function G(t, s) =
+    (2 a_y/kappa) e^(-kappa max) sinh(kappa min) + 2 a_n min, rank one in
+    each triangle.  So M = diag(2 pi/t) G diag(w s) + C, and G is applied
+    by cumulative sums: e^(-kappa max) sinh(kappa min) = e^(-kappa |t -
+    s|) h(min), h(x) = (1 - e^(-2 kappa x))/2, the discounted sums running
+    in segments (`_Discount`).  C is block diagonal: each panel's split
+    block of `_ring_matrix` minus the same formula on that block.  `@`
+    applies M to a vector or to the columns of an (n, k) array, and T is
+    the transposed operator (G is symmetric).
+    """
+
+    def __init__(self, spec, domain):
+        t = domain.nodes
+        self.shape = (t.size, t.size)
+        self._post, self._pre = (2.0 * math.pi / t)[:, None], (domain.weights * t)[:, None]
+        self._t, self._a_n = t[:, None], 2.0 * spec.a_n
+        self._a_y = 2.0 * spec.a_y / spec.kappa
+        if spec.a_y:
+            x = spec.kappa * t
+            self._h = (-0.5 * np.expm1(-2.0 * x))[:, None]
+            self._up = _Discount(x)
+            self._down = _Discount(-x[::-1])
+            self._step = np.exp(x[:-1] - x[1:])[:, None]
+        self._blocks = None
+        if domain.edges is not None:
+            panels = domain.edges.size - 1
+            split = np.empty((t.size, t.size // panels))
+            for block, _, vals in _panel_split(spec, domain, t):
+                split[block] = vals
+            pn = t.reshape(panels, -1)
+            lo = np.minimum(pn[:, :, None], pn[:, None, :])
+            hi = np.maximum(pn[:, :, None], pn[:, None, :])
+            green = self._a_n * lo
+            if spec.a_y:
+                k = spec.kappa
+                green += self._a_y * np.exp(-k * (hi - lo)) * (-0.5 * np.expm1(-2.0 * k * lo))
+            formula = (self._post.reshape(panels, -1, 1) * green
+                       * self._pre.reshape(panels, 1, -1))
+            self._blocks = split.reshape(panels, -1, split.shape[1]) - formula
+
+    @property
+    def T(self):
+        op = copy.copy(self)
+        op._post, op._pre = self._pre, self._post
+        if self._blocks is not None:
+            op._blocks = self._blocks.transpose(0, 2, 1)
+        return op
+
+    def _green(self, Z):
+        """G Z for an (n, k) array Z."""
+        out = np.zeros_like(Z)
+        if self._a_n:
+            above = np.zeros_like(Z)  # sum over j > i of Z_j
+            above[:-1] = np.cumsum(Z[:0:-1], axis=0)[::-1]
+            out += self._a_n * (np.cumsum(self._t * Z, axis=0) + self._t * above)
+        if self._a_y:
+            above = np.zeros_like(Z)  # sum over j > i of e^(-kappa(t_j - t_i)) Z_j
+            above[:-1] = self._step * self._down(Z[::-1])[::-1][1:]
+            out += self._a_y * (self._up(self._h * Z) + self._h * above)
+        return out
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        Z = x.reshape(self.shape[1], -1)
+        out = self._post * self._green(self._pre * Z)
+        if self._blocks is not None:
+            panels, p, _ = self._blocks.shape
+            out += (self._blocks @ Z.reshape(panels, p, -1)).reshape(out.shape)
+        return out.reshape(x.shape)
+
+
+def _self_ring(spec, domain, dense=False):
+    """The node-to-node ring matrix M, or the operator that applies it, cached on the domain.
+
+    Above _DENSE_MAX nodes a kernel with no van der Waals part gets its
+    `RingOperator`, which applies M and M^T in O(n p) with no n x n
+    array; below, and for van der Waals, the assembled matrix, which
+    BLAS applies faster there and the Newton finishes need anyway.
+    dense=True asks for the assembled matrix at any n, for the
+    consumers that factor or form M; it is assembled on the first such
+    request.  The check-and-assemble holds the domain's lock, so sweep
+    threads sharing a domain build each once.
+    """
+    structured = not dense and domain.n > _DENSE_MAX and not spec.a_w
     with domain._ring_lock:
-        if spec not in domain._rings:
-            domain._rings[spec] = _ring_matrix(spec, domain, domain.nodes)
-        return domain._rings[spec]
+        key = (spec, structured)
+        if key not in domain._rings:
+            domain._rings[key] = (RingOperator(spec, domain) if structured
+                                  else _ring_matrix(spec, domain, domain.nodes))
+        return domain._rings[key]
 
 
 def apply_kernel(spec, alpha, domain, values):
     """alpha(-V * values) on the grid, for arbitrary node values.
 
     The density-field validation is skipped, so perturbations and other
-    signed fields can reuse the same cached ring matrix.
+    signed fields can reuse the same cached ring matrix or operator;
+    values may be one field or the columns of an (n, k) array.
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
@@ -735,9 +869,10 @@ def newton_solve(spec, alpha, gamma, eta0, tol=_NEWTON_TOL, model=eos.EosModel()
                  callback=None):
     """Damped Newton on F(eta) = eta - wp'(gamma + alpha(-V*eta)).
 
-    The Jacobian I - diag(wp'') alpha M is assembled densely, which the
-    node counts in use comfortably allow; its wp'' is read off the
-    profile the residual has just inverted, with no second inversion.
+    The Jacobian I - diag(wp'') alpha M is assembled densely, from the
+    dense ring matrix at any n, which the node counts in use comfortably
+    allow; its wp'' is read off the profile the residual has just
+    inverted, with no second inversion.
     Unlike Picard this also reaches iteration-unstable solutions, at
     quadratic rate near any root.  A solve whose last 8 accepted steps
     together cut the residual by less than 1% has stalled and raises
@@ -745,8 +880,9 @@ def newton_solve(spec, alpha, gamma, eta0, tol=_NEWTON_TOL, model=eos.EosModel()
     callback, if given, receives (iteration, residual) after every
     accepted step.
     """
-    v, u, norm, steps, _ = _newton(alpha * _self_ring(spec, eta0.domain), gamma, model,
-                                   eta0.values.copy(), tol, _NEWTON_STEPS, callback)
+    aM = alpha * _self_ring(spec, eta0.domain, dense=True)
+    v, u, norm, steps, _ = _newton(aM, gamma, model, eta0.values.copy(), tol, _NEWTON_STEPS,
+                                   callback)
     return _report(eta0.domain, v, gamma, u, steps, norm)
 
 

@@ -174,7 +174,7 @@ def functional_values(spec, alpha, gamma, fld, model=eos.EosModel()):
 def _ring_volume_metric(spec, alpha, domain):
     """T = D^(-1/2) sym(D alpha M) D^(-1/2): int sigma alpha(-V*sigma) in the volume metric."""
     D = volume_weights(domain)
-    DA = D[:, None] * (alpha * field_mod._self_ring(spec, domain))
+    DA = D[:, None] * (alpha * field_mod._self_ring(spec, domain, dense=True))
     d = 1.0 / np.sqrt(D)
     return d[:, None] * (0.5 * (DA + DA.T)) * d
 
@@ -185,8 +185,11 @@ def _top_eigenpair(spec, alpha, domain, c):
     The start c D^(1/2) is fixed.  Returns the value, c x / D^(1/2) for the
     eigenvector x after one step of K = diag(c^2) alpha M (D M is symmetric
     only to about 1e-6), signed to a positive sum, and the matvec count.
+    M and M^T are applied by the cached ring matrix, or above 512 nodes
+    by `field.RingOperator`, so no n x n array is formed there either.
     """
     M = field_mod._self_ring(spec, domain)
+    MT = M.T
     s = np.sqrt(volume_weights(domain))
     matvecs = 0
 
@@ -194,7 +197,7 @@ def _top_eigenpair(spec, alpha, domain, c):
         nonlocal matvecs
         matvecs += 1
         y = c * np.ravel(x)
-        return c * (0.5 * alpha) * (s * (M @ (y / s)) + (M.T @ (s * y)) / s)
+        return c * (0.5 * alpha) * (s * (M @ (y / s)) + (MT @ (s * y)) / s)
 
     op = scipy.sparse.linalg.LinearOperator((domain.n, domain.n), matvec=matvec, dtype=float)
     value, x = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=c * s)

@@ -13,11 +13,12 @@ multiplier `_gamma_for_mass` as its gamma rule, which hands back the
 profile at the gamma it finds; its slow tail ends in one bordered
 Newton solve in (eta, gamma), accepted only within twice the distance
 the iteration still has to go.  Both mass matches, that one and
-`constrained_solve`'s, run the one safeguarded Newton on gamma,
-`_newton_on_gamma`, on an exact slope.  Every gas/liquid comparison
-goes through `_launch_gap`: the minimal and maximal launches at one
-gamma, their pressure gap, and whether they are distinct, read through
-`_launch_memo` so one public call launches each gamma once.
+`constrained_solve`'s, and the gas/liquid pressure crossing run the one
+safeguarded Newton on gamma, `_newton_on_gamma`, on an exact slope.
+Every gas/liquid comparison goes through `_launch_gap`: the minimal and
+maximal launches at one gamma, their pressure gap, and whether they are
+distinct, read through `_launch_memo` so one public call launches each
+gamma once.
 `_scan_and_locate` scans (by default the algebraic band), then locates.
 """
 
@@ -51,7 +52,7 @@ _JUMP_FACTOR = 10.0  # continuation step ratio that flags a branch switch
 _DISTINCT = 1e-7  # sup-norm separation below which two launches coincide
 _SCAN_POINTS = 9  # gammas the pressure-gap scan visits across its bracket
 _MASS_MATCH_STEPS = 200  # Newton/bisection steps of one mass match, at most
-_OUTER_STEPS = 80  # outer Newton steps on gamma of one constrained solve, at most
+_OUTER_STEPS = 80  # Newton steps on gamma of one constrained solve or crossing, at most
 _DROPLET_TOL, _DROPLET_STEPS = 1e-12, 20000  # droplet iteration: change tolerance, steps
 _TRIAL_FLOOR = 1e-12  # droplet trial's density outside the ball
 
@@ -153,9 +154,13 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket, model=eos.Eos
 
     Both endpoints must give pressure gaps P[maximal] - P[minimal] of
     opposite sign; a one-signed bracket means the launches coincide or
-    one branch is absent there, and raises.  At the crossing every
-    solution this module can reach (the two launches and a Newton solve
-    from the middle algebraic root) is recorded with its pressure.
+    one branch is absent there, and raises.  The crossing is found by
+    `_newton_on_gamma` from the end with the smaller gap, on the exact
+    slope d(P[maximal] - P[minimal])/dgamma = N[maximal] - N[minimal]
+    (dP/dgamma = N on each branch), to a step of 1e-12 + 8.9e-16 |gamma|.
+    At the crossing every solution this module can reach (the two
+    launches and a Newton solve from the middle algebraic root) is
+    recorded with its pressure.
     """
     launch = _launch_memo(spec, alpha, domain, model)
     return _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch)
@@ -189,9 +194,20 @@ def _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch):
             "pressure gap does not change sign over the bracket; one "
             "branch may be absent"
         )
-    gamma_gl = float(brentq(
-        lambda g: launch(g)[0], g_lo, g_hi, xtol=1e-12, rtol=8.9e-16,
-    ))
+    D = functionals.volume_weights(domain)
+
+    def evaluate(g):
+        # dP/dgamma = N on each branch, so the gap's slope is N_max - N_min
+        gap, sep, lo, hi = launch(g)
+        if sep < _DISTINCT:
+            raise ValueError(f"the launches coincide at gamma {g!r}")
+        return gap, float(D @ (hi.field.values - lo.field.values)), None
+
+    start = g_lo if abs(gap_lo) <= abs(gap_hi) else g_hi
+    gamma_gl = _newton_on_gamma(
+        evaluate, start, (g_lo, g_hi), 0.0, lambda g: 1e-12 + 8.9e-16 * abs(g),
+        "the pressure crossing left its bracket", _OUTER_STEPS,
+    )[0]
     delta, _, lo, hi = launch(gamma_gl)
     gas = _branch_point(spec, alpha, gamma_gl, lo, model)
     liquid = _branch_point(spec, alpha, gamma_gl, hi, model)
@@ -315,7 +331,7 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(
             g_ceil = g_hat - 1e-9
         elif branch == "maximal":
             g_floor = g_check + 1e-9
-    M = alpha * field._self_ring(spec, domain)
+    M = alpha * field._self_ring(spec, domain, dense=True)
 
     warm = [start]
 
@@ -602,7 +618,7 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
         if seed is None:
             # the mass match's first Newton step from gamma_gl, taken from
             # the gas already known there instead of a second launch
-            aM = alpha * field._self_ring(spec, domain)
+            aM = alpha * field._self_ring(spec, domain, dense=True)
             D = functionals.volume_weights(domain)
             seed = gamma_gl - (n_gas - n) / _mass_slope(model, aM, D, gas.solution.field.values)
         point = constrained_solve(

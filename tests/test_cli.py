@@ -276,26 +276,26 @@ class TestTransition:
         # the scan's sub-bracket ends are not solved again by the locator
         gammas, asked, brackets = [], set(), []
         maximal = field.maximal_solution
-        root_finder = phase.brentq
+        root_finder = phase._newton_on_gamma
 
         def recorder(spec, alpha, gamma, *args, **kwargs):
             gammas.append(float(gamma))
             return maximal(spec, alpha, gamma, *args, **kwargs)
 
-        def recording_brentq(f, a, b, *args, **kwargs):
-            brackets.append((a, b))
+        def recording_root_finder(evaluate, gamma, window, *args, **kwargs):
+            brackets.append(window)
 
             def objective(g):
                 asked.add(float(g))
-                return f(g)
+                return evaluate(g)
 
-            return root_finder(objective, a, b, *args, **kwargs)
+            return root_finder(objective, gamma, window, *args, **kwargs)
 
         monkeypatch.setattr(field, "maximal_solution", recorder)
-        monkeypatch.setattr(phase, "brentq", recording_brentq)
+        monkeypatch.setattr(phase, "_newton_on_gamma", recording_root_finder)
         assert cli.main(["transition", "--config", str(config),
                          "--out", str(tmp_path / "out")]) == 0
-        # the scan visits its grid up to the sub-bracket it hands to brentq
+        # the scan visits its grid up to the sub-bracket it hands to the root finder
         [(_, right)] = brackets
         grid = np.linspace(-22.0, -14.0, phase._SCAN_POINTS)
         asked |= {float(g) for g in grid if g <= right}

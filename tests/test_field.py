@@ -20,7 +20,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from hardball import eos, field, functionals, kernels, uniform
+from hardball import eos, field, functionals, kernels, spectral, uniform
 
 SPEC_Y = kernels.KernelSpec(a_y=1.0, kappa=1.0)
 SPEC_W = kernels.KernelSpec(a_w=1.0, varkappa=0.7)
@@ -85,8 +85,15 @@ class TestRadialDomain:
 
 class TestRingCache:
     def test_threads_sharing_a_domain_assemble_once(self, monkeypatch):
-        dom = field.make_domain(5.0, n=64)
-        original = field._ring_matrix
+        self._race(monkeypatch, 64, "_ring_matrix")
+
+    def test_threads_sharing_a_domain_build_one_operator(self, monkeypatch):
+        self._race(monkeypatch, 1024, "RingOperator")
+
+    @staticmethod
+    def _race(monkeypatch, n, builder):
+        dom = field.make_domain(5.0, n=n)
+        original = getattr(field, builder)
         calls = []
 
         def counted(*args):
@@ -94,7 +101,7 @@ class TestRingCache:
             time.sleep(0.05)  # hold the race window open without the lock
             return original(*args)
 
-        monkeypatch.setattr(field, "_ring_matrix", counted)
+        monkeypatch.setattr(field, builder, counted)
         start = threading.Barrier(4)
         rings = []
 
@@ -240,6 +247,79 @@ class TestPanelSplit:
         finally:
             tracemalloc.stop()
         assert peak < 1.4 * M.nbytes
+
+
+def _assert_applies(got, A, x):
+    """got equals A @ x to 1e-12 of the apply's scale max(|A| |x|).
+
+    The scale, not max|A x|, because the oracle's own entries carry
+    roundoff of the differences prim(t+s) - prim(|t-s|), which signed
+    columns x do not cancel the way they cancel A x.
+    """
+    assert got.shape == x.shape and np.all(np.isfinite(got))
+    scale = np.max(np.abs(A) @ np.abs(x))
+    assert np.max(np.abs(got - A @ x)) <= 1e-12 * scale
+
+
+class TestRingOperator:
+    SPEC_YN = kernels.KernelSpec(a_y=0.7, kappa=2.0, a_n=0.3)
+
+    @pytest.mark.parametrize("n", [256, 1024, 2048])
+    @pytest.mark.parametrize("R", [4.0, 30.0, 80.0])
+    @pytest.mark.parametrize("spec", [SPEC_Y, SPEC_N, SPEC_YN], ids=["Y", "N", "YN"])
+    def test_applies_equal_the_ring_matrix(self, spec, R, n):
+        # M, its transpose and an (n, k) block of signed columns
+        dom = field.make_domain(R, n=n)
+        M = field._ring_matrix(spec, dom, dom.nodes)
+        op = field.RingOperator(spec, dom)
+        profile = 0.2 + 0.1 * np.cos(dom.nodes)
+        block = np.random.default_rng(n).standard_normal((n, 4))
+        for got, A in ((op, M), (op.T, M.T)):
+            _assert_applies(got @ profile, A, profile)
+            _assert_applies(got @ block, A, block)
+
+    def test_finite_where_sinh_overflows(self):
+        # kappa R = 1000: sinh(kappa s) overflows past kappa s = 710, so the
+        # discounted sums run in more than one scaled segment
+        spec = kernels.KernelSpec(a_y=1.0, kappa=1000.0 / 30.0)
+        dom = field.make_domain(30.0, n=1024)
+        M = field._ring_matrix(spec, dom, dom.nodes)
+        op = field.RingOperator(spec, dom)
+        assert len(op._up.bounds) > 1
+        x = np.random.default_rng(0).standard_normal((dom.n, 3))
+        _assert_applies(op @ x, M, x)
+        _assert_applies(op.T @ x, M.T, x)
+
+    def test_self_ring_picks_the_operator_above_the_dense_gate(self):
+        small = field.make_domain(4.0, n=field._DENSE_MAX)
+        big = field.make_domain(4.0, n=2 * field._DENSE_MAX)
+        assert isinstance(field._self_ring(SPEC_Y, small), np.ndarray)
+        assert field._self_ring(SPEC_Y, small, dense=True) is field._self_ring(SPEC_Y, small)
+        op = field._self_ring(self.SPEC_YN, big)
+        assert isinstance(op, field.RingOperator)
+        assert field._self_ring(self.SPEC_YN, big) is op
+        M = field._self_ring(self.SPEC_YN, big, dense=True)
+        assert np.array_equal(M, field._ring_matrix(self.SPEC_YN, big, big.nodes))
+        # a van der Waals part is not rank one off the panels: dense
+        assert isinstance(field._self_ring(SPEC_W, big), np.ndarray)
+
+    def test_no_dense_matrix_on_the_picard_spectral_and_value_paths(self):
+        # a quarter of one n x n float64 array bounds each path's peak at n=2048
+        dom = field.make_domain(4.0, n=2048)
+        alpha = 15.0 / kernels.l1_norm_r3(SPEC_Y)
+        limit = dom.n**2 * 8 / 4
+        tracemalloc.start()
+        try:
+            report = field.minimal_solution(SPEC_Y, alpha, -3.0, dom)
+            picard = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            functionals.functional_values(SPEC_Y, alpha, -3.0, report.field)
+            spectral.spectral_radius(SPEC_Y, dom)
+            rest = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert picard < limit and rest < limit
+        assert report.iterations == 22
 
 
 class TestDensityField:

@@ -517,6 +517,38 @@ class TestGrandTransition:
         lo, hi = uniform.gamma_boundaries(100.0 * PHI_Y_HALF)
         assert lo < tr.gamma_gl < hi
 
+    def test_dense_consumers_above_the_gate(self, dom_small):
+        # at n=1024 the launches apply the structured ring operator, while
+        # the middle root's Newton solve and f_stability take the dense
+        # matrix; the small ball is resolved at n=256 already
+        dom = field.make_domain(0.5, n=1024)
+        tr = phase.grand_canonical_transition(
+            SPEC_Y, 100.0, dom, (-22.0, -14.0), model=EXT,
+        )
+        assert isinstance(field._self_ring(SPEC_Y, dom), field.RingOperator)
+        coarse = phase.grand_canonical_transition(
+            SPEC_Y, 100.0, dom_small, (-22.0, -14.0), model=EXT,
+        )
+        assert tr.gamma_gl == pytest.approx(coarse.gamma_gl, abs=1e-10)
+        assert tr.delta_N == pytest.approx(coarse.delta_N, rel=1e-10)
+        assert "middle" in tr.pressures
+        for point in (tr.gas, tr.liquid):
+            fld = point.solution.field
+            assert functionals.p_stability(SPEC_Y, 100.0, tr.gamma_gl, fld,
+                                           model=EXT).label == "stable"
+            assert functionals.f_stability(SPEC_Y, 100.0, fld).label == "stable"
+
+    def test_crossing_slope_is_the_mass_jump(self, dom_small):
+        # dP/dgamma = N on each branch, so the gap's slope that the
+        # locator's Newton steps take is N_max - N_min
+        launch = phase._launch_memo(SPEC_Y, 100.0, dom_small, EXT)
+        D = functionals.volume_weights(dom_small)
+        g, h = -18.0, 1e-4
+        _, _, lo, hi = launch(g)
+        slope = float(D @ (hi.field.values - lo.field.values))
+        difference = (launch(g + h)[0] - launch(g - h)[0]) / (2.0 * h)
+        assert difference == pytest.approx(slope, rel=1e-5)
+
     def test_moderate_container(self, dom15):
         tr = phase.grand_canonical_transition(
             SPEC_Y, ALPHA_31, dom15, (-4.70, -4.50), model=EXT,
@@ -538,25 +570,26 @@ class TestGrandTransition:
             )
 
     def test_each_gamma_launched_once(self, dom_small, monkeypatch):
-        # the end checks, brentq and the final pair share one launch per gamma
+        # the end checks, the root finder and the final pair share one
+        # launch per gamma
         gammas = []
-        asked = {-22.0, -14.0}  # the bracket ends, then what brentq evaluates
+        asked = {-22.0, -14.0}  # the bracket ends, then what the root finder evaluates
         maximal = field.maximal_solution
-        root_finder = phase.brentq
+        root_finder = phase._newton_on_gamma
 
         def recorder(spec, alpha, gamma, *args, **kwargs):
             gammas.append(float(gamma))
             return maximal(spec, alpha, gamma, *args, **kwargs)
 
-        def recording_brentq(f, a, b, *args, **kwargs):
+        def recording_root_finder(evaluate, gamma, window, *args, **kwargs):
             def objective(g):
                 asked.add(float(g))
-                return f(g)
+                return evaluate(g)
 
-            return root_finder(objective, a, b, *args, **kwargs)
+            return root_finder(objective, gamma, window, *args, **kwargs)
 
         monkeypatch.setattr(field, "maximal_solution", recorder)
-        monkeypatch.setattr(phase, "brentq", recording_brentq)
+        monkeypatch.setattr(phase, "_newton_on_gamma", recording_root_finder)
         phase.grand_canonical_transition(
             SPEC_Y, 100.0, dom_small, (-22.0, -14.0), model=EXT,
         )
