@@ -100,6 +100,17 @@ class RunConfig:
             raise ConfigError("run.tol: tolerance must be positive")
         if self.jobs < 1:
             raise ConfigError("run.jobs: must be at least 1")
+        if self.alpha is not None and not self.alpha >= 0:
+            raise ConfigError("run.alpha: must be non-negative")
+        for lo, hi in (("gamma_lo", "gamma_hi"), ("mass_lo", "mass_hi")):
+            a, b = getattr(self, lo), getattr(self, hi)
+            if (a is None) != (b is None):
+                unset, given = (hi, lo) if b is None else (lo, hi)
+                raise ConfigError(f"transition.{unset}: required together "
+                                  f"with transition.{given}")
+            if a is not None and not a < b:
+                raise ConfigError(
+                    f"transition.{lo}: must be below transition.{hi}")
         for name in ("alpha_grid", "gamma_grid"):
             grid = getattr(self, name)
             if grid == ():
@@ -327,7 +338,7 @@ def cmd_transition(cfg):
     cfg.require("alpha")
     spec, model, domain = cfg.kernel_spec(), cfg.eos_model(), cfg.domain()
     gamma_bracket = None  # phase scans the algebraic band by default
-    if cfg.gamma_lo is not None and cfg.gamma_hi is not None:
+    if cfg.gamma_lo is not None:  # validate() allows only both or neither
         gamma_bracket = (cfg.gamma_lo, cfg.gamma_hi)
     elif not cfg.alpha * kernels.l1_norm_r3(spec) > uniform.ALPHA_TAU_MIN:
         raise ConfigError(
@@ -336,7 +347,7 @@ def cmd_transition(cfg):
 
     if cfg.petit:
         mass_bracket = None
-        if cfg.mass_lo is not None and cfg.mass_hi is not None:
+        if cfg.mass_lo is not None:
             mass_bracket = (cfg.mass_lo, cfg.mass_hi)
         result = phase.petit_canonical_transition(
             spec, cfg.alpha, domain, N_bracket=mass_bracket,
@@ -347,7 +358,7 @@ def cmd_transition(cfg):
     else:
         result = phase._scan_and_locate(
             spec, cfg.alpha, domain, gamma_bracket, model)
-        labels, quantities = ("gas", "liquid"), ("best_known",)
+        labels, quantities = ("gas", "liquid"), ()
     summary = [("gamma_gl", result.gamma_gl),
                ("delta_N", result.liquid.functionals.N
                 - result.gas.functionals.N)]

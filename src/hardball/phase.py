@@ -83,17 +83,14 @@ class BranchPoint:
 class GrandTransition:
     """Coexistence at fixed chemical potential.
 
-    pressures holds P for every solution found at the crossing, keyed
-    by branch name; best_known names the argmax among them, which is
-    only the best maximizer this enumeration knows about.
+    gas and liquid are the minimal and maximal launches at gamma_gl,
+    where their pressures are equal; delta_N is liquid minus gas mass.
     """
 
     gamma_gl: float
     gas: BranchPoint
     liquid: BranchPoint
     delta_N: float
-    pressures: dict
-    best_known: str
 
 
 @dataclass(eq=False)
@@ -158,9 +155,10 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket, model=eos.Eos
     `_newton_on_gamma` from the end with the smaller gap, on the exact
     slope d(P[maximal] - P[minimal])/dgamma = N[maximal] - N[minimal]
     (dP/dgamma = N on each branch), to a step of 1e-12 + 8.9e-16 |gamma|.
-    At the crossing every solution this module can reach (the two
-    launches and a Newton solve from the middle algebraic root) is
-    recorded with its pressure.
+    Only the two launches are solved, so above the dense gate no n x n
+    matrix is formed; middle (saddle) solutions at the crossing are
+    reached separately, by `field.newton_solve` or
+    `constrained_solve(..., "middle")`.
     """
     launch = _launch_memo(spec, alpha, domain, model)
     return _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch)
@@ -214,36 +212,11 @@ def _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch):
     scale = max(1.0, abs(gas.functionals.P), abs(liquid.functionals.P))
     if abs(delta) > 1e-8 * scale:
         raise RuntimeError("pressure gap at the located crossing is too wide")
-    pressures = {"minimal": gas.functionals.P, "maximal": liquid.functionals.P}
-
-    # enumerate further critical points; failures just shorten the list
-    extras = {}
-    phi = kernels.phi_lambda(spec, domain.R)
-    try:
-        roots = uniform.solve_uniform(alpha * phi, gamma_gl).roots
-        if len(roots) == 3:
-            start = field.constant_field(domain, roots[1])
-            extras["middle"] = field.newton_solve(
-                spec, alpha, gamma_gl, start, model=model
-            )
-    except (ValueError, RuntimeError):
-        pass
-    for name, rep in extras.items():
-        new = rep.field.values
-        known = [lo.field.values, hi.field.values]
-        if all(float(np.max(np.abs(new - v))) > 1e-6 for v in known):
-            pressures[name] = functionals.pressure_functional(
-                spec, alpha, gamma_gl, rep.field, model=model
-            )
-
-    best_known = max(pressures, key=pressures.get)
     return GrandTransition(
         gamma_gl=gamma_gl,
         gas=gas,
         liquid=liquid,
         delta_N=liquid.functionals.N - gas.functionals.N,
-        pressures=pressures,
-        best_known=best_known,
     )
 
 

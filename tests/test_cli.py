@@ -263,7 +263,6 @@ class TestTransition:
                           column(rows, columns, "value")))
         assert float(values["gamma_gl"]) == pytest.approx(-18.8386, abs=1e-3)
         assert float(values["delta_N"]) > 0.3
-        assert values["best_known"] in ("minimal", "maximal", "middle")
         assert float(values["gamma_gas"]) == float(values["gamma_liquid"])
         _, pcolumns, prows = read_csv(out / "transition_profiles.csv")
         assert pcolumns == ["r", "eta_gas", "eta_liquid"]
@@ -311,6 +310,33 @@ class TestTransition:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "attraction too weak" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys,named", [
+        pytest.param("gamma_lo = -10.0\n", "transition.gamma_hi", id="gamma_lo-only"),
+        pytest.param("gamma_hi = -14.0\n", "transition.gamma_lo", id="gamma_hi-only"),
+        pytest.param("mass_lo = 0.1\n", "transition.mass_hi", id="mass_lo-only"),
+        pytest.param("mass_hi = 0.2\n", "transition.mass_lo", id="mass_hi-only"),
+        pytest.param("gamma_lo = -14.0\ngamma_hi = -22.0\n", "transition.gamma_lo",
+                     id="gamma-reversed"),
+        pytest.param("mass_lo = 0.2\nmass_hi = 0.1\n", "transition.mass_lo",
+                     id="mass-reversed"),
+    ])
+    def test_half_set_or_reversed_pair_is_config_error(self, tmp_path, capsys,
+                                                       keys, named):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SMALL_BALL + "\n[transition]\n" + keys + "petit = no\n")
+        rc = cli.main(["transition", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert named in capsys.readouterr().err
+
+    def test_negative_alpha_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SMALL_BALL.replace("alpha = 100.0", "alpha = -5"))
+        rc = cli.main(["transition", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "run.alpha" in capsys.readouterr().err
 
     def test_one_signed_bracket_is_solver_failure(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"

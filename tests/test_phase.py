@@ -500,6 +500,22 @@ class TestMassMatch:
                                   np.full(self.D.size, 0.3))
 
 
+def assert_middle_is_a_lower_saddle(tr, domain):
+    """Newton from the uniform middle root at gamma_gl converges to a third
+    solution whose pressure lies below the equal P(gas) = P(liquid)."""
+    roots = uniform.solve_uniform(100.0 * PHI_Y_HALF, tr.gamma_gl).roots
+    assert len(roots) == 3
+    middle = field.newton_solve(SPEC_Y, 100.0, tr.gamma_gl,
+                                field.constant_field(domain, roots[1]), model=EXT)
+    assert middle.residual < 1e-8
+    for point in (tr.gas, tr.liquid):
+        assert np.max(np.abs(middle.field.values
+                             - point.solution.field.values)) > 1e-6
+    P = functionals.pressure_functional(SPEC_Y, 100.0, tr.gamma_gl,
+                                        middle.field, model=EXT)
+    assert P < min(tr.gas.functionals.P, tr.liquid.functionals.P)
+
+
 class TestGrandTransition:
     def test_small_container(self, dom_small):
         tr = phase.grand_canonical_transition(
@@ -510,17 +526,34 @@ class TestGrandTransition:
         scale = max(1.0, abs(tr.gas.functionals.P))
         assert abs(tr.gas.functionals.P - tr.liquid.functionals.P) < 1e-8 * scale
         assert tr.delta_N > 0
-        assert tr.best_known in tr.pressures
         # the uniform middle root relaxes to a saddle with lower pressure
-        assert "middle" in tr.pressures
-        assert tr.pressures["middle"] < tr.pressures[tr.best_known]
+        assert_middle_is_a_lower_saddle(tr, dom_small)
         lo, hi = uniform.gamma_boundaries(100.0 * PHI_Y_HALF)
         assert lo < tr.gamma_gl < hi
 
+    def test_no_dense_matrix_above_the_gate(self, monkeypatch):
+        # the transition solves only the launches, which apply the
+        # structured ring operator at n=1024: no Newton solve, no n x n array
+        calls = []
+        newton_solve = field.newton_solve
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return newton_solve(*args, **kwargs)
+
+        monkeypatch.setattr(field, "newton_solve", spy)
+        dom = field.make_domain(0.5, n=1024)
+        phase.grand_canonical_transition(
+            SPEC_Y, 100.0, dom, (-22.0, -14.0), model=EXT,
+        )
+        assert calls == []
+        assert list(dom._rings) == [(SPEC_Y, True)]
+        assert isinstance(dom._rings[SPEC_Y, True], field.RingOperator)
+
     def test_dense_consumers_above_the_gate(self, dom_small):
         # at n=1024 the launches apply the structured ring operator, while
-        # the middle root's Newton solve and f_stability take the dense
-        # matrix; the small ball is resolved at n=256 already
+        # a Newton solve from the middle root and f_stability take the
+        # dense matrix; the small ball is resolved at n=256 already
         dom = field.make_domain(0.5, n=1024)
         tr = phase.grand_canonical_transition(
             SPEC_Y, 100.0, dom, (-22.0, -14.0), model=EXT,
@@ -531,7 +564,7 @@ class TestGrandTransition:
         )
         assert tr.gamma_gl == pytest.approx(coarse.gamma_gl, abs=1e-10)
         assert tr.delta_N == pytest.approx(coarse.delta_N, rel=1e-10)
-        assert "middle" in tr.pressures
+        assert_middle_is_a_lower_saddle(tr, dom)
         for point in (tr.gas, tr.liquid):
             fld = point.solution.field
             assert functionals.p_stability(SPEC_Y, 100.0, tr.gamma_gl, fld,
