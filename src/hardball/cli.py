@@ -1,9 +1,9 @@
 """Batch front end: config files, subcommands, CSV output.
 
-Every subcommand is a pure function of (config, seed): outputs carry a
-header block echoing the full configuration, floats are written with
+Every subcommand is a pure function of its configuration: outputs carry
+a header block echoing the full configuration, floats are written with
 round-trip repr, and sweep results are aggregated in grid order, so a
-rerun with the same config and seed reproduces the bytes exactly.
+rerun with the same config reproduces the bytes exactly.
 Exit codes: 0 success, 1 solver failure, 2 configuration error.
 """
 
@@ -76,7 +76,6 @@ class RunConfig:
     mass_hi: float = None
     petit: bool = True
     out: str = "."
-    seed: int = 0
     jobs: int = 1
 
     def validate(self):
@@ -120,6 +119,8 @@ class RunConfig:
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(
                     f"grid.{name}: grid must be strictly increasing")
+        if self.alpha_grid and not self.alpha_grid[0] >= 0:
+            raise ConfigError("grid.alpha: must be non-negative")
         return self
 
     def kernel_spec(self):
@@ -145,7 +146,7 @@ _SECTIONS = {
     "kernel": {"a_y": float, "a_w": float, "a_n": float,
                "kappa": float, "varkappa": float},
     "run": {"alpha": float, "gamma": float, "radius": float, "nodes": int,
-            "tol": float, "out": str, "seed": int, "jobs": int},
+            "tol": float, "out": str, "jobs": int},
     "grid": {"alpha": "grid", "gamma": "grid"},
     "transition": {"gamma_lo": float, "gamma_hi": float,
                    "mass_lo": float, "mass_hi": float, "petit": bool},
@@ -481,8 +482,6 @@ def build_parser():
                         help="worker threads for sweeps")
     shared.add_argument("--out", metavar="DIR",
                         help="output directory")
-    shared.add_argument("--seed", type=int, metavar="N",
-                        help="random seed echoed into outputs")
     shared.add_argument("--alpha", type=float,
                         help="attraction strength override")
     shared.add_argument("--gamma", type=float,
@@ -500,7 +499,7 @@ def build_parser():
 def _configure(args):
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {}
-    for name in ("jobs", "out", "seed", "alpha", "gamma", "radius", "nodes"):
+    for name in ("jobs", "out", "alpha", "gamma", "radius", "nodes"):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value

@@ -59,6 +59,7 @@ _BRACKET_LO = 1e-12
 _BRACKET_HI = 1.0 - 1e-12
 _RESIDUAL_TOL = 1e-12
 _SLOW_SWEEPS = 30  # sweeps after which a lane may also stop on its bracket width
+_MAX_SWEEPS = 200  # sweeps after which an inversion gives up
 
 
 def _check_range(x, lo, hi, *, closed_lo=False, name="eta"):
@@ -79,11 +80,14 @@ def _scalar_like(template, value):
     return value
 
 
+def _g1(e):
+    """g1 on an array already known to lie in (0, 1); no checks."""
+    return (e + e**2 + e**3 - e**4) / (1.0 - e) ** 3
+
+
 def g1(eta):
     """Carnahan-Starling reduced pressure on the fluid branch."""
-    e = _check_range(eta, 0.0, 1.0)
-    p = (e + e**2 + e**3 - e**4) / (1.0 - e) ** 3
-    return _scalar_like(eta, p)
+    return _scalar_like(eta, _g1(_check_range(eta, 0.0, 1.0)))
 
 
 def g1_prime(eta):
@@ -122,7 +126,7 @@ def g2_derivs(eta, order):
     return _scalar_like(eta, d)
 
 
-def _solve_increasing(fn, dfn, target, lo, hi, x0, maxiter=200):
+def _solve_increasing(fn, dfn, target, lo, hi, x0):
     """Vectorized safeguarded Newton for a strictly increasing function.
 
     Newton steps that leave the current sign-change bracket fall back to
@@ -148,7 +152,7 @@ def _solve_increasing(fn, dfn, target, lo, hi, x0, maxiter=200):
     lanes = np.arange(t.size)  # positions in x of the open lanes
     xa = x
     f = fn(xa) - t
-    for sweep in range(maxiter):
+    for sweep in range(_MAX_SWEEPS):
         done = np.abs(f) < tol
         if sweep >= _SLOW_SWEEPS:
             # near a pole one ulp of x moves fn by more than tol; a lane
@@ -230,6 +234,11 @@ def _speedy_z_prime(y):
     return 3.0 / (1.0 - y) ** 2 - SPEEDY_A * (SPEEDY_B - SPEEDY_C) / (y - SPEEDY_C) ** 2
 
 
+def _speedy_g3(e):
+    """speedy_g3 on an array already known to lie in [0.54, eta_fcc)."""
+    return e * _speedy_z(e / ETA_FCC)
+
+
 def speedy_g3(eta):
     """Speedy reduced pressure on the solid branch, eta in [0.54, eta_fcc).
 
@@ -238,8 +247,7 @@ def speedy_g3(eta):
     K1 ~ 0.83.
     """
     e = _check_range(eta, ETA_FS_HI, ETA_FCC, closed_lo=True)
-    p = e * _speedy_z(e / ETA_FCC)
-    return _scalar_like(eta, p)
+    return _scalar_like(eta, _speedy_g3(e))
 
 
 def _speedy_g3_prime(eta):
@@ -354,45 +362,42 @@ class EosModel:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
 
-    def _split(self, gamma, *, kink_to_solid):
-        """Masks for the fluid/solid decomposition of a gamma array."""
-        g = np.atleast_1d(np.asarray(gamma, dtype=float))
-        fluid = (g < self.gamma_fs) if kink_to_solid else (g <= self.gamma_fs)
-        return g, fluid
-
     def wp(self, gamma):
-        """Reduced pressure as a function of chemical potential."""
-        if self.mode == MODE_IDEAL_GAS:
-            return ideal_gas_wp_prime(gamma)
-        if self.mode == MODE_CS_EXTENDED:
-            return _scalar_like(gamma, g1(g2_inverse(np.asarray(gamma, dtype=float))))
-        g, fluid = self._split(gamma, kink_to_solid=False)
-        out = np.empty_like(g)
-        if np.any(fluid):
-            out[fluid] = g1(g2_inverse(g[fluid]))
-        if np.any(~fluid):
-            out[~fluid] = _SOLID_PRESSURE_SHIFT + speedy_g3(g4_inverse(g[~fluid]))
-        return _scalar_like(gamma, out.reshape(np.shape(gamma)))
+        """Reduced pressure as a function of chemical potential.
 
-    def wp_prime(self, gamma, side="left", seed=None):
+        Read off eta = wp_prime(gamma) in closed form, as response_at
+        reads wp'': g1(eta) on the fluid branch, the shifted
+        speedy_g3(eta) on the solid branch (eta >= 0.54 in hard-sphere
+        mode), and eta itself for the ideal gas.
+        """
+        eta = self.wp_prime(gamma)
+        if self.mode == MODE_IDEAL_GAS:
+            return eta
+        # a scalar runs as a one-lane array, so it rounds as array lanes do
+        e = np.atleast_1d(np.asarray(eta, dtype=float))
+        p = _g1(e)
+        if self.mode == MODE_HARD_SPHERE:
+            p = np.where(e < ETA_FS_HI, p,
+                         _SOLID_PRESSURE_SHIFT + _speedy_g3(np.maximum(e, ETA_FS_HI)))
+        return _scalar_like(gamma, p.reshape(np.shape(gamma)))
+
+    def wp_prime(self, gamma, seed=None):
         """Equilibrium packing fraction at chemical potential gamma.
 
-        At the kink the left derivative returns 0.49 and the right
-        derivative 0.54; elsewhere the side argument is irrelevant.
-        seed, a packing fraction per gamma that the caller already
-        holds (say the current profile), starts the inversion there; in
-        hard-sphere mode each lane's seed goes to the branch its gamma
-        falls on and is clipped into that branch's bracket, so a seed
-        from the other branch is harmless.  The result meets the same
-        residual with or without a seed.
+        At the hard-sphere kink gamma_fs this is the left derivative,
+        the fluid's 0.49.  seed, a packing fraction per gamma that the
+        caller already holds (say the current profile), starts the
+        inversion there; in hard-sphere mode each lane's seed goes to
+        the branch its gamma falls on and is clipped into that branch's
+        bracket, so a seed from the other branch is harmless.  The
+        result meets the same residual with or without a seed.
         """
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
         if self.mode == MODE_IDEAL_GAS:
             return ideal_gas_wp_prime(gamma)
         if self.mode == MODE_CS_EXTENDED:
             return g2_inverse(gamma, seed)
-        g, fluid = self._split(gamma, kink_to_solid=(side == "right"))
+        g = np.atleast_1d(np.asarray(gamma, dtype=float))
+        fluid = g <= self.gamma_fs
         if seed is not None:
             seed = np.broadcast_to(np.asarray(seed, dtype=float), g.shape)
         out = np.empty_like(g)
@@ -455,11 +460,3 @@ class EosModel:
         """
         top = {MODE_CS_EXTENDED: _G2_HI, MODE_HARD_SPHERE: _G4_HI}
         return _G2_LO, top.get(self.mode, _IDEAL_GAS_HI)
-
-    def g2_inverse(self, gamma):
-        """Fluid-branch density, enforcing the mode's branch restriction."""
-        if self.mode == MODE_HARD_SPHERE and np.any(
-            np.asarray(gamma, dtype=float) > self.gamma_fs
-        ):
-            raise ValueError("gamma beyond the fluid branch in hard-sphere mode")
-        return g2_inverse(gamma)

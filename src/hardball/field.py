@@ -69,6 +69,7 @@ _RESIDUAL_TOL = 1e-9  # fixed-point residual required on top of the change test
 _ASSEMBLY_ROWS = 64  # rows of the ring matrix assembled per elementwise pass
 _STALL_STEPS, _STALL_CUT = 8, 0.99  # Newton stalls: 8 accepted steps, < 1% cut
 _NEWTON_TOL, _NEWTON_STEPS = 1e-12, 60  # Newton's residual target and step limit
+_PICARD_STEPS = 20000  # fixed-point iterations after which Picard gives up
 _FINISH_FROM = 3  # the finish arms from step 3; step 2 compares with the first step
 _FINISH_RATIO = 0.9  # the bordered finish arms at a change ratio above 0.9
 # A certified finish's cost in Picard steps, calibrated on one BLAS thread by the
@@ -495,7 +496,7 @@ def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol, finish=None):
         if change < tol:
             u = alpha * (M @ v)
             res = float(np.max(np.abs(
-                np.asarray(model.wp_prime(gamma + u, side="left", seed=v)) - v
+                np.asarray(model.wp_prime(gamma + u, seed=v)) - v
             )))
             if res < _RESIDUAL_TOL:
                 return _report(eta0.domain, v, gamma, u, it, res, direction), gamma
@@ -536,7 +537,7 @@ def _contraction_bound(aM, absM, gamma, model, lo, hi, y):
     if model.mode == eos.MODE_HARD_SPHERE and np.max(ghi) >= model.gamma_fs:
         return math.inf, y
     peak = np.clip(model.gamma_wr, glo, ghi)
-    r = model.response_at(np.asarray(model.wp_prime(peak, side="left", seed=hi)))
+    r = model.response_at(np.asarray(model.wp_prime(peak, seed=hi)))
     bound = math.inf
     for _ in range(_POWER_STEPS):
         By = r * (absM @ y)
@@ -660,8 +661,7 @@ class _NewtonFinish:
             return None
 
 
-def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10,
-                   model=eos.EosModel()):
+def picard_iterate(spec, alpha, gamma, eta0, tol=1e-10, model=eos.EosModel()):
     """Fixed-point iteration eta -> wp'(gamma + alpha(-V*eta)) at fixed gamma.
 
     Runs the shared loop `_fixed_point` with a constant gamma; see
@@ -679,13 +679,13 @@ def picard_iterate(spec, alpha, gamma, eta0, max_iter=20000, tol=1e-10,
     M = _self_ring(spec, eta0.domain)
 
     def rule(u, v):
-        eta = model.wp_prime(gamma + u, side="left", seed=v)
+        eta = model.wp_prime(gamma + u, seed=v)
         return gamma, np.asarray(eta, dtype=float)
 
     finish = None
     if model.mode != eos.MODE_IDEAL_GAS and eta0.domain.n <= _DENSE_MAX:
         finish = _NewtonFinish(M, alpha, model, tol=tol)
-    return _fixed_point(M, alpha, model, eta0, rule, max_iter, tol, finish)[0]
+    return _fixed_point(M, alpha, model, eta0, rule, _PICARD_STEPS, tol, finish)[0]
 
 
 def minimal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10):
@@ -697,7 +697,7 @@ def minimal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10
     accepted only with `picard_iterate`'s contraction certificate, so
     the label stays true.
     """
-    start = constant_field(domain, float(model.wp_prime(gamma, side="left")))
+    start = constant_field(domain, float(model.wp_prime(gamma)))
     report = picard_iterate(spec, alpha, gamma, start, tol=tol, model=model)
     report.branch_label = "minimal"
     return report
@@ -780,7 +780,7 @@ def subsolution_launch(spec, alpha, gamma, domain, mu, sigma_grave):
     ones = constant_field(shrunk, etabar)
     u0 = convolve_at(spec, alpha, ones, domain.nodes)
     start = DensityField(
-        domain, np.asarray(model.wp_prime(gamma + u0, side="left"), dtype=float)
+        domain, np.asarray(model.wp_prime(gamma + u0), dtype=float)
     )
     report = picard_iterate(spec, alpha, gamma, start, model=model)
     report.branch_label = "minimal" if mu == "m" else "other"
@@ -810,7 +810,7 @@ def _newton(aM, gamma, model, v, tol, max_iter, callback=None, border=None):
     def resid(x):
         vec, g = (x[:n], x[n]) if border is not None else (x, gamma)
         u = aM @ vec
-        eta = np.asarray(model.wp_prime(g + u, side="left", seed=vec))
+        eta = np.asarray(model.wp_prime(g + u, seed=vec))
         F = vec - eta
         return (F if border is None else np.append(F, w @ vec - mean)), u, eta
 
@@ -865,8 +865,7 @@ def _newton(aM, gamma, model, v, tol, max_iter, callback=None, border=None):
     raise failure(f"no convergence within {max_iter} Newton steps")
 
 
-def newton_solve(spec, alpha, gamma, eta0, tol=_NEWTON_TOL, model=eos.EosModel(),
-                 callback=None):
+def newton_solve(spec, alpha, gamma, eta0, model=eos.EosModel(), callback=None):
     """Damped Newton on F(eta) = eta - wp'(gamma + alpha(-V*eta)).
 
     The Jacobian I - diag(wp'') alpha M is assembled densely, from the
@@ -881,8 +880,8 @@ def newton_solve(spec, alpha, gamma, eta0, tol=_NEWTON_TOL, model=eos.EosModel()
     accepted step.
     """
     aM = alpha * _self_ring(spec, eta0.domain, dense=True)
-    v, u, norm, steps, _ = _newton(aM, gamma, model, eta0.values.copy(), tol, _NEWTON_STEPS,
-                                   callback)
+    v, u, norm, steps, _ = _newton(aM, gamma, model, eta0.values.copy(), _NEWTON_TOL,
+                                   _NEWTON_STEPS, callback)
     return _report(eta0.domain, v, gamma, u, steps, norm)
 
 
@@ -916,7 +915,7 @@ def predicates(spec, alpha, gamma, domain, model=eos.EosModel()):
     existence = max(float(eos.g2(x)) - gamma - at * x for x in probes) >= 0.0
     all_fluid = gamma - eos.GAMMA_FS + alpha * phi * eos.ETA_FS_LO <= 0.0
     no_nonfluid = gamma - eos.GAMMA_FS + alpha * phi * eos.ETA_FCC <= 0.0
-    floor = float(model.wp_prime(gamma, side="left"))
+    floor = float(model.wp_prime(gamma))
     no_fluid = gamma - eos.GAMMA_FS + alpha * phi * floor >= 0.0
     contraction = existence and model.K_gamma_fs * alpha * phi < 1.0
     if spec.a_n > 0:

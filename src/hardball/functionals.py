@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _GAMMA_SPREAD = 1e-5  # nodewise gamma spread up to which gamma_of accepts a field
+_PROBES = 100  # random perturbations each stability classification tries
 
 
 @dataclass(frozen=True)
@@ -239,19 +240,18 @@ def second_variation_P(spec, alpha, gamma, fld, sigma, model=eos.EosModel()):
     return float(_form_P(spec, alpha, fld, curv, np.asarray(sigma, dtype=float)))
 
 
-def second_variation_F(spec, alpha, fld, sigma, project=True):
+def second_variation_F(spec, alpha, fld, sigma):
     """Quadratic form -(1/2)int s''(eta) sigma^2 + (1/2)int int alpha V sigma sigma.
 
-    sigma must carry zero total mass; anything else is projected onto
-    the mass-preserving subspace first.  Positive for every admissible
-    sigma exactly when the solution is a local minimum of F.
+    F is varied at fixed mass, so a sigma carrying more than roundoff of
+    total mass is first projected onto the mass-preserving subspace.
+    Positive for every admissible sigma exactly when the solution is a
+    local minimum of F.
     """
     sig = np.asarray(sigma, dtype=float)
     D = volume_weights(fld.domain)
     mass = float(D @ sig)
     if abs(mass) > 1e-12 * max(1.0, float(np.max(np.abs(sig)))):
-        if not project:
-            raise ValueError("sigma must integrate to zero over the ball")
         sig = _zero_mass(D, sig)
     return float(_form_F(spec, alpha, fld, entropy_density_second(fld.values), sig))
 
@@ -263,42 +263,44 @@ def _stability(lam, stable_sign, scale, failures):
     return StabilityReport(label, lam, failures)
 
 
-def p_stability(spec, alpha, gamma, fld, model=eos.EosModel(), n_probes=100, seed=0):
+def p_stability(spec, alpha, gamma, fld, model=eos.EosModel(), seed=0):
     """Classify the P second variation at a solution.
 
-    probe_failures counts the n_probes random perturbations on which
-    the form is not negative.  extremal_eigenvalue is the form's largest
-    eigenvalue relative to int sigma alpha(-V*sigma): the top one of
-    (c T c - I)/2, c = wp''(gamma+u)^(1/2) and T the attraction in the
-    volume metric, by Lanczos.  c T c has the spectrum of the linearized
-    fixed-point map K = diag(wp'') alpha M, so rho(K) = 1 + 2
-    extremal_eigenvalue, and stable means rho(K) < 1.  Perturbations
-    with alpha M sigma = 0 leave the potential unchanged and do not
-    count.  Assumes a positive semidefinite attraction, as for the
-    Yukawa, Newton and van der Waals kernels, so that matrix has entries
-    at most max(1/2, |lam|), its roundoff scale; at alpha = 0 it is -I/2.
+    probe_failures counts the 100 random perturbations, drawn from
+    seed, on which the form is not negative.  extremal_eigenvalue is
+    the form's largest eigenvalue relative to int sigma alpha(-V*sigma):
+    the top one of (c T c - I)/2, c = wp''(gamma+u)^(1/2) and T the
+    attraction in the volume metric, by Lanczos.  c T c has the
+    spectrum of the linearized fixed-point map K = diag(wp'') alpha M,
+    so rho(K) = 1 + 2 extremal_eigenvalue, and stable means rho(K) < 1.
+    Perturbations with alpha M sigma = 0 leave the potential unchanged
+    and do not count.  Assumes a positive semidefinite attraction, as
+    for the Yukawa, Newton and van der Waals kernels, so that matrix has
+    entries at most max(1/2, |lam|), its roundoff scale; at alpha = 0 it
+    is -I/2.
     """
     curv = _p_curvature(spec, alpha, gamma, fld, model)
-    probes = np.random.default_rng(seed).standard_normal((n_probes, fld.domain.n))
+    probes = np.random.default_rng(seed).standard_normal((_PROBES, fld.domain.n))
     failures = int(np.count_nonzero(_form_P(spec, alpha, fld, curv, probes) >= 0.0))
     top = _top_eigenpair(spec, alpha, fld.domain, np.sqrt(curv))[0] if alpha > 0 else 0.0
     lam = 0.5 * (top - 1.0)
     return _stability(lam, -1.0, max(0.5, abs(lam)), failures)
 
 
-def f_stability(spec, alpha, fld, n_probes=100, seed=0):
+def f_stability(spec, alpha, fld, seed=0):
     """Classify the F second variation over mass-preserving perturbations.
 
-    probe_failures counts the n_probes random zero-mass perturbations on
-    which the form is not positive.  extremal_eigenvalue is the form's
-    smallest eigenvalue relative to int sigma^2 over zero-mass sigma:
-    that of -(1/2)(diag(s''(eta)) + T), T the attraction in the volume
-    metric, on an orthonormal basis orthogonal to D^(1/2), from one
-    dense symmetric eigensolve.  Stable means it is positive.
+    probe_failures counts the 100 random zero-mass perturbations, drawn
+    from seed, on which the form is not positive.  extremal_eigenvalue
+    is the form's smallest eigenvalue relative to int sigma^2 over
+    zero-mass sigma: that of -(1/2)(diag(s''(eta)) + T), T the
+    attraction in the volume metric, on an orthonormal basis orthogonal
+    to D^(1/2), from one dense symmetric eigensolve.  Stable means it
+    is positive.
     """
     D = volume_weights(fld.domain)
     curv = entropy_density_second(fld.values)
-    probes = _zero_mass(D, np.random.default_rng(seed).standard_normal((n_probes, D.size)))
+    probes = _zero_mass(D, np.random.default_rng(seed).standard_normal((_PROBES, D.size)))
     failures = int(np.count_nonzero(_form_F(spec, alpha, fld, curv, probes) <= 0.0))
     basis = scipy.linalg.null_space(np.sqrt(D)[None, :])
     T = _ring_volume_metric(spec, alpha, fld.domain)

@@ -463,7 +463,7 @@ def _gamma_for_mass(model, D, u, N, seed):
     last = [seed]
 
     def evaluate(g):
-        eta = np.asarray(model.wp_prime(g + u, side="left", seed=last[0]), dtype=float)
+        eta = np.asarray(model.wp_prime(g + u, seed=last[0]), dtype=float)
         last[0] = eta
         return float(D @ eta) - N, float(D @ model.response_at(eta)), eta
 

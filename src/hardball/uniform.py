@@ -19,7 +19,7 @@ end of their range.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -146,25 +146,15 @@ class TriplicityRegion:
     """Region of (alpha, gamma) with three uniform roots at coupling tau."""
 
     tau: float
-    fluid_restricted: bool = False
-    alpha_tau_min: float = field(default=ALPHA_TAU_MIN, init=False)
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
 
-    def gamma_hat(self, alpha):
-        return gamma_boundaries(alpha * self.tau, self.fluid_restricted)[1]
-
-    def gamma_check(self, alpha):
-        return gamma_boundaries(alpha * self.tau, self.fluid_restricted)[0]
-
     def contains(self, alpha, gamma):
-        if alpha * self.tau <= self.alpha_tau_min:
+        if alpha * self.tau <= ALPHA_TAU_MIN:
             return False
-        if self.fluid_restricted and alpha * self.tau >= ALPHA_TAU_FS:
-            return False
-        check, hat = gamma_boundaries(alpha * self.tau, self.fluid_restricted)
+        check, hat = gamma_boundaries(alpha * self.tau)
         return check < gamma < hat
 
 

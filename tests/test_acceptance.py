@@ -143,7 +143,7 @@ def test_criterion_04_monotone_iteration_suite():
         hs = eos.EosModel()
         alpha = 15.0 / L1_Y
         gamma = -5.0
-        floor = float(hs.wp_prime(gamma, side="left"))
+        floor = float(hs.wp_prime(gamma))
         for R in (5.0, 15.0, 30.0):
             dom = field.make_domain(R, n=512)
             # the solver's ring quadrature; its integrals are checked
@@ -156,8 +156,7 @@ def test_criterion_04_monotone_iteration_suite():
                 v = np.full(dom.n, start)
                 p_prev = -np.inf
                 for step in range(1, 20001):
-                    new = np.asarray(hs.wp_prime(gamma + ring @ v,
-                                                 side="left"))
+                    new = np.asarray(hs.wp_prime(gamma + ring @ v))
                     # monotone within 1e-12 per step, in the launch sense
                     assert float(np.max(sense * (v - new))) <= 1e-12
                     p = functionals.pressure_functional(
@@ -313,7 +312,7 @@ def test_criterion_10_pde_cross_check():
             r = np.linspace(h, 5.0 - h, n)
             u = field.convolve_at(SPEC_Y, alpha, rep.field, r)
             pot = u / alpha
-            eta = np.asarray(hs.wp_prime(-2.0 + u, side="left"))
+            eta = np.asarray(hs.wp_prime(-2.0 + u))
             lap = (pot[2:] - 2 * pot[1:-1] + pot[:-2]) / h**2 \
                 + (pot[2:] - pot[:-2]) / (h * r[1:-1])
             residuals.append(float(np.max(np.abs(

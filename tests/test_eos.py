@@ -320,16 +320,14 @@ class TestEosModel:
         assert np.all(np.diff(vals, n=2) > -1e-9)
 
     def test_wp_prime_sides(self):
+        # the kink takes the left derivative, the fluid's freezing fraction
         model = eos.EosModel()
-        assert model.wp_prime(model.gamma_fs, "left") == pytest.approx(0.49, abs=1e-12)
-        assert model.wp_prime(model.gamma_fs, "right") == pytest.approx(0.54, abs=1e-12)
-        with pytest.raises(ValueError):
-            model.wp_prime(0.0, side="middle")
+        assert model.wp_prime(model.gamma_fs) == pytest.approx(0.49, abs=1e-12)
 
     def test_wp_prime_fluid_roundtrip(self):
         model = eos.EosModel()
         x = np.linspace(1e-3, 0.49, 200)
-        assert np.allclose(model.wp_prime(eos.g2(x), "left"), x, rtol=1e-9, atol=1e-12)
+        assert np.allclose(model.wp_prime(eos.g2(x)), x, rtol=1e-9, atol=1e-12)
 
     def test_wp_prime_positive_nondecreasing(self):
         model = eos.EosModel()
@@ -360,11 +358,7 @@ class TestEosModel:
         assert model.wp_prime(30.0) > 0.49
 
     def test_branch_restriction(self):
-        model = eos.EosModel()
-        with pytest.raises(ValueError):
-            model.g2_inverse(model.gamma_fs + 0.1)
-        extended = eos.EosModel(mode=eos.MODE_CS_EXTENDED)
-        assert extended.g2_inverse(eos.GAMMA_FS + 0.1) > 0.49
+        assert eos.g2_inverse(eos.GAMMA_FS + 0.1) > 0.49
 
     def test_ideal_mode(self):
         model = eos.EosModel(mode=eos.MODE_IDEAL_GAS)
@@ -373,6 +367,33 @@ class TestEosModel:
             assert model.wp(gamma) == pytest.approx(expected)
             assert model.wp_prime(gamma) == pytest.approx(expected)
             assert model.wp_double_prime(gamma) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("mode", eos.MODES)
+def test_wp_is_the_pressure_at_wp_prime_bit_for_bit(mode):
+    # oracle: wp composed branch by branch from the inversions, with the
+    # kink on the fluid side and the solid pressure shifted to meet it
+    model = eos.EosModel(mode)
+    lo, hi = model.gamma_range()
+    fs = eos.GAMMA_FS
+    gamma = np.concatenate([
+        np.linspace(lo, 100.0, 25001)[1:],
+        np.geomspace(100.0, hi, 1001)[1:-1],
+        [fs, np.nextafter(fs, -np.inf), np.nextafter(fs, np.inf)],
+    ])
+    if mode == eos.MODE_IDEAL_GAS:
+        want = eos.ideal_gas_wp_prime(gamma)
+    else:
+        solid = gamma > fs if mode == eos.MODE_HARD_SPHERE else np.zeros(gamma.shape, bool)
+        shift = float(eos.g1(eos.ETA_FS_LO)) - float(eos.speedy_g3(eos.ETA_FS_HI))
+        want = np.empty_like(gamma)
+        want[~solid] = eos.g1(eos.g2_inverse(gamma[~solid]))
+        if solid.any():
+            want[solid] = shift + eos.speedy_g3(eos.g4_inverse(gamma[solid]))
+    assert np.array_equal(model.wp(gamma), want)
+    for g, w in zip(gamma[::997], want[::997]):
+        assert model.wp(float(g)) == w
+    assert model.wp(fs) == want[-3]
 
 
 @settings(deadline=None)

@@ -393,15 +393,17 @@ class TestPicard:
         assert rep.monotone_direction == "none"
         assert np.max(np.abs(rep.field.values - eta)) == 0.0
 
-    def test_non_convergence_raises(self, dom5):
+    def test_non_convergence_raises(self, dom5, monkeypatch):
+        monkeypatch.setattr(field, "_PICARD_STEPS", 3)
         start = field.constant_field(dom5, float(eos.g2_inverse(-2.0)))
         with pytest.raises(RuntimeError):
-            field.picard_iterate(SPEC_Y, 20.0 / PHI_Y5, -2.0, start, max_iter=3)
+            field.picard_iterate(SPEC_Y, 20.0 / PHI_Y5, -2.0, start)
 
-    def test_non_convergence_names_gamma(self, dom5):
+    def test_non_convergence_names_gamma(self, dom5, monkeypatch):
+        monkeypatch.setattr(field, "_PICARD_STEPS", 3)
         start = field.constant_field(dom5, float(eos.g2_inverse(-2.0)))
         with pytest.raises(RuntimeError, match=r"last gamma -2\.0, sup-norm change"):
-            field.picard_iterate(SPEC_Y, 20.0 / PHI_Y5, -2.0, start, max_iter=3)
+            field.picard_iterate(SPEC_Y, 20.0 / PHI_Y5, -2.0, start)
 
     def test_ideal_gas_leaves_branch(self, dom5):
         # e^(gamma+u) crosses 1 once the potential lifts the argument past 0
@@ -603,12 +605,13 @@ class TestNewton:
         assert np.all(rmin.field.values <= rmid.field.values + 1e-9)
         assert np.all(rmid.field.values <= rmax.field.values + 1e-9)
 
-    def test_fixed_point_noop(self, triple):
+    def test_fixed_point_noop(self, triple, monkeypatch):
         dom, model, _ = triple
         rmin = field.minimal_solution(self.SPEC, self.ALPHA, self.GAMMA, dom,
                                       model=model)
+        monkeypatch.setattr(field, "_NEWTON_TOL", 1e-8)
         rep = field.newton_solve(self.SPEC, self.ALPHA, self.GAMMA, rmin.field,
-                                 model=model, tol=1e-8)
+                                 model=model)
         assert rep.iterations == 0
         assert np.max(np.abs(rep.field.values - rmin.field.values)) == 0.0
 
@@ -671,7 +674,7 @@ def _plain_monotone_picard(spec, alpha, gamma, start, model, tol=1e-10):
     M = field._self_ring(spec, start.domain)
     v, direction = start.values, "none"
     for it in range(1, 20001):
-        new = np.asarray(model.wp_prime(gamma + alpha * (M @ v), side="left", seed=v))
+        new = np.asarray(model.wp_prime(gamma + alpha * (M @ v), seed=v))
         change = float(np.max(np.abs(new - v)))
         if it == 1:
             scale = 1e-14 * max(1.0, float(np.max(np.abs(v))))
@@ -681,7 +684,7 @@ def _plain_monotone_picard(spec, alpha, gamma, start, model, tol=1e-10):
                 direction = "down"
         v = new
         if change < tol:
-            eta = model.wp_prime(gamma + alpha * (M @ v), side="left", seed=v)
+            eta = model.wp_prime(gamma + alpha * (M @ v), seed=v)
             res = float(np.max(np.abs(np.asarray(eta) - v)))
             if res < 1e-9:
                 return v, res, it, direction
@@ -835,6 +838,24 @@ class TestNewtonFinish:
         finish.limit = (middle, finish.aM @ middle, 0.0, 0, gamma)
         assert finish(10, large, gamma, 1e-3, "down") is None
         assert finish.limit is not None  # on the right side, so kept for re-checks
+
+    def test_finish_drops_a_limit_on_the_wrong_side(self, ball_triple, monkeypatch):
+        # handed the middle solution as the limit of a climb from the large
+        # solution, the finish drops it, and having tried once it never
+        # solves or checks a bound again
+        dom, spec, alpha, gamma, small, large, middle = ball_triple
+        M = field._self_ring(spec, dom)
+        finish = field._NewtonFinish(M, alpha, self.EXT, tol=1e-10)
+        finish.tried, finish.checked, finish.aM = True, 1.0, alpha * M
+        finish.limit = (middle, finish.aM @ middle, 0.0, 0, gamma)
+        calls = []
+        monkeypatch.setattr(field, "_newton", lambda *args: calls.append("newton"))
+        monkeypatch.setattr(field, "_contraction_bound", lambda *args: calls.append("bound"))
+        assert finish(10, large, gamma, 1e-3, "up") is None
+        assert finish.limit is None
+        for it, change in ((11, 4e-4), (12, 1e-4), (13, 2e-5)):
+            assert finish(it, large, gamma, change, "up") is None
+        assert calls == []
 
 
 class TestFinishCost:
@@ -1007,7 +1028,7 @@ class TestGridConvergence:
             dom = field.make_domain(5.0, n=n)
             rep = field.minimal_solution(SPEC_Y, alpha, -2.0, dom, tol=1e-13)
             u = field.convolve_at(SPEC_Y, alpha, rep.field, probe)
-            out[n] = np.asarray(model.wp_prime(-2.0 + u, side="left"))
+            out[n] = np.asarray(model.wp_prime(-2.0 + u))
         d1 = np.max(np.abs(out[256] - out[128]))
         d2 = np.max(np.abs(out[512] - out[256]))
         assert d2 <= max(d1 / 3.8, 1e-12)
@@ -1021,7 +1042,7 @@ def _pde_residual_yukawa(spec, alpha, gamma, R, n, model):
     r = np.linspace(h, R - h, n)
     u = field.convolve_at(spec, alpha, rep.field, r)
     pot = u / alpha
-    eta = np.asarray(model.wp_prime(gamma + u, side="left"))
+    eta = np.asarray(model.wp_prime(gamma + u))
     lap = (pot[2:] - 2 * pot[1:-1] + pot[:-2]) / h**2 \
         + (pot[2:] - pot[:-2]) / (h * r[1:-1])
     res = -lap + spec.kappa**2 * pot[1:-1] - 4 * math.pi * spec.a_y * eta[1:-1]
@@ -1061,7 +1082,7 @@ class TestPdeCrossChecks:
             r = np.linspace(h, R - h, n)
             u = field.convolve_at(SPEC_N, alpha, rep.field, r)
             pot = u / alpha
-            eta = np.asarray(model.wp_prime(gamma + u, side="left"))
+            eta = np.asarray(model.wp_prime(gamma + u))
             lap = (pot[2:] - 2 * pot[1:-1] + pot[:-2]) / h**2 \
                 + (pot[2:] - pot[:-2]) / (h * r[1:-1])
             res.append(np.max(np.abs(-lap - 4 * math.pi * eta[1:-1])))

@@ -171,7 +171,7 @@ class TestMonotonePressure:
         )
         for _ in range(40):
             u = field.apply_kernel(SPEC_W, alpha, dom, values)
-            values = model.wp_prime(gamma + u, side="left")
+            values = model.wp_prime(gamma + u)
             cur = functionals.pressure_functional(
                 SPEC_W, alpha, gamma, field.DensityField(dom, values), model=model
             )
@@ -198,19 +198,13 @@ class TestSecondVariations:
         assert got == pytest.approx(expected, rel=1e-12)
         assert got > 0.0
 
-    def test_unprojected_direction_rejected(self, dom5):
-        fld = field.constant_field(dom5, 0.2)
-        sigma = np.ones(dom5.n)
-        with pytest.raises(ValueError):
-            functionals.second_variation_F(SPEC_Y, 0.0, fld, sigma, project=False)
-
     def test_mass_preserving_direction_accepted_unprojected(self, dom5):
         fld = field.constant_field(dom5, 0.2)
         rng = np.random.default_rng(5)
         sigma = rng.standard_normal(dom5.n)
         d = functionals.volume_weights(dom5)
         sigma -= d * (d @ sigma) / (d @ d)
-        got = functionals.second_variation_F(SPEC_Y, 0.0, fld, sigma, project=False)
+        got = functionals.second_variation_F(SPEC_Y, 0.0, fld, sigma)
         assert np.isfinite(got)
 
 
@@ -324,14 +318,13 @@ class TestStabilitySpectrum:
 
     def test_probe_block_matches_sequential_draws(self, triple_branches):
         dom, alpha, gamma, model, lo, mid, hi = triple_branches
-        block = np.random.default_rng(4).standard_normal((30, dom.n))
+        block = np.random.default_rng(4).standard_normal((functionals._PROBES, dom.n))
         rng = np.random.default_rng(4)
-        rows = [rng.standard_normal(dom.n) for _ in range(30)]
+        rows = [rng.standard_normal(dom.n) for _ in range(functionals._PROBES)]
         assert np.array_equal(block, np.array(rows))
         forms = [functionals.second_variation_P(SPEC_W, alpha, gamma, mid, z, model=model)
                  for z in rows]
-        rep = functionals.p_stability(SPEC_W, alpha, gamma, mid, model=model,
-                                      n_probes=30, seed=4)
+        rep = functionals.p_stability(SPEC_W, alpha, gamma, mid, model=model, seed=4)
         assert rep.probe_failures == sum(f >= 0.0 for f in forms)
 
 

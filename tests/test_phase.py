@@ -71,6 +71,16 @@ class TestDropletCriterion:
             phase.droplet_criterion(SPEC_Y, uniform.ALPHA_TAU_MIN / L1_Y)
 
 
+class TestNHat:
+    def test_vapor_fold_mass(self, dom15):
+        got = phase.n_hat(SPEC_Y, ALPHA_31, dom15, model=EXT)
+        assert got == pytest.approx(N_HAT_15, rel=1e-8)
+        # the minimal branch's mass still rises up to gamma_hat
+        gamma_hat = uniform.gamma_boundaries(ALPHA_31 * L1_Y)[1]
+        below = field.minimal_solution(SPEC_Y, ALPHA_31, gamma_hat - 0.01, dom15, model=EXT)
+        assert got > functionals.n_functional(below.field)
+
+
 class TestConstrainedSolve:
     def test_zero_interaction_recovers_constant(self, dom5):
         vol = float(functionals.volume_weights(dom5).sum())
@@ -331,9 +341,7 @@ class TestDropletSolve:
 
     def test_droplet_is_free_energy_stable(self, dom15):
         bp = phase.droplet_solve(SPEC_Y, ALPHA_31, dom15, 440.0, model=EXT)
-        rep = functionals.f_stability(
-            SPEC_Y, ALPHA_31, bp.solution.field, n_probes=20, seed=7,
-        )
+        rep = functionals.f_stability(SPEC_Y, ALPHA_31, bp.solution.field, seed=7)
         assert rep.label == "stable"
         assert rep.probe_failures == 0
 

@@ -189,8 +189,8 @@ class TestTriplicityRegion:
 
     def test_threshold_field(self):
         region = uniform.TriplicityRegion(tau=3.0)
-        assert region.alpha_tau_min == pytest.approx(21.2024541158456, rel=1e-10)
-        assert not region.contains(region.alpha_tau_min / 3.0, -5.0)
+        assert uniform.ALPHA_TAU_MIN == pytest.approx(21.2024541158456, rel=1e-10)
+        assert not region.contains(uniform.ALPHA_TAU_MIN / 3.0, -5.0)
 
 
 class TestPiUniform:
