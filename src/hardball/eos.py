@@ -59,6 +59,7 @@ _BRACKET_LO = 1e-12
 _BRACKET_HI = 1.0 - 1e-12
 _RESIDUAL_TOL = 1e-12
 _SLOW_SWEEPS = 30  # sweeps after which a lane may also stop on its bracket width
+_TABLE_NODES = 4097  # nodes of each inversion table
 _MAX_SWEEPS = 200  # sweeps after which an inversion gives up
 
 
@@ -129,23 +130,22 @@ def g2_derivs(eta, order):
 def _solve_increasing(fn, dfn, target, lo, hi, x0):
     """Vectorized safeguarded Newton for a strictly increasing function.
 
-    Newton steps that leave the current sign-change bracket fall back to
-    bisection, so convergence is unconditional on [lo, hi], which may
-    differ per lane (broadcast like x0 against target).  A lane is
-    frozen once its residual meets the tolerance: each sweep updates and
-    evaluates only the lanes still open, and the solve returns when none
-    are left.  fn and dfn run unchecked, so x0 must lie in [lo, hi].
+    Every lane takes one Newton step from x0 before its residual is
+    first checked, so a start within reach of its root costs two
+    evaluations of fn.  A step that leaves the current sign-change
+    bracket falls back to bisection (the first step may land on a
+    bracket end, later ones must fall strictly inside), so convergence
+    is unconditional on each lane's [lo, hi]; lo, hi and x0 have
+    target's shape.  A lane is frozen once its residual meets the
+    tolerance: each sweep updates and evaluates only the open lanes,
+    and the solve returns when none are left.  fn and dfn run
+    unchecked, so x0 must lie in [lo, hi].
     """
-    t = np.asarray(target, dtype=float)
-    shape = t.shape
-
-    def flat(a):
-        # a view where the shape already fits: only x is written in place
-        a = np.asarray(a, dtype=float)
-        return (a if a.shape == shape else np.broadcast_to(a, shape)).ravel()
-
-    t, lo_a, hi_a = flat(t), flat(lo), flat(hi)
-    x = flat(x0).copy()
+    shape = np.shape(target)
+    t, lo_a, hi_a = (np.ravel(a) for a in (target, lo, hi))
+    x = np.ravel(x0).copy()  # only x is written in place
+    if not x.size:
+        return x.reshape(shape)
     # relative above |target| = 1: near the right endpoint one ulp of x
     # moves fn by ~1e-11 |target|, so an absolute demand is unattainable
     tol = _RESIDUAL_TOL * np.maximum(1.0, np.abs(t))
@@ -153,73 +153,78 @@ def _solve_increasing(fn, dfn, target, lo, hi, x0):
     xa = x
     f = fn(xa) - t
     for sweep in range(_MAX_SWEEPS):
+        lo_a = np.where(f < 0.0, xa, lo_a)
+        hi_a = np.where(f > 0.0, xa, hi_a)
+        with np.errstate(all="ignore"):
+            xn = xa - f / dfn(xa)
+        # a NaN or infinite step fails both tests; the first step may land
+        # on a bracket end, where a start on its root at a range end stays
+        inside = (xn > lo_a) & (xn < hi_a) if sweep else (xn >= lo_a) & (xn <= hi_a)
+        xa = np.where(inside, xn, 0.5 * (lo_a + hi_a))
+        f = fn(xa) - t
         done = np.abs(f) < tol
         if sweep >= _SLOW_SWEEPS:
             # near a pole one ulp of x moves fn by more than tol; a lane
             # bracketed to a few ulps is as converged as doubles allow
             done |= hi_a - lo_a <= 4.0 * np.spacing(hi_a)
-        if done.any():
-            x[lanes[done]] = xa[done]
-            keep = ~done
-            if not keep.any():
-                return x.reshape(shape)
-            lanes, xa, t, tol, f, lo_a, hi_a = (
-                a[keep] for a in (lanes, xa, t, tol, f, lo_a, hi_a)
-            )
-        lo_a = np.where(f < 0.0, xa, lo_a)
-        hi_a = np.where(f > 0.0, xa, hi_a)
-        with np.errstate(all="ignore"):
-            xn = xa - f / dfn(xa)
-        inside = np.isfinite(xn) & (xn > lo_a) & (xn < hi_a)
-        xa = np.where(inside, xn, 0.5 * (lo_a + hi_a))
-        f = fn(xa) - t
+        x[lanes[done]] = xa[done]
+        keep = ~done
+        if not keep.any():
+            return x.reshape(shape)
+        lanes, xa, t, tol, f, lo_a, hi_a = (a[keep] for a in (lanes, xa, t, tol, f, lo_a, hi_a))
     raise RuntimeError("inversion did not reach the residual tolerance")
 
 
-def _logit_table(fn, lo, hi):
-    """Nodes from lo to hi, uniform in the logit of their position, and fn there.
+def _logit_table(fn, dfn, lo, hi):
+    """Inversion table of fn on nodes from lo to hi, uniform in the logit of their position.
 
-    Each target's table cell is its starting bracket, so no start lies
-    far from its root: from deep inside a pole (g2 at eta -> 1, g4 at
-    close packing) Newton only creeps.
+    Returns fn at the nodes and one packed row per cell, (gamma0, 1/h,
+    a0, a1, a2, a3, x0, x1): the cell's nodes x0 < x1, where fn is gamma0
+    and gamma0 + h, and the cubic Hermite interpolant of ln x between
+    them, a0 + s (a1 + s (a2 + s a3)) at s = (gamma - gamma0)/h, matched
+    to ln x and its slope 1/(x fn'(x)) at both nodes.  Each target's
+    cell is its bracket, so no start lies outside it: from deep inside a
+    pole (g2 at eta -> 1, g4 at close packing) Newton only creeps.
     """
-    z = 1.0 / (1.0 + np.exp(-np.linspace(-27.0, 27.0, 109)))
+    z = 1.0 / (1.0 + np.exp(-np.linspace(-27.0, 27.0, _TABLE_NODES)))
     x = lo + (hi - lo) * z
     x[[0, -1]] = lo, hi
-    return x, fn(x)
+    g, y = fn(x), np.log(x)
+    h, dy = np.diff(g), np.diff(y)
+    m = 1.0 / (x * dfn(x))
+    m0, m1 = h * m[:-1], h * m[1:]
+    rows = (g[:-1], 1.0 / h, y[:-1], m0, 3.0 * dy - 2.0 * m0 - m1, m0 + m1 - 2.0 * dy,
+            x[:-1], x[1:])
+    return g, np.array(rows)
 
 
-def _invert(fn, dfn, table, gamma, seed):
-    """Solve fn(eta) = gamma lane by lane from seed, inside gamma's table cell."""
-    x_tab, f_tab = table
-    cell = np.clip(np.searchsorted(f_tab, gamma), 1, f_tab.size - 1)
-    lo, hi = x_tab[cell - 1], x_tab[cell]
-    return _solve_increasing(fn, dfn, gamma, lo, hi, np.clip(seed, lo, hi))
+def _invert(fn, dfn, table, gamma):
+    """Solve fn(eta) = gamma lane by lane from the table's Hermite value, inside gamma's cell."""
+    g_tab, rows = table
+    # the inner nodes count the cell: targets at the table's ends fall in its end cells
+    g0, inv_h, a0, a1, a2, a3, lo, hi = rows.take(np.searchsorted(g_tab[1:-1], gamma), axis=1)
+    s = (gamma - g0) * inv_h
+    start = np.minimum(np.maximum(np.exp(a0 + s * (a1 + s * (a2 + s * a3))), lo), hi)
+    return _solve_increasing(fn, dfn, gamma, lo, hi, start)
 
 
-_G2_TABLE = _logit_table(_g2, _BRACKET_LO, _BRACKET_HI)
+_G2_TABLE = _logit_table(_g2, _g2_prime, _BRACKET_LO, _BRACKET_HI)
 # Bracket images, used to reject unreachable targets before iterating.
-_G2_LO, _G2_HI = float(_G2_TABLE[1][0]), float(_G2_TABLE[1][-1])
+_G2_LO, _G2_HI = float(_G2_TABLE[0][0]), float(_G2_TABLE[0][-1])
 
 
-def g2_inverse(gamma, seed=None):
+def g2_inverse(gamma):
     """Invert g2 on (0, 1) by safeguarded Newton with bisection fallback.
 
-    The residual |g2(result) - gamma| is driven below 1e-12 max(1, |gamma|).
-    seed, a packing fraction per target (e.g. the caller's current
-    profile), replaces the built-in starting guess; it is clipped into
-    the target's table cell, so any seed is safe.
+    The start is the table's Hermite value at gamma; the residual
+    |g2(result) - gamma| is driven below 1e-12 max(1, |gamma|).
     """
     g = np.asarray(gamma, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("gamma must be finite")
     if np.any(g < _G2_LO) or np.any(g > _G2_HI):
         raise ValueError("gamma outside the invertible bracket")
-    if seed is None:
-        # Below gamma ~ -3 the ideal-gas exponential is an excellent seed.
-        seed = np.where(g < 0.0, np.exp(np.clip(g, -27.0, 0.0)), 0.25)
-    x = _invert(_g2, _g2_prime, _G2_TABLE, g, seed)
-    return _scalar_like(gamma, x)
+    return _scalar_like(gamma, _invert(_g2, _g2_prime, _G2_TABLE, g))
 
 
 GAMMA_FS = float(g2(ETA_FS_LO))  # freezing chemical potential, ~15.2085
@@ -256,6 +261,11 @@ def _speedy_g3_prime(eta):
     return _speedy_z(y) + y * _speedy_z_prime(y)
 
 
+def _speedy_g4_prime(e):
+    """Derivative of speedy_g4, g3'(eta)/eta by the density relation."""
+    return _speedy_g3_prime(e) / e
+
+
 _Y_MELT = ETA_FS_HI / ETA_FCC
 _Z_MELT = _speedy_z(_Y_MELT)
 
@@ -288,24 +298,17 @@ def speedy_g4(eta):
 
 _G4_HI_ETA = ETA_FCC * (1.0 - 1e-13)
 _G4_HI = float(speedy_g4(_G4_HI_ETA))
-_G4_TABLE = _logit_table(_speedy_g4, ETA_FS_HI, _G4_HI_ETA)
+_G4_TABLE = _logit_table(_speedy_g4, _speedy_g4_prime, ETA_FS_HI, _G4_HI_ETA)
 
 
-def g4_inverse(gamma, seed=None):
-    """Invert speedy_g4 on [0.54, eta_fcc); seed as for g2_inverse."""
+def g4_inverse(gamma):
+    """Invert speedy_g4 on [0.54, eta_fcc) from a table start, as g2_inverse."""
     g = np.asarray(gamma, dtype=float)
     if not np.all(np.isfinite(g)):
         raise ValueError("gamma must be finite")
     if np.any(g < GAMMA_FS) or np.any(g > _G4_HI):
         raise ValueError("gamma outside the solid branch")
-    x = _invert(
-        _speedy_g4,
-        lambda e: _speedy_g3_prime(e) / e,
-        _G4_TABLE,
-        g,
-        0.6 if seed is None else seed,
-    )
-    return _scalar_like(gamma, x)
+    return _scalar_like(gamma, _invert(_speedy_g4, _speedy_g4_prime, _G4_TABLE, g))
 
 
 def find_inflection():
@@ -381,30 +384,24 @@ class EosModel:
                          _SOLID_PRESSURE_SHIFT + _speedy_g3(np.maximum(e, ETA_FS_HI)))
         return _scalar_like(gamma, p.reshape(np.shape(gamma)))
 
-    def wp_prime(self, gamma, seed=None):
+    def wp_prime(self, gamma):
         """Equilibrium packing fraction at chemical potential gamma.
 
         At the hard-sphere kink gamma_fs this is the left derivative,
-        the fluid's 0.49.  seed, a packing fraction per gamma that the
-        caller already holds (say the current profile), starts the
-        inversion there; in hard-sphere mode each lane's seed goes to
-        the branch its gamma falls on and is clipped into that branch's
-        bracket, so a seed from the other branch is harmless.  The
-        result meets the same residual with or without a seed.
+        the fluid's 0.49.  Each lane is inverted from the table alone, so
+        the same gamma gives the same bits in any call.
         """
         if self.mode == MODE_IDEAL_GAS:
             return ideal_gas_wp_prime(gamma)
         if self.mode == MODE_CS_EXTENDED:
-            return g2_inverse(gamma, seed)
+            return g2_inverse(gamma)
         g = np.atleast_1d(np.asarray(gamma, dtype=float))
         fluid = g <= self.gamma_fs
-        if seed is not None:
-            seed = np.broadcast_to(np.asarray(seed, dtype=float), g.shape)
         out = np.empty_like(g)
         if np.any(fluid):
-            out[fluid] = g2_inverse(g[fluid], None if seed is None else seed[fluid])
+            out[fluid] = g2_inverse(g[fluid])
         if np.any(~fluid):
-            out[~fluid] = g4_inverse(g[~fluid], None if seed is None else seed[~fluid])
+            out[~fluid] = g4_inverse(g[~fluid])
         return _scalar_like(gamma, out.reshape(np.shape(gamma)))
 
     def _reject_kink(self, gamma):

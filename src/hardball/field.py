@@ -179,8 +179,10 @@ class SolveReport:
     finish, the finishing Newton steps.  A finished Picard profile is
     the monotone limit the labels speak of, by the contraction
     certificate of `picard_iterate`, to Newton's residual.  residual is
-    max|wp'(gamma + u) - eta| by an inversion seeded by eta: 0.0 means each
-    lane meets the EOS tolerance 1e-12 max(1, |gamma + u|), not an exact solution.
+    max|wp'(gamma + u) - eta| at the returned eta and gamma, with
+    u = alpha M eta as the solve applied it (a mass-bordered Newton
+    finish also counts its mass row).  wp' is a pure function of its
+    argument, so the same u gives the same residual bit for bit.
     """
 
     field: DensityField
@@ -460,19 +462,18 @@ def _report(domain, values, gamma, u, iterations, residual, direction="none"):
 def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol, finish=None):
     """Iterate eta -> wp'(gamma + u), u = alpha M eta, with gamma_rule(u, eta).
 
-    gamma_rule returns gamma and the new profile wp'(gamma + u), each
-    EOS inversion seeded by the current profile.  The one loop behind
-    the grand problem (gamma_rule a constant) and the mass-constrained
-    one (gamma_rule the Lagrange multiplier that holds the mass, which
-    holds the profile at the gamma it returns).  Stops only when the
-    sup-norm change drops below tol AND the residual at the last step's
-    gamma drops below 1e-9, so a stalled sequence runs into max_iter
-    and raises instead of reporting false convergence.  The monotone
-    direction is read off the first step.  finish, if given, is offered
-    every later iterate that has not yet stopped, as finish(iteration,
-    eta, gamma, change, direction); a non-None answer (profile,
-    potential, residual, steps, gamma) ends the loop there, with its
-    steps added to the iteration count and its gamma returned.
+    gamma_rule returns gamma and the new profile wp'(gamma + u).  The
+    one loop behind the grand problem (gamma_rule a constant) and the
+    mass-constrained one (gamma_rule the Lagrange multiplier that holds
+    the mass, which holds the profile at the gamma it returns).  Stops
+    only when the sup-norm change drops below tol AND the residual at
+    the last step's gamma drops below 1e-9, so a stalled sequence runs
+    into max_iter and raises instead of reporting false convergence.
+    The monotone direction is read off the first step.  finish, if
+    given, is offered every later iterate that has not yet stopped, as
+    finish(iteration, eta, gamma, change, direction); a non-None answer
+    (profile, potential, residual, steps, gamma) ends the loop there,
+    with its steps added to the iteration count and its gamma returned.
     Returns the report and the last gamma.
     """
     v = eta0.values
@@ -496,7 +497,7 @@ def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol, finish=None):
         if change < tol:
             u = alpha * (M @ v)
             res = float(np.max(np.abs(
-                np.asarray(model.wp_prime(gamma + u, seed=v)) - v
+                np.asarray(model.wp_prime(gamma + u)) - v
             )))
             if res < _RESIDUAL_TOL:
                 return _report(eta0.domain, v, gamma, u, it, res, direction), gamma
@@ -537,7 +538,7 @@ def _contraction_bound(aM, absM, gamma, model, lo, hi, y):
     if model.mode == eos.MODE_HARD_SPHERE and np.max(ghi) >= model.gamma_fs:
         return math.inf, y
     peak = np.clip(model.gamma_wr, glo, ghi)
-    r = model.response_at(np.asarray(model.wp_prime(peak, seed=hi)))
+    r = model.response_at(np.asarray(model.wp_prime(peak)))
     bound = math.inf
     for _ in range(_POWER_STEPS):
         By = r * (absM @ y)
@@ -679,7 +680,7 @@ def picard_iterate(spec, alpha, gamma, eta0, tol=1e-10, model=eos.EosModel()):
     M = _self_ring(spec, eta0.domain)
 
     def rule(u, v):
-        eta = model.wp_prime(gamma + u, seed=v)
+        eta = model.wp_prime(gamma + u)
         return gamma, np.asarray(eta, dtype=float)
 
     finish = None
@@ -810,7 +811,7 @@ def _newton(aM, gamma, model, v, tol, max_iter, callback=None, border=None):
     def resid(x):
         vec, g = (x[:n], x[n]) if border is not None else (x, gamma)
         u = aM @ vec
-        eta = np.asarray(model.wp_prime(g + u, seed=vec))
+        eta = np.asarray(model.wp_prime(g + u))
         F = vec - eta
         return (F if border is None else np.append(F, w @ vec - mean)), u, eta
 

@@ -448,11 +448,11 @@ def _gamma_for_mass(model, D, u, N, seed):
 
     Returns (gamma, eta).  The start linearizes each lane about seed,
     the profile the caller holds; each step of `_newton_on_gamma` is
-    one `wp_prime` inversion seeded by the last profile, with slope
-    D.wp'' read off it by `EosModel.response_at`.  The window is where
-    every lane gamma + u is invertible; a target outside it raises
-    ValueError.  The solve stops once the step is below the inversion's
-    resolution 1e-12 max(1, |gamma + u|).
+    one `wp_prime` inversion, with slope D.wp'' read off it by
+    `EosModel.response_at`.  The window is where every lane gamma + u
+    is invertible; a target outside it raises ValueError.  The solve
+    stops once the step is below the inversion's resolution
+    1e-12 max(1, |gamma + u|).
     """
     g_min, g_max = model.gamma_range()
     u_lo, u_hi = float(np.min(u)), float(np.max(u))
@@ -460,11 +460,9 @@ def _gamma_for_mass(model, D, u, N, seed):
     bottom = g_min - u_lo + 1e-12 * (abs(g_min) + abs(u_lo))
     top = g_max - u_hi - 1e-12 * (abs(g_max) + abs(u_hi))
     u_abs = float(np.max(np.abs(u)))
-    last = [seed]
 
     def evaluate(g):
-        eta = np.asarray(model.wp_prime(g + u, seed=last[0]), dtype=float)
-        last[0] = eta
+        eta = np.asarray(model.wp_prime(g + u), dtype=float)
         return float(D @ eta) - N, float(D @ model.response_at(eta)), eta
 
     w = D * model.response_at(seed)

@@ -140,35 +140,24 @@ class TestInversionWork:
         assert np.max(np.abs(eos.g2(eta) - self.GAMMA) / scale) < 1e-12
 
     def test_converged_lanes_are_not_evaluated_again(self, monkeypatch):
-        seed = eos.g2_inverse(self.GAMMA)
-        seed[0] = 0.9  # one lane starts far above its root
+        gamma = self.GAMMA.copy()
+        gamma[0] = 1e20  # one lane so near the pole that it stops on its bracket width
         counts = _count_sweeps(monkeypatch)
-        eos.g2_inverse(self.GAMMA, seed=seed)
+        eos.g2_inverse(gamma)
         assert counts["sweeps"] > 2
-        # the first sweep sees every lane, each later one only the open lane
-        assert counts["lanes"] == self.GAMMA.size + counts["sweeps"] - 1
-
-    def test_exact_seed_returns_after_one_evaluation(self, monkeypatch):
-        exact = eos.g2_inverse(self.GAMMA)
-        counts = _count_sweeps(monkeypatch)
-        assert np.array_equal(eos.g2_inverse(self.GAMMA, seed=exact), exact)
-        assert counts == {"sweeps": 1, "lanes": self.GAMMA.size}
+        # two sweeps see every lane, each later one only the slow lane
+        assert counts["lanes"] == 2 * gamma.size + counts["sweeps"] - 2
 
     def test_seeds_on_the_wrong_side_still_converge(self):
         model = eos.EosModel()
         gamma = np.linspace(eos.GAMMA_FS - 3.0, eos.GAMMA_FS + 3.0, 61)
         fluid = gamma <= eos.GAMMA_FS
-        crossed = np.where(fluid, 0.6, 0.3)  # each lane seeded on the other branch
-        for seed in (0.3, 0.6, crossed, -1.0, 2.0):
-            eta = model.wp_prime(gamma, seed=seed)
-            back = np.where(fluid, eos.g2(np.where(fluid, eta, 0.3)),
-                            eos.speedy_g4(np.where(fluid, 0.6, eta)))
-            scale = np.maximum(1.0, np.abs(gamma))
-            assert np.max(np.abs(back - gamma) / scale) < 1e-12
-        assert isinstance(model.wp_prime(eos.GAMMA_FS + 1.0, seed=0.3), float)
-        assert eos.g4_inverse(eos.GAMMA_FS + 1.0, seed=0.3) == pytest.approx(
-            eos.g4_inverse(eos.GAMMA_FS + 1.0), rel=1e-12
-        )
+        eta = model.wp_prime(gamma)
+        back = np.where(fluid, eos.g2(np.where(fluid, eta, 0.3)),
+                        eos.speedy_g4(np.where(fluid, 0.6, eta)))
+        scale = np.maximum(1.0, np.abs(gamma))
+        assert np.max(np.abs(back - gamma) / scale) < 1e-12
+        assert isinstance(model.wp_prime(eos.GAMMA_FS + 1.0), float)
 
     def test_range_ends_invert(self):
         # near the poles one ulp of eta moves g2 or g4 by more than the
@@ -184,9 +173,50 @@ class TestInversionWork:
 
     def test_seeded_shape_preserved(self):
         gamma = np.array([[0.0, 1.0], [2.0, 3.0]])
-        out = eos.g2_inverse(gamma, seed=np.full((2, 2), 0.3))
+        out = eos.g2_inverse(gamma)
         assert out.shape == (2, 2)
-        assert np.allclose(out, eos.g2_inverse(gamma), rtol=1e-12)
+        assert np.array_equal(out, eos.g2_inverse(gamma.ravel()).reshape(2, 2))
+
+    @pytest.mark.parametrize("mode", eos.MODES)
+    def test_empty_targets(self, mode, monkeypatch):
+        counts = _count_sweeps(monkeypatch)
+        for shape in ((0,), (3, 0)):
+            empty = np.zeros(shape)
+            assert eos.EosModel(mode=mode).wp_prime(empty).shape == shape
+            assert eos.g2_inverse(empty).shape == shape
+            assert eos.g4_inverse(empty).shape == shape
+        assert counts == {"sweeps": 0, "lanes": 0}
+
+    @pytest.mark.parametrize("mode", eos.MODES)
+    def test_dense_sample_meets_the_tolerance_in_two_evaluations(self, mode, monkeypatch):
+        model = eos.EosModel(mode=mode)
+        lo, hi = model.gamma_range()
+        # above 1e4 on the solid branch one ulp of eta moves g4 by more
+        # than the tolerance, and those lanes stop on their bracket width
+        top = {eos.MODE_CS_EXTENDED: 1e6, eos.MODE_HARD_SPHERE: 1e4}.get(mode, hi)
+        fs = eos.GAMMA_FS
+        inner = np.concatenate([np.linspace(-27.0, 100.0, 20001)[1:],
+                                np.geomspace(100.0, top, 2001)[1:-1],
+                                [fs, np.nextafter(fs, -np.inf), np.nextafter(fs, np.inf)]])
+        gamma = np.concatenate([inner, [lo, np.nextafter(lo, np.inf),
+                                        np.nextafter(hi, -np.inf), hi]])
+        eta = np.asarray(model.wp_prime(gamma))
+        scale = np.maximum(1.0, np.abs(gamma))
+        assert np.max(np.abs(model.gamma_at(eta) - gamma) / scale) < 1e-12
+        counts = _count_sweeps(monkeypatch)
+        assert np.array_equal(model.wp_prime(inner), eta[:inner.size])
+        evaluations = 0 if mode == eos.MODE_IDEAL_GAS else 2
+        assert counts["lanes"] == evaluations * inner.size
+
+    @pytest.mark.parametrize("mode", eos.MODES)
+    def test_lanes_are_independent(self, mode):
+        # wp' is a pure function of gamma: no lane depends on its batch
+        model = eos.EosModel(mode=mode)
+        gamma = np.random.default_rng(5).uniform(-27.0, 40.0, 512)
+        gamma[:3] = 1e20 if mode == eos.MODE_CS_EXTENDED else 30.0, eos.GAMMA_FS, -27.0
+        batch = model.wp_prime(gamma)
+        alone = np.array([model.wp_prime(float(g)) for g in gamma])
+        assert np.array_equal(batch, alone)
 
 
 class TestSolidBranch:

@@ -424,6 +424,17 @@ class TestPicard:
         assert rep.certified_fluid
         assert np.all(rep.field.values < eos.ETA_FS_LO)
 
+    def test_reported_residual_is_recomputed_bit_for_bit(self, dom5):
+        # wp' is a pure function of gamma, so the closing check's residual
+        # is the one a caller recomputes from the returned profile
+        alpha = 10.0 / PHI_Y5
+        rep = field.minimal_solution(SPEC_Y, alpha, -2.0, dom5)
+        v = rep.field.values
+        u = alpha * (field._self_ring(SPEC_Y, dom5) @ v)
+        res = float(np.max(np.abs(np.asarray(eos.EosModel().wp_prime(-2.0 + u)) - v)))
+        assert rep.residual == res
+        assert res < 1e-9
+
 
 class TestExtremalSolutions:
     def test_minimal_below_maximal(self, dom5):
@@ -674,7 +685,7 @@ def _plain_monotone_picard(spec, alpha, gamma, start, model, tol=1e-10):
     M = field._self_ring(spec, start.domain)
     v, direction = start.values, "none"
     for it in range(1, 20001):
-        new = np.asarray(model.wp_prime(gamma + alpha * (M @ v), seed=v))
+        new = np.asarray(model.wp_prime(gamma + alpha * (M @ v)))
         change = float(np.max(np.abs(new - v)))
         if it == 1:
             scale = 1e-14 * max(1.0, float(np.max(np.abs(v))))
@@ -684,7 +695,7 @@ def _plain_monotone_picard(spec, alpha, gamma, start, model, tol=1e-10):
                 direction = "down"
         v = new
         if change < tol:
-            eta = model.wp_prime(gamma + alpha * (M @ v), seed=v)
+            eta = model.wp_prime(gamma + alpha * (M @ v))
             res = float(np.max(np.abs(np.asarray(eta) - v)))
             if res < 1e-9:
                 return v, res, it, direction
