@@ -1,4 +1,4 @@
-"""Batch front end: config files, subcommands, CSV output.
+"""Batch front end: config files, subcommands, CSV output, profile read-back.
 
 Every subcommand is a pure function of its configuration: outputs carry
 a header block echoing the full configuration, floats are written with
@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 solver failure, 2 configuration error.
 """
 
 import argparse
+import ast
 import configparser
 import math
 import os
@@ -240,6 +241,44 @@ def _write_csv(cfg, command, name, columns, rows):
                 item if isinstance(item, str) else _fmt(item)
                 for item in row) + "\n")
     return path
+
+
+def read_profiles(path):
+    """Read back a `solve` or `transition` profile file: (RunConfig, {column: DensityField}).
+
+    The header's `# key = repr` lines give the config the run echoed,
+    whose grid is rebuilt; the file's r column must match its nodes to
+    1e-12 R.  Every eta_* column becomes a DensityField on that grid.
+    A malformed file raises ValueError, an echoed config that does not
+    validate ConfigError.
+    """
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    names = {spec_field.name for spec_field in fields(RunConfig)}
+    echoed = {}
+    for line in lines:
+        if line.startswith("# ") and " = " in line:  # not "# hardball <command>"
+            key, _, value = line[2:].partition(" = ")
+            if key not in names:
+                raise ValueError(f"{path}: header key {key!r} is not a RunConfig field")
+            echoed[key] = ast.literal_eval(value)
+    columns, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+    profiles = [name for name in columns if name.startswith("eta_")]
+    if "r" not in columns:
+        raise ValueError(f"{path}: no r column")
+    if not profiles:
+        raise ValueError(f"{path}: no eta_* column")
+    if any(len(row) != len(columns) for row in rows):
+        raise ValueError(f"{path}: a row's width differs from the column count")
+    cfg = replace(RunConfig(), **echoed).validate()
+    domain = cfg.domain()
+    data = {name: np.array([float(row[i]) for row in rows])
+            for i, name in enumerate(columns)}
+    r = data["r"]
+    if r.shape != domain.nodes.shape or np.max(np.abs(r - domain.nodes)) > 1e-12 * cfg.radius:
+        raise ValueError(f"{path}: the r column does not match the nodes of the "
+                         f"rebuilt grid (radius {cfg.radius!r}, nodes {cfg.nodes!r})")
+    return cfg, {name: field.DensityField(domain, data[name]) for name in profiles}
 
 
 def _sweep(items, worker, jobs):

@@ -60,8 +60,6 @@ __all__ = [
     "subsolution_launch",
     "newton_solve",
     "predicates",
-    "write_csv",
-    "read_csv",
 ]
 
 _FLUID_MARGIN = 1e-9  # strict margin for the certified-fluid flag
@@ -84,70 +82,45 @@ _FINISH_STEPS, _FINISH_POWER = 4.5, 17.0
 _DENSE_MAX = 512  # largest node count for the Newton finish and the dense ring matrix
 _SEGMENT = 500.0  # kappa-length of one segment of RingOperator's discounted sums
 _POWER_STEPS, _POWER_MOVED = 100, 1e-10  # power steps per contraction bound, at most
+_PANEL = 8  # Gauss-Legendre nodes per panel of every grid
 
 
 @dataclass(eq=False)
 class RadialDomain:
-    """Composite quadrature grid on [0, R].
+    """Composite Gauss-Legendre grid on [0, R]: n/8 equal panels of 8 nodes.
 
     nodes and weights integrate smooth functions of s against ds; the
-    s^2 volume factor is applied by the caller.  edges carries the
-    panel boundaries when the grid is panel-structured, which the
-    convolution assembly needs to split integrands at their kink.
+    s^2 volume factor is applied by the caller.  edges are the panel
+    boundaries, where the convolution assembly splits integrands at
+    their kink.
     """
 
     R: float
     n: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    edges: np.ndarray | None = None
-    _rings: dict = dc_field(default_factory=dict, repr=False)
+    nodes: np.ndarray = dc_field(init=False)
+    weights: np.ndarray = dc_field(init=False)
+    edges: np.ndarray = dc_field(init=False)
+    _rings: dict = dc_field(default_factory=dict, init=False, repr=False)
     _ring_lock: threading.Lock = dc_field(
         default_factory=threading.Lock, init=False, repr=False
     )
 
     def __post_init__(self):
-        if self.R <= 0:
+        if not self.R > 0:
             raise ValueError("R must be positive")
-        self.nodes = np.asarray(self.nodes, dtype=float)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.nodes.shape != (self.n,) or self.weights.shape != (self.n,):
-            raise ValueError("nodes and weights must both have length n")
-        if np.any(np.diff(self.nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        if np.any(self.nodes <= 0) or np.any(self.nodes >= self.R):
-            raise ValueError("nodes must lie strictly inside (0, R)")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
-        third = float(self.weights @ self.nodes**2)
-        if abs(third - self.R**3 / 3.0) > 1e-12 * self.R**3 / 3.0:
-            raise ValueError("weights do not reproduce int_0^R s^2 ds")
-        if self.edges is not None:
-            # the panel split reads each panel's nodes off these edges
-            e = self.edges = np.asarray(self.edges, dtype=float)
-            if e.ndim != 1 or e.size < 2 or np.any(np.diff(e) <= 0):
-                raise ValueError("edges must be strictly increasing")
-            if e[0] != 0.0 or e[-1] != self.R:
-                raise ValueError("edges must run from 0 to R")
-            if self.n % (e.size - 1) or self.n // (e.size - 1) < 2:
-                raise ValueError("n must be a multiple of the panel count, "
-                                 "with at least 2 nodes per panel")
-            pn = self.nodes.reshape(e.size - 1, -1)
-            if np.any(pn[:, 0] <= e[:-1]) or np.any(pn[:, -1] >= e[1:]):
-                raise ValueError("panel nodes must lie strictly inside their edges")
+        if self.n <= 0 or self.n % _PANEL:
+            raise ValueError(f"n must be a positive multiple of {_PANEL}")
+        x, w = np.polynomial.legendre.leggauss(_PANEL)
+        self.edges = np.linspace(0.0, self.R, self.n // _PANEL + 1)
+        half = 0.5 * (self.edges[1:] - self.edges[:-1])
+        mid = 0.5 * (self.edges[1:] + self.edges[:-1])
+        self.nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+        self.weights = (half[:, None] * w[None, :]).ravel()
 
 
-def make_domain(R, n=512, panel=8):
-    """Composite Gauss-Legendre grid: n/panel equal panels on [0, R]."""
-    if n <= 0 or panel < 2 or n % panel:
-        raise ValueError("n must be a positive multiple of the panel size")
-    x, w = np.polynomial.legendre.leggauss(panel)
-    edges = np.linspace(0.0, R, n // panel + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return RadialDomain(R=float(R), n=n, nodes=nodes, weights=weights, edges=edges)
+def make_domain(R, n=512):
+    """The grid of n nodes on [0, R]; see `RadialDomain`."""
+    return RadialDomain(float(R), n)
 
 
 @dataclass(eq=False)
@@ -241,10 +214,8 @@ def _ring_matrix(spec, domain, targets):
     if np.any(~pos):
         M[~pos] = 4.0 * math.pi * w * s**2 * (-kernels.kernel_eval(spec, s))
 
-    if domain.edges is not None:
-        panel = s.size // (domain.edges.size - 1)
-        for block, kb, vals in _panel_split(spec, domain, t):
-            M[block[:, None], kb[:, None] * panel + np.arange(panel)] = vals
+    for block, kb, vals in _panel_split(spec, domain, t):
+        M[block[:, None], kb[:, None] * _PANEL + np.arange(_PANEL)] = vals
     return M
 
 
@@ -257,11 +228,10 @@ def _panel_split(spec, domain, t):
     """
     s = domain.nodes
     edges = domain.edges
-    pn = s.reshape(edges.size - 1, -1)  # the nodes of each panel
-    panel = pn.shape[1]
-    xg, wg = np.polynomial.legendre.leggauss(panel)
+    pn = s.reshape(-1, _PANEL)  # the nodes of each panel
+    xg, wg = np.polynomial.legendre.leggauss(_PANEL)
     gap = pn[:, :, None] - pn[:, None, :]
-    gap[:, np.arange(panel), np.arange(panel)] = 1.0
+    gap[:, np.arange(_PANEL), np.arange(_PANEL)] = 1.0
     bw = 1.0 / np.prod(gap, axis=2)  # barycentric weights of each panel
     k = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, edges.size - 2)
     rows = np.flatnonzero((edges[k] < t) & (t < edges[k + 1]))
@@ -346,29 +316,25 @@ class RingOperator:
             self._up = _Discount(x)
             self._down = _Discount(-x[::-1])
             self._step = np.exp(x[:-1] - x[1:])[:, None]
-        self._blocks = None
-        if domain.edges is not None:
-            panels = domain.edges.size - 1
-            split = np.empty((t.size, t.size // panels))
-            for block, _, vals in _panel_split(spec, domain, t):
-                split[block] = vals
-            pn = t.reshape(panels, -1)
-            lo = np.minimum(pn[:, :, None], pn[:, None, :])
-            hi = np.maximum(pn[:, :, None], pn[:, None, :])
-            green = self._a_n * lo
-            if spec.a_y:
-                k = spec.kappa
-                green += self._a_y * np.exp(-k * (hi - lo)) * (-0.5 * np.expm1(-2.0 * k * lo))
-            formula = (self._post.reshape(panels, -1, 1) * green
-                       * self._pre.reshape(panels, 1, -1))
-            self._blocks = split.reshape(panels, -1, split.shape[1]) - formula
+        split = np.empty((t.size, _PANEL))
+        for block, _, vals in _panel_split(spec, domain, t):
+            split[block] = vals
+        pn = t.reshape(-1, _PANEL)
+        lo = np.minimum(pn[:, :, None], pn[:, None, :])
+        hi = np.maximum(pn[:, :, None], pn[:, None, :])
+        green = self._a_n * lo
+        if spec.a_y:
+            k = spec.kappa
+            green += self._a_y * np.exp(-k * (hi - lo)) * (-0.5 * np.expm1(-2.0 * k * lo))
+        formula = (self._post.reshape(-1, _PANEL, 1) * green
+                   * self._pre.reshape(-1, 1, _PANEL))
+        self._blocks = split.reshape(-1, _PANEL, _PANEL) - formula
 
     @property
     def T(self):
         op = copy.copy(self)
         op._post, op._pre = self._pre, self._post
-        if self._blocks is not None:
-            op._blocks = self._blocks.transpose(0, 2, 1)
+        op._blocks = self._blocks.transpose(0, 2, 1)
         return op
 
     def _green(self, Z):
@@ -388,9 +354,7 @@ class RingOperator:
         x = np.asarray(x, dtype=float)
         Z = x.reshape(self.shape[1], -1)
         out = self._post * self._green(self._pre * Z)
-        if self._blocks is not None:
-            panels, p, _ = self._blocks.shape
-            out += (self._blocks @ Z.reshape(panels, p, -1)).reshape(out.shape)
+        out += (self._blocks @ Z.reshape(-1, _PANEL, Z.shape[1])).reshape(out.shape)
         return out.reshape(x.shape)
 
 
@@ -777,7 +741,7 @@ def subsolution_launch(spec, alpha, gamma, domain, mu, sigma_grave):
 
     roots = uniform.solve_uniform(alpha * psi, gamma)
     etabar = roots.roots[0] if mu == "m" else roots.roots[-1]
-    shrunk = make_domain(sigma_grave * R, n=domain.n, panel=8)
+    shrunk = make_domain(sigma_grave * R, n=domain.n)
     ones = constant_field(shrunk, etabar)
     u0 = convolve_at(spec, alpha, ones, domain.nodes)
     start = DensityField(
@@ -931,66 +895,3 @@ def predicates(spec, alpha, gamma, domain, model=eos.EosModel()):
         uniqueness_contraction=contraction,
         triple_candidate=triple,
     )
-
-
-def write_csv(path, fld, spec, alpha, gamma, branch_label="other"):
-    """Serialize a density field with a self-describing '#' header."""
-    lines = [
-        f"# R={fld.domain.R!r}",
-        f"# n={fld.domain.n}",
-        "# spec=a_w={!r},a_y={!r},a_n={!r},varkappa={!r},kappa={!r}".format(
-            spec.a_w, spec.a_y, spec.a_n, spec.varkappa, spec.kappa
-        ),
-        f"# alpha={float(alpha)!r}",
-        f"# gamma={float(gamma)!r}",
-        f"# branch_label={branch_label}",
-        "r,eta",
-    ]
-    lines += [
-        f"{r!r},{v!r}"
-        for r, v in zip(fld.domain.nodes.tolist(), fld.values.tolist())
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_csv(path):
-    """Load a density field written by write_csv; returns (field, meta).
-
-    Weights and panel size are not stored: the grid is rebuilt from (R, n)
-    with the first panel size dividing n whose nodes match the abscissae.
-    """
-    meta = {}
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                meta[key.strip()] = val.strip()
-            elif line != "r,eta":
-                a, b = line.split(",")
-                rows.append((float(a), float(b)))
-    kv = dict(part.split("=") for part in meta["spec"].split(","))
-    meta["spec"] = kernels.KernelSpec(
-        a_w=float(kv["a_w"]),
-        a_y=float(kv["a_y"]),
-        a_n=float(kv["a_n"]),
-        varkappa=float(kv["varkappa"]),
-        kappa=float(kv["kappa"]),
-    )
-    meta["alpha"] = float(meta["alpha"])
-    meta["gamma"] = float(meta["gamma"])
-    R, n = float(meta["R"]), int(meta["n"])
-    nodes = np.array([r for r, _ in rows])
-    panels = [p for p in range(2, n + 1) if n % p == 0] if nodes.size == n else []
-    for panel in sorted(panels, key=lambda p: p != 8):  # the default first
-        domain = make_domain(R, n=n, panel=panel)
-        if np.max(np.abs(nodes - domain.nodes)) <= 1e-12 * R:
-            break
-    else:
-        raise ValueError("stored abscissae do not match the rebuilt grid")
-    values = np.array([v for _, v in rows])
-    return DensityField(domain, values), meta

@@ -37,7 +37,6 @@ __all__ = [
     "second_variation_F",
     "p_stability",
     "f_stability",
-    "branch_derivatives",
 ]
 
 _GAMMA_SPREAD = 1e-5  # nodewise gamma spread up to which gamma_of accepts a field
@@ -308,18 +307,3 @@ def f_stability(spec, alpha, fld, seed=0):
     lam = float(scipy.linalg.eigh(B, eigvals_only=True, subset_by_index=[0, 0])[0])
     return _stability(lam, 1.0, float(np.max(np.abs(B))), failures)
 
-
-def branch_derivatives(spec, alpha, gamma, fld, model=eos.EosModel()):
-    """Derivatives of P and F along a solution branch.
-
-    By stationarity the implicit field variation drops out, leaving
-    dP/dgamma = N, dP/dalpha = -dF/dalpha = the interaction integral,
-    and dF/dN = the chemical potential the field solves.
-    """
-    inter = _interaction(spec, fld)
-    return {
-        "dP_dgamma": n_functional(fld),
-        "dP_dalpha": inter,
-        "dF_dN": gamma_of(spec, alpha, fld, model=model),
-        "dF_dalpha": -inter,
-    }

@@ -409,7 +409,7 @@ def n_hat(spec, alpha, domain, model=eos.EosModel()):
     return float(D @ rep.field.values)
 
 
-def droplet_trial(spec, alpha, domain, N, ball_fraction):
+def droplet_trial(domain, N, ball_fraction):
     """Uniform ball of mass N on a floor of 1e-12, as droplet seed and comparator.
 
     The ball holds the fraction ball_fraction of the container volume;
@@ -417,7 +417,6 @@ def droplet_trial(spec, alpha, domain, N, ball_fraction):
     clean cut, and the ball density absorbs the floor's mass so the
     discrete mass equals N exactly.
     """
-    del spec, alpha  # geometric construction; kept for a uniform call shape
     N = float(N)
     ball_fraction = float(ball_fraction)
     if not 0.0 < ball_fraction <= 1.0:
@@ -510,7 +509,7 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=eos.EosModel(),
         gamma_hat = uniform.gamma_boundaries(atau)[1]
         eta_big = uniform.solve_uniform(atau, gamma_hat).roots[-1]
         fraction = min(0.9, N / (eta_big * float(np.sum(D))))
-        start = droplet_trial(spec, alpha, domain, N, fraction)
+        start = droplet_trial(domain, N, fraction)
     M = field._self_ring(spec, domain)
     finish = None
     if domain.n <= field._DENSE_MAX:

@@ -253,7 +253,7 @@ def test_criterion_07_droplet_criterion():
         n_hat = float(weights @ vapor.field.values)
         eta_big = uniform.solve_uniform(31.0, gamma_hat).roots[-1]
         fraction = n_hat / (eta_big * float(weights.sum()))
-        trial = phase.droplet_trial(SPEC_Y, ALPHA_31, dom, n_hat, fraction)
+        trial = phase.droplet_trial(dom, n_hat, fraction)
         f_trial = functionals.f_functional(SPEC_Y, ALPHA_31, trial)
         f_vapor = functionals.f_functional(SPEC_Y, ALPHA_31, vapor.field)
         assert f_trial < f_vapor

@@ -6,6 +6,8 @@ tests, byte comparison for determinism, and exit codes checked against
 the documented contract (0 success, 1 solver failure, 2 config error).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -381,3 +383,93 @@ class TestSpectral:
             data.append([read_csv(out / name)[1:] for name in
                          ("spectral_summary.csv", "spectral_eigenfield.csv")])
         assert data[0] == data[1]
+
+
+class TestReadProfiles:
+    @pytest.fixture()
+    def config(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(SMALL_BALL)
+        return path
+
+    @pytest.fixture()
+    def solve_profile(self, config, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(config),
+                         "--gamma", "-18.0", "--out", str(out)]) == 0
+        return out / "solve_profile.csv"
+
+    def test_solve_profiles_equal_a_fresh_solve(self, config, solve_profile):
+        cfg, profiles = cli.read_profiles(solve_profile)
+        assert cfg == replace(cli.load_config(config), gamma=-18.0)
+        assert sorted(profiles) == ["eta_maximal", "eta_minimal"]
+        spec, model, domain = cfg.kernel_spec(), cfg.eos_model(), cfg.domain()
+        lo = field.minimal_solution(spec, cfg.alpha, cfg.gamma, domain,
+                                    model=model, tol=cfg.tol)
+        hi = field.maximal_solution(spec, cfg.alpha, cfg.gamma, domain,
+                                    model=model, tol=cfg.tol)
+        for name, rep in (("eta_minimal", lo), ("eta_maximal", hi)):
+            assert np.array_equal(profiles[name].domain.nodes, domain.nodes)
+            assert np.array_equal(profiles[name].values, rep.field.values)
+
+    def test_transition_profiles_equal_the_located_pair(self, tmp_path,
+                                                       monkeypatch):
+        config = tmp_path / "run.ini"
+        config.write_text(SMALL_BALL + "\n[transition]\n"
+                          "gamma_lo = -22.0\ngamma_hi = -14.0\npetit = no\n")
+        located = []
+        scan = phase._scan_and_locate
+
+        def recorder(*args):
+            located.append(scan(*args))
+            return located[-1]
+
+        monkeypatch.setattr(phase, "_scan_and_locate", recorder)
+        out = tmp_path / "out"
+        assert cli.main(["transition", "--config", str(config),
+                         "--out", str(out)]) == 0
+        cfg, profiles = cli.read_profiles(out / "transition_profiles.csv")
+        assert cfg == cli.load_config(config)
+        assert sorted(profiles) == ["eta_gas", "eta_liquid"]
+        [result] = located
+        for label in ("gas", "liquid"):
+            fld = profiles[f"eta_{label}"]
+            assert np.array_equal(fld.domain.nodes, cfg.domain().nodes)
+            expected = getattr(result, label).solution.field.values
+            assert np.array_equal(fld.values, expected)
+
+    def test_shifted_r_is_rejected(self, solve_profile):
+        lines = solve_profile.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("r,")) + 5
+        r, rest = lines[row].split(",", 1)
+        lines[row] = f"{float(r) + 1e-9!r},{rest}"
+        solve_profile.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="r column does not match"):
+            cli.read_profiles(solve_profile)
+
+    def test_short_row_is_rejected(self, solve_profile):
+        lines = solve_profile.read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0]
+        solve_profile.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="width"):
+            cli.read_profiles(solve_profile)
+
+    def test_unknown_header_key_is_rejected(self, solve_profile):
+        text = solve_profile.read_text()
+        solve_profile.write_text(text.replace("# alpha = ", "# bogus = 1\n# alpha = "))
+        with pytest.raises(ValueError, match="'bogus' is not a RunConfig field"):
+            cli.read_profiles(solve_profile)
+
+    def test_files_without_profiles_are_rejected(self, config, solve_profile,
+                                                 tmp_path):
+        text = solve_profile.read_text()
+        solve_profile.write_text(text.replace("r,eta_minimal,eta_maximal",
+                                              "r,xi_minimal,xi_maximal"))
+        with pytest.raises(ValueError, match="no eta_"):
+            cli.read_profiles(solve_profile)
+        grid = tmp_path / "grid.ini"
+        grid.write_text(config.read_text() + "\n[grid]\ngamma = -20.0, -18.0\n")
+        out = tmp_path / "grid"
+        assert cli.main(["solve", "--config", str(grid), "--out", str(out)]) == 0
+        with pytest.raises(ValueError, match="no r column"):
+            cli.read_profiles(out / "solve_summary.csv")

@@ -8,12 +8,10 @@ spline interpolant of the converged density.
 """
 
 import math
-import os
 import sys
 import threading
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,34 +51,7 @@ class TestRadialDomain:
         with pytest.raises(ValueError):
             field.make_domain(0.0)
         with pytest.raises(ValueError):
-            field.make_domain(1.0, n=100, panel=8)
-        with pytest.raises(ValueError):
-            field.RadialDomain(R=1.0, n=3, nodes=np.array([0.3, 0.2, 0.6]),
-                               weights=np.ones(3))
-        with pytest.raises(ValueError):
-            field.RadialDomain(R=1.0, n=2, nodes=np.array([0.25, 0.75]),
-                               weights=np.array([0.5, 0.5]))
-
-    def test_edges_must_match_the_panels(self):
-        grid = field.make_domain(1.0, n=16)
-
-        def rebuilt(edges):
-            return field.RadialDomain(R=1.0, n=16, nodes=grid.nodes,
-                                      weights=grid.weights, edges=edges)
-
-        rebuilt(grid.edges)
-        for edges in (
-            np.linspace(0.0, 1.0, 4),  # 16 nodes do not split into 3 panels
-            np.linspace(0.0, 2.0, 3),  # runs past R
-            np.array([0.1, 0.5, 1.0]),  # starts above 0
-            np.array([0.0, 0.5, 0.5, 1.0]),  # not strictly increasing
-            np.array([0.0, 0.3, 1.0]),  # first panel's nodes spill past 0.3
-            np.linspace(0.0, 1.0, 17),  # one node per panel
-        ):
-            with pytest.raises(ValueError):
-                rebuilt(edges)
-        for panel in (2, 4, 8, 16):
-            assert field.make_domain(3.0, n=16, panel=panel).edges.size == 16 // panel + 1
+            field.make_domain(1.0, n=100)
 
 
 class TestRingCache:
@@ -131,24 +102,39 @@ class TestRingAssembly:
     ])
     def test_dense_rows_equal_the_textbook_expression(self, spec):
         # the row-blocked assembly must give the same bits as the whole-
-        # matrix expression; no panel edges, so every row is the dense one
-        grid = field.make_domain(4.0, n=256)
-        dom = field.RadialDomain(R=grid.R, n=grid.n, nodes=grid.nodes,
-                                 weights=grid.weights)
-        s, w = dom.nodes, dom.weights
-        tp = s[:, None]
+        # matrix expression off each target's own panel, which the panel
+        # split re-integrates (TestPanelSplit)
+        dom = field.make_domain(4.0, n=256)
+        own = np.arange(dom.n)[:, None] // field._PANEL == np.arange(dom.n) // field._PANEL
+        got = field._ring_matrix(spec, dom, dom.nodes)
+        assert np.array_equal(got[~own], _unsplit_rows(spec, dom, dom.nodes)[~own])
 
-        def prim(x):  # int_0^x u(-V(u)) du, terms in kernels' order
-            vk2 = spec.varkappa**2
-            return (
-                0.0
-                + spec.a_w / (4.0 * vk2) * (1.0 - 1.0 / (1.0 + vk2 * x**2) ** 2)
-                + spec.a_y * (1.0 - np.exp(-spec.kappa * x)) / spec.kappa
-                + spec.a_n * x
-            )
 
-        expected = (2.0 * math.pi / tp) * w * s * (prim(tp + s) - prim(np.abs(tp - s)))
-        assert np.array_equal(field._ring_matrix(spec, dom, s), expected)
+def _unsplit_rows(spec, dom, targets):
+    """Ring-matrix rows with no panel split, from the textbook expression.
+
+    Row t is (2pi/t) w s [prim(t+s) - prim(|t-s|)], prim(x) = int_0^x
+    u(-V(u)) du with its terms in kernels' order; a zero target takes
+    the limit row 4 pi w s^2 (-V(s)).
+    """
+    t = np.asarray(targets, dtype=float)
+    s, w = dom.nodes, dom.weights
+
+    def prim(x):
+        vk2 = spec.varkappa**2
+        return (
+            0.0
+            + spec.a_w / (4.0 * vk2) * (1.0 - 1.0 / (1.0 + vk2 * x**2) ** 2)
+            + spec.a_y * (1.0 - np.exp(-spec.kappa * x)) / spec.kappa
+            + spec.a_n * x
+        )
+
+    M = np.empty((t.size, s.size))
+    pos = t > 0.0
+    tp = t[pos][:, None]
+    M[pos] = (2.0 * math.pi / tp) * w * s * (prim(tp + s) - prim(np.abs(tp - s)))
+    M[~pos] = 4.0 * math.pi * w * s**2 * (-kernels.kernel_eval(spec, s))
+    return M
 
 
 def _barycentric_rows(nodes, points):
@@ -171,9 +157,8 @@ def _per_target_ring(spec, dom, targets):
     """Ring matrix with the panel split written out one target at a time."""
     t = np.asarray(targets, dtype=float)
     s = dom.nodes
-    plain = field.RadialDomain(R=dom.R, n=dom.n, nodes=s, weights=dom.weights)
-    M = field._ring_matrix(spec, plain, t)  # the dense rows, checked above
-    panel = s.size // (dom.edges.size - 1)
+    M = _unsplit_rows(spec, dom, t)
+    panel = field._PANEL
     xg, wg = np.polynomial.legendre.leggauss(panel)
     idx = np.searchsorted(dom.edges, t, side="right") - 1
     for i in range(t.size):
@@ -1129,49 +1114,3 @@ class TestPdeCrossChecks:
             res.append(np.max(np.abs(-lap + pot[1:-1] - 4 * math.pi * eta[1:-1])))
         orders = [math.log2(a / b) for a, b in zip(res, res[1:])]
         assert min(orders) > 1.85
-
-
-class TestCsvRoundTrip:
-    def test_roundtrip(self, dom5, tmp_path):
-        alpha = 20.0 / PHI_Y5
-        rep = field.minimal_solution(SPEC_Y, alpha, -2.0, dom5)
-        path = os.path.join(tmp_path, "field.csv")
-        field.write_csv(path, rep.field, SPEC_Y, alpha, -2.0,
-                        branch_label=rep.branch_label)
-        back, meta = field.read_csv(path)
-        assert np.array_equal(back.values, rep.field.values)
-        assert np.array_equal(back.domain.nodes, rep.field.domain.nodes)
-        assert meta["spec"] == SPEC_Y
-        assert meta["alpha"] == alpha
-        assert meta["gamma"] == -2.0
-        assert meta["branch_label"] == "minimal"
-
-    def test_roundtrip_on_wider_panels(self, tmp_path):
-        # the panel size is not in the header; read_csv infers it
-        dom = field.make_domain(2.0, n=64, panel=16)
-        fld = field.constant_field(dom, 0.2)
-        path = os.path.join(tmp_path, "field.csv")
-        field.write_csv(path, fld, SPEC_Y, 1.0, -2.0)
-        back, _ = field.read_csv(path)
-        assert np.array_equal(back.domain.nodes, dom.nodes)
-        assert np.array_equal(back.domain.weights, dom.weights)
-        assert np.array_equal(back.values, fld.values)
-
-    def test_header_is_self_describing(self, dom5, tmp_path):
-        path = os.path.join(tmp_path, "field.csv")
-        field.write_csv(path, field.constant_field(dom5, 0.2), SPEC_Y, 1.0, -2.0)
-        head = Path(path).read_text().splitlines()[:7]
-        assert head[0].startswith("# R=")
-        assert head[1] == "# n=512"
-        assert head[6] == "r,eta"
-
-    def test_tampered_grid_rejected(self, dom5, tmp_path):
-        path = os.path.join(tmp_path, "field.csv")
-        field.write_csv(path, field.constant_field(dom5, 0.2), SPEC_Y, 1.0, -2.0)
-        lines = Path(path).read_text().splitlines()
-        r, eta = lines[8].split(",")
-        lines[8] = f"{float(r) + 0.01},{eta}"
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines))
-        with pytest.raises(ValueError, match="abscissae"):
-            field.read_csv(path)

@@ -329,22 +329,29 @@ class TestStabilitySpectrum:
 
 
 class TestBranchDerivatives:
+    """Derivatives of P and F along a solution branch, read off the functionals.
+
+    By stationarity the implicit field variation drops out, leaving
+    dP/dgamma = N, dP/dalpha = (1.5 N - E)/alpha = -dF/dalpha, the
+    interaction integral, and dF/dN = gamma_of, the chemical potential
+    the field solves.
+    """
+
     def test_structural_identities(self, fluid_branch):
         alpha, gamma, fld = fluid_branch
-        d = functionals.branch_derivatives(SPEC_Y, alpha, gamma, fld)
-        assert d["dP_dgamma"] == functionals.n_functional(fld)
-        assert d["dP_dalpha"] == -d["dF_dalpha"]
-        assert d["dF_dN"] == pytest.approx(gamma, abs=1e-8)
+        vals = functionals.functional_values(SPEC_Y, alpha, gamma, fld)
+        assert vals.N == functionals.n_functional(fld)
+        # F is linear in alpha at a fixed field, with slope -(1.5 N - E)/alpha
+        dF_dalpha = (functionals.f_functional(SPEC_Y, 2.0 * alpha, fld) - vals.F) / alpha
+        assert (1.5 * vals.N - vals.E) / alpha == pytest.approx(-dF_dalpha, rel=1e-12)
+        assert functionals.gamma_of(SPEC_Y, alpha, fld) == pytest.approx(gamma, abs=1e-8)
 
     def test_gamma_derivative_matches_finite_difference(self, dom5):
         alpha = 20.0 / PHI_Y5
         gamma, h = -2.0, 1e-4
-        d = functionals.branch_derivatives(
-            SPEC_Y,
-            alpha,
-            gamma,
-            field.minimal_solution(SPEC_Y, alpha, gamma, dom5).field,
-        )
+        fld = field.minimal_solution(SPEC_Y, alpha, gamma, dom5).field
+        dP_dgamma = functionals.functional_values(SPEC_Y, alpha, gamma, fld).N
+        dF_dN = functionals.gamma_of(SPEC_Y, alpha, fld)
         vals = {}
         for g in (gamma + h, gamma - h):
             rep = field.minimal_solution(SPEC_Y, alpha, g, dom5)
@@ -352,19 +359,17 @@ class TestBranchDerivatives:
         dP = (vals[gamma + h].P - vals[gamma - h].P) / (2 * h)
         dF = (vals[gamma + h].F - vals[gamma - h].F) / (2 * h)
         dN = (vals[gamma + h].N - vals[gamma - h].N) / (2 * h)
-        assert dP == pytest.approx(d["dP_dgamma"], rel=1e-7)
-        assert dF / dN == pytest.approx(d["dF_dN"], rel=1e-6)
+        assert dP == pytest.approx(dP_dgamma, rel=1e-7)
+        assert dF / dN == pytest.approx(dF_dN, rel=1e-6)
 
     def test_alpha_derivative_matches_finite_difference(self, dom5):
         alpha = 20.0 / PHI_Y5
         gamma = -2.0
         ha = alpha * 1e-4
-        d = functionals.branch_derivatives(
-            SPEC_Y,
-            alpha,
-            gamma,
-            field.minimal_solution(SPEC_Y, alpha, gamma, dom5).field,
-        )
+        fld = field.minimal_solution(SPEC_Y, alpha, gamma, dom5).field
+        center = functionals.functional_values(SPEC_Y, alpha, gamma, fld)
+        dP_dalpha = (1.5 * center.N - center.E) / alpha
+        dF_dN = functionals.gamma_of(SPEC_Y, alpha, fld)
         vals = {}
         for a in (alpha + ha, alpha - ha):
             rep = field.minimal_solution(SPEC_Y, a, gamma, dom5)
@@ -374,5 +379,5 @@ class TestBranchDerivatives:
         # by the particle-number drift times the chemical potential.
         dF = (vals[alpha + ha].F - vals[alpha - ha].F) / (2 * ha)
         dN = (vals[alpha + ha].N - vals[alpha - ha].N) / (2 * ha)
-        assert dP == pytest.approx(d["dP_dalpha"], rel=1e-7)
-        assert dF - d["dF_dN"] * dN == pytest.approx(d["dF_dalpha"], rel=1e-7)
+        assert dP == pytest.approx(dP_dalpha, rel=1e-7)
+        assert dF - dF_dN * dN == pytest.approx(-dP_dalpha, rel=1e-7)

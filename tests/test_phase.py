@@ -302,11 +302,11 @@ class TestDropletTrial:
     def test_mass_is_exact(self, dom15):
         D = functionals.volume_weights(dom15)
         for N, frac in ((100.0, 0.3), (400.0, 0.9), (1.0, 0.05)):
-            trial = phase.droplet_trial(SPEC_Y, ALPHA_31, dom15, N, frac)
+            trial = phase.droplet_trial(dom15, N, frac)
             assert float(D @ trial.values) == pytest.approx(N, rel=1e-12)
 
     def test_two_level_structure(self, dom15):
-        trial = phase.droplet_trial(SPEC_Y, ALPHA_31, dom15, 300.0, 0.4)
+        trial = phase.droplet_trial(dom15, 300.0, 0.4)
         levels = np.unique(trial.values)
         assert levels.size == 2
         assert levels[0] == pytest.approx(1e-12)
@@ -317,12 +317,12 @@ class TestDropletTrial:
     def test_overpacking_rejected(self, dom15):
         vol = float(functionals.volume_weights(dom15).sum())
         with pytest.raises(ValueError):
-            phase.droplet_trial(SPEC_Y, ALPHA_31, dom15, vol * 0.2, 0.2)
+            phase.droplet_trial(dom15, vol * 0.2, 0.2)
 
     def test_bad_fraction(self, dom15):
         for frac in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                phase.droplet_trial(SPEC_Y, ALPHA_31, dom15, 10.0, frac)
+                phase.droplet_trial(dom15, 10.0, frac)
 
 
 class TestDropletSolve:
