@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 solver failure, 2 configuration error.
 import argparse
 import ast
 import configparser
+import dataclasses
 import math
 import os
 import sys
@@ -54,74 +55,83 @@ ln(rho(r) / rho_dB) with rho_dB = (2*pi*m*kB*T)^(3/2) / h^3.
 """
 
 
+def _setting(default, key, flag=None, echo=True, rule=None):
+    """Declare a RunConfig field and all that the front end derives from it.
+
+    key is its INI "section.key", which every diagnostic names; flag, if
+    given, is the help of its `--<field name>` override; echo puts it in
+    output headers; rule = (predicate, complaint) is what a set value, or
+    each entry of a grid, must pass.
+    """
+    return dataclasses.field(default=default, metadata={
+        "key": key, "flag": flag, "echo": echo, "rule": rule})
+
+
+_NON_NEGATIVE = (lambda value: value >= 0, "must be non-negative")
+_POSITIVE = (lambda value: value > 0, "must be positive")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a subcommand needs, plus provenance for headers."""
+    """Everything a subcommand needs, plus provenance for headers.
 
-    mode: str = "hard-sphere"
-    a_y: float = 1.0
-    a_w: float = 0.0
-    a_n: float = 0.0
-    kappa: float = 1.0
-    varkappa: float = 1.0
-    alpha: float = None
-    gamma: float = None
-    alpha_grid: tuple = ()
-    gamma_grid: tuple = ()
-    radius: float = 5.0
-    nodes: int = 256
-    tol: float = 1e-12
-    gamma_lo: float = None
-    gamma_hi: float = None
-    mass_lo: float = None
-    mass_hi: float = None
-    petit: bool = True
-    out: str = "."
-    jobs: int = 1
+    Each field's declaration is the one place its setting is described:
+    a float must be finite, a tuple is a strictly increasing grid read
+    as comma-separated floats, and None means unset.  out and jobs say
+    where and how a run happens, not what it computes, so they are kept
+    out of headers: the same physics gives the same bytes anywhere.
+    """
+
+    mode: str = _setting("hard-sphere", "eos.mode", rule=(
+        _MODES.__contains__, f"must be one of {sorted(_MODES)}"))
+    a_y: float = _setting(1.0, "kernel.a_y", rule=_NON_NEGATIVE)
+    a_w: float = _setting(0.0, "kernel.a_w", rule=_NON_NEGATIVE)
+    a_n: float = _setting(0.0, "kernel.a_n", rule=_NON_NEGATIVE)
+    kappa: float = _setting(1.0, "kernel.kappa", rule=_POSITIVE)
+    varkappa: float = _setting(1.0, "kernel.varkappa", rule=_POSITIVE)
+    alpha: float = _setting(None, "run.alpha", "attraction strength override",
+                            rule=_NON_NEGATIVE)
+    gamma: float = _setting(None, "run.gamma", "chemical potential override")
+    alpha_grid: tuple = _setting((), "grid.alpha", rule=_NON_NEGATIVE)
+    gamma_grid: tuple = _setting((), "grid.gamma")
+    radius: float = _setting(5.0, "run.radius", "container radius override",
+                             rule=_POSITIVE)
+    nodes: int = _setting(256, "run.nodes", "quadrature node count override", rule=(
+        lambda n: n >= 8 and n % 8 == 0, "must be a positive multiple of 8"))
+    tol: float = _setting(1e-12, "run.tol", rule=_POSITIVE)
+    gamma_lo: float = _setting(None, "transition.gamma_lo")
+    gamma_hi: float = _setting(None, "transition.gamma_hi")
+    mass_lo: float = _setting(None, "transition.mass_lo")
+    mass_hi: float = _setting(None, "transition.mass_hi")
+    petit: bool = _setting(True, "transition.petit")
+    out: str = _setting(".", "run.out", "output directory", echo=False)
+    jobs: int = _setting(1, "run.jobs", "worker threads for sweeps", echo=False,
+                         rule=(lambda n: n >= 1, "must be at least 1"))
 
     def validate(self):
-        if self.mode not in _MODES:
-            raise ConfigError(
-                f"eos.mode: unknown mode {self.mode!r}; "
-                f"choose one of {sorted(_MODES)}")
-        for name in ("a_y", "a_w", "a_n"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"kernel.{name}: must be non-negative")
+        for spec_field in fields(self):
+            value, key = getattr(self, spec_field.name), spec_field.metadata["key"]
+            if value is None:
+                continue
+            entries = value if spec_field.type is tuple else (value,)  # a grid, or one value
+            if spec_field.type in (float, tuple) and not all(map(math.isfinite, entries)):
+                raise ConfigError(f"{key}: must be finite")
+            if any(b <= a for a, b in zip(entries, entries[1:])):
+                raise ConfigError(f"{key}: grid must be strictly increasing")
+            rule = spec_field.metadata["rule"]
+            if rule and not all(map(rule[0], entries)):
+                raise ConfigError(f"{key}: {rule[1]}")
         if self.a_y == self.a_w == self.a_n == 0:
-            raise ConfigError(
-                "kernel: at least one amplitude must be positive")
-        if self.kappa <= 0 or self.varkappa <= 0:
-            raise ConfigError("kernel: inverse ranges must be positive")
-        if not self.radius > 0:
-            raise ConfigError("run.radius: must be positive")
-        if self.nodes < 8 or self.nodes % 8 != 0:
-            raise ConfigError("run.nodes: must be a positive multiple of 8")
-        if not self.tol > 0:
-            raise ConfigError("run.tol: tolerance must be positive")
-        if self.jobs < 1:
-            raise ConfigError("run.jobs: must be at least 1")
-        if self.alpha is not None and not self.alpha >= 0:
-            raise ConfigError("run.alpha: must be non-negative")
+            raise ConfigError(f"{_KEYS['a_y']}, {_KEYS['a_w']}, {_KEYS['a_n']}: "
+                              "at least one amplitude must be positive")
         for lo, hi in (("gamma_lo", "gamma_hi"), ("mass_lo", "mass_hi")):
             a, b = getattr(self, lo), getattr(self, hi)
             if (a is None) != (b is None):
                 unset, given = (hi, lo) if b is None else (lo, hi)
-                raise ConfigError(f"transition.{unset}: required together "
-                                  f"with transition.{given}")
+                raise ConfigError(
+                    f"{_KEYS[unset]}: required together with {_KEYS[given]}")
             if a is not None and not a < b:
-                raise ConfigError(
-                    f"transition.{lo}: must be below transition.{hi}")
-        for name in ("alpha_grid", "gamma_grid"):
-            grid = getattr(self, name)
-            if grid == ():
-                continue
-            if len(grid) == 0:
-                raise ConfigError(f"grid.{name}: grid must be non-empty")
-            if any(b <= a for a, b in zip(grid, grid[1:])):
-                raise ConfigError(
-                    f"grid.{name}: grid must be strictly increasing")
-        if self.alpha_grid and not self.alpha_grid[0] >= 0:
-            raise ConfigError("grid.alpha: must be non-negative")
+                raise ConfigError(f"{_KEYS[lo]}: must be below {_KEYS[hi]}")
         return self
 
     def kernel_spec(self):
@@ -138,24 +148,14 @@ class RunConfig:
     def require(self, name):
         value = getattr(self, name)
         if value is None:
-            raise ConfigError(f"run.{name}: required by this subcommand")
+            raise ConfigError(f"{_KEYS[name]}: required by this subcommand")
         return value
 
 
-_SECTIONS = {
-    "eos": {"mode": str},
-    "kernel": {"a_y": float, "a_w": float, "a_n": float,
-               "kappa": float, "varkappa": float},
-    "run": {"alpha": float, "gamma": float, "radius": float, "nodes": int,
-            "tol": float, "out": str, "jobs": int},
-    "grid": {"alpha": "grid", "gamma": "grid"},
-    "transition": {"gamma_lo": float, "gamma_hi": float,
-                   "mass_lo": float, "mass_hi": float, "petit": bool},
-}
-
-# config key -> RunConfig field, where the names differ
-_RENAMES = {("grid", "alpha"): "alpha_grid",
-            ("grid", "gamma"): "gamma_grid"}
+# field name -> "section.key", and (section, key) -> field
+_KEYS = {spec_field.name: spec_field.metadata["key"] for spec_field in fields(RunConfig)}
+_FIELDS = {tuple(spec_field.metadata["key"].split(".")): spec_field
+           for spec_field in fields(RunConfig)}
 
 
 def _parse_value(kind, raw, where):
@@ -171,7 +171,7 @@ def _parse_value(kind, raw, where):
             if lowered in ("0", "no", "false", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "grid":
+        if kind is tuple:
             items = [piece for piece in raw.split(",") if piece.strip()]
             if not items:
                 raise ValueError("empty grid")
@@ -194,31 +194,23 @@ def load_config(path):
 
     updates = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section not in {known for known, _ in _FIELDS}:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        known = _SECTIONS[section]
         for key, raw in parser.items(section):
-            if key not in known:
+            if (section, key) not in _FIELDS:
                 raise ConfigError(
                     f"{path}: unknown key {key!r} in section [{section}]")
-            target = _RENAMES.get((section, key), key)
-            updates[target] = _parse_value(
-                known[key], raw, f"{path}: [{section}] {key}")
+            spec_field = _FIELDS[section, key]
+            updates[spec_field.name] = _parse_value(
+                spec_field.type, raw, f"{path}: {section}.{key}")
     return replace(RunConfig(), **updates).validate()
-
-
-# where and how a run happens, not what it computes: kept out of headers
-# so the same physics gives the same bytes in any directory
-_UNECHOED = ("out", "jobs")
 
 
 def _header(cfg, command):
     lines = [f"# hardball {command}"]
     for spec_field in fields(RunConfig):
-        if spec_field.name in _UNECHOED:
-            continue
-        value = getattr(cfg, spec_field.name)
-        lines.append(f"# {spec_field.name} = {value!r}")
+        if spec_field.metadata["echo"]:
+            lines.append(f"# {spec_field.name} = {getattr(cfg, spec_field.name)!r}")
     return "".join(line + "\n" for line in lines)
 
 
@@ -382,8 +374,8 @@ def cmd_transition(cfg):
         gamma_bracket = (cfg.gamma_lo, cfg.gamma_hi)
     elif not cfg.alpha * kernels.l1_norm_r3(spec) > uniform.ALPHA_TAU_MIN:
         raise ConfigError(
-            "transition: attraction too weak for a transition; "
-            "set transition.gamma_lo/gamma_hi explicitly")
+            "transition: attraction too weak for a transition; set "
+            f"{_KEYS['gamma_lo']} and {_KEYS['gamma_hi']} explicitly")
 
     if cfg.petit:
         mass_bracket = None
@@ -517,18 +509,10 @@ def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", metavar="PATH",
                         help="INI run file")
-    shared.add_argument("--jobs", type=int, metavar="N",
-                        help="worker threads for sweeps")
-    shared.add_argument("--out", metavar="DIR",
-                        help="output directory")
-    shared.add_argument("--alpha", type=float,
-                        help="attraction strength override")
-    shared.add_argument("--gamma", type=float,
-                        help="chemical potential override")
-    shared.add_argument("--radius", type=float,
-                        help="container radius override")
-    shared.add_argument("--nodes", type=int,
-                        help="quadrature node count override")
+    for spec_field in fields(RunConfig):
+        if spec_field.metadata["flag"]:
+            shared.add_argument(f"--{spec_field.name}", type=spec_field.type,
+                                help=spec_field.metadata["flag"])
     subparsers = parser.add_subparsers(dest="command")
     for name in _COMMANDS:
         subparsers.add_parser(name, parents=[shared])
@@ -537,14 +521,9 @@ def build_parser():
 
 def _configure(args):
     cfg = load_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    for name in ("jobs", "out", "alpha", "gamma", "radius", "nodes"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg.validate()
+    overrides = {name: value for name, value in vars(args).items()
+                 if name in _KEYS and value is not None}
+    return replace(cfg, **overrides).validate()
 
 
 def main(argv=None):

@@ -106,8 +106,8 @@ class RadialDomain:
     )
 
     def __post_init__(self):
-        if not self.R > 0:
-            raise ValueError("R must be positive")
+        if not (self.R > 0 and math.isfinite(self.R)):
+            raise ValueError(f"R must be positive and finite, got {self.R!r}")
         if self.n <= 0 or self.n % _PANEL:
             raise ValueError(f"n must be a positive multiple of {_PANEL}")
         x, w = np.polynomial.legendre.leggauss(_PANEL)
@@ -765,7 +765,8 @@ def _newton(aM, gamma, model, v, tol, max_iter, callback=None, border=None):
     Returns (eta, aM eta, residual, steps, gamma).  A solve whose last
     8 accepted steps together cut the residual by less than 1% has
     stalled and raises RuntimeError; every failure names gamma and the
-    last residual.
+    last residual.  callback, if given, receives (step, residual) at the
+    start and after every accepted step.
     """
     n = v.size
     if border is not None:
@@ -830,7 +831,7 @@ def _newton(aM, gamma, model, v, tol, max_iter, callback=None, border=None):
     raise failure(f"no convergence within {max_iter} Newton steps")
 
 
-def newton_solve(spec, alpha, gamma, eta0, model=eos.EosModel(), callback=None):
+def newton_solve(spec, alpha, gamma, eta0, model=eos.EosModel()):
     """Damped Newton on F(eta) = eta - wp'(gamma + alpha(-V*eta)).
 
     The Jacobian I - diag(wp'') alpha M is assembled densely, from the
@@ -841,12 +842,10 @@ def newton_solve(spec, alpha, gamma, eta0, model=eos.EosModel(), callback=None):
     quadratic rate near any root.  A solve whose last 8 accepted steps
     together cut the residual by less than 1% has stalled and raises
     RuntimeError; every failure names gamma and the last residual.
-    callback, if given, receives (iteration, residual) after every
-    accepted step.
     """
     aM = alpha * _self_ring(spec, eta0.domain, dense=True)
     v, u, norm, steps, _ = _newton(aM, gamma, model, eta0.values.copy(), _NEWTON_TOL,
-                                   _NEWTON_STEPS, callback)
+                                   _NEWTON_STEPS)
     return _report(eta0.domain, v, gamma, u, steps, norm)
 
 

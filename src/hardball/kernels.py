@@ -51,6 +51,9 @@ class KernelSpec:
     kappa: float = 1.0
 
     def __post_init__(self):
+        for name in ("a_w", "a_y", "a_n", "varkappa", "kappa"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if min(self.a_w, self.a_y, self.a_n) < 0:
             raise ValueError("kernel amplitudes must be non-negative")
         if self.a_w == self.a_y == self.a_n == 0:

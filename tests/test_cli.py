@@ -95,6 +95,28 @@ class TestParsing:
         assert cli.main(["solve", "--config", str(bad)]) == 2
         assert "increasing" in capsys.readouterr().err
 
+    def test_grid_errors_name_the_ini_key(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[grid]\ngamma = 1, 0\n")
+        assert cli.main(["solve", "--config", str(bad)]) == 2
+        assert "config error: grid.gamma: grid must be strictly increasing" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("text,named", [
+        pytest.param("[run]\ntol = inf\n", "run.tol", id="tol"),
+        pytest.param("[run]\nradius = inf\n", "run.radius", id="radius"),
+        pytest.param("[transition]\ngamma_lo = -inf\ngamma_hi = -14\n",
+                     "transition.gamma_lo", id="gamma_lo"),
+        pytest.param("[grid]\ngamma = 1, nan\n", "grid.gamma", id="grid"),
+    ])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["transition", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config error: {named}: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_nodes_rejected(self, capsys):
         assert cli.main(["check", "--nodes", "100"]) == 2
         assert "nodes" in capsys.readouterr().err
@@ -355,6 +377,42 @@ class TestTransition:
                        "--out", str(tmp_path / "out")])
         assert rc == 1
         assert "solver failure" in capsys.readouterr().err
+
+    def test_petit_default_reads_back_the_in_process_transition(self, tmp_path):
+        # petit = yes and no gamma bracket: the grand crossing is located in
+        # the algebraic band, then the vapor/droplet crossing in the mass bracket
+        alpha, n_hat = 31.0 / (4.0 * np.pi), 453.4086905340539
+        mass = (0.965 * n_hat, 0.968 * n_hat)
+        config = tmp_path / "run.ini"
+        config.write_text(
+            "[eos]\nmode = cs-extended\n[kernel]\na_y = 1\nkappa = 1\n"
+            f"[run]\nalpha = {alpha!r}\nradius = 15\nnodes = 64\n"
+            f"[transition]\nmass_lo = {mass[0]!r}\nmass_hi = {mass[1]!r}\n")
+        out = tmp_path / "out"
+        assert cli.main(["transition", "--config", str(config),
+                         "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out / "transition_summary.csv")
+        values = dict(zip(column(rows, columns, "quantity"),
+                          column(rows, columns, "value")))
+        labels = ("gas", "liquid", "vapor", "droplet")
+        assert list(values) == [
+            "gamma_gl", "delta_N", "N_vd", "delta_Gamma", "delta_E", "delta_S",
+            "embedding_ok", "crossings",
+            *(f"{q}_{label}" for label in labels for q in ("gamma", "N", "P", "F"))]
+        assert float(values["N_vd"]) == pytest.approx(438.1945, abs=1e-3)
+        assert float(values["gamma_gl"]) == pytest.approx(-4.6552909, abs=1e-6)
+        assert (values["embedding_ok"], values["crossings"]) == ("1", "1")
+
+        cfg, profiles = cli.read_profiles(out / "transition_profiles.csv")
+        assert (cfg.alpha, cfg.petit, (cfg.mass_lo, cfg.mass_hi)) == (alpha, True, mass)
+        result = phase.petit_canonical_transition(
+            cfg.kernel_spec(), alpha, cfg.domain(), N_bracket=mass,
+            model=cfg.eos_model())
+        assert float(values["N_vd"]) == result.N_vd
+        assert sorted(profiles) == sorted(f"eta_{label}" for label in labels)
+        for label in labels:
+            expected = getattr(result, label).solution.field.values
+            assert np.array_equal(profiles[f"eta_{label}"].values, expected)
 
 
 class TestSpectral:

@@ -53,6 +53,11 @@ class TestRadialDomain:
         with pytest.raises(ValueError):
             field.make_domain(1.0, n=100)
 
+    @pytest.mark.parametrize("R", [math.inf, math.nan, -math.inf])
+    def test_non_finite_radius_is_rejected(self, R):
+        with pytest.raises(ValueError, match="R must be positive and finite"):
+            field.make_domain(R, n=64)
+
 
 class TestRingCache:
     def test_threads_sharing_a_domain_assemble_once(self, monkeypatch):
@@ -580,6 +585,17 @@ def triple():
     return dom, model, roots
 
 
+def _record_newton_residuals(monkeypatch):
+    """The residual after each accepted step of every `field._newton` run."""
+    residuals, newton = [], field._newton
+
+    def recorder(*args, **kwargs):
+        return newton(*args, callback=lambda k, r: residuals.append(r), **kwargs)
+
+    monkeypatch.setattr(field, "_newton", recorder)
+    return residuals
+
+
 class TestNewton:
     SPEC = kernels.KernelSpec(a_w=1.0, varkappa=0.2)
     R, ALPHA, GAMMA = 0.5, 100.0, -7.0
@@ -611,19 +627,19 @@ class TestNewton:
         assert rep.iterations == 0
         assert np.max(np.abs(rep.field.values - rmin.field.values)) == 0.0
 
-    def test_quadratic_convergence(self, triple):
+    def test_quadratic_convergence(self, triple, monkeypatch):
         dom, model, roots = triple
-        hist = []
+        hist = _record_newton_residuals(monkeypatch)
         field.newton_solve(self.SPEC, self.ALPHA, self.GAMMA,
                            field.constant_field(dom, roots.roots[1]),
-                           model=model, callback=lambda k, r: hist.append(r))
+                           model=model)
         # each step roughly squares the residual until roundoff
         for prev, nxt in zip(hist, hist[1:]):
             if prev < 1e-13 or nxt < 1e-15:
                 break
             assert nxt < 0.5 * prev**1.7
 
-    def test_stall_raises_early(self):
+    def test_stall_raises_early(self, monkeypatch):
         # at the R=15 grand crossing the solve from the middle root stalls
         # near residual 0.038 from step 12 on; it used to take 37 steps
         # before the line search failed
@@ -631,12 +647,11 @@ class TestNewton:
         alpha, gamma = 31.0 / kernels.l1_norm_r3(spec), -4.8481
         dom = field.make_domain(15.0, n=64)
         roots = uniform.solve_uniform(alpha * kernels.phi_lambda(spec, 15.0), gamma)
-        steps = []
+        steps = _record_newton_residuals(monkeypatch)
         with pytest.raises(RuntimeError, match=r"stalled at gamma -4\.8481"):
             field.newton_solve(spec, alpha, gamma,
                                field.constant_field(dom, roots.roots[1]),
-                               model=eos.EosModel(mode=eos.MODE_CS_EXTENDED),
-                               callback=lambda k, r: steps.append(r))
+                               model=eos.EosModel(mode=eos.MODE_CS_EXTENDED))
         # 8 accepted steps past the plateau's start, 1% cut not reached
         assert len(steps) - 1 <= 20
         assert steps[-1] > 0.99 * steps[-9] > 1e-2

@@ -92,6 +92,17 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             KernelSpec(a_y=1.0, kappa=0.0)
 
+    @pytest.mark.parametrize("params,name", [
+        ({"a_y": math.nan}, "a_y"),
+        ({"a_y": 1.0, "a_w": math.inf}, "a_w"),
+        ({"a_n": 1.0, "a_y": -math.inf}, "a_y"),
+        ({"a_w": 1.0, "varkappa": math.inf}, "varkappa"),
+        ({"a_y": 1.0, "kappa": math.nan}, "kappa"),
+    ])
+    def test_non_finite_parameter_is_named(self, params, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            KernelSpec(**params)
+
 
 class TestL1Norm:
     def test_examples(self):
@@ -287,6 +298,22 @@ class TestOptimalScaling:
         assert kernels.optimal_scaling(KernelSpec(a_y=1.0, kappa=0.5), 2.0, 1.0)[0] == 1.0
         assert kernels.optimal_scaling(KernelSpec(a_w=1.0, varkappa=0.5), 2.0, 1.0)[0] == 1.0
         assert kernels.optimal_scaling(KernelSpec(a_w=1.0, varkappa=0.5), 2.5, 1.0)[0] == 0.8
+
+    @pytest.mark.parametrize("spec,diam,peak", [
+        # two interior maxima, at 0.103 and 0.7999; the second is global
+        (KernelSpec(a_w=0.03, a_y=1.0, kappa=20.0, varkappa=1.25), 1.0, 0.79986),
+        (KernelSpec(a_w=1.0, a_y=1.0, kappa=1.0, varkappa=1.0), 3.0, 0.59073),
+    ])
+    def test_mixture_optimum_equals_a_fine_scan(self, spec, diam, peak):
+        # a mixture takes optimal_scaling's search path; the oracle is
+        # psi on the 2e6 scales k/2e6, spaced 5e-7 apart
+        s = np.arange(1, 2_000_001) / 2e6
+        psi = -kernels.kernel_eval(spec, s * diam) * s**3 * 2.0
+        best = int(np.argmax(psi))
+        sigma, psi_max = kernels.optimal_scaling(spec, diam, 2.0)
+        assert sigma == pytest.approx(peak, abs=1e-5)
+        assert abs(sigma - s[best]) <= 1e-6
+        assert psi_max == pytest.approx(psi[best], rel=1e-12)
 
 
 class TestSecondMoment:

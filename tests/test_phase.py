@@ -792,6 +792,33 @@ class TestPetitLaunchesAtGammaGl:
             assert np.array_equal(a.solution.field.values, b.solution.field.values)
 
 
+class TestPetitPolish:
+    """The Newton polish after the petit crossing's brentq closes a gap it is handed."""
+
+    def test_root_off_by_a_step_is_polished_onto_the_crossing(self, monkeypatch):
+        # petit-r15's inputs; there brentq's root already closes the F gap,
+        # so the polish only steps when handed a root 0.3 off the crossing
+        dom = field.make_domain(15.0, n=64)
+        kwargs = dict(N_bracket=(0.965 * N_HAT_15, 0.968 * N_HAT_15), model=EXT,
+                      gamma_gl=-4.655290873521921)
+        exact = phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, **kwargs)
+        roots, brentq = [], phase.brentq
+
+        def off_by_a_step(*args, **kw):
+            roots.append(brentq(*args, **kw))
+            return roots[-1] + 0.3
+
+        monkeypatch.setattr(phase, "brentq", off_by_a_step)
+        polished = phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, **kwargs)
+        assert roots == [exact.N_vd]
+        fv, fd = polished.vapor.functionals.F, polished.droplet.functionals.F
+        assert abs(fv - fd) <= 1e-8 * max(1.0, abs(fv))
+        # brentq's own xtol is 1e-4 in the mass
+        assert abs(polished.N_vd - exact.N_vd) <= 1e-4
+        for point in (polished.vapor, polished.droplet):
+            assert point.functionals.N == pytest.approx(polished.N_vd, rel=1e-8)
+
+
 class TestDefaultModel:
     """Every solver and functional defaults to the hard-sphere model."""
 
