@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import brentq
+
+from .roots import brentq
 
 __all__ = [
     "ETA_FS_LO",

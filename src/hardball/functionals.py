@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from . import eos, field as field_mod
 
@@ -188,6 +186,8 @@ def _top_eigenpair(spec, alpha, domain, c):
     M and M^T are applied by the cached ring matrix, or above 512 nodes
     by `field.RingOperator`, so no n x n array is formed there either.
     """
+    import scipy.sparse.linalg  # on first use, so `import hardball` loads no scipy
+
     M = field_mod._self_ring(spec, domain)
     MT = M.T
     s = np.sqrt(volume_weights(domain))
@@ -297,6 +297,8 @@ def f_stability(spec, alpha, fld, seed=0):
     to D^(1/2), from one dense symmetric eigensolve.  Stable means it
     is positive.
     """
+    import scipy.linalg  # on first use, so `import hardball` loads no scipy
+
     D = volume_weights(fld.domain)
     curv = entropy_density_second(fld.values)
     probes = _zero_mass(D, np.random.default_rng(seed).standard_normal((_PROBES, D.size)))

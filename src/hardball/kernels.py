@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 __all__ = [
     "KernelSpec",
@@ -242,6 +241,8 @@ def _scan_scaling(spec, diam, volume):
     """`optimal_scaling` by search: a scan of 2048 scales, each interior
     maximum polished by a bounded minimize_scalar; on near-ties the
     largest maximizer wins."""
+    from scipy.optimize import minimize_scalar  # here, so `import hardball` loads no scipy
+
     def psi(s):
         return -float(kernel_eval(spec, s * diam)) * s**3 * volume
 

@@ -27,9 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import eos, field, functionals, kernels, uniform
+from .roots import brentq
 
 __all__ = [
     "BranchLostError",

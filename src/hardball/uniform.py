@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import eos, kernels
+from .roots import brentq
 
 # slope thresholds: below ALPHA_TAU_MIN the map eta -> g2(eta) - at*eta is
 # injective; at ALPHA_TAU_FS the small-slope root hits the freezing density
@@ -35,7 +35,7 @@ ALPHA_TAU_FS = float(eos.g2_derivs(eos.ETA_FS_LO, 1))
 # point (ETA_FS_LO, GAMMA_FS), so gamma_hat meets the fluid line there; the
 # tangent's value at ETA_FS_LO falls monotonically as its point of contact
 # moves from 0+ (where it is +inf) up to the inflection
-_ETA_KINK = optimize.brentq(
+_ETA_KINK = brentq(
     lambda x: float(eos.g2(x) + eos.g2_derivs(x, 1) * (eos.ETA_FS_LO - x)) - eos.GAMMA_FS,
     1e-3, ETA_WR, xtol=1e-15, rtol=8.9e-16,
 )
@@ -99,8 +99,8 @@ def solve_uniform(alpha_tau, gamma):
             roots.append(knots[min(ends, key=lambda j: abs(values[j]))])
         elif values[i] * values[i + 1] <= 0.0:
             # log scale: small roots reach e^-690, where g2 ~ ln(eta)
-            t = optimize.brentq(lambda t: h(math.exp(t)), math.log(knots[i]),
-                                math.log(knots[i + 1]), xtol=1e-16, rtol=8.9e-16)
+            t = brentq(lambda t: h(math.exp(t)), math.log(knots[i]),
+                       math.log(knots[i + 1]), xtol=1e-16, rtol=8.9e-16)
             roots.append(math.exp(t))
     if not roots:
         raise RuntimeError(
@@ -121,9 +121,9 @@ def eta_bounds(alpha_tau):
         return float(eos.g2_derivs(x, 1)) - alpha_tau
 
     lo = 0.5 / alpha_tau  # 1/eta term alone already exceeds alpha_tau here
-    eta_lt = optimize.brentq(slope_gap, lo, ETA_WR, xtol=1e-15, rtol=8.9e-16)
+    eta_lt = brentq(slope_gap, lo, ETA_WR, xtol=1e-15, rtol=8.9e-16)
     hi = 1.0 - 0.8 * (6.0 / alpha_tau) ** 0.25  # (8-2eta)/(1-eta)^4 dominates
-    eta_gt = optimize.brentq(slope_gap, ETA_WR, hi, xtol=1e-15, rtol=8.9e-16)
+    eta_gt = brentq(slope_gap, ETA_WR, hi, xtol=1e-15, rtol=8.9e-16)
     return eta_lt, eta_gt
 
 
@@ -192,7 +192,7 @@ def coexistence_gamma(alpha_tau):
         roots = solve_uniform(alpha_tau, gamma).roots
         return _pi_at_root(alpha_tau, roots[-1]) - _pi_at_root(alpha_tau, roots[0])
 
-    return optimize.brentq(varpi, gamma_check, gamma_hat, xtol=1e-14, rtol=8.9e-16)
+    return brentq(varpi, gamma_check, gamma_hat, xtol=1e-14, rtol=8.9e-16)
 
 
 def f_uniform(alpha_norm, eta):
@@ -269,6 +269,6 @@ def touching_scale(spec, alpha_range, diam, volume):
     else:
         raise ValueError("bands still overlap at the largest probed scale")
 
-    sigma_acute = optimize.brentq(gap_at_scale, s_lo, s_hi, xtol=1e-15, rtol=8.9e-16)
+    sigma_acute = brentq(gap_at_scale, s_lo, s_hi, xtol=1e-15, rtol=8.9e-16)
     alpha_star = (peak(sigma_acute) or peak(s_lo))[0]
     return sigma_acute, alpha_star

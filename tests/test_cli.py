@@ -6,7 +6,12 @@ tests, byte comparison for determinism, and exit codes checked against
 the documented contract (0 success, 1 solver failure, 2 config error).
 """
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -531,3 +536,38 @@ class TestReadProfiles:
         assert cli.main(["solve", "--config", str(grid), "--out", str(out)]) == 0
         with pytest.raises(ValueError, match="no r column"):
             cli.read_profiles(out / "solve_summary.csv")
+
+
+# imports the package, then runs each command in turn and prints the scipy
+# modules loaded after each step
+_FOOTPRINT = """
+import json, sys
+import hardball, hardball.cli
+loaded = {"import": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+for step in json.loads(sys.argv[1]):
+    assert hardball.cli.main(step) == 0
+    loaded[step[0]] = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(loaded))
+"""
+
+
+def test_commands_without_stability_load_no_scipy(tmp_path):
+    # the root finder is the package's own; scipy's eigensolvers load on
+    # first use, so start-up and the solve paths pay for no scipy module
+    config = tmp_path / "run.ini"
+    config.write_text(SMALL_BALL.replace("nodes = 256", "nodes = 64") + "\n[transition]\n"
+                      "gamma_lo = -22.0\ngamma_hi = -14.0\npetit = no\n")
+    steps = [[cmd, "--config", str(config), "--out", str(tmp_path / cmd), *extra]
+             for cmd, extra in (("solve", ["--gamma", "-18.0"]), ("transition", []),
+                                ("spectral", []))]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(steps)], env=env,
+                         capture_output=True, text=True, check=True)
+    loaded = json.loads(out.stdout.splitlines()[-1])
+    assert loaded["import"] == []
+    assert loaded["solve"] == []
+    assert loaded["transition"] == []
+    assert "scipy.sparse.linalg" in loaded["spectral"]
+    assert "scipy.optimize" not in loaded["spectral"]
