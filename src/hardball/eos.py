@@ -137,34 +137,43 @@ def _solve_increasing(fn, dfn, target, lo, hi, x0):
     bracket falls back to bisection (the first step may land on a
     bracket end, later ones must fall strictly inside), so convergence
     is unconditional on each lane's [lo, hi]; lo, hi and x0 have
-    target's shape.  A lane is frozen once its residual meets the
-    tolerance: each sweep updates and evaluates only the open lanes,
-    and the solve returns when none are left.  fn and dfn run
-    unchecked, so x0 must lie in [lo, hi].
+    target's shape.  The first sweep runs on the whole batch and
+    returns it when every lane meets the tolerance; otherwise each lane
+    is frozen once its residual meets it, each later sweep updates and
+    evaluates only the open lanes, and the solve returns when none are
+    left.  fn and dfn run unchecked and dfn must be positive and
+    finite, so x0 must lie in [lo, hi].
     """
     shape = np.shape(target)
-    t, lo_a, hi_a = (np.ravel(a) for a in (target, lo, hi))
-    x = np.ravel(x0).copy()  # only x is written in place
-    if not x.size:
+    t, lo_a, hi_a, x0 = (np.ravel(a) for a in (target, lo, hi, x0))
+    if not x0.size:
+        return x0.copy().reshape(shape)
+    f0 = fn(x0) - t
+    with np.errstate(all="ignore"):
+        x = x0 - f0 / dfn(x0)
+    # dfn > 0 moves the step from x0 toward the root, so it lies in the
+    # bracket that f0 updates exactly when it lies in [lo, hi].  A NaN or
+    # infinite step fails the test; the first step may land on a bracket
+    # end, where a start on its root at a range end stays.
+    inside = (x >= lo_a) & (x <= hi_a)
+    if not inside.all():
+        mid = 0.5 * (np.where(f0 < 0.0, x0, lo_a) + np.where(f0 > 0.0, x0, hi_a))
+        x = np.where(inside, x, mid)
+    f = fn(x) - t
+    # the relative tolerance below is never smaller than this one
+    if (np.abs(f) < _RESIDUAL_TOL).all():
         return x.reshape(shape)
     # relative above |target| = 1: near the right endpoint one ulp of x
     # moves fn by ~1e-11 |target|, so an absolute demand is unattainable
     tol = _RESIDUAL_TOL * np.maximum(1.0, np.abs(t))
+    lo_a = np.where(f0 < 0.0, x0, lo_a)
+    hi_a = np.where(f0 > 0.0, x0, hi_a)
     lanes = np.arange(t.size)  # positions in x of the open lanes
-    xa = x
-    f = fn(xa) - t
-    for sweep in range(_MAX_SWEEPS):
-        lo_a = np.where(f < 0.0, xa, lo_a)
-        hi_a = np.where(f > 0.0, xa, hi_a)
-        with np.errstate(all="ignore"):
-            xn = xa - f / dfn(xa)
-        # a NaN or infinite step fails both tests; the first step may land
-        # on a bracket end, where a start on its root at a range end stays
-        inside = (xn > lo_a) & (xn < hi_a) if sweep else (xn >= lo_a) & (xn <= hi_a)
-        xa = np.where(inside, xn, 0.5 * (lo_a + hi_a))
-        f = fn(xa) - t
+    xa = x  # x holds each lane's first-sweep value until the lane is done
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        # the lanes of sweep - 1 that meet the tolerance are done
         done = np.abs(f) < tol
-        if sweep >= _SLOW_SWEEPS:
+        if sweep > _SLOW_SWEEPS:
             # near a pole one ulp of x moves fn by more than tol; a lane
             # bracketed to a few ulps is as converged as doubles allow
             done |= hi_a - lo_a <= 4.0 * np.spacing(hi_a)
@@ -172,8 +181,17 @@ def _solve_increasing(fn, dfn, target, lo, hi, x0):
         keep = ~done
         if not keep.any():
             return x.reshape(shape)
+        if sweep == _MAX_SWEEPS:
+            raise RuntimeError("inversion did not reach the residual tolerance")
         lanes, xa, t, tol, f, lo_a, hi_a = (a[keep] for a in (lanes, xa, t, tol, f, lo_a, hi_a))
-    raise RuntimeError("inversion did not reach the residual tolerance")
+        lo_a = np.where(f < 0.0, xa, lo_a)
+        hi_a = np.where(f > 0.0, xa, hi_a)
+        with np.errstate(all="ignore"):
+            xn = xa - f / dfn(xa)
+        # a NaN or infinite step fails both tests
+        inside = (xn > lo_a) & (xn < hi_a)
+        xa = np.where(inside, xn, 0.5 * (lo_a + hi_a))
+        f = fn(xa) - t
 
 
 def _logit_table(fn, dfn, lo, hi):
@@ -221,10 +239,9 @@ def g2_inverse(gamma):
     |g2(result) - gamma| is driven below 1e-12 max(1, |gamma|).
     """
     g = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gamma must be finite")
-    if np.any(g < _G2_LO) or np.any(g > _G2_HI):
-        raise ValueError("gamma outside the invertible bracket")
+    if not ((g >= _G2_LO) & (g <= _G2_HI)).all():  # NaN fails it too
+        raise ValueError("gamma must be finite" if not np.isfinite(g).all()
+                         else "gamma outside the invertible bracket")
     return _scalar_like(gamma, _invert(_g2, _g2_prime, _G2_TABLE, g))
 
 
@@ -305,10 +322,9 @@ _G4_TABLE = _logit_table(_speedy_g4, _speedy_g4_prime, ETA_FS_HI, _G4_HI_ETA)
 def g4_inverse(gamma):
     """Invert speedy_g4 on [0.54, eta_fcc) from a table start, as g2_inverse."""
     g = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gamma must be finite")
-    if np.any(g < GAMMA_FS) or np.any(g > _G4_HI):
-        raise ValueError("gamma outside the solid branch")
+    if not ((g >= GAMMA_FS) & (g <= _G4_HI)).all():
+        raise ValueError("gamma must be finite" if not np.isfinite(g).all()
+                         else "gamma outside the solid branch")
     return _scalar_like(gamma, _invert(_speedy_g4, _speedy_g4_prime, _G4_TABLE, g))
 
 
@@ -332,6 +348,8 @@ _IDEAL_GAS_HI = 700.0  # largest ideal-gas gamma, clear of exp overflow
 def ideal_gas_wp_prime(gamma):
     """Ideal-gas density e^gamma, for low-density cross-checks."""
     g = np.asarray(gamma, dtype=float)
+    if not np.isfinite(g).all():
+        raise ValueError("gamma must be finite")
     if np.any(g > _IDEAL_GAS_HI):
         raise OverflowError("gamma too large for the ideal-gas exponential")
     return _scalar_like(gamma, np.exp(g))
@@ -398,6 +416,8 @@ class EosModel:
             return g2_inverse(gamma)
         g = np.atleast_1d(np.asarray(gamma, dtype=float))
         fluid = g <= self.gamma_fs
+        if fluid.all():
+            return _scalar_like(gamma, g2_inverse(g).reshape(np.shape(gamma)))
         out = np.empty_like(g)
         if np.any(fluid):
             out[fluid] = g2_inverse(g[fluid])

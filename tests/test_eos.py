@@ -129,6 +129,81 @@ def _count_sweeps(monkeypatch):
     return counts
 
 
+def _reference_solve(fn, dfn, target, lo, hi, x0):
+    """eos._solve_increasing without its whole-batch first sweep: every lane tracked from the start.
+
+    The reference that the fast return must match bit for bit, in its
+    results and in the sweeps and lanes it evaluates.
+    """
+    shape = np.shape(target)
+    t, lo_a, hi_a = (np.ravel(a) for a in (target, lo, hi))
+    x = np.ravel(x0).copy()
+    if not x.size:
+        return x.reshape(shape)
+    tol = eos._RESIDUAL_TOL * np.maximum(1.0, np.abs(t))
+    lanes = np.arange(t.size)
+    xa = x
+    f = fn(xa) - t
+    for sweep in range(eos._MAX_SWEEPS):
+        lo_a = np.where(f < 0.0, xa, lo_a)
+        hi_a = np.where(f > 0.0, xa, hi_a)
+        with np.errstate(all="ignore"):
+            xn = xa - f / dfn(xa)
+        inside = (xn > lo_a) & (xn < hi_a) if sweep else (xn >= lo_a) & (xn <= hi_a)
+        xa = np.where(inside, xn, 0.5 * (lo_a + hi_a))
+        f = fn(xa) - t
+        done = np.abs(f) < tol
+        if sweep >= eos._SLOW_SWEEPS:
+            done |= hi_a - lo_a <= 4.0 * np.spacing(hi_a)
+        x[lanes[done]] = xa[done]
+        keep = ~done
+        if not keep.any():
+            return x.reshape(shape)
+        lanes, xa, t, tol, f, lo_a, hi_a = (a[keep] for a in (lanes, xa, t, tol, f, lo_a, hi_a))
+    raise RuntimeError("inversion did not reach the residual tolerance")
+
+
+class TestSolveAgainstReference:
+    @staticmethod
+    def _both(monkeypatch, run):
+        """run() with eos._solve_increasing, then with the reference; results and counts of each."""
+        got = []
+        for solve in (eos._solve_increasing, _reference_solve):
+            monkeypatch.setattr(eos, "_solve_increasing", solve)
+            counts = _count_sweeps(monkeypatch)
+            got.append((np.asarray(run()), counts))
+            monkeypatch.undo()
+        return got
+
+    @pytest.mark.parametrize("mode", [eos.MODE_CS_EXTENDED, eos.MODE_HARD_SPHERE])
+    def test_table_starts(self, mode, monkeypatch):
+        # a dense sample with pole lanes, which take the lane-tracking loop
+        model = eos.EosModel(mode=mode)
+        lo, hi = model.gamma_range()
+        gamma = np.concatenate([np.linspace(lo, 100.0, 20001), np.geomspace(100.0, hi, 2001),
+                                [eos.GAMMA_FS, 1e20 if mode == eos.MODE_CS_EXTENDED
+                                 else 0.999 * eos._G4_HI]])
+        (got, counts), (want, want_counts) = self._both(monkeypatch, lambda: model.wp_prime(gamma))
+        assert np.array_equal(got, want)
+        assert counts == want_counts
+        assert counts["sweeps"] > 2
+
+    def test_far_and_near_starts(self, monkeypatch):
+        # starts anywhere in (0, 1), whose first steps leave the bracket so
+        # that lanes bisect, and starts so near their roots that one step
+        # leaves every residual below 1e-9 but most above the tolerance
+        rng = np.random.default_rng(3)
+        far = rng.uniform(0.0, 1.0, (2, 3000))
+        near = rng.uniform(0.05, 0.45, 1000)
+        for eta, start in (far, (near, near * (1.0 - 3e-6))):
+            lo, hi = np.full_like(eta, eos._BRACKET_LO), np.full_like(eta, eos._BRACKET_HI)
+            args = (eos._g2(eta), lo, hi, start)
+            (got, counts), (want, want_counts) = self._both(
+                monkeypatch, lambda: eos._solve_increasing(eos._g2, eos._g2_prime, *args))
+            assert np.array_equal(got, want)
+            assert counts == want_counts
+
+
 class TestInversionWork:
     GAMMA = np.linspace(-5.0, 8.0, 514)[1:-1]  # 512 targets inside (-5, 8)
 
@@ -208,6 +283,25 @@ class TestInversionWork:
         evaluations = 0 if mode == eos.MODE_IDEAL_GAS else 2
         assert counts["lanes"] == evaluations * inner.size
 
+    @pytest.mark.parametrize("invert, fn, gamma, pole", [
+        (eos.g2_inverse, eos.g2, np.linspace(-27.0, 100.0, 20001), 1e20),
+        (eos.g4_inverse, eos.speedy_g4, np.linspace(eos.GAMMA_FS, 100.0, 20001),
+         0.999 * eos._G4_HI),
+    ])
+    def test_fast_return_and_loop_agree(self, invert, fn, gamma, pole, monkeypatch):
+        counts = _count_sweeps(monkeypatch)
+        alone = invert(gamma)
+        # every lane meets the absolute tolerance after the first sweep,
+        # so this batch returns whole
+        assert np.all(np.abs(fn(alone) - gamma) < 1e-12)
+        assert counts["sweeps"] == 2
+        # one pole lane sends the batch through the lane-tracking loop
+        mid = gamma.size // 2
+        counts["sweeps"] = 0
+        batch = invert(np.insert(gamma, mid, pole))
+        assert counts["sweeps"] > 2
+        assert np.array_equal(np.delete(batch, mid), alone)
+
     @pytest.mark.parametrize("mode", eos.MODES)
     def test_lanes_are_independent(self, mode):
         # wp' is a pure function of gamma: no lane depends on its batch
@@ -217,6 +311,43 @@ class TestInversionWork:
         batch = model.wp_prime(gamma)
         alone = np.array([model.wp_prime(float(g)) for g in gamma])
         assert np.array_equal(batch, alone)
+
+
+_BRACKET = (ValueError, "gamma outside the invertible bracket")
+_SOLID = (ValueError, "gamma outside the solid branch")
+# each inversion entry point, with finite gammas out of its range and what they raise
+_OUT_OF_RANGE = {
+    "g2_inverse": (eos.g2_inverse, {-100.0: _BRACKET, 1e37: _BRACKET}),
+    "g4_inverse": (eos.g4_inverse, {15.0: _SOLID, 1e14: _SOLID}),
+    eos.MODE_CS_EXTENDED: (eos.EosModel(eos.MODE_CS_EXTENDED).wp_prime,
+                           {-100.0: _BRACKET, 1e37: _BRACKET}),
+    eos.MODE_HARD_SPHERE: (eos.EosModel(eos.MODE_HARD_SPHERE).wp_prime,
+                           {-100.0: _BRACKET, 1e14: _SOLID}),
+    eos.MODE_IDEAL_GAS: (eos.EosModel(eos.MODE_IDEAL_GAS).wp_prime,
+                         {701.0: (OverflowError, "gamma too large for the ideal-gas exponential")}),
+}
+
+
+class TestInversionErrors:
+    @pytest.mark.parametrize("name", list(_OUT_OF_RANGE))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gamma(self, name, bad):
+        invert, outside = _OUT_OF_RANGE[name]
+        batches = [bad, np.array([20.0, bad])]
+        if name in ("g2_inverse", "g4_inverse"):
+            # one range check sees both lanes; the non-finite one still names the error
+            batches += [np.array([g, bad]) for g in outside]
+        for gamma in batches:
+            with pytest.raises(ValueError, match="^gamma must be finite$"):
+                invert(gamma)
+
+    @pytest.mark.parametrize("name", list(_OUT_OF_RANGE))
+    def test_finite_gamma_out_of_range(self, name):
+        invert, outside = _OUT_OF_RANGE[name]
+        for g, (error, message) in outside.items():
+            for gamma in (g, np.array([20.0, g])):
+                with pytest.raises(error, match=f"^{message}$"):
+                    invert(gamma)
 
 
 class TestSolidBranch:
