@@ -416,8 +416,10 @@ class EosModel:
             return g2_inverse(gamma)
         g = np.atleast_1d(np.asarray(gamma, dtype=float))
         fluid = g <= self.gamma_fs
-        if fluid.all():
+        if fluid.all():  # g2_inverse rejects -inf; NaN and +inf are never fluid
             return _scalar_like(gamma, g2_inverse(g).reshape(np.shape(gamma)))
+        if not np.isfinite(g).all():
+            raise ValueError("gamma must be finite")
         out = np.empty_like(g)
         if np.any(fluid):
             out[fluid] = g2_inverse(g[fluid])

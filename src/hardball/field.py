@@ -12,9 +12,11 @@ triangle, so cumulative sums and a block-diagonal correction do the
 convolution.  Consumers that factor M or form its Jacobian (Newton,
 mass slopes, f_stability) still get the dense matrix, assembled on
 their first request.  Monotone Picard iteration reaches the extremal
-solutions from constant sub- and supersolutions; damped Newton reaches
-the unstable branch inbetween; a handful of closed-form predicates
-settle existence, uniqueness, and fluid-range membership a priori.
+solutions from constant sub- and supersolutions, tightened where the
+caller hands over the same branch's solution at a nearby gamma on the
+side that comparison allows; damped Newton reaches the unstable branch
+inbetween; a handful of closed-form predicates settle existence,
+uniqueness, and fluid-range membership a priori.
 
 One private loop, `_fixed_point`, iterates eta -> wp'(gamma + alpha M eta)
 for a rule that picks gamma from the potential and hands back the
@@ -653,22 +655,104 @@ def picard_iterate(spec, alpha, gamma, eta0, tol=1e-10, model=eos.EosModel()):
     return _fixed_point(M, alpha, model, eta0, rule, _PICARD_STEPS, tol, finish)[0]
 
 
-def minimal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10):
+def minimal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10,
+                     neighbour=None):
     """Pointwise smallest solution, grown from the constant wp'(gamma).
 
     The attraction only raises the argument of wp', so the constant
     wp'(gamma) is a subsolution and the iteration climbs monotonically
-    to the minimal solution.  A slow climb may end in a Newton finish,
-    accepted only with `picard_iterate`'s contraction certificate, so
-    the label stays true.
+    to the minimal solution.  neighbour=(gamma', report), the minimal
+    solution at a lower gamma' on a grid of the same (R, n), starts the
+    climb from max(wp'(gamma), report) instead.  By comparison
+    (Sattinger; Amann) the minimal solution rises with gamma, and the
+    neighbour is a subsolution at gamma, since wp' rises with its
+    argument; the pointwise max of two subsolutions is a subsolution,
+    and both lie below the minimal solution at gamma, so the climb ends
+    there too.  A neighbour that is not a minimal solution, lies above
+    gamma or was solved on another grid raises ValueError naming both
+    gammas.  A slow climb may end in a Newton finish, accepted only with
+    `picard_iterate`'s contraction certificate, so the label stays true.
     """
-    start = constant_field(domain, float(model.wp_prime(gamma)))
-    report = picard_iterate(spec, alpha, gamma, start, tol=tol, model=model)
+    start = np.full(domain.n, float(model.wp_prime(gamma)))
+    if neighbour is not None:
+        fault = _neighbour_fault(spec, alpha, gamma, domain, model, "minimal", neighbour)
+        if fault is not None:
+            raise ValueError(fault)
+        start = np.maximum(start, neighbour[1].field.values)
+    report = picard_iterate(spec, alpha, gamma, DensityField(domain, start), tol=tol,
+                            model=model)
     report.branch_label = "minimal"
     return report
 
 
-def maximal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10):
+def _certification(alpha_phi, gamma, model):
+    """How maximal_solution's ceiling certifies it at gamma; see there."""
+    if model.mode == eos.MODE_HARD_SPHERE and (
+            gamma - eos.GAMMA_FS + alpha_phi * eos.ETA_FS_LO <= 0.0):
+        return "fluid-ceiling"
+    return "algebraic-ceiling"
+
+
+def _ceiling(spec, alpha, gamma, domain, model):
+    """The constant supersolution maximal_solution descends from, and its certification."""
+    if model.mode == eos.MODE_IDEAL_GAS:
+        raise ValueError("supersolution construction needs a hard-sphere branch")
+    alpha_phi = alpha * kernels.phi_lambda(spec, domain.R)
+    certification = _certification(alpha_phi, gamma, model)
+    if certification == "fluid-ceiling":
+        return eos.ETA_FS_LO, certification
+    roots = uniform.solve_uniform(alpha_phi, gamma).roots
+    if model.mode == eos.MODE_CS_EXTENDED:
+        return roots[-1], certification
+    fluid = [r for r in roots if r <= eos.ETA_FS_LO + 1e-12]
+    if not fluid:
+        raise ValueError(
+            "supersolution unavailable: no algebraic root in the fluid range "
+            f"at alpha {alpha!r}, gamma {gamma!r}"
+        )
+    return fluid[-1], certification
+
+
+def _neighbour_fault(spec, alpha, gamma, domain, model, branch, neighbour):
+    """Why neighbour=(gamma', report) cannot start branch's launch at gamma, or None.
+
+    The neighbour must be a solution of that branch on a grid of the
+    same (R, n), at gamma' below gamma for the minimal branch and above
+    it for the maximal one.  A maximal neighbour must also carry the
+    certification the launch at gamma gets and descend from a ceiling
+    at least as high.  The largest algebraic root (CS-extended) rises
+    with gamma, and the fluid ceiling is 0.49 at every gamma, so only
+    hard-sphere algebraic ceilings are solved for and compared.
+    """
+    g_n, rep = neighbour
+    where = f"{branch} launch at gamma {gamma!r} from a neighbour at gamma {g_n!r}"
+    if rep.branch_label != branch:
+        return f"{where}: the neighbour is a {rep.branch_label} solution"
+    if not (g_n < gamma if branch == "minimal" else g_n > gamma):
+        side = "below" if branch == "minimal" else "above"
+        return f"{where}: the neighbour must lie {side} gamma"
+    grid = rep.field.domain
+    if (grid.R, grid.n) != (domain.R, domain.n):
+        return (f"{where}: the neighbour was solved on another grid "
+                f"(R {grid.R!r}, n {grid.n}), not (R {domain.R!r}, n {domain.n})")
+    if branch == "minimal":
+        return None
+    alpha_phi = alpha * kernels.phi_lambda(spec, domain.R)
+    certification = _certification(alpha_phi, gamma, model)
+    if rep.certification != certification:
+        return (f"{where}: the neighbour's certification {rep.certification!r} is not "
+                f"this launch's {certification!r}")
+    if model.mode == eos.MODE_HARD_SPHERE and certification == "algebraic-ceiling":
+        ceiling = _ceiling(spec, alpha, gamma, domain, model)[0]
+        above = _ceiling(spec, alpha, g_n, domain, model)[0]
+        if above < ceiling:
+            return (f"{where}: the neighbour's ceiling {above!r} lies below "
+                    f"this launch's {ceiling!r}")
+    return None
+
+
+def maximal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10,
+                     neighbour=None):
     """Pointwise largest solution below a constant algebraic supersolution.
 
     A constant c is a supersolution iff g2(c) >= gamma + alpha Phi c.
@@ -677,31 +761,32 @@ def maximal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10
     fields); otherwise the largest algebraic root at slope alpha Phi
     that is still in the fluid range (certification "algebraic-ceiling":
     maximal below that root).  CS-extended mode always descends from
-    the largest algebraic root, which bounds every solution.  A slow
-    descent may end in a Newton finish, accepted only with
-    `picard_iterate`'s contraction certificate, so the label and the
-    certification stay true.
+    the largest algebraic root, which bounds every solution.
+    neighbour=(gamma', report), the maximal solution at a higher gamma'
+    on a grid of the same (R, n), starts the descent from min(c,
+    report) instead.  By comparison (Sattinger; Amann) the neighbour is
+    a supersolution at gamma, since wp' rises with its argument, and
+    the min of two supersolutions is one.  A solution at gamma below c
+    is a subsolution at gamma', so where the neighbour descended from
+    a ceiling of at least c it lies below the neighbour: the maximal
+    solution falls as gamma falls, and the descent ends at the same
+    maximal solution, with the same certification.  A neighbour that
+    is not a maximal solution, lies below gamma, was solved on another
+    grid, carries another certification or descends from a lower
+    ceiling raises ValueError naming both gammas.  A slow descent may
+    end in a Newton finish, accepted only with `picard_iterate`'s
+    contraction certificate, so the label and the certification stay
+    true.
     """
-    if model.mode == eos.MODE_IDEAL_GAS:
-        raise ValueError("supersolution construction needs a hard-sphere branch")
-    phi = kernels.phi_lambda(spec, domain.R)
-    if model.mode == eos.MODE_CS_EXTENDED:
-        start_value = uniform.solve_uniform(alpha * phi, gamma).roots[-1]
-        certification = "algebraic-ceiling"
-    elif gamma - eos.GAMMA_FS + alpha * phi * eos.ETA_FS_LO <= 0.0:
-        start_value, certification = eos.ETA_FS_LO, "fluid-ceiling"
-    else:
-        roots = uniform.solve_uniform(alpha * phi, gamma)
-        fluid = [r for r in roots.roots if r <= eos.ETA_FS_LO + 1e-12]
-        if not fluid:
-            raise ValueError(
-                "supersolution unavailable: no algebraic root in the fluid range "
-                f"at alpha {alpha!r}, gamma {gamma!r}"
-            )
-        start_value, certification = fluid[-1], "algebraic-ceiling"
-    report = picard_iterate(
-        spec, alpha, gamma, constant_field(domain, start_value), tol=tol, model=model
-    )
+    start_value, certification = _ceiling(spec, alpha, gamma, domain, model)
+    start = np.full(domain.n, start_value)
+    if neighbour is not None:
+        fault = _neighbour_fault(spec, alpha, gamma, domain, model, "maximal", neighbour)
+        if fault is not None:
+            raise ValueError(fault)
+        start = np.minimum(start, neighbour[1].field.values)
+    report = picard_iterate(spec, alpha, gamma, DensityField(domain, start), tol=tol,
+                            model=model)
     report.branch_label = "maximal"
     report.certification = certification
     return report

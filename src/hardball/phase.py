@@ -18,7 +18,12 @@ safeguarded Newton on gamma, `_newton_on_gamma`, on an exact slope.
 Every gas/liquid comparison goes through `_launch_gap`: the minimal and
 maximal launches at one gamma, their pressure gap, and whether they are
 distinct, read through `_launch_memo` so one public call launches each
-gamma once.
+gamma once.  The memo starts each new minimal launch from the minimal
+solution at the nearest lower gamma it holds, and each maximal launch
+from the maximal solution at the nearest higher one: by comparison the
+minimal solution rises with gamma and the maximal one falls as gamma
+falls, so these are sub- and supersolutions on the right side of the
+extremal solutions, and the monotone iterations still end there.
 `_scan_and_locate` scans (by default the algebraic band), then locates.
 """
 
@@ -125,15 +130,18 @@ def _branch_point(spec, alpha, gamma, report, model):
     )
 
 
-def _launch_gap(spec, alpha, gamma, domain, model):
+def _launch_gap(spec, alpha, gamma, domain, model, below=None, above=None):
     """Minimal and maximal launches at gamma, and their pressure gap.
 
     Returns (P[maximal] - P[minimal], sup-norm separation, minimal
     report, maximal report).  Where the separation is below _DISTINCT
     the launches coincide and the gap is quadrature noise, not a sign.
+    below and above are the minimal and maximal launches' neighbours,
+    (gamma', report), as `field.minimal_solution` and
+    `field.maximal_solution` take them; None launches cold.
     """
-    lo = field.minimal_solution(spec, alpha, gamma, domain, model=model)
-    hi = field.maximal_solution(spec, alpha, gamma, domain, model=model)
+    lo = field.minimal_solution(spec, alpha, gamma, domain, model=model, neighbour=below)
+    hi = field.maximal_solution(spec, alpha, gamma, domain, model=model, neighbour=above)
     gap = functionals.pressure_functional(
         spec, alpha, gamma, hi.field, model=model
     ) - functionals.pressure_functional(spec, alpha, gamma, lo.field, model=model)
@@ -141,9 +149,30 @@ def _launch_gap(spec, alpha, gamma, domain, model):
 
 
 def _launch_memo(spec, alpha, domain, model):
-    """_launch_gap as a function of gamma, solved once per float(gamma)."""
-    solve = functools.cache(lambda g: _launch_gap(spec, alpha, g, domain, model))
-    return lambda gamma: solve(float(gamma))
+    """_launch_gap as a function of gamma, solved once per float(gamma).
+
+    A new gamma's minimal launch starts from the minimal solution at the
+    nearest lower gamma solved, and its maximal launch from the maximal
+    solution at the nearest higher one, unless `field._neighbour_fault`
+    finds that one unfit; then, or with no neighbour, a launch starts
+    cold.  See `field.minimal_solution` and `field.maximal_solution`.
+    """
+    solved = {}  # float(gamma) -> _launch_gap's result
+
+    def launch(gamma):
+        g = float(gamma)
+        if g not in solved:
+            lower = [x for x in solved if x < g]
+            higher = [x for x in solved if x > g]
+            below = (max(lower), solved[max(lower)][2]) if lower else None
+            above = (min(higher), solved[min(higher)][3]) if higher else None
+            if above is not None and field._neighbour_fault(
+                    spec, alpha, g, domain, model, "maximal", above) is not None:
+                above = None
+            solved[g] = _launch_gap(spec, alpha, g, domain, model, below, above)
+        return solved[g]
+
+    return launch
 
 
 def grand_canonical_transition(spec, alpha, domain, gamma_bracket, model=eos.EosModel()):
@@ -170,7 +199,7 @@ def _scan_and_locate(spec, alpha, domain, gamma_bracket, model):
         g_lo, g_hi = uniform.gamma_boundaries(alpha * kernels.l1_norm_r3(spec))
         gamma_bracket = (g_lo + 1e-6, g_hi - 1e-6)
     launch = _launch_memo(spec, alpha, domain, model)
-    bracket = _scan_for_crossing(launch, gamma_bracket)
+    bracket = _scan_for_crossing(launch, gamma_bracket, alpha, domain)
     return _locate_crossing(spec, alpha, domain, bracket, model, launch)
 
 
@@ -181,16 +210,17 @@ def _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch):
         raise ValueError("gamma_bracket must be increasing")
     gap_lo, sep_lo = launch(g_lo)[:2]
     gap_hi, sep_hi = launch(g_hi)[:2]
+    inputs = _inputs(alpha, domain, (g_lo, g_hi), (gap_lo, gap_hi))
     for g, sep in ((g_lo, sep_lo), (g_hi, sep_hi)):
         if sep < _DISTINCT:
             raise ValueError(
                 f"the launches coincide at gamma {g:.6f}; the pressure gap "
-                "there is quadrature noise, so shrink the bracket"
+                f"there is quadrature noise, so shrink the bracket ({inputs})"
             )
     if gap_lo == 0.0 or gap_hi == 0.0 or (gap_lo < 0.0) == (gap_hi < 0.0):
         raise ValueError(
             "pressure gap does not change sign over the bracket; one "
-            "branch may be absent"
+            f"branch may be absent ({inputs})"
         )
     D = functionals.volume_weights(domain)
 
@@ -632,7 +662,8 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
     gap_lo, gap_hi = points(n_lo)[2], points(n_hi)[2]
     if gap_lo == 0.0 or gap_hi == 0.0 or (gap_lo < 0.0) == (gap_hi < 0.0):
         raise ValueError(
-            "free-energy gap does not change sign over the mass bracket"
+            "free-energy gap does not change sign over the mass bracket "
+            f"({_inputs(alpha, domain, (n_lo, n_hi), (gap_lo, gap_hi))})"
         )
     n_vd = float(brentq(
         lambda n: points(n)[2], n_lo, n_hi, xtol=1e-4, rtol=8.9e-16,
@@ -670,13 +701,15 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
 
 def pressure_crossing_bracket(spec, alpha, domain, gamma_bracket, model=eos.EosModel()):
     """Sub-bracket of gamma_bracket over which the pressure gap changes sign."""
-    return _scan_for_crossing(_launch_memo(spec, alpha, domain, model), gamma_bracket)
+    launch = _launch_memo(spec, alpha, domain, model)
+    return _scan_for_crossing(launch, gamma_bracket, alpha, domain)
 
 
-def _scan_for_crossing(launch, gamma_bracket):
+def _scan_for_crossing(launch, gamma_bracket, alpha, domain):
     """Scan the bracket for a pressure-gap sign change between gammas
     where the launches are genuinely distinct; where they coincide
-    the gap is quadrature noise and must not count as a sign."""
+    the gap is quadrature noise and must not count as a sign.  The
+    error names alpha, the grid, the bracket and the gap at each end."""
     grid = np.linspace(gamma_bracket[0], gamma_bracket[1], _SCAN_POINTS)
     prev_g = grid[0]
     prev_gap, prev_sep = launch(prev_g)[:2]
@@ -687,10 +720,19 @@ def _scan_for_crossing(launch, gamma_bracket):
         if prev_sep >= _DISTINCT and (prev_gap < 0.0) != (gap < 0.0):
             return (float(prev_g), float(right))
         prev_g, prev_gap, prev_sep = right, gap, sep
+    ends = (float(grid[0]), float(grid[-1]))
+    gaps = (launch(ends[0])[0], launch(ends[1])[0])
     raise ValueError(
         "no pressure-gap sign change between distinct-branch gammas "
-        "inside the bracket"
+        f"inside the bracket ({_inputs(alpha, domain, ends, gaps)})"
     )
+
+
+def _inputs(alpha, domain, bracket, gaps):
+    """alpha, the grid, a bracket and the gap at each of its ends, for an error message."""
+    (a, b), (gap_a, gap_b) = bracket, gaps
+    return (f"alpha {alpha!r}, R {domain.R!r}, n {domain.n}; bracket ends {a!r} "
+            f"and {b!r}, gaps {float(gap_a):.6e} and {float(gap_b):.6e}")
 
 
 def decreasing_rearrangement(fld):

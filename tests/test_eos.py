@@ -333,10 +333,10 @@ class TestInversionErrors:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gamma(self, name, bad):
         invert, outside = _OUT_OF_RANGE[name]
-        batches = [bad, np.array([20.0, bad])]
-        if name in ("g2_inverse", "g4_inverse"):
-            # one range check sees both lanes; the non-finite one still names the error
-            batches += [np.array([g, bad]) for g in outside]
+        # next to a finite lane out of range, the non-finite one still names
+        # the error, in every mode: hard-sphere mode sends NaN and +inf to
+        # the solid branch and a finite lane below it to the fluid one
+        batches = [bad, np.array([20.0, bad])] + [np.array([g, bad]) for g in outside]
         for gamma in batches:
             with pytest.raises(ValueError, match="^gamma must be finite$"):
                 invert(gamma)

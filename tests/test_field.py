@@ -514,6 +514,60 @@ def launch_setup():
     return dom, sg
 
 
+class TestNeighbourStarts:
+    """Extremal launches started from the same branch's solution at a nearby gamma.
+
+    Hard-sphere mode at alpha Phi = 45 on R=5: the freezing fraction is
+    the maximal launch's ceiling up to gamma -6.84 and the middle
+    algebraic root above it, which falls as gamma rises.
+    """
+
+    ALPHA = 45.0 / PHI_Y5
+
+    @pytest.fixture(scope="class")
+    def dom(self):
+        return field.make_domain(5.0, n=64)
+
+    @pytest.fixture(scope="class")
+    def solved(self, dom):
+        lo = {g: field.minimal_solution(SPEC_Y, self.ALPHA, g, dom) for g in (-7.0, -6.0)}
+        hi = {g: field.maximal_solution(SPEC_Y, self.ALPHA, g, dom) for g in (-7.0, -5.5)}
+        return lo, hi
+
+    def test_warm_launch_matches_cold(self, dom, solved):
+        lo, hi = solved
+        for solve, gamma, neighbour in ((field.minimal_solution, -6.9, (-7.0, lo[-7.0])),
+                                        (field.maximal_solution, -7.1, (-7.0, hi[-7.0]))):
+            warm = solve(SPEC_Y, self.ALPHA, gamma, dom, neighbour=neighbour)
+            cold = solve(SPEC_Y, self.ALPHA, gamma, dom)
+            assert np.max(np.abs(warm.field.values - cold.field.values)) <= 1e-9
+            assert warm.iterations <= cold.iterations
+            assert (warm.branch_label, warm.certification, warm.monotone_direction) == \
+                (cold.branch_label, cold.certification, cold.monotone_direction)
+
+    def test_bad_neighbours_raise(self, dom, solved):
+        lo, hi = solved
+        coarse = field.make_domain(5.0, n=128)
+        other_grid = field.minimal_solution(SPEC_Y, self.ALPHA, -7.0, coarse)
+        minimal, maximal = field.minimal_solution, field.maximal_solution
+        cases = [
+            (minimal, -6.5, (-6.0, lo[-6.0]), "the neighbour must lie below gamma"),
+            (minimal, -6.5, (-7.0, hi[-7.0]), "the neighbour is a maximal solution"),
+            (minimal, -6.5, (-7.0, other_grid), r"the neighbour was solved on another grid "
+             r"\(R 5.0, n 128\), not \(R 5.0, n 64\)"),
+            (maximal, -6.5, (-7.0, hi[-7.0]), "the neighbour must lie above gamma"),
+            (maximal, -7.5, (-5.5, hi[-5.5]), "the neighbour's certification "
+             "'algebraic-ceiling' is not this launch's 'fluid-ceiling'"),
+            (maximal, -6.0, (-5.5, hi[-5.5]),
+             r"the neighbour's ceiling 0\.08\d+ lies below this launch's 0\.10\d+"),
+        ]
+        for solve, gamma, neighbour, fault in cases:
+            branch = solve.__name__.split("_")[0]
+            where = f"{branch} launch at gamma {gamma} from a neighbour at gamma {neighbour[0]}"
+            with pytest.raises(ValueError, match=f"^{where}: {fault}$"):
+                solve(SPEC_Y, self.ALPHA, gamma, dom, neighbour=neighbour)
+
+
 class TestSubsolutionLaunch:
     SPEC = kernels.KernelSpec(a_w=1.0, varkappa=1.0)
     ALPHA, GAMMA, R = 764.0, -9.0, 1.0

@@ -10,6 +10,7 @@ finite-container transition.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ def dom_small():
 
 def total_mass(dom, fld):
     return float(functionals.volume_weights(dom) @ fld.values)
+
+
+def named_inputs(excinfo, alpha, dom, ends):
+    """The two gaps a transition error names, after checking its other inputs."""
+    m = re.search(r"\(alpha (\S+), R (\S+), n (\d+); bracket ends (\S+) and (\S+), "
+                  r"gaps (\S+) and (\S+)\)$", str(excinfo.value))
+    assert m is not None, str(excinfo.value)
+    assert (float(m[1]), float(m[2]), int(m[3])) == (alpha, dom.R, dom.n)
+    assert (float(m[4]), float(m[5])) == ends
+    return float(m[6]), float(m[7])
 
 
 class TestDropletCriterion:
@@ -599,16 +610,23 @@ class TestGrandTransition:
         assert tr.gas.functionals.N < tr.liquid.functionals.N
 
     def test_coincident_bracket_rejected(self, dom15):
-        with pytest.raises(ValueError, match="coincide"):
+        with pytest.raises(ValueError, match="coincide") as excinfo:
             phase.grand_canonical_transition(
                 SPEC_Y, ALPHA_31, dom15, (-5.30, -5.10), model=EXT,
             )
+        gaps = named_inputs(excinfo, ALPHA_31, dom15, (-5.30, -5.10))
+        assert max(map(abs, gaps)) < 1e-8
 
     def test_one_signed_bracket_rejected(self, dom15):
-        with pytest.raises(ValueError, match="sign"):
+        with pytest.raises(ValueError, match="sign") as excinfo:
             phase.grand_canonical_transition(
                 SPEC_Y, ALPHA_31, dom15, (-4.45, -4.30), model=EXT,
             )
+        gaps = named_inputs(excinfo, ALPHA_31, dom15, (-4.45, -4.30))
+        for g, gap in zip((-4.45, -4.30), gaps):
+            cold = phase._launch_gap(SPEC_Y, ALPHA_31, g, dom15, EXT)[0]
+            assert gap == pytest.approx(cold, rel=1e-6)
+        assert min(gaps) > 0.0
 
     def test_each_gamma_launched_once(self, dom_small, monkeypatch):
         # the end checks, the root finder and the final pair share one
@@ -658,6 +676,96 @@ class TestGrandTransition:
         assert gaps[0] > gaps[1] > gaps[2] > 0
 
 
+class TestWarmLaunches:
+    """The locator's memo starts each launch from the nearest gamma solved on its side.
+
+    Oracle: the cold launch at each gamma.  By comparison the minimal
+    solution at a lower gamma lies below the minimal solution here and
+    the maximal one at a higher gamma above the maximal one here, so a
+    warm launch ends at the same extremal solution with the same labels.
+    """
+
+    LADDERS = {
+        "small": (100.0, [-22.0, -19.0, -18.0, -17.0, -14.0]),
+        "15": (ALPHA_31, [-4.75, -4.68, -4.655, -4.6, -4.45]),
+    }
+
+    @staticmethod
+    def orders(ladder):
+        # ascending, descending, and inward from both ends as a bisection goes
+        return [ladder, ladder[::-1], [ladder[i] for i in (0, 4, 2, 1, 3)]]
+
+    @staticmethod
+    def record_neighbours(monkeypatch):
+        warm = {"minimal": [], "maximal": []}  # gamma of every launch, and its neighbour's
+        for branch in warm:
+            real = getattr(field, f"{branch}_solution")
+
+            def spy(spec, alpha, gamma, *args, _real=real, _branch=branch, **kwargs):
+                neighbour = kwargs.get("neighbour")
+                warm[_branch].append((gamma, None if neighbour is None else neighbour[0]))
+                return _real(spec, alpha, gamma, *args, **kwargs)
+
+            monkeypatch.setattr(field, f"{branch}_solution", spy)
+        return warm
+
+    @staticmethod
+    def assert_same_launch(warm, cold):
+        assert np.max(np.abs(warm.field.values - cold.field.values)) <= 1e-9
+        assert (warm.branch_label, warm.certification, warm.monotone_direction) == \
+            (cold.branch_label, cold.certification, cold.monotone_direction)
+
+    @pytest.mark.parametrize("case", list(LADDERS))
+    def test_ladder_matches_cold_launches(self, case, dom_small, dom15, monkeypatch):
+        dom = dom_small if case == "small" else dom15
+        alpha, ladder = self.LADDERS[case]
+        cold = {g: phase._launch_gap(SPEC_Y, alpha, g, dom, EXT) for g in ladder}
+        warm = self.record_neighbours(monkeypatch)
+        for order in self.orders(ladder):
+            for branch in warm:
+                warm[branch].clear()
+            launch = phase._launch_memo(SPEC_Y, alpha, dom, EXT)
+            for g in order:
+                _, _, lo, hi = launch(g)
+                self.assert_same_launch(lo, cold[g][2])
+                self.assert_same_launch(hi, cold[g][3])
+            # each launch started from the nearest gamma already solved on its side
+            for i, g in enumerate(order):
+                below = [x for x in order[:i] if x < g]
+                above = [x for x in order[:i] if x > g]
+                assert warm["minimal"][i] == (g, max(below) if below else None)
+                assert warm["maximal"][i] == (g, min(above) if above else None)
+
+    def test_launch_next_to_a_solved_gamma(self, dom15):
+        # on grand-r30 the root finder's last two gammas lie 3.9e-12 apart
+        launch = phase._launch_memo(SPEC_Y, ALPHA_31, dom15, EXT)
+        for g in (-4.655, -4.655 + 4e-12, -4.655 - 4e-12):
+            _, _, lo, hi = launch(g)
+            _, _, cold_lo, cold_hi = phase._launch_gap(SPEC_Y, ALPHA_31, g, dom15, EXT)
+            for warm, cold in ((lo, cold_lo), (hi, cold_hi)):
+                assert np.max(np.abs(warm.field.values - cold.field.values)) <= 1e-9
+                assert (warm.branch_label, warm.certification) == \
+                    (cold.branch_label, cold.certification)
+
+    def test_unfit_maximal_neighbours_start_cold(self, dom5, monkeypatch):
+        # hard-sphere mode at alpha Phi = 45: the freezing fraction is the
+        # ceiling up to gamma -6.84, above it the middle algebraic root,
+        # which falls as gamma rises; a neighbour across that edge has
+        # another certification, one above it a lower ceiling
+        alpha, hs = 45.0 / PHI_Y5, eos.EosModel()
+        ladder = [-5.5, -6.0, -7.0, -7.5]
+        warm = self.record_neighbours(monkeypatch)
+        launch = phase._launch_memo(SPEC_Y, alpha, dom5, hs)
+        pairs = [launch(g) for g in ladder]
+        assert warm["maximal"] == [(-5.5, None), (-6.0, None), (-7.0, None), (-7.5, -7.0)]
+        certifications = [p[3].certification for p in pairs]
+        assert certifications == ["algebraic-ceiling"] * 2 + ["fluid-ceiling"] * 2
+        for g, (_, _, lo, hi) in zip(ladder, pairs):
+            cold = phase._launch_gap(SPEC_Y, alpha, g, dom5, hs)
+            self.assert_same_launch(lo, cold[2])
+            self.assert_same_launch(hi, cold[3])
+
+
 class TestPressureCrossingBracket:
     def test_sub_bracket_has_distinct_launches_and_sign_change(self):
         dom = field.make_domain(0.5, n=64)
@@ -680,10 +788,12 @@ class TestPressureCrossingBracket:
 
     def test_coincident_launches_rejected(self):
         dom = field.make_domain(15.0, n=64)
-        with pytest.raises(ValueError, match="no pressure-gap sign change"):
+        with pytest.raises(ValueError, match="no pressure-gap sign change") as excinfo:
             phase.pressure_crossing_bracket(
                 SPEC_Y, ALPHA_31, dom, (-5.30, -5.10), model=EXT,
             )
+        gaps = named_inputs(excinfo, ALPHA_31, dom, (-5.30, -5.10))
+        assert max(map(abs, gaps)) < 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -730,12 +840,14 @@ class TestPetitTransition:
     def test_no_crossing_in_bracket(self, dom15):
         # both endpoints sit below the droplet branch, so the gap
         # keeps the collapse sign at both ends
-        with pytest.raises(ValueError, match="sign"):
+        N_bracket = (0.35 * N_HAT_15, 0.60 * N_HAT_15)
+        message = "free-energy gap does not change sign"
+        with pytest.raises(ValueError, match=message) as excinfo:
             phase.petit_canonical_transition(
-                SPEC_Y, ALPHA_31, dom15,
-                N_bracket=(0.35 * N_HAT_15, 0.60 * N_HAT_15),
+                SPEC_Y, ALPHA_31, dom15, N_bracket=N_bracket,
                 model=EXT, gamma_gl=-4.655291,
             )
+        assert max(named_inputs(excinfo, ALPHA_31, dom15, N_bracket)) < 0.0
 
     def test_ghost_fold_launch_spends_at_most_one_failed_solve(self, dom15, monkeypatch):
         # the maximal launch at the bracket's low end slides through a
@@ -786,10 +898,15 @@ class TestPetitLaunchesAtGammaGl:
         at_gl = sorted(name for name, g in launched if g == gt.gamma_gl)
         assert at_gl == ["maximal_solution", "minimal_solution"]
         assert result.gamma_gl == gt.gamma_gl
-        for name in ("gas", "liquid"):
-            a, b = getattr(result, name), getattr(gt, name)
-            assert a.functionals.N == b.functionals.N
-            assert np.array_equal(a.solution.field.values, b.solution.field.values)
+        # petit runs the pair cold, bit for bit; the locator warm-started
+        # gt's pair from launches at nearby gammas, which lands on the
+        # same extremal solutions to the launches' tolerance
+        _, _, lo, hi = phase._launch_gap(SPEC_Y, ALPHA_31, gt.gamma_gl, dom, EXT)
+        for name, cold in (("gas", lo), ("liquid", hi)):
+            got = getattr(result, name).solution.field.values
+            assert np.array_equal(got, cold.field.values)
+            warm = getattr(gt, name).solution.field.values
+            assert np.max(np.abs(got - warm)) <= 1e-9
 
 
 class TestPetitPolish:
