@@ -105,7 +105,7 @@ class RunConfig:
     mass_hi: float = _setting(None, "transition.mass_hi")
     petit: bool = _setting(True, "transition.petit")
     out: str = _setting(".", "run.out", "output directory", echo=False)
-    jobs: int = _setting(1, "run.jobs", "worker threads for sweeps", echo=False,
+    jobs: int = _setting(1, "run.jobs", "worker threads for phase-diagram", echo=False,
                          rule=(lambda n: n >= 1, "must be at least 1"))
 
     def validate(self):
@@ -298,30 +298,25 @@ def cmd_eos_table(cfg):
                        ("branch", "eta", "p", "gamma"), rows)]
 
 
-def _launch_pair(cfg, spec, model, domain, gamma):
-    lo = field.minimal_solution(
-        spec, cfg.alpha, gamma, domain, tol=cfg.tol, model=model)
-    hi = field.maximal_solution(
-        spec, cfg.alpha, gamma, domain, tol=cfg.tol, model=model)
-    return lo, hi
-
-
 def cmd_solve(cfg):
-    """Run the bracketing launches at one gamma or across a gamma grid."""
+    """Run the bracketing launches at one gamma or across a gamma grid.
+
+    The launches of all gammas run as one block (`field.extremal_pairs`)
+    in the calling thread; jobs does not apply.
+    """
     cfg.require("alpha")
     spec, model, domain = cfg.kernel_spec(), cfg.eos_model(), cfg.domain()
+    gammas = cfg.gamma_grid or (cfg.require("gamma"),)
+    pairs = field.extremal_pairs(spec, cfg.alpha, gammas, domain, model=model, tol=cfg.tol)
     if cfg.gamma_grid:
-        def worker(indexed):
-            index, gamma = indexed
-            lo, hi = _launch_pair(cfg, spec, model, domain, gamma)
+        rows = []
+        for index, (gamma, pair) in enumerate(zip(gammas, pairs)):
             row = [index, gamma]
-            for rep in (lo, hi):
+            for rep in pair:
                 vals = functionals.functional_values(
                     spec, cfg.alpha, gamma, rep.field, model=model)
                 row += [vals.N, vals.P, vals.F, rep.iterations, rep.residual]
-            return tuple(row)
-
-        rows = _sweep(list(enumerate(cfg.gamma_grid)), worker, cfg.jobs)
+            rows.append(tuple(row))
         return [_write_csv(
             cfg, "solve", "solve_summary.csv",
             ("index", "gamma",
@@ -331,8 +326,7 @@ def cmd_solve(cfg):
              "iters_maximal", "residual_maximal"),
             rows)]
 
-    gamma = cfg.require("gamma")
-    lo, hi = _launch_pair(cfg, spec, model, domain, gamma)
+    [(lo, hi)] = pairs
     rows = [(r, a, b) for r, a, b in
             zip(domain.nodes, lo.field.values, hi.field.values)]
     return [_write_csv(cfg, "solve", "solve_profile.csv",

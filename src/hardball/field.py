@@ -21,7 +21,12 @@ uniqueness, and fluid-range membership a priori.
 One private loop, `_fixed_point`, iterates eta -> wp'(gamma + alpha M eta)
 for a rule that picks gamma from the potential and hands back the
 profile there: a constant for Picard, the mass-holding multiplier for
-`phase.droplet_solve`.  Every SolveReport is built by `_report`, the
+`phase.droplet_solve`.  It steps the columns of an (n, k) block, each
+its own sequence with its own gamma, applying M and wp' to all open
+columns at once and dropping each column as it stops; every column
+keeps the bits it has alone.  `extremal_pairs` runs all minimal and
+maximal launches of a gamma grid as one block; the other solves are
+one-column blocks.  Every SolveReport is built by `_report`, the
 one home of the certified-fluid rule.  One private damped Newton loop,
 `_newton`, serves `newton_solve` and `_NewtonFinish`, the finish of
 slowly converging fixed-point sequences.  For a monotone Picard launch
@@ -59,6 +64,7 @@ __all__ = [
     "picard_iterate",
     "minimal_solution",
     "maximal_solution",
+    "extremal_pairs",
     "subsolution_launch",
     "newton_solve",
     "predicates",
@@ -425,56 +431,97 @@ def _report(domain, values, gamma, u, iterations, residual, direction="none"):
     )
 
 
-def _fixed_point(M, alpha, model, eta0, gamma_rule, max_iter, tol, finish=None):
-    """Iterate eta -> wp'(gamma + u), u = alpha M eta, with gamma_rule(u, eta).
+def _apply(M, V):
+    """M V for the columns of an (n, k) block, each with the bits of M @ v alone.
 
-    gamma_rule returns gamma and the new profile wp'(gamma + u).  The
-    one loop behind the grand problem (gamma_rule a constant) and the
-    mass-constrained one (gamma_rule the Lagrange multiplier that holds
-    the mass, which holds the profile at the gamma it returns).  Stops
-    only when the sup-norm change drops below tol AND the residual at
-    the last step's gamma drops below 1e-9, so a stalled sequence runs
-    into max_iter and raises instead of reporting false convergence.
-    The monotone direction is read off the first step.  finish, if
-    given, is offered every later iterate that has not yet stopped, as
-    finish(iteration, eta, gamma, change, direction); a non-None answer
-    (profile, potential, residual, steps, gamma) ends the loop there,
-    with its steps added to the iteration count and its gamma returned.
-    Returns the report and the last gamma.
+    `RingOperator` gives every column those bits in one call.  A dense
+    M is applied one column at a time: BLAS's matrix product rounds a
+    column differently from its matrix-vector product, and by which
+    columns share the block.
     """
-    v = eta0.values
-    direction, gamma, change = "none", None, math.inf
+    if isinstance(M, RingOperator) or V.shape[1] == 1:
+        return M @ V
+    return np.column_stack([M @ V[:, j] for j in range(V.shape[1])])
+
+
+def _direction(v, new, change):
+    """The monotone direction of a first step v -> new of sup-norm change."""
+    scale = 1e-14 * max(1.0, float(np.max(np.abs(v))))
+    if change <= scale:
+        return "none"
+    if np.all(new >= v - scale):
+        return "up"
+    if np.all(new <= v + scale):
+        return "down"
+    return "none"
+
+
+def _fixed_point(M, alpha, model, domain, V, gamma_rule, max_iter, tol, finishes=None):
+    """Iterate each column v of the (n, k) block V by v -> wp'(gamma + u), u = alpha M v.
+
+    Each column is its own sequence with its own gamma; the columns
+    step together, so M and wp' are applied to all open columns in one
+    call each.  gamma_rule(open, U, V) returns, for the open columns
+    (their indices into the block), their potentials U and profiles V,
+    each column's gamma and its new profile wp'(gamma + u): a gamma per
+    column for Picard (`_picard`), the multiplier that holds the mass
+    for the one column of `phase.droplet_solve`.  A column stops only
+    when its sup-norm change drops below tol AND its residual at its
+    last gamma drops below 1e-9, so a stalled sequence runs into
+    max_iter and raises instead of reporting false convergence.  Its
+    monotone direction is read off its first step.  finishes, if given,
+    holds one finish per column, offered every later iterate of its
+    column that has not yet stopped, as finish(iteration, v, gamma,
+    change, direction); a non-None answer (profile, potential, residual,
+    steps, gamma) stops the column there, with its steps added to the
+    iteration count and its gamma returned.  A stopped column's report
+    is built by `_report`, and the column leaves the block.  A column
+    that leaves (0, 1) raises ValueError, and one still open after
+    max_iter steps RuntimeError, each naming that column's gamma.  The
+    bits of each column are those of a one-column block from the same
+    start: `_apply` and wp' treat the columns apart.  Returns one
+    (report, gamma) per column, in column order.
+    """
+    k = V.shape[1]
+    finishes = finishes or [None] * k
+    out, directions = [None] * k, ["none"] * k
+    cols = list(range(k))  # the open columns' indices into the block
     for it in range(1, max_iter + 1):
-        u = alpha * (M @ v)
-        gamma, new = gamma_rule(u, v)
-        if np.any(new >= 1.0) or np.any(new <= 0.0):
+        U = alpha * _apply(M, V)
+        G, new = gamma_rule(cols, U, V)
+        if (new >= 1.0).any() or (new <= 0.0).any():
+            j = int(np.argmax(((new >= 1.0) | (new <= 0.0)).any(axis=0)))
             raise ValueError("iteration left the volume-fraction range (0, 1) "
-                             f"at gamma {gamma!r}, iteration {it}")
-        change = float(np.max(np.abs(new - v)))
+                             f"at gamma {float(G[j])!r}, iteration {it}")
+        changes = np.abs(new - V).max(axis=0).tolist()
         if it == 1:
-            scale = 1e-14 * max(1.0, float(np.max(np.abs(v))))
-            if change <= scale:
-                direction = "none"
-            elif np.all(new >= v - scale):
-                direction = "up"
-            elif np.all(new <= v + scale):
-                direction = "down"
-        v = new
-        if change < tol:
-            u = alpha * (M @ v)
-            res = float(np.max(np.abs(
-                np.asarray(model.wp_prime(gamma + u)) - v
-            )))
-            if res < _RESIDUAL_TOL:
-                return _report(eta0.domain, v, gamma, u, it, res, direction), gamma
-        if finish is not None:
-            done = finish(it, v, gamma, change, direction)
-            if done is not None:
-                star, u, res, steps, gamma = done
-                return _report(eta0.domain, star, gamma, u, it + steps, res,
-                               direction), gamma
+            directions = [_direction(V[:, j], new[:, j], changes[j]) for j in range(k)]
+        V = new
+        stops = {}
+        close = [j for j, change in enumerate(changes) if change < tol]
+        if close:
+            u = alpha * _apply(M, V[:, close])
+            res = np.abs(np.asarray(model.wp_prime(G[close] + u)) - V[:, close]).max(axis=0)
+            for i, j in enumerate(close):
+                if res[i] < _RESIDUAL_TOL:
+                    stops[j] = (V[:, j], u[:, i], float(res[i]), 0, float(G[j]))
+        for j, c in enumerate(cols):
+            if j not in stops and finishes[c] is not None:
+                done = finishes[c](it, V[:, j], float(G[j]), changes[j], directions[c])
+                if done is not None:
+                    stops[j] = done
+        if not stops:
+            continue
+        for j, (star, u, res, steps, gamma) in stops.items():
+            out[cols[j]] = (_report(domain, star.copy(), gamma, u, it + steps, res,
+                                    directions[cols[j]]), gamma)
+        keep = [j for j in range(len(cols)) if j not in stops]
+        if not keep:
+            return out
+        cols, V, G = [cols[j] for j in keep], V[:, keep], G[keep]
+        changes = [changes[j] for j in keep]
     raise RuntimeError(f"no convergence within {max_iter} iterations: last gamma "
-                       f"{gamma!r}, sup-norm change {change:.3e}")
+                       f"{float(G[0])!r}, sup-norm change {changes[0]:.3e}")
 
 
 def _contraction_bound(aM, absM, gamma, model, lo, hi, y):
@@ -527,8 +574,8 @@ def _finish_cost(n):
 class _NewtonFinish:
     """Newton finish of one slowly converging fixed-point sequence.
 
-    `_fixed_point` offers it every iterate v_k with the gamma of that
-    step.  It arms at the first step where the sequence is slow, and
+    `_fixed_point` offers it every iterate v_k of its column with the
+    gamma of that step.  It arms at the first step where the sequence is slow, and
     fires once the change has halved since then at a step where it
     still is: the sequence is slow and converging, not sliding through
     a bottleneck, where a Newton solve from v_k fails.  Firing runs one
@@ -628,31 +675,66 @@ class _NewtonFinish:
             return None
 
 
+def _picard(spec, alpha, gammas, starts, domain, tol, model):
+    """Picard launches at gammas[j] from the columns starts[:, j], as one block; their reports.
+
+    See `picard_iterate`, which runs a one-column block; every column
+    gets its own Newton finish where that one would.
+    """
+    M = _self_ring(spec, domain)
+    gammas = np.asarray(gammas, dtype=float)
+
+    def rule(cols, U, V):
+        G = gammas[cols]
+        return G, np.asarray(model.wp_prime(G + U), dtype=float)
+
+    finishes = None
+    if model.mode != eos.MODE_IDEAL_GAS and domain.n <= _DENSE_MAX:
+        finishes = [_NewtonFinish(M, alpha, model, tol=tol) for _ in gammas]
+    return [report for report, _ in
+            _fixed_point(M, alpha, model, domain, starts, rule, _PICARD_STEPS, tol, finishes)]
+
+
 def picard_iterate(spec, alpha, gamma, eta0, tol=1e-10, model=eos.EosModel()):
     """Fixed-point iteration eta -> wp'(gamma + alpha(-V*eta)) at fixed gamma.
 
-    Runs the shared loop `_fixed_point` with a constant gamma; see
-    there for the stopping rule and the monotone direction.  A
-    monotone sequence (n <= 512, not the ideal gas) whose Picard steps
-    left to tol cost more than a Newton finish is finished by one
-    damped Newton solve whose limit is accepted only with a
-    certificate that it is the limit the monotone sequence
-    converges to: the Collatz-Wielandt bound of `_contraction_bound`
-    below 1 on the order interval between the last iterate and the
-    Newton limit (see `_NewtonFinish`).  Without the certificate the
-    iteration runs on as plain Picard.  The report then counts Picard
-    and Newton steps.
+    Runs the shared loop `_fixed_point` on a one-column block with a
+    constant gamma; see there for the stopping rule and the monotone
+    direction.  A monotone sequence (n <= 512, not the ideal gas) whose
+    Picard steps left to tol cost more than a Newton finish is finished
+    by one damped Newton solve whose limit is accepted only with a
+    certificate that it is the limit the monotone sequence converges
+    to: the Collatz-Wielandt bound of `_contraction_bound` below 1 on
+    the order interval between the last iterate and the Newton limit
+    (see `_NewtonFinish`).  Without the certificate the iteration runs
+    on as plain Picard.  The report then counts Picard and Newton
+    steps.
     """
-    M = _self_ring(spec, eta0.domain)
+    return _picard(spec, alpha, [gamma], eta0.values[:, None], eta0.domain, tol, model)[0]
 
-    def rule(u, v):
-        eta = model.wp_prime(gamma + u)
-        return gamma, np.asarray(eta, dtype=float)
 
-    finish = None
-    if model.mode != eos.MODE_IDEAL_GAS and eta0.domain.n <= _DENSE_MAX:
-        finish = _NewtonFinish(M, alpha, model, tol=tol)
-    return _fixed_point(M, alpha, model, eta0, rule, _PICARD_STEPS, tol, finish)[0]
+def _labelled(report, branch, direction, certification=""):
+    """A launch's report with its branch label and certification.
+
+    A launch from a sub- or supersolution moves up or down by
+    comparison, so a first step too small to read (a start already at
+    the fixed point to roundoff) still reports that direction.
+    """
+    report.branch_label, report.certification = branch, certification
+    if report.monotone_direction == "none":
+        report.monotone_direction = direction
+    return report
+
+
+def _minimal_start(spec, alpha, gamma, domain, model, neighbour=None):
+    """The start of minimal_solution's climb at gamma; see there."""
+    start = np.full(domain.n, float(model.wp_prime(gamma)))
+    if neighbour is not None:
+        fault = _neighbour_fault(spec, alpha, gamma, domain, model, "minimal", neighbour)
+        if fault is not None:
+            raise ValueError(fault)
+        start = np.maximum(start, neighbour[1].field.values)
+    return start
 
 
 def minimal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10,
@@ -672,17 +754,13 @@ def minimal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10
     gamma or was solved on another grid raises ValueError naming both
     gammas.  A slow climb may end in a Newton finish, accepted only with
     `picard_iterate`'s contraction certificate, so the label stays true.
+    The climb reports direction "up" even where its first step is too
+    small to read.
     """
-    start = np.full(domain.n, float(model.wp_prime(gamma)))
-    if neighbour is not None:
-        fault = _neighbour_fault(spec, alpha, gamma, domain, model, "minimal", neighbour)
-        if fault is not None:
-            raise ValueError(fault)
-        start = np.maximum(start, neighbour[1].field.values)
+    start = _minimal_start(spec, alpha, gamma, domain, model, neighbour)
     report = picard_iterate(spec, alpha, gamma, DensityField(domain, start), tol=tol,
                             model=model)
-    report.branch_label = "minimal"
-    return report
+    return _labelled(report, "minimal", "up")
 
 
 def _certification(alpha_phi, gamma, model):
@@ -751,6 +829,18 @@ def _neighbour_fault(spec, alpha, gamma, domain, model, branch, neighbour):
     return None
 
 
+def _maximal_start(spec, alpha, gamma, domain, model, neighbour=None):
+    """The start of maximal_solution's descent at gamma and its certification; see there."""
+    start_value, certification = _ceiling(spec, alpha, gamma, domain, model)
+    start = np.full(domain.n, start_value)
+    if neighbour is not None:
+        fault = _neighbour_fault(spec, alpha, gamma, domain, model, "maximal", neighbour)
+        if fault is not None:
+            raise ValueError(fault)
+        start = np.minimum(start, neighbour[1].field.values)
+    return start, certification
+
+
 def maximal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10,
                      neighbour=None):
     """Pointwise largest solution below a constant algebraic supersolution.
@@ -776,20 +866,37 @@ def maximal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10
     ceiling raises ValueError naming both gammas.  A slow descent may
     end in a Newton finish, accepted only with `picard_iterate`'s
     contraction certificate, so the label and the certification stay
-    true.
+    true.  The descent reports direction "down" even where its first
+    step is too small to read.
     """
-    start_value, certification = _ceiling(spec, alpha, gamma, domain, model)
-    start = np.full(domain.n, start_value)
-    if neighbour is not None:
-        fault = _neighbour_fault(spec, alpha, gamma, domain, model, "maximal", neighbour)
-        if fault is not None:
-            raise ValueError(fault)
-        start = np.minimum(start, neighbour[1].field.values)
+    start, certification = _maximal_start(spec, alpha, gamma, domain, model, neighbour)
     report = picard_iterate(spec, alpha, gamma, DensityField(domain, start), tol=tol,
                             model=model)
-    report.branch_label = "maximal"
-    report.certification = certification
-    return report
+    return _labelled(report, "maximal", "down", certification)
+
+
+def extremal_pairs(spec, alpha, gammas, domain, model=eos.EosModel(), tol=1e-10):
+    """The (minimal, maximal) solution pair at each gamma of a grid, in grid order.
+
+    Each pair is `minimal_solution` and `maximal_solution` at its gamma,
+    bit for bit: the launches start where those do, from the constant
+    wp'(gamma) and from the certified ceiling, and carry the same
+    labels.  All 2k launches run as the columns of one block in the
+    shared loop `_fixed_point`, so M and wp' are applied once per step
+    to every launch still open, and each column's bits do not depend on
+    which other gammas share the block.  The first launch to fail
+    raises, naming its gamma.
+    """
+    starts, certifications = [], []
+    for gamma in gammas:
+        lo = _minimal_start(spec, alpha, gamma, domain, model)
+        hi, certification = _maximal_start(spec, alpha, gamma, domain, model)
+        starts += [lo, hi]
+        certifications.append(certification)
+    reports = _picard(spec, alpha, np.repeat(np.asarray(gammas, dtype=float), 2),
+                      np.column_stack(starts), domain, tol, model)
+    return [(_labelled(lo, "minimal", "up"), _labelled(hi, "maximal", "down", certification))
+            for lo, hi, certification in zip(reports[::2], reports[1::2], certifications)]
 
 
 def subsolution_launch(spec, alpha, gamma, domain, mu, sigma_grave):
@@ -803,7 +910,9 @@ def subsolution_launch(spec, alpha, gamma, domain, mu, sigma_grave):
     (alpha, gamma) must lie in the triple-solution bands of both the
     full ball's Phi and the shrunken ball's Psi; the band errors name
     alpha and gamma.  A slow climb may end in a Newton finish, accepted
-    only with `picard_iterate`'s contraction certificate.
+    only with `picard_iterate`'s contraction certificate.  Both climbs
+    report direction "up" even where the first step is too small to
+    read.
     """
     if mu not in ("m", "M"):
         raise ValueError("mu must be 'm' or 'M'")
@@ -833,8 +942,7 @@ def subsolution_launch(spec, alpha, gamma, domain, mu, sigma_grave):
         domain, np.asarray(model.wp_prime(gamma + u0), dtype=float)
     )
     report = picard_iterate(spec, alpha, gamma, start, model=model)
-    report.branch_label = "minimal" if mu == "m" else "other"
-    return report
+    return _labelled(report, "minimal" if mu == "m" else "other", "up")
 
 
 def _newton(aM, gamma, model, v, tol, max_iter, callback=None, border=None):

@@ -515,12 +515,12 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=eos.EosModel(),
                   check_collapse=True):
     """Land on the droplet branch at fixed mass N.
 
-    Runs the fixed-point loop `field._fixed_point` with gamma re-solved
-    every step by `_gamma_for_mass` (Newton on gamma, started from the
-    current profile), whose profile at that gamma is the next iterate,
-    under Picard's stopping rule.  The droplet minimizes F under the
-    mass constraint, so this iteration converges from a crude ball
-    trial where fixed-gamma Newton stalls.  Once it converges slowly
+    Runs the fixed-point loop `field._fixed_point` on a one-column
+    block with gamma re-solved every step by `_gamma_for_mass` (Newton
+    on gamma, started from the current profile), whose profile at that
+    gamma is the next iterate, under Picard's stopping rule.  The
+    droplet minimizes F under the mass constraint, so this iteration
+    converges from a crude ball trial where fixed-gamma Newton stalls.  Once it converges slowly
     (change ratio above 0.9, n <= 512; not Picard's cost rule, which
     would fire earlier and widen the acceptance window below) its tail
     is cut short by one bordered Newton solve in (eta, gamma) on the
@@ -541,13 +541,17 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=eos.EosModel(),
         fraction = min(0.9, N / (eta_big * float(np.sum(D))))
         start = droplet_trial(domain, N, fraction)
     M = field._self_ring(spec, domain)
-    finish = None
+
+    def rule(cols, U, V):  # the block's one column
+        gamma, eta = _gamma_for_mass(model, D, U[:, 0], N, V[:, 0])
+        return np.array([gamma]), eta[:, None]
+
+    finishes = None
     if domain.n <= field._DENSE_MAX:
-        finish = field._NewtonFinish(M, alpha, model, border=(D, N))
-    report, gamma = field._fixed_point(
-        M, alpha, model, start,
-        lambda u, v: _gamma_for_mass(model, D, u, N, v), _DROPLET_STEPS, _DROPLET_TOL,
-        finish,
+        finishes = [field._NewtonFinish(M, alpha, model, border=(D, N))]
+    [(report, gamma)] = field._fixed_point(
+        M, alpha, model, domain, start.values[:, None], rule, _DROPLET_STEPS, _DROPLET_TOL,
+        finishes,
     )
     if check_collapse:
         vapor = field.minimal_solution(spec, alpha, gamma, domain, model=model)

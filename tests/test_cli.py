@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardball import cli, field, phase
+from hardball import cli, field, functionals, phase
 
 SMALL_BALL = """\
 [eos]
@@ -238,6 +238,37 @@ class TestSolve:
         first = (out_a / "solve_summary.csv").read_bytes()
         assert (out_b / "solve_summary.csv").read_bytes() == first
         assert b"# out" not in first and b"# jobs" not in first
+
+    def test_grid_rows_are_the_single_launches(self, config, tmp_path):
+        # the grid runs as one block; each row still holds, to the last
+        # bit, minimal_solution and maximal_solution at its gamma
+        cfg = tmp_path / "grid.ini"
+        cfg.write_text(config.read_text() + "\n[grid]\ngamma = -20.0, -18.0, -16.0\n")
+        out = tmp_path / "out"
+        assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out / "solve_summary.csv")
+        run = cli.load_config(cfg)
+        spec, model, domain = run.kernel_spec(), run.eos_model(), run.domain()
+        for row, gamma in zip(rows, run.gamma_grid):
+            want = [0, gamma]
+            for solve in (field.minimal_solution, field.maximal_solution):
+                rep = solve(spec, run.alpha, gamma, domain, model=model, tol=run.tol)
+                vals = functionals.functional_values(spec, run.alpha, gamma, rep.field,
+                                                     model=model)
+                want += [vals.N, vals.P, vals.F, rep.iterations, rep.residual]
+            assert row[1:] == [cli._fmt(value) for value in want[1:]]
+
+    def test_solve_starts_no_thread(self, config, tmp_path, monkeypatch):
+        # jobs threads only phase-diagram; solve runs in the calling thread
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve must not start a thread pool or a sweep")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(cli, "_sweep", refuse)
+        cfg = tmp_path / "grid.ini"
+        cfg.write_text(config.read_text() + "\n[grid]\ngamma = -20.0, -18.0\n")
+        assert cli.main(["solve", "--config", str(cfg), "--jobs", "3",
+                         "--out", str(tmp_path / "out")]) == 0
 
     def test_rerun_is_byte_identical(self, config, tmp_path):
         out = tmp_path / "out"

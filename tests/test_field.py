@@ -568,6 +568,116 @@ class TestNeighbourStarts:
                 solve(SPEC_Y, self.ALPHA, gamma, dom, neighbour=neighbour)
 
 
+class TestLaunchDirection:
+    def test_warm_launch_from_a_fixed_point_reads_up(self):
+        # the neighbour at -18 is already the fixed point at -18 + 4e-12 to
+        # roundoff, so the warm launch's one step moves by under 1e-14;
+        # comparison still says the climb goes up, as the cold one reads
+        ext = eos.EosModel(mode=eos.MODE_CS_EXTENDED)
+        dom = field.make_domain(0.5, n=256)
+        below = field.minimal_solution(SPEC_Y, 100.0, -18.0, dom, model=ext)
+        gamma = -18.0 + 4e-12
+        warm = field.minimal_solution(SPEC_Y, 100.0, gamma, dom, model=ext,
+                                      neighbour=(-18.0, below))
+        cold = field.minimal_solution(SPEC_Y, 100.0, gamma, dom, model=ext)
+        assert warm.iterations == 1
+        assert warm.monotone_direction == cold.monotone_direction == "up"
+
+
+def _assert_same_report(got, want):
+    assert np.array_equal(got.field.values, want.field.values)
+    assert got.field.domain is want.field.domain
+    for name in ("iterations", "residual", "monotone_direction", "branch_label",
+                 "certified_fluid", "certification"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+class TestExtremalPairs:
+    """Every launch of a gamma grid as the columns of one block.
+
+    Each pair must be minimal_solution and maximal_solution at its
+    gamma bit for bit, whatever other gammas share the block.
+    """
+
+    # the grid of the benchmark's cli-scan at its first radius, unshifted
+    CLI_ALPHA, CLI_GAMMAS = 15.0 / kernels.l1_norm_r3(SPEC_Y), (-3.0, -1.0, 1.0, 3.0)
+    EXT = eos.EosModel(mode=eos.MODE_CS_EXTENDED)
+
+    @staticmethod
+    def _assert_pairs_are_single_launches(spec, alpha, gammas, dom, model, tol):
+        pairs = field.extremal_pairs(spec, alpha, gammas, dom, model=model, tol=tol)
+        assert len(pairs) == len(gammas)
+        for gamma, (lo, hi) in zip(gammas, pairs):
+            _assert_same_report(lo, field.minimal_solution(spec, alpha, gamma, dom,
+                                                           model=model, tol=tol))
+            _assert_same_report(hi, field.maximal_solution(spec, alpha, gamma, dom,
+                                                           model=model, tol=tol))
+        return pairs
+
+    def test_cli_scan_grid_equals_single_launches(self):
+        assert self.CLI_ALPHA == 1.1936620731892151
+        dom = field.make_domain(4.0, n=1024)
+        self._assert_pairs_are_single_launches(SPEC_Y, self.CLI_ALPHA, self.CLI_GAMMAS, dom,
+                                               eos.EosModel(), 1e-12)
+
+    def test_small_ball_grid_equals_single_launches(self):
+        # the CLI tests' small ball: dense M at n=256, applied column by column
+        dom = field.make_domain(0.5, n=256)
+        pairs = self._assert_pairs_are_single_launches(
+            SPEC_Y, 100.0, (-20.0, -18.0, -16.0), dom, self.EXT, 1e-12)
+        assert [hi.certification for _, hi in pairs] == ["algebraic-ceiling"] * 3
+
+    def test_finishing_columns_equal_single_launches(self, monkeypatch):
+        # around the petit-r15 vapor (R=15, n=64, alpha*l1 = 31) every launch
+        # is slow enough for its own Newton finish
+        alpha = 31.0 / kernels.l1_norm_r3(SPEC_Y)
+        gammas = (-4.6, -4.4, -4.2, -4.0)
+        solved = []
+        newton = field._newton
+        monkeypatch.setattr(field, "_newton",
+                            lambda *args: (solved.append(args[1]), newton(*args))[1])
+        dom = field.make_domain(15.0, n=64)
+        pairs = field.extremal_pairs(SPEC_Y, alpha, gammas, dom, model=self.EXT)
+        assert sorted(solved) == sorted(2 * gammas)
+        monkeypatch.setattr(field, "_newton", newton)
+        for gamma, (lo, hi) in zip(gammas, pairs):
+            _assert_same_report(lo, field.minimal_solution(SPEC_Y, alpha, gamma, dom,
+                                                           model=self.EXT))
+            _assert_same_report(hi, field.maximal_solution(SPEC_Y, alpha, gamma, dom,
+                                                           model=self.EXT))
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_a_pair_does_not_depend_on_its_company(self, n):
+        dom = field.make_domain(4.0, n=n)
+        model = eos.EosModel()
+        grid = field.extremal_pairs(SPEC_Y, self.CLI_ALPHA, self.CLI_GAMMAS, dom, model=model)
+        reverse = field.extremal_pairs(SPEC_Y, self.CLI_ALPHA, self.CLI_GAMMAS[::-1], dom,
+                                       model=model)
+        for pair, other in zip(grid, reverse[::-1]):
+            for got, want in zip(pair, other):
+                _assert_same_report(got, want)
+        [alone] = field.extremal_pairs(SPEC_Y, self.CLI_ALPHA, self.CLI_GAMMAS[1:2], dom,
+                                       model=model)
+        for got, want in zip(alone, grid[1]):
+            _assert_same_report(got, want)
+
+    def test_non_convergence_names_the_failing_gamma(self, monkeypatch):
+        # at gamma -20 both launches stop within 3 steps; at -3 neither does
+        monkeypatch.setattr(field, "_PICARD_STEPS", 3)
+        dom = field.make_domain(4.0, n=1024)
+        with pytest.raises(RuntimeError, match=r"^no convergence within 3 iterations: "
+                           r"last gamma -3\.0, sup-norm change"):
+            field.extremal_pairs(SPEC_Y, self.CLI_ALPHA, (-20.0, -3.0), dom)
+
+    def test_leaving_the_range_names_the_column_gamma(self, dom5):
+        # e^(gamma+u) stays below 1 at gamma -5 and crosses it at -0.05
+        model = eos.EosModel(mode=eos.MODE_IDEAL_GAS)
+        starts = np.exp(np.array([[-5.0, -0.05]])).repeat(dom5.n, axis=0)
+        with pytest.raises(ValueError, match=r"^iteration left the volume-fraction "
+                           r"range \(0, 1\) at gamma -0\.05, iteration 1$"):
+            field._picard(SPEC_Y, 0.1, [-5.0, -0.05], starts, dom5, 1e-10, model)
+
+
 class TestSubsolutionLaunch:
     SPEC = kernels.KernelSpec(a_w=1.0, varkappa=1.0)
     ALPHA, GAMMA, R = 764.0, -9.0, 1.0

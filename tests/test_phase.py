@@ -394,8 +394,10 @@ def _droplet_and_plain_run(dom, N, monkeypatch):
     point = phase.droplet_solve(SPEC_Y, ALPHA_31, dom, N, model=EXT,
                                 check_collapse=False)
     monkeypatch.setattr(field, "_fixed_point", real)
-    assert len(calls) == 1 and isinstance(calls[0][-1], field._NewtonFinish)
-    return point, real(*calls[0][:-1])
+    [finish] = calls[0][-1]  # the loop runs one column, with one finish
+    assert len(calls) == 1 and isinstance(finish, field._NewtonFinish)
+    [plain] = real(*calls[0][:-1])
+    return point, plain
 
 
 class TestDropletFinish:
