@@ -779,10 +779,10 @@ def _ceiling(spec, alpha, gamma, domain, model):
     certification = _certification(alpha_phi, gamma, model)
     if certification == "fluid-ceiling":
         return eos.ETA_FS_LO, certification
-    roots = uniform.solve_uniform(alpha_phi, gamma).roots
     if model.mode == eos.MODE_CS_EXTENDED:
-        return roots[-1], certification
-    fluid = [r for r in roots if r <= eos.ETA_FS_LO + 1e-12]
+        return uniform.largest_root(alpha_phi, gamma), certification
+    fluid = [r for r in uniform.solve_uniform(alpha_phi, gamma).roots
+             if r <= eos.ETA_FS_LO + 1e-12]
     if not fluid:
         raise ValueError(
             "supersolution unavailable: no algebraic root in the fluid range "

@@ -105,15 +105,23 @@ def n_functional(fld):
     return float(volume_weights(fld.domain) @ fld.values)
 
 
-def _interaction(spec, fld):
-    """(1/2) integral of eta (-V*eta), the attraction's energy gain at alpha=1."""
-    w1 = field_mod.apply_kernel(spec, 1.0, fld.domain, fld.values)
+def _unit_potential(spec, fld):
+    """-V*eta on the field's own grid: the potential at alpha=1."""
+    return field_mod.apply_kernel(spec, 1.0, fld.domain, fld.values)
+
+
+def _interaction(fld, w1):
+    """(1/2) integral of eta w1 for w1 = -V*eta, the attraction's energy gain at alpha=1."""
     return 0.5 * float(volume_weights(fld.domain) @ (fld.values * w1))
+
+
+def _energy(alpha, fld, w1):
+    return 1.5 * n_functional(fld) - alpha * _interaction(fld, w1)
 
 
 def e_functional(spec, alpha, fld):
     """Energy:temperature ratio (3/2)N minus the attraction integral."""
-    return 1.5 * n_functional(fld) - alpha * _interaction(spec, fld)
+    return _energy(alpha, fld, _unit_potential(spec, fld))
 
 
 def s_functional(fld):
@@ -137,12 +145,17 @@ def gamma_of(spec, alpha, fld, model=eos.EosModel()):
     the solid top, and reads nodes within 1e-12 below eta_fs^> as
     g2(eta_fs^<), one ulp from g4(eta_fs^>).
     """
+    return _gamma_of(fld, field_mod.convolve(spec, alpha, fld), model)
+
+
+def _gamma_of(fld, u, model):
+    """gamma_of for the field's potential u = alpha(-V*eta)."""
     v = fld.values
     if model.mode == eos.MODE_HARD_SPHERE and not np.all(
         (v <= eos.ETA_FS_LO + 1e-12) | (v >= eos.ETA_FS_HI - 1e-12)
     ):
         return None
-    cand = model.gamma_at(v) - field_mod.convolve(spec, alpha, fld)
+    cand = model.gamma_at(v) - u
     if float(np.max(cand) - np.min(cand)) > _GAMMA_SPREAD:
         return None
     return float(volume_weights(fld.domain) @ cand) / float(
@@ -150,22 +163,44 @@ def gamma_of(spec, alpha, fld, model=eos.EosModel()):
     )
 
 
+def _potentials(spec, alpha, fld):
+    """-V*eta and alpha(-V*eta) from one application of the ring.
+
+    The second is `field.convolve`'s potential bit for bit: that is
+    alpha * (M @ eta), and M @ eta = 1.0 * (M @ eta).
+    """
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
+    w1 = _unit_potential(spec, fld)
+    return w1, alpha * w1
+
+
 def pressure_functional(spec, alpha, gamma, fld, model=eos.EosModel()):
     """Grand-potential functional: int wp(gamma + alpha(-V*eta)) - interaction."""
-    u = field_mod.convolve(spec, alpha, fld)
+    w1, u = _potentials(spec, alpha, fld)
+    return _pressure(alpha, gamma, fld, u, w1, model)
+
+
+def _pressure(alpha, gamma, fld, u, w1, model):
     local = np.asarray(model.wp(gamma + u), dtype=float)
-    return float(volume_weights(fld.domain) @ local) - alpha * _interaction(spec, fld)
+    return float(volume_weights(fld.domain) @ local) - alpha * _interaction(fld, w1)
 
 
 def functional_values(spec, alpha, gamma, fld, model=eos.EosModel()):
-    """Bundle of all functionals for one field."""
+    """Bundle of all functionals for one field.
+
+    The ring is applied once and the entropy evaluated once; each value
+    equals its standalone function's bit for bit.
+    """
+    w1, u = _potentials(spec, alpha, fld)
+    E, S = _energy(alpha, fld, w1), s_functional(fld)
     return FunctionalValues(
-        P=pressure_functional(spec, alpha, gamma, fld, model=model),
+        P=_pressure(alpha, gamma, fld, u, w1, model),
         N=n_functional(fld),
-        E=e_functional(spec, alpha, fld),
-        S=s_functional(fld),
-        F=f_functional(spec, alpha, fld),
-        Gamma=gamma_of(spec, alpha, fld, model=model),
+        E=E,
+        S=S,
+        F=E - S,
+        Gamma=_gamma_of(fld, u, model),
     )
 
 

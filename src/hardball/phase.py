@@ -24,6 +24,8 @@ from the maximal solution at the nearest higher one: by comparison the
 minimal solution rises with gamma and the maximal one falls as gamma
 falls, so these are sub- and supersolutions on the right side of the
 extremal solutions, and the monotone iterations still end there.
+The vapor solves of one petit transition share a memo of their cold
+launches in the same way, through `constrained_solve`'s ``memo``.
 `_scan_and_locate` scans (by default the algebraic band), then locates.
 """
 
@@ -300,7 +302,7 @@ def _newton_on_gamma(evaluate, gamma, window, ftol, xtol, message, steps):
 
 
 def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(),
-                      start=None, gamma_seed=None):
+                      start=None, gamma_seed=None, memo=None):
     """Solve at fixed mass by safeguarded Newton on the chemical potential.
 
     The inner solve is the branch's own method: certified launches for
@@ -312,9 +314,17 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(
     branch.  A sup-norm step more than ten times the size predicted
     from the previous continuation step means the inner solve jumped
     branches and raises BranchLostError.
+
+    memo, a dict float(gamma) -> (launch report, slope) that the caller
+    shares between solves on one extremal branch, is read before each
+    launch and filled after it.  The launches start cold, so a gamma
+    read from the memo gives the bits its launch would; the middle
+    branch's warm-started solves cannot share one, and refuse it.
     """
     if branch not in ("minimal", "maximal", "middle"):
         raise ValueError("branch must be 'minimal', 'maximal' or 'middle'")
+    if memo is not None and branch == "middle":
+        raise ValueError("the middle branch's solves are warm-started; they take no memo")
     N_target = float(N_target)
     D = functionals.volume_weights(domain)
     volume = float(np.sum(D))
@@ -354,10 +364,20 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(
         warm[0] = rep.field
         return rep
 
+    def launch(g):
+        # the inner solve at g and the branch slope there
+        if memo is not None and g in memo:
+            return memo[g]
+        rep = inner(g)
+        solved = rep, _mass_slope(model, M, D, rep.field.values)
+        if memo is not None:
+            memo[g] = solved
+        return solved
+
     history = []  # (gamma, values) of accepted inner solves
 
     def evaluate(g):
-        rep = inner(g)
+        rep, slope = launch(float(g))
         v = rep.field.values
         if len(history) >= 2:
             (g1, v1), (g0, v0) = history[-1], history[-2]
@@ -370,7 +390,7 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(
                         "sup-norm step exceeds ten times the prediction"
                     )
         history.append((g, v))
-        return float(D @ v) - N_target, _mass_slope(model, M, D, v), rep
+        return float(D @ v) - N_target, slope, rep
 
     mean = N_target / volume
     if gamma_seed is None:
@@ -412,7 +432,7 @@ def droplet_criterion(spec, alpha):
         )
     gamma_hat = uniform.gamma_boundaries(atau)[1]
     eta_m = uniform.eta_bounds(atau)[0]
-    eta_M = uniform.solve_uniform(atau, gamma_hat).roots[-1]
+    eta_M = uniform.largest_root(atau, gamma_hat)
 
     def crowding(eta):
         return (3.0 - 2.0 * eta) / (1.0 - eta) ** 2
@@ -537,7 +557,7 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=eos.EosModel(),
     if start is None:
         atau = alpha * kernels.l1_norm_r3(spec)
         gamma_hat = uniform.gamma_boundaries(atau)[1]
-        eta_big = uniform.solve_uniform(atau, gamma_hat).roots[-1]
+        eta_big = uniform.largest_root(atau, gamma_hat)
         fraction = min(0.9, N / (eta_big * float(np.sum(D))))
         start = droplet_trial(domain, N, fraction)
     M = field._self_ring(spec, domain)
@@ -577,6 +597,13 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
     located here by `_scan_and_locate` (defaulting to the algebraic
     band), whose gas and liquid are then reused.  The vapor at the
     gas's own mass is the gas.
+
+    Each vapor is a `constrained_solve` on the minimal branch seeded at
+    the gamma of the vapor solved before it.  The vapor solves of one
+    call share one memo of their cold launches and slopes, so the
+    first Newton evaluation of each, and any later gamma met again, is
+    read rather than launched once more, with the same bits.  The memo
+    lives for this call only.
     """
     crit = droplet_criterion(spec, alpha)
     if not crit["fires"]:
@@ -609,6 +636,7 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
     droplet_cache = []  # (N, values) for warm starts
     n_gas = gas.functionals.N
     vapor_gamma = [None]  # gamma of the last vapor solved here
+    vapor_launches = {}  # constrained_solve's memo, shared by every vapor solved here
 
     def vapor_at(n):
         # the vapor mass peaks at gamma_hat; solving there directly
@@ -627,6 +655,7 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
             seed = gamma_gl - (n_gas - n) / _mass_slope(model, aM, D, gas.solution.field.values)
         point = constrained_solve(
             spec, alpha, domain, n, "minimal", model=model, gamma_seed=seed,
+            memo=vapor_launches,
         )
         vapor_gamma[0] = point.gamma
         return point

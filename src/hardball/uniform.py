@@ -65,8 +65,8 @@ class UniformRoots:
             raise ValueError("roots must be sorted")
 
 
-def solve_uniform(alpha_tau, gamma):
-    """All roots of g2(eta) = gamma + alpha_tau*eta in (0,1).
+def _piece_roots(alpha_tau, gamma, top_down=False):
+    """The root of each monotone piece of h that holds one, with its tangency flag.
 
     h = g2 - gamma - alpha_tau*eta has h' = g2' - alpha_tau, which vanishes
     only at ``eta_bounds(alpha_tau)`` (nowhere when alpha_tau <=
@@ -74,12 +74,11 @@ def solve_uniform(alpha_tau, gamma):
     into at most three pieces on which h is monotone, so each piece holds
     at most one root, found by brentq in log(eta) where h changes sign.
     A critical point with |h| < _TANGENT_TOL is a tangency: it is the root
-    of both pieces it joins, and it sets ``degenerate``.  Roots come out
-    sorted because the pieces are.
+    of both pieces it joins.  Pieces are visited from the bottom up, or
+    from the top down; each piece's root does not depend on the order.
     """
     if alpha_tau < 0:
         raise ValueError("alpha_tau must be nonnegative")
-    gamma = float(gamma)
     if not math.isfinite(gamma):
         raise ValueError("gamma must be finite")
 
@@ -90,24 +89,52 @@ def solve_uniform(alpha_tau, gamma):
     knots = (_ETA_SPAN[0], *critical, _ETA_SPAN[1])
     values = [h(x) for x in knots]
     tangent = [False, *(abs(v) < _TANGENT_TOL for v in values[1:-1]), False]
-    roots = []
-    for i in range(len(knots) - 1):
+    pieces = range(len(knots) - 1)
+    for i in reversed(pieces) if top_down else pieces:
         ends = [j for j in (i, i + 1) if tangent[j]]
         if ends:
             # just above ALPHA_TAU_MIN both ends of the middle piece can
             # be tangent; the one closer to a root is its root
-            roots.append(knots[min(ends, key=lambda j: abs(values[j]))])
+            yield knots[min(ends, key=lambda j: abs(values[j]))], True
         elif values[i] * values[i + 1] <= 0.0:
             # log scale: small roots reach e^-690, where g2 ~ ln(eta)
             t = brentq(lambda t: h(math.exp(t)), math.log(knots[i]),
                        math.log(knots[i + 1]), xtol=1e-16, rtol=8.9e-16)
-            roots.append(math.exp(t))
-    if not roots:
-        raise RuntimeError(
-            f"no uniform root in {_ETA_SPAN} at alpha_tau={alpha_tau}, gamma={gamma}"
-        )
+            yield math.exp(t), False
+
+
+def _no_root(alpha_tau, gamma):
+    return RuntimeError(
+        f"no uniform root in {_ETA_SPAN} at alpha_tau={alpha_tau}, gamma={gamma}"
+    )
+
+
+def solve_uniform(alpha_tau, gamma):
+    """All roots of g2(eta) = gamma + alpha_tau*eta in (0,1).
+
+    One root per monotone piece of h = g2 - gamma - alpha_tau*eta that
+    holds one, see `_piece_roots`; a tangency sets ``degenerate``.  Roots
+    come out sorted because the pieces are.
+    """
+    gamma = float(gamma)
+    found = list(_piece_roots(alpha_tau, gamma))
+    if not found:
+        raise _no_root(alpha_tau, gamma)
+    roots = tuple(root for root, _ in found)
     stability = tuple(bool(eos.g2_derivs(r, 1) > alpha_tau) for r in roots)
-    return UniformRoots(tuple(roots), stability, any(tangent))
+    return UniformRoots(roots, stability, any(tangent for _, tangent in found))
+
+
+def largest_root(alpha_tau, gamma):
+    """solve_uniform(alpha_tau, gamma).roots[-1], solving only the piece that holds it.
+
+    The pieces are scanned from the top down and the scan stops at the
+    first root, which comes from the same brentq on the same piece.
+    """
+    gamma = float(gamma)
+    for root, _ in _piece_roots(alpha_tau, gamma, top_down=True):
+        return root
+    raise _no_root(alpha_tau, gamma)
 
 
 def eta_bounds(alpha_tau):

@@ -126,6 +126,46 @@ class TestGlobalFunctionals:
         assert d["P"] == vals.P
 
 
+def _standalone(spec, alpha, gamma, fld, model):
+    """functional_values assembled from the standalone functionals."""
+    return functionals.FunctionalValues(
+        P=functionals.pressure_functional(spec, alpha, gamma, fld, model=model),
+        N=functionals.n_functional(fld),
+        E=functionals.e_functional(spec, alpha, fld),
+        S=functionals.s_functional(fld),
+        F=functionals.f_functional(spec, alpha, fld),
+        Gamma=functionals.gamma_of(spec, alpha, fld, model=model),
+    )
+
+
+class TestValuesFromOneRing:
+    """functional_values applies the ring once and equals the standalone functionals."""
+
+    @pytest.mark.parametrize("case", ["dense n=64", "operator n=1024", "no Gamma"])
+    def test_equals_standalone_functionals(self, case, monkeypatch):
+        alpha, gamma = 20.0 / PHI_Y5, -2.0
+        model = eos.EosModel()
+        if case == "no Gamma":
+            # a hard-sphere field that solves nothing
+            alpha, fld = 1.0, field.constant_field(field.make_domain(5.0, n=64), 0.2)
+        else:
+            dom = field.make_domain(5.0, n=int(case.split("=")[1]))
+            fld = field.minimal_solution(SPEC_Y, alpha, gamma, dom, model=model).field
+        want = _standalone(SPEC_Y, alpha, gamma, fld, model)
+        applied = []
+        real = field.apply_kernel
+
+        def counted(spec, a, domain, values):
+            applied.append(type(field._self_ring(spec, domain)).__name__)
+            return real(spec, a, domain, values)
+
+        monkeypatch.setattr(field, "apply_kernel", counted)
+        got = functionals.functional_values(SPEC_Y, alpha, gamma, fld, model=model)
+        assert got == want
+        assert (got.Gamma is None) == (case == "no Gamma")
+        assert applied == ["RingOperator" if case.startswith("operator") else "ndarray"]
+
+
 class TestGammaRecovery:
     def test_solution_recovers_gamma(self, fluid_branch):
         alpha, gamma, fld = fluid_branch

@@ -911,6 +911,88 @@ class TestPetitLaunchesAtGammaGl:
             assert np.max(np.abs(got - warm)) <= 1e-9
 
 
+class TestVaporMemo:
+    """The vapor solves of one petit transition share one memo of their cold launches."""
+
+    # petit-r15's inputs
+    KWARGS = dict(N_bracket=(0.965 * N_HAT_15, 0.968 * N_HAT_15), model=EXT,
+                  gamma_gl=-4.655290873521921)
+
+    @staticmethod
+    def launches(monkeypatch):
+        launched = []
+        real = field.minimal_solution
+
+        def spy(spec, alpha, gamma, *args, **kwargs):
+            launched.append(float(gamma))
+            return real(spec, alpha, gamma, *args, **kwargs)
+
+        monkeypatch.setattr(field, "minimal_solution", spy)
+        return launched
+
+    def test_no_gamma_launched_twice(self, monkeypatch):
+        dom = field.make_domain(15.0, n=64)
+        launched = self.launches(monkeypatch)
+        phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, **self.KWARGS)
+        assert len(launched) == len(set(launched))
+
+    def test_vapors_equal_cold_launches(self, monkeypatch):
+        dom = field.make_domain(15.0, n=64)
+        vapors = []
+        real = phase.constrained_solve
+
+        def spy(*args, **kwargs):
+            vapors.append(real(*args, **kwargs))
+            return vapors[-1]
+
+        monkeypatch.setattr(phase, "constrained_solve", spy)
+        result = phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, **self.KWARGS)
+        assert len(vapors) >= 2 and any(p is result.vapor for p in vapors)
+        for point in vapors:
+            cold = field.minimal_solution(SPEC_Y, ALPHA_31, point.gamma, dom, model=EXT)
+            assert np.array_equal(point.solution.field.values, cold.field.values)
+            assert (point.solution.iterations, point.solution.residual) == \
+                (cold.iterations, cold.residual)
+            assert point.functionals == functionals.functional_values(
+                SPEC_Y, ALPHA_31, point.gamma, cold.field, model=EXT)
+
+    def test_direct_solve_launches_at_every_evaluation(self, monkeypatch):
+        # without a memo each Newton evaluation launches, as it always
+        # has; a memo, fresh or holding every gamma, gives the same bits
+        dom = field.make_domain(15.0, n=64)
+        N = 0.966 * N_HAT_15
+        evaluated = []
+        root_finder = phase._newton_on_gamma
+
+        def recording_root_finder(evaluate, *args):
+            def objective(g):
+                evaluated.append(float(g))
+                return evaluate(g)
+
+            return root_finder(objective, *args)
+
+        monkeypatch.setattr(phase, "_newton_on_gamma", recording_root_finder)
+        launched = self.launches(monkeypatch)
+        direct = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, "minimal", model=EXT)
+        assert launched == evaluated and len(launched) >= 2
+        memo = {}
+        fresh = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, "minimal", model=EXT,
+                                        memo=memo)
+        launched.clear()
+        read = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, "minimal", model=EXT,
+                                       memo=memo)
+        assert launched == [] and sorted(memo) == sorted(set(evaluated))
+        for point in (fresh, read):
+            assert point.gamma == direct.gamma
+            assert np.array_equal(point.solution.field.values, direct.solution.field.values)
+            assert point.functionals == direct.functionals
+
+    def test_middle_branch_takes_no_memo(self, dom_small):
+        with pytest.raises(ValueError, match="no memo"):
+            phase.constrained_solve(SPEC_Y, 100.0, dom_small, 1.0, "middle", model=EXT,
+                                    gamma_seed=-7.0, memo={})
+
+
 class TestPetitPolish:
     """The Newton polish after the petit crossing's brentq closes a gap it is handed."""
 

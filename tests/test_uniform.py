@@ -77,10 +77,61 @@ class TestSolveUniform:
     )
     def test_roots_satisfy_equation(self, at, gamma):
         roots = uniform.solve_uniform(at, gamma)
+        assert uniform.largest_root(at, gamma) == roots.roots[-1]
         assert 1 <= len(roots.roots) <= 3
         for r, stable in zip(roots.roots, roots.stability):
             assert abs(float(eos.g2(r)) - gamma - at * r) < 1e-8
             assert stable == (float(eos.g2_derivs(r, 1)) > at)
+
+
+def _largest_root_cases():
+    # one piece (no coupling, and below ALPHA_TAU_MIN), then above it: mid
+    # band, both band edges (tangencies) and the gammas just outside them
+    cases = [(0.0, -5.0), (0.0, -600.0), (ATMIN - 1.0, 3.0), (25.0, 10.0), (25.0, -20.0)]
+    for at in (ATMIN + 1e-9, ATMIN + 1e-6, 25.0, 31.0, 100.0):
+        check, hat = uniform.gamma_boundaries(at)
+        cases += [(at, 0.5 * (check + hat)), (at, check), (at, hat),
+                  (at, math.nextafter(check, -math.inf)), (at, math.nextafter(hat, math.inf))]
+    return cases
+
+
+class TestLargestRoot:
+    """largest_root is solve_uniform's last root bit for bit, from the top piece down."""
+
+    def test_equals_last_root(self):
+        kinds = set()
+        for at, gamma in _largest_root_cases():
+            roots = uniform.solve_uniform(at, gamma)
+            assert uniform.largest_root(at, gamma) == roots.roots[-1], (at, gamma)
+            kinds.add((len(roots.roots), roots.degenerate))
+        assert {(1, False), (3, False), (3, True)} <= kinds
+
+    def test_scans_only_down_to_the_first_root(self, monkeypatch):
+        # mid band the top piece holds the largest root: one brentq, not three
+        calls = []
+        real = uniform.brentq
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return real(*args, **kwargs)
+
+        check, hat = uniform.gamma_boundaries(31.0)
+        eta_gt = uniform.eta_bounds(31.0)[1]
+        monkeypatch.setattr(uniform, "brentq", counted)
+        uniform.largest_root(31.0, 0.5 * (check + hat))
+        # eta_bounds' two slope solves, then the top piece's root
+        assert len(calls) == 3 and calls[-1][0] == math.log(eta_gt)
+
+    def test_same_errors(self):
+        with pytest.raises(RuntimeError) as want:
+            uniform.solve_uniform(0.0, -700.0)
+        with pytest.raises(RuntimeError) as got:
+            uniform.largest_root(0.0, -700.0)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError):
+            uniform.largest_root(-1.0, 0.0)
+        with pytest.raises(ValueError):
+            uniform.largest_root(1.0, math.nan)
 
 
 class TestEtaBounds:
