@@ -382,7 +382,7 @@ def cmd_transition(cfg):
         quantities = ("N_vd", "delta_Gamma", "delta_E", "delta_S",
                       "embedding_ok", "crossings")
     else:
-        result = phase._scan_and_locate(
+        result = phase.grand_canonical_transition(
             spec, cfg.alpha, domain, gamma_bracket, model)
         labels, quantities = ("gas", "liquid"), ()
     summary = [("gamma_gl", result.gamma_gl),

@@ -14,7 +14,9 @@ profile at the gamma it finds; its slow tail ends in one bordered
 Newton solve in (eta, gamma), accepted only within twice the distance
 the iteration still has to go.  Both mass matches, that one and
 `constrained_solve`'s, and the gas/liquid pressure crossing run the one
-safeguarded Newton on gamma, `_newton_on_gamma`, on an exact slope.
+safeguarded Newton on gamma, `_newton_on_gamma`, on an exact slope; the
+vapor/droplet free-energy gap runs it on the mass, once `brentq` has
+brought it close.
 Every gas/liquid comparison goes through `_launch_gap`: the minimal and
 maximal launches at one gamma, their pressure gap, and whether they are
 distinct, read through `_launch_memo` so one public call launches each
@@ -26,7 +28,9 @@ falls, so these are sub- and supersolutions on the right side of the
 extremal solutions, and the monotone iterations still end there.
 The vapor solves of one petit transition share a memo of their cold
 launches in the same way, through `constrained_solve`'s ``memo``.
-`_scan_and_locate` scans (by default the algebraic band), then locates.
+`grand_canonical_transition` is the one gas/liquid locator: it takes
+its bracket (by default the algebraic band) when the ends' launches are
+distinct with gaps of opposite sign, and otherwise scans it.
 """
 
 import functools
@@ -57,6 +61,7 @@ __all__ = [
 _MASS_RTOL = 1e-9  # relative mass residual for constrained solves
 _JUMP_FACTOR = 10.0  # continuation step ratio that flags a branch switch
 _DISTINCT = 1e-7  # sup-norm separation below which two launches coincide
+_COLLAPSED = 1e-6  # sup-norm separation below which a droplet is the vapor
 _SCAN_POINTS = 9  # gammas the pressure-gap scan visits across its bracket
 _MASS_MATCH_STEPS = 200  # Newton/bisection steps of one mass match, at most
 _OUTER_STEPS = 80  # Newton steps on gamma of one constrained solve or crossing, at most
@@ -177,53 +182,42 @@ def _launch_memo(spec, alpha, domain, model):
     return launch
 
 
-def grand_canonical_transition(spec, alpha, domain, gamma_bracket, model=eos.EosModel()):
+def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
+                               model=eos.EosModel()):
     """Locate the gas/liquid pressure crossing inside gamma_bracket.
 
-    Both endpoints must give pressure gaps P[maximal] - P[minimal] of
-    opposite sign; a one-signed bracket means the launches coincide or
-    one branch is absent there, and raises.  The crossing is found by
-    `_newton_on_gamma` from the end with the smaller gap, on the exact
-    slope d(P[maximal] - P[minimal])/dgamma = N[maximal] - N[minimal]
+    gamma_bracket defaults to the algebraic band `gamma_boundaries`
+    moved 1e-6 inward.  The low end is launched first, then, if its
+    launches are distinct, the top end.  If both ends are distinct and
+    their pressure gaps P[maximal] - P[minimal] differ in sign, the
+    crossing is located between them; otherwise `_scan_for_crossing`
+    hands over a sub-bracket, or raises naming the bracket's ends and
+    gaps when there is none (the launches coincide or one branch is
+    absent).  The crossing is found by `_newton_on_gamma` from the end
+    with the smaller gap, on the exact slope
+    d(P[maximal] - P[minimal])/dgamma = N[maximal] - N[minimal]
     (dP/dgamma = N on each branch), to a step of 1e-12 + 8.9e-16 |gamma|.
     Only the two launches are solved, so above the dense gate no n x n
     matrix is formed; middle (saddle) solutions at the crossing are
     reached separately, by `field.newton_solve` or
     `constrained_solve(..., "middle")`.
     """
-    launch = _launch_memo(spec, alpha, domain, model)
-    return _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch)
-
-
-def _scan_and_locate(spec, alpha, domain, gamma_bracket, model):
-    """Scan gamma_bracket (default: the algebraic band), then locate; one memo."""
     if gamma_bracket is None:
-        g_lo, g_hi = uniform.gamma_boundaries(alpha * kernels.l1_norm_r3(spec))
-        gamma_bracket = (g_lo + 1e-6, g_hi - 1e-6)
-    launch = _launch_memo(spec, alpha, domain, model)
-    bracket = _scan_for_crossing(launch, gamma_bracket, alpha, domain)
-    return _locate_crossing(spec, alpha, domain, bracket, model, launch)
-
-
-def _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch):
-    """Body of grand_canonical_transition, reading launches from launch."""
+        g_check, g_hat = uniform.gamma_boundaries(alpha * kernels.l1_norm_r3(spec))
+        gamma_bracket = (g_check + 1e-6, g_hat - 1e-6)
     g_lo, g_hi = float(gamma_bracket[0]), float(gamma_bracket[1])
     if not g_lo < g_hi:
         raise ValueError("gamma_bracket must be increasing")
+    launch = _launch_memo(spec, alpha, domain, model)
     gap_lo, sep_lo = launch(g_lo)[:2]
-    gap_hi, sep_hi = launch(g_hi)[:2]
-    inputs = _inputs(alpha, domain, (g_lo, g_hi), (gap_lo, gap_hi))
-    for g, sep in ((g_lo, sep_lo), (g_hi, sep_hi)):
-        if sep < _DISTINCT:
-            raise ValueError(
-                f"the launches coincide at gamma {g:.6f}; the pressure gap "
-                f"there is quadrature noise, so shrink the bracket ({inputs})"
-            )
-    if gap_lo == 0.0 or gap_hi == 0.0 or (gap_lo < 0.0) == (gap_hi < 0.0):
-        raise ValueError(
-            "pressure gap does not change sign over the bracket; one "
-            f"branch may be absent ({inputs})"
-        )
+    ends_bracket = False
+    if sep_lo >= _DISTINCT:  # else the scan launches the top end in its turn
+        gap_hi, sep_hi = launch(g_hi)[:2]
+        ends_bracket = (sep_hi >= _DISTINCT and (gap_lo < 0.0) != (gap_hi < 0.0)
+                        and 0.0 not in (gap_lo, gap_hi))
+    if not ends_bracket:
+        g_lo, g_hi = _scan_for_crossing(launch, (g_lo, g_hi), alpha, domain)
+        gap_lo, gap_hi = launch(g_lo)[0], launch(g_hi)[0]
     D = functionals.volume_weights(domain)
 
     def evaluate(g):
@@ -255,7 +249,9 @@ def _locate_crossing(spec, alpha, domain, gamma_bracket, model, launch):
 def _newton_on_gamma(evaluate, gamma, window, ftol, xtol, message, steps):
     """Safeguarded Newton for the root of a monotone f(gamma) in a window.
 
-    evaluate(gamma) returns (f, slope, payload); f may rise or fall.
+    gamma is a chemical potential, or the mass in the petit
+    transition's free-energy gap.  evaluate(gamma) returns
+    (f, slope, payload); f may rise or fall.
     Until f has been seen with both signs the start and each step are
     clamped into window, and a step clamped onto the gamma just
     evaluated means the root lies beyond the window:
@@ -337,7 +333,8 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(
     phi = kernels.phi_lambda(spec, domain.R)
     g_floor, g_ceil = model.gamma_range()
     g_ceil -= alpha * phi
-    atau = alpha * kernels.l1_norm_r3(spec)
+    # the whole-space folds exist only for an integrable kernel
+    atau = 0.0 if spec.a_n else alpha * kernels.l1_norm_r3(spec)
     if atau > uniform.ALPHA_TAU_MIN:
         g_check, g_hat = uniform.gamma_boundaries(atau)
         if branch == "minimal":
@@ -575,7 +572,7 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=eos.EosModel(),
     )
     if check_collapse:
         vapor = field.minimal_solution(spec, alpha, gamma, domain, model=model)
-        if float(np.max(np.abs(report.field.values - vapor.field.values))) < 1e-6:
+        if float(np.max(np.abs(report.field.values - vapor.field.values))) < _COLLAPSED:
             raise BranchLostError(
                 "mass-constrained iteration collapsed onto the vapor branch "
                 f"at N {N!r}, gamma {gamma!r}"
@@ -588,15 +585,18 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
                                gamma_gl=None, gamma_bracket=None):
     """Locate the vapor/droplet free-energy crossing at fixed mass.
 
-    Bisects the mass for the sign change of F[vapor] - F[droplet]; at
-    masses where the droplet collapses onto the vapor the gap is
-    scored for the vapor side, so the mass window where no droplet
-    exists is stepped over instead of mistaken for a crossing.  Needs
-    the gas/liquid coexistence point for the embedding report: pass
-    gamma_gl to launch the pair there once, or gamma_bracket to have it
-    located here by `_scan_and_locate` (defaulting to the algebraic
-    band), whose gas and liquid are then reused.  The vapor at the
-    gas's own mass is the gas.
+    `brentq` brackets the sign change of F[vapor] - F[droplet] in the
+    mass to 1e-4; at masses where the droplet collapses onto the vapor
+    the gap is scored for the vapor side, so the mass window where no
+    droplet exists is stepped over instead of mistaken for a crossing.
+    From brentq's root `_newton_on_gamma` closes the gap on the mass,
+    on the slope dF/dN = Gamma per branch, to 1e-8 max(1, |F[vapor]|)
+    at that root, within N_bracket; a gap still open after nine
+    evaluations raises RuntimeError.  Needs the gas/liquid coexistence
+    point for the embedding report: pass gamma_gl to launch the pair
+    there once, or gamma_bracket (None: the algebraic band) to have it
+    located here by `grand_canonical_transition`, whose gas and liquid
+    are then reused.  The vapor at the gas's own mass is the gas.
 
     Each vapor is a `constrained_solve` on the minimal branch seeded at
     the gamma of the vapor solved before it.  The vapor solves of one
@@ -613,7 +613,7 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
         )
 
     if gamma_gl is None:
-        grand = _scan_and_locate(spec, alpha, domain, gamma_bracket, model)
+        grand = grand_canonical_transition(spec, alpha, domain, gamma_bracket, model)
         gamma_gl, gas, liquid = grand.gamma_gl, grand.gas, grand.liquid
     else:
         gamma_gl = float(gamma_gl)
@@ -679,18 +679,19 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
         sep = float(np.max(np.abs(
             droplet.solution.field.values - vapor.solution.field.values
         )))
-        if sep < 1e-6:
+        if sep < _COLLAPSED:
             # no droplet at this mass; score for the vapor side, and do
             # not let the collapsed profile seed later droplet solves
             return vapor, None, -1e-3 * max(1.0, abs(vapor.functionals.F))
         droplet_cache.append((n, droplet.solution.field.values))
         return vapor, droplet, vapor.functionals.F - droplet.functionals.F
 
-    def crossing(n):
-        vapor, droplet, _ = points(n)
+    def gap(n):
+        # dF/dN = Gamma on each branch, so the gap's slope is Gamma_v - Gamma_d
+        vapor, droplet, fgap = points(n)
         if droplet is None:
             raise BranchLostError("droplet branch unavailable at the crossing")
-        return vapor, droplet
+        return fgap, vapor.gamma - droplet.gamma, (vapor, droplet)
 
     gap_lo, gap_hi = points(n_lo)[2], points(n_hi)[2]
     if gap_lo == 0.0 or gap_hi == 0.0 or (gap_lo < 0.0) == (gap_hi < 0.0):
@@ -701,18 +702,12 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
     n_vd = float(brentq(
         lambda n: points(n)[2], n_lo, n_hi, xtol=1e-4, rtol=8.9e-16,
     ))
-    vapor, droplet = crossing(n_vd)
-
-    # polish the crossing with the known slope dF/dN = Gamma per branch
-    for _ in range(8):
-        fgap = vapor.functionals.F - droplet.functionals.F
-        scale = max(1.0, abs(vapor.functionals.F))
-        if abs(fgap) <= 1e-8 * scale:
-            break
-        slope = vapor.gamma - droplet.gamma
-        n_vd -= fgap / slope
-        vapor, droplet = crossing(n_vd)
-    else:
+    ftol = 1e-8 * max(1.0, abs(points(n_vd)[0].functionals.F))
+    n_vd, fgap, (vapor, droplet) = _newton_on_gamma(
+        gap, n_vd, (n_lo, n_hi), ftol, lambda n: 0.0,
+        "the free-energy crossing left the mass bracket", 9,
+    )
+    if abs(fgap) > ftol:
         raise RuntimeError("free-energy gap failed to close at the crossing")
 
     return PetitTransition(

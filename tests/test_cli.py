@@ -303,6 +303,22 @@ class TestPhaseDiagram:
         hat = float(column(rows, columns, "gamma_hat")[2])
         assert check < coex < hat
 
+    def test_alpha_grid_bytes_ignore_jobs(self, tmp_path):
+        # jobs threads the phase-diagram sweep; rows stay in grid order
+        cfg = tmp_path / "pd.ini"
+        alphas = ", ".join(repr(float(a)) for a in np.linspace(1.0, 5.0, 9))
+        cfg.write_text(f"[kernel]\na_y = 1.0\nkappa = 1.0\n[grid]\nalpha = {alphas}\n")
+        written = []
+        for jobs in ("1", "3"):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli.main(["phase-diagram", "--config", str(cfg), "--jobs", jobs,
+                             "--out", str(out)]) == 0
+            written.append((out / "phase_diagram.csv").read_bytes())
+        assert written[0] == written[1]
+        _, columns, rows = read_csv(tmp_path / "jobs3" / "phase_diagram.csv")
+        assert column(rows, columns, "index") == [str(i) for i in range(9)]
+        assert b"# jobs" not in written[0]
+
     def test_negative_grid_alpha_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = tmp_path / "pd.ini"
@@ -337,10 +353,11 @@ class TestTransition:
         liq = [float(x) for x in column(prows, pcolumns, "eta_liquid")]
         assert min(b - a for a, b in zip(gas, liq)) > 0
 
-    def test_scan_and_locate_launch_each_gamma_once(self, config, tmp_path,
-                                                    monkeypatch):
-        # the scan's sub-bracket ends are not solved again by the locator
-        gammas, asked, brackets = [], set(), []
+    def test_launches_only_the_ends_and_the_newton_gammas(self, config, tmp_path,
+                                                           monkeypatch):
+        # both ends' launches are distinct with gaps of opposite sign, so
+        # nothing is scanned: each gamma launched is an end or a Newton step
+        gammas, asked = [], {-22.0, -14.0}
         maximal = field.maximal_solution
         root_finder = phase._newton_on_gamma
 
@@ -348,23 +365,18 @@ class TestTransition:
             gammas.append(float(gamma))
             return maximal(spec, alpha, gamma, *args, **kwargs)
 
-        def recording_root_finder(evaluate, gamma, window, *args, **kwargs):
-            brackets.append(window)
-
+        def recording_root_finder(evaluate, *args):
             def objective(g):
                 asked.add(float(g))
                 return evaluate(g)
 
-            return root_finder(objective, gamma, window, *args, **kwargs)
+            return root_finder(objective, *args)
 
         monkeypatch.setattr(field, "maximal_solution", recorder)
         monkeypatch.setattr(phase, "_newton_on_gamma", recording_root_finder)
         assert cli.main(["transition", "--config", str(config),
                          "--out", str(tmp_path / "out")]) == 0
-        # the scan visits its grid up to the sub-bracket it hands to the root finder
-        [(_, right)] = brackets
-        grid = np.linspace(-22.0, -14.0, phase._SCAN_POINTS)
-        asked |= {float(g) for g in grid if g <= right}
+        assert gammas[:2] == [-22.0, -14.0]
         assert len(gammas) == len(set(gammas))
         assert set(gammas) == asked
 
@@ -506,26 +518,24 @@ class TestReadProfiles:
             assert np.array_equal(profiles[name].domain.nodes, domain.nodes)
             assert np.array_equal(profiles[name].values, rep.field.values)
 
-    def test_transition_profiles_equal_the_located_pair(self, tmp_path,
-                                                       monkeypatch):
+    def test_transition_profiles_equal_the_located_pair(self, tmp_path):
         config = tmp_path / "run.ini"
         config.write_text(SMALL_BALL + "\n[transition]\n"
                           "gamma_lo = -22.0\ngamma_hi = -14.0\npetit = no\n")
-        located = []
-        scan = phase._scan_and_locate
-
-        def recorder(*args):
-            located.append(scan(*args))
-            return located[-1]
-
-        monkeypatch.setattr(phase, "_scan_and_locate", recorder)
         out = tmp_path / "out"
         assert cli.main(["transition", "--config", str(config),
                          "--out", str(out)]) == 0
         cfg, profiles = cli.read_profiles(out / "transition_profiles.csv")
         assert cfg == cli.load_config(config)
         assert sorted(profiles) == ["eta_gas", "eta_liquid"]
-        [result] = located
+        result = phase.grand_canonical_transition(
+            cfg.kernel_spec(), cfg.alpha, cfg.domain(), (cfg.gamma_lo, cfg.gamma_hi),
+            model=cfg.eos_model())
+        _, columns, rows = read_csv(out / "transition_summary.csv")
+        values = dict(zip(column(rows, columns, "quantity"),
+                          column(rows, columns, "value")))
+        assert float(values["gamma_gl"]) == result.gamma_gl
+        assert float(values["delta_N"]) == result.delta_N
         for label in ("gas", "liquid"):
             fld = profiles[f"eta_{label}"]
             assert np.array_equal(fld.domain.nodes, cfg.domain().nodes)

@@ -172,6 +172,19 @@ class TestConstrainedSolve:
                 SPEC_Y, ALPHA_31, dom15, 1.4 * N_HAT_15, "minimal", model=EXT,
             )
 
+    @pytest.mark.parametrize("spec", [
+        kernels.KernelSpec(a_n=1.0), kernels.KernelSpec(a_y=1.0, a_n=0.5),
+    ], ids=["newton", "yukawa-newton"])
+    def test_newton_part_has_no_whole_space_folds(self, spec):
+        # a kernel with a Newton part has no whole-space norm, so no
+        # algebraic folds: the window is the model's invertible range
+        dom = field.make_domain(2.0, n=64)
+        N = 0.1 * float(functionals.volume_weights(dom).sum())
+        bp = phase.constrained_solve(spec, 0.01, dom, N, "minimal")
+        assert total_mass(dom, bp.solution.field) == pytest.approx(N, rel=1e-9)
+        launch = field.minimal_solution(spec, 0.01, bp.gamma, dom)
+        assert np.array_equal(bp.solution.field.values, launch.field.values)
+
     def test_invalid_inputs(self, dom5):
         vol = float(functionals.volume_weights(dom5).sum())
         with pytest.raises(ValueError):
@@ -612,7 +625,8 @@ class TestGrandTransition:
         assert tr.gas.functionals.N < tr.liquid.functionals.N
 
     def test_coincident_bracket_rejected(self, dom15):
-        with pytest.raises(ValueError, match="coincide") as excinfo:
+        # the launches coincide across the bracket, so its scan finds no sign
+        with pytest.raises(ValueError, match="no pressure-gap sign change") as excinfo:
             phase.grand_canonical_transition(
                 SPEC_Y, ALPHA_31, dom15, (-5.30, -5.10), model=EXT,
             )
@@ -629,6 +643,18 @@ class TestGrandTransition:
             cold = phase._launch_gap(SPEC_Y, ALPHA_31, g, dom15, EXT)[0]
             assert gap == pytest.approx(cold, rel=1e-6)
         assert min(gaps) > 0.0
+
+    def test_coincident_end_is_scanned_past(self):
+        # the launches coincide at -4.75, so the ends cannot bracket the
+        # crossing; the scan's sub-bracket does, and gives the same crossing
+        dom = field.make_domain(15.0, n=64)
+        assert phase._launch_gap(SPEC_Y, ALPHA_31, -4.75, dom, EXT)[1] < phase._DISTINCT
+        tr = phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, (-4.75, -4.45), model=EXT)
+        bracket = phase.pressure_crossing_bracket(
+            SPEC_Y, ALPHA_31, dom, (-4.75, -4.45), model=EXT)
+        sub = phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, bracket, model=EXT)
+        assert bracket[0] < tr.gamma_gl < bracket[1]
+        assert (tr.gamma_gl, tr.delta_N) == (sub.gamma_gl, sub.delta_N)
 
     def test_each_gamma_launched_once(self, dom_small, monkeypatch):
         # the end checks, the root finder and the final pair share one
@@ -994,23 +1020,28 @@ class TestVaporMemo:
 
 
 class TestPetitPolish:
-    """The Newton polish after the petit crossing's brentq closes a gap it is handed."""
+    """The Newton on the mass after the petit crossing's brentq closes a gap it is handed."""
 
-    def test_root_off_by_a_step_is_polished_onto_the_crossing(self, monkeypatch):
-        # petit-r15's inputs; there brentq's root already closes the F gap,
-        # so the polish only steps when handed a root 0.3 off the crossing
-        dom = field.make_domain(15.0, n=64)
-        kwargs = dict(N_bracket=(0.965 * N_HAT_15, 0.968 * N_HAT_15), model=EXT,
-                      gamma_gl=-4.655290873521921)
-        exact = phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, **kwargs)
-        roots, brentq = [], phase.brentq
+    KWARGS = TestVaporMemo.KWARGS  # petit-r15's inputs
 
-        def off_by_a_step(*args, **kw):
+    @staticmethod
+    def off_by_a_step(monkeypatch, roots):
+        brentq = phase.brentq
+
+        def off(*args, **kw):
             roots.append(brentq(*args, **kw))
             return roots[-1] + 0.3
 
-        monkeypatch.setattr(phase, "brentq", off_by_a_step)
-        polished = phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, **kwargs)
+        monkeypatch.setattr(phase, "brentq", off)
+
+    def test_root_off_by_a_step_is_polished_onto_the_crossing(self, monkeypatch):
+        # at petit-r15's inputs brentq's root already closes the F gap, so
+        # the Newton only steps when handed a root 0.3 off the crossing
+        dom = field.make_domain(15.0, n=64)
+        exact = phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, **self.KWARGS)
+        roots = []
+        self.off_by_a_step(monkeypatch, roots)
+        polished = phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, **self.KWARGS)
         assert roots == [exact.N_vd]
         fv, fd = polished.vapor.functionals.F, polished.droplet.functionals.F
         assert abs(fv - fd) <= 1e-8 * max(1.0, abs(fv))
@@ -1018,6 +1049,21 @@ class TestPetitPolish:
         assert abs(polished.N_vd - exact.N_vd) <= 1e-4
         for point in (polished.vapor, polished.droplet):
             assert point.functionals.N == pytest.approx(polished.N_vd, rel=1e-8)
+
+    def test_gap_left_open_raises(self, monkeypatch):
+        # the closing Newton allowed one evaluation cannot close a gap 0.3 off
+        dom = field.make_domain(15.0, n=64)
+        self.off_by_a_step(monkeypatch, [])
+        newton = phase._newton_on_gamma
+
+        def one_step(evaluate, gamma, window, ftol, xtol, message, steps):
+            if message.startswith("the free-energy crossing"):
+                steps = 1
+            return newton(evaluate, gamma, window, ftol, xtol, message, steps)
+
+        monkeypatch.setattr(phase, "_newton_on_gamma", one_step)
+        with pytest.raises(RuntimeError, match="free-energy gap failed to close"):
+            phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, **self.KWARGS)
 
 
 class TestDefaultModel:
