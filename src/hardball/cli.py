@@ -337,6 +337,9 @@ def cmd_phase_diagram(cfg):
     """Tabulate the algebraic transition landmarks across attractions."""
     alphas = cfg.alpha_grid or (cfg.require("alpha"),)
     spec = cfg.kernel_spec()
+    if spec.a_n > 0:
+        raise ConfigError(f"{_KEYS['a_n']}: the landmarks need a kernel integrable over "
+                          "R^3, and the Newton part is not")
     norm = kernels.l1_norm_r3(spec)
 
     def worker(indexed):
@@ -366,7 +369,17 @@ def cmd_transition(cfg):
     gamma_bracket = None  # phase scans the algebraic band by default
     if cfg.gamma_lo is not None:  # validate() allows only both or neither
         gamma_bracket = (cfg.gamma_lo, cfg.gamma_hi)
-    elif not cfg.alpha * kernels.l1_norm_r3(spec) > uniform.ALPHA_TAU_MIN:
+    if spec.a_n > 0:
+        # the algebraic band and the droplet criterion rest on the L1 norm over R^3
+        unset = [] if gamma_bracket else [f"{_KEYS['gamma_lo']} and {_KEYS['gamma_hi']}"]
+        unset += [f"{_KEYS['petit']} = no"] if cfg.petit else []
+        if unset:
+            raise ConfigError(
+                f"{_KEYS['a_n']}: the Newton part is not integrable over R^3, so there is "
+                "no algebraic band to bracket the grand transition by and no droplet "
+                f"criterion for the petit one; set {', and '.join(unset)}")
+    elif gamma_bracket is None and not (
+            cfg.alpha * kernels.l1_norm_r3(spec) > uniform.ALPHA_TAU_MIN):
         raise ConfigError(
             "transition: attraction too weak for a transition; set "
             f"{_KEYS['gamma_lo']} and {_KEYS['gamma_hi']} explicitly")

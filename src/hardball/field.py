@@ -25,16 +25,22 @@ profile there: a constant for Picard, the mass-holding multiplier for
 its own sequence with its own gamma, applying M and wp' to all open
 columns at once and dropping each column as it stops; every column
 keeps the bits it has alone.  `extremal_pairs` runs all minimal and
-maximal launches of a gamma grid as one block; the other solves are
-one-column blocks.  Every SolveReport is built by `_report`, the
-one home of the certified-fluid rule.  One private damped Newton loop,
-`_newton`, serves `newton_solve` and `_NewtonFinish`, the finish of
-slowly converging fixed-point sequences.  For a monotone Picard launch
-the finish keeps the extremal labels: the Newton limit v* replaces the
-Picard limit only when v* lies beyond the last monotone iterate v_k,
-so the Picard limit lies in the order interval between them, and a
-Collatz-Wielandt bound shows the map to be a contraction on that
-interval, so the interval holds one fixed point.  For the droplet's
+maximal launches of a gamma grid as one block, and the gas/liquid
+locator's pair at each gamma, warm from its neighbours, as a
+two-column one; the other solves are one-column blocks.  Every
+SolveReport is built by `_report`, the one home of the certified-fluid
+rule.  One private damped Newton loop, `_newton`, serves `newton_solve`
+and `_NewtonFinish`, the finish of slowly converging fixed-point
+sequences; the finishes of one block share one alpha M.  For a
+monotone Picard launch the finish keeps the extremal labels: the
+Newton limit v* replaces the Picard limit only when v* lies beyond the
+last monotone iterate v_k, so the Picard limit lies in the order
+interval between them, and a Collatz-Wielandt bound shows the map to be
+a contraction on that interval, so the interval holds one fixed point.
+The bound takes each node's slope as the largest wp'' over its range,
+or, where that leaves it at 1 or above (next to a fold), the largest
+secant slope of wp' from v*'s own argument, which is all the argument
+needs and certifies a near-fold limit many steps sooner.  For the droplet's
 mass-matched iteration the loop carries a mass border, with gamma as
 one more unknown, and its limit is accepted only where the iteration
 is heading: within twice the geometric tail of its remaining changes.
@@ -43,6 +49,7 @@ is heading: within twice the geometric tail of its remaining changes.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 import threading
 from dataclasses import dataclass, field as dc_field
@@ -524,27 +531,30 @@ def _fixed_point(M, alpha, model, domain, V, gamma_rule, max_iter, tol, finishes
                        f"{float(G[0])!r}, sup-norm change {changes[0]:.3e}")
 
 
-def _contraction_bound(aM, absM, gamma, model, lo, hi, y):
+def _contraction_bound(aM, gamma, model, lo, hi, y, star):
     """Collatz-Wielandt bound on the Picard map's contraction over [lo, hi].
 
-    T(eta) = wp'(gamma + aM eta), aM = alpha M, absM = |aM|.  Over the
+    T(eta) = wp'(gamma + aM eta), aM = alpha M, and star ("lo" or "hi")
+    names the end of the interval that is a fixed point v*.  Over the
     order interval lo <= eta <= hi the argument at node i stays within
     gamma + (aM lo)_i - s_i .. gamma + (aM hi)_i + s_i, s the negative
     part of aM applied to hi - lo, and wp'' there is at most r_i, its
     value at gamma_wr clipped into that range (the fluid wp'' is
     unimodal in gamma with its peak at gamma_wr).  So |T(a) - T(b)| <=
-    B|a - b| with B = diag(r) absM, and for every positive y,
+    B|a - b| with B = diag(r) |aM|, and for every positive y,
     max_i (By)_i/y_i bounds the contraction of T in the y-weighted sup
     norm (Varga, Matrix Iterative Analysis): below 1, T has at most one
-    fixed point in [lo, hi].  Power steps y -> By/max(By) from the given
-    positive y keep it positive (absM has a positive diagonal) and turn
-    it toward the Perron vector of B, where the bound is rho(B); they
-    stop once the bound drops below 1, once min_i (By)_i/y_i reaches 1
-    (a lower bound on rho(B), so then no y gives a bound below 1), once
-    y moves by at most 1e-10 of its largest entry, or after 100 steps.
-    Returns the smallest bound seen, or inf when an argument reaches the
-    hard-sphere kink, and the last y, from which a later call goes on.
+    fixed point in [lo, hi].  Where that bound (`_perron_bound` from the
+    given y) is not below 1, r gives way to `_secant_slopes`, which is
+    never larger: a second fixed point L in [lo, hi] would have |L - v*|
+    = |T(L) - T(v*)| <= diag(slopes) |aM| |L - v*|, so the same bound
+    below 1 with the secant slopes rules it out.  The secant power steps
+    go on from the vector the first ones reached.  Returns the smallest
+    bound seen, or inf when an argument reaches the hard-sphere kink,
+    and the last y, from which a later call goes on.  |aM| is formed
+    per call, so that it is not held while a Newton solve runs.
     """
+    absM = np.abs(aM)
     ulo, uhi = aM @ lo, aM @ hi
     spread = np.maximum(0.5 * (absM @ (hi - lo) - (uhi - ulo)), 0.0)
     glo, ghi = gamma + ulo - spread, gamma + uhi + spread
@@ -552,6 +562,25 @@ def _contraction_bound(aM, absM, gamma, model, lo, hi, y):
         return math.inf, y
     peak = np.clip(model.gamma_wr, glo, ghi)
     r = model.response_at(np.asarray(model.wp_prime(peak)))
+    bound, y = _perron_bound(r, absM, y)
+    if bound >= 1.0:
+        slopes = _secant_slopes(model, gamma + (ulo if star == "lo" else uhi), glo, ghi, r)
+        secant, y = _perron_bound(slopes, absM, y)
+        bound = min(bound, secant)
+    return bound, y
+
+
+def _perron_bound(r, absM, y):
+    """The smallest max_i (By)_i/y_i, B = diag(r) absM, along power steps from y.
+
+    Power steps y -> By/max(By) from a positive y keep it positive
+    (absM has a positive diagonal) and turn it toward the Perron vector
+    of B, where the bound is rho(B); they stop once the bound drops
+    below 1, once min_i (By)_i/y_i reaches 1 (a lower bound on rho(B),
+    so then no y gives a bound below 1), once y moves by at most 1e-10
+    of its largest entry, or after 100 steps.  Returns the bound and
+    the last y.
+    """
     bound = math.inf
     for _ in range(_POWER_STEPS):
         By = r * (absM @ y)
@@ -565,10 +594,52 @@ def _contraction_bound(aM, absM, gamma, model, lo, hi, y):
     return bound, y
 
 
+def _secant_slopes(model, xs, glo, ghi, r):
+    """Per node, a bound on |wp'(x) - wp'(xs_i)| / |x - xs_i| over x in [glo_i, ghi_i].
+
+    xs is the argument of the fixed point v*, and r, wp'' at gamma_wr
+    clipped into each node's range, bounds wp'' there.  On each side of
+    xs_i the secant slope from xs_i to x is the mean of wp'' between
+    them.  wp'' is unimodal, so where wp'' at the side's far end f is at
+    least the secant S(f) to it, S(f) is the largest secant on that side
+    (the mean still grows there, and past the peak wp'' stays above it);
+    elsewhere the side's largest wp'' bounds every secant: r if gamma_wr
+    lies on that side, else wp'' at the side's end nearer to gamma_wr.
+    S(f) carries the inversion tolerance of its two wp' values over the
+    width, so a difference lost to rounding cannot shrink it; on a side
+    of zero width it is its limit, wp'' at xs_i.  Never above r, node by
+    node.
+    """
+    lo, hi = np.minimum(glo, xs), np.maximum(ghi, xs)
+    eta = np.asarray(model.wp_prime(np.stack((lo, xs, hi))))
+    c = model.response_at(eta)  # wp'' at lo, xs and hi
+    fuzz = 2.0 * eos._RESIDUAL_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))) * r
+    slopes = np.zeros_like(r)
+    for far, width, rise, (a, b) in ((0, xs - lo, eta[1] - eta[0], (lo, xs)),
+                                     (2, hi - xs, eta[2] - eta[1], (xs, hi))):
+        wide = width > 0.0
+        secant = np.where(wide, (rise + fuzz) / np.where(wide, width, 1.0), c[1])
+        peak = np.where((a <= model.gamma_wr) & (model.gamma_wr <= b), r,
+                        np.maximum(c[far], c[1]))
+        slopes = np.maximum(slopes, np.where(c[far] >= secant, secant, peak))
+    return np.minimum(slopes, r)
+
+
 def _finish_cost(n):
     """Predicted cost of a certified Newton finish at n nodes, in Picard steps."""
     return (_FINISH_STEPS * (1.0 + float(np.interp(n, _COST_NODES, _DENSE_COST)))
             + _FINISH_POWER * float(np.interp(n, _COST_NODES, _POWER_COST)))
+
+
+class _Attraction:
+    """alpha M, formed on first use and shared by the finishes of a block."""
+
+    def __init__(self, M, alpha):
+        self.M, self.alpha = M, alpha
+
+    @functools.cached_property
+    def aM(self):
+        return self.alpha * self.M
 
 
 class _NewtonFinish:
@@ -595,11 +666,14 @@ class _NewtonFinish:
     between them ([v_k, v*] going up, [v*, v_k] going down), since the
     map is monotone and v* is fixed.  v* is accepted once `_contraction_bound`
     on that interval is below 1: T then has one fixed point there, so
-    L = v* (to Newton's residual over 1 - bound).  Otherwise Picard
-    goes on, and the bound is checked again against a newer v_k each
-    time the change has halved, with no second solve and with its
-    power steps going on from the vector the last check reached.  A v*
-    on the wrong side is dropped.
+    L = v* (to Newton's residual over 1 - bound).  Next to a fold the
+    peak of wp'' over the interval keeps that bound above 1 long after
+    v* is found, so the bound falls back on the secant slopes of wp'
+    from v*'s own argument, which is all the uniqueness argument needs.
+    Otherwise Picard goes on, and the bound is checked again against a
+    newer v_k each time the change has halved, with no second solve and
+    with its power steps going on from the vector the last check
+    reached.  A v* on the wrong side is dropped.
 
     With a mass border (D, N) the solve is `_newton`'s bordered one in
     (eta, gamma) from (v_k, gamma_k), for the mass-matched iteration
@@ -609,15 +683,18 @@ class _NewtonFinish:
     the geometric tail of the changes left at the firing step.  Slow
     means here a change ratio above 0.9 from step 3: a finish fired
     earlier, at larger changes, would widen that window.
+
+    attraction is the block's `_Attraction`, whose alpha M every finish
+    of the block shares.
     """
 
-    def __init__(self, M, alpha, model, tol=None, border=None):
-        self.M, self.alpha, self.model, self.border = M, alpha, model, border
+    def __init__(self, attraction, model, tol=None, border=None):
+        self.attraction, self.model, self.border = attraction, model, border
         self.tol = tol
-        self.cost = _finish_cost(M.shape[0]) if border is None else None
+        self.cost = _finish_cost(attraction.M.shape[0]) if border is None else None
         self.change = self.checked = math.inf
         self.tried, self.limit = False, None
-        self.aM = self.absM = self.y = None
+        self.y = None
 
     def __call__(self, it, v, gamma, change, direction):
         if self.border is None and direction == "none":
@@ -653,14 +730,14 @@ class _NewtonFinish:
             self.limit = None
             return None
         if self.y is None:
-            self.absM, self.y = np.abs(self.aM), np.ones(v.size)
-        bound, self.y = _contraction_bound(self.aM, self.absM, gamma, self.model,
-                                           np.minimum(lo, hi), hi, self.y)
+            self.y = np.ones(v.size)
+        bound, self.y = _contraction_bound(self.attraction.aM, gamma, self.model,
+                                           np.minimum(lo, hi), hi, self.y,
+                                           "hi" if direction == "up" else "lo")
         return self.limit if bound < 1.0 else None
 
     def _solve(self, v, gamma, ratio):
         """Newton from v; None if it fails or a step cuts the residual less than ratio."""
-        self.aM = self.alpha * self.M
         norms = []
 
         def watch(step, norm):
@@ -669,8 +746,8 @@ class _NewtonFinish:
             norms.append(norm)
 
         try:
-            return _newton(self.aM, gamma, self.model, v, _NEWTON_TOL, _NEWTON_STEPS,
-                           watch, self.border)
+            return _newton(self.attraction.aM, gamma, self.model, v, _NEWTON_TOL,
+                           _NEWTON_STEPS, watch, self.border)
         except (RuntimeError, ValueError):
             return None
 
@@ -679,7 +756,8 @@ def _picard(spec, alpha, gammas, starts, domain, tol, model):
     """Picard launches at gammas[j] from the columns starts[:, j], as one block; their reports.
 
     See `picard_iterate`, which runs a one-column block; every column
-    gets its own Newton finish where that one would.
+    gets its own Newton finish where that one would, all sharing one
+    alpha M.
     """
     M = _self_ring(spec, domain)
     gammas = np.asarray(gammas, dtype=float)
@@ -690,7 +768,8 @@ def _picard(spec, alpha, gammas, starts, domain, tol, model):
 
     finishes = None
     if model.mode != eos.MODE_IDEAL_GAS and domain.n <= _DENSE_MAX:
-        finishes = [_NewtonFinish(M, alpha, model, tol=tol) for _ in gammas]
+        attraction = _Attraction(M, alpha)
+        finishes = [_NewtonFinish(attraction, model, tol=tol) for _ in gammas]
     return [report for report, _ in
             _fixed_point(M, alpha, model, domain, starts, rule, _PICARD_STEPS, tol, finishes)]
 
@@ -727,7 +806,7 @@ def _labelled(report, branch, direction, certification=""):
 
 
 def _minimal_start(spec, alpha, gamma, domain, model, neighbour=None):
-    """The start of minimal_solution's climb at gamma; see there."""
+    """The start of a minimal launch at gamma, cold or from a neighbour; see `extremal_pairs`."""
     start = np.full(domain.n, float(model.wp_prime(gamma)))
     if neighbour is not None:
         fault = _neighbour_fault(spec, alpha, gamma, domain, model, "minimal", neighbour)
@@ -737,27 +816,18 @@ def _minimal_start(spec, alpha, gamma, domain, model, neighbour=None):
     return start
 
 
-def minimal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10,
-                     neighbour=None):
+def minimal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10):
     """Pointwise smallest solution, grown from the constant wp'(gamma).
 
     The attraction only raises the argument of wp', so the constant
     wp'(gamma) is a subsolution and the iteration climbs monotonically
-    to the minimal solution.  neighbour=(gamma', report), the minimal
-    solution at a lower gamma' on a grid of the same (R, n), starts the
-    climb from max(wp'(gamma), report) instead.  By comparison
-    (Sattinger; Amann) the minimal solution rises with gamma, and the
-    neighbour is a subsolution at gamma, since wp' rises with its
-    argument; the pointwise max of two subsolutions is a subsolution,
-    and both lie below the minimal solution at gamma, so the climb ends
-    there too.  A neighbour that is not a minimal solution, lies above
-    gamma or was solved on another grid raises ValueError naming both
-    gammas.  A slow climb may end in a Newton finish, accepted only with
-    `picard_iterate`'s contraction certificate, so the label stays true.
-    The climb reports direction "up" even where its first step is too
-    small to read.
+    to the minimal solution.  A slow climb may end in a Newton finish,
+    accepted only with `picard_iterate`'s contraction certificate, so
+    the label stays true.  The climb reports direction "up" even where
+    its first step is too small to read.  `extremal_pairs` can start
+    the climb from a neighbouring gamma's minimal solution instead.
     """
-    start = _minimal_start(spec, alpha, gamma, domain, model, neighbour)
+    start = _minimal_start(spec, alpha, gamma, domain, model)
     report = picard_iterate(spec, alpha, gamma, DensityField(domain, start), tol=tol,
                             model=model)
     return _labelled(report, "minimal", "up")
@@ -830,7 +900,7 @@ def _neighbour_fault(spec, alpha, gamma, domain, model, branch, neighbour):
 
 
 def _maximal_start(spec, alpha, gamma, domain, model, neighbour=None):
-    """The start of maximal_solution's descent at gamma and its certification; see there."""
+    """The start of a maximal launch at gamma and its certification; see `extremal_pairs`."""
     start_value, certification = _ceiling(spec, alpha, gamma, domain, model)
     start = np.full(domain.n, start_value)
     if neighbour is not None:
@@ -841,8 +911,7 @@ def _maximal_start(spec, alpha, gamma, domain, model, neighbour=None):
     return start, certification
 
 
-def maximal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10,
-                     neighbour=None):
+def maximal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10):
     """Pointwise largest solution below a constant algebraic supersolution.
 
     A constant c is a supersolution iff g2(c) >= gamma + alpha Phi c.
@@ -851,31 +920,22 @@ def maximal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10
     fields); otherwise the largest algebraic root at slope alpha Phi
     that is still in the fluid range (certification "algebraic-ceiling":
     maximal below that root).  CS-extended mode always descends from
-    the largest algebraic root, which bounds every solution.
-    neighbour=(gamma', report), the maximal solution at a higher gamma'
-    on a grid of the same (R, n), starts the descent from min(c,
-    report) instead.  By comparison (Sattinger; Amann) the neighbour is
-    a supersolution at gamma, since wp' rises with its argument, and
-    the min of two supersolutions is one.  A solution at gamma below c
-    is a subsolution at gamma', so where the neighbour descended from
-    a ceiling of at least c it lies below the neighbour: the maximal
-    solution falls as gamma falls, and the descent ends at the same
-    maximal solution, with the same certification.  A neighbour that
-    is not a maximal solution, lies below gamma, was solved on another
-    grid, carries another certification or descends from a lower
-    ceiling raises ValueError naming both gammas.  A slow descent may
-    end in a Newton finish, accepted only with `picard_iterate`'s
-    contraction certificate, so the label and the certification stay
-    true.  The descent reports direction "down" even where its first
-    step is too small to read.
+    the largest algebraic root, which bounds every solution.  A slow
+    descent may end in a Newton finish, accepted only with
+    `picard_iterate`'s contraction certificate, so the label and the
+    certification stay true.  The descent reports direction "down" even
+    where its first step is too small to read.  `extremal_pairs` can
+    start the descent from a neighbouring gamma's maximal solution
+    instead.
     """
-    start, certification = _maximal_start(spec, alpha, gamma, domain, model, neighbour)
+    start, certification = _maximal_start(spec, alpha, gamma, domain, model)
     report = picard_iterate(spec, alpha, gamma, DensityField(domain, start), tol=tol,
                             model=model)
     return _labelled(report, "maximal", "down", certification)
 
 
-def extremal_pairs(spec, alpha, gammas, domain, model=eos.EosModel(), tol=1e-10):
+def extremal_pairs(spec, alpha, gammas, domain, model=eos.EosModel(), tol=1e-10,
+                   neighbours=None):
     """The (minimal, maximal) solution pair at each gamma of a grid, in grid order.
 
     Each pair is `minimal_solution` and `maximal_solution` at its gamma,
@@ -886,11 +946,29 @@ def extremal_pairs(spec, alpha, gammas, domain, model=eos.EosModel(), tol=1e-10)
     to every launch still open, and each column's bits do not depend on
     which other gammas share the block.  The first launch to fail
     raises, naming its gamma.
+
+    neighbours, if given, holds one (below, above) per gamma: the
+    minimal solution at a lower gamma' and the maximal solution at a
+    higher one, each (gamma', report) on a grid of the same (R, n), or
+    None to start that launch cold.  The minimal launch then climbs from
+    max(wp'(gamma), below) and the maximal one descends from min(c,
+    above), c the ceiling.  By comparison (Sattinger; Amann) the
+    minimal solution rises with gamma: below is a subsolution at gamma,
+    since wp' rises with its argument, the max of two subsolutions is
+    one, and both lie below the minimal solution at gamma, so the climb
+    ends there.  Likewise above is a supersolution at gamma, the min of
+    two is one, and a solution at gamma below c is a subsolution at
+    gamma', so where above descended from a ceiling of at least c it
+    lies above the maximal solution at gamma, and the descent ends there
+    with the same certification.  A neighbour that is not a solution of
+    its branch, lies on the wrong side of gamma, was solved on another
+    grid or, for the maximal branch, carries another certification or
+    descends from a lower ceiling raises ValueError naming both gammas.
     """
     starts, certifications = [], []
-    for gamma in gammas:
-        lo = _minimal_start(spec, alpha, gamma, domain, model)
-        hi, certification = _maximal_start(spec, alpha, gamma, domain, model)
+    for gamma, (below, above) in zip(gammas, neighbours or [(None, None)] * len(gammas)):
+        lo = _minimal_start(spec, alpha, gamma, domain, model, below)
+        hi, certification = _maximal_start(spec, alpha, gamma, domain, model, above)
         starts += [lo, hi]
         certifications.append(certification)
     reports = _picard(spec, alpha, np.repeat(np.asarray(gammas, dtype=float), 2),
@@ -993,8 +1071,10 @@ def _newton(aM, gamma, model, v, tol, max_iter, callback=None, border=None):
             )
         model._reject_kink(g + u)
         c = model.response_at(eta)
-        J = np.eye(x.size)
-        J[:n, :n] -= c[:, None] * aM
+        # I - diag(c) aM formed in place, with no n x n temporary: 1 + (-ca) is 1 - ca
+        J = np.empty((x.size, x.size))
+        np.multiply(-c[:, None], aM, out=J[:n, :n])
+        J[np.arange(n), np.arange(n)] += 1.0
         if border is not None:
             J[:n, n], J[n, :n], J[n, n] = -c, w, 0.0
         try:

@@ -144,11 +144,13 @@ def _launch_gap(spec, alpha, gamma, domain, model, below=None, above=None):
     report, maximal report).  Where the separation is below _DISTINCT
     the launches coincide and the gap is quadrature noise, not a sign.
     below and above are the minimal and maximal launches' neighbours,
-    (gamma', report), as `field.minimal_solution` and
-    `field.maximal_solution` take them; None launches cold.
+    (gamma', report), as `field.extremal_pairs` takes them; None
+    launches cold.  The two launches run as one two-column block, whose
+    columns keep the bits they have alone and whose Newton finishes
+    share one alpha M.
     """
-    lo = field.minimal_solution(spec, alpha, gamma, domain, model=model, neighbour=below)
-    hi = field.maximal_solution(spec, alpha, gamma, domain, model=model, neighbour=above)
+    [(lo, hi)] = field.extremal_pairs(spec, alpha, [gamma], domain, model=model,
+                                      neighbours=[(below, above)])
     gap = functionals.pressure_functional(
         spec, alpha, gamma, hi.field, model=model
     ) - functionals.pressure_functional(spec, alpha, gamma, lo.field, model=model)
@@ -162,7 +164,7 @@ def _launch_memo(spec, alpha, domain, model):
     nearest lower gamma solved, and its maximal launch from the maximal
     solution at the nearest higher one, unless `field._neighbour_fault`
     finds that one unfit; then, or with no neighbour, a launch starts
-    cold.  See `field.minimal_solution` and `field.maximal_solution`.
+    cold.  See `field.extremal_pairs`.
     """
     solved = {}  # float(gamma) -> _launch_gap's result
 
@@ -565,7 +567,7 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=eos.EosModel(),
 
     finishes = None
     if domain.n <= field._DENSE_MAX:
-        finishes = [field._NewtonFinish(M, alpha, model, border=(D, N))]
+        finishes = [field._NewtonFinish(field._Attraction(M, alpha), model, border=(D, N))]
     [(report, gamma)] = field._fixed_point(
         M, alpha, model, domain, start.values[:, None], rule, _DROPLET_STEPS, _DROPLET_TOL,
         finishes,

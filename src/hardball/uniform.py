@@ -18,6 +18,7 @@ ETA_FS_LO*alpha_tau beyond it, so band gaps peak at that kink or at an
 end of their range.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +43,7 @@ _ETA_KINK = brentq(
 ALPHA_TAU_KINK = float(eos.g2_derivs(_ETA_KINK, 1))
 
 _TANGENT_TOL = 1e-9  # |g2 - gamma - at*eta| below this at a critical point
+_ETA_BOUNDS_MEMO = 256  # alpha_tau values whose eta_bounds stay memoized
 _ETA_SPAN = (1e-300, 1.0 - 1e-9)  # roots are sought between these
 
 
@@ -137,8 +139,14 @@ def largest_root(alpha_tau, gamma):
     raise _no_root(alpha_tau, gamma)
 
 
+@functools.lru_cache(maxsize=_ETA_BOUNDS_MEMO)
 def eta_bounds(alpha_tau):
-    """The two solutions of g2'(eta) = alpha_tau flanking the inflection."""
+    """The two solutions of g2'(eta) = alpha_tau flanking the inflection.
+
+    A pure function of alpha_tau, memoized per value: one transition asks
+    for the same alpha_tau a dozen times, and the memo lives as long as
+    the process.
+    """
     if alpha_tau <= ALPHA_TAU_MIN:
         raise ValueError(
             "alpha_tau must exceed g2'(eta_inflection) ~ 21.202 for two branches"

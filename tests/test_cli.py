@@ -319,6 +319,19 @@ class TestPhaseDiagram:
         assert column(rows, columns, "index") == [str(i) for i in range(9)]
         assert b"# jobs" not in written[0]
 
+    def test_newton_kernel_is_config_error(self, tmp_path, capsys):
+        # the landmarks rest on the kernel's L1 norm over R^3, which a
+        # Newton part does not have
+        out = tmp_path / "out"
+        cfg = tmp_path / "pd.ini"
+        cfg.write_text("[kernel]\na_n = 1.0\n[run]\nalpha = 1.0\n")
+        assert cli.main(["phase-diagram", "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hardball: config error: kernel.a_n: ")
+        assert "solver failure" not in err
+        assert not out.exists()
+
     def test_negative_grid_alpha_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = tmp_path / "pd.ini"
@@ -358,12 +371,12 @@ class TestTransition:
         # both ends' launches are distinct with gaps of opposite sign, so
         # nothing is scanned: each gamma launched is an end or a Newton step
         gammas, asked = [], {-22.0, -14.0}
-        maximal = field.maximal_solution
+        pairs = field.extremal_pairs
         root_finder = phase._newton_on_gamma
 
-        def recorder(spec, alpha, gamma, *args, **kwargs):
-            gammas.append(float(gamma))
-            return maximal(spec, alpha, gamma, *args, **kwargs)
+        def recorder(spec, alpha, launched, *args, **kwargs):
+            gammas.extend(map(float, launched))
+            return pairs(spec, alpha, launched, *args, **kwargs)
 
         def recording_root_finder(evaluate, *args):
             def objective(g):
@@ -372,13 +385,35 @@ class TestTransition:
 
             return root_finder(objective, *args)
 
-        monkeypatch.setattr(field, "maximal_solution", recorder)
+        monkeypatch.setattr(field, "extremal_pairs", recorder)
         monkeypatch.setattr(phase, "_newton_on_gamma", recording_root_finder)
         assert cli.main(["transition", "--config", str(config),
                          "--out", str(tmp_path / "out")]) == 0
         assert gammas[:2] == [-22.0, -14.0]
         assert len(gammas) == len(set(gammas))
         assert set(gammas) == asked
+
+    @pytest.mark.parametrize("transition,unset", [
+        pytest.param("petit = no\n", ["transition.gamma_lo and transition.gamma_hi"],
+                     id="grand"),
+        pytest.param("", ["transition.gamma_lo and transition.gamma_hi",
+                          "transition.petit = no"], id="petit"),
+        pytest.param("gamma_lo = -5.0\ngamma_hi = -3.0\n", ["transition.petit = no"],
+                     id="petit-bracketed"),
+    ])
+    def test_newton_kernel_is_config_error(self, tmp_path, capsys, transition, unset):
+        # a Newton part has no L1 norm over R^3: no algebraic band to
+        # bracket by, and no droplet criterion
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[kernel]\na_n = 1.0\n[run]\nalpha = 1.0\nradius = 2.0\n"
+                       "nodes = 64\n[transition]\n" + transition)
+        out = tmp_path / "out"
+        rc = cli.main(["transition", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hardball: config error: kernel.a_n: ")
+        assert err.rstrip().endswith("; set " + ", and ".join(unset))
+        assert not out.exists()
 
     def test_weak_attraction_without_bracket_is_config_error(self, tmp_path,
                                                              capsys):

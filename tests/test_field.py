@@ -312,6 +312,31 @@ class TestRingOperator:
         assert report.iterations == 22
 
 
+class TestRingSign:
+    """The ring matrix has negative entries on coarse panels, so |alpha M| is not alpha M.
+
+    The own-panel rows re-integrate a target's kink against the panel's
+    Lagrange basis, whose weights can be negative.  min(M)/max(M) on the
+    petit-r15 grid (R=15, n=64) and on the other grids pinned here is
+    negative, so the spread term of `field._contraction_bound`, the
+    negative part of alpha M applied to hi - lo, must stay
+    (`TestSecantCertificate` sees it positive in a check there).
+    """
+
+    @pytest.mark.parametrize("spec,R,n,ratio", [
+        pytest.param(SPEC_Y, 15.0, 64, -2.04e-5, id="unit-Yukawa-R15-n64"),
+        pytest.param(SPEC_Y, 30.0, 128, -2.04e-5, id="unit-Yukawa-R30-n128"),
+        pytest.param(SPEC_Y, 80.0, 256, -7.94e-5, id="unit-Yukawa-R80-n256"),
+        pytest.param(kernels.KernelSpec(a_y=1.0, kappa=5.0), 80.0, 64, -0.218,
+                     id="Yukawa-kappa5-R80-n64"),
+        pytest.param(kernels.KernelSpec(a_w=1.0, varkappa=1.0), 80.0, 64, -0.0277,
+                     id="vdW-R80-n64"),
+    ])
+    def test_coarse_panels_have_negative_entries(self, spec, R, n, ratio):
+        M = field._self_ring(spec, field.make_domain(R, n=n))
+        assert M.min() / M.max() == pytest.approx(ratio, rel=0.01)
+
+
 class TestDensityField:
     def test_validation(self):
         dom = field.make_domain(1.0, n=16)
@@ -517,9 +542,11 @@ def launch_setup():
 class TestNeighbourStarts:
     """Extremal launches started from the same branch's solution at a nearby gamma.
 
-    Hard-sphere mode at alpha Phi = 45 on R=5: the freezing fraction is
-    the maximal launch's ceiling up to gamma -6.84 and the middle
-    algebraic root above it, which falls as gamma rises.
+    Through `field.extremal_pairs`, which takes one (below, above) pair
+    of neighbours per gamma.  Hard-sphere mode at alpha Phi = 45 on R=5:
+    the freezing fraction is the maximal launch's ceiling up to gamma
+    -6.84 and the middle algebraic root above it, which falls as gamma
+    rises.
     """
 
     ALPHA = 45.0 / PHI_Y5
@@ -534,12 +561,18 @@ class TestNeighbourStarts:
         hi = {g: field.maximal_solution(SPEC_Y, self.ALPHA, g, dom) for g in (-7.0, -5.5)}
         return lo, hi
 
+    def _launch(self, dom, branch, gamma, neighbour):
+        """The branch's launch of the pair at gamma, with neighbour on that branch's side."""
+        side = (neighbour, None) if branch == "minimal" else (None, neighbour)
+        [pair] = field.extremal_pairs(SPEC_Y, self.ALPHA, [gamma], dom, neighbours=[side])
+        return pair[branch == "maximal"]
+
     def test_warm_launch_matches_cold(self, dom, solved):
         lo, hi = solved
-        for solve, gamma, neighbour in ((field.minimal_solution, -6.9, (-7.0, lo[-7.0])),
-                                        (field.maximal_solution, -7.1, (-7.0, hi[-7.0]))):
-            warm = solve(SPEC_Y, self.ALPHA, gamma, dom, neighbour=neighbour)
-            cold = solve(SPEC_Y, self.ALPHA, gamma, dom)
+        for branch, gamma, neighbour in (("minimal", -6.9, (-7.0, lo[-7.0])),
+                                         ("maximal", -7.1, (-7.0, hi[-7.0]))):
+            warm = self._launch(dom, branch, gamma, neighbour)
+            cold = getattr(field, f"{branch}_solution")(SPEC_Y, self.ALPHA, gamma, dom)
             assert np.max(np.abs(warm.field.values - cold.field.values)) <= 1e-9
             assert warm.iterations <= cold.iterations
             assert (warm.branch_label, warm.certification, warm.monotone_direction) == \
@@ -549,23 +582,21 @@ class TestNeighbourStarts:
         lo, hi = solved
         coarse = field.make_domain(5.0, n=128)
         other_grid = field.minimal_solution(SPEC_Y, self.ALPHA, -7.0, coarse)
-        minimal, maximal = field.minimal_solution, field.maximal_solution
         cases = [
-            (minimal, -6.5, (-6.0, lo[-6.0]), "the neighbour must lie below gamma"),
-            (minimal, -6.5, (-7.0, hi[-7.0]), "the neighbour is a maximal solution"),
-            (minimal, -6.5, (-7.0, other_grid), r"the neighbour was solved on another grid "
+            ("minimal", -6.5, (-6.0, lo[-6.0]), "the neighbour must lie below gamma"),
+            ("minimal", -6.5, (-7.0, hi[-7.0]), "the neighbour is a maximal solution"),
+            ("minimal", -6.5, (-7.0, other_grid), r"the neighbour was solved on another grid "
              r"\(R 5.0, n 128\), not \(R 5.0, n 64\)"),
-            (maximal, -6.5, (-7.0, hi[-7.0]), "the neighbour must lie above gamma"),
-            (maximal, -7.5, (-5.5, hi[-5.5]), "the neighbour's certification "
+            ("maximal", -6.5, (-7.0, hi[-7.0]), "the neighbour must lie above gamma"),
+            ("maximal", -7.5, (-5.5, hi[-5.5]), "the neighbour's certification "
              "'algebraic-ceiling' is not this launch's 'fluid-ceiling'"),
-            (maximal, -6.0, (-5.5, hi[-5.5]),
+            ("maximal", -6.0, (-5.5, hi[-5.5]),
              r"the neighbour's ceiling 0\.08\d+ lies below this launch's 0\.10\d+"),
         ]
-        for solve, gamma, neighbour, fault in cases:
-            branch = solve.__name__.split("_")[0]
+        for branch, gamma, neighbour, fault in cases:
             where = f"{branch} launch at gamma {gamma} from a neighbour at gamma {neighbour[0]}"
             with pytest.raises(ValueError, match=f"^{where}: {fault}$"):
-                solve(SPEC_Y, self.ALPHA, gamma, dom, neighbour=neighbour)
+                self._launch(dom, branch, gamma, neighbour)
 
 
 class TestLaunchDirection:
@@ -577,8 +608,8 @@ class TestLaunchDirection:
         dom = field.make_domain(0.5, n=256)
         below = field.minimal_solution(SPEC_Y, 100.0, -18.0, dom, model=ext)
         gamma = -18.0 + 4e-12
-        warm = field.minimal_solution(SPEC_Y, 100.0, gamma, dom, model=ext,
-                                      neighbour=(-18.0, below))
+        [(warm, _)] = field.extremal_pairs(SPEC_Y, 100.0, [gamma], dom, model=ext,
+                                           neighbours=[((-18.0, below), None)])
         cold = field.minimal_solution(SPEC_Y, 100.0, gamma, dom, model=ext)
         assert warm.iterations == 1
         assert warm.monotone_direction == cold.monotone_direction == "up"
@@ -645,6 +676,42 @@ class TestExtremalPairs:
                                                            model=self.EXT))
             _assert_same_report(hi, field.maximal_solution(SPEC_Y, alpha, gamma, dom,
                                                            model=self.EXT))
+
+    def test_warm_pair_equals_one_column_launches(self):
+        # the locator's pair at the petit-r15 crossing (R=15, n=64), warm
+        # from the minimal solution below it and the maximal one above:
+        # each column has the bits of its launch alone from the same start
+        alpha = 31.0 / kernels.l1_norm_r3(SPEC_Y)
+        dom = field.make_domain(15.0, n=64)
+        [(below, _), (_, above)] = field.extremal_pairs(SPEC_Y, alpha, (-4.68, -4.6), dom,
+                                                       model=self.EXT)
+        gamma, sides = -4.655290873521921, ((-4.68, below), (-4.6, above))
+        [(lo, hi)] = field.extremal_pairs(SPEC_Y, alpha, [gamma], dom, model=self.EXT,
+                                          neighbours=[sides])
+        starts = (field._minimal_start(SPEC_Y, alpha, gamma, dom, self.EXT, sides[0]),
+                  field._maximal_start(SPEC_Y, alpha, gamma, dom, self.EXT, sides[1])[0])
+        for got, start, label in ((lo, starts[0], "minimal"), (hi, starts[1], "maximal")):
+            [alone] = field._picard(SPEC_Y, alpha, [gamma], start[:, None], dom, 1e-10,
+                                    self.EXT)
+            assert np.array_equal(got.field.values, alone.field.values)
+            assert (got.iterations, got.residual) == (alone.iterations, alone.residual)
+            assert got.branch_label == label
+        cold_lo, cold_hi = (field.minimal_solution(SPEC_Y, alpha, gamma, dom, model=self.EXT),
+                            field.maximal_solution(SPEC_Y, alpha, gamma, dom, model=self.EXT))
+        assert np.max(np.abs(lo.field.values - cold_lo.field.values)) <= 1e-9
+        assert np.max(np.abs(hi.field.values - cold_hi.field.values)) <= 1e-9
+        assert hi.certification == cold_hi.certification
+
+    def test_pair_finishes_share_one_attraction(self, monkeypatch):
+        # both launches of the petit-r15 crossing's pair end in a Newton
+        # finish; both solves get the same alpha M, formed once
+        alpha = 31.0 / kernels.l1_norm_r3(SPEC_Y)
+        dom = field.make_domain(15.0, n=64)
+        matrices, newton = [], field._newton
+        monkeypatch.setattr(field, "_newton",
+                            lambda *args: (matrices.append(args[0]), newton(*args))[1])
+        field.extremal_pairs(SPEC_Y, alpha, [-4.655290873521921], dom, model=self.EXT)
+        assert len(matrices) == 2 and matrices[0] is matrices[1]
 
     @pytest.mark.parametrize("n", [64, 1024])
     def test_a_pair_does_not_depend_on_its_company(self, n):
@@ -964,13 +1031,12 @@ class TestNewtonFinish:
             SPEC_Y, self.ALPHA, self.GAMMA, report.field,
             model=self.EXT).extremal_eigenvalue + 1.0
         aM = self.ALPHA * field._self_ring(SPEC_Y, dom30)
-        absM = np.abs(aM)
         # each call stops its power steps once the bound is below 1;
         # calling on from the vector reached, until it moves by at most
         # the 1e-10 that ends a call, runs them down toward rho(K)
         y, moved = np.ones(dom30.n), 1.0
         while moved > 1e-10:
-            bound, z = field._contraction_bound(aM, absM, self.GAMMA, self.EXT, v, v, y)
+            bound, z = field._contraction_bound(aM, self.GAMMA, self.EXT, v, v, y, "lo")
             y, moved = z, float(np.max(np.abs(z - y)))
             assert bound >= rho
         assert rho <= bound <= rho + 1e-6
@@ -978,15 +1044,16 @@ class TestNewtonFinish:
 
     def test_bound_reaches_one_around_the_middle_solution(self, ball_triple):
         # the Newton middle solution is unstable, so no interval holding
-        # it can certify a unique fixed point
+        # it can certify a unique fixed point, whichever end the secant
+        # slopes are taken from
         dom, spec, alpha, gamma, small, large, middle = ball_triple
         aM = alpha * field._self_ring(spec, dom)
-        absM = np.abs(aM)
         assert np.all(small <= middle) and np.all(middle <= large)
         for lo, hi in ((middle, middle), (small, middle), (middle, large), (small, large)):
-            for y in (np.ones(dom.n), middle, large):
-                bound, _ = field._contraction_bound(aM, absM, gamma, self.EXT, lo, hi, y)
-                assert bound >= 1.0
+            for star in ("lo", "hi"):
+                for y in (np.ones(dom.n), middle, large):
+                    bound, _ = field._contraction_bound(aM, gamma, self.EXT, lo, hi, y, star)
+                    assert bound >= 1.0
 
     def test_bound_stops_where_no_vector_can_certify(self, ball_triple, monkeypatch):
         # across the whole triple every ratio (By)_i/y_i at y = ones is
@@ -994,23 +1061,24 @@ class TestNewtonFinish:
         # settles it: the call gives what a one-step call gives
         dom, spec, alpha, gamma, small, large, _ = ball_triple
         aM = alpha * field._self_ring(spec, dom)
-        absM = np.abs(aM)
-        full = field._contraction_bound(aM, absM, gamma, self.EXT, small, large,
-                                        np.ones(dom.n))
-        monkeypatch.setattr(field, "_POWER_STEPS", 1)
-        one = field._contraction_bound(aM, absM, gamma, self.EXT, small, large,
-                                       np.ones(dom.n))
-        assert full[0] == one[0] >= 1.0
-        assert np.array_equal(full[1], one[1])
+        for star in ("lo", "hi"):
+            full = field._contraction_bound(aM, gamma, self.EXT, small, large,
+                                            np.ones(dom.n), star)
+            with monkeypatch.context() as patch:
+                patch.setattr(field, "_POWER_STEPS", 1)
+                one = field._contraction_bound(aM, gamma, self.EXT, small, large,
+                                               np.ones(dom.n), star)
+            assert full[0] == one[0] >= 1.0
+            assert np.array_equal(full[1], one[1])
 
     def test_finish_refuses_a_limit_it_cannot_certify(self, ball_triple):
         # handed the middle solution as its Newton limit below a
         # descending iterate, the finish keeps iterating
         dom, spec, alpha, gamma, small, large, middle = ball_triple
         M = field._self_ring(spec, dom)
-        finish = field._NewtonFinish(M, alpha, self.EXT)
-        finish.tried, finish.checked, finish.aM = True, 1.0, alpha * M
-        finish.limit = (middle, finish.aM @ middle, 0.0, 0, gamma)
+        finish = field._NewtonFinish(field._Attraction(M, alpha), self.EXT)
+        finish.tried, finish.checked = True, 1.0
+        finish.limit = (middle, finish.attraction.aM @ middle, 0.0, 0, gamma)
         assert finish(10, large, gamma, 1e-3, "down") is None
         assert finish.limit is not None  # on the right side, so kept for re-checks
 
@@ -1020,9 +1088,9 @@ class TestNewtonFinish:
         # solves or checks a bound again
         dom, spec, alpha, gamma, small, large, middle = ball_triple
         M = field._self_ring(spec, dom)
-        finish = field._NewtonFinish(M, alpha, self.EXT, tol=1e-10)
-        finish.tried, finish.checked, finish.aM = True, 1.0, alpha * M
-        finish.limit = (middle, finish.aM @ middle, 0.0, 0, gamma)
+        finish = field._NewtonFinish(field._Attraction(M, alpha), self.EXT, tol=1e-10)
+        finish.tried, finish.checked = True, 1.0
+        finish.limit = (middle, finish.attraction.aM @ middle, 0.0, 0, gamma)
         calls = []
         monkeypatch.setattr(field, "_newton", lambda *args: calls.append("newton"))
         monkeypatch.setattr(field, "_contraction_bound", lambda *args: calls.append("bound"))
@@ -1031,6 +1099,122 @@ class TestNewtonFinish:
         for it, change in ((11, 4e-4), (12, 1e-4), (13, 2e-5)):
             assert finish(it, large, gamma, change, "up") is None
         assert calls == []
+
+
+class TestSecantCertificate:
+    """The secant slopes of `_contraction_bound`, next to the liquid spinodal.
+
+    Where the peak of wp'' over the interval keeps the Collatz-Wielandt
+    bound at 1 or above, the slopes of wp' from the fixed point's own
+    argument bound the map's contraction instead.  Oracles: wp' sampled
+    on both sides of that argument, the peak-clipped bound (never
+    below), plain Picard, and the peak-clipped certificate alone.
+    """
+
+    ALPHA = 31.0 / kernels.l1_norm_r3(SPEC_Y)
+    EXT = eos.EosModel(mode=eos.MODE_CS_EXTENDED)
+
+    @staticmethod
+    def _ranges(aM, gamma, model, lo, hi, star):
+        """Each node's argument range, v*'s argument and the peak-clipped slopes."""
+        ulo, uhi = aM @ lo, aM @ hi
+        spread = np.maximum(0.5 * (np.abs(aM) @ (hi - lo) - (uhi - ulo)), 0.0)
+        glo, ghi = gamma + ulo - spread, gamma + uhi + spread
+        r = model.response_at(np.asarray(model.wp_prime(np.clip(model.gamma_wr, glo, ghi))))
+        return spread, glo, ghi, gamma + (ulo if star == "lo" else uhi), r
+
+    @pytest.fixture(scope="class")
+    def petit_grid_check(self):
+        # the maximal launch at gamma -4.7 on the petit-r15 grid (R=15,
+        # n=64), where M has a negative entry, and its one certificate check
+        dom = field.make_domain(15.0, n=64)
+        checks, real = [], field._contraction_bound
+
+        def spy(*args):
+            checks.append((args, real(*args)))
+            return checks[-1][1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(field, "_contraction_bound", spy)
+            report = field.maximal_solution(SPEC_Y, self.ALPHA, -4.7, dom, model=self.EXT)
+        return dom, report, checks
+
+    def test_petit_grid_check_passes_on_the_secant_slopes(self, petit_grid_check):
+        _, report, checks = petit_grid_check
+        [((aM, gamma, model, lo, hi, y, star), (bound, _))] = checks
+        assert (star, report.monotone_direction) == ("lo", "down")
+        spread, glo, ghi, xs, r = self._ranges(aM, gamma, model, lo, hi, star)
+        assert spread.max() > 0.0  # the range reaches below v*'s argument too
+        assert np.all(glo <= xs) and np.any(glo < xs)
+        assert field._perron_bound(r, np.abs(aM), y)[0] >= 1.0 > bound
+
+    def test_secant_slopes_bound_every_sampled_secant(self, petit_grid_check):
+        # on both sides of v*'s argument, up to the rounding of a sampled
+        # difference of two wp' values over its width
+        _, _, checks = petit_grid_check
+        [((aM, gamma, model, lo, hi, _, star), _)] = checks
+        _, glo, ghi, xs, r = self._ranges(aM, gamma, model, lo, hi, star)
+        slopes = field._secant_slopes(model, xs, glo, ghi, r)
+        assert np.all(slopes <= r) and np.any(slopes < r)
+        base = np.asarray(model.wp_prime(xs))[:, None]
+        t = np.linspace(0.0, 1.0, 2001)[1:]
+        for end in (glo, ghi):
+            width = (end - xs)[:, None] * t
+            x = xs[:, None] + width
+            wide = width != 0.0
+            secant = (np.asarray(model.wp_prime(x)) - base)[wide] / width[wide]
+            assert np.all(secant <= np.broadcast_to(slopes[:, None], x.shape)[wide]
+                          + 1e-14 / np.abs(width[wide]))
+
+    def test_petit_grid_limit_is_the_picard_limit(self, petit_grid_check):
+        dom, report, _ = petit_grid_check
+        start = field.constant_field(
+            dom, field._ceiling(SPEC_Y, self.ALPHA, -4.7, dom, self.EXT)[0])
+        values, _, steps, _ = _plain_monotone_picard(SPEC_Y, self.ALPHA, -4.7, start,
+                                                     self.EXT, tol=1e-13)
+        assert float(np.max(np.abs(report.field.values - values))) <= 1e-10
+        assert report.iterations < steps
+
+    def test_secant_bound_never_above_the_peak_bound(self, dom30):
+        # the first check of grand-r30's slowest launch, whose bound the
+        # peak-clipped slopes keep above 1; the secant slopes lie below
+        # them node by node, and so does the bound from any vector
+        checks, real = [], field._contraction_bound
+
+        def spy(*args):
+            checks.append(args)
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(field, "_contraction_bound", spy)
+            field.maximal_solution(SPEC_Y, self.ALPHA, -4.88, dom30, model=self.EXT)
+        aM, gamma, model, lo, hi, _, star = checks[0]
+        _, glo, ghi, xs, r = self._ranges(aM, gamma, model, lo, hi, star)
+        slopes = field._secant_slopes(model, xs, glo, ghi, r)
+        assert np.all(slopes <= r) and np.any(slopes < r)
+        for y in (np.ones(dom30.n), lo, hi):
+            peak = field._perron_bound(r, np.abs(aM), y)[0]
+            assert peak >= 1.0
+            assert field._contraction_bound(aM, gamma, model, lo, hi, y, star)[0] <= peak
+
+    def test_fold_launch_certified_within_160_iterations(self, dom30, monkeypatch):
+        # grand-r30's low bracket end, next to the liquid spinodal: the
+        # maximal launch contracts at 0.987 and its Newton limit is found
+        # at step 6, but the peak-clipped bound alone waited until step
+        # 200 (208 with the 8 Newton steps); the limit, and so every bit
+        # of the profile, is the same either way
+        def launch():
+            return field.maximal_solution(SPEC_Y, self.ALPHA, -4.88, dom30, model=self.EXT)
+
+        report = launch()
+        assert report.iterations <= 160
+        monkeypatch.setattr(field, "_secant_slopes", lambda model, xs, glo, ghi, r: r)
+        peak_only = launch()
+        assert peak_only.iterations == 208
+        assert np.array_equal(report.field.values, peak_only.field.values)
+        for name in ("residual", "monotone_direction", "branch_label", "certified_fluid",
+                     "certification"):
+            assert getattr(report, name) == getattr(peak_only, name), name
 
 
 class TestFinishCost:
@@ -1116,7 +1300,8 @@ class TestFinishCost:
         cost = field._finish_cost(n)
         v = np.full(n, 0.1)
         for left, fires in ((0.5 * cost, False), (cost - 2.0, False), (cost + 2.0, True)):
-            finish = field._NewtonFinish(np.zeros((n, n)), 1.0, self.EXT, tol=1e-10)
+            finish = field._NewtonFinish(field._Attraction(np.zeros((n, n)), 1.0), self.EXT,
+                                         tol=1e-10)
             fired = []
             # record the firing, and fail as a solve that gives up does
             finish._solve = lambda v, gamma, ratio: fired.append(ratio)

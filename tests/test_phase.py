@@ -59,6 +59,34 @@ def named_inputs(excinfo, alpha, dom, ends):
     return float(m[6]), float(m[7])
 
 
+def record_launches(monkeypatch):
+    """Every extremal launch from here on, as (branch, gamma, its neighbour's gamma or None).
+
+    Launches come one at a time (`field.minimal_solution` and
+    `maximal_solution`) or as pairs (`field.extremal_pairs`, the
+    locator's route, which takes the neighbours).
+    """
+    launched = []
+    for branch in ("minimal", "maximal"):
+        real = getattr(field, f"{branch}_solution")
+
+        def spy(spec, alpha, gamma, *args, _real=real, _branch=branch, **kwargs):
+            launched.append((_branch, float(gamma), None))
+            return _real(spec, alpha, gamma, *args, **kwargs)
+
+        monkeypatch.setattr(field, f"{branch}_solution", spy)
+    real_pairs = field.extremal_pairs
+
+    def pairs(spec, alpha, gammas, *args, neighbours=None, **kwargs):
+        for g, sides in zip(gammas, neighbours or [(None, None)] * len(gammas)):
+            for branch, side in zip(("minimal", "maximal"), sides):
+                launched.append((branch, float(g), None if side is None else side[0]))
+        return real_pairs(spec, alpha, gammas, *args, neighbours=neighbours, **kwargs)
+
+    monkeypatch.setattr(field, "extremal_pairs", pairs)
+    return launched
+
+
 class TestDropletCriterion:
     def test_reference_values(self):
         rep = phase.droplet_criterion(SPEC_Y, ALPHA_31)
@@ -659,14 +687,8 @@ class TestGrandTransition:
     def test_each_gamma_launched_once(self, dom_small, monkeypatch):
         # the end checks, the root finder and the final pair share one
         # launch per gamma
-        gammas = []
         asked = {-22.0, -14.0}  # the bracket ends, then what the root finder evaluates
-        maximal = field.maximal_solution
         root_finder = phase._newton_on_gamma
-
-        def recorder(spec, alpha, gamma, *args, **kwargs):
-            gammas.append(float(gamma))
-            return maximal(spec, alpha, gamma, *args, **kwargs)
 
         def recording_root_finder(evaluate, gamma, window, *args, **kwargs):
             def objective(g):
@@ -675,11 +697,12 @@ class TestGrandTransition:
 
             return root_finder(objective, gamma, window, *args, **kwargs)
 
-        monkeypatch.setattr(field, "maximal_solution", recorder)
+        launched = record_launches(monkeypatch)
         monkeypatch.setattr(phase, "_newton_on_gamma", recording_root_finder)
         phase.grand_canonical_transition(
             SPEC_Y, 100.0, dom_small, (-22.0, -14.0), model=EXT,
         )
+        gammas = [g for branch, g, _ in launched if branch == "maximal"]
         assert len(gammas) == len(set(gammas))
         assert set(gammas) == asked
 
@@ -724,18 +747,9 @@ class TestWarmLaunches:
         return [ladder, ladder[::-1], [ladder[i] for i in (0, 4, 2, 1, 3)]]
 
     @staticmethod
-    def record_neighbours(monkeypatch):
-        warm = {"minimal": [], "maximal": []}  # gamma of every launch, and its neighbour's
-        for branch in warm:
-            real = getattr(field, f"{branch}_solution")
-
-            def spy(spec, alpha, gamma, *args, _real=real, _branch=branch, **kwargs):
-                neighbour = kwargs.get("neighbour")
-                warm[_branch].append((gamma, None if neighbour is None else neighbour[0]))
-                return _real(spec, alpha, gamma, *args, **kwargs)
-
-            monkeypatch.setattr(field, f"{branch}_solution", spy)
-        return warm
+    def neighbours(launched, branch):
+        """The gamma of every launch of branch and its neighbour's gamma, in order."""
+        return [(g, near) for b, g, near in launched if b == branch]
 
     @staticmethod
     def assert_same_launch(warm, cold):
@@ -748,10 +762,9 @@ class TestWarmLaunches:
         dom = dom_small if case == "small" else dom15
         alpha, ladder = self.LADDERS[case]
         cold = {g: phase._launch_gap(SPEC_Y, alpha, g, dom, EXT) for g in ladder}
-        warm = self.record_neighbours(monkeypatch)
+        launched = record_launches(monkeypatch)
         for order in self.orders(ladder):
-            for branch in warm:
-                warm[branch].clear()
+            launched.clear()
             launch = phase._launch_memo(SPEC_Y, alpha, dom, EXT)
             for g in order:
                 _, _, lo, hi = launch(g)
@@ -761,8 +774,10 @@ class TestWarmLaunches:
             for i, g in enumerate(order):
                 below = [x for x in order[:i] if x < g]
                 above = [x for x in order[:i] if x > g]
-                assert warm["minimal"][i] == (g, max(below) if below else None)
-                assert warm["maximal"][i] == (g, min(above) if above else None)
+                assert self.neighbours(launched, "minimal")[i] == \
+                    (g, max(below) if below else None)
+                assert self.neighbours(launched, "maximal")[i] == \
+                    (g, min(above) if above else None)
 
     def test_launch_next_to_a_solved_gamma(self, dom15):
         # on grand-r30 the root finder's last two gammas lie 3.9e-12 apart
@@ -782,10 +797,10 @@ class TestWarmLaunches:
         # another certification, one above it a lower ceiling
         alpha, hs = 45.0 / PHI_Y5, eos.EosModel()
         ladder = [-5.5, -6.0, -7.0, -7.5]
-        warm = self.record_neighbours(monkeypatch)
+        launched = record_launches(monkeypatch)
         launch = phase._launch_memo(SPEC_Y, alpha, dom5, hs)
         pairs = [launch(g) for g in ladder]
-        assert warm["maximal"] == [(-5.5, None), (-6.0, None), (-7.0, None), (-7.5, -7.0)]
+        assert self.neighbours(launched, "maximal") == [(-5.5, None), (-6.0, None), (-7.0, None), (-7.5, -7.0)]
         certifications = [p[3].certification for p in pairs]
         assert certifications == ["algebraic-ceiling"] * 2 + ["fluid-ceiling"] * 2
         for g, (_, _, lo, hi) in zip(ladder, pairs):
@@ -912,19 +927,11 @@ class TestPetitLaunchesAtGammaGl:
         bracket = phase.pressure_crossing_bracket(
             SPEC_Y, ALPHA_31, dom, (-4.75, -4.45), model=EXT)
         gt = phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, bracket, model=EXT)
-        launched = []
-        for name in ("minimal_solution", "maximal_solution"):
-            real = getattr(field, name)
-
-            def spy(spec, alpha, gamma, *args, _real=real, _name=name, **kwargs):
-                launched.append((_name, gamma))
-                return _real(spec, alpha, gamma, *args, **kwargs)
-
-            monkeypatch.setattr(field, name, spy)
+        launched = record_launches(monkeypatch)
         result = phase.petit_canonical_transition(
             SPEC_Y, ALPHA_31, dom, model=EXT, gamma_gl=gt.gamma_gl)
-        at_gl = sorted(name for name, g in launched if g == gt.gamma_gl)
-        assert at_gl == ["maximal_solution", "minimal_solution"]
+        at_gl = sorted(branch for branch, g, _ in launched if g == gt.gamma_gl)
+        assert at_gl == ["maximal", "minimal"]
         assert result.gamma_gl == gt.gamma_gl
         # petit runs the pair cold, bit for bit; the locator warm-started
         # gt's pair from launches at nearby gammas, which lands on the

@@ -117,6 +117,7 @@ class TestLargestRoot:
 
         check, hat = uniform.gamma_boundaries(31.0)
         eta_gt = uniform.eta_bounds(31.0)[1]
+        uniform.eta_bounds.cache_clear()  # so that eta_bounds solves again
         monkeypatch.setattr(uniform, "brentq", counted)
         uniform.largest_root(31.0, 0.5 * (check + hat))
         # eta_bounds' two slope solves, then the top piece's root
@@ -165,6 +166,18 @@ class TestEtaBounds:
         gts = [p[1] for p in pairs]
         assert all(a > b for a, b in zip(lts, lts[1:]))
         assert all(a < b for a, b in zip(gts, gts[1:]))
+
+    def test_memo_returns_the_fresh_solve(self, monkeypatch):
+        # a memoized pair has the bits of a fresh solve, and a hit solves nothing
+        ats = (ATMIN + 1e-6, 22.0, 31.0, np.float64(31.0), 1e4)
+        memo = [uniform.eta_bounds(at) for at in ats]
+        fresh = [uniform.eta_bounds.__wrapped__(at) for at in ats]
+        assert [tuple(x.hex() for x in pair) for pair in memo] == \
+            [tuple(x.hex() for x in pair) for pair in fresh]
+        calls = []
+        monkeypatch.setattr(uniform, "brentq", lambda *args, **kwargs: calls.append(args))
+        assert [uniform.eta_bounds(at) for at in ats] == memo
+        assert calls == []
 
     def test_near_threshold_square_root_law(self):
         # spacing grows like sqrt(2 (at - at*) / g2''')
