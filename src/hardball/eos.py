@@ -217,14 +217,20 @@ def _logit_table(fn, dfn, lo, hi):
     return g, np.array(rows)
 
 
-def _invert(fn, dfn, table, gamma):
+def _invert(fn, dfn, table, gamma, bracket, where):
     """Solve fn(eta) = gamma lane by lane from the table's Hermite value, inside gamma's cell."""
+    g = np.asarray(gamma, dtype=float)
+    inside = (g >= bracket[0]) & (g <= bracket[1])  # NaN fails it too
+    if not inside.all():
+        raise ValueError("gamma must be finite" if not np.isfinite(g).all() else
+                         f"gamma outside the {where}: gamma {float(g[~inside][0])!r} is not "
+                         f"in [{bracket[0]!r}, {bracket[1]!r}]")
     g_tab, rows = table
     # the inner nodes count the cell: targets at the table's ends fall in its end cells
-    g0, inv_h, a0, a1, a2, a3, lo, hi = rows.take(np.searchsorted(g_tab[1:-1], gamma), axis=1)
-    s = (gamma - g0) * inv_h
+    g0, inv_h, a0, a1, a2, a3, lo, hi = rows.take(np.searchsorted(g_tab[1:-1], g), axis=1)
+    s = (g - g0) * inv_h
     start = np.minimum(np.maximum(np.exp(a0 + s * (a1 + s * (a2 + s * a3))), lo), hi)
-    return _solve_increasing(fn, dfn, gamma, lo, hi, start)
+    return _scalar_like(gamma, _solve_increasing(fn, dfn, g, lo, hi, start))
 
 
 _G2_TABLE = _logit_table(_g2, _g2_prime, _BRACKET_LO, _BRACKET_HI)
@@ -236,13 +242,10 @@ def g2_inverse(gamma):
     """Invert g2 on (0, 1) by safeguarded Newton with bisection fallback.
 
     The start is the table's Hermite value at gamma; the residual
-    |g2(result) - gamma| is driven below 1e-12 max(1, |gamma|).
+    |g2(result) - gamma| is driven below 1e-12 max(1, |gamma|).  A gamma
+    out of range raises ValueError naming the first one and the range.
     """
-    g = np.asarray(gamma, dtype=float)
-    if not ((g >= _G2_LO) & (g <= _G2_HI)).all():  # NaN fails it too
-        raise ValueError("gamma must be finite" if not np.isfinite(g).all()
-                         else "gamma outside the invertible bracket")
-    return _scalar_like(gamma, _invert(_g2, _g2_prime, _G2_TABLE, g))
+    return _invert(_g2, _g2_prime, _G2_TABLE, gamma, (_G2_LO, _G2_HI), "invertible bracket")
 
 
 GAMMA_FS = float(g2(ETA_FS_LO))  # freezing chemical potential, ~15.2085
@@ -321,11 +324,8 @@ _G4_TABLE = _logit_table(_speedy_g4, _speedy_g4_prime, ETA_FS_HI, _G4_HI_ETA)
 
 def g4_inverse(gamma):
     """Invert speedy_g4 on [0.54, eta_fcc) from a table start, as g2_inverse."""
-    g = np.asarray(gamma, dtype=float)
-    if not ((g >= GAMMA_FS) & (g <= _G4_HI)).all():
-        raise ValueError("gamma must be finite" if not np.isfinite(g).all()
-                         else "gamma outside the solid branch")
-    return _scalar_like(gamma, _invert(_speedy_g4, _speedy_g4_prime, _G4_TABLE, g))
+    return _invert(_speedy_g4, _speedy_g4_prime, _G4_TABLE, gamma, (GAMMA_FS, _G4_HI),
+                   "solid branch")
 
 
 def find_inflection():

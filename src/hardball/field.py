@@ -9,20 +9,20 @@ assembled densely.  Above that, Yukawa and Newton kernels apply M
 through `RingOperator` in O(n p) with no n x n array: off the p x p
 panel blocks M is the rank-one radial Green's function in each
 triangle, so cumulative sums and a block-diagonal correction do the
-convolution.  Consumers that factor M or form its Jacobian (Newton,
-mass slopes, f_stability) still get the dense matrix, assembled on
-their first request.  Monotone Picard iteration reaches the extremal
-solutions from constant sub- and supersolutions, tightened where the
-caller hands over the same branch's solution at a nearby gamma on the
-side that comparison allows; damped Newton reaches the unstable branch
-inbetween; a handful of closed-form predicates settle existence,
-uniqueness, and fluid-range membership a priori.
+convolution.  Every solver reaches alpha M through one `_Attraction`
+per call, the only place where alpha M is formed densely (at any n, on
+first use) and I - diag(c) alpha M factored.  Monotone Picard iteration
+reaches the extremal solutions from constant sub- and supersolutions,
+tightened where the caller hands over the same branch's solution at a
+nearby gamma on the side that comparison allows; damped Newton reaches
+the unstable branch inbetween; a handful of closed-form predicates
+settle existence, uniqueness, and fluid-range membership a priori.
 
 One private loop, `_fixed_point`, iterates eta -> wp'(gamma + alpha M eta)
 for a rule that picks gamma from the potential and hands back the
 profile there: a constant for Picard, the mass-holding multiplier for
 `phase.droplet_solve`.  It steps the columns of an (n, k) block, each
-its own sequence with its own gamma, applying M and wp' to all open
+its own sequence with its own gamma, applying alpha M and wp' to all open
 columns at once and dropping each column as it stops; every column
 keeps the bits it has alone.  `extremal_pairs` runs all minimal and
 maximal launches of a gamma grid as one block, and the gas/liquid
@@ -31,19 +31,14 @@ two-column one; the other solves are one-column blocks.  Every
 SolveReport is built by `_report`, the one home of the certified-fluid
 rule.  One private damped Newton loop, `_newton`, serves `newton_solve`
 and `_NewtonFinish`, the finish of slowly converging fixed-point
-sequences; the finishes of one block share one alpha M.  For a
-monotone Picard launch the finish keeps the extremal labels: the
-Newton limit v* replaces the Picard limit only when v* lies beyond the
-last monotone iterate v_k, so the Picard limit lies in the order
-interval between them, and a Collatz-Wielandt bound shows the map to be
-a contraction on that interval, so the interval holds one fixed point.
-The bound takes each node's slope as the largest wp'' over its range,
-or, where that leaves it at 1 or above (next to a fold), the largest
-secant slope of wp' from v*'s own argument, which is all the argument
-needs and certifies a near-fold limit many steps sooner.  For the droplet's
-mass-matched iteration the loop carries a mass border, with gamma as
-one more unknown, and its limit is accepted only where the iteration
-is heading: within twice the geometric tail of its remaining changes.
+sequences; the finishes of one block share its `_Attraction`.  A
+monotone Picard launch keeps its extremal label through the finish:
+the Newton limit replaces the Picard limit only with a Collatz-Wielandt
+certificate that the map contracts on the order interval between the
+last iterate and that limit (see `_NewtonFinish`).  For the droplet's
+mass-matched iteration the finish carries a mass border, with gamma as
+one more unknown, and takes its limit only where the iteration is
+heading: within twice the geometric tail of its remaining changes.
 """
 
 from __future__ import annotations
@@ -380,9 +375,8 @@ def _self_ring(spec, domain, dense=False):
     `RingOperator`, which applies M and M^T in O(n p) with no n x n
     array; below, and for van der Waals, the assembled matrix, which
     BLAS applies faster there and the Newton finishes need anyway.
-    dense=True asks for the assembled matrix at any n, for the
-    consumers that factor or form M; it is assembled on the first such
-    request.  The check-and-assemble holds the domain's lock, so sweep
+    dense, set only by `_Attraction`, asks for the assembled matrix at
+    any n.  The check-and-assemble holds the domain's lock, so sweep
     threads sharing a domain build each once.
     """
     structured = not dense and domain.n > _DENSE_MAX and not spec.a_w
@@ -438,19 +432,6 @@ def _report(domain, values, gamma, u, iterations, residual, direction="none"):
     )
 
 
-def _apply(M, V):
-    """M V for the columns of an (n, k) block, each with the bits of M @ v alone.
-
-    `RingOperator` gives every column those bits in one call.  A dense
-    M is applied one column at a time: BLAS's matrix product rounds a
-    column differently from its matrix-vector product, and by which
-    columns share the block.
-    """
-    if isinstance(M, RingOperator) or V.shape[1] == 1:
-        return M @ V
-    return np.column_stack([M @ V[:, j] for j in range(V.shape[1])])
-
-
 def _direction(v, new, change):
     """The monotone direction of a first step v -> new of sup-norm change."""
     scale = 1e-14 * max(1.0, float(np.max(np.abs(v))))
@@ -463,7 +444,7 @@ def _direction(v, new, change):
     return "none"
 
 
-def _fixed_point(M, alpha, model, domain, V, gamma_rule, max_iter, tol, finishes=None):
+def _fixed_point(attraction, model, V, gamma_rule, max_iter, tol, finishes=None):
     """Iterate each column v of the (n, k) block V by v -> wp'(gamma + u), u = alpha M v.
 
     Each column is its own sequence with its own gamma; the columns
@@ -486,15 +467,15 @@ def _fixed_point(M, alpha, model, domain, V, gamma_rule, max_iter, tol, finishes
     that leaves (0, 1) raises ValueError, and one still open after
     max_iter steps RuntimeError, each naming that column's gamma.  The
     bits of each column are those of a one-column block from the same
-    start: `_apply` and wp' treat the columns apart.  Returns one
-    (report, gamma) per column, in column order.
+    start: `_Attraction.apply` and wp' treat the columns apart.  Returns
+    one (report, gamma) per column, in column order.
     """
     k = V.shape[1]
     finishes = finishes or [None] * k
     out, directions = [None] * k, ["none"] * k
     cols = list(range(k))  # the open columns' indices into the block
     for it in range(1, max_iter + 1):
-        U = alpha * _apply(M, V)
+        U = attraction.apply(V)
         G, new = gamma_rule(cols, U, V)
         if (new >= 1.0).any() or (new <= 0.0).any():
             j = int(np.argmax(((new >= 1.0) | (new <= 0.0)).any(axis=0)))
@@ -507,7 +488,7 @@ def _fixed_point(M, alpha, model, domain, V, gamma_rule, max_iter, tol, finishes
         stops = {}
         close = [j for j, change in enumerate(changes) if change < tol]
         if close:
-            u = alpha * _apply(M, V[:, close])
+            u = attraction.apply(V[:, close])
             res = np.abs(np.asarray(model.wp_prime(G[close] + u)) - V[:, close]).max(axis=0)
             for i, j in enumerate(close):
                 if res[i] < _RESIDUAL_TOL:
@@ -520,8 +501,8 @@ def _fixed_point(M, alpha, model, domain, V, gamma_rule, max_iter, tol, finishes
         if not stops:
             continue
         for j, (star, u, res, steps, gamma) in stops.items():
-            out[cols[j]] = (_report(domain, star.copy(), gamma, u, it + steps, res,
-                                    directions[cols[j]]), gamma)
+            out[cols[j]] = (_report(attraction.domain, star.copy(), gamma, u, it + steps,
+                                    res, directions[cols[j]]), gamma)
         keep = [j for j in range(len(cols)) if j not in stops]
         if not keep:
             return out
@@ -632,24 +613,55 @@ def _finish_cost(n):
 
 
 class _Attraction:
-    """alpha M, formed on first use and shared by the finishes of a block."""
+    """alpha M on one grid, as the solvers apply, form and factor it; one per consumer call.
 
-    def __init__(self, M, alpha):
-        self.M, self.alpha = M, alpha
+    M is `_self_ring`'s ring.  aM, the dense alpha M at any n, is formed
+    on first use and lives as long as the object, never on the domain.
+    """
+
+    def __init__(self, spec, alpha, domain):
+        self.spec, self.alpha, self.domain = spec, alpha, domain
+        self.finishable = domain.n <= _DENSE_MAX  # where Newton finishes may factor aM
+
+    @functools.cached_property
+    def M(self):
+        return _self_ring(self.spec, self.domain)
 
     @functools.cached_property
     def aM(self):
-        return self.alpha * self.M
+        return self.alpha * _self_ring(self.spec, self.domain, dense=True)
+
+    def apply(self, V):
+        """alpha M V for an (n, k) block, each column with the bits of alpha (M @ v) alone."""
+        # a dense M goes a column at a time: BLAS rounds a column by the block it is in
+        if isinstance(self.M, RingOperator) or V.shape[1] == 1:
+            return self.alpha * (self.M @ V)
+        return self.alpha * np.column_stack([self.M @ V[:, j] for j in range(V.shape[1])])
+
+    def solve(self, c, b, border=None):
+        """x with (I - diag(c) alpha M) x = b, bordered by the column -c and the mass row border.
+
+        Raises np.linalg.LinAlgError where the matrix is singular.
+        """
+        n = c.size
+        # formed in place, with no n x n temporary: 1 + (-c aM) is 1 - c aM to the bit
+        J = np.empty((b.size, b.size))
+        np.multiply(-c[:, None], self.aM, out=J[:n, :n])
+        J[np.arange(n), np.arange(n)] += 1.0
+        if border is not None:
+            J[:n, n], J[n, :n], J[n, n] = -c, border, 0.0
+        return np.linalg.solve(J, b)
 
 
 class _NewtonFinish:
     """Newton finish of one slowly converging fixed-point sequence.
 
     `_fixed_point` offers it every iterate v_k of its column with the
-    gamma of that step.  It arms at the first step where the sequence is slow, and
-    fires once the change has halved since then at a step where it
-    still is: the sequence is slow and converging, not sliding through
-    a bottleneck, where a Newton solve from v_k fails.  Firing runs one
+    gamma of that step; its Newton solves share the block's
+    `attraction`.  It arms at the first step where the sequence is slow,
+    and fires once the change has halved since then at a step where it
+    still is: the sequence is slow and converging, not sliding through a
+    bottleneck, where a Newton solve from v_k fails.  Firing runs one
     damped Newton solve from v_k to a limit v*; the solve gives up as
     soon as a step cuts the residual by less than that fixed-point step
     cut the change, for the iteration then does as well far more
@@ -683,18 +695,15 @@ class _NewtonFinish:
     the geometric tail of the changes left at the firing step.  Slow
     means here a change ratio above 0.9 from step 3: a finish fired
     earlier, at larger changes, would widen that window.
-
-    attraction is the block's `_Attraction`, whose alpha M every finish
-    of the block shares.
     """
 
     def __init__(self, attraction, model, tol=None, border=None):
         self.attraction, self.model, self.border = attraction, model, border
         self.tol = tol
-        self.cost = _finish_cost(attraction.M.shape[0]) if border is None else None
+        self.cost = _finish_cost(attraction.domain.n) if border is None else None
         self.change = self.checked = math.inf
         self.tried, self.limit = False, None
-        self.y = None
+        self.y = np.ones(attraction.domain.n)  # the certificate's power-step vector
 
     def __call__(self, it, v, gamma, change, direction):
         if self.border is None and direction == "none":
@@ -729,8 +738,6 @@ class _NewtonFinish:
         if np.any(lo > hi + _NEWTON_TOL):
             self.limit = None
             return None
-        if self.y is None:
-            self.y = np.ones(v.size)
         bound, self.y = _contraction_bound(self.attraction.aM, gamma, self.model,
                                            np.minimum(lo, hi), hi, self.y,
                                            "hi" if direction == "up" else "lo")
@@ -746,7 +753,7 @@ class _NewtonFinish:
             norms.append(norm)
 
         try:
-            return _newton(self.attraction.aM, gamma, self.model, v, _NEWTON_TOL,
+            return _newton(self.attraction, gamma, self.model, v, _NEWTON_TOL,
                            _NEWTON_STEPS, watch, self.border)
         except (RuntimeError, ValueError):
             return None
@@ -759,7 +766,7 @@ def _picard(spec, alpha, gammas, starts, domain, tol, model):
     gets its own Newton finish where that one would, all sharing one
     alpha M.
     """
-    M = _self_ring(spec, domain)
+    attraction = _Attraction(spec, alpha, domain)
     gammas = np.asarray(gammas, dtype=float)
 
     def rule(cols, U, V):
@@ -767,11 +774,10 @@ def _picard(spec, alpha, gammas, starts, domain, tol, model):
         return G, np.asarray(model.wp_prime(G + U), dtype=float)
 
     finishes = None
-    if model.mode != eos.MODE_IDEAL_GAS and domain.n <= _DENSE_MAX:
-        attraction = _Attraction(M, alpha)
+    if model.mode != eos.MODE_IDEAL_GAS and attraction.finishable:
         finishes = [_NewtonFinish(attraction, model, tol=tol) for _ in gammas]
     return [report for report, _ in
-            _fixed_point(M, alpha, model, domain, starts, rule, _PICARD_STEPS, tol, finishes)]
+            _fixed_point(attraction, model, starts, rule, _PICARD_STEPS, tol, finishes)]
 
 
 def picard_iterate(spec, alpha, gamma, eta0, tol=1e-10, model=eos.EosModel()):
@@ -1023,8 +1029,8 @@ def subsolution_launch(spec, alpha, gamma, domain, mu, sigma_grave):
     return _labelled(report, "minimal" if mu == "m" else "other", "up")
 
 
-def _newton(aM, gamma, model, v, tol, max_iter, callback=None, border=None):
-    """Damped Newton on F(eta) = eta - wp'(gamma + aM eta) from v.
+def _newton(attraction, gamma, model, v, tol, max_iter, callback=None, border=None):
+    """Damped Newton on F(eta) = eta - wp'(gamma + aM eta) from v, aM the attraction's.
 
     The one loop behind `newton_solve` and the Newton finish.  With a
     mass border (D, N), gamma is one more unknown, started from the
@@ -1039,7 +1045,7 @@ def _newton(aM, gamma, model, v, tol, max_iter, callback=None, border=None):
     last residual.  callback, if given, receives (step, residual) at the
     start and after every accepted step.
     """
-    n = v.size
+    n, aM, w = v.size, attraction.aM, None
     if border is not None:
         D, N = border
         w, mean = D / np.sum(D), N / np.sum(D)
@@ -1070,15 +1076,8 @@ def _newton(aM, gamma, model, v, tol, max_iter, callback=None, border=None):
                 f"step {it - 1}, cut by under 1% over the last {_STALL_STEPS} steps"
             )
         model._reject_kink(g + u)
-        c = model.response_at(eta)
-        # I - diag(c) aM formed in place, with no n x n temporary: 1 + (-ca) is 1 - ca
-        J = np.empty((x.size, x.size))
-        np.multiply(-c[:, None], aM, out=J[:n, :n])
-        J[np.arange(n), np.arange(n)] += 1.0
-        if border is not None:
-            J[:n, n], J[n, :n], J[n, n] = -c, w, 0.0
         try:
-            step = np.linalg.solve(J, -F)
+            step = attraction.solve(model.response_at(eta), -F, w)
         except np.linalg.LinAlgError as exc:
             raise failure("singular Jacobian in the density solve") from exc
         lam = 1.0
@@ -1107,18 +1106,17 @@ def _newton(aM, gamma, model, v, tol, max_iter, callback=None, border=None):
 def newton_solve(spec, alpha, gamma, eta0, model=eos.EosModel()):
     """Damped Newton on F(eta) = eta - wp'(gamma + alpha(-V*eta)).
 
-    The Jacobian I - diag(wp'') alpha M is assembled densely, from the
-    dense ring matrix at any n, which the node counts in use comfortably
-    allow; its wp'' is read off the profile the residual has just
-    inverted, with no second inversion.
-    Unlike Picard this also reaches iteration-unstable solutions, at
-    quadratic rate near any root.  A solve whose last 8 accepted steps
-    together cut the residual by less than 1% has stalled and raises
-    RuntimeError; every failure names gamma and the last residual.
+    The Jacobian I - diag(wp'') alpha M is factored by `_Attraction`,
+    from a dense alpha M at any n, which the node counts in use allow;
+    its wp'' is read off the profile the residual has just inverted,
+    with no second inversion.  Unlike Picard this also reaches
+    iteration-unstable solutions, at quadratic rate near any root.  A
+    solve whose last 8 accepted steps together cut the residual by less
+    than 1% has stalled and raises RuntimeError; every failure names
+    gamma and the last residual.
     """
-    aM = alpha * _self_ring(spec, eta0.domain, dense=True)
-    v, u, norm, steps, _ = _newton(aM, gamma, model, eta0.values.copy(), _NEWTON_TOL,
-                                   _NEWTON_STEPS)
+    v, u, norm, steps, _ = _newton(_Attraction(spec, alpha, eta0.domain), gamma, model,
+                                   eta0.values.copy(), _NEWTON_TOL, _NEWTON_STEPS)
     return _report(eta0.domain, v, gamma, u, steps, norm)
 
 

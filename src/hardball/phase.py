@@ -308,7 +308,7 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(
     (seeded by start, or by the middle algebraic root when start is
     omitted).  The outer step `_newton_on_gamma` takes the exact branch
     slope dN/dgamma = D.(I - diag(c) alpha M)^-1 c, c = wp'' of the
-    inner solution, from one dense solve; it is negative on the middle
+    inner solution (see `_mass_slope`); it is negative on the middle
     branch.  A sup-norm step more than ten times the size predicted
     from the previous continuation step means the inner solve jumped
     branches and raises BranchLostError.
@@ -343,7 +343,7 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(
             g_ceil = g_hat - 1e-9
         elif branch == "maximal":
             g_floor = g_check + 1e-9
-    M = alpha * field._self_ring(spec, domain, dense=True)
+    attraction = field._Attraction(spec, alpha, domain)
 
     warm = [start]
 
@@ -368,7 +368,7 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(
         if memo is not None and g in memo:
             return memo[g]
         rep = inner(g)
-        solved = rep, _mass_slope(model, M, D, rep.field.values)
+        solved = rep, _mass_slope(model, attraction, D, rep.field.values)
         if memo is not None:
             memo[g] = solved
         return solved
@@ -409,10 +409,10 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(
     return _branch_point(spec, alpha, gamma, report, model)
 
 
-def _mass_slope(model, aM, D, v):
-    """Exact branch slope dN/dgamma = D.(I - diag(c) aM)^-1 c at the solution v, c = wp''."""
+def _mass_slope(model, attraction, D, v):
+    """Branch slope dN/dgamma = D.(I - diag(c) alpha M)^-1 c at v, c = wp'', by `_Attraction`."""
     c = model.response_at(v)
-    return float(D @ np.linalg.solve(np.eye(v.size) - c[:, None] * aM, c))
+    return float(D @ attraction.solve(c, c))
 
 
 def droplet_criterion(spec, alpha):
@@ -559,17 +559,16 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=eos.EosModel(),
         eta_big = uniform.largest_root(atau, gamma_hat)
         fraction = min(0.9, N / (eta_big * float(np.sum(D))))
         start = droplet_trial(domain, N, fraction)
-    M = field._self_ring(spec, domain)
+    attraction = field._Attraction(spec, alpha, domain)
 
     def rule(cols, U, V):  # the block's one column
         gamma, eta = _gamma_for_mass(model, D, U[:, 0], N, V[:, 0])
         return np.array([gamma]), eta[:, None]
 
-    finishes = None
-    if domain.n <= field._DENSE_MAX:
-        finishes = [field._NewtonFinish(field._Attraction(M, alpha), model, border=(D, N))]
+    finishes = [field._NewtonFinish(attraction, model, border=(D, N))
+                if attraction.finishable else None]
     [(report, gamma)] = field._fixed_point(
-        M, alpha, model, domain, start.values[:, None], rule, _DROPLET_STEPS, _DROPLET_TOL,
+        attraction, model, start.values[:, None], rule, _DROPLET_STEPS, _DROPLET_TOL,
         finishes,
     )
     if check_collapse:
@@ -652,9 +651,9 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
         if seed is None:
             # the mass match's first Newton step from gamma_gl, taken from
             # the gas already known there instead of a second launch
-            aM = alpha * field._self_ring(spec, domain, dense=True)
-            D = functionals.volume_weights(domain)
-            seed = gamma_gl - (n_gas - n) / _mass_slope(model, aM, D, gas.solution.field.values)
+            slope = _mass_slope(model, field._Attraction(spec, alpha, domain),
+                                functionals.volume_weights(domain), gas.solution.field.values)
+            seed = gamma_gl - (n_gas - n) / slope
         point = constrained_solve(
             spec, alpha, domain, n, "minimal", model=model, gamma_seed=seed,
             memo=vapor_launches,

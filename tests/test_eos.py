@@ -6,6 +6,8 @@ checked against mpmath.diff, the solid chemical potential against
 arbitrary-precision quadrature of g3'(x)/x).
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -313,8 +315,10 @@ class TestInversionWork:
         assert np.array_equal(batch, alone)
 
 
-_BRACKET = (ValueError, "gamma outside the invertible bracket")
-_SOLID = (ValueError, "gamma outside the solid branch")
+# what a finite gamma out of range raises: the error, its message's prefix and
+# the ends of the bracket that the message names along with that gamma
+_BRACKET = (ValueError, "gamma outside the invertible bracket", (eos._G2_LO, eos._G2_HI))
+_SOLID = (ValueError, "gamma outside the solid branch", (eos.GAMMA_FS, eos._G4_HI))
 # each inversion entry point, with finite gammas out of its range and what they raise
 _OUT_OF_RANGE = {
     "g2_inverse": (eos.g2_inverse, {-100.0: _BRACKET, 1e37: _BRACKET}),
@@ -324,8 +328,16 @@ _OUT_OF_RANGE = {
     eos.MODE_HARD_SPHERE: (eos.EosModel(eos.MODE_HARD_SPHERE).wp_prime,
                            {-100.0: _BRACKET, 1e14: _SOLID}),
     eos.MODE_IDEAL_GAS: (eos.EosModel(eos.MODE_IDEAL_GAS).wp_prime,
-                         {701.0: (OverflowError, "gamma too large for the ideal-gas exponential")}),
+                         {701.0: (OverflowError, "gamma too large for the ideal-gas exponential",
+                                  None)}),
 }
+
+
+def _out_of_range_message(g, prefix, ends):
+    """The whole message for gamma g out of range: the prefix, then g and the bracket's ends."""
+    if ends is None:
+        return prefix
+    return f"{prefix}: gamma {g!r} is not in [{ends[0]!r}, {ends[1]!r}]"
 
 
 class TestInversionErrors:
@@ -344,10 +356,23 @@ class TestInversionErrors:
     @pytest.mark.parametrize("name", list(_OUT_OF_RANGE))
     def test_finite_gamma_out_of_range(self, name):
         invert, outside = _OUT_OF_RANGE[name]
-        for g, (error, message) in outside.items():
+        for g, (error, prefix, ends) in outside.items():
+            message = re.escape(_out_of_range_message(g, prefix, ends))
             for gamma in (g, np.array([20.0, g])):
                 with pytest.raises(error, match=f"^{message}$"):
                     invert(gamma)
+
+    def test_first_gamma_out_of_range_is_named(self):
+        # with both ends of the bracket left, the message names the first
+        # lane out of range, in row-major order for a 2D batch
+        error, prefix, ends = _BRACKET
+        batch = np.array([[20.0, 1e37], [-100.0, 0.0]])
+        with pytest.raises(error, match="^" + re.escape(
+                _out_of_range_message(1e37, prefix, ends)) + "$"):
+            eos.g2_inverse(batch)
+        with pytest.raises(error, match="^" + re.escape(
+                _out_of_range_message(-100.0, prefix, ends)) + "$"):
+            eos.g2_inverse(batch.T)
 
 
 class TestSolidBranch:

@@ -953,6 +953,68 @@ def dom30():
     return field.make_domain(30.0, n=256)
 
 
+class TestAttraction:
+    """`field._Attraction`, the one place where alpha M is formed and factored."""
+
+    ALPHA = 31.0 / kernels.l1_norm_r3(SPEC_Y)
+    EXT = eos.EosModel(mode=eos.MODE_CS_EXTENDED)
+
+    def _system(self, n):
+        """The attraction, its alpha M formed as the consumers formed it, and a wp''."""
+        dom = field.make_domain(15.0, n=n)
+        attraction = field._Attraction(SPEC_Y, self.ALPHA, dom)
+        aM = self.ALPHA * field._self_ring(SPEC_Y, dom, dense=True)
+        v = field.minimal_solution(SPEC_Y, self.ALPHA, -4.6, dom, model=self.EXT).field.values
+        return dom, attraction, aM, self.EXT.response_at(v)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_solve_has_the_bits_of_the_mass_slope_system(self, n):
+        # the mass slope's system as it was written out: eye(n) - c aM
+        _, attraction, aM, c = self._system(n)
+        assert np.array_equal(attraction.aM, aM)
+        want = np.linalg.solve(np.eye(n) - c[:, None] * aM, c)
+        assert np.array_equal(attraction.solve(c, c), want)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_bordered_solve_has_the_bits_of_newtons_jacobian(self, n):
+        # the bordered Jacobian as the Newton loop formed it in place
+        dom, attraction, aM, c = self._system(n)
+        D = functionals.volume_weights(dom)
+        w = D / np.sum(D)
+        J = np.empty((n + 1, n + 1))
+        np.multiply(-c[:, None], aM, out=J[:n, :n])
+        J[np.arange(n), np.arange(n)] += 1.0
+        J[:n, n], J[n, :n], J[n, n] = -c, w, 0.0
+        b = np.random.default_rng(3).standard_normal(n + 1)
+        assert np.array_equal(attraction.solve(c, b, w), np.linalg.solve(J, b))
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_apply_gives_each_column_its_own_bits(self, n):
+        dom = field.make_domain(4.0, n=n)
+        attraction = field._Attraction(SPEC_Y, self.ALPHA, dom)
+        V = np.random.default_rng(4).uniform(0.01, 0.4, (n, 3))
+        got = attraction.apply(V)
+        for j in range(3):
+            want = self.ALPHA * (field._self_ring(SPEC_Y, dom) @ V[:, j])
+            assert np.array_equal(got[:, j], want)
+
+    def test_dense_alpha_m_is_formed_on_first_use_only(self):
+        # above the gate the iteration applies the structured operator, and
+        # no n x n matrix exists until aM is asked for; then it is formed once
+        dom = field.make_domain(4.0, n=1024)
+        attraction = field._Attraction(SPEC_Y, self.ALPHA, dom)
+        attraction.apply(np.full((dom.n, 1), 0.1))
+        assert isinstance(attraction.M, field.RingOperator)
+        assert list(dom._rings) == [(SPEC_Y, True)] and "aM" not in vars(attraction)
+        assert attraction.aM is attraction.aM
+        assert attraction.aM.shape == (dom.n, dom.n)
+
+    def test_newton_finishes_stop_at_the_dense_gate(self):
+        for n, finishable in ((field._DENSE_MAX, True), (field._DENSE_MAX + 8, False)):
+            dom = field.make_domain(4.0, n=n)
+            assert field._Attraction(SPEC_Y, self.ALPHA, dom).finishable is finishable
+
+
 class TestNewtonFinish:
     """The certified Newton finish of slow monotone launches.
 
@@ -1075,8 +1137,7 @@ class TestNewtonFinish:
         # handed the middle solution as its Newton limit below a
         # descending iterate, the finish keeps iterating
         dom, spec, alpha, gamma, small, large, middle = ball_triple
-        M = field._self_ring(spec, dom)
-        finish = field._NewtonFinish(field._Attraction(M, alpha), self.EXT)
+        finish = field._NewtonFinish(field._Attraction(spec, alpha, dom), self.EXT)
         finish.tried, finish.checked = True, 1.0
         finish.limit = (middle, finish.attraction.aM @ middle, 0.0, 0, gamma)
         assert finish(10, large, gamma, 1e-3, "down") is None
@@ -1087,8 +1148,7 @@ class TestNewtonFinish:
         # solution, the finish drops it, and having tried once it never
         # solves or checks a bound again
         dom, spec, alpha, gamma, small, large, middle = ball_triple
-        M = field._self_ring(spec, dom)
-        finish = field._NewtonFinish(field._Attraction(M, alpha), self.EXT, tol=1e-10)
+        finish = field._NewtonFinish(field._Attraction(spec, alpha, dom), self.EXT, tol=1e-10)
         finish.tried, finish.checked = True, 1.0
         finish.limit = (middle, finish.attraction.aM @ middle, 0.0, 0, gamma)
         calls = []
@@ -1298,9 +1358,9 @@ class TestFinishCost:
         # its change has halved, at step 4, if the steps it has left
         # there, log(tol/change)/log(1/2), cost more than a finish
         cost = field._finish_cost(n)
-        v = np.full(n, 0.1)
+        v, dom = np.full(n, 0.1), field.make_domain(4.0, n=n)
         for left, fires in ((0.5 * cost, False), (cost - 2.0, False), (cost + 2.0, True)):
-            finish = field._NewtonFinish(field._Attraction(np.zeros((n, n)), 1.0), self.EXT,
+            finish = field._NewtonFinish(field._Attraction(SPEC_Y, 1.0, dom), self.EXT,
                                          tol=1e-10)
             fired = []
             # record the firing, and fail as a solve that gives up does

@@ -11,6 +11,7 @@ finite-container transition.
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -917,6 +918,25 @@ class TestPetitTransition:
         assert report.iterations == plain.iterations
         assert (report.branch_label, report.certification) == \
             (plain.branch_label, plain.certification)
+
+
+def test_mass_slope_forms_one_matrix():
+    # I - diag(c) alpha M is formed in place: on top of the attraction's
+    # alpha M, formed before the trace, one slope at n=512 holds one n x n
+    # array, where eye(n) - c aM held two
+    n = 512
+    dom = field.make_domain(30.0, n=n)
+    attraction = field._Attraction(SPEC_Y, ALPHA_31, dom)
+    assert attraction.aM.shape == (n, n)
+    v, D = np.linspace(0.01, 0.3, n), functionals.volume_weights(dom)
+    tracemalloc.start()
+    try:
+        slope = phase._mass_slope(EXT, attraction, D, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(slope)
+    assert peak < 1.5 * n * n * 8
 
 
 class TestPetitLaunchesAtGammaGl:
