@@ -11,7 +11,9 @@ panel blocks M is the rank-one radial Green's function in each
 triangle, so cumulative sums and a block-diagonal correction do the
 convolution.  Every solver reaches alpha M through one `_Attraction`
 per call, the only place where alpha M is formed densely (at any n, on
-first use) and I - diag(c) alpha M factored.  Monotone Picard iteration
+first use) and I - diag(c) alpha M factored, in one workspace per
+attraction; the certificate applies |alpha M| through it and forms no
+n x n array.  Monotone Picard iteration
 reaches the extremal solutions from constant sub- and supersolutions,
 tightened where the caller hands over the same branch's solution at a
 nearby gamma on the side that comparison allows; damped Newton reaches
@@ -512,59 +514,59 @@ def _fixed_point(attraction, model, V, gamma_rule, max_iter, tol, finishes=None)
                        f"{float(G[0])!r}, sup-norm change {changes[0]:.3e}")
 
 
-def _contraction_bound(aM, gamma, model, lo, hi, y, star):
+def _contraction_bound(attraction, gamma, model, lo, hi, y, star):
     """Collatz-Wielandt bound on the Picard map's contraction over [lo, hi].
 
-    T(eta) = wp'(gamma + aM eta), aM = alpha M, and star ("lo" or "hi")
-    names the end of the interval that is a fixed point v*.  Over the
-    order interval lo <= eta <= hi the argument at node i stays within
-    gamma + (aM lo)_i - s_i .. gamma + (aM hi)_i + s_i, s the negative
-    part of aM applied to hi - lo, and wp'' there is at most r_i, its
-    value at gamma_wr clipped into that range (the fluid wp'' is
-    unimodal in gamma with its peak at gamma_wr).  So |T(a) - T(b)| <=
-    B|a - b| with B = diag(r) |aM|, and for every positive y,
-    max_i (By)_i/y_i bounds the contraction of T in the y-weighted sup
-    norm (Varga, Matrix Iterative Analysis): below 1, T has at most one
-    fixed point in [lo, hi].  Where that bound (`_perron_bound` from the
-    given y) is not below 1, r gives way to `_secant_slopes`, which is
-    never larger: a second fixed point L in [lo, hi] would have |L - v*|
-    = |T(L) - T(v*)| <= diag(slopes) |aM| |L - v*|, so the same bound
-    below 1 with the secant slopes rules it out.  The secant power steps
-    go on from the vector the first ones reached.  Returns the smallest
+    T(eta) = wp'(gamma + aM eta), aM = alpha M of the `_Attraction`
+    attraction, and star ("lo" or "hi") names the end of the interval
+    that is a fixed point v*.  Over the order interval lo <= eta <= hi
+    the argument at node i stays within gamma + (aM lo)_i - s_i ..
+    gamma + (aM hi)_i + s_i, s = N (hi - lo) with N the negative part of
+    aM, and wp'' there is at most r_i, its value at gamma_wr clipped
+    into that range (the fluid wp'' is unimodal in gamma with its peak
+    at gamma_wr).  So |T(a) - T(b)| <= B|a - b| with B = diag(r) |aM|,
+    and for every positive y, max_i (By)_i/y_i bounds the contraction of
+    T in the y-weighted sup norm (Varga, Matrix Iterative Analysis):
+    below 1, T has at most one fixed point in [lo, hi].  Where that
+    bound (`_perron_bound` from the given y) is not below 1, r gives way
+    to `_secant_slopes`, which is never larger: a second fixed point L
+    in [lo, hi] would have |L - v*| = |T(L) - T(v*)| <= diag(slopes)
+    |aM| |L - v*|, so the same bound below 1 with the secant slopes
+    rules it out.  The secant power steps go on from the vector the
+    first ones reached.  N and |aM| are only applied, through the
+    attraction, so a check forms no n x n array.  Returns the smallest
     bound seen, or inf when an argument reaches the hard-sphere kink,
-    and the last y, from which a later call goes on.  |aM| is formed
-    per call, so that it is not held while a Newton solve runs.
+    and the last y, from which a later call goes on.
     """
-    absM = np.abs(aM)
-    ulo, uhi = aM @ lo, aM @ hi
-    spread = np.maximum(0.5 * (absM @ (hi - lo) - (uhi - ulo)), 0.0)
+    ulo, uhi = attraction.aM @ lo, attraction.aM @ hi
+    spread = attraction.neg_apply(hi - lo)
     glo, ghi = gamma + ulo - spread, gamma + uhi + spread
     if model.mode == eos.MODE_HARD_SPHERE and np.max(ghi) >= model.gamma_fs:
         return math.inf, y
     peak = np.clip(model.gamma_wr, glo, ghi)
     r = model.response_at(np.asarray(model.wp_prime(peak)))
-    bound, y = _perron_bound(r, absM, y)
+    bound, y = _perron_bound(r, attraction.abs_apply, y)
     if bound >= 1.0:
         slopes = _secant_slopes(model, gamma + (ulo if star == "lo" else uhi), glo, ghi, r)
-        secant, y = _perron_bound(slopes, absM, y)
+        secant, y = _perron_bound(slopes, attraction.abs_apply, y)
         bound = min(bound, secant)
     return bound, y
 
 
-def _perron_bound(r, absM, y):
-    """The smallest max_i (By)_i/y_i, B = diag(r) absM, along power steps from y.
+def _perron_bound(r, abs_apply, y):
+    """The smallest max_i (By)_i/y_i, B = diag(r) |aM|, along power steps from y.
 
-    Power steps y -> By/max(By) from a positive y keep it positive
-    (absM has a positive diagonal) and turn it toward the Perron vector
-    of B, where the bound is rho(B); they stop once the bound drops
-    below 1, once min_i (By)_i/y_i reaches 1 (a lower bound on rho(B),
-    so then no y gives a bound below 1), once y moves by at most 1e-10
-    of its largest entry, or after 100 steps.  Returns the bound and
-    the last y.
+    abs_apply(y) is |aM| y.  Power steps y -> By/max(By) from a positive
+    y keep it positive (|aM| has a positive diagonal) and turn it toward
+    the Perron vector of B, where the bound is rho(B); they stop once
+    the bound drops below 1, once min_i (By)_i/y_i reaches 1 (a lower
+    bound on rho(B), so then no y gives a bound below 1), once y moves
+    by at most 1e-10 of its largest entry, or after 100 steps.  Returns
+    the bound and the last y.
     """
     bound = math.inf
     for _ in range(_POWER_STEPS):
-        By = r * (absM @ y)
+        By = r * abs_apply(y)
         ratios = By / y
         bound = min(bound, float(np.max(ratios)))
         z = By / np.max(By)
@@ -616,12 +618,21 @@ class _Attraction:
     """alpha M on one grid, as the solvers apply, form and factor it; one per consumer call.
 
     M is `_self_ring`'s ring.  aM, the dense alpha M at any n, is formed
-    on first use and lives as long as the object, never on the domain.
+    on first use and lives as long as the object, never on the domain;
+    so does the one Jacobian workspace of `solve`, sized for the
+    bordered system at the first solve, so that the Newton steps after
+    it allocate no n x n array.  Every negative entry of aM lies in an
+    own-panel p x p block, where the kink split re-integrates a target's
+    row against its panel's Lagrange basis; off those blocks M is the
+    nonnegative ring of a nonnegative kernel.  So N, the negative part
+    of those blocks, held by its few entries, gives |aM| y = aM y + 2 N y
+    with no n x n |aM|.
     """
 
     def __init__(self, spec, alpha, domain):
         self.spec, self.alpha, self.domain = spec, alpha, domain
         self.finishable = domain.n <= _DENSE_MAX  # where Newton finishes may factor aM
+        self._work = None  # solve's Jacobian workspace, (n + 1)^2 values
 
     @functools.cached_property
     def M(self):
@@ -631,6 +642,14 @@ class _Attraction:
     def aM(self):
         return self.alpha * _self_ring(self.spec, self.domain, dense=True)
 
+    @functools.cached_property
+    def _negative(self):
+        """N's entries as (rows, columns, values), found in the own-panel blocks; None if none."""
+        p = self.domain.n // _PANEL
+        blocks = self.aM.reshape(p, _PANEL, p, _PANEL)[np.arange(p), :, np.arange(p)]
+        k, i, j = np.nonzero(blocks < 0.0)
+        return (k * _PANEL + i, k * _PANEL + j, -blocks[k, i, j]) if k.size else None
+
     def apply(self, V):
         """alpha M V for an (n, k) block, each column with the bits of alpha (M @ v) alone."""
         # a dense M goes a column at a time: BLAS rounds a column by the block it is in
@@ -638,16 +657,37 @@ class _Attraction:
             return self.alpha * (self.M @ V)
         return self.alpha * np.column_stack([self.M @ V[:, j] for j in range(V.shape[1])])
 
+    def neg_apply(self, y):
+        """N y for one vector y, N the negative part of aM."""
+        if self._negative is None:
+            return np.zeros_like(y)
+        rows, cols, values = self._negative
+        return np.bincount(rows, values * y[cols], minlength=y.size)
+
+    def abs_apply(self, y):
+        """|aM| y = aM y + 2 N y for one vector y; aM y alone, to the bit, where N is zero."""
+        out = self.aM @ y
+        if self._negative is not None:
+            out += 2.0 * self.neg_apply(y)
+        return out
+
     def solve(self, c, b, border=None):
         """x with (I - diag(c) alpha M) x = b, bordered by the column -c and the mass row border.
 
-        Raises np.linalg.LinAlgError where the matrix is singular.
+        The matrix is written over the attraction's workspace, C-ordered
+        at its own size, and every entry is written, so no border is
+        left over from an earlier solve.  Raises np.linalg.LinAlgError
+        where the matrix is singular.
         """
-        n = c.size
-        # formed in place, with no n x n temporary: 1 + (-c aM) is 1 - c aM to the bit
-        J = np.empty((b.size, b.size))
-        np.multiply(-c[:, None], self.aM, out=J[:n, :n])
-        J[np.arange(n), np.arange(n)] += 1.0
+        n, m = c.size, b.size
+        if self._work is None:
+            self._work = np.empty((n + 1) ** 2)
+        J = self._work[:m * m].reshape(m, m)
+        # -c_i aM_ij, each product rounded once, by einsum, which needs no ufunc
+        # buffer for the broadcast (a zero of aM gives +0, as eye - c aM does);
+        # then 1 + (-c aM) on the diagonal is 1 - c aM to the bit
+        np.einsum("i,ij->ij", -c, self.aM, out=J[:n, :n])
+        J.reshape(-1)[:n * (m + 1):m + 1] += 1.0
         if border is not None:
             J[:n, n], J[n, :n], J[n, n] = -c, border, 0.0
         return np.linalg.solve(J, b)
@@ -738,7 +778,7 @@ class _NewtonFinish:
         if np.any(lo > hi + _NEWTON_TOL):
             self.limit = None
             return None
-        bound, self.y = _contraction_bound(self.attraction.aM, gamma, self.model,
+        bound, self.y = _contraction_bound(self.attraction, gamma, self.model,
                                            np.minimum(lo, hi), hi, self.y,
                                            "hi" if direction == "up" else "lo")
         return self.limit if bound < 1.0 else None

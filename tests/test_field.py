@@ -320,10 +320,13 @@ class TestRingSign:
     petit-r15 grid (R=15, n=64) and on the other grids pinned here is
     negative, so the spread term of `field._contraction_bound`, the
     negative part of alpha M applied to hi - lo, must stay
-    (`TestSecantCertificate` sees it positive in a check there).
+    (`TestSecantCertificate` sees it positive in a check there).  Every
+    negative entry lies in an own-panel 8 x 8 block, which is what lets
+    `_Attraction.abs_apply` apply |alpha M| from alpha M and those blocks.
     """
 
-    @pytest.mark.parametrize("spec,R,n,ratio", [
+    ALPHA = 31.0 / kernels.l1_norm_r3(SPEC_Y)
+    GRIDS = [
         pytest.param(SPEC_Y, 15.0, 64, -2.04e-5, id="unit-Yukawa-R15-n64"),
         pytest.param(SPEC_Y, 30.0, 128, -2.04e-5, id="unit-Yukawa-R30-n128"),
         pytest.param(SPEC_Y, 80.0, 256, -7.94e-5, id="unit-Yukawa-R80-n256"),
@@ -331,10 +334,52 @@ class TestRingSign:
                      id="Yukawa-kappa5-R80-n64"),
         pytest.param(kernels.KernelSpec(a_w=1.0, varkappa=1.0), 80.0, 64, -0.0277,
                      id="vdW-R80-n64"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("spec,R,n,ratio", GRIDS)
     def test_coarse_panels_have_negative_entries(self, spec, R, n, ratio):
         M = field._self_ring(spec, field.make_domain(R, n=n))
         assert M.min() / M.max() == pytest.approx(ratio, rel=0.01)
+        panel = np.arange(n) // field._PANEL
+        own = panel[:, None] == panel[None, :]
+        assert np.all(M[~own] >= 0.0)
+
+    @pytest.mark.parametrize("spec,R,n,ratio", GRIDS)
+    def test_abs_apply_equals_the_formed_absolute_value(self, spec, R, n, ratio):
+        attraction = field._Attraction(spec, self.ALPHA, field.make_domain(R, n=n))
+        aM = attraction.aM
+        y = np.random.default_rng(n).uniform(0.1, 1.0, n)
+        want = np.abs(aM) @ y
+        assert np.max(np.abs(attraction.abs_apply(y) - want)) <= 1e-14 * np.max(want)
+        negative = np.maximum(-aM, 0.0) @ y
+        assert np.max(np.abs(attraction.neg_apply(y) - negative)) <= 1e-14 * np.max(want)
+        assert negative.max() > 0.0
+
+    def test_abs_apply_is_bit_equal_on_the_grand_r30_grid(self, dom30):
+        # M has no negative entry at R=30, n=256, so |alpha M| y is alpha M y
+        attraction = field._Attraction(SPEC_Y, self.ALPHA, dom30)
+        assert attraction.aM.min() >= 0.0
+        for y in (np.ones(dom30.n), np.random.default_rng(5).uniform(0.1, 1.0, dom30.n)):
+            assert np.array_equal(attraction.abs_apply(y), np.abs(attraction.aM) @ y)
+            assert not attraction.neg_apply(y).any()
+
+    def test_contraction_bound_forms_no_matrix(self):
+        # a check at n=256, on a grid with negative entries, traces less
+        # than a tenth of one n x n array: |alpha M| is applied, not formed
+        n = 256
+        attraction = field._Attraction(SPEC_Y, self.ALPHA, field.make_domain(80.0, n=n))
+        model = eos.EosModel(mode=eos.MODE_CS_EXTENDED)
+        lo, hi = np.full(n, 0.05), np.full(n, 0.06)
+        args = (attraction, -4.7, model, lo, hi, np.ones(n), "lo")
+        first = field._contraction_bound(*args)  # forms alpha M and N outside the trace
+        tracemalloc.start()
+        try:
+            again = field._contraction_bound(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * n**2 * 8
+        assert again[0] == first[0] and np.array_equal(again[1], first[1])
 
 
 class TestDensityField:
@@ -988,6 +1033,39 @@ class TestAttraction:
         b = np.random.default_rng(3).standard_normal(n + 1)
         assert np.array_equal(attraction.solve(c, b, w), np.linalg.solve(J, b))
 
+    def test_later_solves_allocate_no_matrix(self):
+        # the first solve sizes the workspace for the bordered system; a
+        # second plain and a second bordered solve trace less than a tenth
+        # of one n x n array
+        dom, attraction, _, c = self._system(256)
+        n = dom.n
+        w = functionals.volume_weights(dom)
+        attraction.solve(c, c)
+        attraction.solve(c, np.ones(n + 1), w)
+        tracemalloc.start()
+        try:
+            attraction.solve(c, c)
+            attraction.solve(c, np.ones(n + 1), w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * n**2 * 8
+
+    def test_workspace_keeps_no_border_between_solves(self):
+        # a plain solve after a bordered one, and a bordered one after a
+        # plain one, each have the bits of a fresh attraction's solve
+        dom, attraction, _, c = self._system(64)
+        w = functionals.volume_weights(dom)
+        b = np.random.default_rng(6).standard_normal(dom.n + 1)
+
+        def fresh(*args):
+            return field._Attraction(SPEC_Y, self.ALPHA, dom).solve(*args)
+
+        attraction.solve(c, b, w)
+        assert np.array_equal(attraction.solve(c, c), fresh(c, c))
+        assert np.array_equal(attraction.solve(c, b, w), fresh(c, b, w))
+        assert np.array_equal(attraction.solve(c, c), fresh(c, c))
+
     @pytest.mark.parametrize("n", [64, 1024])
     def test_apply_gives_each_column_its_own_bits(self, n):
         dom = field.make_domain(4.0, n=n)
@@ -1092,13 +1170,13 @@ class TestNewtonFinish:
         rho = 2.0 * functionals.p_stability(
             SPEC_Y, self.ALPHA, self.GAMMA, report.field,
             model=self.EXT).extremal_eigenvalue + 1.0
-        aM = self.ALPHA * field._self_ring(SPEC_Y, dom30)
+        attraction = field._Attraction(SPEC_Y, self.ALPHA, dom30)
         # each call stops its power steps once the bound is below 1;
         # calling on from the vector reached, until it moves by at most
         # the 1e-10 that ends a call, runs them down toward rho(K)
         y, moved = np.ones(dom30.n), 1.0
         while moved > 1e-10:
-            bound, z = field._contraction_bound(aM, self.GAMMA, self.EXT, v, v, y, "lo")
+            bound, z = field._contraction_bound(attraction, self.GAMMA, self.EXT, v, v, y, "lo")
             y, moved = z, float(np.max(np.abs(z - y)))
             assert bound >= rho
         assert rho <= bound <= rho + 1e-6
@@ -1109,12 +1187,13 @@ class TestNewtonFinish:
         # it can certify a unique fixed point, whichever end the secant
         # slopes are taken from
         dom, spec, alpha, gamma, small, large, middle = ball_triple
-        aM = alpha * field._self_ring(spec, dom)
+        attraction = field._Attraction(spec, alpha, dom)
         assert np.all(small <= middle) and np.all(middle <= large)
         for lo, hi in ((middle, middle), (small, middle), (middle, large), (small, large)):
             for star in ("lo", "hi"):
                 for y in (np.ones(dom.n), middle, large):
-                    bound, _ = field._contraction_bound(aM, gamma, self.EXT, lo, hi, y, star)
+                    bound, _ = field._contraction_bound(attraction, gamma, self.EXT, lo, hi, y,
+                                                        star)
                     assert bound >= 1.0
 
     def test_bound_stops_where_no_vector_can_certify(self, ball_triple, monkeypatch):
@@ -1122,13 +1201,13 @@ class TestNewtonFinish:
         # at least 1, a lower bound on rho(B), so the first power step
         # settles it: the call gives what a one-step call gives
         dom, spec, alpha, gamma, small, large, _ = ball_triple
-        aM = alpha * field._self_ring(spec, dom)
+        attraction = field._Attraction(spec, alpha, dom)
         for star in ("lo", "hi"):
-            full = field._contraction_bound(aM, gamma, self.EXT, small, large,
+            full = field._contraction_bound(attraction, gamma, self.EXT, small, large,
                                             np.ones(dom.n), star)
             with monkeypatch.context() as patch:
                 patch.setattr(field, "_POWER_STEPS", 1)
-                one = field._contraction_bound(aM, gamma, self.EXT, small, large,
+                one = field._contraction_bound(attraction, gamma, self.EXT, small, large,
                                                np.ones(dom.n), star)
             assert full[0] == one[0] >= 1.0
             assert np.array_equal(full[1], one[1])
@@ -1178,7 +1257,7 @@ class TestSecantCertificate:
     def _ranges(aM, gamma, model, lo, hi, star):
         """Each node's argument range, v*'s argument and the peak-clipped slopes."""
         ulo, uhi = aM @ lo, aM @ hi
-        spread = np.maximum(0.5 * (np.abs(aM) @ (hi - lo) - (uhi - ulo)), 0.0)
+        spread = np.maximum(-aM, 0.0) @ (hi - lo)  # the negative part of aM, formed whole
         glo, ghi = gamma + ulo - spread, gamma + uhi + spread
         r = model.response_at(np.asarray(model.wp_prime(np.clip(model.gamma_wr, glo, ghi))))
         return spread, glo, ghi, gamma + (ulo if star == "lo" else uhi), r
@@ -1201,19 +1280,20 @@ class TestSecantCertificate:
 
     def test_petit_grid_check_passes_on_the_secant_slopes(self, petit_grid_check):
         _, report, checks = petit_grid_check
-        [((aM, gamma, model, lo, hi, y, star), (bound, _))] = checks
+        [((attraction, gamma, model, lo, hi, y, star), (bound, _))] = checks
+        aM = attraction.aM
         assert (star, report.monotone_direction) == ("lo", "down")
         spread, glo, ghi, xs, r = self._ranges(aM, gamma, model, lo, hi, star)
         assert spread.max() > 0.0  # the range reaches below v*'s argument too
         assert np.all(glo <= xs) and np.any(glo < xs)
-        assert field._perron_bound(r, np.abs(aM), y)[0] >= 1.0 > bound
+        assert field._perron_bound(r, np.abs(aM).__matmul__, y)[0] >= 1.0 > bound
 
     def test_secant_slopes_bound_every_sampled_secant(self, petit_grid_check):
         # on both sides of v*'s argument, up to the rounding of a sampled
         # difference of two wp' values over its width
         _, _, checks = petit_grid_check
-        [((aM, gamma, model, lo, hi, _, star), _)] = checks
-        _, glo, ghi, xs, r = self._ranges(aM, gamma, model, lo, hi, star)
+        [((attraction, gamma, model, lo, hi, _, star), _)] = checks
+        _, glo, ghi, xs, r = self._ranges(attraction.aM, gamma, model, lo, hi, star)
         slopes = field._secant_slopes(model, xs, glo, ghi, r)
         assert np.all(slopes <= r) and np.any(slopes < r)
         base = np.asarray(model.wp_prime(xs))[:, None]
@@ -1248,14 +1328,15 @@ class TestSecantCertificate:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(field, "_contraction_bound", spy)
             field.maximal_solution(SPEC_Y, self.ALPHA, -4.88, dom30, model=self.EXT)
-        aM, gamma, model, lo, hi, _, star = checks[0]
+        attraction, gamma, model, lo, hi, _, star = checks[0]
+        aM = attraction.aM
         _, glo, ghi, xs, r = self._ranges(aM, gamma, model, lo, hi, star)
         slopes = field._secant_slopes(model, xs, glo, ghi, r)
         assert np.all(slopes <= r) and np.any(slopes < r)
         for y in (np.ones(dom30.n), lo, hi):
-            peak = field._perron_bound(r, np.abs(aM), y)[0]
+            peak = field._perron_bound(r, np.abs(aM).__matmul__, y)[0]
             assert peak >= 1.0
-            assert field._contraction_bound(aM, gamma, model, lo, hi, y, star)[0] <= peak
+            assert field._contraction_bound(attraction, gamma, model, lo, hi, y, star)[0] <= peak
 
     def test_fold_launch_certified_within_160_iterations(self, dom30, monkeypatch):
         # grand-r30's low bracket end, next to the liquid spinodal: the
