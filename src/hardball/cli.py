@@ -366,7 +366,7 @@ def cmd_transition(cfg):
     """Locate the grand transition and, when enabled, the petit one."""
     cfg.require("alpha")
     spec, model, domain = cfg.kernel_spec(), cfg.eos_model(), cfg.domain()
-    gamma_bracket = None  # phase scans the algebraic band by default
+    gamma_bracket = None  # phase searches the algebraic band by default
     if cfg.gamma_lo is not None:  # validate() allows only both or neither
         gamma_bracket = (cfg.gamma_lo, cfg.gamma_hi)
     if spec.a_n > 0:

@@ -28,9 +28,10 @@ falls, so these are sub- and supersolutions on the right side of the
 extremal solutions, and the monotone iterations still end there.
 The vapor solves of one petit transition share a memo of their cold
 launches in the same way, through `constrained_solve`'s ``memo``.
-`grand_canonical_transition` is the one gas/liquid locator: it takes
-its bracket (by default the algebraic band) when the ends' launches are
-distinct with gaps of opposite sign, and otherwise scans it.
+`grand_canonical_transition` is the one gas/liquid locator: one
+safeguarded Newton on gamma, started from the end of its bracket (by
+default the algebraic band) whose launches are distinct and whose gap
+is smaller.
 """
 
 import functools
@@ -62,7 +63,6 @@ _MASS_RTOL = 1e-9  # relative mass residual for constrained solves
 _JUMP_FACTOR = 10.0  # continuation step ratio that flags a branch switch
 _DISTINCT = 1e-7  # sup-norm separation below which two launches coincide
 _COLLAPSED = 1e-6  # sup-norm separation below which a droplet is the vapor
-_SCAN_POINTS = 9  # gammas the pressure-gap scan visits across its bracket
 _MASS_MATCH_STEPS = 200  # Newton/bisection steps of one mass match, at most
 _OUTER_STEPS = 80  # Newton steps on gamma of one constrained solve or crossing, at most
 _DROPLET_TOL, _DROPLET_STEPS = 1e-12, 20000  # droplet iteration: change tolerance, steps
@@ -189,16 +189,16 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
     """Locate the gas/liquid pressure crossing inside gamma_bracket.
 
     gamma_bracket defaults to the algebraic band `gamma_boundaries`
-    moved 1e-6 inward.  The low end is launched first, then, if its
-    launches are distinct, the top end.  If both ends are distinct and
-    their pressure gaps P[maximal] - P[minimal] differ in sign, the
-    crossing is located between them; otherwise `_scan_for_crossing`
-    hands over a sub-bracket, or raises naming the bracket's ends and
-    gaps when there is none (the launches coincide or one branch is
-    absent).  The crossing is found by `_newton_on_gamma` from the end
-    with the smaller gap, on the exact slope
-    d(P[maximal] - P[minimal])/dgamma = N[maximal] - N[minimal]
-    (dP/dgamma = N on each branch), to a step of 1e-12 + 8.9e-16 |gamma|.
+    moved 1e-6 inward, its low end raised to 1e-6 above the floor of
+    `model.gamma_range()` where the band reaches below it.  Both ends
+    are launched, low then high.  `_newton_on_gamma` starts from the
+    end with the smaller pressure gap P[maximal] - P[minimal] among
+    those whose launches are distinct, on the exact slope
+    N[maximal] - N[minimal], to a step of 1e-12 + 8.9e-16 |gamma|.  A
+    gamma where the launches coincide fails its evaluation, and the
+    Newton retreats halfway to its last good gamma: a coincident end is
+    passed over.  With no distinct end, or a Newton step clamped onto
+    an end, the error names alpha, the grid, the ends and their gaps.
     Only the two launches are solved, so above the dense gate no n x n
     matrix is formed; middle (saddle) solutions at the crossing are
     reached separately, by `field.newton_solve` or
@@ -206,20 +206,17 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
     """
     if gamma_bracket is None:
         g_check, g_hat = uniform.gamma_boundaries(alpha * kernels.l1_norm_r3(spec))
-        gamma_bracket = (g_check + 1e-6, g_hat - 1e-6)
-    g_lo, g_hi = float(gamma_bracket[0]), float(gamma_bracket[1])
-    if not g_lo < g_hi:
+        gamma_bracket = (max(g_check, model.gamma_range()[0]) + 1e-6, g_hat - 1e-6)
+    ends = (float(gamma_bracket[0]), float(gamma_bracket[1]))
+    if not ends[0] < ends[1]:
         raise ValueError("gamma_bracket must be increasing")
     launch = _launch_memo(spec, alpha, domain, model)
-    gap_lo, sep_lo = launch(g_lo)[:2]
-    ends_bracket = False
-    if sep_lo >= _DISTINCT:  # else the scan launches the top end in its turn
-        gap_hi, sep_hi = launch(g_hi)[:2]
-        ends_bracket = (sep_hi >= _DISTINCT and (gap_lo < 0.0) != (gap_hi < 0.0)
-                        and 0.0 not in (gap_lo, gap_hi))
-    if not ends_bracket:
-        g_lo, g_hi = _scan_for_crossing(launch, (g_lo, g_hi), alpha, domain)
-        gap_lo, gap_hi = launch(g_lo)[0], launch(g_hi)[0]
+    gaps = tuple(launch(g)[0] for g in ends)
+    message = ("no pressure-gap sign change between distinct-branch gammas "
+               f"inside the bracket ({_inputs(alpha, domain, ends, gaps)})")
+    distinct = [g for g in ends if launch(g)[1] >= _DISTINCT]
+    if not distinct:
+        raise ValueError(message)
     D = functionals.volume_weights(domain)
 
     def evaluate(g):
@@ -229,10 +226,10 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
             raise ValueError(f"the launches coincide at gamma {g!r}")
         return gap, float(D @ (hi.field.values - lo.field.values)), None
 
-    start = g_lo if abs(gap_lo) <= abs(gap_hi) else g_hi
+    start = min(distinct, key=lambda g: abs(launch(g)[0]))
     gamma_gl = _newton_on_gamma(
-        evaluate, start, (g_lo, g_hi), 0.0, lambda g: 1e-12 + 8.9e-16 * abs(g),
-        "the pressure crossing left its bracket", _OUTER_STEPS,
+        evaluate, start, ends, 0.0, lambda g: 1e-12 + 8.9e-16 * abs(g),
+        message, _OUTER_STEPS,
     )[0]
     delta, _, lo, hi = launch(gamma_gl)
     gas = _branch_point(spec, alpha, gamma_gl, lo, model)
@@ -729,32 +726,22 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
 
 
 def pressure_crossing_bracket(spec, alpha, domain, gamma_bracket, model=eos.EosModel()):
-    """Sub-bracket of gamma_bracket over which the pressure gap changes sign."""
+    """gamma_gl +- 1e-6 max(1, |gamma_gl|), clipped to gamma_bracket.
+
+    gamma_gl is `grand_canonical_transition`'s; both ends are checked to
+    have distinct launches and pressure gaps of opposite sign.
+    """
+    g = grand_canonical_transition(spec, alpha, domain, gamma_bracket, model).gamma_gl
+    h = 1e-6 * max(1.0, abs(g))
+    ends = (max(g - h, float(gamma_bracket[0])), min(g + h, float(gamma_bracket[1])))
     launch = _launch_memo(spec, alpha, domain, model)
-    return _scan_for_crossing(launch, gamma_bracket, alpha, domain)
-
-
-def _scan_for_crossing(launch, gamma_bracket, alpha, domain):
-    """Scan the bracket for a pressure-gap sign change between gammas
-    where the launches are genuinely distinct; where they coincide
-    the gap is quadrature noise and must not count as a sign.  The
-    error names alpha, the grid, the bracket and the gap at each end."""
-    grid = np.linspace(gamma_bracket[0], gamma_bracket[1], _SCAN_POINTS)
-    prev_g = grid[0]
-    prev_gap, prev_sep = launch(prev_g)[:2]
-    for right in grid[1:]:
-        gap, sep = launch(right)[:2]
-        if sep < _DISTINCT:
-            continue
-        if prev_sep >= _DISTINCT and (prev_gap < 0.0) != (gap < 0.0):
-            return (float(prev_g), float(right))
-        prev_g, prev_gap, prev_sep = right, gap, sep
-    ends = (float(grid[0]), float(grid[-1]))
-    gaps = (launch(ends[0])[0], launch(ends[1])[0])
-    raise ValueError(
-        "no pressure-gap sign change between distinct-branch gammas "
-        f"inside the bracket ({_inputs(alpha, domain, ends, gaps)})"
-    )
+    (gap_lo, sep_lo), (gap_hi, sep_hi) = (launch(e)[:2] for e in ends)
+    if min(sep_lo, sep_hi) < _DISTINCT or gap_lo * gap_hi >= 0.0:
+        raise ValueError(
+            "no pressure-gap sign change between distinct-branch gammas "
+            f"inside the bracket ({_inputs(alpha, domain, ends, (gap_lo, gap_hi))})"
+        )
+    return ends
 
 
 def _inputs(alpha, domain, bracket, gaps):

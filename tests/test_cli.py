@@ -368,8 +368,7 @@ class TestTransition:
 
     def test_launches_only_the_ends_and_the_newton_gammas(self, config, tmp_path,
                                                            monkeypatch):
-        # both ends' launches are distinct with gaps of opposite sign, so
-        # nothing is scanned: each gamma launched is an end or a Newton step
+        # each gamma launched is a bracket end or a Newton step
         gammas, asked = [], {-22.0, -14.0}
         pairs = field.extremal_pairs
         root_finder = phase._newton_on_gamma
@@ -392,6 +391,20 @@ class TestTransition:
         assert gammas[:2] == [-22.0, -14.0]
         assert len(gammas) == len(set(gammas))
         assert set(gammas) == asked
+
+    def test_default_band_above_the_critical_coupling(self, tmp_path):
+        # alpha l1 = 40 at R=30: the band's low end has coincident launches
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(SMALL_BALL.replace("alpha = 100.0", "alpha = 3.183098861837907")
+                       .replace("radius = 0.5", "radius = 30.0")
+                       + "\n[transition]\npetit = no\n")
+        out = tmp_path / "out"
+        assert cli.main(["transition", "--config", str(cfg), "--out", str(out)]) == 0
+        _, columns, rows = read_csv(out / "transition_summary.csv")
+        values = dict(zip(column(rows, columns, "quantity"),
+                          column(rows, columns, "value")))
+        assert float(values["gamma_gl"]) == pytest.approx(-6.5515003, abs=1e-6)
+        assert float(values["delta_N"]) > 0.0
 
     @pytest.mark.parametrize("transition,unset", [
         pytest.param("petit = no\n", ["transition.gamma_lo and transition.gamma_hi"],

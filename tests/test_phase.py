@@ -654,7 +654,7 @@ class TestGrandTransition:
         assert tr.gas.functionals.N < tr.liquid.functionals.N
 
     def test_coincident_bracket_rejected(self, dom15):
-        # the launches coincide across the bracket, so its scan finds no sign
+        # the launches coincide at both ends, so no Newton can start
         with pytest.raises(ValueError, match="no pressure-gap sign change") as excinfo:
             phase.grand_canonical_transition(
                 SPEC_Y, ALPHA_31, dom15, (-5.30, -5.10), model=EXT,
@@ -673,17 +673,27 @@ class TestGrandTransition:
             assert gap == pytest.approx(cold, rel=1e-6)
         assert min(gaps) > 0.0
 
-    def test_coincident_end_is_scanned_past(self):
-        # the launches coincide at -4.75, so the ends cannot bracket the
-        # crossing; the scan's sub-bracket does, and gives the same crossing
+    def test_coincident_low_end_is_passed_over(self):
+        # the launches coincide at -4.75, so the Newton starts from the
+        # top end and retreats out of the coincident stretch; it finds the
+        # crossing that a sub-bracket with distinct ends of opposite sign
+        # gives.  delta_N agrees to the launches' tolerance only: the two
+        # calls warm-start the pair at gamma_gl from different neighbours
         dom = field.make_domain(15.0, n=64)
         assert phase._launch_gap(SPEC_Y, ALPHA_31, -4.75, dom, EXT)[1] < phase._DISTINCT
+        sub_bracket = (-4.675, -4.6375)
+        gaps = [phase._launch_gap(SPEC_Y, ALPHA_31, g, dom, EXT)[:2] for g in sub_bracket]
+        assert min(sep for _, sep in gaps) >= phase._DISTINCT
+        assert gaps[0][0] < 0.0 < gaps[1][0]
         tr = phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, (-4.75, -4.45), model=EXT)
-        bracket = phase.pressure_crossing_bracket(
-            SPEC_Y, ALPHA_31, dom, (-4.75, -4.45), model=EXT)
-        sub = phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, bracket, model=EXT)
-        assert bracket[0] < tr.gamma_gl < bracket[1]
-        assert (tr.gamma_gl, tr.delta_N) == (sub.gamma_gl, sub.delta_N)
+        sub = phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, sub_bracket, model=EXT)
+        assert tr.gamma_gl == pytest.approx(sub.gamma_gl, rel=1e-12)
+        assert tr.delta_N == pytest.approx(sub.delta_N, rel=1e-8)
+        again = phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, (-4.75, -4.45), model=EXT)
+        assert (again.gamma_gl, again.delta_N) == (tr.gamma_gl, tr.delta_N)
+        for name in ("gas", "liquid"):
+            assert np.array_equal(getattr(again, name).solution.field.values,
+                                  getattr(tr, name).solution.field.values)
 
     def test_each_gamma_launched_once(self, dom_small, monkeypatch):
         # the end checks, the root finder and the final pair share one
@@ -726,6 +736,64 @@ class TestGrandTransition:
             assert tr.delta_N > 0
             gaps.append(tr.gamma_gl - gamma_alg)
         assert gaps[0] > gaps[1] > gaps[2] > 0
+
+
+class TestDefaultBand:
+    """Without a gamma bracket the locator searches the algebraic band.
+
+    At R=30 the band's low end lies where the launches coincide, and the
+    crossing sits in a narrow stretch of negative gap next to the low
+    edge of the window of distinct launches.  Oracle: the crossing
+    located between the two neighbours of a 161-point scan of the band
+    whose gaps change sign.
+    """
+
+    @pytest.fixture(scope="class")
+    def dom30(self):
+        return field.make_domain(30.0, n=256)
+
+    @pytest.mark.parametrize("alpha_l1,scan_bracket", [
+        (30.0, (-4.6815, -4.6731)),
+        (60.0, (-11.167, -11.099)),
+    ])
+    def test_crossing_matches_the_dense_scan(self, dom30, alpha_l1, scan_bracket):
+        alpha = alpha_l1 / L1_Y
+        low = phase._launch_gap(SPEC_Y, alpha, uniform.gamma_boundaries(alpha_l1)[0] + 1e-6,
+                                dom30, EXT)
+        assert low[1] < phase._DISTINCT
+        ends = [phase._launch_gap(SPEC_Y, alpha, g, dom30, EXT)[:2] for g in scan_bracket]
+        assert min(sep for _, sep in ends) >= phase._DISTINCT
+        assert ends[0][0] < 0.0 < ends[1][0]
+        tr = phase.grand_canonical_transition(SPEC_Y, alpha, dom30, model=EXT)
+        oracle = phase.grand_canonical_transition(SPEC_Y, alpha, dom30, scan_bracket, model=EXT)
+        assert tr.gamma_gl == pytest.approx(oracle.gamma_gl, rel=1e-12)
+
+    def test_band_is_clamped_to_the_invertible_range(self, dom30):
+        # above alpha l1 of about 90 the band's low end lies below the
+        # EOS floor; the locator starts from the floor instead
+        floor = EXT.gamma_range()[0]
+        assert uniform.gamma_boundaries(100.0)[0] < floor
+        tr = phase.grand_canonical_transition(SPEC_Y, 100.0 / L1_Y, dom30, model=EXT)
+        assert floor < tr.gamma_gl < uniform.gamma_boundaries(100.0)[1]
+        assert tr.delta_N > 0.0
+
+    def test_crossing_below_the_invertible_range_is_named(self, dom30):
+        # at alpha l1 = 120 the gap stays positive down to the EOS floor
+        alpha = 120.0 / L1_Y
+        g_check, g_hat = uniform.gamma_boundaries(120.0)
+        floor = EXT.gamma_range()[0]
+        assert g_check < floor
+        with pytest.raises(ValueError, match="no pressure-gap sign change") as excinfo:
+            phase.grand_canonical_transition(SPEC_Y, alpha, dom30, model=EXT)
+        gaps = named_inputs(excinfo, alpha, dom30, (floor + 1e-6, g_hat - 1e-6))
+        assert min(gaps) > 0.0
+
+    @pytest.mark.slow
+    def test_large_ball(self):
+        dom = field.make_domain(160.0, n=256)
+        tr = phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, model=EXT)
+        assert uniform.gamma_boundaries(31.0)[0] < tr.gamma_gl < uniform.gamma_boundaries(31.0)[1]
+        assert tr.delta_N > 0.0
 
 
 class TestWarmLaunches:
