@@ -26,8 +26,8 @@ from the maximal solution at the nearest higher one: by comparison the
 minimal solution rises with gamma and the maximal one falls as gamma
 falls, so these are sub- and supersolutions on the right side of the
 extremal solutions, and the monotone iterations still end there.
-The vapor solves of one petit transition share a memo of their cold
-launches in the same way, through `constrained_solve`'s ``memo``.
+The vapor mass matches of one petit transition each start from the
+vapor solved before them, through `constrained_solve`'s ``seed``.
 `grand_canonical_transition` is the one gas/liquid locator: one
 safeguarded Newton on gamma, started from the end of its bracket (by
 default the algebraic band) whose launches are distinct and whose gap
@@ -297,34 +297,38 @@ def _newton_on_gamma(evaluate, gamma, window, ftol, xtol, message, steps):
 
 
 def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(),
-                      start=None, gamma_seed=None, memo=None):
+                      seed=None):
     """Solve at fixed mass by safeguarded Newton on the chemical potential.
 
     The inner solve is the branch's own method: certified launches for
-    the extremal branches, warm-started Newton for the middle branch
-    (seeded by start, or by the middle algebraic root when start is
-    omitted).  The outer step `_newton_on_gamma` takes the exact branch
-    slope dN/dgamma = D.(I - diag(c) alpha M)^-1 c, c = wp'' of the
-    inner solution (see `_mass_slope`); it is negative on the middle
-    branch.  A sup-norm step more than ten times the size predicted
-    from the previous continuation step means the inner solve jumped
-    branches and raises BranchLostError.
+    the extremal branches, warm-started Newton for the middle branch.
+    The outer step `_newton_on_gamma` takes the exact branch slope
+    dN/dgamma = D.(I - diag(c) alpha M)^-1 c, c = wp'' of the inner
+    solution (see `_mass_slope`); it is negative on the middle branch.
+    A sup-norm step more than ten times the size predicted from the
+    previous continuation step means the inner solve jumped branches
+    and raises BranchLostError.
 
-    memo, a dict float(gamma) -> (launch report, slope) that the caller
-    shares between solves on one extremal branch, is read before each
-    launch and filled after it.  The launches start cold, so a gamma
-    read from the memo gives the bits its launch would; the middle
-    branch's warm-started solves cannot share one, and refuse it.
+    seed, a solved (gamma, report) of this branch on a grid of the same
+    (R, n), starts the Newton at its gamma, where its report is read
+    instead of solved; a seed already at N_target returns at once, and
+    a seed on another grid raises ValueError naming both.  On the middle
+    branch its field also warm-starts the first Newton solve.  Without a
+    seed the Newton starts from the uniform estimate, and the
+    middle branch from its middle algebraic root.
     """
     if branch not in ("minimal", "maximal", "middle"):
         raise ValueError("branch must be 'minimal', 'maximal' or 'middle'")
-    if memo is not None and branch == "middle":
-        raise ValueError("the middle branch's solves are warm-started; they take no memo")
     N_target = float(N_target)
     D = functionals.volume_weights(domain)
     volume = float(np.sum(D))
     if not 0.0 < N_target < volume:
         raise ValueError("N_target outside the attainable mass range")
+    if seed is not None:
+        grid = seed[1].field.domain
+        if (grid.R, grid.n) != (domain.R, domain.n):
+            raise ValueError(f"the seed was solved on another grid (R {grid.R!r}, n "
+                             f"{grid.n}), not (R {domain.R!r}, n {domain.n})")
 
     # wp'(gamma + u) must stay invertible for 0 <= u < alpha phi (eta < 1);
     # the extremal branches end at the algebraic folds: keep Newton from
@@ -341,10 +345,12 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(
         elif branch == "maximal":
             g_floor = g_check + 1e-9
     attraction = field._Attraction(spec, alpha, domain)
-
-    warm = [start]
+    ftol = _MASS_RTOL * max(1.0, N_target)
+    warm = [None if seed is None else seed[1].field]
 
     def inner(g):
+        if seed is not None and g == seed[0]:
+            return seed[1]
         if branch == "minimal":
             return field.minimal_solution(spec, alpha, g, domain, model=model)
         if branch == "maximal":
@@ -353,27 +359,17 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(
             roots = uniform.solve_uniform(alpha * phi, g).roots
             if len(roots) < 3:
                 raise ValueError(
-                    "no middle algebraic root at this gamma; supply start"
+                    "no middle algebraic root at this gamma; supply a seed"
                 )
             warm[0] = field.constant_field(domain, roots[1])
         rep = field.newton_solve(spec, alpha, g, warm[0], model=model)
         warm[0] = rep.field
         return rep
 
-    def launch(g):
-        # the inner solve at g and the branch slope there
-        if memo is not None and g in memo:
-            return memo[g]
-        rep = inner(g)
-        solved = rep, _mass_slope(model, attraction, D, rep.field.values)
-        if memo is not None:
-            memo[g] = solved
-        return solved
-
     history = []  # (gamma, values) of accepted inner solves
 
     def evaluate(g):
-        rep, slope = launch(float(g))
+        rep = inner(g)
         v = rep.field.values
         if len(history) >= 2:
             (g1, v1), (g0, v0) = history[-1], history[-2]
@@ -386,14 +382,14 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(
                         "sup-norm step exceeds ten times the prediction"
                     )
         history.append((g, v))
-        return float(D @ v) - N_target, slope, rep
+        h = float(D @ v) - N_target
+        # a met target ends the Newton before it reads the slope
+        return h, _mass_slope(model, attraction, D, v) if abs(h) > ftol else None, rep
 
     mean = N_target / volume
-    if gamma_seed is None:
-        gamma_seed = model.gamma_at(mean) - alpha * phi * mean
-    ftol = _MASS_RTOL * max(1.0, N_target)
+    gamma0 = model.gamma_at(mean) - alpha * phi * mean if seed is None else seed[0]
     gamma, h, report = _newton_on_gamma(
-        evaluate, float(gamma_seed), (g_floor, g_ceil),
+        evaluate, float(gamma0), (g_floor, g_ceil),
         ftol, lambda g: 1e-15 * max(1.0, abs(g)),
         f"N_target appears beyond the {branch} branch's fold", _OUTER_STEPS + 1,
     )
@@ -594,14 +590,13 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
     point for the embedding report: pass gamma_gl to launch the pair
     there once, or gamma_bracket (None: the algebraic band) to have it
     located here by `grand_canonical_transition`, whose gas and liquid
-    are then reused.  The vapor at the gas's own mass is the gas.
+    are then reused.  N_bracket defaults to the gas's mass and the mass
+    of the vapor at gamma_hat, which is launched only then.
 
-    Each vapor is a `constrained_solve` on the minimal branch seeded at
-    the gamma of the vapor solved before it.  The vapor solves of one
-    call share one memo of their cold launches and slopes, so the
-    first Newton evaluation of each, and any later gamma met again, is
-    read rather than launched once more, with the same bits.  The memo
-    lives for this call only.
+    Each vapor is a `constrained_solve` on the minimal branch seeded with
+    the vapor solved before it, the first with the gas at gamma_gl, so
+    the first Newton evaluation of each reads its seed instead of
+    launching, and a vapor at its seed's mass is the seed.
     """
     crit = droplet_criterion(spec, alpha)
     if not crit["fires"]:
@@ -615,47 +610,30 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
         gamma_gl, gas, liquid = grand.gamma_gl, grand.gas, grand.liquid
     else:
         gamma_gl = float(gamma_gl)
-        _, _, lo, hi = _launch_gap(spec, alpha, gamma_gl, domain, model)
+        [(lo, hi)] = field.extremal_pairs(spec, alpha, [gamma_gl], domain, model=model)
         gas = _branch_point(spec, alpha, gamma_gl, lo, model)
         liquid = _branch_point(spec, alpha, gamma_gl, hi, model)
 
-    atau = alpha * kernels.l1_norm_r3(spec)
-    gamma_hat = uniform.gamma_boundaries(atau)[1]
-    hat_report = field.minimal_solution(
-        spec, alpha, gamma_hat, domain, model=model
-    )
-    hat_mass = functionals.n_functional(hat_report.field)
+    hat = None  # the vapor at gamma_hat, where the vapor mass peaks
     if N_bracket is None:
-        N_bracket = (gas.functionals.N, hat_mass)
+        gamma_hat = uniform.gamma_boundaries(alpha * kernels.l1_norm_r3(spec))[1]
+        hat_report = field.minimal_solution(spec, alpha, gamma_hat, domain, model=model)
+        hat = _branch_point(spec, alpha, gamma_hat, hat_report, model)
+        N_bracket = (gas.functionals.N, hat.functionals.N)
     n_lo, n_hi = float(N_bracket[0]), float(N_bracket[1])
     if not n_lo < n_hi:
         raise ValueError("N_bracket must be increasing")
 
     droplet_cache = []  # (N, values) for warm starts
-    n_gas = gas.functionals.N
-    vapor_gamma = [None]  # gamma of the last vapor solved here
-    vapor_launches = {}  # constrained_solve's memo, shared by every vapor solved here
+    last_vapor = [(gamma_gl, gas.solution)]  # the seed of the next vapor mass match
 
     def vapor_at(n):
-        # the vapor mass peaks at gamma_hat; solving there directly
-        # avoids Newton steps against the fold; at the gas's mass the
-        # vapor is the gas
-        if abs(n - hat_mass) <= 1e-9 * max(1.0, hat_mass):
-            return _branch_point(spec, alpha, gamma_hat, hat_report, model)
-        if abs(n - n_gas) <= 1e-9 * max(1.0, n_gas):
-            return gas
-        seed = vapor_gamma[0]
-        if seed is None:
-            # the mass match's first Newton step from gamma_gl, taken from
-            # the gas already known there instead of a second launch
-            slope = _mass_slope(model, field._Attraction(spec, alpha, domain),
-                                functionals.volume_weights(domain), gas.solution.field.values)
-            seed = gamma_gl - (n_gas - n) / slope
-        point = constrained_solve(
-            spec, alpha, domain, n, "minimal", model=model, gamma_seed=seed,
-            memo=vapor_launches,
-        )
-        vapor_gamma[0] = point.gamma
+        # solving at gamma_hat directly avoids Newton steps against the fold
+        if hat is not None and abs(n - hat.functionals.N) <= 1e-9 * max(1.0, hat.functionals.N):
+            return hat
+        point = constrained_solve(spec, alpha, domain, n, "minimal", model=model,
+                                  seed=last_vapor[0])
+        last_vapor[0] = (point.gamma, point.solution)
         return point
 
     def droplet_at(n):

@@ -163,7 +163,7 @@ class TestConstrainedSolve:
         n_liq = total_mass(dom_small, liq.field)
         bp = phase.constrained_solve(
             SPEC_Y, 100.0, dom_small, 0.98 * n_liq, "maximal",
-            model=EXT, gamma_seed=-7.0,
+            model=EXT, seed=(-7.0, liq),
         )
         assert bp.solution.branch_label == "maximal"
         assert bp.functionals.N == pytest.approx(0.98 * n_liq, rel=1e-8)
@@ -178,7 +178,7 @@ class TestConstrainedSolve:
         n_mid = total_mass(dom_small, mid.field)
         bp = phase.constrained_solve(
             SPEC_Y, 100.0, dom_small, 1.02 * n_mid, "middle",
-            model=EXT, gamma_seed=-7.0,
+            model=EXT, seed=(-7.0, mid),
         )
         assert bp.solution.branch_label == "middle"
         assert bp.functionals.N == pytest.approx(1.02 * n_mid, rel=1e-8)
@@ -186,7 +186,7 @@ class TestConstrainedSolve:
         assert bp.gamma < -7.0
         warm = phase.constrained_solve(
             SPEC_Y, 100.0, dom_small, 1.05 * n_mid, "middle",
-            model=EXT, start=bp.solution.field, gamma_seed=bp.gamma,
+            model=EXT, seed=(bp.gamma, bp.solution),
         )
         assert warm.functionals.N == pytest.approx(1.05 * n_mid, rel=1e-8)
 
@@ -253,7 +253,7 @@ class TestConstrainedWork:
         inner_calls.clear()
         phase.constrained_solve(
             SPEC_Y, 100.0, dom_small, 0.98 * n_liq, "maximal",
-            model=EXT, gamma_seed=-7.0,
+            model=EXT, seed=(-7.0, liq),
         )
         assert 1 <= len(inner_calls) <= 5
         assert set(inner_calls) == {"maximal_solution"}
@@ -268,7 +268,7 @@ class TestConstrainedWork:
         inner_calls.clear()
         phase.constrained_solve(
             SPEC_Y, 100.0, dom_small, 1.02 * n_mid, "middle",
-            model=EXT, gamma_seed=-7.0,
+            model=EXT, seed=(-7.0, mid),
         )
         assert 1 <= len(inner_calls) <= 4
         assert set(inner_calls) == {"newton_solve"}
@@ -1032,8 +1032,8 @@ class TestPetitLaunchesAtGammaGl:
             assert np.max(np.abs(got - warm)) <= 1e-9
 
 
-class TestVaporMemo:
-    """The vapor solves of one petit transition share one memo of their cold launches."""
+class TestVaporSeed:
+    """Each vapor mass match of one petit transition starts from the vapor solved before it."""
 
     # petit-r15's inputs
     KWARGS = dict(N_bracket=(0.965 * N_HAT_15, 0.968 * N_HAT_15), model=EXT,
@@ -1050,6 +1050,26 @@ class TestVaporMemo:
 
         monkeypatch.setattr(field, "minimal_solution", spy)
         return launched
+
+    @staticmethod
+    def mass_match_evaluations(monkeypatch):
+        """The gammas each constrained_solve's Newton evaluates, one list per call."""
+        calls = []
+        root_finder = phase._newton_on_gamma
+
+        def recording_root_finder(evaluate, *args):
+            if not args[4].startswith("N_target"):  # not a mass match
+                return root_finder(evaluate, *args)
+            calls.append([])
+
+            def objective(g):
+                calls[-1].append(float(g))
+                return evaluate(g)
+
+            return root_finder(objective, *args)
+
+        monkeypatch.setattr(phase, "_newton_on_gamma", recording_root_finder)
+        return calls
 
     def test_no_gamma_launched_twice(self, monkeypatch):
         dom = field.make_domain(15.0, n=64)
@@ -1078,46 +1098,91 @@ class TestVaporMemo:
                 SPEC_Y, ALPHA_31, point.gamma, cold.field, model=EXT)
 
     def test_direct_solve_launches_at_every_evaluation(self, monkeypatch):
-        # without a memo each Newton evaluation launches, as it always
-        # has; a memo, fresh or holding every gamma, gives the same bits
+        # without a seed each Newton evaluation launches; seeded with the
+        # cold launch at its first gamma, the solve evaluates the same
+        # gammas, launches at all but that one and gives the same bits
         dom = field.make_domain(15.0, n=64)
         N = 0.966 * N_HAT_15
-        evaluated = []
-        root_finder = phase._newton_on_gamma
-
-        def recording_root_finder(evaluate, *args):
-            def objective(g):
-                evaluated.append(float(g))
-                return evaluate(g)
-
-            return root_finder(objective, *args)
-
-        monkeypatch.setattr(phase, "_newton_on_gamma", recording_root_finder)
+        calls = self.mass_match_evaluations(monkeypatch)
         launched = self.launches(monkeypatch)
         direct = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, "minimal", model=EXT)
+        [evaluated] = calls
         assert launched == evaluated and len(launched) >= 2
-        memo = {}
-        fresh = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, "minimal", model=EXT,
-                                        memo=memo)
+        first = field.minimal_solution(SPEC_Y, ALPHA_31, evaluated[0], dom, model=EXT)
         launched.clear()
-        read = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, "minimal", model=EXT,
-                                       memo=memo)
-        assert launched == [] and sorted(memo) == sorted(set(evaluated))
-        for point in (fresh, read):
-            assert point.gamma == direct.gamma
-            assert np.array_equal(point.solution.field.values, direct.solution.field.values)
-            assert point.functionals == direct.functionals
+        seeded = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, "minimal", model=EXT,
+                                         seed=(evaluated[0], first))
+        assert calls[1] == evaluated and launched == evaluated[1:]
+        assert seeded.gamma == direct.gamma
+        assert np.array_equal(seeded.solution.field.values, direct.solution.field.values)
+        assert seeded.functionals == direct.functionals
 
-    def test_middle_branch_takes_no_memo(self, dom_small):
-        with pytest.raises(ValueError, match="no memo"):
-            phase.constrained_solve(SPEC_Y, 100.0, dom_small, 1.0, "middle", model=EXT,
-                                    gamma_seed=-7.0, memo={})
+    def test_seed_at_its_own_mass_returns_without_launching(self, monkeypatch):
+        dom = field.make_domain(15.0, n=64)
+        N = 0.966 * N_HAT_15
+        direct = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, "minimal", model=EXT)
+        launched = self.launches(monkeypatch)
+        again = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, direct.functionals.N,
+                                        "minimal", model=EXT,
+                                        seed=(direct.gamma, direct.solution))
+        assert launched == []
+        assert again.gamma == direct.gamma and again.solution is direct.solution
+        assert again.functionals == direct.functionals
+
+    def test_seed_on_another_grid_raises(self):
+        coarse, fine = field.make_domain(15.0, n=64), field.make_domain(15.0, n=128)
+        N = 0.966 * N_HAT_15
+        point = phase.constrained_solve(SPEC_Y, ALPHA_31, coarse, N, "minimal", model=EXT)
+        with pytest.raises(ValueError, match=r"another grid \(R 15.0, n 64\), not "
+                                             r"\(R 15.0, n 128\)"):
+            phase.constrained_solve(SPEC_Y, ALPHA_31, fine, N, "minimal", model=EXT,
+                                    seed=(point.gamma, point.solution))
+
+    def test_first_vapor_steps_from_the_gas(self, monkeypatch):
+        # with the default mass bracket the vapor at the gas's mass reads
+        # the gas and returns; the next vapor reads it again, then takes
+        # one Newton step on the gas's mass slope, to the bit
+        dom = field.make_domain(15.0, n=64)
+        kwargs = dict(self.KWARGS)
+        del kwargs["N_bracket"]
+        calls = self.mass_match_evaluations(monkeypatch)
+        targets = []
+        real = phase.constrained_solve
+
+        def spy(spec, alpha, domain, N_target, *args, **kw):
+            targets.append(N_target)
+            return real(spec, alpha, domain, N_target, *args, **kw)
+
+        monkeypatch.setattr(phase, "constrained_solve", spy)
+        result = phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, **kwargs)
+        gas, gamma_gl = result.gas, result.gamma_gl
+        slope = phase._mass_slope(EXT, field._Attraction(SPEC_Y, ALPHA_31, dom),
+                                  functionals.volume_weights(dom), gas.solution.field.values)
+        assert targets[0] == gas.functionals.N and calls[0] == [gamma_gl]
+        step = gamma_gl - (gas.functionals.N - targets[1]) / slope
+        assert calls[1][:2] == [gamma_gl, step] and len(calls[1]) > 2
+
+
+class TestHatLaunch:
+    """The vapor at gamma_hat is launched only for the default mass bracket's top."""
+
+    @pytest.mark.parametrize("given, hat_launches", [(True, 0), (False, 1)],
+                             ids=["given-bracket", "default-bracket"])
+    def test_launches_at_gamma_hat(self, monkeypatch, given, hat_launches):
+        dom = field.make_domain(15.0, n=64)
+        kwargs = dict(TestVaporSeed.KWARGS)
+        if not given:
+            del kwargs["N_bracket"]
+        gamma_hat = uniform.gamma_boundaries(ALPHA_31 * L1_Y)[1]
+        launched = TestVaporSeed.launches(monkeypatch)
+        phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, **kwargs)
+        assert launched.count(gamma_hat) == hat_launches
 
 
 class TestPetitPolish:
     """The Newton on the mass after the petit crossing's brentq closes a gap it is handed."""
 
-    KWARGS = TestVaporMemo.KWARGS  # petit-r15's inputs
+    KWARGS = TestVaporSeed.KWARGS  # petit-r15's inputs
 
     @staticmethod
     def off_by_a_step(monkeypatch, roots):
