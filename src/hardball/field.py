@@ -1009,8 +1009,13 @@ def extremal_pairs(spec, alpha, gammas, domain, model=eos.EosModel(), tol=1e-10,
     with the same certification.  A neighbour that is not a solution of
     its branch, lies on the wrong side of gamma, was solved on another
     grid or, for the maximal branch, carries another certification or
-    descends from a lower ceiling raises ValueError naming both gammas.
+    descends from a lower ceiling raises ValueError naming both gammas,
+    and neighbours of another length than gammas raise ValueError
+    naming both lengths.
     """
+    if neighbours is not None and len(neighbours) != len(gammas):
+        raise ValueError(f"neighbours has length {len(neighbours)} but gammas has length "
+                         f"{len(gammas)}")
     starts, certifications = [], []
     for gamma, (below, above) in zip(gammas, neighbours or [(None, None)] * len(gammas)):
         lo = _minimal_start(spec, alpha, gamma, domain, model, below)

@@ -200,9 +200,8 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
     passed over.  With no distinct end, or a Newton step clamped onto
     an end, the error names alpha, the grid, the ends and their gaps.
     Only the two launches are solved, so above the dense gate no n x n
-    matrix is formed; middle (saddle) solutions at the crossing are
-    reached separately, by `field.newton_solve` or
-    `constrained_solve(..., "middle")`.
+    matrix is formed; a middle (saddle) solution at the crossing is
+    reached separately, by `field.newton_solve`.
     """
     if gamma_bracket is None:
         g_check, g_hat = uniform.gamma_boundaries(alpha * kernels.l1_norm_r3(spec))
@@ -296,80 +295,58 @@ def _newton_on_gamma(evaluate, gamma, window, ftol, xtol, message, steps):
     return good
 
 
-def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(),
-                      seed=None):
-    """Solve at fixed mass by safeguarded Newton on the chemical potential.
+def constrained_solve(spec, alpha, domain, N_target, model=eos.EosModel(), seed=None):
+    """The vapor at fixed mass: the minimal solution at the gamma where N = N_target.
 
-    The inner solve is the branch's own method: certified launches for
-    the extremal branches, warm-started Newton for the middle branch.
-    The outer step `_newton_on_gamma` takes the exact branch slope
-    dN/dgamma = D.(I - diag(c) alpha M)^-1 c, c = wp'' of the inner
-    solution (see `_mass_slope`); it is negative on the middle branch.
-    A sup-norm step more than ten times the size predicted from the
-    previous continuation step means the inner solve jumped branches
-    and raises BranchLostError.
+    Each evaluation launches `field.minimal_solution`, and the outer
+    step `_newton_on_gamma` takes the exact branch slope
+    dN/dgamma = D.(I - diag(c) alpha M)^-1 c, c = wp'' of that
+    solution (see `_mass_slope`), with gamma kept below the algebraic
+    fold gamma_hat.  A sup-norm step more than ten times the size
+    predicted from the previous continuation step means the launch
+    jumped branches and raises BranchLostError.  Other solutions at
+    fixed mass are `droplet_solve`'s.
 
-    seed, a solved (gamma, report) of this branch on a grid of the same
-    (R, n), starts the Newton at its gamma, where its report is read
-    instead of solved; a seed already at N_target returns at once, and
-    a seed on another grid raises ValueError naming both.  On the middle
-    branch its field also warm-starts the first Newton solve.  Without a
-    seed the Newton starts from the uniform estimate, and the
-    middle branch from its middle algebraic root.
+    seed, a solved (gamma, report) of the minimal branch on a grid of
+    the same (R, n), starts the Newton at its gamma, where its report is
+    read instead of solved; a seed already at N_target returns at once,
+    and a seed of another branch or on another grid raises ValueError
+    naming it.  Without a seed the Newton starts from the uniform
+    estimate.
     """
-    if branch not in ("minimal", "maximal", "middle"):
-        raise ValueError("branch must be 'minimal', 'maximal' or 'middle'")
     N_target = float(N_target)
     D = functionals.volume_weights(domain)
     volume = float(np.sum(D))
     if not 0.0 < N_target < volume:
         raise ValueError("N_target outside the attainable mass range")
     if seed is not None:
+        where = f"minimal mass match from a seed at gamma {seed[0]!r}"
+        if seed[1].branch_label != "minimal":
+            raise ValueError(f"{where}: the seed is a {seed[1].branch_label} solution")
         grid = seed[1].field.domain
         if (grid.R, grid.n) != (domain.R, domain.n):
-            raise ValueError(f"the seed was solved on another grid (R {grid.R!r}, n "
-                             f"{grid.n}), not (R {domain.R!r}, n {domain.n})")
+            raise ValueError(f"{where}: the seed was solved on another grid (R {grid.R!r}, "
+                             f"n {grid.n}), not (R {domain.R!r}, n {domain.n})")
 
     # wp'(gamma + u) must stay invertible for 0 <= u < alpha phi (eta < 1);
-    # the extremal branches end at the algebraic folds: keep Newton from
-    # extrapolating across either before it has a bracket
+    # the minimal branch ends at the algebraic fold gamma_hat: keep Newton
+    # from extrapolating across it before it has a bracket
     phi = kernels.phi_lambda(spec, domain.R)
     g_floor, g_ceil = model.gamma_range()
     g_ceil -= alpha * phi
     # the whole-space folds exist only for an integrable kernel
     atau = 0.0 if spec.a_n else alpha * kernels.l1_norm_r3(spec)
     if atau > uniform.ALPHA_TAU_MIN:
-        g_check, g_hat = uniform.gamma_boundaries(atau)
-        if branch == "minimal":
-            g_ceil = g_hat - 1e-9
-        elif branch == "maximal":
-            g_floor = g_check + 1e-9
+        g_ceil = uniform.gamma_boundaries(atau)[1] - 1e-9
     attraction = field._Attraction(spec, alpha, domain)
     ftol = _MASS_RTOL * max(1.0, N_target)
-    warm = [None if seed is None else seed[1].field]
-
-    def inner(g):
-        if seed is not None and g == seed[0]:
-            return seed[1]
-        if branch == "minimal":
-            return field.minimal_solution(spec, alpha, g, domain, model=model)
-        if branch == "maximal":
-            return field.maximal_solution(spec, alpha, g, domain, model=model)
-        if warm[0] is None:
-            roots = uniform.solve_uniform(alpha * phi, g).roots
-            if len(roots) < 3:
-                raise ValueError(
-                    "no middle algebraic root at this gamma; supply a seed"
-                )
-            warm[0] = field.constant_field(domain, roots[1])
-        rep = field.newton_solve(spec, alpha, g, warm[0], model=model)
-        warm[0] = rep.field
-        return rep
-
     history = []  # (gamma, values) of accepted inner solves
 
     def evaluate(g):
-        rep = inner(g)
+        if seed is not None and g == seed[0]:
+            rep = seed[1]
+        else:
+            rep = field.minimal_solution(spec, alpha, g, domain, model=model)
         v = rep.field.values
         if len(history) >= 2:
             (g1, v1), (g0, v0) = history[-1], history[-2]
@@ -378,7 +355,7 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(
                 predicted = np.max(np.abs(v1 - v0)) / dg * abs(g - g1)
                 if np.max(np.abs(v - v1)) > _JUMP_FACTOR * predicted + 1e-9:
                     raise BranchLostError(
-                        f"{branch} branch lost near gamma {g:.6f}: "
+                        f"minimal branch lost near gamma {g:.6f}: "
                         "sup-norm step exceeds ten times the prediction"
                     )
         history.append((g, v))
@@ -391,14 +368,13 @@ def constrained_solve(spec, alpha, domain, N_target, branch, model=eos.EosModel(
     gamma, h, report = _newton_on_gamma(
         evaluate, float(gamma0), (g_floor, g_ceil),
         ftol, lambda g: 1e-15 * max(1.0, abs(g)),
-        f"N_target appears beyond the {branch} branch's fold", _OUTER_STEPS + 1,
+        "N_target appears beyond the minimal branch's fold", _OUTER_STEPS + 1,
     )
     if abs(h) > ftol:
         raise ValueError(
-            f"no mass match within {_OUTER_STEPS} outer steps on the {branch} "
+            f"no mass match within {_OUTER_STEPS} outer steps on the minimal "
             "branch; N_target may be outside its range"
         )
-    report.branch_label = branch
     return _branch_point(spec, alpha, gamma, report, model)
 
 
@@ -593,10 +569,10 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
     are then reused.  N_bracket defaults to the gas's mass and the mass
     of the vapor at gamma_hat, which is launched only then.
 
-    Each vapor is a `constrained_solve` on the minimal branch seeded with
-    the vapor solved before it, the first with the gas at gamma_gl, so
-    the first Newton evaluation of each reads its seed instead of
-    launching, and a vapor at its seed's mass is the seed.
+    Each vapor is a `constrained_solve` seeded with the vapor solved
+    before it, the first with the gas at gamma_gl, so the first Newton
+    evaluation of each reads its seed instead of launching, and a vapor
+    at its seed's mass is the seed.
     """
     crit = droplet_criterion(spec, alpha)
     if not crit["fires"]:
@@ -631,8 +607,7 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
         # solving at gamma_hat directly avoids Newton steps against the fold
         if hat is not None and abs(n - hat.functionals.N) <= 1e-9 * max(1.0, hat.functionals.N):
             return hat
-        point = constrained_solve(spec, alpha, domain, n, "minimal", model=model,
-                                  seed=last_vapor[0])
+        point = constrained_solve(spec, alpha, domain, n, model=model, seed=last_vapor[0])
         last_vapor[0] = (point.gamma, point.solution)
         return point
 

@@ -773,6 +773,15 @@ class TestExtremalPairs:
         for got, want in zip(alone, grid[1]):
             _assert_same_report(got, want)
 
+    @pytest.mark.parametrize("gammas, count", [((-4.0, -3.0), 1), ((-4.0,), 2)],
+                             ids=["fewer-neighbours", "more-neighbours"])
+    def test_neighbour_count_must_match_gammas(self, gammas, count):
+        dom = field.make_domain(2.0, n=64)
+        with pytest.raises(ValueError, match=rf"^neighbours has length {count} but gammas "
+                                             rf"has length {len(gammas)}$"):
+            field.extremal_pairs(SPEC_Y, self.CLI_ALPHA, gammas, dom,
+                                 neighbours=[(None, None)] * count)
+
     def test_non_convergence_names_the_failing_gamma(self, monkeypatch):
         # at gamma -20 both launches stop within 3 steps; at -3 neither does
         monkeypatch.setattr(field, "_PICARD_STEPS", 3)

@@ -125,7 +125,7 @@ class TestConstrainedSolve:
     def test_zero_interaction_recovers_constant(self, dom5):
         vol = float(functionals.volume_weights(dom5).sum())
         target = 0.2 * vol
-        bp = phase.constrained_solve(SPEC_Y, 0.0, dom5, target, "minimal")
+        bp = phase.constrained_solve(SPEC_Y, 0.0, dom5, target)
         assert bp.gamma == pytest.approx(float(eos.g2(0.2)), abs=1e-9)
         assert np.max(np.abs(bp.solution.field.values - 0.2)) < 1e-9
         assert bp.functionals.N == pytest.approx(target, rel=1e-9)
@@ -134,7 +134,7 @@ class TestConstrainedSolve:
     def test_mass_matches_target(self, dom5):
         alpha = 20.0 / PHI_Y5
         vol = float(functionals.volume_weights(dom5).sum())
-        bp = phase.constrained_solve(SPEC_Y, alpha, dom5, 0.1 * vol, "minimal")
+        bp = phase.constrained_solve(SPEC_Y, alpha, dom5, 0.1 * vol)
         assert bp.functionals.N == pytest.approx(0.1 * vol, rel=1e-8)
         assert bp.solution.residual < 1e-9
 
@@ -143,7 +143,7 @@ class TestConstrainedSolve:
         alpha = 20.0 / PHI_Y5
         vol = float(functionals.volume_weights(dom5).sum())
         gammas = [
-            phase.constrained_solve(SPEC_Y, alpha, dom5, f * vol, "minimal").gamma
+            phase.constrained_solve(SPEC_Y, alpha, dom5, f * vol).gamma
             for f in (0.05, 0.10, 0.15)
         ]
         assert gammas[0] < gammas[1] < gammas[2]
@@ -152,53 +152,47 @@ class TestConstrainedSolve:
         alpha = 20.0 / PHI_Y5
         vol = float(functionals.volume_weights(dom5).sum())
         N0, h = 0.1 * vol, 0.0002 * vol
-        mid = phase.constrained_solve(SPEC_Y, alpha, dom5, N0, "minimal")
-        up = phase.constrained_solve(SPEC_Y, alpha, dom5, N0 + h, "minimal")
-        dn = phase.constrained_solve(SPEC_Y, alpha, dom5, N0 - h, "minimal")
+        mid = phase.constrained_solve(SPEC_Y, alpha, dom5, N0)
+        up = phase.constrained_solve(SPEC_Y, alpha, dom5, N0 + h)
+        dn = phase.constrained_solve(SPEC_Y, alpha, dom5, N0 - h)
         fd = (up.functionals.F - dn.functionals.F) / (2 * h)
         assert fd == pytest.approx(mid.gamma, rel=1e-6)
 
-    def test_maximal_branch(self, dom_small):
-        liq = field.maximal_solution(SPEC_Y, 100.0, -7.0, dom_small, model=EXT)
-        n_liq = total_mass(dom_small, liq.field)
-        bp = phase.constrained_solve(
-            SPEC_Y, 100.0, dom_small, 0.98 * n_liq, "maximal",
-            model=EXT, seed=(-7.0, liq),
-        )
-        assert bp.solution.branch_label == "maximal"
-        assert bp.functionals.N == pytest.approx(0.98 * n_liq, rel=1e-8)
-        assert bp.gamma < -7.0
-
     def test_middle_branch_cold_and_warm(self, dom_small):
+        # the middle branch at fixed mass is droplet_solve's
         roots = uniform.solve_uniform(100.0 * PHI_Y_HALF, -7.0).roots
         mid = field.newton_solve(
             SPEC_Y, 100.0, -7.0,
             field.constant_field(dom_small, roots[1]), model=EXT,
         )
         n_mid = total_mass(dom_small, mid.field)
-        bp = phase.constrained_solve(
-            SPEC_Y, 100.0, dom_small, 1.02 * n_mid, "middle",
-            model=EXT, seed=(-7.0, mid),
-        )
+        bp = phase.droplet_solve(SPEC_Y, 100.0, dom_small, 1.02 * n_mid, model=EXT)
         assert bp.solution.branch_label == "middle"
         assert bp.functionals.N == pytest.approx(1.02 * n_mid, rel=1e-8)
         # the middle branch loses mass as gamma grows
         assert bp.gamma < -7.0
-        warm = phase.constrained_solve(
-            SPEC_Y, 100.0, dom_small, 1.05 * n_mid, "middle",
-            model=EXT, seed=(bp.gamma, bp.solution),
+        # oracle: Newton at the droplet's gamma from the middle algebraic root
+        roots = uniform.solve_uniform(100.0 * PHI_Y_HALF, bp.gamma).roots
+        saddle = field.newton_solve(
+            SPEC_Y, 100.0, bp.gamma,
+            field.constant_field(dom_small, roots[1]), model=EXT,
+        )
+        assert np.max(np.abs(saddle.field.values - bp.solution.field.values)) < 1e-10
+        warm = phase.droplet_solve(
+            SPEC_Y, 100.0, dom_small, 1.05 * n_mid,
+            start=bp.solution.field, model=EXT,
         )
         assert warm.functionals.N == pytest.approx(1.05 * n_mid, rel=1e-8)
 
     def test_middle_branch_needs_triplicity(self, dom5):
         # alpha too weak for three uniform roots anywhere
         with pytest.raises(ValueError):
-            phase.constrained_solve(SPEC_Y, 1.0 / PHI_Y5, dom5, 5.0, "middle")
+            phase.droplet_solve(SPEC_Y, 1.0 / PHI_Y5, dom5, 5.0)
 
     def test_mass_beyond_vapor_fold(self, dom15):
         with pytest.raises(ValueError):
             phase.constrained_solve(
-                SPEC_Y, ALPHA_31, dom15, 1.4 * N_HAT_15, "minimal", model=EXT,
+                SPEC_Y, ALPHA_31, dom15, 1.4 * N_HAT_15, model=EXT,
             )
 
     @pytest.mark.parametrize("spec", [
@@ -209,19 +203,36 @@ class TestConstrainedSolve:
         # algebraic folds: the window is the model's invertible range
         dom = field.make_domain(2.0, n=64)
         N = 0.1 * float(functionals.volume_weights(dom).sum())
-        bp = phase.constrained_solve(spec, 0.01, dom, N, "minimal")
+        bp = phase.constrained_solve(spec, 0.01, dom, N)
         assert total_mass(dom, bp.solution.field) == pytest.approx(N, rel=1e-9)
         launch = field.minimal_solution(spec, 0.01, bp.gamma, dom)
         assert np.array_equal(bp.solution.field.values, launch.field.values)
 
+    def test_branch_jump_raises(self, monkeypatch):
+        # the third launch lands on the liquid, far beyond ten times the
+        # step predicted from the first two
+        dom = field.make_domain(15.0, n=64)
+        launched = []
+        real = field.minimal_solution
+
+        def spy(spec, alpha, gamma, *args, **kwargs):
+            launched.append(gamma)
+            solve = field.maximal_solution if len(launched) == 3 else real
+            return solve(spec, alpha, gamma, *args, **kwargs)
+
+        monkeypatch.setattr(field, "minimal_solution", spy)
+        with pytest.raises(phase.BranchLostError) as excinfo:
+            phase.constrained_solve(SPEC_Y, ALPHA_31, dom, 0.966 * N_HAT_15, model=EXT)
+        assert len(launched) == 3
+        assert str(excinfo.value) == (f"minimal branch lost near gamma {launched[2]:.6f}: "
+                                      "sup-norm step exceeds ten times the prediction")
+
     def test_invalid_inputs(self, dom5):
         vol = float(functionals.volume_weights(dom5).sum())
         with pytest.raises(ValueError):
-            phase.constrained_solve(SPEC_Y, 0.0, dom5, 1.0, "liquid")
+            phase.constrained_solve(SPEC_Y, 0.0, dom5, 0.0)
         with pytest.raises(ValueError):
-            phase.constrained_solve(SPEC_Y, 0.0, dom5, 0.0, "minimal")
-        with pytest.raises(ValueError):
-            phase.constrained_solve(SPEC_Y, 0.0, dom5, 1.1 * vol, "minimal")
+            phase.constrained_solve(SPEC_Y, 0.0, dom5, 1.1 * vol)
 
 
 class TestConstrainedWork:
@@ -243,35 +254,9 @@ class TestConstrainedWork:
         vol = float(functionals.volume_weights(dom5).sum())
         for f in (0.05, 0.10, 0.15):
             inner_calls.clear()
-            phase.constrained_solve(SPEC_Y, alpha, dom5, f * vol, "minimal")
+            phase.constrained_solve(SPEC_Y, alpha, dom5, f * vol)
             assert 1 <= len(inner_calls) <= 6
             assert set(inner_calls) == {"minimal_solution"}
-
-    def test_maximal_branch_inner_solves(self, dom_small, inner_calls):
-        liq = field.maximal_solution(SPEC_Y, 100.0, -7.0, dom_small, model=EXT)
-        n_liq = total_mass(dom_small, liq.field)
-        inner_calls.clear()
-        phase.constrained_solve(
-            SPEC_Y, 100.0, dom_small, 0.98 * n_liq, "maximal",
-            model=EXT, seed=(-7.0, liq),
-        )
-        assert 1 <= len(inner_calls) <= 5
-        assert set(inner_calls) == {"maximal_solution"}
-
-    def test_middle_branch_inner_solves(self, dom_small, inner_calls):
-        roots = uniform.solve_uniform(100.0 * PHI_Y_HALF, -7.0).roots
-        mid = field.newton_solve(
-            SPEC_Y, 100.0, -7.0,
-            field.constant_field(dom_small, roots[1]), model=EXT,
-        )
-        n_mid = total_mass(dom_small, mid.field)
-        inner_calls.clear()
-        phase.constrained_solve(
-            SPEC_Y, 100.0, dom_small, 1.02 * n_mid, "middle",
-            model=EXT, seed=(-7.0, mid),
-        )
-        assert 1 <= len(inner_calls) <= 4
-        assert set(inner_calls) == {"newton_solve"}
 
     def test_exact_slope_matches_centred_difference(self, dom5, monkeypatch):
         alpha, gamma, h = 20.0 / PHI_Y5, -2.9, 1e-4
@@ -287,7 +272,7 @@ class TestConstrainedWork:
 
         monkeypatch.setattr(phase, "_newton_on_gamma", probe)
         with pytest.raises(Probed):
-            phase.constrained_solve(SPEC_Y, alpha, dom5, 0.1 * vol, "minimal")
+            phase.constrained_solve(SPEC_Y, alpha, dom5, 0.1 * vol)
 
         def mass(g):
             rep = field.minimal_solution(SPEC_Y, alpha, g, dom5)
@@ -1105,12 +1090,12 @@ class TestVaporSeed:
         N = 0.966 * N_HAT_15
         calls = self.mass_match_evaluations(monkeypatch)
         launched = self.launches(monkeypatch)
-        direct = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, "minimal", model=EXT)
+        direct = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, model=EXT)
         [evaluated] = calls
         assert launched == evaluated and len(launched) >= 2
         first = field.minimal_solution(SPEC_Y, ALPHA_31, evaluated[0], dom, model=EXT)
         launched.clear()
-        seeded = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, "minimal", model=EXT,
+        seeded = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, model=EXT,
                                          seed=(evaluated[0], first))
         assert calls[1] == evaluated and launched == evaluated[1:]
         assert seeded.gamma == direct.gamma
@@ -1120,11 +1105,10 @@ class TestVaporSeed:
     def test_seed_at_its_own_mass_returns_without_launching(self, monkeypatch):
         dom = field.make_domain(15.0, n=64)
         N = 0.966 * N_HAT_15
-        direct = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, "minimal", model=EXT)
+        direct = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, model=EXT)
         launched = self.launches(monkeypatch)
         again = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, direct.functionals.N,
-                                        "minimal", model=EXT,
-                                        seed=(direct.gamma, direct.solution))
+                                        model=EXT, seed=(direct.gamma, direct.solution))
         assert launched == []
         assert again.gamma == direct.gamma and again.solution is direct.solution
         assert again.functionals == direct.functionals
@@ -1132,11 +1116,21 @@ class TestVaporSeed:
     def test_seed_on_another_grid_raises(self):
         coarse, fine = field.make_domain(15.0, n=64), field.make_domain(15.0, n=128)
         N = 0.966 * N_HAT_15
-        point = phase.constrained_solve(SPEC_Y, ALPHA_31, coarse, N, "minimal", model=EXT)
+        point = phase.constrained_solve(SPEC_Y, ALPHA_31, coarse, N, model=EXT)
         with pytest.raises(ValueError, match=r"another grid \(R 15.0, n 64\), not "
                                              r"\(R 15.0, n 128\)"):
-            phase.constrained_solve(SPEC_Y, ALPHA_31, fine, N, "minimal", model=EXT,
+            phase.constrained_solve(SPEC_Y, ALPHA_31, fine, N, model=EXT,
                                     seed=(point.gamma, point.solution))
+
+    def test_seed_of_another_branch_raises(self):
+        # the maximal launch at its own mass is no vapor, and keeps its label
+        dom = field.make_domain(0.5, n=64)
+        liquid = field.maximal_solution(SPEC_Y, 100.0, -18.0, dom, model=EXT)
+        with pytest.raises(ValueError, match=r"^minimal mass match from a seed at gamma "
+                                             r"-18\.0: the seed is a maximal solution$"):
+            phase.constrained_solve(SPEC_Y, 100.0, dom, total_mass(dom, liquid.field),
+                                    model=EXT, seed=(-18.0, liquid))
+        assert liquid.branch_label == "maximal"
 
     def test_first_vapor_steps_from_the_gas(self, monkeypatch):
         # with the default mass bracket the vapor at the gas's mass reads
@@ -1240,8 +1234,8 @@ class TestDefaultModel:
             SPEC_Y, alpha, gamma, rep.field
         ) == functionals.functional_values(SPEC_Y, alpha, gamma, rep.field, model=hs)
         N = 0.1 * float(functionals.volume_weights(dom5).sum())
-        bp = phase.constrained_solve(SPEC_Y, alpha, dom5, N, "minimal")
-        ref_bp = phase.constrained_solve(SPEC_Y, alpha, dom5, N, "minimal", model=hs)
+        bp = phase.constrained_solve(SPEC_Y, alpha, dom5, N)
+        ref_bp = phase.constrained_solve(SPEC_Y, alpha, dom5, N, model=hs)
         assert bp.gamma == ref_bp.gamma
         assert np.array_equal(bp.solution.field.values, ref_bp.solution.field.values)
         assert bp.functionals == ref_bp.functionals
