@@ -11,9 +11,10 @@ panel blocks M is the rank-one radial Green's function in each
 triangle, so cumulative sums and a block-diagonal correction do the
 convolution.  Every solver reaches alpha M through one `_Attraction`
 per call, the only place where alpha M is formed densely (at any n, on
-first use) and I - diag(c) alpha M factored, in one workspace per
-attraction; the certificate applies |alpha M| through it and forms no
-n x n array.  Monotone Picard iteration
+first use) and I - diag(c) alpha M solved: by that Green's tridiagonal
+inverse in O(n p^2) from 128 nodes for a Yukawa or a Newton kernel, else
+by LU in one workspace per attraction.  The certificate applies |alpha
+M| through it and forms no n x n array.  Monotone Picard iteration
 reaches the extremal solutions from constant sub- and supersolutions,
 tightened where the caller hands over the same branch's solution at a
 nearby gamma on the side that comparison allows; damped Newton reaches
@@ -84,14 +85,15 @@ _FINISH_FROM = 3  # the finish arms from step 3; step 2 compares with the first 
 _FINISH_RATIO = 0.9  # the bordered finish arms at a change ratio above 0.9
 # A certified finish's cost in Picard steps, calibrated on one BLAS thread by the
 # script in BENCH_newton_cost.json: at the node counts _COST_NODES, a Newton step's
-# Jacobian build and solve (_DENSE_COST, on top of its residual) and one power step
-# of the certificate (_POWER_COST); a finish takes about _FINISH_STEPS Newton steps
+# Jacobian build and LU solve (_DENSE_COST, on top of its residual; LU path only) and one
+# power step of the certificate (_POWER_COST); a finish takes about _FINISH_STEPS Newton steps
 # and _FINISH_POWER power steps
 _COST_NODES = (64, 128, 256, 512)
 _DENSE_COST = (0.41, 1.2, 5.7, 19.0)
 _POWER_COST = (0.085, 0.092, 0.12, 0.23)
 _FINISH_STEPS, _FINISH_POWER = 4.5, 17.0
 _DENSE_MAX = 512  # largest node count for the Newton finish and the dense ring matrix
+_STRUCTURED_MIN, _REFINE = 128, 1e-13  # G^-1 elimination: from 128 nodes; refined residual
 _SEGMENT = 500.0  # kappa-length of one segment of RingOperator's discounted sums
 _POWER_STEPS, _POWER_MOVED = 100, 1e-10  # power steps per contraction bound, at most
 _PANEL = 8  # Gauss-Legendre nodes per panel of every grid
@@ -301,6 +303,35 @@ class _Discount:
         return out
 
 
+def _panel_green(spec, domain):
+    """diag(2 pi/t) G diag(w t) on each panel's own p x p block; see `RingOperator`."""
+    t, pn = domain.nodes, domain.nodes.reshape(-1, _PANEL)
+    lo = np.minimum(pn[:, :, None], pn[:, None, :])
+    hi = np.maximum(pn[:, :, None], pn[:, None, :])
+    green = 2.0 * spec.a_n * lo
+    if spec.a_y:
+        k = spec.kappa
+        green += (2.0 * spec.a_y / k) * np.exp(-k * (hi - lo)) * (-0.5 * np.expm1(-2.0 * k * lo))
+    return ((2.0 * math.pi / t).reshape(-1, _PANEL, 1) * green
+            * (domain.weights * t).reshape(-1, 1, _PANEL))
+
+
+def _green_inverse(spec, t):
+    """The tridiagonal inverse of G = A u(min) v(max) on nodes t: (diagonal, off-diagonal).
+
+    Newton: A = 2 a_n, u = t, v = 1; Yukawa: A = 2 a_y/kappa, u = sinh(kappa t), v = e^(-kappa t),
+    each term a sinh of a node difference x, held as e^x s(x), s(x) = e^(-x) sinh(x)."""
+    if spec.a_y:
+        k, amp = spec.kappa, 2.0 * spec.a_y / spec.kappa
+        s, damp = (lambda x: -0.5 * np.expm1(-2.0 * k * x)), np.exp(-k * np.diff(t))
+    else:
+        s, amp, damp = (lambda x: x), 2.0 * spec.a_n, 1.0
+    d = s(np.diff(t))
+    diag = np.concatenate(([s(t[1]) / (s(t[0]) * d[0])], s(t[2:] - t[:-2]) / (d[:-1] * d[1:]),
+                           [1.0 / d[-1]]))
+    return diag / amp, -damp / (amp * d)
+
+
 class RingOperator:
     """The node-to-node ring matrix of a kernel with no van der Waals part, in O(n p).
 
@@ -331,16 +362,7 @@ class RingOperator:
         split = np.empty((t.size, _PANEL))
         for block, _, vals in _panel_split(spec, domain, t):
             split[block] = vals
-        pn = t.reshape(-1, _PANEL)
-        lo = np.minimum(pn[:, :, None], pn[:, None, :])
-        hi = np.maximum(pn[:, :, None], pn[:, None, :])
-        green = self._a_n * lo
-        if spec.a_y:
-            k = spec.kappa
-            green += self._a_y * np.exp(-k * (hi - lo)) * (-0.5 * np.expm1(-2.0 * k * lo))
-        formula = (self._post.reshape(-1, _PANEL, 1) * green
-                   * self._pre.reshape(-1, 1, _PANEL))
-        self._blocks = split.reshape(-1, _PANEL, _PANEL) - formula
+        self._blocks = split.reshape(-1, _PANEL, _PANEL) - _panel_green(spec, domain)
 
     @property
     def T(self):
@@ -376,7 +398,7 @@ def _self_ring(spec, domain, dense=False):
     Above _DENSE_MAX nodes a kernel with no van der Waals part gets its
     `RingOperator`, which applies M and M^T in O(n p) with no n x n
     array; below, and for van der Waals, the assembled matrix, which
-    BLAS applies faster there and the Newton finishes need anyway.
+    BLAS applies faster there.
     dense, set only by `_Attraction`, asks for the assembled matrix at
     any n.  The check-and-assemble holds the domain's lock, so sweep
     threads sharing a domain build each once.
@@ -619,9 +641,9 @@ class _Attraction:
 
     M is `_self_ring`'s ring.  aM, the dense alpha M at any n, is formed
     on first use and lives as long as the object, never on the domain;
-    so does the one Jacobian workspace of `solve`, sized for the
-    bordered system at the first solve, so that the Newton steps after
-    it allocate no n x n array.  Every negative entry of aM lies in an
+    so does the LU path's one Jacobian workspace, sized for the bordered
+    system at the first solve, so that later Newton steps allocate no n x n
+    array; `_eliminate` reads neither.  Every negative entry of aM lies in an
     own-panel p x p block, where the kink split re-integrates a target's
     row against its panel's Lagrange basis; off those blocks M is the
     nonnegative ring of a nonnegative kernel.  So N, the negative part
@@ -632,7 +654,8 @@ class _Attraction:
     def __init__(self, spec, alpha, domain):
         self.spec, self.alpha, self.domain = spec, alpha, domain
         self.finishable = domain.n <= _DENSE_MAX  # where Newton finishes may factor aM
-        self._work = None  # solve's Jacobian workspace, (n + 1)^2 values
+        self.structured = domain.n >= _STRUCTURED_MIN and not (spec.a_w or spec.a_y and spec.a_n)
+        self._work = None  # the LU path's Jacobian workspace, (n + 1)^2 values
 
     @functools.cached_property
     def M(self):
@@ -641,6 +664,19 @@ class _Attraction:
     @functools.cached_property
     def aM(self):
         return self.alpha * _self_ring(self.spec, self.domain, dense=True)
+
+    @functools.cached_property
+    def _structure(self):
+        """`_eliminate`'s c-free parts: alpha C, G^-1 in and between panels, alpha 2 pi/t, w t."""
+        dom, p, i = self.domain, self.domain.n // _PANEL, np.arange(_PANEL)
+        blocks = (self.M._blocks if isinstance(self.M, RingOperator) else self.M.reshape(
+            p, _PANEL, p, _PANEL)[np.arange(p), :, np.arange(p)] - _panel_green(self.spec, dom))
+        diag, off = _green_inverse(self.spec, dom.nodes)
+        inner = np.append(off, 0.0).reshape(p, _PANEL)  # 0 after the last panel
+        tri = diag.reshape(p, _PANEL, 1) * np.eye(_PANEL)
+        tri[:, i[:-1], i[1:]] = tri[:, i[1:], i[:-1]] = inner[:, :-1]
+        return (self.alpha * blocks, tri, inner[:, -1].tolist(), (self.alpha * 2.0 * math.pi
+                / dom.nodes).reshape(p, _PANEL, 1), (dom.weights * dom.nodes).reshape(p, -1, 1))
 
     @functools.cached_property
     def _negative(self):
@@ -674,11 +710,17 @@ class _Attraction:
     def solve(self, c, b, border=None):
         """x with (I - diag(c) alpha M) x = b, bordered by the column -c and the mass row border.
 
-        The matrix is written over the attraction's workspace, C-ordered
-        at its own size, and every entry is written, so no border is
-        left over from an earlier solve.  Raises np.linalg.LinAlgError
-        where the matrix is singular.
+        Through G^-1 where `structured` (`_eliminate`); otherwise written over the
+        attraction's workspace, C-ordered at its own size, every entry written so no
+        border is left over from an earlier solve, and LU-factored.  Raises
+        np.linalg.LinAlgError where the matrix is singular or the solve not finite.
         """
+        if self.structured:
+            with np.errstate(all="ignore"):
+                x = self._eliminate(c, b, border)
+            if np.isfinite(x).all():
+                return x
+            raise np.linalg.LinAlgError("singular or non-finite solve through G^-1")
         n, m = c.size, b.size
         if self._work is None:
             self._work = np.empty((n + 1) ** 2)
@@ -691,6 +733,53 @@ class _Attraction:
         if border is not None:
             J[:n, n], J[n, :n], J[n, n] = -c, border, 0.0
         return np.linalg.solve(J, b)
+
+    def _eliminate(self, c, b, border):
+        """`solve` in O(n p^2) through the tridiagonal G^-1.
+
+        With M = diag(2 pi/t) G diag(w t) + C, B = I - diag(c) alpha C, P = alpha diag(c 2 pi/t),
+        Q = diag(w t): (G^-1 - Q B^-1 P) y = Q B^-1 b, x = B^-1 (b + P y), where the p x p diagonal
+        blocks H_j couple only by G^-1's entries o_j between panels.  Batched inverses, then pivots
+        S_j = H_j - sigma_j e_0 e_0^T (Sherman-Morrison), forward sweep and back substitution as
+        scalar recurrences; y has G^-1's conditioning, so a residual above _REFINE of x is refined
+        once.  The border's -c is one more column, gamma its Schur complement."""
+        aC, tri, o, post, q = self._structure
+        n, panels, e = c.size, c.size // _PANEL, _PANEL - 1
+        Bi = np.linalg.inv(np.eye(_PANEL) - c.reshape(panels, _PANEL, 1) * aC)
+        BP = Bi * (c.reshape(panels, _PANEL, 1) * post).reshape(panels, 1, _PANEL)
+        Hi = np.linalg.inv(tri - q * BP)
+        h00, h70, h07, h77 = (Hi[:, i, j].tolist() for i, j in ((0, 0), (e, 0), (0, e), (e, e)))
+        piv, m, sig = [], [], 0.0  # S_j^-1 = H_j^-1 + m_j H_j^-1 e_0 e_0^T H_j^-1
+        for j in range(panels):
+            piv.append(1.0 - sig * h00[j] or math.nan)  # a zero pivot ends in LinAlgError
+            m.append(sig / piv[j])
+            sig = o[j] ** 2 * (h77[j] + m[j] * h70[j] * h07[j])  # o_j^2 (S_j^-1)_(p-1,p-1)
+        cols = b[:n, None] if border is None else np.column_stack((b[:n], c))
+        x, r, k = 0.0, cols, cols.shape[1]
+        for _ in range(2):
+            Bb = Bi @ r.reshape(panels, _PANEL, k)
+            U = Hi @ (q * Bb)
+            lower, upper = np.zeros((panels, k)), np.zeros((panels, k))
+            for col in range(k):  # z_j = r_j - a_j e_0, a_(j+1) = o_j (S_j^-1 z_j)_(p-1)
+                u0, u7 = U[:, 0, col].tolist(), U[:, e, col].tolist()
+                a, w0, beta, y0 = [0.0], [], [], 0.0
+                for j in range(panels):
+                    w0.append((u0[j] - a[j] * h00[j]) / piv[j])
+                    a.append(o[j] * (u7[j] + m[j] * h70[j] * u0[j] - a[j] * h70[j] / piv[j]))
+                for j in reversed(range(panels)):  # y_j = S_j^-1 (z_j - beta_j e_(p-1))
+                    beta.append(o[j] * y0)
+                    y0 = w0[j] - beta[-1] * h07[j] / piv[j]
+                lower[:, col], upper[:, col] = a[:-1], beta[::-1]
+            g = U - Hi[..., :1] * lower[:, None] - Hi[..., e:] * upper[:, None]
+            y = g + np.asarray(m)[:, None, None] * Hi[..., :1] * g[:, :1]
+            x = x + (Bb + BP @ y).reshape(n, k)
+            r = cols - x + c[:, None] * (self.alpha * (self.M @ x))
+            if np.max(np.abs(r)) <= _REFINE * np.max(np.abs(x)):
+                break
+        if border is None:
+            return x[:, 0]
+        gamma = (b[n] - border @ x[:, 0]) / (border @ x[:, 1])
+        return np.append(x[:, 0] + gamma * x[:, 1], gamma)
 
 
 class _NewtonFinish:
@@ -1151,14 +1240,14 @@ def _newton(attraction, gamma, model, v, tol, max_iter, callback=None, border=No
 def newton_solve(spec, alpha, gamma, eta0, model=eos.EosModel()):
     """Damped Newton on F(eta) = eta - wp'(gamma + alpha(-V*eta)).
 
-    The Jacobian I - diag(wp'') alpha M is factored by `_Attraction`,
-    from a dense alpha M at any n, which the node counts in use allow;
-    its wp'' is read off the profile the residual has just inverted,
-    with no second inversion.  Unlike Picard this also reaches
-    iteration-unstable solutions, at quadratic rate near any root.  A
-    solve whose last 8 accepted steps together cut the residual by less
-    than 1% has stalled and raises RuntimeError; every failure names
-    gamma and the last residual.
+    The Jacobian I - diag(wp'') alpha M is solved by `_Attraction`, through
+    G^-1 from 128 nodes for a Yukawa or a Newton kernel, else by LU; the
+    residuals apply the dense alpha M.  Its wp'' is read off the profile
+    the residual has just inverted, with no second inversion.  Unlike
+    Picard this also reaches iteration-unstable solutions, at quadratic
+    rate near any root.  A solve whose last 8 accepted steps together cut
+    the residual by less than 1% has stalled and raises RuntimeError;
+    every failure names gamma and the last residual.
     """
     v, u, norm, steps, _ = _newton(_Attraction(spec, alpha, eta0.domain), gamma, model,
                                    eta0.values.copy(), _NEWTON_TOL, _NEWTON_STEPS)

@@ -1023,15 +1023,25 @@ class TestAttraction:
 
     @pytest.mark.parametrize("n", [64, 256])
     def test_solve_has_the_bits_of_the_mass_slope_system(self, n):
-        # the mass slope's system as it was written out: eye(n) - c aM
+        # the mass slope's system as it was written out: eye(n) - c aM; LU
+        # gives its bits at n=64, and G^-1 elimination at n=256 leaves a
+        # residual of at most 1e-12 of max(|A| |x|) against the same A
         _, attraction, aM, c = self._system(n)
-        assert np.array_equal(attraction.aM, aM)
-        want = np.linalg.solve(np.eye(n) - c[:, None] * aM, c)
-        assert np.array_equal(attraction.solve(c, c), want)
+        A = np.eye(n) - c[:, None] * aM
+        x = attraction.solve(c, c)
+        assert attraction.structured is (n == 256)
+        if attraction.structured:
+            self._assert_backward_error(A, x, c)
+            assert attraction._work is None
+        else:
+            assert np.array_equal(attraction.aM, aM)
+            assert np.array_equal(x, np.linalg.solve(A, c))
 
     @pytest.mark.parametrize("n", [64, 256])
     def test_bordered_solve_has_the_bits_of_newtons_jacobian(self, n):
-        # the bordered Jacobian as the Newton loop formed it in place
+        # the bordered Jacobian as the Newton loop formed it in place; LU
+        # gives its bits at n=64, and G^-1 elimination at n=256 the same
+        # backward error as the plain system
         dom, attraction, aM, c = self._system(n)
         D = functionals.volume_weights(dom)
         w = D / np.sum(D)
@@ -1040,14 +1050,91 @@ class TestAttraction:
         J[np.arange(n), np.arange(n)] += 1.0
         J[:n, n], J[n, :n], J[n, n] = -c, w, 0.0
         b = np.random.default_rng(3).standard_normal(n + 1)
-        assert np.array_equal(attraction.solve(c, b, w), np.linalg.solve(J, b))
+        x = attraction.solve(c, b, w)
+        assert attraction.structured is (n == 256)
+        if attraction.structured:
+            self._assert_backward_error(J, x, b)
+            assert attraction._work is None
+        else:
+            assert np.array_equal(x, np.linalg.solve(J, b))
 
-    def test_later_solves_allocate_no_matrix(self):
-        # the first solve sizes the workspace for the bordered system; a
-        # second plain and a second bordered solve trace less than a tenth
-        # of one n x n array
-        dom, attraction, _, c = self._system(256)
-        n = dom.n
+    @staticmethod
+    def _assert_backward_error(matrix, x, b):
+        assert np.max(np.abs(matrix @ x - b)) <= 1e-12 * np.max(np.abs(matrix) @ np.abs(x))
+
+    @staticmethod
+    def _assert_backward_errors(attraction, aM, c, seed):
+        # a plain and a bordered solve each leave a residual of at most 1e-12
+        # of max(|A| |x|) against the dense A, as LU would
+        n = c.size
+        w = functionals.volume_weights(attraction.domain)
+        w = w / np.sum(w)
+        A = np.eye(n) - c[:, None] * aM
+        J = np.zeros((n + 1, n + 1))
+        J[:n, :n], J[:n, n], J[n, :n] = A, -c, w
+        rng = np.random.default_rng(seed)
+        for matrix, b, border in ((A, c, None), (J, rng.standard_normal(n + 1), w)):
+            TestAttraction._assert_backward_error(matrix, attraction.solve(c, b, border), b)
+
+    # a Yukawa kernel's maximal launch near the liquid fold, a Newton
+    # kernel's where it slides through the ghost of its fold, and a Yukawa
+    # kernel at kappa R = 1000, each at alpha l1 = 31 or the same alpha Phi
+    NEAR_FOLDS = {
+        "yukawa": (SPEC_Y, 1.0, -4.88),
+        "newton": (SPEC_N, kernels.phi_lambda(SPEC_Y, 30.0) / kernels.phi_lambda(SPEC_N, 30.0),
+                   -4.16),
+        "kappa-R-1000": (kernels.KernelSpec(a_y=1.0, kappa=1000.0 / 30.0), (1000.0 / 30.0) ** 2,
+                         -4.88),
+    }
+
+    @pytest.mark.parametrize("n", [128, 512, 1024])
+    @pytest.mark.parametrize("case", list(NEAR_FOLDS))
+    def test_structured_solve_near_a_fold(self, case, n):
+        spec, scale, gamma = self.NEAR_FOLDS[case]
+        alpha = self.ALPHA * scale
+        dom = field.make_domain(30.0, n=n)
+        v = field.maximal_solution(spec, alpha, gamma, dom, model=self.EXT).field.values
+        attraction = field._Attraction(spec, alpha, dom)
+        assert attraction.structured
+        self._assert_backward_errors(attraction, alpha * field._self_ring(spec, dom, dense=True),
+                                     self.EXT.response_at(v), n)
+
+    def test_structured_solve_raises_on_a_non_finite_system(self):
+        # a NaN slope reaches no pivot check, and the solve names it as LU's
+        # singular systems are named, so `_newton` reports a singular Jacobian
+        attraction = field._Attraction(SPEC_Y, self.ALPHA, field.make_domain(15.0, n=128))
+        with pytest.raises(np.linalg.LinAlgError):
+            attraction.solve(np.full(128, np.nan), np.ones(128))
+
+    def test_lu_keeps_its_bits_where_g_is_not_rank_one(self):
+        # Yukawa plus Newton and van der Waals kernels at n=256, and a Yukawa
+        # kernel below 16 panels, are still LU-factored, bit for bit
+        mixed = kernels.KernelSpec(a_y=1.0, kappa=1.0, a_n=0.01)
+        rng = np.random.default_rng(5)
+        for spec, n in ((mixed, 256), (SPEC_W, 256), (SPEC_Y, 64), (SPEC_Y, 120)):
+            dom = field.make_domain(15.0, n=n)
+            attraction = field._Attraction(spec, self.ALPHA, dom)
+            assert not attraction.structured
+            c, b = rng.uniform(0.0, 0.02, n), rng.standard_normal(n + 1)
+            w = functionals.volume_weights(dom)
+            J = np.zeros((n + 1, n + 1))
+            J[:n, :n] = np.eye(n) - c[:, None] * (self.ALPHA * field._self_ring(spec, dom))
+            J[:n, n], J[n, :n] = -c, w
+            assert np.array_equal(attraction.solve(c, b[:n]), np.linalg.solve(J[:n, :n], b[:n]))
+            assert np.array_equal(attraction.solve(c, b, w), np.linalg.solve(J, b))
+        for spec in (SPEC_Y, SPEC_N):
+            assert field._Attraction(spec, 1.0, field.make_domain(15.0, n=128)).structured
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_later_solves_allocate_no_matrix(self, n):
+        # LU at n=64 writes into the workspace the first solve sized for the
+        # bordered system, and G^-1 elimination at n=1024 needs none: a second
+        # plain and a second bordered solve trace less than a tenth of one n x n
+        # array, and above the gate no dense alpha M is formed at all
+        dom = field.make_domain(15.0, n=n)
+        attraction = field._Attraction(SPEC_Y, self.ALPHA, dom)
+        v = field.minimal_solution(SPEC_Y, self.ALPHA, -4.6, dom, model=self.EXT).field.values
+        c = self.EXT.response_at(v)
         w = functionals.volume_weights(dom)
         attraction.solve(c, c)
         attraction.solve(c, np.ones(n + 1), w)
@@ -1059,6 +1146,8 @@ class TestAttraction:
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * n**2 * 8
+        assert attraction.structured is (n == 1024)
+        assert ("aM" in vars(attraction)) is (n == 64)
 
     def test_workspace_keeps_no_border_between_solves(self):
         # a plain solve after a bordered one, and a bordered one after a

@@ -974,9 +974,10 @@ class TestPetitTransition:
 
 
 def test_mass_slope_forms_one_matrix():
-    # I - diag(c) alpha M is formed in place: on top of the attraction's
-    # alpha M, formed before the trace, one slope at n=512 holds one n x n
-    # array, where eye(n) - c aM held two
+    # I - diag(c) alpha M is never formed as eye(n) - c aM: on top of the
+    # attraction's alpha M, formed before the trace, one slope at n=512
+    # holds at most one n x n array (the LU path's workspace; this Yukawa
+    # slope is eliminated through G^-1 and holds none), where it held two
     n = 512
     dom = field.make_domain(30.0, n=n)
     attraction = field._Attraction(SPEC_Y, ALPHA_31, dom)
@@ -990,6 +991,33 @@ def test_mass_slope_forms_one_matrix():
         tracemalloc.stop()
     assert math.isfinite(slope)
     assert peak < 1.5 * n * n * 8
+
+
+def test_mass_match_forms_no_dense_matrix_above_the_gate(monkeypatch):
+    # at n=1024 the vapor's mass slopes are eliminated through G^-1 from the
+    # ring operator's panel blocks: the whole mass match, the operator's build
+    # included, traces less than one n x n array
+    n = 1024
+    gas = field.minimal_solution(SPEC_Y, 100.0, -10.0, field.make_domain(0.5, n=n), model=EXT)
+    N = 1.01 * total_mass(gas.field.domain, gas.field)
+    slopes = []
+    mass_slope = phase._mass_slope
+
+    def spy(model, attraction, D, v):
+        slopes.append(attraction.structured)
+        return mass_slope(model, attraction, D, v)
+
+    monkeypatch.setattr(phase, "_mass_slope", spy)
+    dom = field.make_domain(0.5, n=n)
+    tracemalloc.start()
+    try:
+        point = phase.constrained_solve(SPEC_Y, 100.0, dom, N, model=EXT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slopes and all(slopes)
+    assert abs(point.functionals.N - N) <= 1e-9  # the mass rule, 1e-9 max(1, N)
+    assert peak < n * n * 8
 
 
 class TestPetitLaunchesAtGammaGl:
