@@ -10,11 +10,11 @@ through `RingOperator` in O(n p) with no n x n array: off the p x p
 panel blocks M is the rank-one radial Green's function in each
 triangle, so cumulative sums and a block-diagonal correction do the
 convolution.  Every solver reaches alpha M through one `_Attraction`
-per call, the only place where alpha M is formed densely (at any n, on
-first use) and I - diag(c) alpha M solved: by that Green's tridiagonal
-inverse in O(n p^2) from 128 nodes for a Yukawa or a Newton kernel, else
-by LU in one workspace per attraction.  The certificate applies |alpha
-M| through it and forms no n x n array.  Monotone Picard iteration
+per call, which applies it as alpha (M @ x), the one product of
+Picard, Newton's residuals and the certificate, and solves I - diag(c)
+alpha M: by that Green's tridiagonal inverse in O(n p^2) from 128
+nodes for a Yukawa or a Newton kernel, else by LU in one workspace per
+attraction, the one solver that reads the dense M.  Monotone Picard iteration
 reaches the extremal solutions from constant sub- and supersolutions,
 tightened where the caller hands over the same branch's solution at a
 nearby gamma on the side that comparison allows; damped Newton reaches
@@ -342,7 +342,7 @@ class RingOperator:
     by cumulative sums: e^(-kappa max) sinh(kappa min) = e^(-kappa |t -
     s|) h(min), h(x) = (1 - e^(-2 kappa x))/2, the discounted sums running
     in segments (`_Discount`).  C is block diagonal: each panel's split
-    block of `_ring_matrix` minus the same formula on that block.  `@`
+    block of `_ring_matrix`, kept, minus the same formula on it.  `@`
     applies M to a vector or to the columns of an (n, k) array, and T is
     the transposed operator (G is symmetric).
     """
@@ -359,16 +359,16 @@ class RingOperator:
             self._up = _Discount(x)
             self._down = _Discount(-x[::-1])
             self._step = np.exp(x[:-1] - x[1:])[:, None]
-        split = np.empty((t.size, _PANEL))
+        self._split = np.empty((t.size // _PANEL, _PANEL, _PANEL))
         for block, _, vals in _panel_split(spec, domain, t):
-            split[block] = vals
-        self._blocks = split.reshape(-1, _PANEL, _PANEL) - _panel_green(spec, domain)
+            self._split.reshape(t.size, _PANEL)[block] = vals
+        self._blocks = self._split - _panel_green(spec, domain)
 
     @property
     def T(self):
         op = copy.copy(self)
         op._post, op._pre = self._pre, self._post
-        op._blocks = self._blocks.transpose(0, 2, 1)
+        op._split, op._blocks = self._split.transpose(0, 2, 1), self._blocks.transpose(0, 2, 1)
         return op
 
     def _green(self, Z):
@@ -398,10 +398,9 @@ def _self_ring(spec, domain, dense=False):
     Above _DENSE_MAX nodes a kernel with no van der Waals part gets its
     `RingOperator`, which applies M and M^T in O(n p) with no n x n
     array; below, and for van der Waals, the assembled matrix, which
-    BLAS applies faster there.
-    dense, set only by `_Attraction`, asks for the assembled matrix at
-    any n.  The check-and-assemble holds the domain's lock, so sweep
-    threads sharing a domain build each once.
+    BLAS applies faster there.  dense, set only by `_Attraction.dense`,
+    asks for the assembled matrix at any n.  The check-and-assemble
+    holds the domain's lock, so sweep threads sharing a domain build each once.
     """
     structured = not dense and domain.n > _DENSE_MAX and not spec.a_w
     with domain._ring_lock:
@@ -539,28 +538,28 @@ def _fixed_point(attraction, model, V, gamma_rule, max_iter, tol, finishes=None)
 def _contraction_bound(attraction, gamma, model, lo, hi, y, star):
     """Collatz-Wielandt bound on the Picard map's contraction over [lo, hi].
 
-    T(eta) = wp'(gamma + aM eta), aM = alpha M of the `_Attraction`
-    attraction, and star ("lo" or "hi") names the end of the interval
-    that is a fixed point v*.  Over the order interval lo <= eta <= hi
-    the argument at node i stays within gamma + (aM lo)_i - s_i ..
-    gamma + (aM hi)_i + s_i, s = N (hi - lo) with N the negative part of
-    aM, and wp'' there is at most r_i, its value at gamma_wr clipped
-    into that range (the fluid wp'' is unimodal in gamma with its peak
-    at gamma_wr).  So |T(a) - T(b)| <= B|a - b| with B = diag(r) |aM|,
-    and for every positive y, max_i (By)_i/y_i bounds the contraction of
-    T in the y-weighted sup norm (Varga, Matrix Iterative Analysis):
-    below 1, T has at most one fixed point in [lo, hi].  Where that
-    bound (`_perron_bound` from the given y) is not below 1, r gives way
-    to `_secant_slopes`, which is never larger: a second fixed point L
-    in [lo, hi] would have |L - v*| = |T(L) - T(v*)| <= diag(slopes)
-    |aM| |L - v*|, so the same bound below 1 with the secant slopes
-    rules it out.  The secant power steps go on from the vector the
-    first ones reached.  N and |aM| are only applied, through the
-    attraction, so a check forms no n x n array.  Returns the smallest
-    bound seen, or inf when an argument reaches the hard-sphere kink,
-    and the last y, from which a later call goes on.
+    T(eta) = wp'(gamma + alpha M eta), and star ("lo" or "hi") names the
+    end of the interval that is a fixed point v*.  Over lo <= eta <= hi
+    the argument at node i stays within gamma + (alpha M lo)_i - s_i ..
+    gamma + (alpha M hi)_i + s_i, s = N (hi - lo) with N the negative
+    part of alpha M, and wp'' there is at most r_i, its value at
+    gamma_wr clipped into that range (the fluid wp'' is unimodal in
+    gamma with its peak at gamma_wr).  So |T(a) - T(b)| <= B|a - b|
+    with B = diag(r) |alpha M|, and for every positive y, max_i
+    (By)_i/y_i bounds the contraction of T in the y-weighted sup norm
+    (Varga, Matrix Iterative Analysis): below 1, T has at most one fixed
+    point in [lo, hi].  Where that bound (`_perron_bound` from the given
+    y) is not below 1, r gives way to `_secant_slopes`, which is never
+    larger: a second fixed point L in [lo, hi] would have |L - v*| =
+    |T(L) - T(v*)| <= diag(slopes) |alpha M| |L - v*|, so the same bound
+    below 1 with the secant slopes rules it out.  The secant power steps
+    go on from the vector the first ones reached.  The `_Attraction`
+    attraction applies alpha M as Picard does, and N and |alpha M|, so a
+    check forms no n x n array.  Returns the smallest bound seen, or inf
+    when an argument reaches the hard-sphere kink, and the last y, from
+    which a later call goes on.
     """
-    ulo, uhi = attraction.aM @ lo, attraction.aM @ hi
+    ulo, uhi = attraction.apply(lo), attraction.apply(hi)
     spread = attraction.neg_apply(hi - lo)
     glo, ghi = gamma + ulo - spread, gamma + uhi + spread
     if model.mode == eos.MODE_HARD_SPHERE and np.max(ghi) >= model.gamma_fs:
@@ -576,10 +575,10 @@ def _contraction_bound(attraction, gamma, model, lo, hi, y, star):
 
 
 def _perron_bound(r, abs_apply, y):
-    """The smallest max_i (By)_i/y_i, B = diag(r) |aM|, along power steps from y.
+    """The smallest max_i (By)_i/y_i, B = diag(r) |alpha M|, along power steps from y.
 
-    abs_apply(y) is |aM| y.  Power steps y -> By/max(By) from a positive
-    y keep it positive (|aM| has a positive diagonal) and turn it toward
+    abs_apply(y) is |alpha M| y.  Power steps y -> By/max(By) from a positive
+    y keep it positive (|alpha M| has a positive diagonal) and turn it toward
     the Perron vector of B, where the bound is rho(B); they stop once
     the bound drops below 1, once min_i (By)_i/y_i reaches 1 (a lower
     bound on rho(B), so then no y gives a bound below 1), once y moves
@@ -637,23 +636,21 @@ def _finish_cost(n):
 
 
 class _Attraction:
-    """alpha M on one grid, as the solvers apply, form and factor it; one per consumer call.
+    """alpha M on one grid, as the solvers apply and solve it; one per consumer call.
 
-    M is `_self_ring`'s ring.  aM, the dense alpha M at any n, is formed
-    on first use and lives as long as the object, never on the domain;
-    so does the LU path's one Jacobian workspace, sized for the bordered
-    system at the first solve, so that later Newton steps allocate no n x n
-    array; `_eliminate` reads neither.  Every negative entry of aM lies in an
-    own-panel p x p block, where the kink split re-integrates a target's
-    row against its panel's Lagrange basis; off those blocks M is the
-    nonnegative ring of a nonnegative kernel.  So N, the negative part
-    of those blocks, held by its few entries, gives |aM| y = aM y + 2 N y
-    with no n x n |aM|.
+    M is `_self_ring`'s ring, applied as alpha (M @ x).  Only the LU path
+    reads `dense`, M assembled at any n, and writes -c alpha M into one
+    Jacobian workspace, sized for the bordered system at the first solve,
+    so later Newton steps allocate no n x n array.  Every negative entry
+    of M lies in an own-panel p x p block (the kink split; elsewhere M is
+    the ring of a nonnegative kernel), so N, the negative part of alpha
+    times those blocks, held by its few entries, gives |alpha M| y =
+    alpha M y + 2 N y with no n x n |alpha M|.
     """
 
     def __init__(self, spec, alpha, domain):
         self.spec, self.alpha, self.domain = spec, alpha, domain
-        self.finishable = domain.n <= _DENSE_MAX  # where Newton finishes may factor aM
+        self.finishable = domain.n <= _DENSE_MAX  # where Newton finishes may factor alpha M
         self.structured = domain.n >= _STRUCTURED_MIN and not (spec.a_w or spec.a_y and spec.a_n)
         self._work = None  # the LU path's Jacobian workspace, (n + 1)^2 values
 
@@ -662,50 +659,51 @@ class _Attraction:
         return _self_ring(self.spec, self.domain)
 
     @functools.cached_property
-    def aM(self):
-        return self.alpha * _self_ring(self.spec, self.domain, dense=True)
+    def dense(self):
+        return _self_ring(self.spec, self.domain, dense=True)
+
+    @functools.cached_property
+    def _own_blocks(self):  # the operator's split blocks, else the dense M's diagonal ones
+        return self.M._split if isinstance(self.M, RingOperator) else np.einsum(
+            "kikj->kij", self.M.reshape(self.domain.n // _PANEL, _PANEL, -1, _PANEL))
 
     @functools.cached_property
     def _structure(self):
         """`_eliminate`'s c-free parts: alpha C, G^-1 in and between panels, alpha 2 pi/t, w t."""
         dom, p, i = self.domain, self.domain.n // _PANEL, np.arange(_PANEL)
-        blocks = (self.M._blocks if isinstance(self.M, RingOperator) else self.M.reshape(
-            p, _PANEL, p, _PANEL)[np.arange(p), :, np.arange(p)] - _panel_green(self.spec, dom))
         diag, off = _green_inverse(self.spec, dom.nodes)
         inner = np.append(off, 0.0).reshape(p, _PANEL)  # 0 after the last panel
         tri = diag.reshape(p, _PANEL, 1) * np.eye(_PANEL)
         tri[:, i[:-1], i[1:]] = tri[:, i[1:], i[:-1]] = inner[:, :-1]
-        return (self.alpha * blocks, tri, inner[:, -1].tolist(), (self.alpha * 2.0 * math.pi
-                / dom.nodes).reshape(p, _PANEL, 1), (dom.weights * dom.nodes).reshape(p, -1, 1))
+        aC = self.alpha * (self._own_blocks - _panel_green(self.spec, dom))
+        post = (self.alpha * 2.0 * math.pi / dom.nodes).reshape(p, _PANEL, 1)
+        return aC, tri, inner[:, -1].tolist(), post, (dom.weights * dom.nodes).reshape(p, -1, 1)
 
     @functools.cached_property
     def _negative(self):
         """N's entries as (rows, columns, values), found in the own-panel blocks; None if none."""
-        p = self.domain.n // _PANEL
-        blocks = self.aM.reshape(p, _PANEL, p, _PANEL)[np.arange(p), :, np.arange(p)]
+        blocks = self.alpha * self._own_blocks
         k, i, j = np.nonzero(blocks < 0.0)
         return (k * _PANEL + i, k * _PANEL + j, -blocks[k, i, j]) if k.size else None
 
     def apply(self, V):
-        """alpha M V for an (n, k) block, each column with the bits of alpha (M @ v) alone."""
+        """alpha M V for a vector or an (n, k) block, each column with the bits of alpha (M @ v)."""
         # a dense M goes a column at a time: BLAS rounds a column by the block it is in
-        if isinstance(self.M, RingOperator) or V.shape[1] == 1:
+        if isinstance(self.M, RingOperator) or V.ndim == 1 or V.shape[1] == 1:
             return self.alpha * (self.M @ V)
         return self.alpha * np.column_stack([self.M @ V[:, j] for j in range(V.shape[1])])
 
     def neg_apply(self, y):
-        """N y for one vector y, N the negative part of aM."""
+        """N y for one vector y, N the negative part of alpha M."""
         if self._negative is None:
             return np.zeros_like(y)
         rows, cols, values = self._negative
         return np.bincount(rows, values * y[cols], minlength=y.size)
 
     def abs_apply(self, y):
-        """|aM| y = aM y + 2 N y for one vector y; aM y alone, to the bit, where N is zero."""
-        out = self.aM @ y
-        if self._negative is not None:
-            out += 2.0 * self.neg_apply(y)
-        return out
+        """|alpha M| y = alpha M y + 2 N y for one vector y; `apply`'s alpha M y where N is zero."""
+        out = self.apply(y)
+        return out if self._negative is None else out + 2.0 * self.neg_apply(y)
 
     def solve(self, c, b, border=None):
         """x with (I - diag(c) alpha M) x = b, bordered by the column -c and the mass row border.
@@ -725,10 +723,11 @@ class _Attraction:
         if self._work is None:
             self._work = np.empty((n + 1) ** 2)
         J = self._work[:m * m].reshape(m, m)
-        # -c_i aM_ij, each product rounded once, by einsum, which needs no ufunc
-        # buffer for the broadcast (a zero of aM gives +0, as eye - c aM does);
-        # then 1 + (-c aM) on the diagonal is 1 - c aM to the bit
-        np.einsum("i,ij->ij", -c, self.aM, out=J[:n, :n])
+        # -c_i fl(alpha M_ij), as eye - c (alpha M) rounds it, in one-panel ufunc buffers
+        with np.errstate():
+            np.setbufsize(_PANEL**2)
+            A = np.multiply(self.dense, self.alpha, out=J[:n, :n])
+            np.multiply(A, -c[:, None], out=A)
         J.reshape(-1)[:n * (m + 1):m + 1] += 1.0
         if border is not None:
             J[:n, n], J[n, :n], J[n, n] = -c, border, 0.0
@@ -1164,29 +1163,29 @@ def subsolution_launch(spec, alpha, gamma, domain, mu, sigma_grave):
 
 
 def _newton(attraction, gamma, model, v, tol, max_iter, callback=None, border=None):
-    """Damped Newton on F(eta) = eta - wp'(gamma + aM eta) from v, aM the attraction's.
+    """Damped Newton on F(eta) = eta - wp'(gamma + alpha M eta) from v, by the attraction.
 
-    The one loop behind `newton_solve` and the Newton finish.  With a
-    mass border (D, N), gamma is one more unknown, started from the
-    gamma given, and the mass D.eta = N, held as the mean fraction
-    D.eta/sum(D) = N/sum(D), one more equation: each step solves the
-    bordered system [[I - diag(wp'') aM, -wp''], [D^T/sum(D), 0]] of
-    size n + 1, the tangent system of the mass-constrained branch, and
-    the residual is the largest of |F| and the mean-fraction gap.
-    Returns (eta, aM eta, residual, steps, gamma).  A solve whose last
-    8 accepted steps together cut the residual by less than 1% has
-    stalled and raises RuntimeError; every failure names gamma and the
-    last residual.  callback, if given, receives (step, residual) at the
-    start and after every accepted step.
+    The one loop behind `newton_solve` and the Newton finish; it applies
+    alpha M as Picard does.  With a mass border (D, N), gamma is one
+    more unknown, started from the gamma given, and the mass D.eta = N,
+    held as the mean fraction D.eta/sum(D) = N/sum(D), one more
+    equation: each step solves the bordered system [[I - diag(wp'')
+    alpha M, -wp''], [D^T/sum(D), 0]] of size n + 1, the tangent system
+    of the mass-constrained branch, and the residual is the largest of
+    |F| and the mean-fraction gap.  Returns (eta, alpha M eta, residual,
+    steps, gamma).  A solve whose last 8 accepted steps together cut the
+    residual by less than 1% has stalled and raises RuntimeError; every
+    failure names gamma and the last residual.  callback, if given,
+    receives (step, residual) at the start and after every accepted step.
     """
-    n, aM, w = v.size, attraction.aM, None
+    n, w = v.size, None
     if border is not None:
         D, N = border
         w, mean = D / np.sum(D), N / np.sum(D)
 
     def resid(x):
         vec, g = (x[:n], x[n]) if border is not None else (x, gamma)
-        u = aM @ vec
+        u = attraction.apply(vec)
         eta = np.asarray(model.wp_prime(g + u))
         F = vec - eta
         return (F if border is None else np.append(F, w @ vec - mean)), u, eta
@@ -1242,12 +1241,13 @@ def newton_solve(spec, alpha, gamma, eta0, model=eos.EosModel()):
 
     The Jacobian I - diag(wp'') alpha M is solved by `_Attraction`, through
     G^-1 from 128 nodes for a Yukawa or a Newton kernel, else by LU; the
-    residuals apply the dense alpha M.  Its wp'' is read off the profile
-    the residual has just inverted, with no second inversion.  Unlike
-    Picard this also reaches iteration-unstable solutions, at quadratic
-    rate near any root.  A solve whose last 8 accepted steps together cut
-    the residual by less than 1% has stalled and raises RuntimeError;
-    every failure names gamma and the last residual.
+    residuals apply alpha M as Picard does, so above 512 nodes such a
+    kernel forms no n x n array.  Its wp'' is read off the profile the
+    residual has just inverted.  Unlike Picard this also reaches
+    iteration-unstable solutions, at quadratic rate near any root.  A
+    solve whose last 8 accepted steps together cut the residual by less
+    than 1% has stalled and raises RuntimeError; every failure names
+    gamma and the last residual.
     """
     v, u, norm, steps, _ = _newton(_Attraction(spec, alpha, eta0.domain), gamma, model,
                                    eta0.values.copy(), _NEWTON_TOL, _NEWTON_STEPS)

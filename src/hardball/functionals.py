@@ -207,7 +207,7 @@ def functional_values(spec, alpha, gamma, fld, model=eos.EosModel()):
 def _ring_volume_metric(spec, alpha, domain):
     """T = D^(-1/2) sym(D alpha M) D^(-1/2): int sigma alpha(-V*sigma) in the volume metric."""
     D = volume_weights(domain)
-    DA = D[:, None] * field_mod._Attraction(spec, alpha, domain).aM
+    DA = D[:, None] * (alpha * field_mod._Attraction(spec, alpha, domain).dense)
     d = 1.0 / np.sqrt(D)
     return d[:, None] * (0.5 * (DA + DA.T)) * d
 

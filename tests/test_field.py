@@ -347,7 +347,7 @@ class TestRingSign:
     @pytest.mark.parametrize("spec,R,n,ratio", GRIDS)
     def test_abs_apply_equals_the_formed_absolute_value(self, spec, R, n, ratio):
         attraction = field._Attraction(spec, self.ALPHA, field.make_domain(R, n=n))
-        aM = attraction.aM
+        aM = self.ALPHA * attraction.dense
         y = np.random.default_rng(n).uniform(0.1, 1.0, n)
         want = np.abs(aM) @ y
         assert np.max(np.abs(attraction.abs_apply(y) - want)) <= 1e-14 * np.max(want)
@@ -356,11 +356,13 @@ class TestRingSign:
         assert negative.max() > 0.0
 
     def test_abs_apply_is_bit_equal_on_the_grand_r30_grid(self, dom30):
-        # M has no negative entry at R=30, n=256, so |alpha M| y is alpha M y
+        # M has no negative entry at R=30, n=256, so |alpha M| y is alpha M y,
+        # applied as Picard applies it: alpha (M @ y)
         attraction = field._Attraction(SPEC_Y, self.ALPHA, dom30)
-        assert attraction.aM.min() >= 0.0
+        M = attraction.dense
+        assert M.min() >= 0.0
         for y in (np.ones(dom30.n), np.random.default_rng(5).uniform(0.1, 1.0, dom30.n)):
-            assert np.array_equal(attraction.abs_apply(y), np.abs(attraction.aM) @ y)
+            assert np.array_equal(attraction.abs_apply(y), self.ALPHA * (M @ y))
             assert not attraction.neg_apply(y).any()
 
     def test_contraction_bound_forms_no_matrix(self):
@@ -1008,13 +1010,13 @@ def dom30():
 
 
 class TestAttraction:
-    """`field._Attraction`, the one place where alpha M is formed and factored."""
+    """`field._Attraction`, the one place where alpha M is applied and solved."""
 
     ALPHA = 31.0 / kernels.l1_norm_r3(SPEC_Y)
     EXT = eos.EosModel(mode=eos.MODE_CS_EXTENDED)
 
     def _system(self, n):
-        """The attraction, its alpha M formed as the consumers formed it, and a wp''."""
+        """The attraction, alpha times its dense ring as the consumers formed it, and a wp''."""
         dom = field.make_domain(15.0, n=n)
         attraction = field._Attraction(SPEC_Y, self.ALPHA, dom)
         aM = self.ALPHA * field._self_ring(SPEC_Y, dom, dense=True)
@@ -1034,7 +1036,7 @@ class TestAttraction:
             self._assert_backward_error(A, x, c)
             assert attraction._work is None
         else:
-            assert np.array_equal(attraction.aM, aM)
+            assert np.array_equal(self.ALPHA * attraction.dense, aM)
             assert np.array_equal(x, np.linalg.solve(A, c))
 
     @pytest.mark.parametrize("n", [64, 256])
@@ -1130,7 +1132,7 @@ class TestAttraction:
         # LU at n=64 writes into the workspace the first solve sized for the
         # bordered system, and G^-1 elimination at n=1024 needs none: a second
         # plain and a second bordered solve trace less than a tenth of one n x n
-        # array, and above the gate no dense alpha M is formed at all
+        # array, and above the gate no dense ring is formed at all
         dom = field.make_domain(15.0, n=n)
         attraction = field._Attraction(SPEC_Y, self.ALPHA, dom)
         v = field.minimal_solution(SPEC_Y, self.ALPHA, -4.6, dom, model=self.EXT).field.values
@@ -1147,7 +1149,7 @@ class TestAttraction:
             tracemalloc.stop()
         assert peak < 0.1 * n**2 * 8
         assert attraction.structured is (n == 1024)
-        assert ("aM" in vars(attraction)) is (n == 64)
+        assert ((SPEC_Y, False) in dom._rings) is (n == 64)
 
     def test_workspace_keeps_no_border_between_solves(self):
         # a plain solve after a bordered one, and a bordered one after a
@@ -1174,16 +1176,18 @@ class TestAttraction:
             want = self.ALPHA * (field._self_ring(SPEC_Y, dom) @ V[:, j])
             assert np.array_equal(got[:, j], want)
 
-    def test_dense_alpha_m_is_formed_on_first_use_only(self):
+    def test_dense_ring_is_formed_on_first_use_only(self):
         # above the gate the iteration applies the structured operator, and
-        # no n x n matrix exists until aM is asked for; then it is formed once
+        # no n x n matrix exists until the dense ring is asked for; then it
+        # is formed once, unscaled, and cached on the domain
         dom = field.make_domain(4.0, n=1024)
         attraction = field._Attraction(SPEC_Y, self.ALPHA, dom)
         attraction.apply(np.full((dom.n, 1), 0.1))
         assert isinstance(attraction.M, field.RingOperator)
-        assert list(dom._rings) == [(SPEC_Y, True)] and "aM" not in vars(attraction)
-        assert attraction.aM is attraction.aM
-        assert attraction.aM.shape == (dom.n, dom.n)
+        assert list(dom._rings) == [(SPEC_Y, True)]
+        assert attraction.dense is attraction.dense
+        assert attraction.dense.shape == (dom.n, dom.n)
+        assert list(dom._rings) == [(SPEC_Y, True), (SPEC_Y, False)]
 
     def test_newton_finishes_stop_at_the_dense_gate(self):
         for n, finishable in ((field._DENSE_MAX, True), (field._DENSE_MAX + 8, False)):
@@ -1316,7 +1320,7 @@ class TestNewtonFinish:
         dom, spec, alpha, gamma, small, large, middle = ball_triple
         finish = field._NewtonFinish(field._Attraction(spec, alpha, dom), self.EXT)
         finish.tried, finish.checked = True, 1.0
-        finish.limit = (middle, finish.attraction.aM @ middle, 0.0, 0, gamma)
+        finish.limit = (middle, finish.attraction.apply(middle), 0.0, 0, gamma)
         assert finish(10, large, gamma, 1e-3, "down") is None
         assert finish.limit is not None  # on the right side, so kept for re-checks
 
@@ -1327,7 +1331,7 @@ class TestNewtonFinish:
         dom, spec, alpha, gamma, small, large, middle = ball_triple
         finish = field._NewtonFinish(field._Attraction(spec, alpha, dom), self.EXT, tol=1e-10)
         finish.tried, finish.checked = True, 1.0
-        finish.limit = (middle, finish.attraction.aM @ middle, 0.0, 0, gamma)
+        finish.limit = (middle, finish.attraction.apply(middle), 0.0, 0, gamma)
         calls = []
         monkeypatch.setattr(field, "_newton", lambda *args: calls.append("newton"))
         monkeypatch.setattr(field, "_contraction_bound", lambda *args: calls.append("bound"))
@@ -1379,7 +1383,7 @@ class TestSecantCertificate:
     def test_petit_grid_check_passes_on_the_secant_slopes(self, petit_grid_check):
         _, report, checks = petit_grid_check
         [((attraction, gamma, model, lo, hi, y, star), (bound, _))] = checks
-        aM = attraction.aM
+        aM = attraction.alpha * attraction.dense
         assert (star, report.monotone_direction) == ("lo", "down")
         spread, glo, ghi, xs, r = self._ranges(aM, gamma, model, lo, hi, star)
         assert spread.max() > 0.0  # the range reaches below v*'s argument too
@@ -1391,7 +1395,8 @@ class TestSecantCertificate:
         # difference of two wp' values over its width
         _, _, checks = petit_grid_check
         [((attraction, gamma, model, lo, hi, _, star), _)] = checks
-        _, glo, ghi, xs, r = self._ranges(attraction.aM, gamma, model, lo, hi, star)
+        _, glo, ghi, xs, r = self._ranges(attraction.alpha * attraction.dense, gamma, model,
+                                          lo, hi, star)
         slopes = field._secant_slopes(model, xs, glo, ghi, r)
         assert np.all(slopes <= r) and np.any(slopes < r)
         base = np.asarray(model.wp_prime(xs))[:, None]
@@ -1427,7 +1432,7 @@ class TestSecantCertificate:
             patch.setattr(field, "_contraction_bound", spy)
             field.maximal_solution(SPEC_Y, self.ALPHA, -4.88, dom30, model=self.EXT)
         attraction, gamma, model, lo, hi, _, star = checks[0]
-        aM = attraction.aM
+        aM = attraction.alpha * attraction.dense
         _, glo, ghi, xs, r = self._ranges(aM, gamma, model, lo, hi, star)
         slopes = field._secant_slopes(model, xs, glo, ghi, r)
         assert np.all(slopes <= r) and np.any(slopes < r)
@@ -1454,6 +1459,31 @@ class TestSecantCertificate:
         for name in ("residual", "monotone_direction", "branch_label", "certified_fluid",
                      "certification"):
             assert getattr(report, name) == getattr(peak_only, name), name
+
+    @pytest.mark.parametrize("R,n,gamma", [(30.0, 256, -4.88), (30.0, 256, -4.7),
+                                           (15.0, 64, -4.7)])
+    def test_finished_residual_is_picards_product(self, R, n, gamma, monkeypatch):
+        # grand-r30's low bracket end, and two launches where a residual taken
+        # with a separately rounded alpha M reads 1-2 ulp off: the certified
+        # finish reports max|wp'(gamma + alpha (M @ eta)) - eta| at its profile,
+        # recomputed with Picard's product, bit for bit, as the plain launch does
+        dom = field.make_domain(R, n=n)
+        M = field._self_ring(SPEC_Y, dom)
+
+        def launch():
+            return field.maximal_solution(SPEC_Y, self.ALPHA, gamma, dom, model=self.EXT)
+
+        def residual(report):
+            eta = report.field.values
+            u = self.ALPHA * (M @ eta)
+            return float(np.max(np.abs(np.asarray(self.EXT.wp_prime(gamma + u)) - eta)))
+
+        finished = launch()
+        monkeypatch.setattr(field._NewtonFinish, "__call__", lambda self, *args: None)
+        plain = launch()
+        assert finished.iterations < plain.iterations  # the finish fired
+        for report in (finished, plain):
+            assert report.residual == residual(report)
 
 
 class TestFinishCost:

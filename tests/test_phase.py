@@ -974,14 +974,14 @@ class TestPetitTransition:
 
 
 def test_mass_slope_forms_one_matrix():
-    # I - diag(c) alpha M is never formed as eye(n) - c aM: on top of the
-    # attraction's alpha M, formed before the trace, one slope at n=512
-    # holds at most one n x n array (the LU path's workspace; this Yukawa
-    # slope is eliminated through G^-1 and holds none), where it held two
+    # I - diag(c) alpha M is never formed as eye(n) - c alpha M: on top of
+    # the attraction's dense ring, formed before the trace, one slope at
+    # n=512 holds at most one n x n array (the LU path's workspace; this
+    # Yukawa slope is eliminated through G^-1 and holds none), where it held two
     n = 512
     dom = field.make_domain(30.0, n=n)
     attraction = field._Attraction(SPEC_Y, ALPHA_31, dom)
-    assert attraction.aM.shape == (n, n)
+    assert attraction.dense.shape == (n, n)
     v, D = np.linspace(0.01, 0.3, n), functionals.volume_weights(dom)
     tracemalloc.start()
     try:
@@ -1017,6 +1017,27 @@ def test_mass_match_forms_no_dense_matrix_above_the_gate(monkeypatch):
         tracemalloc.stop()
     assert slopes and all(slopes)
     assert abs(point.functionals.N - N) <= 1e-9  # the mass rule, 1e-9 max(1, N)
+    assert peak < n * n * 8
+
+
+def test_newton_solve_forms_no_dense_matrix_above_the_gate():
+    # a unit-Yukawa Newton solve at n=1024 from the middle uniform root:
+    # its residuals apply alpha M by the ring operator, built before the
+    # trace, and its steps are eliminated through G^-1, so the whole solve
+    # traces less than one n x n array
+    n, gamma = 1024, -18.0
+    dom = field.make_domain(0.5, n=n)
+    assert isinstance(field._self_ring(SPEC_Y, dom), field.RingOperator)
+    roots = uniform.solve_uniform(100.0 * PHI_Y_HALF, gamma).roots
+    assert len(roots) == 3
+    tracemalloc.start()
+    try:
+        middle = field.newton_solve(SPEC_Y, 100.0, gamma, field.constant_field(dom, roots[1]),
+                                    model=EXT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert middle.residual < 1e-12
     assert peak < n * n * 8
 
 

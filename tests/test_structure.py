@@ -1,9 +1,13 @@
 """Structural checks on the package source: one home for alpha M.
 
-alpha M is formed densely, and I - diag(c) alpha M factored, only in
-`field._Attraction`, and only field.py reads the dense gate
-`_DENSE_MAX`.  The source is read with `ast`, so docstrings and
-comments do not count.
+alpha M is applied as alpha (M @ x), and I - diag(c) alpha M factored,
+only in `field._Attraction`, which alone asks for the dense ring.  No
+module defines or reads an `aM`, and the dense ring is read, and
+multiplied by alpha, only where the LU path writes its Jacobian
+workspace and where `functionals._ring_volume_metric` forms the volume
+metric, so no scaled n x n copy of the ring is kept.  Only field.py
+reads the dense gate `_DENSE_MAX`.  The source is read with `ast`, so
+docstrings and comments do not count.
 """
 
 import ast
@@ -21,24 +25,74 @@ def _dotted(node):
     return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
 
 
+def _is_dense(node):
+    """Whether node reads the dense ring: an attribute `.dense` or a dense=True request."""
+    return (isinstance(node, ast.Attribute) and node.attr == "dense") or (
+        isinstance(node, ast.Call) and any(
+            k.arg == "dense" and isinstance(k.value, ast.Constant) and k.value.value is True
+            for k in node.keywords))
+
+
+def _is_alpha(node):
+    return (isinstance(node, ast.Name) and node.id == "alpha") or (
+        isinstance(node, ast.Attribute) and node.attr == "alpha")
+
+
 class _Finder(ast.NodeVisitor):
-    """Where, by enclosing class, the package solves linear systems and asks for dense M."""
+    """Where the package solves linear systems, asks for, reads and scales dense M, and uses aM.
+
+    solves and dense record the enclosing class; reads, scaled and am the
+    enclosing qualified name, such as "_Attraction.solve".
+    """
 
     def __init__(self):
-        self.classes, self.solves, self.dense = [], [], []
+        self.classes, self.scope = [], []
+        self.solves, self.dense, self.reads, self.scaled, self.am = [], [], [], [], []
+
+    def _where(self):
+        return ".".join(self.scope) or None
 
     def visit_ClassDef(self, node):
         self.classes.append(node.name)
+        self.scope.append(node.name)
         self.generic_visit(node)
+        self.scope.pop()
         self.classes.pop()
+
+    def visit_FunctionDef(self, node):
+        if node.name == "aM":
+            self.am.append(self._where())
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Name(self, node):
+        if node.id == "aM":
+            self.am.append(self._where())
+
+    def visit_Attribute(self, node):
+        if node.attr == "aM":
+            self.am.append(self._where())
+        if node.attr == "dense":
+            self.reads.append(self._where())
+        self.generic_visit(node)
+
+    def visit_BinOp(self, node):
+        if isinstance(node.op, ast.Mult) and any(
+                _is_dense(a) and _is_alpha(b)
+                for a, b in ((node.left, node.right), (node.right, node.left))):
+            self.scaled.append(self._where())
+        self.generic_visit(node)
 
     def visit_Call(self, node):
         where = self.classes[-1] if self.classes else None
         if _dotted(node.func).endswith("linalg.solve"):
             self.solves.append(where)
-        if any(k.arg == "dense" and isinstance(k.value, ast.Constant) and k.value.value is True
-               for k in node.keywords):
+        if _is_dense(node):
             self.dense.append(where)
+        if _dotted(node.func).endswith("multiply") and any(map(_is_dense, node.args)) and any(
+                map(_is_alpha, node.args)):
+            self.scaled.append(self._where())
         self.generic_visit(node)
 
 
@@ -59,6 +113,19 @@ def test_one_linear_solve_inside_the_attraction():
 def test_one_dense_ring_request_inside_the_attraction():
     dense = [(name, where) for name, f in _scan().items() for where in f.dense]
     assert dense == [("field.py", "_Attraction")]
+
+
+def test_no_module_defines_or_reads_an_aM():
+    am = [(name, where) for name, f in _scan().items() for where in f.am]
+    assert am == []
+
+
+def test_dense_ring_is_read_and_scaled_by_alpha_in_two_places_only():
+    found = _scan()
+    scaled = [(name, where) for name, f in found.items() for where in f.scaled]
+    assert scaled == [("field.py", "_Attraction.solve"),
+                      ("functionals.py", "_ring_volume_metric")]
+    assert {(name, where) for name, f in found.items() for where in f.reads} == set(scaled)
 
 
 def test_only_field_reads_the_dense_gate():
