@@ -215,6 +215,10 @@ def _header(cfg, command):
 
 
 def _fmt(value):
+    if type(value) is float:  # the profile columns, handed over by .tolist()
+        return repr(value)
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -225,13 +229,9 @@ def _fmt(value):
 def _write_csv(cfg, command, name, columns, rows):
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, name)
+    lines = [",".join(columns)] + [",".join(map(_fmt, row)) for row in rows]
     with open(path, "w", newline="\n") as handle:
-        handle.write(_header(cfg, command))
-        handle.write(",".join(columns) + "\n")
-        for row in rows:
-            handle.write(",".join(
-                item if isinstance(item, str) else _fmt(item)
-                for item in row) + "\n")
+        handle.write(_header(cfg, command) + "\n".join(lines) + "\n")
     return path
 
 
@@ -327,8 +327,7 @@ def cmd_solve(cfg):
             rows)]
 
     [(lo, hi)] = pairs
-    rows = [(r, a, b) for r, a, b in
-            zip(domain.nodes, lo.field.values, hi.field.values)]
+    rows = list(zip(domain.nodes.tolist(), lo.field.values.tolist(), hi.field.values.tolist()))
     return [_write_csv(cfg, "solve", "solve_profile.csv",
                        ("r", "eta_minimal", "eta_maximal"), rows)]
 
@@ -402,7 +401,7 @@ def cmd_transition(cfg):
                ("delta_N", result.liquid.functionals.N
                 - result.gas.functionals.N)]
     summary += [(name, getattr(result, name)) for name in quantities]
-    profile_cols, profile_data = ["r"], [domain.nodes]
+    profile_cols, profile_data = ["r"], [domain.nodes.tolist()]
     for label in labels:
         point = getattr(result, label)
         summary += [(f"gamma_{label}", point.gamma),
@@ -410,7 +409,7 @@ def cmd_transition(cfg):
                     (f"P_{label}", point.functionals.P),
                     (f"F_{label}", point.functionals.F)]
         profile_cols.append(f"eta_{label}")
-        profile_data.append(point.solution.field.values)
+        profile_data.append(point.solution.field.values.tolist())
 
     paths = [_write_csv(cfg, "transition", "transition_summary.csv",
                         ("quantity", "value"), summary)]
@@ -438,7 +437,7 @@ def cmd_spectral(cfg):
                         ("quantity", "value"), rows)]
     paths.append(_write_csv(
         cfg, "spectral", "spectral_eigenfield.csv", ("r", "xi"),
-        list(zip(domain.nodes, report.eigenfield))))
+        list(zip(domain.nodes.tolist(), report.eigenfield.tolist()))))
     return paths
 
 

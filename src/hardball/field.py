@@ -97,6 +97,7 @@ _STRUCTURED_MIN, _REFINE = 128, 1e-13  # G^-1 elimination: from 128 nodes; refin
 _SEGMENT = 500.0  # kappa-length of one segment of RingOperator's discounted sums
 _POWER_STEPS, _POWER_MOVED = 100, 1e-10  # power steps per contraction bound, at most
 _PANEL = 8  # Gauss-Legendre nodes per panel of every grid
+_GAUSS = np.polynomial.legendre.leggauss(_PANEL)  # the panels' rule on [-1, 1]
 
 
 @dataclass(eq=False)
@@ -124,7 +125,7 @@ class RadialDomain:
             raise ValueError(f"R must be positive and finite, got {self.R!r}")
         if self.n <= 0 or self.n % _PANEL:
             raise ValueError(f"n must be a positive multiple of {_PANEL}")
-        x, w = np.polynomial.legendre.leggauss(_PANEL)
+        x, w = _GAUSS
         self.edges = np.linspace(0.0, self.R, self.n // _PANEL + 1)
         half = 0.5 * (self.edges[1:] - self.edges[:-1])
         mid = 0.5 * (self.edges[1:] + self.edges[:-1])
@@ -205,11 +206,12 @@ def _ring_matrix(spec, domain, targets):
     prim(|t-s|) has a kink at s = t whenever the kernel has a nonzero
     contact value s(-V(s)) at s = 0+, so the panel containing an interior
     target is re-integrated in two smooth halves against the panel's own
-    Lagrange basis, evaluated in barycentric form.  A zero target radius
-    uses the limit row 4 pi int s^2 (-V(s)) eta(s) ds instead of the 2pi/t
-    reduction.  Both the dense rows and the panel split are assembled a
-    block of rows at a time, so the temporaries of the elementwise
-    expressions stay block-sized.
+    Lagrange basis: `_own_split` where the targets are the domain's own
+    nodes (the self ring), `_panel_split` for any other radii.  A zero
+    target radius uses the limit row 4 pi int s^2 (-V(s)) eta(s) ds
+    instead of the 2pi/t reduction.  The dense rows are assembled a block
+    of rows at a time, so the temporaries of the elementwise expressions
+    stay block-sized.
     """
     t = np.asarray(targets, dtype=float)
     s = domain.nodes
@@ -228,59 +230,92 @@ def _ring_matrix(spec, domain, targets):
     if np.any(~pos):
         M[~pos] = 4.0 * math.pi * w * s**2 * (-kernels.kernel_eval(spec, s))
 
+    if t.shape == s.shape and np.array_equal(t, s):  # the self ring
+        k = s.size // _PANEL
+        M.reshape(k, _PANEL, k, _PANEL)[np.arange(k), :, np.arange(k)] = _own_split(spec, domain)
+        return M
     for block, kb, vals in _panel_split(spec, domain, t):
         M[block[:, None], kb[:, None] * _PANEL + np.arange(_PANEL)] = vals
     return M
 
 
+def _lagrange(nodes, points):
+    """The Lagrange basis of nodes (..., p) at points (..., q), (..., q, p), in barycentric form;
+    a point on a node (to 1e-300) takes that node's unit row."""
+    gap = nodes[..., :, None] - nodes[..., None, :]
+    gap[..., np.arange(_PANEL), np.arange(_PANEL)] = 1.0
+    diff = points[..., None] - nodes[..., None, :]
+    exact = np.abs(diff) <= 1e-300
+    terms = (1.0 / np.prod(gap, axis=-1))[..., None, :] / np.where(exact, 1.0, diff)
+    basis = terms / terms.sum(axis=-1, keepdims=True)
+    hit = exact.any(axis=-1)
+    basis[hit] = exact[hit]
+    return basis
+
+
+# `_own_split`'s constant, (p, 2p, p): the Lagrange basis of the reference nodes x at the Gauss
+# points of [-1, x_i] and [x_i, 1], the two halves of a panel split at its node i
+_SPLIT_BASIS = _lagrange(_GAUSS[0], np.concatenate((
+    0.5 * (_GAUSS[0][:, None] - 1.0) + 0.5 * (_GAUSS[0][:, None] + 1.0) * _GAUSS[0],
+    0.5 * (1.0 + _GAUSS[0][:, None]) + 0.5 * (1.0 - _GAUSS[0][:, None]) * _GAUSS[0]), axis=1))
+
+
+def _halves(spec, t, a, b):
+    """Gauss points x of [a, t] and [t, b], (..., 2, p), and w x [prim(t + x) - prim(|t - x|)]
+    there, for t, a and b of one shape (..., 1, 1)."""
+    lo, hi = np.concatenate((a, t), axis=-2), np.concatenate((t, b), axis=-2)
+    xs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GAUSS[0]
+    ring = kernels.ring_primitive(spec, t + xs) - kernels.ring_primitive(spec, np.abs(t - xs))
+    return xs, 0.5 * (hi - lo) * _GAUSS[1] * xs * ring
+
+
+def _own_split(spec, domain):
+    """Each panel's p x p block of the self ring, split at every target's kink, (n/p, p, p).
+
+    Every target is a node x_i of its own panel, so the Lagrange basis at the Gauss points
+    of its two halves is `_SPLIT_BASIS` in reference coordinates, the same for every panel of
+    every grid: each block is one contraction of the halves' weighted ring values with it.
+    """
+    t = domain.nodes.reshape(-1, _PANEL, 1, 1)
+    a, b = (np.broadcast_to(e[:, None, None, None], t.shape) for e in (domain.edges[:-1],
+                                                                        domain.edges[1:]))
+    f = _halves(spec, t, a, b)[1].reshape(-1, _PANEL, 2 * _PANEL)
+    rows = np.matmul(f.transpose(1, 0, 2), _SPLIT_BASIS).transpose(1, 0, 2)
+    return (2.0 * math.pi / t[..., 0]) * rows
+
+
 def _panel_split(spec, domain, t):
-    """The re-integrated panel rows of `_ring_matrix`, a block of targets at a time.
+    """The re-integrated panel rows of `_ring_matrix` at radii off the nodes, a block at a time.
 
     Yields (rows, panels, values): the targets among t strictly inside a
     panel, the index of that panel, and each target's row over the
-    panel's own nodes, split at the target's kink.
+    panel's own nodes, split at the target's kink, with the Lagrange
+    basis of the panel's nodes at each target's own Gauss points.  The
+    self ring's targets take `_own_split` instead.
     """
-    s = domain.nodes
     edges = domain.edges
-    pn = s.reshape(-1, _PANEL)  # the nodes of each panel
-    xg, wg = np.polynomial.legendre.leggauss(_PANEL)
-    gap = pn[:, :, None] - pn[:, None, :]
-    gap[:, np.arange(_PANEL), np.arange(_PANEL)] = 1.0
-    bw = 1.0 / np.prod(gap, axis=2)  # barycentric weights of each panel
+    pn = domain.nodes.reshape(-1, _PANEL)  # the nodes of each panel
     k = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, edges.size - 2)
     rows = np.flatnonzero((edges[k] < t) & (t < edges[k + 1]))
     for start in range(0, rows.size, _ASSEMBLY_ROWS):
         block = rows[start:start + _ASSEMBLY_ROWS]
         kb = k[block]
-        tb = t[block][:, None, None]
-        a, b = edges[kb][:, None, None], edges[kb + 1][:, None, None]
-        lo = np.concatenate((a, tb), axis=1)  # (T, 2, 1): the two halves
-        hi = np.concatenate((tb, b), axis=1)
-        xs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xg  # (T, 2, p) Gauss points
-        ws = 0.5 * (hi - lo) * wg
-        ring = kernels.ring_primitive(spec, tb + xs) - kernels.ring_primitive(
-            spec, np.abs(tb - xs)
-        )
-        # Lagrange basis of the target's panel at every Gauss point, (T, 2, p, p)
-        diff = xs[..., None] - pn[kb][:, None, None, :]
-        exact = np.abs(diff) <= 1e-300
-        terms = bw[kb][:, None, None, :] / np.where(exact, 1.0, diff)
-        basis = terms / terms.sum(axis=3, keepdims=True)
-        hit = exact.any(axis=3)
-        basis[hit] = exact[hit]
-        row = np.einsum("tqi,tqij->tj", ws * xs * ring, basis)
+        xs, f = _halves(spec, t[block][:, None, None], edges[kb][:, None, None],
+                        edges[kb + 1][:, None, None])
+        row = np.einsum("tqi,tqij->tj", f, _lagrange(pn[kb][:, None, :], xs))
         yield block, kb, (2.0 * math.pi / t[block])[:, None] * row
 
 
 class _Discount:
-    """S_i = sum over j <= i of e^(x_j - x_i) Y_j along increasing x, in O(n).
+    """out_i += f_i S_i, S_i = sum over j <= i of e^(x_j - x_i) g_j Z_j along increasing x, in O(n).
 
-    One cumulative sum per segment of x-length at most _SEGMENT, its
-    terms scaled from the segment's first node, so no exponential
-    overflows; each segment's total is carried into the next.
+    One cumulative sum per segment of x-length at most _SEGMENT, f and g
+    folded with the exponentials scaled from the segment's first node,
+    so no exponential overflows; each segment's total is carried into
+    the next.
     """
 
-    def __init__(self, x):
+    def __init__(self, x, f, g):
         starts = [0]
         while True:
             nxt = int(np.searchsorted(x, x[starts[-1]] + _SEGMENT, side="right"))
@@ -288,19 +323,19 @@ class _Discount:
                 break
             starts.append(nxt)
         ref = np.repeat(x[starts], np.diff(starts + [x.size]))
-        self.grow, self.decay = np.exp(x - ref)[:, None], np.exp(ref - x)[:, None]
+        self.f, self.g = (f * np.exp(ref - x))[:, None], (g * np.exp(x - ref))[:, None]
         self.hops = np.exp(x[starts[:-1]] - x[starts[1:]])
         self.bounds = list(zip(starts, starts[1:] + [x.size]))
 
-    def __call__(self, Y):
-        out = np.empty_like(Y)
+    def __call__(self, out, Z):
         for k, (a, b) in enumerate(self.bounds):
-            c = np.cumsum(self.grow[a:b] * Y[a:b], axis=0)
+            c = self.g[a:b] * Z[a:b]
             if k:
-                c += self.hops[k - 1] * carry
-            out[a:b] = self.decay[a:b] * c
-            carry = c[-1]
-        return out
+                c[0] += self.hops[k - 1] * carry
+            np.cumsum(c, axis=0, out=c)
+            carry = c[-1].copy()
+            c *= self.f[a:b]
+            out[a:b] += c
 
 
 def _panel_green(spec, domain):
@@ -337,12 +372,15 @@ class RingOperator:
 
     Off the panel split, entry (i, j) of `_ring_matrix` is (2 pi/t_i)
     w_j s_j G(t_i, s_j), with the radial Green's function G(t, s) =
-    (2 a_y/kappa) e^(-kappa max) sinh(kappa min) + 2 a_n min, rank one in
-    each triangle.  So M = diag(2 pi/t) G diag(w s) + C, and G is applied
-    by cumulative sums: e^(-kappa max) sinh(kappa min) = e^(-kappa |t -
-    s|) h(min), h(x) = (1 - e^(-2 kappa x))/2, the discounted sums running
-    in segments (`_Discount`).  C is block diagonal: each panel's split
-    block of `_ring_matrix`, kept, minus the same formula on it.  `@`
+    (2 a_y/kappa) e^(-kappa max) sinh(kappa min) + 2 a_n min, a sum of
+    rank-one terms A e^(x(min) - x(max)) h(min) in each triangle: Yukawa
+    with x = kappa t, h(t) = (1 - e^(-2 kappa t))/2, Newton with x = 0,
+    h(t) = t.  So M = diag(2 pi/t) G diag(w s) + C, and each term is
+    applied by two discounted cumulative sums (`_Discount`), one up over
+    j <= i and one down over j >= i, with 2 pi/t, w t, A and h folded
+    into their factor vectors at build time, for M and for M^T.  C is
+    block diagonal: each panel's split block (`_own_split`, kept), minus
+    the same formula on it and the diagonal both sums count.  `@`
     applies M to a vector or to the columns of an (n, k) array, and T is
     the transposed operator (G is symmetric).
     """
@@ -350,45 +388,37 @@ class RingOperator:
     def __init__(self, spec, domain):
         t = domain.nodes
         self.shape = (t.size, t.size)
-        self._post, self._pre = (2.0 * math.pi / t)[:, None], (domain.weights * t)[:, None]
-        self._t, self._a_n = t[:, None], 2.0 * spec.a_n
-        self._a_y = 2.0 * spec.a_y / spec.kappa
+        post, pre = 2.0 * math.pi / t, domain.weights * t
+        terms = []  # (A, x, h) of each rank-one term of G
         if spec.a_y:
             x = spec.kappa * t
-            self._h = (-0.5 * np.expm1(-2.0 * x))[:, None]
-            self._up = _Discount(x)
-            self._down = _Discount(-x[::-1])
-            self._step = np.exp(x[:-1] - x[1:])[:, None]
-        self._split = np.empty((t.size // _PANEL, _PANEL, _PANEL))
-        for block, _, vals in _panel_split(spec, domain, t):
-            self._split.reshape(t.size, _PANEL)[block] = vals
+            terms.append((2.0 * spec.a_y / spec.kappa, x, -0.5 * np.expm1(-2.0 * x)))
+        if spec.a_n:
+            terms.append((2.0 * spec.a_n, np.zeros_like(t), t))
+        self._sums, self._sums_T = ([(_Discount(x, A * f, h * g),
+                                      _Discount(-x[::-1], (A * h * f)[::-1], g[::-1]))
+                                     for A, x, h in terms] for f, g in ((post, pre), (pre, post)))
+        self._split = _own_split(spec, domain)
         self._blocks = self._split - _panel_green(spec, domain)
+        twice = post * pre * sum(A * h for A, _, h in terms)  # G's diagonal, in both sums
+        self._blocks.reshape(-1, _PANEL**2)[:, ::_PANEL + 1] -= twice.reshape(-1, _PANEL)
 
     @property
     def T(self):
         op = copy.copy(self)
-        op._post, op._pre = self._pre, self._post
+        op._sums, op._sums_T = self._sums_T, self._sums
         op._split, op._blocks = self._split.transpose(0, 2, 1), self._blocks.transpose(0, 2, 1)
         return op
-
-    def _green(self, Z):
-        """G Z for an (n, k) array Z."""
-        out = np.zeros_like(Z)
-        if self._a_n:
-            above = np.zeros_like(Z)  # sum over j > i of Z_j
-            above[:-1] = np.cumsum(Z[:0:-1], axis=0)[::-1]
-            out += self._a_n * (np.cumsum(self._t * Z, axis=0) + self._t * above)
-        if self._a_y:
-            above = np.zeros_like(Z)  # sum over j > i of e^(-kappa(t_j - t_i)) Z_j
-            above[:-1] = self._step * self._down(Z[::-1])[::-1][1:]
-            out += self._a_y * (self._up(self._h * Z) + self._h * above)
-        return out
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
         Z = x.reshape(self.shape[1], -1)
-        out = self._post * self._green(self._pre * Z)
-        out += (self._blocks @ Z.reshape(-1, _PANEL, Z.shape[1])).reshape(out.shape)
+        k, Z3 = Z.shape[1], Z.reshape(-1, _PANEL, Z.shape[1])
+        # BLAS takes a lone column by another kernel, with other bits, so it goes as two
+        out = (self._blocks @ (Z3 if k > 1 else Z3.repeat(2, axis=2)))[..., :k].reshape(Z.shape)
+        for up, down in self._sums:
+            up(out, Z)
+            down(out[::-1], Z[::-1])
         return out.reshape(x.shape)
 
 

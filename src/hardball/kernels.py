@@ -299,7 +299,8 @@ def ring_primitive(spec, t):
     out = 0.0  # broadcasts to tt's shape at the first term
     if spec.a_w:
         vk2 = spec.varkappa**2
-        out += spec.a_w / (4.0 * vk2) * (1.0 - 1.0 / (1.0 + vk2 * tt**2) ** 2)
+        y = vk2 * tt**2  # 1 - 1/(1 + y)^2, with no cancellation at small y
+        out += spec.a_w / (4.0 * vk2) * (y * (2.0 + y) / (1.0 + y) ** 2)
     if spec.a_y:
         out += spec.a_y * (1.0 - np.exp(-spec.kappa * tt)) / spec.kappa
     if spec.a_n:

@@ -7,6 +7,7 @@ the documented contract (0 success, 1 solver failure, 2 config error).
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -171,6 +172,34 @@ class TestEosTable:
         first = (out / "eos_table.csv").read_bytes()
         assert cli.main(["eos-table", "--out", str(out)]) == 0
         assert (out / "eos_table.csv").read_bytes() == first
+
+
+def _per_value_csv(header, columns, rows):
+    """A CSV file's text as the writer wrote it one value at a time, each through its old format."""
+
+    def fmt(value):
+        if isinstance(value, (bool, np.bool_)):
+            return "1" if value else "0"
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return repr(float(value))
+
+    return header + ",".join(columns) + "\n" + "".join(
+        ",".join(item if isinstance(item, str) else fmt(item) for item in row) + "\n"
+        for row in rows)
+
+
+class TestCsvWriter:
+    def test_one_pass_writer_keeps_the_per_value_bytes(self, tmp_path):
+        row = ("label", True, False, np.bool_(True), np.bool_(False), 7, -2, np.int64(-3),
+               np.uint8(200), 0.1, -2.5e-300, 1e22, np.float64(1.0 / 3.0), np.float64(-0.0),
+               math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf))
+        rows = [row, row[::-1], tuple(np.linspace(0.0, 4.0, len(row)).tolist())]
+        columns = [f"c{i}" for i in range(len(row))]
+        cfg = cli.RunConfig(out=str(tmp_path))
+        path = cli._write_csv(cfg, "check", "mixed.csv", columns, rows)
+        want = _per_value_csv(cli._header(cfg, "check"), columns, rows)
+        assert Path(path).read_bytes() == want.encode()
 
 
 class TestCheck:

@@ -129,7 +129,7 @@ def _unsplit_rows(spec, dom, targets):
         vk2 = spec.varkappa**2
         return (
             0.0
-            + spec.a_w / (4.0 * vk2) * (1.0 - 1.0 / (1.0 + vk2 * x**2) ** 2)
+            + spec.a_w / (4.0 * vk2) * (vk2 * x**2 * (2.0 + vk2 * x**2) / (1.0 + vk2 * x**2) ** 2)
             + spec.a_y * (1.0 - np.exp(-spec.kappa * x)) / spec.kappa
             + spec.a_n * x
         )
@@ -158,8 +158,14 @@ def _barycentric_rows(nodes, points):
     return rows
 
 
-def _per_target_ring(spec, dom, targets):
-    """Ring matrix with the panel split written out one target at a time."""
+def _per_target_ring(spec, dom, targets, reference=False):
+    """Ring matrix with the panel split written out one target at a time.
+
+    reference, for targets that are the grid's own nodes, evaluates the
+    Lagrange basis in the panel's reference coordinates on [-1, 1],
+    with the target at its reference node, and not at the physical
+    nodes; the two agree to roundoff.
+    """
     t = np.asarray(targets, dtype=float)
     s = dom.nodes
     M = _unsplit_rows(spec, dom, t)
@@ -175,6 +181,7 @@ def _per_target_ring(spec, dom, targets):
         if not a < ti < b:
             continue
         cols = slice(p * panel, (p + 1) * panel)
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
         row = np.zeros(panel)
         for lo, hi in ((a, ti), (ti, b)):
             xs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * xg
@@ -182,7 +189,13 @@ def _per_target_ring(spec, dom, targets):
             ring = kernels.ring_primitive(spec, ti + xs) - kernels.ring_primitive(
                 spec, np.abs(ti - xs)
             )
-            row += (ws * xs * ring) @ _barycentric_rows(s[cols], xs)
+            if reference:
+                xr = xg[i % panel]
+                rlo, rhi = (-1.0, xr) if lo == a else (xr, 1.0)
+                basis = _barycentric_rows(xg, 0.5 * (rhi + rlo) + 0.5 * (rhi - rlo) * xg)
+            else:
+                basis = _barycentric_rows(s[cols], xs)
+            row += (ws * xs * ring) @ basis
         M[i, cols] = (2.0 * math.pi / ti) * row
     return M
 
@@ -200,6 +213,39 @@ def _radius_hitting_a_node(dom):
     raise AssertionError("no radius puts the Gauss point exactly on the node")
 
 
+def _mp_split_rows(spec, dom, rows):
+    """Own-panel split rows of the self ring at node indices rows, in 40-digit arithmetic.
+
+    The same 8-point Gauss rule on each target's two half-panels and the
+    Lagrange basis of the panel's nodes, both taken as the grid's float
+    values; only the arithmetic, the ring primitive included, is exact.
+    """
+    mp = pytest.importorskip("mpmath")
+    xg, wg = ([mp.mpf(v) for v in a] for a in np.polynomial.legendre.leggauss(field._PANEL))
+    a_w, vk, a_y, kappa, a_n = (mp.mpf(v) for v in (spec.a_w, spec.varkappa, spec.a_y,
+                                                   spec.kappa, spec.a_n))
+
+    def prim(x):
+        return (a_w / (4 * vk**2) * (1 - 1 / (1 + vk**2 * x**2) ** 2) if a_w else 0) + (
+            a_y * -mp.expm1(-kappa * x) / kappa if a_y else 0) + a_n * x
+
+    out = []
+    with mp.workdps(40):
+        for i in rows:
+            k = i // field._PANEL
+            a, b, t = (mp.mpf(v) for v in (dom.edges[k], dom.edges[k + 1], dom.nodes[i]))
+            nodes = [mp.mpf(v) for v in dom.nodes[k * field._PANEL:(k + 1) * field._PANEL]]
+            row = [mp.mpf(0)] * field._PANEL
+            for lo, hi in ((a, t), (t, b)):
+                for x0, w0 in zip(xg, wg):
+                    x = (hi + lo) / 2 + (hi - lo) / 2 * x0
+                    f = (hi - lo) / 2 * w0 * x * (prim(t + x) - prim(abs(t - x)))
+                    for j, nj in enumerate(nodes):
+                        row[j] += f * mp.fprod((x - nm) / (nj - nm) for nm in nodes if nm != nj)
+            out.append([float(2 * mp.pi / t * v) for v in row])
+    return np.array(out)
+
+
 class TestPanelSplit:
     SPECS = [
         SPEC_W, SPEC_Y, SPEC_N,
@@ -210,7 +256,7 @@ class TestPanelSplit:
     def test_self_ring_matches_the_per_target_loop(self, spec):
         dom = field.make_domain(4.0, n=256)
         got = field._ring_matrix(spec, dom, dom.nodes)
-        expected = _per_target_ring(spec, dom, dom.nodes)
+        expected = _per_target_ring(spec, dom, dom.nodes, reference=True)
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("spec", SPECS)
@@ -227,6 +273,40 @@ class TestPanelSplit:
         expected = 1.5 * (_per_target_ring(spec, dom, radii) @ fld.values)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("spec", SPECS)
+    @pytest.mark.parametrize("R,n", [(4.0, 256), (15.0, 1024), (30.0, 512)])
+    def test_split_rows_match_a_40_digit_oracle(self, spec, R, n):
+        # the first and last panels' ends and a seeded sample in between;
+        # each row to 2e-13 of its largest entry
+        dom = field.make_domain(R, n=n)
+        rows = np.concatenate(([0, 3, 7, n - 8, n - 4, n - 1],
+                               np.random.default_rng(n).choice(np.arange(8, n - 8), 6,
+                                                               replace=False)))
+        want = _mp_split_rows(spec, dom, rows)
+        got = field._own_split(spec, dom).reshape(n, field._PANEL)[rows]
+        assert np.all(np.max(np.abs(got - want), axis=1)
+                      <= 2e-13 * np.max(np.abs(want), axis=1))
+
+    def test_split_basis_has_no_gauss_point_on_a_node(self):
+        # a point on a node would take the node's unit row (the exact-hit rule)
+        x = np.polynomial.legendre.leggauss(field._PANEL)[0]
+        lo = np.stack((-np.ones_like(x), x), axis=1)[:, :, None]
+        hi = np.stack((x, np.ones_like(x)), axis=1)[:, :, None]
+        points = (0.5 * (hi + lo) + 0.5 * (hi - lo) * x).reshape(field._PANEL, -1)
+        assert np.min(np.abs(points[..., None] - x)) > 5e-4  # 7.9e-4 next to a node
+        assert np.array_equal(field._SPLIT_BASIS, field._lagrange(x, points))
+        assert np.max(np.abs(field._SPLIT_BASIS.sum(axis=-1) - 1.0)) <= 1e-14
+        assert np.array_equal(field._lagrange(x, x[[2, 5]]), np.eye(field._PANEL)[[2, 5]])
+
+    def test_dense_self_ring_blocks_are_the_operators_split(self):
+        spec = kernels.KernelSpec(a_y=0.7, kappa=2.0, a_n=0.3)
+        dom = field.make_domain(15.0, n=1024)
+        op, M = field._self_ring(spec, dom), field._self_ring(spec, dom, dense=True)
+        assert isinstance(op, field.RingOperator)
+        blocks = np.einsum("kikj->kij", M.reshape(dom.n // field._PANEL, field._PANEL, -1,
+                                                 field._PANEL))
+        assert np.array_equal(blocks, op._split)
 
     def test_assembly_temporaries_stay_block_sized(self):
         dom = field.make_domain(4.0, n=1024)
@@ -275,10 +355,33 @@ class TestRingOperator:
         dom = field.make_domain(30.0, n=1024)
         M = field._ring_matrix(spec, dom, dom.nodes)
         op = field.RingOperator(spec, dom)
-        assert len(op._up.bounds) > 1
+        assert all(len(sums.bounds) > 1 for sums in op._sums[0])
         x = np.random.default_rng(0).standard_normal((dom.n, 3))
         _assert_applies(op @ x, M, x)
         _assert_applies(op.T @ x, M.T, x)
+
+    def test_transpose_spans_several_segments_with_a_newton_part(self):
+        # kappa R = 1500: three segments of the discounted sums, and the
+        # Newton term through the same sums
+        spec = kernels.KernelSpec(a_y=1.0, kappa=50.0, a_n=0.01)
+        dom = field.make_domain(30.0, n=1024)
+        M = field._ring_matrix(spec, dom, dom.nodes)
+        op = field.RingOperator(spec, dom)
+        assert all(len(sums.bounds) >= 3 for sums in op._sums[0])
+        x = np.random.default_rng(3).standard_normal((dom.n, 3))
+        _assert_applies(op.T @ x, M.T, x)
+        _assert_applies(op @ x, M, x)
+
+    @pytest.mark.parametrize("spec", [SPEC_Y, SPEC_N, SPEC_YN], ids=["Y", "N", "YN"])
+    def test_each_column_has_the_bits_it_has_alone(self, spec):
+        dom = field.make_domain(15.0, n=1024)
+        op = field.RingOperator(spec, dom)
+        X = np.random.default_rng(4).uniform(0.05, 0.45, (dom.n, 5))
+        for A in (op, op.T):
+            block = A @ X
+            for j in range(X.shape[1]):
+                assert np.array_equal(block[:, j], A @ X[:, j])
+                assert np.array_equal(block[:, j:j + 1], A @ X[:, j:j + 1])
 
     def test_self_ring_picks_the_operator_above_the_dense_gate(self):
         small = field.make_domain(4.0, n=field._DENSE_MAX)
