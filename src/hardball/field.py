@@ -83,15 +83,10 @@ _NEWTON_TOL, _NEWTON_STEPS = 1e-12, 60  # Newton's residual target and step limi
 _PICARD_STEPS = 20000  # fixed-point iterations after which Picard gives up
 _FINISH_FROM = 3  # the finish arms from step 3; step 2 compares with the first step
 _FINISH_RATIO = 0.9  # the bordered finish arms at a change ratio above 0.9
-# A certified finish's cost in Picard steps, calibrated on one BLAS thread by the
-# script in BENCH_newton_cost.json: at the node counts _COST_NODES, a Newton step's
-# Jacobian build and LU solve (_DENSE_COST, on top of its residual; LU path only) and one
-# power step of the certificate (_POWER_COST); a finish takes about _FINISH_STEPS Newton steps
-# and _FINISH_POWER power steps
-_COST_NODES = (64, 128, 256, 512)
-_DENSE_COST = (0.41, 1.2, 5.7, 19.0)
-_POWER_COST = (0.085, 0.092, 0.12, 0.23)
-_FINISH_STEPS, _FINISH_POWER = 4.5, 17.0
+# A certified finish's price in Picard steps, one at every n it runs at.  On one BLAS
+# thread a finish costs about 10 steps at 64 nodes (LU) and 17-23 from 128 (G^-1); any
+# price from 10 to 13 fires the same finishes in the grand and petit transitions
+_FINISH_COST = 12.0
 _DENSE_MAX = 512  # largest node count for the Newton finish and the dense ring matrix
 _STRUCTURED_MIN, _REFINE = 128, 1e-13  # G^-1 elimination: from 128 nodes; refined residual
 _SEGMENT = 500.0  # kappa-length of one segment of RingOperator's discounted sums
@@ -430,7 +425,9 @@ def _self_ring(spec, domain, dense=False):
     array; below, and for van der Waals, the assembled matrix, which
     BLAS applies faster there.  dense, set only by `_Attraction.dense`,
     asks for the assembled matrix at any n.  The check-and-assemble
-    holds the domain's lock, so sweep threads sharing a domain build each once.
+    holds the domain's lock, so a library caller's threads sharing one
+    domain build each ring once and get the same object; no command
+    solves on threads.
     """
     structured = not dense and domain.n > _DENSE_MAX and not spec.a_w
     with domain._ring_lock:
@@ -659,12 +656,6 @@ def _secant_slopes(model, xs, glo, ghi, r):
     return np.minimum(slopes, r)
 
 
-def _finish_cost(n):
-    """Predicted cost of a certified Newton finish at n nodes, in Picard steps."""
-    return (_FINISH_STEPS * (1.0 + float(np.interp(n, _COST_NODES, _DENSE_COST)))
-            + _FINISH_POWER * float(np.interp(n, _COST_NODES, _POWER_COST)))
-
-
 class _Attraction:
     """alpha M on one grid, as the solvers apply and solve it; one per consumer call.
 
@@ -829,10 +820,10 @@ class _NewtonFinish:
     and slow means that the Picard steps still ahead cost more than a
     finish.  At the ratio q of the last two changes about
     log(tol/change)/log(q) steps remain (without end once q >= 1), tol
-    the loop's change tolerance; `_finish_cost` prices the finish's
-    Newton steps and certificate power steps in Picard steps at this
-    n.  The limit v* is certified.  If v* lies beyond v_k (up to
-    Newton's tolerance), the Picard limit L lies in the order interval
+    the loop's change tolerance; `_FINISH_COST` prices the finish, its
+    Newton steps and certificate power steps, at one number of Picard
+    steps for every n.  The limit v* is certified.  If v* lies beyond
+    v_k (up to Newton's tolerance), the Picard limit L lies in the order interval
     between them ([v_k, v*] going up, [v*, v_k] going down), since the
     map is monotone and v* is fixed.  v* is accepted once `_contraction_bound`
     on that interval is below 1: T then has one fixed point there, so
@@ -858,7 +849,6 @@ class _NewtonFinish:
     def __init__(self, attraction, model, tol=None, border=None):
         self.attraction, self.model, self.border = attraction, model, border
         self.tol = tol
-        self.cost = _finish_cost(attraction.domain.n) if border is None else None
         self.change = self.checked = math.inf
         self.tried, self.limit = False, None
         self.y = np.ones(attraction.domain.n)  # the certificate's power-step vector
@@ -872,7 +862,7 @@ class _NewtonFinish:
             slow = ratio > _FINISH_RATIO
         else:  # change > 0 whenever ratio > 0
             slow = ratio >= 1.0 or (
-                ratio > 0.0 and math.log(self.tol / change) / math.log(ratio) > self.cost)
+                ratio > 0.0 and math.log(self.tol / change) / math.log(ratio) > _FINISH_COST)
         slow = slow and it >= _FINISH_FROM
         if self.limit is None and (self.tried or not slow):
             return None
@@ -943,9 +933,9 @@ def picard_iterate(spec, alpha, gamma, eta0, tol=1e-10, model=eos.EosModel()):
 
     Runs the shared loop `_fixed_point` on a one-column block with a
     constant gamma; see there for the stopping rule and the monotone
-    direction.  A monotone sequence (n <= 512, not the ideal gas) whose
-    Picard steps left to tol cost more than a Newton finish is finished
-    by one damped Newton solve whose limit is accepted only with a
+    direction.  A monotone sequence (n <= 512, not the ideal gas) with
+    more than `_FINISH_COST` Picard steps left to tol is finished by
+    one damped Newton solve whose limit is accepted only with a
     certificate that it is the limit the monotone sequence converges
     to: the Collatz-Wielandt bound of `_contraction_bound` below 1 on
     the order interval between the last iterate and the Newton limit

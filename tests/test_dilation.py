@@ -15,6 +15,8 @@ for bit at powers of 2 and to roundoff elsewhere.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardball import eos, field, kernels, phase
 
@@ -111,3 +113,37 @@ def test_ring_operator_scales_by_lambda_squared(lam):
     base, dilated = operator(1.0, 30.0), operator(1.0 / lam, 30.0 * lam)
     assert np.array_equal(dilated @ v, lam**2 * (base @ v))
     assert np.array_equal(dilated.T @ v, lam**2 * (base.T @ v))
+
+
+def _row_relative_error(spec, dilated_spec, lam, R, power):
+    """Largest entry of |M_dilated / lam^power - M|, each over its row's largest |M|, n=64."""
+    def ring(spec, radius):
+        domain = field.make_domain(radius, n=64)
+        return field._ring_matrix(spec, domain, domain.nodes)
+
+    base = ring(spec, R)
+    rows = np.max(np.abs(base), axis=1, keepdims=True)
+    return np.max(np.abs(ring(dilated_spec, lam * R) / lam**power - base) / rows)
+
+
+@pytest.mark.parametrize("R", [5.0, 10.0])
+def test_yukawa_ring_matrix_alone_scales_by_lambda_squared_at_three(R):
+    assert _row_relative_error(kernels.KernelSpec(a_y=1.0, kappa=1.0),
+                               kernels.KernelSpec(a_y=1.0, kappa=1.0 / 3.0), 3.0, R, 2) <= 1e-12
+
+
+@pytest.mark.parametrize("R", [5.0, 10.0])
+def test_newton_ring_matrix_alone_scales_by_lambda_squared_at_three(R):
+    spec = kernels.KernelSpec(a_y=0.0, a_n=1.0)
+    assert _row_relative_error(spec, spec, 3.0, R, 2) <= 1e-12
+
+
+@settings(deadline=None, max_examples=25)
+@given(lam=st.floats(0.25, 4.0), R=st.sampled_from([5.0, 10.0]))
+def test_mixed_ring_matrix_scales_at_any_lambda(lam, R):
+    # Yukawa + Newton + van der Waals, the van der Waals amplitude taken
+    # down by lambda so that every part scales by lambda^2
+    spec = kernels.KernelSpec(a_y=1.0, kappa=1.0, a_n=0.01, a_w=1.0, varkappa=1.0)
+    dilated = kernels.KernelSpec(a_y=1.0, kappa=1.0 / lam, a_n=0.01, a_w=1.0 / lam,
+                                 varkappa=1.0 / lam)
+    assert _row_relative_error(spec, dilated, lam, R, 2) <= 1e-12

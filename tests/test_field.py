@@ -1358,15 +1358,23 @@ class TestNewtonFinish:
         assert report.iterations < 150
 
     @pytest.mark.parametrize("n", [512, 1024])
-    def test_fast_solve_iteration_counts_unchanged(self, n):
-        # a cli-scan-sized hard-sphere solve contracts fast, so the
-        # finish never fires and the plain Picard counts stand; n=512
-        # is the largest node count the finish is offered at, and
-        # cli-scan's n=1024 lies above it
+    def test_fast_solve_iteration_counts_unchanged(self, n, monkeypatch):
+        # a cli-scan-sized hard-sphere solve: plain Picard takes 22 and 26
+        # steps.  cli-scan's n=1024 lies above the finish gate, so those
+        # counts stand; at n=512, the largest node count the finish is
+        # offered at, both launches still have more than _FINISH_COST
+        # steps left at step 3 and end in certified finishes on plain
+        # Picard's limits
         dom = field.make_domain(4.0, n=n)
         alpha = 15.0 / kernels.l1_norm_r3(SPEC_Y)
-        assert field.minimal_solution(SPEC_Y, alpha, -3.0, dom).iterations == 22
-        assert field.maximal_solution(SPEC_Y, alpha, -3.0, dom).iterations == 26
+        launches = (field.minimal_solution, field.maximal_solution)
+        reports = [launch(SPEC_Y, alpha, -3.0, dom) for launch in launches]
+        assert [r.iterations for r in reports] == ([6, 8] if n == 512 else [22, 26])
+        monkeypatch.setattr(field._NewtonFinish, "__call__", lambda *args: None)
+        assert [launch(SPEC_Y, alpha, -3.0, dom).iterations for launch in launches] == [22, 26]
+        for launch, report in zip(launches, reports):
+            plain = launch(SPEC_Y, alpha, -3.0, dom, tol=1e-12)
+            assert float(np.max(np.abs(report.field.values - plain.field.values))) <= 1e-10
 
     def test_bound_at_the_maximal_solution_is_its_spectral_radius(self, dom30):
         report = field.maximal_solution(SPEC_Y, self.ALPHA, self.GAMMA, dom30,
@@ -1643,9 +1651,10 @@ class TestFinishCost:
         assert report.iterations < 0.25 * plain.iterations
 
     def test_fast_launch_does_not_fire(self, monkeypatch):
-        # the hard-sphere solve of test_fast_solve_iteration_counts_unchanged
-        # at n=256: every step the finish is offered predicts fewer Picard
-        # steps left than a finish costs there, so no Newton solve is run
+        # a hard-sphere solve at n=256 (R=4, alpha*l1 = 5, gamma -1) that
+        # takes 12 Picard steps: every step the finish is offered predicts
+        # fewer Picard steps left than a finish costs, so no Newton solve
+        # is run
         dom = field.make_domain(4.0, n=256)
         solves, _ = self._spy(monkeypatch)
         seen = []
@@ -1656,20 +1665,23 @@ class TestFinishCost:
             return real(self, it, v, gamma, change, direction)
 
         monkeypatch.setattr(field._NewtonFinish, "__call__", offer)
-        report = field.minimal_solution(SPEC_Y, 15.0 / kernels.l1_norm_r3(SPEC_Y), -3.0, dom)
+        report = field.minimal_solution(SPEC_Y, 5.0 / kernels.l1_norm_r3(SPEC_Y), -1.0, dom)
         assert not solves
-        cost = field._finish_cost(256)
-        for (_, before), (it, change) in zip(seen, seen[1:]):
-            if it >= 3:
-                assert math.log(1e-10 / change) / math.log(change / before) < cost
-        assert report.iterations == len(seen) + 1
+        ratios = [(change, change / before)
+                  for (_, before), (it, change) in zip(seen, seen[1:]) if it >= 3]
+        assert ratios
+        for change, ratio in ratios:
+            assert 0.0 < ratio < 1.0
+            assert math.log(1e-10 / change) / math.log(ratio) < field._FINISH_COST
+        assert report.iterations == len(seen) + 1 == 12
 
     @pytest.mark.parametrize("n", [64, 256, 512])
     def test_fires_where_the_steps_left_cost_more(self, n):
         # a geometric sequence at ratio 1/2 arms at step 3 and fires once
         # its change has halved, at step 4, if the steps it has left
-        # there, log(tol/change)/log(1/2), cost more than a finish
-        cost = field._finish_cost(n)
+        # there, log(tol/change)/log(1/2), cost more than a finish: one
+        # price, _FINISH_COST Picard steps, at every n
+        cost = field._FINISH_COST
         v, dom = np.full(n, 0.1), field.make_domain(4.0, n=n)
         for left, fires in ((0.5 * cost, False), (cost - 2.0, False), (cost + 2.0, True)):
             finish = field._NewtonFinish(field._Attraction(SPEC_Y, 1.0, dom), self.EXT,

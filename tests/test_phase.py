@@ -973,6 +973,71 @@ class TestPetitTransition:
             (plain.branch_label, plain.certification)
 
 
+class TestFinishTraffic:
+    """How often the benchmark transitions solve, certify and iterate.
+
+    The grand transition on grand-r30's inputs and the petit transition
+    on petit-r15's: Newton solves, Jacobian solves, contraction-bound
+    checks and fixed-point steps (every launch's reported iterations,
+    Newton steps included).  A finish priced too high or too low moves
+    these counts before it moves any timing.
+    """
+
+    @staticmethod
+    def _counted(monkeypatch, run):
+        count = dict.fromkeys(("newton", "solve", "bound", "steps"), 0)
+        newton, solve, bound = field._newton, field._Attraction.solve, field._contraction_bound
+        fixed_point = field._fixed_point
+
+        def newton_spy(*args):
+            count["newton"] += 1
+            return newton(*args)
+
+        def solve_spy(self, *args, **kwargs):
+            count["solve"] += 1
+            return solve(self, *args, **kwargs)
+
+        def bound_spy(*args):
+            count["bound"] += 1
+            return bound(*args)
+
+        def fixed_point_spy(*args, **kwargs):
+            out = fixed_point(*args, **kwargs)
+            count["steps"] += sum(report.iterations for report, _ in out)
+            return out
+
+        monkeypatch.setattr(field, "_newton", newton_spy)
+        monkeypatch.setattr(field._Attraction, "solve", solve_spy)
+        monkeypatch.setattr(field, "_contraction_bound", bound_spy)
+        monkeypatch.setattr(field, "_fixed_point", fixed_point_spy)
+        run()
+        return count
+
+    def test_grand_r30(self, monkeypatch):
+        count = self._counted(monkeypatch, lambda: phase.grand_canonical_transition(
+            SPEC_Y, ALPHA_31, field.make_domain(30.0, n=256), (-4.88, -4.15), model=EXT))
+        assert (count["newton"], count["solve"], count["bound"]) == (6, 26, 12)
+        assert count["steps"] <= 310
+
+    def test_petit_r15(self, monkeypatch):
+        count = self._counted(monkeypatch, lambda: phase.petit_canonical_transition(
+            SPEC_Y, ALPHA_31, field.make_domain(15.0, n=64),
+            N_bracket=(0.965 * N_HAT_15, 0.968 * N_HAT_15),
+            model=EXT, gamma_gl=-4.655290873521921))
+        assert count == {"newton": 17, "solve": 69, "bound": 12, "steps": 209}
+
+
+def test_van_der_waals_transition_agrees_across_grids():
+    # a van der Waals grand transition (R=15, alpha*l1 = 31, default
+    # band) at n=256 and n=512: the grids resolve the same delta_N, and
+    # neither keeps the tail error of a slow launch left to plain Picard
+    spec = kernels.KernelSpec(a_w=1.0, varkappa=1.0)
+    alpha = 31.0 / kernels.l1_norm_r3(spec)
+    coarse, fine = (phase.grand_canonical_transition(
+        spec, alpha, field.make_domain(15.0, n=n), model=EXT).delta_N for n in (256, 512))
+    assert abs(fine - coarse) <= 1e-12 * abs(coarse)
+
+
 def test_mass_slope_forms_one_matrix():
     # I - diag(c) alpha M is never formed as eye(n) - c alpha M: on top of
     # the attraction's dense ring, formed before the trace, one slope at
