@@ -3,13 +3,14 @@
 Solves the fixed-point equation eta(r) = wp'(gamma - (alpha V*eta)(r))
 on a ball B_R.  The 3D convolution against a radial kernel reduces to a
 one-dimensional integral through the ring primitive of `kernels`, so
-one matrix M turns the nonlocal equation into a map on node values.  Up
-to 512 nodes, and for any kernel with a van der Waals part, M is
-assembled densely.  Above that, Yukawa and Newton kernels apply M
-through `RingOperator` in O(n p) with no n x n array: off the p x p
-panel blocks M is the rank-one radial Green's function in each
-triangle, so cumulative sums and a block-diagonal correction do the
-convolution.  Every solver reaches alpha M through one `_Attraction`
+one matrix M, each row's own panel split at its kink by `_split`, turns
+the nonlocal equation into a map on node values.  Up to 512 nodes, and
+for any kernel with a van der Waals part, M is assembled densely.
+Above that, Yukawa and Newton kernels apply M through `RingOperator` in
+O(n p) with no n x n array: off the p x p panel blocks M is the radial
+Green's function of their elliptic PDE, rank one in each triangle
+(`_green_terms`), so cumulative sums and a block-diagonal correction do
+the convolution.  Every solver reaches alpha M through one `_Attraction`
 per call, which applies it as alpha (M @ x), the one product of
 Picard, Newton's residuals and the certificate, and solves I - diag(c)
 alpha M: by that Green's tridiagonal inverse in O(n p^2) from 128
@@ -87,7 +88,9 @@ _FINISH_RATIO = 0.9  # the bordered finish arms at a change ratio above 0.9
 # thread a finish costs about 10 steps at 64 nodes (LU) and 17-23 from 128 (G^-1); any
 # price from 10 to 13 fires the same finishes in the grand and petit transitions
 _FINISH_COST = 12.0
+# gated: RingOperator, G^-1 at every n took grand-r30 0.059 -> 0.070 s, petit-r15 0.043 -> 0.058 s
 _DENSE_MAX = 512  # largest node count for the Newton finish and the dense ring matrix
+# gated: at every n, G^-1 took petit-r15 (64 nodes, LU) 0.041 -> 0.048 s, on one BLAS thread
 _STRUCTURED_MIN, _REFINE = 128, 1e-13  # G^-1 elimination: from 128 nodes; refined residual
 _SEGMENT = 500.0  # kappa-length of one segment of RingOperator's discounted sums
 _POWER_STEPS, _POWER_MOVED = 100, 1e-10  # power steps per contraction bound, at most
@@ -118,8 +121,8 @@ class RadialDomain:
     def __post_init__(self):
         if not (self.R > 0 and math.isfinite(self.R)):
             raise ValueError(f"R must be positive and finite, got {self.R!r}")
-        if self.n <= 0 or self.n % _PANEL:
-            raise ValueError(f"n must be a positive multiple of {_PANEL}")
+        if not isinstance(self.n, (int, np.integer)) or self.n <= 0 or self.n % _PANEL:
+            raise ValueError(f"n must be a positive integer multiple of {_PANEL}, got {self.n!r}")
         x, w = _GAUSS
         self.edges = np.linspace(0.0, self.R, self.n // _PANEL + 1)
         half = 0.5 * (self.edges[1:] - self.edges[:-1])
@@ -199,11 +202,11 @@ def _ring_matrix(spec, domain, targets):
 
     Row t discretizes (2pi/t) int_0^R s eta(s) [prim(t+s) - prim(|t-s|)] ds.
     prim(|t-s|) has a kink at s = t whenever the kernel has a nonzero
-    contact value s(-V(s)) at s = 0+, so the panel containing an interior
-    target is re-integrated in two smooth halves against the panel's own
-    Lagrange basis: `_own_split` where the targets are the domain's own
-    nodes (the self ring), `_panel_split` for any other radii.  A zero
-    target radius uses the limit row 4 pi int s^2 (-V(s)) eta(s) ds
+    contact value s(-V(s)) at s = 0+, so `_split` re-integrates the panel
+    containing an interior target in two smooth halves: the self ring in
+    one call, at the reference nodes of every panel, and other radii at
+    their reference coordinates in their own panels, a block at a time.
+    A zero target radius uses the limit row 4 pi int s^2 (-V(s)) eta(s) ds
     instead of the 2pi/t reduction.  The dense rows are assembled a block
     of rows at a time, so the temporaries of the elementwise expressions
     stay block-sized.
@@ -225,12 +228,19 @@ def _ring_matrix(spec, domain, targets):
     if np.any(~pos):
         M[~pos] = 4.0 * math.pi * w * s**2 * (-kernels.kernel_eval(spec, s))
 
-    if t.shape == s.shape and np.array_equal(t, s):  # the self ring
-        k = s.size // _PANEL
-        M.reshape(k, _PANEL, k, _PANEL)[np.arange(k), :, np.arange(k)] = _own_split(spec, domain)
-        return M
-    for block, kb, vals in _panel_split(spec, domain, t):
-        M[block[:, None], kb[:, None] * _PANEL + np.arange(_PANEL)] = vals
+    if t.shape == s.shape and np.array_equal(t, s):  # the self ring: every panel at every node
+        parts = [(np.arange(s.size), np.arange(s.size // _PANEL)[:, None], _GAUSS[0])]
+    else:  # the targets strictly inside a panel, one panel each, a block of rows at a time
+        kt = np.clip(np.searchsorted(domain.edges, t, side="right") - 1, 0, s.size // _PANEL - 1)
+        a, b = domain.edges[kt], domain.edges[kt + 1]
+        rows = np.flatnonzero((a < t) & (t < b))
+        tau = ((t - 0.5 * (b + a)) / (0.5 * (b - a)))[rows]
+        cut = range(_ASSEMBLY_ROWS, rows.size, _ASSEMBLY_ROWS)
+        parts = zip(*(np.split(v, cut, axis=-1) for v in (rows, kt[rows][None], tau)))
+    for rows, k, tau in parts:
+        vals = _split(spec, domain, k, tau)
+        cols = np.broadcast_to(k, vals.shape[:-1]).reshape(-1, 1) * _PANEL + np.arange(_PANEL)
+        M[rows[:, None], cols] = vals.reshape(-1, _PANEL)
     return M
 
 
@@ -248,57 +258,26 @@ def _lagrange(nodes, points):
     return basis
 
 
-# `_own_split`'s constant, (p, 2p, p): the Lagrange basis of the reference nodes x at the Gauss
-# points of [-1, x_i] and [x_i, 1], the two halves of a panel split at its node i
-_SPLIT_BASIS = _lagrange(_GAUSS[0], np.concatenate((
-    0.5 * (_GAUSS[0][:, None] - 1.0) + 0.5 * (_GAUSS[0][:, None] + 1.0) * _GAUSS[0],
-    0.5 * (1.0 + _GAUSS[0][:, None]) + 0.5 * (1.0 - _GAUSS[0][:, None]) * _GAUSS[0]), axis=1))
+def _split(spec, domain, k, tau):
+    """Rows over panel k's nodes, (..., q, p), of targets t = mid_k + half_k tau split at t.
 
-
-def _halves(spec, t, a, b):
-    """Gauss points x of [a, t] and [t, b], (..., 2, p), and w x [prim(t + x) - prim(|t - x|)]
-    there, for t, a and b of one shape (..., 1, 1)."""
-    lo, hi = np.concatenate((a, t), axis=-2), np.concatenate((t, b), axis=-2)
+    tau (q,) broadcasts against k, (K, 1) or (1, q); t is computed as `RadialDomain` computes
+    its nodes.  Each row integrates [a, t] and [t, b] by the Gauss rule against the panel's
+    Lagrange basis, which in reference coordinates depends on tau alone: it is formed once
+    per entry of tau and contracted with the halves' weighted ring values of every panel.
+    """
+    a, b = domain.edges[k], domain.edges[k + 1]
+    t = 0.5 * (b + a) + 0.5 * (b - a) * tau
+    tc, a, b = (np.broadcast_to(v, t.shape)[..., None, None] for v in (t, a, b))
+    lo, hi = np.concatenate((a, tc), axis=-2), np.concatenate((tc, b), axis=-2)  # (..., q, 2, 1)
     xs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * _GAUSS[0]
-    ring = kernels.ring_primitive(spec, t + xs) - kernels.ring_primitive(spec, np.abs(t - xs))
-    return xs, 0.5 * (hi - lo) * _GAUSS[1] * xs * ring
-
-
-def _own_split(spec, domain):
-    """Each panel's p x p block of the self ring, split at every target's kink, (n/p, p, p).
-
-    Every target is a node x_i of its own panel, so the Lagrange basis at the Gauss points
-    of its two halves is `_SPLIT_BASIS` in reference coordinates, the same for every panel of
-    every grid: each block is one contraction of the halves' weighted ring values with it.
-    """
-    t = domain.nodes.reshape(-1, _PANEL, 1, 1)
-    a, b = (np.broadcast_to(e[:, None, None, None], t.shape) for e in (domain.edges[:-1],
-                                                                        domain.edges[1:]))
-    f = _halves(spec, t, a, b)[1].reshape(-1, _PANEL, 2 * _PANEL)
-    rows = np.matmul(f.transpose(1, 0, 2), _SPLIT_BASIS).transpose(1, 0, 2)
-    return (2.0 * math.pi / t[..., 0]) * rows
-
-
-def _panel_split(spec, domain, t):
-    """The re-integrated panel rows of `_ring_matrix` at radii off the nodes, a block at a time.
-
-    Yields (rows, panels, values): the targets among t strictly inside a
-    panel, the index of that panel, and each target's row over the
-    panel's own nodes, split at the target's kink, with the Lagrange
-    basis of the panel's nodes at each target's own Gauss points.  The
-    self ring's targets take `_own_split` instead.
-    """
-    edges = domain.edges
-    pn = domain.nodes.reshape(-1, _PANEL)  # the nodes of each panel
-    k = np.clip(np.searchsorted(edges, t, side="right") - 1, 0, edges.size - 2)
-    rows = np.flatnonzero((edges[k] < t) & (t < edges[k + 1]))
-    for start in range(0, rows.size, _ASSEMBLY_ROWS):
-        block = rows[start:start + _ASSEMBLY_ROWS]
-        kb = k[block]
-        xs, f = _halves(spec, t[block][:, None, None], edges[kb][:, None, None],
-                        edges[kb + 1][:, None, None])
-        row = np.einsum("tqi,tqij->tj", f, _lagrange(pn[kb][:, None, :], xs))
-        yield block, kb, (2.0 * math.pi / t[block])[:, None] * row
+    ring = kernels.ring_primitive(spec, tc + xs) - kernels.ring_primitive(spec, np.abs(tc - xs))
+    f = (0.5 * (hi - lo) * _GAUSS[1] * xs * ring).reshape(t.shape + (2 * _PANEL,))
+    x, tq = _GAUSS[0], tau[:, None]
+    basis = _lagrange(x, np.concatenate((0.5 * (tq - 1.0) + 0.5 * (tq + 1.0) * x,
+                                         0.5 * (1.0 + tq) + 0.5 * (1.0 - tq) * x), axis=1))
+    rows = np.matmul(f.transpose(1, 0, 2), basis).transpose(1, 0, 2)
+    return (2.0 * math.pi / t)[..., None] * rows
 
 
 class _Discount:
@@ -333,31 +312,33 @@ class _Discount:
             out[a:b] += c
 
 
+def _green_terms(spec):
+    """The terms (A, rate, h) of the radial Green's function G = sum A e^(rate (min - max)) h(min):
+    Yukawa (2 a_y/kappa, kappa, (1 - e^(-2 kappa x))/2), then Newton (2 a_n, 0, x)."""
+    k = spec.kappa
+    terms = [(2.0 * spec.a_y / k, k, lambda x: -0.5 * np.expm1(-2.0 * k * x)),
+             (2.0 * spec.a_n, 0.0, lambda x: x)]
+    return [term for term, on in zip(terms, (spec.a_y, spec.a_n)) if on]
+
+
 def _panel_green(spec, domain):
     """diag(2 pi/t) G diag(w t) on each panel's own p x p block; see `RingOperator`."""
     t, pn = domain.nodes, domain.nodes.reshape(-1, _PANEL)
     lo = np.minimum(pn[:, :, None], pn[:, None, :])
     hi = np.maximum(pn[:, :, None], pn[:, None, :])
-    green = 2.0 * spec.a_n * lo
-    if spec.a_y:
-        k = spec.kappa
-        green += (2.0 * spec.a_y / k) * np.exp(-k * (hi - lo)) * (-0.5 * np.expm1(-2.0 * k * lo))
+    green = sum(A * np.exp(rate * (lo - hi)) * h(lo) for A, rate, h in _green_terms(spec))
     return ((2.0 * math.pi / t).reshape(-1, _PANEL, 1) * green
             * (domain.weights * t).reshape(-1, 1, _PANEL))
 
 
-def _green_inverse(spec, t):
-    """The tridiagonal inverse of G = A u(min) v(max) on nodes t: (diagonal, off-diagonal).
+def _green_inverse(term, t):
+    """The tridiagonal inverse of one `_green_terms` term on nodes t: (diagonal, off-diagonal).
 
-    Newton: A = 2 a_n, u = t, v = 1; Yukawa: A = 2 a_y/kappa, u = sinh(kappa t), v = e^(-kappa t),
-    each term a sinh of a node difference x, held as e^x s(x), s(x) = e^(-x) sinh(x)."""
-    if spec.a_y:
-        k, amp = spec.kappa, 2.0 * spec.a_y / spec.kappa
-        s, damp = (lambda x: -0.5 * np.expm1(-2.0 * k * x)), np.exp(-k * np.diff(t))
-    else:
-        s, amp, damp = (lambda x: x), 2.0 * spec.a_n, 1.0
-    d = s(np.diff(t))
-    diag = np.concatenate(([s(t[1]) / (s(t[0]) * d[0])], s(t[2:] - t[:-2]) / (d[:-1] * d[1:]),
+    Entries are ratios of h at node differences x (a Yukawa sinh(kappa x) held as e^(kappa x)
+    h(x)), the off-diagonal's e^(-rate x) kept apart."""
+    amp, rate, h = term
+    d, damp = h(np.diff(t)), np.exp(-rate * np.diff(t))
+    diag = np.concatenate(([h(t[1]) / (h(t[0]) * d[0])], h(t[2:] - t[:-2]) / (d[:-1] * d[1:]),
                            [1.0 / d[-1]]))
     return diag / amp, -damp / (amp * d)
 
@@ -368,13 +349,12 @@ class RingOperator:
     Off the panel split, entry (i, j) of `_ring_matrix` is (2 pi/t_i)
     w_j s_j G(t_i, s_j), with the radial Green's function G(t, s) =
     (2 a_y/kappa) e^(-kappa max) sinh(kappa min) + 2 a_n min, a sum of
-    rank-one terms A e^(x(min) - x(max)) h(min) in each triangle: Yukawa
-    with x = kappa t, h(t) = (1 - e^(-2 kappa t))/2, Newton with x = 0,
-    h(t) = t.  So M = diag(2 pi/t) G diag(w s) + C, and each term is
+    the rank-one terms of `_green_terms`, A e^(x(min) - x(max)) h(min)
+    with x = rate t in each triangle.  So M = diag(2 pi/t) G diag(w s) + C, and each term is
     applied by two discounted cumulative sums (`_Discount`), one up over
     j <= i and one down over j >= i, with 2 pi/t, w t, A and h folded
     into their factor vectors at build time, for M and for M^T.  C is
-    block diagonal: each panel's split block (`_own_split`, kept), minus
+    block diagonal: each panel's `_split` block (kept), minus
     the same formula on it and the diagonal both sums count.  `@`
     applies M to a vector or to the columns of an (n, k) array, and T is
     the transposed operator (G is symmetric).
@@ -384,16 +364,11 @@ class RingOperator:
         t = domain.nodes
         self.shape = (t.size, t.size)
         post, pre = 2.0 * math.pi / t, domain.weights * t
-        terms = []  # (A, x, h) of each rank-one term of G
-        if spec.a_y:
-            x = spec.kappa * t
-            terms.append((2.0 * spec.a_y / spec.kappa, x, -0.5 * np.expm1(-2.0 * x)))
-        if spec.a_n:
-            terms.append((2.0 * spec.a_n, np.zeros_like(t), t))
+        terms = [(A, rate * t, h(t)) for A, rate, h in _green_terms(spec)]  # (A, x, h) of G
         self._sums, self._sums_T = ([(_Discount(x, A * f, h * g),
                                       _Discount(-x[::-1], (A * h * f)[::-1], g[::-1]))
                                      for A, x, h in terms] for f, g in ((post, pre), (pre, post)))
-        self._split = _own_split(spec, domain)
+        self._split = _split(spec, domain, np.arange(t.size // _PANEL)[:, None], _GAUSS[0])
         self._blocks = self._split - _panel_green(spec, domain)
         twice = post * pre * sum(A * h for A, _, h in terms)  # G's diagonal, in both sums
         self._blocks.reshape(-1, _PANEL**2)[:, ::_PANEL + 1] -= twice.reshape(-1, _PANEL)
@@ -673,6 +648,8 @@ class _Attraction:
         self.spec, self.alpha, self.domain = spec, alpha, domain
         self.finishable = domain.n <= _DENSE_MAX  # where Newton finishes may factor alpha M
         self.structured = domain.n >= _STRUCTURED_MIN and not (spec.a_w or spec.a_y and spec.a_n)
+        # kept: a fresh np.eye(m) - c alpha M per solve has the same bits, but took the vdW
+        # grand transition (R=15, n=512, CS-extended) 0.24-0.36 s against 0.18 s
         self._work = None  # the LU path's Jacobian workspace, (n + 1)^2 values
 
     @functools.cached_property
@@ -692,7 +669,8 @@ class _Attraction:
     def _structure(self):
         """`_eliminate`'s c-free parts: alpha C, G^-1 in and between panels, alpha 2 pi/t, w t."""
         dom, p, i = self.domain, self.domain.n // _PANEL, np.arange(_PANEL)
-        diag, off = _green_inverse(self.spec, dom.nodes)
+        [term] = _green_terms(self.spec)
+        diag, off = _green_inverse(term, dom.nodes)
         inner = np.append(off, 0.0).reshape(p, _PANEL)  # 0 after the last panel
         tri = diag.reshape(p, _PANEL, 1) * np.eye(_PANEL)
         tri[:, i[:-1], i[1:]] = tri[:, i[1:], i[:-1]] = inner[:, :-1]

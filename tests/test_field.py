@@ -8,6 +8,7 @@ spline interpolant of the converged density.
 """
 
 import math
+import re
 import sys
 import threading
 import time
@@ -52,6 +53,16 @@ class TestRadialDomain:
             field.make_domain(0.0)
         with pytest.raises(ValueError):
             field.make_domain(1.0, n=100)
+
+    @pytest.mark.parametrize("n", [64.0, "64", True, 0, -8, 100])
+    def test_bad_node_count_is_named(self, n):
+        with pytest.raises(ValueError, match=rf"^n must be a positive integer multiple of 8, "
+                                             rf"got {re.escape(repr(n))}$"):
+            field.make_domain(5.0, n)
+
+    def test_numpy_integer_node_count(self):
+        dom = field.make_domain(5.0, np.int64(64))
+        assert np.array_equal(dom.nodes, field.make_domain(5.0, 64).nodes)
 
     @pytest.mark.parametrize("R", [math.inf, math.nan, -math.inf])
     def test_non_finite_radius_is_rejected(self, R):
@@ -266,13 +277,23 @@ class TestPanelSplit:
         radii = np.concatenate((
             [0.0, dom.edges[7], 4.0, 6.0],  # center, a panel edge, R, 1.5 R
             0.5 * (s[1:] + s[:-1])[::5],  # off-node radii inside panels
-            [_radius_hitting_a_node(dom)],  # the exact-hit rule
+            [_radius_hitting_a_node(dom)],  # a Gauss point on a node; 3e-16 off it in tau
         ))
         fld = field.DensityField(dom, 0.2 + 0.1 * np.cos(s))
         got = field.convolve_at(spec, 1.5, fld, radii)
         expected = 1.5 * (_per_target_ring(spec, dom, radii) @ fld.values)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_off_node_rows_do_not_depend_on_their_block(self):
+        # 200 radii span four blocks of split targets; each row keeps the bits it has alone
+        dom = field.make_domain(4.0, n=64)
+        radii = np.random.default_rng(3).uniform(0.0, 4.5, 200)
+        radii[[0, 70, 150]] = 0.0, dom.edges[5], dom.nodes[9]
+        spec = self.SPECS[-1]
+        M = field._ring_matrix(spec, dom, radii)
+        alone = np.vstack([field._ring_matrix(spec, dom, radii[i:i + 1]) for i in range(200)])
+        assert np.array_equal(M, alone)
 
     @pytest.mark.parametrize("spec", SPECS)
     @pytest.mark.parametrize("R,n", [(4.0, 256), (15.0, 1024), (30.0, 512)])
@@ -284,20 +305,38 @@ class TestPanelSplit:
                                np.random.default_rng(n).choice(np.arange(8, n - 8), 6,
                                                                replace=False)))
         want = _mp_split_rows(spec, dom, rows)
-        got = field._own_split(spec, dom).reshape(n, field._PANEL)[rows]
+        own = field._split(spec, dom, np.arange(n // field._PANEL)[:, None], field._GAUSS[0])
+        got = own.reshape(n, field._PANEL)[rows]
         assert np.all(np.max(np.abs(got - want), axis=1)
                       <= 2e-13 * np.max(np.abs(want), axis=1))
 
     def test_split_basis_has_no_gauss_point_on_a_node(self):
         # a point on a node would take the node's unit row (the exact-hit rule)
-        x = np.polynomial.legendre.leggauss(field._PANEL)[0]
+        x, wg = np.polynomial.legendre.leggauss(field._PANEL)
         lo = np.stack((-np.ones_like(x), x), axis=1)[:, :, None]
         hi = np.stack((x, np.ones_like(x)), axis=1)[:, :, None]
         points = (0.5 * (hi + lo) + 0.5 * (hi - lo) * x).reshape(field._PANEL, -1)
         assert np.min(np.abs(points[..., None] - x)) > 5e-4  # 7.9e-4 next to a node
-        assert np.array_equal(field._SPLIT_BASIS, field._lagrange(x, points))
-        assert np.max(np.abs(field._SPLIT_BASIS.sum(axis=-1) - 1.0)) <= 1e-14
+        basis = field._lagrange(x, points)
+        assert np.max(np.abs(basis.sum(axis=-1) - 1.0)) <= 1e-14
         assert np.array_equal(field._lagrange(x, x[[2, 5]]), np.eye(field._PANEL)[[2, 5]])
+        # the self ring's own-panel rows are the halves' weighted ring values, contracted
+        # with that basis of the reference points, bit for bit
+        dom = field.make_domain(4.0, n=64)
+        k = dom.n // field._PANEL
+        t, a, b = (v.reshape(k, field._PANEL, 1, 1) for v in (
+            dom.nodes, np.repeat(dom.edges[:-1], field._PANEL),
+            np.repeat(dom.edges[1:], field._PANEL)))
+        lo, hi = np.concatenate((a, t), axis=-2), np.concatenate((t, b), axis=-2)
+        xs = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
+        for spec in self.SPECS:
+            ring = kernels.ring_primitive(spec, t + xs) - kernels.ring_primitive(
+                spec, np.abs(t - xs))
+            f = (0.5 * (hi - lo) * wg * xs * ring).reshape(k, field._PANEL, -1)
+            want = (2.0 * math.pi / t[..., 0]) * np.matmul(f.transpose(1, 0, 2),
+                                                           basis).transpose(1, 0, 2)
+            M = field._ring_matrix(spec, dom, dom.nodes).reshape(k, field._PANEL, k, -1)
+            assert np.array_equal(M[np.arange(k), :, np.arange(k)], want)
 
     def test_dense_self_ring_blocks_are_the_operators_split(self):
         spec = kernels.KernelSpec(a_y=0.7, kappa=2.0, a_n=0.3)

@@ -6,8 +6,10 @@ module defines or reads an `aM`, and the dense ring is read, and
 multiplied by alpha, only where the LU path writes its Jacobian
 workspace and where `functionals._ring_volume_metric` forms the volume
 metric, so no scaled n x n copy of the ring is kept.  Only field.py
-reads the dense gate `_DENSE_MAX`.  The source is read with `ast`, so
-docstrings and comments do not count.
+reads the dense gate `_DENSE_MAX`.  In field.py the Yukawa and Newton
+Green's terms have one home, `_green_terms`, and the kink split one,
+`_split`.  The source is read with `ast`, so docstrings and comments do
+not count.
 """
 
 import ast
@@ -23,6 +25,15 @@ def _dotted(node):
         parts.append(node.attr)
         node = node.value
     return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def _scoped(node, scope=()):
+    """Every node below node, with the qualified name of the function or class it is in."""
+    for child in ast.iter_child_nodes(node):
+        named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+        inner = scope + (child.name,) if named else scope
+        yield child, ".".join(inner)
+        yield from _scoped(child, inner)
 
 
 def _is_dense(node):
@@ -136,3 +147,15 @@ def test_only_field_reads_the_dense_gate():
                     isinstance(node, ast.Attribute) and node.attr == "_DENSE_MAX"):
                 readers.add(path.name)
     assert readers == {"field.py"}
+
+
+def test_one_home_for_the_green_terms_and_the_kink_split():
+    green, split = set(), set()
+    for node, where in _scoped(ast.parse((SRC / "field.py").read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr == "kappa") or (
+                isinstance(node, ast.Call) and _dotted(node.func).endswith("expm1")):
+            green.add(where)
+        if isinstance(node, ast.Call) and _dotted(node.func) == "_lagrange":
+            split.add(where)
+    assert green == {"_green_terms"}
+    assert split == {"_split"}
