@@ -83,7 +83,7 @@ _STALL_STEPS, _STALL_CUT = 8, 0.99  # Newton stalls: 8 accepted steps, < 1% cut
 _NEWTON_TOL, _NEWTON_STEPS = 1e-12, 60  # Newton's residual target and step limit
 _PICARD_STEPS = 20000  # fixed-point iterations after which Picard gives up
 _FINISH_FROM = 3  # the finish arms from step 3; step 2 compares with the first step
-_FINISH_RATIO = 0.9  # the bordered finish arms at a change ratio above 0.9
+_FINISH_RATIO = 0.9  # the bordered finish arms, and fires, at a change ratio above 0.9
 # A certified finish's price in Picard steps, one at every n it runs at.  On one BLAS
 # thread a finish costs about 10 steps at 64 nodes (LU) and 17-23 from 128 (G^-1); any
 # price from 10 to 13 fires the same finishes in the grand and petit transitions
@@ -785,18 +785,19 @@ class _NewtonFinish:
 
     `_fixed_point` offers it every iterate v_k of its column with the
     gamma of that step; its Newton solves share the block's
-    `attraction`.  It arms at the first step where the sequence is slow,
-    and fires once the change has halved since then at a step where it
-    still is: the sequence is slow and converging, not sliding through a
-    bottleneck, where a Newton solve from v_k fails.  Firing runs one
-    damped Newton solve from v_k to a limit v*; the solve gives up as
-    soon as a step cuts the residual by less than that fixed-point step
-    cut the change, for the iteration then does as well far more
-    cheaply.  A failed or refused solve leaves plain iteration.
+    `attraction`.  It arms at the first step where the sequence is
+    slow.  Firing runs one damped Newton solve from v_k to a limit v*;
+    the solve gives up as soon as a step cuts the residual by less than
+    that fixed-point step cut the change, for the iteration then does
+    as well far more cheaply.  A failed or refused solve leaves plain
+    iteration.
 
     At fixed gamma (no border) only monotone sequences are finished,
     and slow means that the Picard steps still ahead cost more than a
-    finish.  At the ratio q of the last two changes about
+    finish.  The finish fires once the change has halved since it
+    armed, at a step where the sequence still is slow: it is then slow
+    and converging, not sliding through a bottleneck, where a Newton
+    solve from v_k fails.  At the ratio q of the last two changes about
     log(tol/change)/log(q) steps remain (without end once q >= 1), tol
     the loop's change tolerance; `_FINISH_COST` prices the finish, its
     Newton steps and certificate power steps, at one number of Picard
@@ -816,12 +817,13 @@ class _NewtonFinish:
 
     With a mass border (D, N) the solve is `_newton`'s bordered one in
     (eta, gamma) from (v_k, gamma_k), for the mass-matched iteration
-    of `phase.droplet_solve`.  Its limit has no order interval to sit
-    in, so v* is accepted only where the linearly converging sequence
-    is heading: sup|v* - v_k| <= 2 change ratio / (1 - ratio), twice
-    the geometric tail of the changes left at the firing step.  Slow
-    means here a change ratio above 0.9 from step 3: a finish fired
-    earlier, at larger changes, would widen that window.
+    of `phase.droplet_solve`.  Slow means here a change ratio above 0.9
+    from step 3, and the finish fires at the step it arms, once.  Its
+    limit has no order interval to sit in, so v* is accepted only where
+    the linearly converging sequence is heading: sup|v* - v_k| <= 2
+    change ratio / (1 - ratio), twice the geometric tail of the changes
+    left at the firing step.  A lower ratio would arm at larger changes
+    and widen that window.
     """
 
     def __init__(self, attraction, model, tol=None, border=None):
@@ -836,12 +838,19 @@ class _NewtonFinish:
             return None
         ratio = change / self.change if self.change else 0.0
         self.change = change
-        if self.border is not None:
-            slow = ratio > _FINISH_RATIO
-        else:  # change > 0 whenever ratio > 0
-            slow = ratio >= 1.0 or (
-                ratio > 0.0 and math.log(self.tol / change) / math.log(ratio) > _FINISH_COST)
-        slow = slow and it >= _FINISH_FROM
+        if self.border is not None:  # one solve, fired at the step the finish arms
+            if self.tried or ratio <= _FINISH_RATIO or it < _FINISH_FROM:
+                return None
+            self.tried = True
+            limit = self._solve(v, gamma, ratio)
+            # v* must lie where the sequence is heading
+            if limit is not None and ratio < 1.0 and \
+                    np.max(np.abs(limit[0] - v)) <= 2.0 * change * ratio / (1.0 - ratio):
+                return limit
+            return None
+        # change > 0 whenever ratio > 0
+        slow = it >= _FINISH_FROM and (ratio >= 1.0 or (
+            ratio > 0.0 and math.log(self.tol / change) / math.log(ratio) > _FINISH_COST))
         if self.limit is None and (self.tried or not slow):
             return None
         if change > 0.5 * self.checked:
@@ -855,11 +864,6 @@ class _NewtonFinish:
             if self.limit is None:
                 return None
         star = self.limit[0]
-        if self.border is not None:  # v* must lie where the sequence is heading
-            if ratio < 1.0 and np.max(np.abs(star - v)) <= 2.0 * change * ratio / (1.0 - ratio):
-                return self.limit
-            self.limit = None
-            return None
         lo, hi = (v, star) if direction == "up" else (star, v)
         if np.any(lo > hi + _NEWTON_TOL):
             self.limit = None

@@ -10,13 +10,13 @@ re-solving gamma each step so the iterate keeps its mass follows the
 canonical-ensemble valley, where the droplet is a stable minimizer.
 That iteration is the fixed-point loop of `field` with the mass
 multiplier `_gamma_for_mass` as its gamma rule, which hands back the
-profile at the gamma it finds; its slow tail ends in one bordered
-Newton solve in (eta, gamma), accepted only within twice the distance
-the iteration still has to go.  Both mass matches, that one and
-`constrained_solve`'s, and the gas/liquid pressure crossing run the one
-safeguarded Newton on gamma, `_newton_on_gamma`, on an exact slope; the
-vapor/droplet free-energy gap runs it on the mass, once `brentq` has
-brought it close.
+profile at the gamma it finds; once it turns slow, one bordered
+Newton solve in (eta, gamma) cuts its tail short, accepted only within
+twice the distance the iteration still has to go.  Both mass matches,
+that one and `constrained_solve`'s, and the gas/liquid pressure
+crossing run the one safeguarded Newton on gamma, `_newton_on_gamma`,
+on an exact slope; the vapor/droplet free-energy gap runs it on the
+mass, once `brentq` has brought it close.
 Every gas/liquid comparison goes through `_launch_gap`: the minimal and
 maximal launches at one gamma, their pressure gap, and whether they are
 distinct, read through `_launch_memo` so one public call launches each
@@ -190,7 +190,9 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
 
     gamma_bracket defaults to the algebraic band `gamma_boundaries`
     moved 1e-6 inward, its low end raised to 1e-6 above the floor of
-    `model.gamma_range()` where the band reaches below it.  Both ends
+    `model.gamma_range()` where the band reaches below it.  An end
+    outside that range raises ValueError, naming alpha, R, n, the
+    bracket and the range, before any launch.  Both ends
     are launched, low then high.  `_newton_on_gamma` starts from the
     end with the smaller pressure gap P[maximal] - P[minimal] among
     those whose launches are distinct, on the exact slope
@@ -203,12 +205,17 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
     matrix is formed; a middle (saddle) solution at the crossing is
     reached separately, by `field.newton_solve`.
     """
+    g_min, g_max = model.gamma_range()
     if gamma_bracket is None:
         g_check, g_hat = uniform.gamma_boundaries(alpha * kernels.l1_norm_r3(spec))
-        gamma_bracket = (max(g_check, model.gamma_range()[0]) + 1e-6, g_hat - 1e-6)
+        gamma_bracket = (max(g_check, g_min) + 1e-6, g_hat - 1e-6)
     ends = (float(gamma_bracket[0]), float(gamma_bracket[1]))
     if not ends[0] < ends[1]:
         raise ValueError("gamma_bracket must be increasing")
+    if ends[0] < g_min or ends[1] > g_max:
+        raise ValueError(
+            f"gamma bracket [{ends[0]!r}, {ends[1]!r}] leaves the EOS range "
+            f"[{g_min!r}, {g_max!r}] (alpha {alpha!r}, R {domain.R!r}, n {domain.n})")
     launch = _launch_memo(spec, alpha, domain, model)
     gaps = tuple(launch(g)[0] for g in ends)
     message = ("no pressure-gap sign change between distinct-branch gammas "
@@ -508,17 +515,17 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=eos.EosModel(),
     on gamma, started from the current profile), whose profile at that
     gamma is the next iterate, under Picard's stopping rule.  The
     droplet minimizes F under the mass constraint, so this iteration
-    converges from a crude ball trial where fixed-gamma Newton stalls.  Once it converges slowly
-    (change ratio above 0.9, n <= 512; not Picard's cost rule, which
-    would fire earlier and widen the acceptance window below) its tail
-    is cut short by one bordered Newton solve in (eta, gamma) on the
-    mass-constrained system, see `field._NewtonFinish`; the Newton
-    limit is taken only where the iteration is heading, within twice
-    its predicted remaining distance, and otherwise the iteration runs
-    on.  The report's iterations count mass-matched steps plus Newton
-    steps.  The converged gamma is the chemical potential of the
-    droplet, and the profile solves the fixed-gamma equation to the
-    usual residual.
+    converges from a crude ball trial where fixed-gamma Newton stalls.
+    At the first step where it converges slowly (change ratio above
+    0.9, n <= 512; not Picard's cost rule, which would fire earlier and
+    widen the acceptance window below) one bordered Newton solve in
+    (eta, gamma) on the mass-constrained system cuts its tail short,
+    see `field._NewtonFinish`; the Newton limit is taken only where the
+    iteration is heading, within twice its predicted remaining
+    distance, and otherwise the iteration runs on with no second solve.
+    The report's iterations count mass-matched steps plus Newton steps.
+    The converged gamma is the chemical potential of the droplet, and
+    the profile solves the fixed-gamma equation to the usual residual.
     """
     D = functionals.volume_weights(domain)
     N = float(N)
@@ -565,7 +572,8 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
     evaluations raises RuntimeError.  Needs the gas/liquid coexistence
     point for the embedding report: pass gamma_gl to launch the pair
     there once, or gamma_bracket (None: the algebraic band) to have it
-    located here by `grand_canonical_transition`, whose gas and liquid
+    located here by `grand_canonical_transition`, which checks the
+    bracket against the EOS range first and whose gas and liquid
     are then reused.  N_bracket defaults to the gas's mass and the mass
     of the vapor at gamma_hat, which is launched only then.
 

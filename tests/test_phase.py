@@ -459,8 +459,8 @@ class TestDropletFinish:
         assert point.solution.iterations == plain.iterations
 
     def test_limit_off_the_predicted_path_is_refused(self, dom15, monkeypatch):
-        # the solve fires at a change near 3e-4 and a ratio near 0.906,
-        # so twice the remaining tail of changes is about 0.0065; a limit
+        # the solve fires at a change near 6.8e-4 and a ratio near 0.901,
+        # so twice the remaining tail of changes is about 0.0124; a limit
         # 0.02 off the true one lies beyond it, and the iteration runs on
         real = field._newton
         limits = []
@@ -476,6 +476,30 @@ class TestDropletFinish:
         assert np.array_equal(point.solution.field.values, plain.field.values)
         assert point.gamma == gamma
         assert point.solution.iterations == plain.iterations
+
+    def test_solve_fires_at_the_step_the_finish_arms(self, dom15, monkeypatch):
+        # the one bordered solve runs at the first step from _FINISH_FROM whose
+        # change ratio exceeds _FINISH_RATIO, with no wait for the change to
+        # halve, and its limit ends the iteration there
+        offers, fired = [], []
+        offer, newton = field._NewtonFinish.__call__, field._newton
+
+        def offered(self, it, v, gamma, change, direction):
+            offers.append((it, change))
+            return offer(self, it, v, gamma, change, direction)
+
+        def spy(*args):
+            fired.append(offers[-1][0])
+            return newton(*args)
+
+        monkeypatch.setattr(field._NewtonFinish, "__call__", offered)
+        monkeypatch.setattr(field, "_newton", spy)
+        point = phase.droplet_solve(SPEC_Y, ALPHA_31, dom15, self.N, model=EXT,
+                                    check_collapse=False)
+        armed = next(it for (_, before), (it, change) in zip(offers, offers[1:])
+                     if it >= field._FINISH_FROM and change > field._FINISH_RATIO * before)
+        assert fired == [armed] and offers[-1][0] == armed
+        assert armed < point.solution.iterations < armed + 10
 
 
 class TestMassMatch:
@@ -721,6 +745,30 @@ class TestGrandTransition:
             assert tr.delta_N > 0
             gaps.append(tr.gamma_gl - gamma_alg)
         assert gaps[0] > gaps[1] > gaps[2] > 0
+
+
+@pytest.mark.parametrize("ends", [(-40.0, -4.45), (-4.75, 1e40)])
+@pytest.mark.parametrize("locator", ["grand", "petit"])
+def test_bracket_outside_the_eos_range_is_named_before_any_launch(
+        ends, locator, monkeypatch):
+    # either end outside model.gamma_range() is refused with the inputs
+    # named, before any fixed-point launch, by both locators
+    dom = field.make_domain(15.0, n=64)
+
+    def launch(*args):
+        raise AssertionError("launched")
+
+    monkeypatch.setattr(field, "_fixed_point", launch)
+    lo, hi = EXT.gamma_range()
+    message = (f"gamma bracket [{ends[0]!r}, {ends[1]!r}] leaves the EOS range "
+               f"[{lo!r}, {hi!r}] (alpha {ALPHA_31!r}, R 15.0, n 64)")
+    with pytest.raises(ValueError) as excinfo:
+        if locator == "grand":
+            phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, ends, model=EXT)
+        else:
+            phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, model=EXT,
+                                             gamma_bracket=ends)
+    assert str(excinfo.value) == message
 
 
 class TestDefaultBand:
@@ -1024,7 +1072,10 @@ class TestFinishTraffic:
             SPEC_Y, ALPHA_31, field.make_domain(15.0, n=64),
             N_bracket=(0.965 * N_HAT_15, 0.968 * N_HAT_15),
             model=EXT, gamma_gl=-4.655290873521921))
-        assert count == {"newton": 17, "solve": 69, "bound": 12, "steps": 209}
+        # 5 of the Newton solves are droplets' bordered finishes, fired at arming;
+        # the first, from the ball trial, takes 4 Jacobian solves
+        assert (count["newton"], count["bound"]) == (17, 12)
+        assert count["solve"] <= 70 and count["steps"] <= 170
 
 
 def test_van_der_waals_transition_agrees_across_grids():
