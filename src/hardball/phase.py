@@ -27,7 +27,9 @@ minimal solution rises with gamma and the maximal one falls as gamma
 falls, so these are sub- and supersolutions on the right side of the
 extremal solutions, and the monotone iterations still end there.
 The vapor mass matches of one petit transition each start from the
-vapor solved before them, through `constrained_solve`'s ``seed``.
+vapor solved before them, through `constrained_solve`'s ``seed``, and
+launch first at the gamma of one mass-bordered Newton solve from that
+seed, the droplet finish's solve, which is regular at the vapor fold.
 `grand_canonical_transition` is the one gas/liquid locator: one
 safeguarded Newton on gamma, started from the end of its bracket (by
 default the algebraic band) whose launches are distinct and whose gap
@@ -63,6 +65,7 @@ _MASS_RTOL = 1e-9  # relative mass residual for constrained solves
 _JUMP_FACTOR = 10.0  # continuation step ratio that flags a branch switch
 _DISTINCT = 1e-7  # sup-norm separation below which two launches coincide
 _COLLAPSED = 1e-6  # sup-norm separation below which a droplet is the vapor
+_FOLLOWED = 1e-9  # sup-norm gap between a launch and the bordered profile it must follow
 _MASS_MATCH_STEPS = 200  # Newton/bisection steps of one mass match, at most
 _OUTER_STEPS = 80  # Newton steps on gamma of one constrained solve or crossing, at most
 _DROPLET_TOL, _DROPLET_STEPS = 1e-12, 20000  # droplet iteration: change tolerance, steps
@@ -71,6 +74,10 @@ _TRIAL_FLOOR = 1e-12  # droplet trial's density outside the ball
 
 class BranchLostError(RuntimeError):
     """Continuation left its branch, or a droplet collapsed onto one."""
+
+
+class _Unfollowed(Exception):
+    """The launch at a bordered solve's gamma is not the bordered profile."""
 
 
 @dataclass(eq=False)
@@ -251,7 +258,7 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
     )
 
 
-def _newton_on_gamma(evaluate, gamma, window, ftol, xtol, message, steps):
+def _newton_on_gamma(evaluate, gamma, window, ftol, xtol, message, steps, second=None):
     """Safeguarded Newton for the root of a monotone f(gamma) in a window.
 
     gamma is a chemical potential, or the mass in the petit
@@ -265,7 +272,9 @@ def _newton_on_gamma(evaluate, gamma, window, ftol, xtol, message, steps):
     retreats halfway to the last good gamma (a first evaluation has
     none and re-raises).  Stops at |f| <= ftol, at a step
     |f / slope| <= xtol(gamma), or after steps evaluations, and
-    returns the last good (gamma, f, payload).
+    returns the last good (gamma, f, payload).  second, a gamma inside
+    window, replaces the Newton step from a first evaluation that
+    leaves |f| > ftol, whose slope then goes unread.
     """
     lo, hi = window
     gamma = min(max(gamma, lo), hi)
@@ -286,6 +295,9 @@ def _newton_on_gamma(evaluate, gamma, window, ftol, xtol, message, steps):
             neg = gamma
         else:
             pos = gamma
+        if second is not None:
+            gamma, second = second, None
+            continue
         step = f / slope
         if abs(step) <= xtol(gamma):
             break
@@ -318,8 +330,17 @@ def constrained_solve(spec, alpha, domain, N_target, model=eos.EosModel(), seed=
     the same (R, n), starts the Newton at its gamma, where its report is
     read instead of solved; a seed already at N_target returns at once,
     and a seed of another branch or on another grid raises ValueError
-    naming it.  Without a seed the Newton starts from the uniform
-    estimate.
+    naming it.  Otherwise one Newton solve from the seed, `field._newton`
+    bordered by the mass (D, N_target), the tangent system of
+    pseudo-arclength continuation and regular at the fold, carries
+    (profile, gamma) to N_target, and the Newton on gamma evaluates that
+    gamma second, in place of a step on the seed's slope; the seed stays
+    the last good gamma to retreat to.  The launch there goes on only
+    within 1e-9 (sup norm) of the bordered profile: one further off did
+    not follow the seed's branch, and the match runs again from the seed
+    as it does where the bordered solve fails or leaves the window,
+    stepping on the slope.  Without a seed the Newton starts from the
+    uniform estimate.
     """
     N_target = float(N_target)
     D = functionals.volume_weights(domain)
@@ -348,6 +369,7 @@ def constrained_solve(spec, alpha, domain, N_target, model=eos.EosModel(), seed=
     attraction = field._Attraction(spec, alpha, domain)
     ftol = _MASS_RTOL * max(1.0, N_target)
     history = []  # (gamma, values) of accepted inner solves
+    predicted = None  # the bordered solve's (gamma, profile), carried from the seed
 
     def evaluate(g):
         if seed is not None and g == seed[0]:
@@ -355,28 +377,49 @@ def constrained_solve(spec, alpha, domain, N_target, model=eos.EosModel(), seed=
         else:
             rep = field.minimal_solution(spec, alpha, g, domain, model=model)
         v = rep.field.values
+        if predicted is not None and g == predicted[0] and \
+                np.max(np.abs(v - predicted[1])) > _FOLLOWED:
+            raise _Unfollowed
         if len(history) >= 2:
             (g1, v1), (g0, v0) = history[-1], history[-2]
             dg = abs(g1 - g0)
             if dg > 0.0:
-                predicted = np.max(np.abs(v1 - v0)) / dg * abs(g - g1)
-                if np.max(np.abs(v - v1)) > _JUMP_FACTOR * predicted + 1e-9:
+                expected = np.max(np.abs(v1 - v0)) / dg * abs(g - g1)
+                if np.max(np.abs(v - v1)) > _JUMP_FACTOR * expected + 1e-9:
                     raise BranchLostError(
                         f"minimal branch lost near gamma {g:.6f}: "
                         "sup-norm step exceeds ten times the prediction"
                     )
         history.append((g, v))
         h = float(D @ v) - N_target
-        # a met target ends the Newton before it reads the slope
-        return h, _mass_slope(model, attraction, D, v) if abs(h) > ftol else None, rep
+        # a met target ends the Newton before it reads the slope, and a
+        # prediction replaces the step from the first evaluation, the seed's
+        if abs(h) <= ftol or (predicted is not None and len(history) == 1):
+            return h, None, rep
+        return h, _mass_slope(model, attraction, D, v), rep
 
+    if seed is not None and abs(float(D @ seed[1].field.values) - N_target) > ftol:
+        try:
+            eta, _, _, _, g = field._newton(attraction, seed[0], model, seed[1].field.values,
+                                            field._NEWTON_TOL, field._NEWTON_STEPS,
+                                            border=(D, N_target))
+        except (RuntimeError, ValueError):  # the match steps from the seed on its slope
+            pass
+        else:
+            predicted = (g, eta) if g_floor <= g <= g_ceil else None
     mean = N_target / volume
     gamma0 = model.gamma_at(mean) - alpha * phi * mean if seed is None else seed[0]
-    gamma, h, report = _newton_on_gamma(
-        evaluate, float(gamma0), (g_floor, g_ceil),
+    match = functools.partial(
+        _newton_on_gamma, evaluate, float(gamma0), (g_floor, g_ceil),
         ftol, lambda g: 1e-15 * max(1.0, abs(g)),
         "N_target appears beyond the minimal branch's fold", _OUTER_STEPS + 1,
     )
+    try:
+        gamma, h, report = match(None if predicted is None else predicted[0])
+    except _Unfollowed:  # the launch left the seed's branch: step from the seed on its slope
+        predicted = None
+        history.clear()
+        gamma, h, report = match()
     if abs(h) > ftol:
         raise ValueError(
             f"no mass match within {_OUTER_STEPS} outer steps on the minimal "
@@ -580,7 +623,10 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
     Each vapor is a `constrained_solve` seeded with the vapor solved
     before it, the first with the gas at gamma_gl, so the first Newton
     evaluation of each reads its seed instead of launching, and a vapor
-    at its seed's mass is the seed.
+    at its seed's mass is the seed.  Its second evaluation launches at
+    the gamma of the mass-bordered Newton solve from the seed, where the
+    launch most often meets the mass already, so that a vapor costs one
+    launch.
     """
     crit = droplet_criterion(spec, alpha)
     if not crit["fires"]:

@@ -6,7 +6,11 @@ fixed mass.  So at fixed N the derivative of F in alpha is the explicit
 one, dF/dalpha = -I, and a difference of solved free energies checks
 the solver and the functionals against each other with no reference
 value.  A droplet off its constrained solution by delta moves F by
-order delta^2 and the difference quotient by delta^2 / h.
+order delta^2 and the difference quotient by delta^2 / h.  In the same
+way P is stationary at fixed gamma, with dP/dgamma = N and dP/dalpha =
+I, so along the grand line P_gas = P_liquid the coexistence gamma moves
+with alpha by the Clausius-Clapeyron slope -(I_liq - I_gas)/(N_liq -
+N_gas).
 """
 
 import pytest
@@ -17,12 +21,12 @@ SPEC_Y = kernels.KernelSpec(a_y=1.0, kappa=1.0)
 ALPHA_31 = 31.0 / kernels.l1_norm_r3(SPEC_Y)
 EXT = eos.EosModel(mode=eos.MODE_CS_EXTENDED)
 # the vapor/droplet crossing of the benchmark's petit-r15 transition (R=15, n=64)
-N_VD_15 = 438.1945073783408
+N_VD_15 = 438.19450705161347
 
 
 def test_droplet_free_energy_slope_in_alpha_at_fixed_mass(monkeypatch):
     # Richardson's combination of centred differences at h and h/2, h =
-    # 1e-4 alpha, reads 4.2e-12 relative (1.5e-11 at a mass 1e-11 away);
+    # 1e-4 alpha, reads 3.2e-12 relative (3.1e-12 to 3.3e-12 at masses 1e-11 away);
     # its truncation is about 6e-13, the rest the solves' roundoff.  The
     # centred difference at h/2 alone reads 8.9e-8.  Every droplet ends
     # in the bordered Newton finish, fired at the step it arms
@@ -50,3 +54,29 @@ def test_droplet_free_energy_slope_in_alpha_at_fixed_mass(monkeypatch):
     slope = (4.0 * centred(0.5 * h) - centred(h)) / 3.0
     assert bordered == [True] * 5
     assert slope == pytest.approx(-interaction, rel=1e-10)
+
+
+def test_grand_line_clausius_clapeyron_slope():
+    # gamma_gl at R=15, n=64 (petit-r15's grid and gamma bracket).
+    # Richardson's combination of centred differences at h = 1e-4 alpha
+    # and h/2 reads 5.2e-10 relative, and so it does at h = 1e-3 and
+    # 3e-4 alpha, so this is no truncation: it is the launches' own stop
+    # (ROADMAP item 24 finds the liquid there 1.3e-9 off in sup norm).
+    # The centred difference at h/2 alone reads 1.2e-9
+    dom = field.make_domain(15.0, n=64)
+
+    def grand(alpha):
+        return phase.grand_canonical_transition(SPEC_Y, alpha, dom, (-4.75, -4.45), model=EXT)
+
+    def interaction(point):
+        fld = point.solution.field
+        return functionals._interaction(fld, functionals._unit_potential(SPEC_Y, fld))
+
+    line = grand(ALPHA_31)
+    slope = -(interaction(line.liquid) - interaction(line.gas)) / line.delta_N
+
+    def centred(h):
+        return (grand(ALPHA_31 + h).gamma_gl - grand(ALPHA_31 - h).gamma_gl) / (2.0 * h)
+
+    h = 1e-4 * ALPHA_31
+    assert (4.0 * centred(0.5 * h) - centred(h)) / 3.0 == pytest.approx(slope, rel=1e-9)

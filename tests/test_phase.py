@@ -1037,9 +1037,9 @@ class TestFinishTraffic:
         newton, solve, bound = field._newton, field._Attraction.solve, field._contraction_bound
         fixed_point = field._fixed_point
 
-        def newton_spy(*args):
+        def newton_spy(*args, **kwargs):
             count["newton"] += 1
-            return newton(*args)
+            return newton(*args, **kwargs)
 
         def solve_spy(self, *args, **kwargs):
             count["solve"] += 1
@@ -1072,10 +1072,12 @@ class TestFinishTraffic:
             SPEC_Y, ALPHA_31, field.make_domain(15.0, n=64),
             N_bracket=(0.965 * N_HAT_15, 0.968 * N_HAT_15),
             model=EXT, gamma_gl=-4.655290873521921))
-        # 5 of the Newton solves are droplets' bordered finishes, fired at arming;
-        # the first, from the ball trial, takes 4 Jacobian solves
-        assert (count["newton"], count["bound"]) == (17, 12)
-        assert count["solve"] <= 70 and count["steps"] <= 170
+        # 5 of the Newton solves are droplets' bordered finishes, fired at arming
+        # (the first, from the ball trial, takes 4 Jacobian solves), and 5 are the
+        # vapor mass matches' bordered starts, of 5, 3, 2, 1 and 1 steps; each vapor
+        # then launches once, so the launches' finishes check 7 bounds, not 12
+        assert (count["newton"], count["bound"]) == (17, 7)
+        assert count["solve"] <= 52 and count["steps"] <= 120
 
 
 def test_van_der_waals_transition_agrees_across_grids():
@@ -1247,10 +1249,20 @@ class TestVaporSeed:
             assert point.functionals == functionals.functional_values(
                 SPEC_Y, ALPHA_31, point.gamma, cold.field, model=EXT)
 
-    def test_direct_solve_launches_at_every_evaluation(self, monkeypatch):
-        # without a seed each Newton evaluation launches; seeded with the
-        # cold launch at its first gamma, the solve evaluates the same
-        # gammas, launches at all but that one and gives the same bits
+    @staticmethod
+    def bordered_gamma(dom, seed, N):
+        """The gamma of the mass-bordered Newton solve from seed = (gamma, report) to mass N."""
+        return field._newton(field._Attraction(SPEC_Y, ALPHA_31, dom), seed[0], EXT,
+                             seed[1].field.values, field._NEWTON_TOL, field._NEWTON_STEPS,
+                             border=(functionals.volume_weights(dom), N))[4]
+
+    def direct_and_seed(self, monkeypatch):
+        """An unseeded match at 0.966 N_HAT_15 on petit-r15's grid, its evaluations, and a seed.
+
+        Returns (dom, N, direct, evaluated, seed, calls, launched), the
+        seed the cold launch at the direct match's first gamma; calls
+        and launched record from here on.
+        """
         dom = field.make_domain(15.0, n=64)
         N = 0.966 * N_HAT_15
         calls = self.mass_match_evaluations(monkeypatch)
@@ -1258,14 +1270,88 @@ class TestVaporSeed:
         direct = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, model=EXT)
         [evaluated] = calls
         assert launched == evaluated and len(launched) >= 2
-        first = field.minimal_solution(SPEC_Y, ALPHA_31, evaluated[0], dom, model=EXT)
+        seed = (evaluated[0], field.minimal_solution(SPEC_Y, ALPHA_31, evaluated[0], dom,
+                                                     model=EXT))
+        calls.clear()
         launched.clear()
-        seeded = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, model=EXT,
-                                         seed=(evaluated[0], first))
-        assert calls[1] == evaluated and launched == evaluated[1:]
+        return dom, N, direct, evaluated, seed, calls, launched
+
+    def test_direct_solve_launches_at_every_evaluation(self, monkeypatch):
+        # without a seed each Newton evaluation launches; seeded with the
+        # cold launch at its first gamma, the solve reads the seed first,
+        # evaluates the bordered solve's gamma second, launches at all but
+        # the seed's gamma and returns the cold launch at its gamma
+        dom, N, direct, evaluated, seed, calls, launched = self.direct_and_seed(monkeypatch)
+        seeded = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, model=EXT, seed=seed)
+        [evaluated_seeded] = calls
+        assert evaluated_seeded[:2] == [evaluated[0], self.bordered_gamma(dom, seed, N)]
+        assert launched == evaluated_seeded[1:] and len(launched) < len(evaluated)
+        cold = field.minimal_solution(SPEC_Y, ALPHA_31, seeded.gamma, dom, model=EXT)
+        assert np.array_equal(seeded.solution.field.values, cold.field.values)
+        assert abs(seeded.functionals.N - N) <= 1e-9 * N
+        # both hold the mass to 1e-9 N (4.4e-7), and N moves about 1400 per
+        # unit gamma here: the two gammas read 1.0e-10 apart
+        assert abs(seeded.gamma - direct.gamma) <= 1e-9
+
+    def test_failed_bordered_solve_runs_the_plain_match(self, monkeypatch):
+        # a bordered solve that raises leaves the match as it runs without
+        # one: from the seed it evaluates the unseeded match's gammas,
+        # launches at all but the seed's and gives the same bits
+        dom, N, direct, evaluated, seed, calls, launched = self.direct_and_seed(monkeypatch)
+        newton = field._newton
+
+        def failing(*args, **kwargs):
+            if kwargs.get("border") is not None:
+                raise RuntimeError("bordered solve failed")
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(field, "_newton", failing)
+        seeded = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, model=EXT, seed=seed)
+        assert calls == [evaluated] and launched == evaluated[1:]
         assert seeded.gamma == direct.gamma
         assert np.array_equal(seeded.solution.field.values, direct.solution.field.values)
         assert seeded.functionals == direct.functionals
+
+    def test_launch_off_the_bordered_profile_is_not_returned(self, monkeypatch):
+        # a bordered profile moved 1e-6 off at the bordered gamma: the launch
+        # there meets the mass but lies off that profile, so it is dropped,
+        # and the match runs again from the seed as it runs without a
+        # bordered solve, to the unseeded match's bits
+        dom, N, direct, evaluated, seed, calls, launched = self.direct_and_seed(monkeypatch)
+        newton = field._newton
+
+        def moved(*args, **kwargs):
+            eta, *rest = newton(*args, **kwargs)
+            return (eta + 1e-6 if kwargs.get("border") is not None else eta, *rest)
+
+        monkeypatch.setattr(field, "_newton", moved)
+        bordered = self.bordered_gamma(dom, seed, N)
+        seeded = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, model=EXT, seed=seed)
+        assert calls == [[evaluated[0], bordered], evaluated]
+        assert launched == [bordered] + evaluated[1:]
+        at_bordered = field.minimal_solution(SPEC_Y, ALPHA_31, bordered, dom, model=EXT)
+        assert abs(total_mass(dom, at_bordered.field) - N) <= 1e-9 * N
+        assert seeded.gamma == direct.gamma
+        assert np.array_equal(seeded.solution.field.values, direct.solution.field.values)
+
+    def test_each_seeded_vapor_launches_once(self, monkeypatch):
+        # petit-r15's five vapors: each mass match launches once, at the
+        # gamma it returns
+        dom = field.make_domain(15.0, n=64)
+        launched = self.launches(monkeypatch)
+        per_match, vapors = [], []
+        real = phase.constrained_solve
+
+        def spy(*args, **kwargs):
+            before = len(launched)
+            vapors.append(real(*args, **kwargs))
+            per_match.append(launched[before:])
+            return vapors[-1]
+
+        monkeypatch.setattr(phase, "constrained_solve", spy)
+        phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, **self.KWARGS)
+        assert len(vapors) == 5
+        assert per_match == [[point.gamma] for point in vapors]
 
     def test_seed_at_its_own_mass_returns_without_launching(self, monkeypatch):
         dom = field.make_domain(15.0, n=64)
@@ -1299,8 +1385,9 @@ class TestVaporSeed:
 
     def test_first_vapor_steps_from_the_gas(self, monkeypatch):
         # with the default mass bracket the vapor at the gas's mass reads
-        # the gas and returns; the next vapor reads it again, then takes
-        # one Newton step on the gas's mass slope, to the bit
+        # the gas and returns; the next vapor reads it again, then launches
+        # at the gamma of the bordered solve from the gas to its mass, to
+        # the bit, and that launch meets the mass
         dom = field.make_domain(15.0, n=64)
         kwargs = dict(self.KWARGS)
         del kwargs["N_bracket"]
@@ -1315,11 +1402,9 @@ class TestVaporSeed:
         monkeypatch.setattr(phase, "constrained_solve", spy)
         result = phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, **kwargs)
         gas, gamma_gl = result.gas, result.gamma_gl
-        slope = phase._mass_slope(EXT, field._Attraction(SPEC_Y, ALPHA_31, dom),
-                                  functionals.volume_weights(dom), gas.solution.field.values)
         assert targets[0] == gas.functionals.N and calls[0] == [gamma_gl]
-        step = gamma_gl - (gas.functionals.N - targets[1]) / slope
-        assert calls[1][:2] == [gamma_gl, step] and len(calls[1]) > 2
+        bordered = self.bordered_gamma(dom, (gamma_gl, gas.solution), targets[1])
+        assert calls[1] == [gamma_gl, bordered]
 
 
 class TestHatLaunch:
@@ -1375,10 +1460,10 @@ class TestPetitPolish:
         self.off_by_a_step(monkeypatch, [])
         newton = phase._newton_on_gamma
 
-        def one_step(evaluate, gamma, window, ftol, xtol, message, steps):
+        def one_step(evaluate, gamma, window, ftol, xtol, message, steps, *rest):
             if message.startswith("the free-energy crossing"):
                 steps = 1
-            return newton(evaluate, gamma, window, ftol, xtol, message, steps)
+            return newton(evaluate, gamma, window, ftol, xtol, message, steps, *rest)
 
         monkeypatch.setattr(phase, "_newton_on_gamma", one_step)
         with pytest.raises(RuntimeError, match="free-energy gap failed to close"):
