@@ -31,9 +31,9 @@ vapor solved before them, through `constrained_solve`'s ``seed``, and
 launch first at the gamma of one mass-bordered Newton solve from that
 seed, the droplet finish's solve, which is regular at the vapor fold.
 `grand_canonical_transition` is the one gas/liquid locator: one
-safeguarded Newton on gamma, started from the end of its bracket (by
-default the algebraic band) whose launches are distinct and whose gap
-is smaller.
+safeguarded Newton on gamma, started from the top end of its bracket
+(by default the algebraic band) where its launches are distinct, and
+from the low end only where they coincide at the top.
 """
 
 import functools
@@ -199,15 +199,19 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
     moved 1e-6 inward, its low end raised to 1e-6 above the floor of
     `model.gamma_range()` where the band reaches below it.  An end
     outside that range raises ValueError, naming alpha, R, n, the
-    bracket and the range, before any launch.  Both ends
-    are launched, low then high.  `_newton_on_gamma` starts from the
-    end with the smaller pressure gap P[maximal] - P[minimal] among
-    those whose launches are distinct, on the exact slope
-    N[maximal] - N[minimal], to a step of 1e-12 + 8.9e-16 |gamma|.  A
-    gamma where the launches coincide fails its evaluation, and the
-    Newton retreats halfway to its last good gamma: a coincident end is
-    passed over.  With no distinct end, or a Newton step clamped onto
-    an end, the error names alpha, the grid, the ends and their gaps.
+    bracket and the range, before any launch.  The top end is
+    launched first, and `_newton_on_gamma` starts there on the pressure
+    gap P[maximal] - P[minimal] with the exact slope
+    N[maximal] - N[minimal], to a step of 1e-12 + 8.9e-16 |gamma|.
+    The low end is launched only where the launches coincide at the top
+    (the Newton then starts from the low end), where a Newton step is
+    clamped onto it, or for an error message: near the liquid spinodal
+    it is the costly end.  A gamma where the launches coincide fails its
+    evaluation, and the Newton retreats halfway to its last good gamma:
+    a coincident end is passed over.  With no distinct end, or a Newton
+    step clamped onto the end it evaluated last, the error names alpha,
+    the grid, the ends and their gaps; a pressure gap still open where
+    the Newton stops names the point it reached and that gap.
     Only the two launches are solved, so above the dense gate no n x n
     matrix is formed; a middle (saddle) solution at the crossing is
     reached separately, by `field.newton_solve`.
@@ -224,12 +228,15 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
             f"gamma bracket [{ends[0]!r}, {ends[1]!r}] leaves the EOS range "
             f"[{g_min!r}, {g_max!r}] (alpha {alpha!r}, R {domain.R!r}, n {domain.n})")
     launch = _launch_memo(spec, alpha, domain, model)
-    gaps = tuple(launch(g)[0] for g in ends)
-    message = ("no pressure-gap sign change between distinct-branch gammas "
-               f"inside the bracket ({_inputs(alpha, domain, ends, gaps)})")
-    distinct = [g for g in ends if launch(g)[1] >= _DISTINCT]
-    if not distinct:
-        raise ValueError(message)
+
+    def no_crossing():  # names both ends' gaps: the low end is launched here if not yet
+        gaps = tuple(launch(g)[0] for g in ends)
+        return ("no pressure-gap sign change between distinct-branch gammas "
+                f"inside the bracket ({_inputs(alpha, domain, ends, gaps)})")
+
+    start = ends[1] if launch(ends[1])[1] >= _DISTINCT else ends[0]
+    if launch(start)[1] < _DISTINCT:
+        raise ValueError(no_crossing())
     D = functionals.volume_weights(domain)
 
     def evaluate(g):
@@ -239,17 +246,17 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
             raise ValueError(f"the launches coincide at gamma {g!r}")
         return gap, float(D @ (hi.field.values - lo.field.values)), None
 
-    start = min(distinct, key=lambda g: abs(launch(g)[0]))
     gamma_gl = _newton_on_gamma(
         evaluate, start, ends, 0.0, lambda g: 1e-12 + 8.9e-16 * abs(g),
-        message, _OUTER_STEPS,
+        no_crossing, _OUTER_STEPS,
     )[0]
     delta, _, lo, hi = launch(gamma_gl)
     gas = _branch_point(spec, alpha, gamma_gl, lo, model)
     liquid = _branch_point(spec, alpha, gamma_gl, hi, model)
     scale = max(1.0, abs(gas.functionals.P), abs(liquid.functionals.P))
     if abs(delta) > 1e-8 * scale:
-        raise RuntimeError("pressure gap at the located crossing is too wide")
+        raise RuntimeError("pressure gap at the located crossing is too wide "
+                           f"({_located(alpha, domain, ends, gamma_gl, delta)})")
     return GrandTransition(
         gamma_gl=gamma_gl,
         gas=gas,
@@ -268,7 +275,8 @@ def _newton_on_gamma(evaluate, gamma, window, ftol, xtol, message, steps, second
     clamped into window, and a step clamped onto the gamma just
     evaluated means the root lies beyond the window:
     ValueError(message).  Once both signs are seen, a step leaving
-    their bracket bisects it.  An evaluation that raises ValueError
+    their bracket bisects it.  message may be a function returning the
+    message, called only then.  An evaluation that raises ValueError
     retreats halfway to the last good gamma (a first evaluation has
     none and re-raises).  Stops at |f| <= ftol, at a step
     |f / slope| <= xtol(gamma), or after steps evaluations, and
@@ -309,7 +317,7 @@ def _newton_on_gamma(evaluate, gamma, window, ftol, xtol, message, steps, second
         else:
             g_next = min(max(g_next, lo), hi)
             if g_next == gamma:
-                raise ValueError(message)
+                raise ValueError(message() if callable(message) else message)
         gamma = g_next
     return good
 
@@ -612,7 +620,8 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
     From brentq's root `_newton_on_gamma` closes the gap on the mass,
     on the slope dF/dN = Gamma per branch, to 1e-8 max(1, |F[vapor]|)
     at that root, within N_bracket; a gap still open after nine
-    evaluations raises RuntimeError.  Needs the gas/liquid coexistence
+    evaluations raises RuntimeError naming alpha, R, n, N_bracket, the
+    mass reached and the gap left.  Needs the gas/liquid coexistence
     point for the embedding report: pass gamma_gl to launch the pair
     there once, or gamma_bracket (None: the algebraic band) to have it
     located here by `grand_canonical_transition`, which checks the
@@ -713,7 +722,8 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
         "the free-energy crossing left the mass bracket", 9,
     )
     if abs(fgap) > ftol:
-        raise RuntimeError("free-energy gap failed to close at the crossing")
+        raise RuntimeError("free-energy gap failed to close at the crossing "
+                           f"({_located(alpha, domain, (n_lo, n_hi), n_vd, fgap)})")
 
     return PetitTransition(
         N_vd=n_vd,
@@ -756,6 +766,12 @@ def _inputs(alpha, domain, bracket, gaps):
     (a, b), (gap_a, gap_b) = bracket, gaps
     return (f"alpha {alpha!r}, R {domain.R!r}, n {domain.n}; bracket ends {a!r} "
             f"and {b!r}, gaps {float(gap_a):.6e} and {float(gap_b):.6e}")
+
+
+def _located(alpha, domain, bracket, point, gap):
+    """alpha, the grid, a bracket, the point located in it and the gap left there."""
+    return (f"alpha {alpha!r}, R {domain.R!r}, n {domain.n}; bracket ends {bracket[0]!r} "
+            f"and {bracket[1]!r}, located at {point!r}, gap left {float(gap):.6e}")
 
 
 def decreasing_rearrangement(fld):

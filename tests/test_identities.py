@@ -8,9 +8,9 @@ the solver and the functionals against each other with no reference
 value.  A droplet off its constrained solution by delta moves F by
 order delta^2 and the difference quotient by delta^2 / h.  In the same
 way P is stationary at fixed gamma, with dP/dgamma = N and dP/dalpha =
-I, so along the grand line P_gas = P_liquid the coexistence gamma moves
-with alpha by the Clausius-Clapeyron slope -(I_liq - I_gas)/(N_liq -
-N_gas).
+I, checked on the gas and the liquid at the grand crossing; so along the
+grand line P_gas = P_liquid the coexistence gamma moves with alpha by
+the Clausius-Clapeyron slope -(I_liq - I_gas)/(N_liq - N_gas).
 """
 
 import pytest
@@ -22,6 +22,8 @@ ALPHA_31 = 31.0 / kernels.l1_norm_r3(SPEC_Y)
 EXT = eos.EosModel(mode=eos.MODE_CS_EXTENDED)
 # the vapor/droplet crossing of the benchmark's petit-r15 transition (R=15, n=64)
 N_VD_15 = 438.19450705161347
+# the gas/liquid crossing of the benchmark's grand-r30 transition (R=30, n=256)
+GAMMA_GL_30 = -4.848100784705523
 
 
 def test_droplet_free_energy_slope_in_alpha_at_fixed_mass(monkeypatch):
@@ -80,3 +82,36 @@ def test_grand_line_clausius_clapeyron_slope():
 
     h = 1e-4 * ALPHA_31
     assert (4.0 * centred(0.5 * h) - centred(h)) / 3.0 == pytest.approx(slope, rel=1e-9)
+
+
+# Richardson's combination of centred differences at h and h/2, h = 1e-4
+# in gamma and 1e-4 alpha in alpha, reads for dP/dgamma and dP/dalpha
+# 8.3e-10 and 1.7e-9 relative on the gas, and so it does at h from 3e-5
+# to 1e-3: no truncation but the gas launch's stop, whose mass lies 8.3e-10
+# below that of the gas solved to tol 1e-12.  The liquid reads 3.9e-12 and
+# 1.2e-11
+@pytest.mark.parametrize("branch,rel_gamma,rel_alpha", [
+    ("minimal", 1e-9, 2e-9),
+    ("maximal", 1e-11, 3e-11),
+], ids=["gas", "liquid"])
+def test_pressure_slopes_at_fixed_gamma(branch, rel_gamma, rel_alpha):
+    dom = field.make_domain(30.0, n=256)
+    launch = getattr(field, f"{branch}_solution")
+    base = launch(SPEC_Y, ALPHA_31, GAMMA_GL_30, dom, model=EXT).field
+    mass = float(functionals.volume_weights(dom) @ base.values)
+    interaction = functionals._interaction(base, functionals._unit_potential(SPEC_Y, base))
+
+    def p(alpha, gamma):
+        fld = launch(SPEC_Y, alpha, gamma, dom, model=EXT).field
+        return functionals.pressure_functional(SPEC_Y, alpha, gamma, fld, model=EXT)
+
+    def richardson(f, x, h):
+        def centred(h):
+            return (f(x + h) - f(x - h)) / (2.0 * h)
+
+        return (4.0 * centred(0.5 * h) - centred(h)) / 3.0
+
+    dp_dgamma = richardson(lambda g: p(ALPHA_31, g), GAMMA_GL_30, 1e-4)
+    dp_dalpha = richardson(lambda a: p(a, GAMMA_GL_30), ALPHA_31, 1e-4 * ALPHA_31)
+    assert dp_dgamma == pytest.approx(mass, rel=rel_gamma)
+    assert dp_dalpha == pytest.approx(interaction, rel=rel_alpha)

@@ -60,6 +60,16 @@ def named_inputs(excinfo, alpha, dom, ends):
     return float(m[6]), float(m[7])
 
 
+def named_point(excinfo, alpha, dom, ends):
+    """The located point and the gap left there that a transition error names."""
+    m = re.search(r"\(alpha (\S+), R (\S+), n (\d+); bracket ends (\S+) and (\S+), "
+                  r"located at (\S+), gap left (\S+)\)$", str(excinfo.value))
+    assert m is not None, str(excinfo.value)
+    assert (float(m[1]), float(m[2]), int(m[3])) == (alpha, dom.R, dom.n)
+    assert (float(m[4]), float(m[5])) == ends
+    return float(m[6]), float(m[7])
+
+
 def record_launches(monkeypatch):
     """Every extremal launch from here on, as (branch, gamma, its neighbour's gamma or None).
 
@@ -705,9 +715,9 @@ class TestGrandTransition:
                                   getattr(tr, name).solution.field.values)
 
     def test_each_gamma_launched_once(self, dom_small, monkeypatch):
-        # the end checks, the root finder and the final pair share one
-        # launch per gamma
-        asked = {-22.0, -14.0}  # the bracket ends, then what the root finder evaluates
+        # the top end is launched first; the root finder starts there and
+        # every launch is a gamma it evaluates, the low end only if asked
+        asked = set()  # what the root finder evaluates
         root_finder = phase._newton_on_gamma
 
         def recording_root_finder(evaluate, gamma, window, *args, **kwargs):
@@ -723,8 +733,57 @@ class TestGrandTransition:
             SPEC_Y, 100.0, dom_small, (-22.0, -14.0), model=EXT,
         )
         gammas = [g for branch, g, _ in launched if branch == "maximal"]
+        assert gammas[0] == -14.0
         assert len(gammas) == len(set(gammas))
         assert set(gammas) == asked
+
+    def test_grand_r30_never_launches_the_low_end(self, monkeypatch):
+        # the Newton from the top end never reaches -4.88, next to the
+        # liquid spinodal, and finds the crossing that a sub-bracket with
+        # distinct ends of opposite sign gives
+        dom = field.make_domain(30.0, n=256)
+        sub_bracket = (-4.85, -4.845)
+        gaps = [phase._launch_gap(SPEC_Y, ALPHA_31, g, dom, EXT)[:2] for g in sub_bracket]
+        assert min(sep for _, sep in gaps) >= phase._DISTINCT
+        assert gaps[0][0] < 0.0 < gaps[1][0]
+        sub = phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, sub_bracket, model=EXT)
+        launched = record_launches(monkeypatch)
+        tr = phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, (-4.88, -4.15), model=EXT)
+        gammas = [g for branch, g, _ in launched if branch == "maximal"]
+        assert gammas[0] == -4.15 and -4.88 not in gammas
+        assert tr.gamma_gl == pytest.approx(sub.gamma_gl, rel=1e-12)
+
+    def test_coincident_top_end_falls_back_to_the_low_end(self, monkeypatch):
+        # the launches coincide at -3.9, so the Newton starts from the low
+        # end, launched second, and finds the sub-bracket's crossing
+        dom = field.make_domain(15.0, n=64)
+        assert phase._launch_gap(SPEC_Y, ALPHA_31, -3.9, dom, EXT)[1] < phase._DISTINCT
+        sub = phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, (-4.675, -4.6375),
+                                               model=EXT)
+        launched = record_launches(monkeypatch)
+        tr = phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, (-4.675, -3.9), model=EXT)
+        gammas = [g for branch, g, _ in launched if branch == "maximal"]
+        assert gammas[:2] == [-3.9, -4.675]
+        assert len(gammas) == len(set(gammas))
+        assert tr.gamma_gl == pytest.approx(sub.gamma_gl, rel=1e-12)
+
+    def test_gap_left_open_raises_with_names(self, monkeypatch):
+        # a Newton allowed one evaluation stops at the top end, whose
+        # pressure gap is far from closed
+        dom = field.make_domain(15.0, n=64)
+        newton = phase._newton_on_gamma
+
+        def one_step(evaluate, gamma, window, ftol, xtol, message, steps, *rest):
+            return newton(evaluate, gamma, window, ftol, xtol, message, 1, *rest)
+
+        monkeypatch.setattr(phase, "_newton_on_gamma", one_step)
+        with pytest.raises(RuntimeError, match="pressure gap at the located crossing "
+                                               "is too wide") as excinfo:
+            phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, (-4.75, -4.45), model=EXT)
+        at, gap = named_point(excinfo, ALPHA_31, dom, (-4.75, -4.45))
+        assert at == -4.45
+        assert gap == pytest.approx(phase._launch_gap(SPEC_Y, ALPHA_31, at, dom, EXT)[0],
+                                    rel=1e-6)
 
     @pytest.mark.slow
     def test_large_container_limit(self):
@@ -1064,8 +1123,10 @@ class TestFinishTraffic:
     def test_grand_r30(self, monkeypatch):
         count = self._counted(monkeypatch, lambda: phase.grand_canonical_transition(
             SPEC_Y, ALPHA_31, field.make_domain(30.0, n=256), (-4.88, -4.15), model=EXT))
-        assert (count["newton"], count["solve"], count["bound"]) == (6, 26, 12)
-        assert count["steps"] <= 310
+        # the Newton starts from the top end, so the 157-step maximal
+        # launch at -4.88 and its certificate checks are not run
+        assert (count["newton"], count["solve"], count["bound"]) == (6, 19, 6)
+        assert count["steps"] <= 170
 
     def test_petit_r15(self, monkeypatch):
         count = self._counted(monkeypatch, lambda: phase.petit_canonical_transition(
@@ -1457,7 +1518,8 @@ class TestPetitPolish:
     def test_gap_left_open_raises(self, monkeypatch):
         # the closing Newton allowed one evaluation cannot close a gap 0.3 off
         dom = field.make_domain(15.0, n=64)
-        self.off_by_a_step(monkeypatch, [])
+        roots = []
+        self.off_by_a_step(monkeypatch, roots)
         newton = phase._newton_on_gamma
 
         def one_step(evaluate, gamma, window, ftol, xtol, message, steps, *rest):
@@ -1466,8 +1528,10 @@ class TestPetitPolish:
             return newton(evaluate, gamma, window, ftol, xtol, message, steps, *rest)
 
         monkeypatch.setattr(phase, "_newton_on_gamma", one_step)
-        with pytest.raises(RuntimeError, match="free-energy gap failed to close"):
+        with pytest.raises(RuntimeError, match="free-energy gap failed to close") as excinfo:
             phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, **self.KWARGS)
+        at, gap = named_point(excinfo, ALPHA_31, dom, self.KWARGS["N_bracket"])
+        assert at == roots[0] + 0.3 and gap != 0.0
 
 
 class TestDefaultModel:
