@@ -10,17 +10,19 @@ Above that, Yukawa and Newton kernels apply M through `RingOperator` in
 O(n p) with no n x n array: off the p x p panel blocks M is the radial
 Green's function of their elliptic PDE, rank one in each triangle
 (`_green_terms`), so cumulative sums and a block-diagonal correction do
-the convolution.  Every solver reaches alpha M through one `_Attraction`
-per call, which applies it as alpha (M @ x), the one product of
-Picard, Newton's residuals and the certificate, and solves I - diag(c)
-alpha M: by that Green's tridiagonal inverse in O(n p^2) from 128
-nodes for a Yukawa or a Newton kernel, else by LU in one workspace per
-attraction, the one solver that reads the dense M.  Monotone Picard iteration
-reaches the extremal solutions from constant sub- and supersolutions,
-tightened where the caller hands over the same branch's solution at a
-nearby gamma on the side that comparison allows; damped Newton reaches
-the unstable branch inbetween; a handful of closed-form predicates
-settle existence, uniqueness, and fluid-range membership a priori.
+the convolution; the stability forms read M - `_Attraction.skew`, its
+D-symmetric part, D the volume weights.  Every solver reaches alpha M
+through one `_Attraction` per call, which applies it as alpha (M @ x),
+the one product of Picard, Newton's residuals and the certificate, and
+solves I - diag(c) alpha M: by that Green's tridiagonal inverse in
+O(n p^2) from 128 nodes for a Yukawa or a Newton kernel, else by LU in
+one workspace per attraction, the one solver that reads the dense M.
+Monotone Picard iteration reaches the extremal solutions from constant
+sub- and supersolutions, tightened where the caller hands over the same
+branch's solution at a nearby gamma on the side that comparison allows;
+damped Newton reaches the unstable branch inbetween; a handful of
+closed-form predicates settle existence, uniqueness, and fluid-range
+membership a priori.
 
 One private loop, `_fixed_point`, iterates eta -> wp'(gamma + alpha M eta)
 for a rule that picks gamma from the potential and hands back the
@@ -47,7 +49,6 @@ heading: within twice the geometric tail of its remaining changes.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import threading
@@ -350,14 +351,13 @@ class RingOperator:
     w_j s_j G(t_i, s_j), with the radial Green's function G(t, s) =
     (2 a_y/kappa) e^(-kappa max) sinh(kappa min) + 2 a_n min, a sum of
     the rank-one terms of `_green_terms`, A e^(x(min) - x(max)) h(min)
-    with x = rate t in each triangle.  So M = diag(2 pi/t) G diag(w s) + C, and each term is
-    applied by two discounted cumulative sums (`_Discount`), one up over
-    j <= i and one down over j >= i, with 2 pi/t, w t, A and h folded
-    into their factor vectors at build time, for M and for M^T.  C is
-    block diagonal: each panel's `_split` block (kept), minus
-    the same formula on it and the diagonal both sums count.  `@`
-    applies M to a vector or to the columns of an (n, k) array, and T is
-    the transposed operator (G is symmetric).
+    with x = rate t in each triangle.  So M = diag(2 pi/t) G diag(w s)
+    + C, and each term is applied by two discounted cumulative sums
+    (`_Discount`), one up over j <= i and one down over j >= i, with
+    2 pi/t, w t, A and h folded into their factor vectors at build
+    time.  C is block diagonal: each panel's `_split` block (kept),
+    minus the same formula on it and the diagonal both sums count.  `@`
+    applies M to a vector or to the columns of an (n, k) array.
     """
 
     def __init__(self, spec, domain):
@@ -365,20 +365,12 @@ class RingOperator:
         self.shape = (t.size, t.size)
         post, pre = 2.0 * math.pi / t, domain.weights * t
         terms = [(A, rate * t, h(t)) for A, rate, h in _green_terms(spec)]  # (A, x, h) of G
-        self._sums, self._sums_T = ([(_Discount(x, A * f, h * g),
-                                      _Discount(-x[::-1], (A * h * f)[::-1], g[::-1]))
-                                     for A, x, h in terms] for f, g in ((post, pre), (pre, post)))
+        self._sums = [(_Discount(x, A * post, h * pre),
+                       _Discount(-x[::-1], (A * h * post)[::-1], pre[::-1])) for A, x, h in terms]
         self._split = _split(spec, domain, np.arange(t.size // _PANEL)[:, None], _GAUSS[0])
         self._blocks = self._split - _panel_green(spec, domain)
         twice = post * pre * sum(A * h for A, _, h in terms)  # G's diagonal, in both sums
         self._blocks.reshape(-1, _PANEL**2)[:, ::_PANEL + 1] -= twice.reshape(-1, _PANEL)
-
-    @property
-    def T(self):
-        op = copy.copy(self)
-        op._sums, op._sums_T = self._sums_T, self._sums
-        op._split, op._blocks = self._split.transpose(0, 2, 1), self._blocks.transpose(0, 2, 1)
-        return op
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
@@ -396,10 +388,10 @@ def _self_ring(spec, domain, dense=False):
     """The node-to-node ring matrix M, or the operator that applies it, cached on the domain.
 
     Above _DENSE_MAX nodes a kernel with no van der Waals part gets its
-    `RingOperator`, which applies M and M^T in O(n p) with no n x n
-    array; below, and for van der Waals, the assembled matrix, which
-    BLAS applies faster there.  dense, set only by `_Attraction.dense`,
-    asks for the assembled matrix at any n.  The check-and-assemble
+    `RingOperator`, which applies M in O(n p) with no n x n array;
+    below, and for van der Waals, the assembled matrix, which BLAS
+    applies faster there.  dense, set only by `_Attraction.dense`, asks
+    for the assembled matrix at any n.  The check-and-assemble
     holds the domain's lock, so a library caller's threads sharing one
     domain build each ring once and get the same object; no command
     solves on threads.
@@ -664,6 +656,12 @@ class _Attraction:
     def _own_blocks(self):  # the operator's split blocks, else the dense M's diagonal ones
         return self.M._split if isinstance(self.M, RingOperator) else np.einsum(
             "kikj->kij", self.M.reshape(self.domain.n // _PANEL, _PANEL, -1, _PANEL))
+
+    @functools.cached_property
+    def skew(self):
+        """(B - D^-1 B^T D)/2 on each own-panel block B, D = t^2 w; D M is symmetric off them."""
+        d, B = (self.domain.nodes**2 * self.domain.weights).reshape(-1, 1, _PANEL), self._own_blocks
+        return 0.5 * (B - B.transpose(0, 2, 1) * d / d.transpose(0, 2, 1))
 
     @functools.cached_property
     def _structure(self):

@@ -205,36 +205,36 @@ def functional_values(spec, alpha, gamma, fld, model=eos.EosModel()):
 
 
 def _ring_volume_metric(spec, alpha, domain):
-    """T = D^(-1/2) sym(D alpha M) D^(-1/2): int sigma alpha(-V*sigma) in the volume metric."""
-    D = volume_weights(domain)
-    DA = D[:, None] * (alpha * field_mod._Attraction(spec, alpha, domain).dense)
-    d = 1.0 / np.sqrt(D)
-    return d[:, None] * (0.5 * (DA + DA.T)) * d
+    """T = D^(1/2) alpha (M - skew) D^(-1/2) = D^(-1/2) sym(D alpha M) D^(-1/2), in one array."""
+    attraction = field_mod._Attraction(spec, alpha, domain)
+    T, K = alpha * attraction.dense, attraction.skew
+    np.einsum("kikj->kij", T.reshape(K.shape[0], K.shape[1], -1, K.shape[1]))[...] -= alpha * K
+    s = np.sqrt(volume_weights(domain))
+    return np.divide(np.multiply(T, s[:, None], out=T), s, out=T)
 
 
 def _top_eigenpair(spec, alpha, domain, c):
     """Top eigenpair of c T c by Lanczos, T of _ring_volume_metric applied, never formed.
 
     The start c D^(1/2) is fixed.  Returns the value, c x / D^(1/2) for the
-    eigenvector x after one step of K = diag(c^2) alpha M (D M is symmetric
-    only to quadrature error, 1e-5 of its largest entry at kappa 1, R=30,
-    n=256, 1.5e-3 at kappa 5, R=15, n=64), signed to a positive sum, and
-    the matvec count.
-    M and M^T are applied by the cached ring matrix, or above 512 nodes
-    by `field.RingOperator`, so no n x n array is formed there either.
+    eigenvector x after one step of diag(c^2) alpha M (D M is symmetric only
+    to quadrature error, 1e-5 of its largest entry at kappa 1, R=30, n=256,
+    1.5e-3 at kappa 5, R=15, n=64), signed to a positive sum, and the matvec
+    count.  A matvec applies M, the cached ring matrix or above 512 nodes
+    `field.RingOperator` (no n x n array), less `field._Attraction.skew`.
     """
     import scipy.sparse.linalg  # on first use, so `import hardball` loads no scipy
 
-    M = field_mod._self_ring(spec, domain)
-    MT = M.T
+    attraction = field_mod._Attraction(spec, alpha, domain)
+    M, skew = attraction.M, attraction.skew
     s = np.sqrt(volume_weights(domain))
     matvecs = 0
 
     def matvec(x):
         nonlocal matvecs
         matvecs += 1
-        y = c * np.ravel(x)
-        return c * (0.5 * alpha) * (s * (M @ (y / s)) + (MT @ (s * y)) / s)
+        z = c * np.ravel(x) / s
+        return c * (alpha * s) * (M @ z - (skew @ z.reshape(skew.shape[0], -1, 1)).ravel())
 
     op = scipy.sparse.linalg.LinearOperator((domain.n, domain.n), matvec=matvec, dtype=float)
     value, x = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=c * s)
@@ -341,8 +341,9 @@ def f_stability(spec, alpha, fld, seed=0):
     probes = _zero_mass(D, np.random.default_rng(seed).standard_normal((_PROBES, D.size)))
     failures = int(np.count_nonzero(_form_F(spec, alpha, fld, curv, probes) <= 0.0))
     basis = scipy.linalg.null_space(np.sqrt(D)[None, :])
-    T = _ring_volume_metric(spec, alpha, fld.domain)
-    B = basis.T @ (-0.5 * (np.diag(curv) + T)) @ basis
+    form = _ring_volume_metric(spec, alpha, fld.domain)
+    form.reshape(-1)[::D.size + 1] += curv  # diag(curv) + T, in place
+    B = -0.5 * (basis.T @ form @ basis)
     lam = float(scipy.linalg.eigh(B, eigvals_only=True, subset_by_index=[0, 0])[0])
     return _stability(lam, 1.0, float(np.max(np.abs(B))), failures)
 

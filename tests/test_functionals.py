@@ -356,6 +356,21 @@ class TestStabilitySpectrum:
         rep = functionals.f_stability(SPEC_W, alpha, mid)
         assert rep.extremal_eigenvalue == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_top_eigenpair_matches_written_out_symmetric_part(self, n):
+        # c D^(-1/2) (DA + DA^T)/2 D^(-1/2) c, DA = D alpha M: M dense at 256
+        # nodes, applied by field.RingOperator at 1024
+        spec = kernels.KernelSpec(a_y=0.7, kappa=2.0, a_n=0.3)
+        dom = field.make_domain(15.0, n=n)
+        alpha, c = 0.4, 0.3 + 0.5 * np.exp(-dom.nodes / 5.0)
+        assert isinstance(field._self_ring(spec, dom), field.RingOperator) is (n == 1024)
+        D = functionals.volume_weights(dom)
+        DA = D[:, None] * (alpha * field._ring_matrix(spec, dom, dom.nodes))
+        d = c / np.sqrt(D)
+        ref = np.linalg.eigvalsh(d[:, None] * (0.5 * (DA + DA.T)) * d)[-1]
+        value = functionals._top_eigenpair(spec, alpha, dom, c)[0]
+        assert value == pytest.approx(ref, rel=1e-13, abs=0.0)
+
     def test_probe_block_matches_sequential_draws(self, triple_branches):
         dom, alpha, gamma, model, lo, mid, hi = triple_branches
         block = np.random.default_rng(4).standard_normal((functionals._PROBES, dom.n))
