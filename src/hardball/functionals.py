@@ -4,10 +4,12 @@ All functionals integrate over the ball with the volume element
 4 pi r^2 dr built from the domain quadrature.  P is the quantity the
 solutions make stationary at fixed chemical potential; F = E - S is its
 Legendre partner at fixed particle content, so gamma N - F = P holds on
-every solution.  Second variations are evaluated as explicit quadratic
-forms on random probes and classified by the extremal eigenvalue of
-the discretized form in the volume metric: P's top one by Lanczos
-(`_top_eigenpair`, also `spectral`'s), F's from a dense eigensolve.
+every solution.  `functional_values` alone computes N, E, S, F and
+Gamma, and `pressure_functional` P alone.  Second variations are
+evaluated as explicit quadratic forms on random probes and classified
+by the extremal eigenvalue of the discretized form in the volume
+metric: P's top one by Lanczos (`_top_eigenpair`, also `spectral`'s),
+F's from a dense eigensolve.
 """
 
 from __future__ import annotations
@@ -24,11 +26,6 @@ __all__ = [
     "volume_weights",
     "entropy_density",
     "entropy_density_second",
-    "n_functional",
-    "e_functional",
-    "s_functional",
-    "f_functional",
-    "gamma_of",
     "pressure_functional",
     "functional_values",
     "second_variation_P",
@@ -37,7 +34,7 @@ __all__ = [
     "f_stability",
 ]
 
-_GAMMA_SPREAD = 1e-5  # nodewise gamma spread up to which gamma_of accepts a field
+_GAMMA_SPREAD = 1e-5  # nodewise gamma spread up to which a field has a Gamma
 _PROBES = 100  # random perturbations each stability classification tries
 
 
@@ -55,10 +52,6 @@ class FunctionalValues:
     S: float
     F: float
     Gamma: float | None
-
-    def as_dict(self):
-        return {"P": self.P, "N": self.N, "E": self.E, "S": self.S,
-                "F": self.F, "Gamma": self.Gamma}
 
 
 @dataclass(frozen=True)
@@ -100,67 +93,9 @@ def entropy_density_second(eta):
     return -eos.g2_derivs(eta, 1)
 
 
-def n_functional(fld):
-    """Particle measure: integral of eta over the ball."""
-    return float(volume_weights(fld.domain) @ fld.values)
-
-
-def _unit_potential(spec, fld):
-    """-V*eta on the field's own grid: the potential at alpha=1."""
-    return field_mod.apply_kernel(spec, 1.0, fld.domain, fld.values)
-
-
 def _interaction(fld, w1):
     """(1/2) integral of eta w1 for w1 = -V*eta, the attraction's energy gain at alpha=1."""
     return 0.5 * float(volume_weights(fld.domain) @ (fld.values * w1))
-
-
-def _energy(alpha, fld, w1):
-    return 1.5 * n_functional(fld) - alpha * _interaction(fld, w1)
-
-
-def e_functional(spec, alpha, fld):
-    """Energy:temperature ratio (3/2)N minus the attraction integral."""
-    return _energy(alpha, fld, _unit_potential(spec, fld))
-
-
-def s_functional(fld):
-    """Entropy from the closed-form density."""
-    return float(volume_weights(fld.domain) @ entropy_density(fld.values))
-
-
-def f_functional(spec, alpha, fld):
-    """Free-energy:temperature ratio, E - S."""
-    return e_functional(spec, alpha, fld) - s_functional(fld)
-
-
-def gamma_of(spec, alpha, fld, model=eos.EosModel()):
-    """Chemical potential the field solves for, or None.
-
-    Inverts the density map nodewise by `EosModel.gamma_at` and
-    subtracts the potential; a solution produces the same value at
-    every node.  Hard-sphere fields with values in the branch gap
-    (eta_fs^<, eta_fs^>), up to 1e-12 at either end, solve nothing.
-    gamma_at clips nodes within 1e-13 of close packing, or past it, to
-    the solid top, and reads nodes within 1e-12 below eta_fs^> as
-    g2(eta_fs^<), one ulp from g4(eta_fs^>).
-    """
-    return _gamma_of(fld, field_mod.convolve(spec, alpha, fld), model)
-
-
-def _gamma_of(fld, u, model):
-    """gamma_of for the field's potential u = alpha(-V*eta)."""
-    v = fld.values
-    if model.mode == eos.MODE_HARD_SPHERE and not np.all(
-        (v <= eos.ETA_FS_LO + 1e-12) | (v >= eos.ETA_FS_HI - 1e-12)
-    ):
-        return None
-    cand = model.gamma_at(v) - u
-    if float(np.max(cand) - np.min(cand)) > _GAMMA_SPREAD:
-        return None
-    return float(volume_weights(fld.domain) @ cand) / float(
-        volume_weights(fld.domain).sum()
-    )
 
 
 def _potentials(spec, alpha, fld):
@@ -171,7 +106,7 @@ def _potentials(spec, alpha, fld):
     """
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    w1 = _unit_potential(spec, fld)
+    w1 = field_mod.apply_kernel(spec, 1.0, fld.domain, fld.values)
     return w1, alpha * w1
 
 
@@ -187,21 +122,28 @@ def _pressure(alpha, gamma, fld, u, w1, model):
 
 
 def functional_values(spec, alpha, gamma, fld, model=eos.EosModel()):
-    """Bundle of all functionals for one field.
+    """P, N, E = (3/2)N - alpha I, S, F = E - S and Gamma, from one ring apply.
 
-    The ring is applied once and the entropy evaluated once; each value
-    equals its standalone function's bit for bit.
+    Gamma is the chemical potential the field solves for, or None:
+    `EosModel.gamma_at` at each node less the potential, the same at
+    every node of a solution.  Hard-sphere fields with values in the
+    branch gap (eta_fs^<, eta_fs^>), up to 1e-12 at either end, solve
+    nothing: gamma_at reads nodes within 1e-12 below eta_fs^> as
+    g2(eta_fs^<), one ulp from g4(eta_fs^>).
     """
     w1, u = _potentials(spec, alpha, fld)
-    E, S = _energy(alpha, fld, w1), s_functional(fld)
-    return FunctionalValues(
-        P=_pressure(alpha, gamma, fld, u, w1, model),
-        N=n_functional(fld),
-        E=E,
-        S=S,
-        F=E - S,
-        Gamma=_gamma_of(fld, u, model),
+    D, v = volume_weights(fld.domain), fld.values
+    N = float(D @ v)
+    E = 1.5 * N - alpha * _interaction(fld, w1)
+    S = float(D @ entropy_density(v))
+    gap = model.mode == eos.MODE_HARD_SPHERE and not np.all(
+        (v <= eos.ETA_FS_LO + 1e-12) | (v >= eos.ETA_FS_HI - 1e-12)
     )
+    cand = None if gap else model.gamma_at(v) - u
+    Gamma = (None if cand is None or float(np.max(cand) - np.min(cand)) > _GAMMA_SPREAD
+             else float(D @ cand) / float(D.sum()))
+    return FunctionalValues(P=_pressure(alpha, gamma, fld, u, w1, model), N=N, E=E, S=S,
+                            F=E - S, Gamma=Gamma)
 
 
 def _ring_volume_metric(spec, alpha, domain):
@@ -330,9 +272,9 @@ def f_stability(spec, alpha, fld, seed=0):
     from seed, on which the form is not positive.  extremal_eigenvalue
     is the form's smallest eigenvalue relative to int sigma^2 over
     zero-mass sigma: that of -(1/2)(diag(s''(eta)) + T), T the
-    attraction in the volume metric, on an orthonormal basis orthogonal
-    to D^(1/2), from one dense symmetric eigensolve.  Stable means it
-    is positive.
+    attraction in the volume metric, on the orthonormal basis
+    orthogonal to D^(1/2) that one Householder reflector gives, from
+    one dense symmetric eigensolve.  Stable means it is positive.
     """
     import scipy.linalg  # on first use, so `import hardball` loads no scipy
 
@@ -340,10 +282,16 @@ def f_stability(spec, alpha, fld, seed=0):
     curv = entropy_density_second(fld.values)
     probes = _zero_mass(D, np.random.default_rng(seed).standard_normal((_PROBES, D.size)))
     failures = int(np.count_nonzero(_form_F(spec, alpha, fld, curv, probes) <= 0.0))
-    basis = scipy.linalg.null_space(np.sqrt(D)[None, :])
     form = _ring_volume_metric(spec, alpha, fld.domain)
     form.reshape(-1)[::D.size + 1] += curv  # diag(curv) + T, in place
-    B = -0.5 * (basis.T @ form @ basis)
+    # the reflector H = I - 2 w w^T / w.w takes D^(1/2) to -|D^(1/2)| e_1, so H's other
+    # columns span the zero-mass sigma; H form H = form - w q^T - q w^T
+    w = np.sqrt(D)
+    w[0] += np.linalg.norm(w)
+    p = form @ w * (2.0 / (w @ w))
+    q = p - (p @ w / (w @ w)) * w
+    wq = np.multiply.outer(w[1:], q[1:])
+    B = -0.5 * (form[1:, 1:] - wq - wq.T)
     lam = float(scipy.linalg.eigh(B, eigvals_only=True, subset_by_index=[0, 0])[0])
     return _stability(lam, 1.0, float(np.max(np.abs(B))), failures)
 

@@ -3,10 +3,11 @@
 A kernel is a non-negative linear combination of three radial families,
 all strictly negative: van der Waals (1+vk^2 r^2)^-3, Yukawa e^-kr/r,
 and Newton 1/r.  For a ball domain every integral the solvers need has
-a closed form: the in-ball potential of a uniform density, its sup and
-L1 norms, the double integral, the second moment and the boundary
-(tail-mass) constant, plus the geometric functionals Phi and Psi and
-the scaling optimum used to build subsolutions.
+a closed form: the in-ball potential of a uniform density, its sup Phi
+(the center's value, the kernel's L1 norm over the ball) and its L1
+norm (the double integral), the second moment and the boundary
+(tail-mass) constant, plus the geometric functional Psi and the
+scaling optimum used to build subsolutions.
 
 Sign convention: integrals of the attraction are reported positive,
 i.e. ball_potential returns -(V*1)(r).
@@ -24,7 +25,6 @@ __all__ = [
     "kernel_eval",
     "l1_norm_r3",
     "ball_potential",
-    "ball_l1",
     "ball_double_integral",
     "phi_lambda",
     "psi_lambda",
@@ -144,8 +144,8 @@ def ball_potential(spec, r, R):
     return out
 
 
-def ball_l1(spec, R):
-    """L1 norm of the kernel over the ball, equal to the center potential."""
+def phi_lambda(spec, R):
+    """Phi_Lambda, the ball potential's sup: the center's, the kernel's L1 norm over the ball."""
     if R <= 0:
         raise ValueError("R must be positive")
     out = 0.0
@@ -201,11 +201,6 @@ def ball_double_integral(spec, R):
         # uniform-ball self-energy; also the kappa -> 0 limit of the Yukawa form
         out += spec.a_n * 32.0 * math.pi**2 / 15.0 * R**5
     return out
-
-
-def phi_lambda(spec, R):
-    """Sup over the ball of the potential of a unit density; the center wins."""
-    return ball_l1(spec, R)
 
 
 def psi_lambda(spec, diam, volume):

@@ -56,7 +56,6 @@ __all__ = [
     "droplet_solve",
     "droplet_trial",
     "grand_canonical_transition",
-    "n_hat",
     "petit_canonical_transition",
     "rearrangement_intersections",
 ]
@@ -476,15 +475,6 @@ def droplet_criterion(spec, alpha):
     }
 
 
-def n_hat(spec, alpha, domain, model=eos.EosModel()):
-    """Largest vapor-branch mass: N of the minimal solution at gamma_hat."""
-    atau = alpha * kernels.l1_norm_r3(spec)
-    gamma_hat = uniform.gamma_boundaries(atau)[1]
-    rep = field.minimal_solution(spec, alpha, gamma_hat, domain, model=model)
-    D = functionals.volume_weights(domain)
-    return float(D @ rep.field.values)
-
-
 def droplet_trial(domain, N, ball_fraction):
     """Uniform ball of mass N on a floor of 1e-12, as droplet seed and comparator.
 
@@ -566,7 +556,8 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=eos.EosModel(),
     on gamma, started from the current profile), whose profile at that
     gamma is the next iterate, under Picard's stopping rule.  The
     droplet minimizes F under the mass constraint, so this iteration
-    converges from a crude ball trial where fixed-gamma Newton stalls.
+    converges from a crude ball trial where fixed-gamma Newton stalls;
+    the default start is a `droplet_trial` at the density eta_hat_M.
     At the first step where it converges slowly (change ratio above
     0.9, n <= 512; not Picard's cost rule, which would fire earlier and
     widen the acceptance window below) one bordered Newton solve in
@@ -581,11 +572,8 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=eos.EosModel(),
     D = functionals.volume_weights(domain)
     N = float(N)
     if start is None:
-        atau = alpha * kernels.l1_norm_r3(spec)
-        gamma_hat = uniform.gamma_boundaries(atau)[1]
-        eta_big = uniform.largest_root(atau, gamma_hat)
-        fraction = min(0.9, N / (eta_big * float(np.sum(D))))
-        start = droplet_trial(domain, N, fraction)
+        eta_big = droplet_criterion(spec, alpha)["eta_hat_M"]
+        start = droplet_trial(domain, N, min(0.9, N / (eta_big * float(np.sum(D)))))
     attraction = field._Attraction(spec, alpha, domain)
 
     def rule(cols, U, V):  # the block's one column

@@ -53,7 +53,7 @@ def spectral_radius(spec, domain):
     return SpectralReport(
         domain, v_lambda, xi / (functionals.volume_weights(domain) @ xi),
         lower_bound=float(kernels.ball_double_integral(spec, domain.R) / volume),
-        upper_bound=float(kernels.ball_l1(spec, domain.R)), iterations=matvecs)
+        upper_bound=float(kernels.phi_lambda(spec, domain.R)), iterations=matvecs)
 
 
 def spinodal_gamma_hat(alpha_v):

@@ -287,7 +287,7 @@ def touching_scale(spec, alpha_range, diam, volume):
     radius = 0.5 * diam
 
     def peak(s):
-        return _best_alpha(kernels.ball_l1(spec, s * radius), psi_max, alpha_range)
+        return _best_alpha(kernels.phi_lambda(spec, s * radius), psi_max, alpha_range)
 
     def gap_at_scale(s):
         found = peak(s)

@@ -91,7 +91,7 @@ def test_criterion_02_closed_form_integrals():
                 norm, _ = quad(
                     lambda t: 4 * math.pi * t**2
                     * -kernels.kernel_eval(spec, t), 0.0, R)
-                assert float(kernels.ball_l1(spec, R)) == pytest.approx(
+                assert float(kernels.phi_lambda(spec, R)) == pytest.approx(
                     norm, rel=1e-6)
             # bipolar reduction for the double integral at two scales
             for R in (0.5, 1.5):
@@ -207,7 +207,7 @@ def test_criterion_06_triplicity_small_ball():
         dom = field.make_domain(R, n=512)
         volume = 4 * math.pi * R**3 / 3
         sigma, psi_max = kernels.optimal_scaling(SPEC_W, 2 * R, volume)
-        phi_scaled = kernels.ball_l1(SPEC_W, sigma * R)
+        phi_scaled = kernels.phi_lambda(SPEC_W, sigma * R)
         assert uniform.TriplicityRegion(tau=phi_scaled).contains(alpha, gamma)
         assert uniform.TriplicityRegion(tau=psi_max).contains(alpha, gamma)
         small = field.subsolution_launch(SPEC_W, alpha, gamma, dom, "m", sigma)
@@ -254,8 +254,8 @@ def test_criterion_07_droplet_criterion():
         eta_big = uniform.solve_uniform(31.0, gamma_hat).roots[-1]
         fraction = n_hat / (eta_big * float(weights.sum()))
         trial = phase.droplet_trial(dom, n_hat, fraction)
-        f_trial = functionals.f_functional(SPEC_Y, ALPHA_31, trial)
-        f_vapor = functionals.f_functional(SPEC_Y, ALPHA_31, vapor.field)
+        f_trial, f_vapor = (functionals.functional_values(
+            SPEC_Y, ALPHA_31, gamma_hat, fld, model=EXT).F for fld in (trial, vapor.field))
         assert f_trial < f_vapor
         assert time.monotonic() - t0 < 60.0
 
@@ -345,7 +345,7 @@ def test_criterion_12_phi_psi_ratio():
     with verdict(12, "potential bound ratio"):
         spec = kernels.KernelSpec(a_y=1.0, kappa=0.5)
         R = 40.0
-        phi = kernels.ball_l1(spec, R)
+        phi = kernels.phi_lambda(spec, R)
         _, psi = kernels.optimal_scaling(
             spec, 2 * R, 4 * math.pi * R**3 / 3)
         assert 35.0 <= phi / psi <= 55.0

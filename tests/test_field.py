@@ -607,7 +607,7 @@ class TestConvolve:
     def test_center_limit(self, dom5):
         fld = field.constant_field(dom5, 0.3)
         u0 = field.convolve_at(SPEC_Y, 2.0, fld, 0.0)
-        assert abs(u0 - 2.0 * 0.3 * kernels.ball_l1(SPEC_Y, 5.0)) < 1e-9
+        assert abs(u0 - 2.0 * 0.3 * kernels.phi_lambda(SPEC_Y, 5.0)) < 1e-9
         arr = field.convolve_at(SPEC_Y, 2.0, fld, [0.0, 1.0])
         assert abs(arr[0] - u0) < 1e-14
 

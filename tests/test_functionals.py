@@ -1,5 +1,7 @@
 """Tests for the thermodynamic functionals and stability classifiers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -73,18 +75,20 @@ class TestGlobalFunctionals:
     def test_particle_number_constant_field(self, dom5):
         fld = field.constant_field(dom5, 0.3)
         exact = 0.3 * 4.0 * np.pi * 5.0**3 / 3.0
-        assert functionals.n_functional(fld) == pytest.approx(exact, rel=1e-12)
+        N = functionals.functional_values(SPEC_Y, 0.0, -2.0, fld).N
+        assert N == pytest.approx(exact, rel=1e-12)
 
     def test_energy_without_interaction(self, dom5):
         fld = field.constant_field(dom5, 0.25)
-        n = functionals.n_functional(fld)
-        assert functionals.e_functional(SPEC_Y, 0.0, fld) == pytest.approx(1.5 * n)
+        vals = functionals.functional_values(SPEC_Y, 0.0, -2.0, fld)
+        assert vals.E == pytest.approx(1.5 * vals.N)
 
     def test_entropy_constant_field(self, dom5):
         fld = field.constant_field(dom5, 0.2)
         vol = 4.0 * np.pi * 5.0**3 / 3.0
         exact = functionals.entropy_density(0.2) * vol
-        assert functionals.s_functional(fld) == pytest.approx(exact, rel=1e-8)
+        S = functionals.functional_values(SPEC_Y, 0.0, -2.0, fld).S
+        assert S == pytest.approx(exact, rel=1e-8)
 
     def test_pressure_without_interaction(self, dom5):
         # At alpha = 0 the solution is the constant wp'(gamma) and the grand
@@ -116,30 +120,20 @@ class TestGlobalFunctionals:
     def test_values_bundle_consistent(self, fluid_branch):
         alpha, gamma, fld = fluid_branch
         vals = functionals.functional_values(SPEC_Y, alpha, gamma, fld)
-        assert vals.N == functionals.n_functional(fld)
-        assert vals.E == functionals.e_functional(SPEC_Y, alpha, fld)
-        assert vals.S == functionals.s_functional(fld)
+        D = functionals.volume_weights(fld.domain)
+        w1 = field.apply_kernel(SPEC_Y, 1.0, fld.domain, fld.values)
+        assert vals.N == float(D @ fld.values)
+        assert vals.E == 1.5 * vals.N - alpha * functionals._interaction(fld, w1)
+        assert vals.S == float(D @ functionals.entropy_density(fld.values))
         assert vals.F == vals.E - vals.S
         assert vals.Gamma == pytest.approx(gamma, abs=1e-8)
-        d = vals.as_dict()
+        d = dataclasses.asdict(vals)
         assert set(d) == {"P", "N", "E", "S", "F", "Gamma"}
         assert d["P"] == vals.P
 
 
-def _standalone(spec, alpha, gamma, fld, model):
-    """functional_values assembled from the standalone functionals."""
-    return functionals.FunctionalValues(
-        P=functionals.pressure_functional(spec, alpha, gamma, fld, model=model),
-        N=functionals.n_functional(fld),
-        E=functionals.e_functional(spec, alpha, fld),
-        S=functionals.s_functional(fld),
-        F=functionals.f_functional(spec, alpha, fld),
-        Gamma=functionals.gamma_of(spec, alpha, fld, model=model),
-    )
-
-
 class TestValuesFromOneRing:
-    """functional_values applies the ring once and equals the standalone functionals."""
+    """functional_values applies the ring once, and its P is pressure_functional's."""
 
     @pytest.mark.parametrize("case", ["dense n=64", "operator n=1024", "no Gamma"])
     def test_equals_standalone_functionals(self, case, monkeypatch):
@@ -151,7 +145,7 @@ class TestValuesFromOneRing:
         else:
             dom = field.make_domain(5.0, n=int(case.split("=")[1]))
             fld = field.minimal_solution(SPEC_Y, alpha, gamma, dom, model=model).field
-        want = _standalone(SPEC_Y, alpha, gamma, fld, model)
+        want = functionals.pressure_functional(SPEC_Y, alpha, gamma, fld, model=model)
         applied = []
         real = field.apply_kernel
 
@@ -161,7 +155,7 @@ class TestValuesFromOneRing:
 
         monkeypatch.setattr(field, "apply_kernel", counted)
         got = functionals.functional_values(SPEC_Y, alpha, gamma, fld, model=model)
-        assert got == want
+        assert got.P == want
         assert (got.Gamma is None) == (case == "no Gamma")
         assert applied == ["RingOperator" if case.startswith("operator") else "ndarray"]
 
@@ -169,16 +163,16 @@ class TestValuesFromOneRing:
 class TestGammaRecovery:
     def test_solution_recovers_gamma(self, fluid_branch):
         alpha, gamma, fld = fluid_branch
-        got = functionals.gamma_of(SPEC_Y, alpha, fld)
+        got = functionals.functional_values(SPEC_Y, alpha, gamma, fld).Gamma
         assert got == pytest.approx(gamma, abs=1e-8)
 
     def test_non_solution_returns_none(self, dom5):
         fld = field.constant_field(dom5, 0.2)
-        assert functionals.gamma_of(SPEC_Y, 1.0, fld) is None
+        assert functionals.functional_values(SPEC_Y, 1.0, -2.0, fld).Gamma is None
 
     def test_forbidden_band_returns_none(self, dom5):
         fld = field.constant_field(dom5, 0.51)
-        assert functionals.gamma_of(SPEC_Y, 0.0, fld) is None
+        assert functionals.functional_values(SPEC_Y, 0.0, -2.0, fld).Gamma is None
 
 
 class TestMonotonePressure:
@@ -388,25 +382,26 @@ class TestBranchDerivatives:
 
     By stationarity the implicit field variation drops out, leaving
     dP/dgamma = N, dP/dalpha = (1.5 N - E)/alpha = -dF/dalpha, the
-    interaction integral, and dF/dN = gamma_of, the chemical potential
-    the field solves.
+    interaction integral, and dF/dN = Gamma, the chemical potential the
+    field solves.
     """
 
     def test_structural_identities(self, fluid_branch):
         alpha, gamma, fld = fluid_branch
         vals = functionals.functional_values(SPEC_Y, alpha, gamma, fld)
-        assert vals.N == functionals.n_functional(fld)
+        assert vals.N == float(functionals.volume_weights(fld.domain) @ fld.values)
         # F is linear in alpha at a fixed field, with slope -(1.5 N - E)/alpha
-        dF_dalpha = (functionals.f_functional(SPEC_Y, 2.0 * alpha, fld) - vals.F) / alpha
+        doubled = functionals.functional_values(SPEC_Y, 2.0 * alpha, gamma, fld)
+        dF_dalpha = (doubled.F - vals.F) / alpha
         assert (1.5 * vals.N - vals.E) / alpha == pytest.approx(-dF_dalpha, rel=1e-12)
-        assert functionals.gamma_of(SPEC_Y, alpha, fld) == pytest.approx(gamma, abs=1e-8)
+        assert vals.Gamma == pytest.approx(gamma, abs=1e-8)
 
     def test_gamma_derivative_matches_finite_difference(self, dom5):
         alpha = 20.0 / PHI_Y5
         gamma, h = -2.0, 1e-4
         fld = field.minimal_solution(SPEC_Y, alpha, gamma, dom5).field
-        dP_dgamma = functionals.functional_values(SPEC_Y, alpha, gamma, fld).N
-        dF_dN = functionals.gamma_of(SPEC_Y, alpha, fld)
+        center = functionals.functional_values(SPEC_Y, alpha, gamma, fld)
+        dP_dgamma, dF_dN = center.N, center.Gamma
         vals = {}
         for g in (gamma + h, gamma - h):
             rep = field.minimal_solution(SPEC_Y, alpha, g, dom5)
@@ -424,7 +419,7 @@ class TestBranchDerivatives:
         fld = field.minimal_solution(SPEC_Y, alpha, gamma, dom5).field
         center = functionals.functional_values(SPEC_Y, alpha, gamma, fld)
         dP_dalpha = (1.5 * center.N - center.E) / alpha
-        dF_dN = functionals.gamma_of(SPEC_Y, alpha, fld)
+        dF_dN = center.Gamma
         vals = {}
         for a in (alpha + ha, alpha - ha):
             rep = field.minimal_solution(SPEC_Y, a, gamma, dom5)

@@ -10,7 +10,9 @@ order delta^2 and the difference quotient by delta^2 / h.  In the same
 way P is stationary at fixed gamma, with dP/dgamma = N and dP/dalpha =
 I, checked on the gas and the liquid at the grand crossing; so along the
 grand line P_gas = P_liquid the coexistence gamma moves with alpha by
-the Clausius-Clapeyron slope -(I_liq - I_gas)/(N_liq - N_gas).
+the Clausius-Clapeyron slope -(I_liq - I_gas)/(N_liq - N_gas), and
+along the petit line F_vapor = F_droplet, where dF/dN = Gamma, the
+crossing mass moves by (I_drop - I_vap)/(Gamma_drop - Gamma_vap).
 """
 
 import pytest
@@ -22,6 +24,8 @@ ALPHA_31 = 31.0 / kernels.l1_norm_r3(SPEC_Y)
 EXT = eos.EosModel(mode=eos.MODE_CS_EXTENDED)
 # the vapor/droplet crossing of the benchmark's petit-r15 transition (R=15, n=64)
 N_VD_15 = 438.19450705161347
+# the vapor-fold mass at R=15, n=256, whose fractions bracket petit-r15's masses
+N_HAT_15 = 453.4086905340539
 # the gas/liquid crossing of the benchmark's grand-r30 transition (R=30, n=256)
 GAMMA_GL_30 = -4.848100784705523
 
@@ -43,7 +47,7 @@ def test_droplet_free_energy_slope_in_alpha_at_fixed_mass(monkeypatch):
     monkeypatch.setattr(field, "_newton", spy)
     base = phase.droplet_solve(SPEC_Y, ALPHA_31, dom, N_VD_15, model=EXT,
                                check_collapse=False).solution.field
-    interaction = functionals._interaction(base, functionals._unit_potential(SPEC_Y, base))
+    interaction = functionals._interaction(base, field.apply_kernel(SPEC_Y, 1.0, base.domain, base.values))
 
     def f(alpha):
         return phase.droplet_solve(SPEC_Y, alpha, dom, N_VD_15, start=base, model=EXT,
@@ -72,7 +76,7 @@ def test_grand_line_clausius_clapeyron_slope():
 
     def interaction(point):
         fld = point.solution.field
-        return functionals._interaction(fld, functionals._unit_potential(SPEC_Y, fld))
+        return functionals._interaction(fld, field.apply_kernel(SPEC_Y, 1.0, fld.domain, fld.values))
 
     line = grand(ALPHA_31)
     slope = -(interaction(line.liquid) - interaction(line.gas)) / line.delta_N
@@ -99,7 +103,7 @@ def test_pressure_slopes_at_fixed_gamma(branch, rel_gamma, rel_alpha):
     launch = getattr(field, f"{branch}_solution")
     base = launch(SPEC_Y, ALPHA_31, GAMMA_GL_30, dom, model=EXT).field
     mass = float(functionals.volume_weights(dom) @ base.values)
-    interaction = functionals._interaction(base, functionals._unit_potential(SPEC_Y, base))
+    interaction = functionals._interaction(base, field.apply_kernel(SPEC_Y, 1.0, base.domain, base.values))
 
     def p(alpha, gamma):
         fld = launch(SPEC_Y, alpha, gamma, dom, model=EXT).field
@@ -115,3 +119,39 @@ def test_pressure_slopes_at_fixed_gamma(branch, rel_gamma, rel_alpha):
     dp_dalpha = richardson(lambda a: p(a, GAMMA_GL_30), ALPHA_31, 1e-4 * ALPHA_31)
     assert dp_dgamma == pytest.approx(mass, rel=rel_gamma)
     assert dp_dalpha == pytest.approx(interaction, rel=rel_alpha)
+
+
+def test_petit_line_slope():
+    # N_vd at R=15, n=64 (petit-r15's grid, mass bracket and gamma bracket).
+    # Each N_vd is moved by its residual gap over delta_Gamma, with each
+    # branch's F first carried to N_vd on dF/dN = Gamma.  Richardson's
+    # combination of centred differences at h = 1e-4 alpha and h/2 then reads
+    # 3.4e-10 relative, and so it does at h = 3e-4 alpha.  Moved by the gap
+    # alone it reads 6.9e-8: the vapor mass match stops about 2e-8 off N_vd.
+    # The plain N_vd reads 6.0e-5, the F-gap closure's stop
+    dom = field.make_domain(15.0, n=64)
+
+    def petit(alpha):
+        return phase.petit_canonical_transition(
+            SPEC_Y, alpha, dom, N_bracket=(0.965 * N_HAT_15, 0.968 * N_HAT_15), model=EXT,
+            gamma_bracket=(-4.75, -4.45))
+
+    def interaction(alpha, point):
+        values = point.functionals
+        return (1.5 * values.N - values.E) / alpha
+
+    def n_vd(alpha):
+        line = petit(alpha)
+        gap = [point.functionals.F - point.gamma * (point.functionals.N - line.N_vd)
+               for point in (line.vapor, line.droplet)]
+        return line.N_vd + (gap[0] - gap[1]) / line.delta_Gamma
+
+    line = petit(ALPHA_31)
+    slope = (interaction(ALPHA_31, line.droplet)
+             - interaction(ALPHA_31, line.vapor)) / line.delta_Gamma
+
+    def centred(h):
+        return (n_vd(ALPHA_31 + h) - n_vd(ALPHA_31 - h)) / (2.0 * h)
+
+    h = 1e-4 * ALPHA_31
+    assert (4.0 * centred(0.5 * h) - centred(h)) / 3.0 == pytest.approx(slope, rel=1e-9)

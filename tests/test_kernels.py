@@ -115,7 +115,7 @@ class TestL1Norm:
 
     def test_large_ball_limit(self):
         for spec in (VDW, YUK):
-            assert abs(kernels.ball_l1(spec, 1e3) - kernels.l1_norm_r3(spec)) < 1e-8
+            assert abs(kernels.phi_lambda(spec, 1e3) - kernels.l1_norm_r3(spec)) < 1e-8
 
     def test_quadrature(self):
         for spec in (VDW, YUK):
@@ -133,7 +133,7 @@ class TestBallPotential:
     def test_yukawa_center_matches_l1(self):
         for R in (0.5, 2.0, 10.0):
             assert kernels.ball_potential(YUK, 0.0, R) == pytest.approx(
-                kernels.ball_l1(YUK, R), rel=1e-12
+                kernels.phi_lambda(YUK, R), rel=1e-12
             )
 
     @pytest.mark.parametrize("spec", [VDW, YUK, NEW], ids=["vdw", "yukawa", "newton"])
@@ -171,15 +171,15 @@ class TestBallPotential:
 
 class TestBallL1:
     def test_examples(self):
-        assert kernels.ball_l1(NEW, 1.0) == pytest.approx(2 * math.pi, rel=1e-14)
+        assert kernels.phi_lambda(NEW, 1.0) == pytest.approx(2 * math.pi, rel=1e-14)
         expected = 4 * math.pi * (1 - 2 * math.exp(-1))
-        assert kernels.ball_l1(YUK, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert kernels.phi_lambda(YUK, 1.0) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("spec", [VDW, YUK, NEW], ids=["vdw", "yukawa", "newton"])
     @pytest.mark.parametrize("R", [0.1, 1.0, 10.0, 100.0])
     def test_against_quadrature(self, spec, R):
         val, _ = quad(lambda t: 4 * math.pi * t**2 * -kernels.kernel_eval(spec, t), 0, R)
-        assert kernels.ball_l1(spec, R) == pytest.approx(val, rel=1e-8)
+        assert kernels.phi_lambda(spec, R) == pytest.approx(val, rel=1e-8)
 
 
 class TestBallDoubleIntegral:
@@ -216,9 +216,11 @@ class TestBallDoubleIntegral:
 
 class TestPhiPsi:
     def test_phi_equals_ball_l1(self):
+        # the ball's L1 norm is the potential of a unit density at the center
         for spec in (VDW, YUK, NEW, MIX):
             for R in (0.3, 2.0, 20.0):
-                assert kernels.phi_lambda(spec, R) == kernels.ball_l1(spec, R)
+                center = kernels.ball_potential(spec, 0.0, R)
+                assert kernels.phi_lambda(spec, R) == pytest.approx(center, rel=1e-12)
 
     def test_phi_below_full_norm_and_increasing(self):
         Rs = np.linspace(0.1, 30.0, 50)
@@ -362,7 +364,7 @@ class TestBoundaryConstant:
                              ids=["vdw", "yukawa", "mix"])
     def test_against_quadrature(self, spec):
         total = kernels.l1_norm_r3(spec)
-        val, _ = quad(lambda R: total - kernels.ball_l1(spec, R), 0.0, np.inf, epsrel=1e-10, limit=200)
+        val, _ = quad(lambda R: total - kernels.phi_lambda(spec, R), 0.0, np.inf, epsrel=1e-10, limit=200)
         assert kernels.boundary_constant(spec) == pytest.approx(val, rel=1e-9)
 
 
@@ -388,7 +390,7 @@ def test_norm_chain(aw, ay, R):
     # |V|_L1(B_R) = Phi_B_R < |V|_L1(R^3) for any integrable combination
     spec = KernelSpec(a_w=aw, a_y=ay, varkappa=1.3, kappa=0.7)
     phi = kernels.phi_lambda(spec, R)
-    assert kernels.ball_l1(spec, R) == phi
+    assert kernels.ball_potential(spec, 0.0, R) == pytest.approx(phi, rel=1e-12)
     assert phi < kernels.l1_norm_r3(spec)
 
 def test_big_ball_phi_psi_ratios():

@@ -123,12 +123,15 @@ class TestDropletCriterion:
 
 class TestNHat:
     def test_vapor_fold_mass(self, dom15):
-        got = phase.n_hat(SPEC_Y, ALPHA_31, dom15, model=EXT)
+        # the vapor-fold mass: N of the minimal solution at gamma_hat
+        D = functionals.volume_weights(dom15)
+        gamma_hat = uniform.gamma_boundaries(ALPHA_31 * L1_Y)[1]
+        fold = field.minimal_solution(SPEC_Y, ALPHA_31, gamma_hat, dom15, model=EXT)
+        got = float(D @ fold.field.values)
         assert got == pytest.approx(N_HAT_15, rel=1e-8)
         # the minimal branch's mass still rises up to gamma_hat
-        gamma_hat = uniform.gamma_boundaries(ALPHA_31 * L1_Y)[1]
         below = field.minimal_solution(SPEC_Y, ALPHA_31, gamma_hat - 0.01, dom15, model=EXT)
-        assert got > functionals.n_functional(below.field)
+        assert got > float(D @ below.field.values)
 
 
 class TestConstrainedSolve:

@@ -83,8 +83,8 @@ class TestSpectralRadius:
             total = kernels.l1_norm_r3(spec)
             last = 0.0
             for R in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
-                ball = kernels.ball_l1(spec, R)
-                assert ball == pytest.approx(kernels.phi_lambda(spec, R), rel=1e-12)
+                ball = kernels.phi_lambda(spec, R)
+                assert ball == pytest.approx(kernels.ball_potential(spec, 0.0, R), rel=1e-12)
                 assert last < ball < total
                 last = ball
 

@@ -8,11 +8,15 @@ workspace and where `functionals._ring_volume_metric` forms the volume
 metric, so no scaled n x n copy of the ring is kept.  Only field.py
 reads the dense gate `_DENSE_MAX`.  In field.py the Yukawa and Newton
 Green's terms have one home, `_green_terms`, and the kink split one,
-`_split`.  The source is read with `ast`, so docstrings and comments do
+`_split`.  Every public name has a use in the package outside its own
+definition, or README.md names it, but for a known few that wait on a
+caller.  The source is read with `ast`, so docstrings and comments do
 not count.
 """
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hardball"
@@ -159,3 +163,46 @@ def test_one_home_for_the_green_terms_and_the_kink_split():
             split.add(where)
     assert green == {"_green_terms"}
     assert split == {"_split"}
+
+
+def _public_names(tree):
+    """A module's `__all__`, or its top-level defs and classes without a leading underscore."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [element.value for element in node.value.elts]
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+def _uses(node):
+    """How often each identifier is read below node, as a name or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_public_names_without_a_use_are_the_known_few():
+    # each entry names the ROADMAP item that gives it a caller; a removal, or
+    # a new caller, takes its entry out, and a new public name needs a use
+    expected = {
+        "field.predicates",  # item 18: the claims command
+        "functionals.second_variation_P",  # item 5: the probes move out of src/
+        "functionals.second_variation_F",  # item 5
+        "kernels.ball_potential",  # item 4: the far-field correction; the benchmark's oracle
+        "kernels.second_moment",  # item 10: the square-gradient tension
+        "kernels.boundary_constant",  # item 4
+        "uniform.TriplicityRegion",  # item 18
+        "uniform.pi_uniform",  # item 18
+        "uniform.f_uniform",  # item 18
+    }
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    readme = (SRC.parent.parent / "README.md").read_text()
+    uses = sum(map(_uses, trees.values()), Counter())
+    unused = set()
+    for module, tree in trees.items():
+        for name in _public_names(tree):
+            own = sum((_uses(top) for top in tree.body if getattr(top, "name", None) == name),
+                      Counter())
+            if uses[name] == own[name] and not re.search(rf"\b{re.escape(name)}\b", readme):
+                unused.add(f"{module}.{name}")
+    assert unused == expected

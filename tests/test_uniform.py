@@ -403,12 +403,12 @@ class TestTouchingScale:
         assert sigma_acute > sigma_grave
         # overlap holds strictly below the touching scale, fails above
         for s, expect in ((sigma_grave, True), (0.5 * (sigma_grave + sigma_acute), True), (1.05 * sigma_acute, False)):
-            phi = kernels.ball_l1(self.SPEC, s * 0.5 * self.DIAM)
+            phi = kernels.phi_lambda(self.SPEC, s * 0.5 * self.DIAM)
             best = uniform._best_alpha(phi, psi, (22.0, 500.0))
             overlap = best is not None and best[1] > 0
             assert overlap == expect
         # tangency: the maximal gap vanishes at the touching scale
-        phi = kernels.ball_l1(self.SPEC, sigma_acute * 0.5 * self.DIAM)
+        phi = kernels.phi_lambda(self.SPEC, sigma_acute * 0.5 * self.DIAM)
         best = uniform._best_alpha(phi, psi, (22.0, 500.0))
         assert abs(best[1]) < 1e-6
         assert best[0] == pytest.approx(alpha_star, rel=1e-3)
@@ -425,7 +425,7 @@ class TestTouchingScale:
 
         sigma_grave, psi = kernels.optimal_scaling(self.SPEC, self.DIAM, self.VOL)
         for s in (sigma_grave, 1.1 * sigma_grave):
-            phi = kernels.ball_l1(self.SPEC, s * 0.5 * self.DIAM)
+            phi = kernels.phi_lambda(self.SPEC, s * 0.5 * self.DIAM)
             for alpha_range in ((22.0, 500.0), (22.0, 50.0), (60.0, 500.0)):
                 alpha, best = uniform._best_alpha(phi, psi, alpha_range)
                 assert best == uniform._gamma_gap(alpha, phi, psi)
@@ -444,7 +444,7 @@ class TestTouchingScale:
         sigma_acute, alpha_star = uniform.touching_scale(
             self.SPEC, alpha_range, self.DIAM, self.VOL
         )
-        phi = kernels.ball_l1(self.SPEC, sigma_acute * 0.5 * self.DIAM)
+        phi = kernels.phi_lambda(self.SPEC, sigma_acute * 0.5 * self.DIAM)
         alpha, best = uniform._best_alpha(phi, psi, alpha_range)
         assert alpha == alpha_star
         assert abs(best) < 1e-12
