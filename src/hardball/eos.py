@@ -64,14 +64,14 @@ _TABLE_NODES = 4097  # nodes of each inversion table
 _MAX_SWEEPS = 200  # sweeps after which an inversion gives up
 
 
-def _check_range(x, lo, hi, *, closed_lo=False, name="eta"):
+def _check_range(x, lo, hi, *, closed_lo=False):
     """Validate a scalar or array argument against an interval."""
     arr = np.asarray(x, dtype=float)
     ok = (arr >= lo) if closed_lo else (arr > lo)
     ok &= arr < hi
     if not np.all(ok):
         bound = "[" if closed_lo else "("
-        raise ValueError(f"{name} must lie in {bound}{lo}, {hi})")
+        raise ValueError(f"eta must lie in {bound}{lo}, {hi})")
     return arr
 
 

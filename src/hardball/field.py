@@ -59,6 +59,7 @@ import numpy as np
 from . import eos, kernels, uniform
 
 __all__ = [
+    "NoConvergence",
     "RadialDomain",
     "DensityField",
     "SolveReport",
@@ -97,6 +98,10 @@ _SEGMENT = 500.0  # kappa-length of one segment of RingOperator's discounted sum
 _POWER_STEPS, _POWER_MOVED = 100, 1e-10  # power steps per contraction bound, at most
 _PANEL = 8  # Gauss-Legendre nodes per panel of every grid
 _GAUSS = np.polynomial.legendre.leggauss(_PANEL)  # the panels' rule on [-1, 1]
+
+
+class NoConvergence(ValueError, RuntimeError):
+    """A fixed-point sequence still open after its step budget; a Newton on gamma retreats."""
 
 
 @dataclass(eq=False)
@@ -482,14 +487,14 @@ def _fixed_point(attraction, model, V, gamma_rule, max_iter, tol, finishes=None)
     iteration count and its gamma returned.  A stopped column's report
     is built by `_report`, and the column leaves the block.  A column
     that leaves (0, 1) raises ValueError, and one still open after
-    max_iter steps RuntimeError, each naming that column's gamma.  The
+    max_iter steps `NoConvergence`, each naming that column's gamma.  The
     bits of each column are those of a one-column block from the same
     start: `_Attraction.apply` and wp' treat the columns apart.  Returns
     one (report, gamma) per column, in column order.
     """
     k = V.shape[1]
     finishes = finishes or [None] * k
-    out, directions = [None] * k, ["none"] * k
+    out, directions, changes = [None] * k, ["none"] * k, [math.nan] * k
     cols = list(range(k))  # the open columns' indices into the block
     for it in range(1, max_iter + 1):
         U = attraction.apply(V)
@@ -498,7 +503,7 @@ def _fixed_point(attraction, model, V, gamma_rule, max_iter, tol, finishes=None)
             j = int(np.argmax(((new >= 1.0) | (new <= 0.0)).any(axis=0)))
             raise ValueError("iteration left the volume-fraction range (0, 1) "
                              f"at gamma {float(G[j])!r}, iteration {it}")
-        changes = np.abs(new - V).max(axis=0).tolist()
+        last, changes = changes, np.abs(new - V).max(axis=0).tolist()
         if it == 1:
             directions = [_direction(V[:, j], new[:, j], changes[j]) for j in range(k)]
         V = new
@@ -524,9 +529,10 @@ def _fixed_point(attraction, model, V, gamma_rule, max_iter, tol, finishes=None)
         if not keep:
             return out
         cols, V, G = [cols[j] for j in keep], V[:, keep], G[keep]
-        changes = [changes[j] for j in keep]
-    raise RuntimeError(f"no convergence within {max_iter} iterations: last gamma "
-                       f"{float(G[0])!r}, sup-norm change {changes[0]:.3e}")
+        changes, last = [changes[j] for j in keep], [last[j] for j in keep]
+    ratio = changes[0] / last[0] if last[0] else math.inf
+    raise NoConvergence(f"no convergence within {max_iter} iterations: last gamma {float(G[0])!r}, "
+                        f"sup-norm change {changes[0]:.3e}, change ratio {ratio:.6f}")
 
 
 def _contraction_bound(attraction, gamma, model, lo, hi, y, star):

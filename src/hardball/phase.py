@@ -75,10 +75,6 @@ class BranchLostError(RuntimeError):
     """Continuation left its branch, or a droplet collapsed onto one."""
 
 
-class _Unfollowed(Exception):
-    """The launch at a bordered solve's gamma is not the bordered profile."""
-
-
 @dataclass(eq=False)
 class BranchPoint:
     """One converged solution pinned to its thermodynamic bookkeeping."""
@@ -205,12 +201,13 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
     The low end is launched only where the launches coincide at the top
     (the Newton then starts from the low end), where a Newton step is
     clamped onto it, or for an error message: near the liquid spinodal
-    it is the costly end.  A gamma where the launches coincide fails its
-    evaluation, and the Newton retreats halfway to its last good gamma:
-    a coincident end is passed over.  With no distinct end, or a Newton
-    step clamped onto the end it evaluated last, the error names alpha,
-    the grid, the ends and their gaps; a pressure gap still open where
-    the Newton stops names the point it reached and that gap.
+    it is the costly end.  A gamma where the launches coincide or cannot
+    finish (`field.NoConvergence`) fails its evaluation, and the Newton
+    retreats halfway to its last good gamma, passing it over.  With no
+    distinct end, or a Newton step clamped onto the end it evaluated
+    last, the error names alpha, the grid, the ends and their gaps; a
+    pressure gap still open where the Newton stops names the point it
+    reached and that gap.
     Only the two launches are solved, so above the dense gate no n x n
     matrix is formed; a middle (saddle) solution at the crossing is
     reached separately, by `field.newton_solve`.
@@ -275,9 +272,9 @@ def _newton_on_gamma(evaluate, gamma, window, ftol, xtol, message, steps, second
     evaluated means the root lies beyond the window:
     ValueError(message).  Once both signs are seen, a step leaving
     their bracket bisects it.  message may be a function returning the
-    message, called only then.  An evaluation that raises ValueError
-    retreats halfway to the last good gamma (a first evaluation has
-    none and re-raises).  Stops at |f| <= ftol, at a step
+    message, called only then.  An evaluation that cannot be had raises
+    ValueError and retreats halfway to the last good gamma (a first
+    evaluation has none and re-raises).  Stops at |f| <= ftol, at a step
     |f / slope| <= xtol(gamma), or after steps evaluations, and
     returns the last good (gamma, f, payload).  second, a gamma inside
     window, replaces the Newton step from a first evaluation that
@@ -342,12 +339,13 @@ def constrained_solve(spec, alpha, domain, N_target, model=eos.EosModel(), seed=
     pseudo-arclength continuation and regular at the fold, carries
     (profile, gamma) to N_target, and the Newton on gamma evaluates that
     gamma second, in place of a step on the seed's slope; the seed stays
-    the last good gamma to retreat to.  The launch there goes on only
+    the last good gamma to retreat to.  The launch there counts only
     within 1e-9 (sup norm) of the bordered profile: one further off did
-    not follow the seed's branch, and the match runs again from the seed
-    as it does where the bordered solve fails or leaves the window,
-    stepping on the slope.  Without a seed the Newton starts from the
-    uniform estimate.
+    not follow the seed's branch: that evaluation, checked once, raises
+    ValueError naming gamma and distance, and the Newton retreats toward
+    the seed, or steps from it on its slope where the bordered solve
+    fails or leaves the window.  Without a seed the Newton starts from
+    the uniform estimate.
     """
     N_target = float(N_target)
     D = functionals.volume_weights(domain)
@@ -379,29 +377,30 @@ def constrained_solve(spec, alpha, domain, N_target, model=eos.EosModel(), seed=
     predicted = None  # the bordered solve's (gamma, profile), carried from the seed
 
     def evaluate(g):
+        nonlocal predicted
         if seed is not None and g == seed[0]:
             rep = seed[1]
         else:
             rep = field.minimal_solution(spec, alpha, g, domain, model=model)
         v = rep.field.values
-        if predicted is not None and g == predicted[0] and \
-                np.max(np.abs(v - predicted[1])) > _FOLLOWED:
-            raise _Unfollowed
+        if predicted is not None and g == predicted[0]:  # once, so that no step cycles on it
+            off, predicted = float(np.max(np.abs(v - predicted[1]))), None
+            if off > _FOLLOWED:
+                raise ValueError(f"the launch at the bordered gamma {g!r} lies {off:.3e} "
+                                 "off the bordered profile")
         if len(history) >= 2:
             (g1, v1), (g0, v0) = history[-1], history[-2]
             dg = abs(g1 - g0)
             if dg > 0.0:
                 expected = np.max(np.abs(v1 - v0)) / dg * abs(g - g1)
                 if np.max(np.abs(v - v1)) > _JUMP_FACTOR * expected + 1e-9:
-                    raise BranchLostError(
-                        f"minimal branch lost near gamma {g:.6f}: "
-                        "sup-norm step exceeds ten times the prediction"
-                    )
+                    raise BranchLostError(f"minimal branch lost near gamma {g:.6f}: "
+                                          "sup-norm step exceeds ten times the prediction")
         history.append((g, v))
         h = float(D @ v) - N_target
         # a met target ends the Newton before it reads the slope, and a
         # prediction replaces the step from the first evaluation, the seed's
-        if abs(h) <= ftol or (predicted is not None and len(history) == 1):
+        if abs(h) <= ftol or (predicted is not None and g == seed[0]):
             return h, None, rep
         return h, _mass_slope(model, attraction, D, v), rep
 
@@ -410,28 +409,19 @@ def constrained_solve(spec, alpha, domain, N_target, model=eos.EosModel(), seed=
             eta, _, _, _, g = field._newton(attraction, seed[0], model, seed[1].field.values,
                                             field._NEWTON_TOL, field._NEWTON_STEPS,
                                             border=(D, N_target))
+            predicted = (g, eta) if g_floor <= g <= g_ceil else None
         except (RuntimeError, ValueError):  # the match steps from the seed on its slope
             pass
-        else:
-            predicted = (g, eta) if g_floor <= g <= g_ceil else None
     mean = N_target / volume
     gamma0 = model.gamma_at(mean) - alpha * phi * mean if seed is None else seed[0]
-    match = functools.partial(
-        _newton_on_gamma, evaluate, float(gamma0), (g_floor, g_ceil),
-        ftol, lambda g: 1e-15 * max(1.0, abs(g)),
+    gamma, h, report = _newton_on_gamma(
+        evaluate, float(gamma0), (g_floor, g_ceil), ftol, lambda g: 1e-15 * max(1.0, abs(g)),
         "N_target appears beyond the minimal branch's fold", _OUTER_STEPS + 1,
+        None if predicted is None else predicted[0],
     )
-    try:
-        gamma, h, report = match(None if predicted is None else predicted[0])
-    except _Unfollowed:  # the launch left the seed's branch: step from the seed on its slope
-        predicted = None
-        history.clear()
-        gamma, h, report = match()
     if abs(h) > ftol:
-        raise ValueError(
-            f"no mass match within {_OUTER_STEPS} outer steps on the minimal "
-            "branch; N_target may be outside its range"
-        )
+        raise ValueError(f"no mass match within {_OUTER_STEPS} outer steps on the minimal "
+                         "branch; N_target may be outside its range")
     return _branch_point(spec, alpha, gamma, report, model)
 
 
@@ -607,7 +597,8 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
     droplet exists is stepped over instead of mistaken for a crossing.
     From brentq's root `_newton_on_gamma` closes the gap on the mass,
     on the slope dF/dN = Gamma per branch, to 1e-8 max(1, |F[vapor]|)
-    at that root, within N_bracket; a gap still open after nine
+    at that root, within N_bracket, retreating from a mass with no
+    droplet; a gap still open after nine
     evaluations raises RuntimeError naming alpha, R, n, N_bracket, the
     mass reached and the gap left.  Needs the gas/liquid coexistence
     point for the embedding report: pass gamma_gl to launch the pair
@@ -691,8 +682,8 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
     def gap(n):
         # dF/dN = Gamma on each branch, so the gap's slope is Gamma_v - Gamma_d
         vapor, droplet, fgap = points(n)
-        if droplet is None:
-            raise BranchLostError("droplet branch unavailable at the crossing")
+        if droplet is None:  # the Newton retreats from a mass with no droplet
+            raise ValueError(f"droplet branch unavailable at mass {n!r}")
         return fgap, vapor.gamma - droplet.gamma, (vapor, droplet)
 
     gap_lo, gap_hi = points(n_lo)[2], points(n_hi)[2]

@@ -644,6 +644,23 @@ class TestPicard:
         with pytest.raises(RuntimeError, match=r"last gamma -2\.0, sup-norm change"):
             field.picard_iterate(SPEC_Y, 20.0 / PHI_Y5, -2.0, start)
 
+    def test_non_convergence_reports_the_change_ratio(self, dom5, monkeypatch):
+        # the budget error is a ValueError, an evaluation a Newton on gamma
+        # retreats from, and a RuntimeError; it names the ratio of the last
+        # two changes, read here off a 2-step and a 3-step run
+        start = field.constant_field(dom5, float(eos.g2_inverse(-2.0)))
+        reported = []
+        for steps in (2, 3):
+            monkeypatch.setattr(field, "_PICARD_STEPS", steps)
+            with pytest.raises(field.NoConvergence) as excinfo:
+                field.picard_iterate(SPEC_Y, 20.0 / PHI_Y5, -2.0, start)
+            assert isinstance(excinfo.value, ValueError)
+            assert isinstance(excinfo.value, RuntimeError)
+            m = re.search(r"sup-norm change (\S+), change ratio (\S+)$", str(excinfo.value))
+            reported.append((float(m[1]), float(m[2])))
+        (before, _), (last, ratio) = reported
+        assert ratio == pytest.approx(last / before, rel=1e-3)
+
     def test_ideal_gas_leaves_branch(self, dom5):
         # e^(gamma+u) crosses 1 once the potential lifts the argument past 0
         model = eos.EosModel(mode=eos.MODE_IDEAL_GAS)

@@ -339,6 +339,25 @@ class TestNewtonOnGamma:
         assert -3.0 < asked[2] < asked[1]
         assert g == pytest.approx(math.log(2.0), abs=1e-12)
 
+    def test_launch_out_of_steps_retreats(self):
+        # a launch still open after its step budget is an evaluation not to
+        # be had: f = 2 - g^3 fails once, at the first Newton step from 1
+        asked = []
+
+        def evaluate(g):
+            asked.append(g)
+            if len(asked) == 2:
+                raise field.NoConvergence(f"no convergence within 20000 iterations: last "
+                                          f"gamma {g!r}")
+            return 2.0 - g**3, -3.0 * g**2, g
+
+        g, f, payload = phase._newton_on_gamma(
+            evaluate, 1.0, (0.5, 4.0), 0.0, self.xtol, "unused", 100,
+        )
+        assert asked[:3] == [1.0, 4.0 / 3.0, 0.5 * (1.0 + 4.0 / 3.0)]
+        assert g == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-14)
+        assert payload == g
+
     def test_failed_first_evaluation_raises(self):
         def evaluate(g):
             raise ValueError("no start")
@@ -788,6 +807,31 @@ class TestGrandTransition:
         assert gap == pytest.approx(phase._launch_gap(SPEC_Y, ALPHA_31, at, dom, EXT)[0],
                                     rel=1e-6)
 
+    def test_launch_out_of_steps_is_stepped_back_from(self, monkeypatch):
+        # the pair launched at the first Newton step's gamma cannot finish;
+        # the Newton retreats halfway to the top end, its last good gamma,
+        # and locates the crossing it locates with every launch finishing
+        dom = field.make_domain(15.0, n=64)
+        ends = (-4.75, -4.45)
+        launched = record_launches(monkeypatch)
+        plain = phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, ends, model=EXT)
+        first_step = [g for branch, g, _ in launched if branch == "maximal"][1]
+        asked = []
+        pairs = field.extremal_pairs
+
+        def stalling(spec, alpha, gammas, *args, **kwargs):
+            asked.append(float(gammas[0]))
+            if asked[-1] == first_step:
+                raise field.NoConvergence(f"no convergence within 20000 iterations: last "
+                                          f"gamma {first_step!r}")
+            return pairs(spec, alpha, gammas, *args, **kwargs)
+
+        monkeypatch.setattr(field, "extremal_pairs", stalling)
+        tr = phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom, ends, model=EXT)
+        assert asked[:3] == [-4.45, first_step, 0.5 * (first_step - 4.45)]
+        assert abs(tr.gamma_gl - plain.gamma_gl) <= 1e-12 + 8.9e-16 * abs(plain.gamma_gl)
+        assert tr.delta_N > 0.0
+
     @pytest.mark.slow
     def test_large_container_limit(self):
         # the finite-container transition approaches the algebraic
@@ -1037,6 +1081,17 @@ class TestPetitTransition:
 
     def test_rearrangement_crossings(self, transition):
         assert transition.crossings == 1
+
+    @pytest.mark.slow
+    def test_r80_band_bracket(self):
+        # at R=80 the vapor mass matches run next to the vapor fold, each
+        # from the mass-bordered Newton solve off the vapor before it
+        dom = field.make_domain(80.0, n=256)
+        tr = phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, model=EXT,
+                                              gamma_bracket=(-4.965, -4.955))
+        assert tr.N_vd == pytest.approx(27430.744063677765, rel=1e-9)
+        assert tr.embedding_ok
+        assert tr.crossings == 1
 
     def test_requires_droplet_regime(self, dom15):
         with pytest.raises(ValueError):
@@ -1378,9 +1433,10 @@ class TestVaporSeed:
 
     def test_launch_off_the_bordered_profile_is_not_returned(self, monkeypatch):
         # a bordered profile moved 1e-6 off at the bordered gamma: the launch
-        # there meets the mass but lies off that profile, so it is dropped,
-        # and the match runs again from the seed as it runs without a
-        # bordered solve, to the unseeded match's bits
+        # there meets the mass but lies off that profile, so its evaluation
+        # fails, once, and the one match retreats halfway toward the seed,
+        # its last good gamma, and steps on from there to the cold launch
+        # at the gamma it returns
         dom, N, direct, evaluated, seed, calls, launched = self.direct_and_seed(monkeypatch)
         newton = field._newton
 
@@ -1391,12 +1447,15 @@ class TestVaporSeed:
         monkeypatch.setattr(field, "_newton", moved)
         bordered = self.bordered_gamma(dom, seed, N)
         seeded = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, model=EXT, seed=seed)
-        assert calls == [[evaluated[0], bordered], evaluated]
-        assert launched == [bordered] + evaluated[1:]
+        [evaluated_seeded] = calls
+        assert evaluated_seeded[:3] == [seed[0], bordered, 0.5 * (bordered + seed[0])]
+        assert evaluated_seeded.count(bordered) == 1 and seeded.gamma != bordered
+        assert launched == evaluated_seeded[1:]
         at_bordered = field.minimal_solution(SPEC_Y, ALPHA_31, bordered, dom, model=EXT)
         assert abs(total_mass(dom, at_bordered.field) - N) <= 1e-9 * N
-        assert seeded.gamma == direct.gamma
-        assert np.array_equal(seeded.solution.field.values, direct.solution.field.values)
+        cold = field.minimal_solution(SPEC_Y, ALPHA_31, seeded.gamma, dom, model=EXT)
+        assert np.array_equal(seeded.solution.field.values, cold.field.values)
+        assert abs(seeded.functionals.N - N) <= phase._MASS_RTOL * N
 
     def test_each_seeded_vapor_launches_once(self, monkeypatch):
         # petit-r15's five vapors: each mass match launches once, at the
