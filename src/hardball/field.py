@@ -41,7 +41,8 @@ sequences; the finishes of one block share its `_Attraction`.  A
 monotone Picard launch keeps its extremal label through the finish:
 the Newton limit replaces the Picard limit only with a Collatz-Wielandt
 certificate that the map contracts on the order interval between the
-last iterate and that limit (see `_NewtonFinish`).  For the droplet's
+last iterate and that limit (`_certificate`, which also admits the
+bordered vapor of `phase.constrained_solve`).  For the droplet's
 mass-matched iteration the finish carries a mass border, with gamma as
 one more unknown, and takes its limit only where the iteration is
 heading: within twice the geometric tail of its remaining changes.
@@ -168,9 +169,11 @@ class SolveReport:
     is maximal among all fluid fields; "algebraic-ceiling" when only an
     algebraic root was available, certifying maximality below that root.
     iterations counts fixed-point steps plus, for a solve with a Newton
-    finish, the finishing Newton steps.  A finished Picard profile is
-    the monotone limit the labels speak of, by the contraction
-    certificate of `picard_iterate`, to Newton's residual.  residual is
+    finish, the finishing Newton steps; a vapor that
+    `phase.constrained_solve` reads off its mass-bordered Newton solve
+    counts that solve's steps.  A finished Picard profile, like such a
+    vapor, is the monotone limit the labels speak of, by the contraction
+    certificate `_certificate`, to Newton's residual.  residual is
     max|wp'(gamma + u) - eta| at the returned eta and gamma, with
     u = alpha M eta as the solve applied it (a mass-bordered Newton
     finish also counts its mass row).  wp' is a pure function of its
@@ -574,6 +577,39 @@ def _contraction_bound(attraction, gamma, model, lo, hi, y, star):
     return bound, y
 
 
+def _certificate(attraction, gamma, model, v, star, residual, direction, y):
+    """Whether star, a fixed point at gamma, is the limit of the monotone sequence through v.
+
+    The acceptance rule of `_NewtonFinish`, and of the bordered vapor
+    of `phase.constrained_solve`, whose v is the constant subsolution
+    wp'(gamma).  star must (a) lie beyond v at every node, up to
+    Newton's tolerance (above v going up, below it going down); (b) have
+    a fixed-point residual below _RESIDUAL_TOL; and (c) give a
+    `_contraction_bound` below 1 over the order interval between v and
+    star, star its fixed end.  By (a) and the map's monotonicity the
+    sequence's limit L lies in that interval, and by (c) the map has one
+    fixed point there, so L = star to the residual over 1 - bound.  The
+    bound leans on wp'' being unimodal, which the ideal gas's is not, so
+    the ideal gas is never certified.  Returns (failed, y): failed is
+    None, or (condition, message) for the first condition that fails,
+    one of "model", "side", "residual" and "bound"; y is the bound's
+    power-step vector, from which a later check goes on.
+    """
+    if model.mode == eos.MODE_IDEAL_GAS:
+        return ("model", "the ideal gas's wp'' has no peak to bound the map by"), y
+    lo, hi = (v, star) if direction == "up" else (star, v)
+    if np.any(lo > hi + _NEWTON_TOL):
+        return ("side", f"it lies up to {float(np.max(lo - hi)):.3e} on the wrong side of "
+                        "the sequence"), y
+    if not residual < _RESIDUAL_TOL:
+        return ("residual", f"its residual {residual:.3e} is not below {_RESIDUAL_TOL:g}"), y
+    bound, y = _contraction_bound(attraction, gamma, model, np.minimum(lo, hi), hi, y,
+                                  "hi" if direction == "up" else "lo")
+    if not bound < 1.0:
+        return ("bound", f"its contraction bound {bound:.6f} is not below 1"), y
+    return None, y
+
+
 def _perron_bound(r, abs_apply, y):
     """The smallest max_i (By)_i/y_i, B = diag(r) |alpha M|, along power steps from y.
 
@@ -805,12 +841,14 @@ class _NewtonFinish:
     log(tol/change)/log(q) steps remain (without end once q >= 1), tol
     the loop's change tolerance; `_FINISH_COST` prices the finish, its
     Newton steps and certificate power steps, at one number of Picard
-    steps for every n.  The limit v* is certified.  If v* lies beyond
-    v_k (up to Newton's tolerance), the Picard limit L lies in the order interval
-    between them ([v_k, v*] going up, [v*, v_k] going down), since the
-    map is monotone and v* is fixed.  v* is accepted once `_contraction_bound`
-    on that interval is below 1: T then has one fixed point there, so
-    L = v* (to Newton's residual over 1 - bound).  Next to a fold the
+    steps for every n.  The limit v* is certified by `_certificate`, the
+    one rule that `phase.constrained_solve` also applies to its
+    bordered vapor.  If v* lies beyond v_k (up to Newton's tolerance),
+    the Picard limit L lies in the order interval between them ([v_k,
+    v*] going up, [v*, v_k] going down), since the map is monotone and
+    v* is fixed.  v* is accepted once `_contraction_bound` on that
+    interval is below 1: T then has one fixed point there, so L = v*
+    (to Newton's residual over 1 - bound).  Next to a fold the
     peak of wp'' over the interval keeps that bound above 1 long after
     v* is found, so the bound falls back on the secant slopes of wp'
     from v*'s own argument, which is all the uniqueness argument needs.
@@ -867,15 +905,11 @@ class _NewtonFinish:
             self.limit = self._solve(v, gamma, ratio)
             if self.limit is None:
                 return None
-        star = self.limit[0]
-        lo, hi = (v, star) if direction == "up" else (star, v)
-        if np.any(lo > hi + _NEWTON_TOL):
+        failed, self.y = _certificate(self.attraction, gamma, self.model, v, self.limit[0],
+                                      self.limit[2], direction, self.y)
+        if failed is not None and failed[0] == "side":
             self.limit = None
-            return None
-        bound, self.y = _contraction_bound(self.attraction, gamma, self.model,
-                                           np.minimum(lo, hi), hi, self.y,
-                                           "hi" if direction == "up" else "lo")
-        return self.limit if bound < 1.0 else None
+        return self.limit if failed is None else None
 
     def _solve(self, v, gamma, ratio):
         """Newton from v; None if it fails or a step cuts the residual less than ratio."""

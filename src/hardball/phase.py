@@ -28,8 +28,10 @@ falls, so these are sub- and supersolutions on the right side of the
 extremal solutions, and the monotone iterations still end there.
 The vapor mass matches of one petit transition each start from the
 vapor solved before them, through `constrained_solve`'s ``seed``, and
-launch first at the gamma of one mass-bordered Newton solve from that
-seed, the droplet finish's solve, which is regular at the vapor fold.
+read the vapor off one mass-bordered Newton solve from that seed, the
+droplet finish's solve, which is regular at the vapor fold: where the
+finish's contraction certificate shows it to be the minimal solution
+at its gamma, no launch is made.
 `grand_canonical_transition` is the one gas/liquid locator: one
 safeguarded Newton on gamma, started from the top end of its bracket
 (by default the algebraic band) where its launches are distinct, and
@@ -64,7 +66,6 @@ _MASS_RTOL = 1e-9  # relative mass residual for constrained solves
 _JUMP_FACTOR = 10.0  # continuation step ratio that flags a branch switch
 _DISTINCT = 1e-7  # sup-norm separation below which two launches coincide
 _COLLAPSED = 1e-6  # sup-norm separation below which a droplet is the vapor
-_FOLLOWED = 1e-9  # sup-norm gap between a launch and the bordered profile it must follow
 _MASS_MATCH_STEPS = 200  # Newton/bisection steps of one mass match, at most
 _OUTER_STEPS = 80  # Newton steps on gamma of one constrained solve or crossing, at most
 _DROPLET_TOL, _DROPLET_STEPS = 1e-12, 20000  # droplet iteration: change tolerance, steps
@@ -321,7 +322,7 @@ def _newton_on_gamma(evaluate, gamma, window, ftol, xtol, message, steps, second
 def constrained_solve(spec, alpha, domain, N_target, model=eos.EosModel(), seed=None):
     """The vapor at fixed mass: the minimal solution at the gamma where N = N_target.
 
-    Each evaluation launches `field.minimal_solution`, and the outer
+    An evaluation launches `field.minimal_solution`, and the outer
     step `_newton_on_gamma` takes the exact branch slope
     dN/dgamma = D.(I - diag(c) alpha M)^-1 c, c = wp'' of that
     solution (see `_mass_slope`), with gamma kept below the algebraic
@@ -339,13 +340,17 @@ def constrained_solve(spec, alpha, domain, N_target, model=eos.EosModel(), seed=
     pseudo-arclength continuation and regular at the fold, carries
     (profile, gamma) to N_target, and the Newton on gamma evaluates that
     gamma second, in place of a step on the seed's slope; the seed stays
-    the last good gamma to retreat to.  The launch there counts only
-    within 1e-9 (sup norm) of the bordered profile: one further off did
-    not follow the seed's branch: that evaluation, checked once, raises
-    ValueError naming gamma and distance, and the Newton retreats toward
-    the seed, or steps from it on its slope where the bordered solve
-    fails or leaves the window.  Without a seed the Newton starts from
-    the uniform estimate.
+    the last good gamma to retreat to.  That evaluation launches
+    nothing: the bordered profile is the minimal solution there where
+    `field._certificate` accepts it as the limit of the launch from
+    wp'(gamma) (see `_certified_vapor`), and holds N_target to Newton's
+    tolerance.  A profile it refuses (the ideal gas's always) did not
+    follow the seed's branch, or cannot be shown to: that evaluation,
+    made once, raises ValueError naming gamma and the failed condition,
+    and the Newton retreats toward the seed, or steps from it on its
+    slope where the bordered solve fails or leaves the window.  Every
+    other evaluation launches, and without a seed the Newton starts
+    from the uniform estimate.
     """
     N_target = float(N_target)
     D = functionals.volume_weights(domain)
@@ -374,20 +379,18 @@ def constrained_solve(spec, alpha, domain, N_target, model=eos.EosModel(), seed=
     attraction = field._Attraction(spec, alpha, domain)
     ftol = _MASS_RTOL * max(1.0, N_target)
     history = []  # (gamma, values) of accepted inner solves
-    predicted = None  # the bordered solve's (gamma, profile), carried from the seed
+    predicted = None  # the bordered solve's (gamma, profile, steps), carried from the seed
 
     def evaluate(g):
         nonlocal predicted
         if seed is not None and g == seed[0]:
             rep = seed[1]
+        elif predicted is not None and g == predicted[0]:  # once, so that no step cycles on it
+            (_, eta, steps), predicted = predicted, None
+            rep = _certified_vapor(attraction, model, g, eta, steps)
         else:
             rep = field.minimal_solution(spec, alpha, g, domain, model=model)
         v = rep.field.values
-        if predicted is not None and g == predicted[0]:  # once, so that no step cycles on it
-            off, predicted = float(np.max(np.abs(v - predicted[1]))), None
-            if off > _FOLLOWED:
-                raise ValueError(f"the launch at the bordered gamma {g!r} lies {off:.3e} "
-                                 "off the bordered profile")
         if len(history) >= 2:
             (g1, v1), (g0, v0) = history[-1], history[-2]
             dg = abs(g1 - g0)
@@ -406,10 +409,10 @@ def constrained_solve(spec, alpha, domain, N_target, model=eos.EosModel(), seed=
 
     if seed is not None and abs(float(D @ seed[1].field.values) - N_target) > ftol:
         try:
-            eta, _, _, _, g = field._newton(attraction, seed[0], model, seed[1].field.values,
-                                            field._NEWTON_TOL, field._NEWTON_STEPS,
-                                            border=(D, N_target))
-            predicted = (g, eta) if g_floor <= g <= g_ceil else None
+            eta, _, _, steps, g = field._newton(attraction, seed[0], model,
+                                                seed[1].field.values, field._NEWTON_TOL,
+                                                field._NEWTON_STEPS, border=(D, N_target))
+            predicted = (g, eta, steps) if g_floor <= g <= g_ceil else None
         except (RuntimeError, ValueError):  # the match steps from the seed on its slope
             pass
     mean = N_target / volume
@@ -423,6 +426,30 @@ def constrained_solve(spec, alpha, domain, N_target, model=eos.EosModel(), seed=
         raise ValueError(f"no mass match within {_OUTER_STEPS} outer steps on the minimal "
                          "branch; N_target may be outside its range")
     return _branch_point(spec, alpha, gamma, report, model)
+
+
+def _certified_vapor(attraction, model, gamma, eta, steps):
+    """The bordered profile eta at gamma as the minimal solution there, by `field._certificate`.
+
+    The launch at gamma would climb from the constant subsolution
+    wp'(gamma); eta is its limit where it lies above that start, its
+    fixed-point residual, computed here, is below the loop's, and the
+    contraction bound over [wp'(gamma), eta] is below 1.  The report,
+    labelled minimal and up, counts the bordered solve's Newton steps.
+    Otherwise ValueError names gamma and the failed condition.
+    """
+    u = attraction.apply(eta)
+    # wp'(gamma + u), then the start wp'(gamma), in one lane-wise inversion
+    image = np.asarray(model.wp_prime(np.append(gamma + u, gamma)))
+    residual = float(np.max(np.abs(image[:-1] - eta)))
+    start = np.full(eta.size, image[-1])
+    failed, _ = field._certificate(attraction, gamma, model, start, eta, residual, "up",
+                                   np.ones(eta.size))
+    if failed is not None:
+        raise ValueError(f"the bordered profile at gamma {gamma!r} is not certified minimal: "
+                         f"{failed[1]}")
+    report = field._report(attraction.domain, eta, gamma, u, steps, residual, "up")
+    return field._labelled(report, "minimal", "up")
 
 
 def _mass_slope(model, attraction, D, v):
@@ -611,10 +638,10 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
     Each vapor is a `constrained_solve` seeded with the vapor solved
     before it, the first with the gas at gamma_gl, so the first Newton
     evaluation of each reads its seed instead of launching, and a vapor
-    at its seed's mass is the seed.  Its second evaluation launches at
-    the gamma of the mass-bordered Newton solve from the seed, where the
-    launch most often meets the mass already, so that a vapor costs one
-    launch.
+    at its seed's mass is the seed.  Its second evaluation, at the gamma
+    of the mass-bordered Newton solve from the seed, takes that solve's
+    profile, certified minimal, so that a vapor most often costs no
+    launch and holds its mass to Newton's tolerance.
     """
     crit = droplet_criterion(spec, alpha)
     if not crit["fires"]:

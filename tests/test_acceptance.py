@@ -278,6 +278,7 @@ def test_criterion_08_transitions_at_r30():
         f_vap = petit.vapor.functionals.F
         f_dro = petit.droplet.functionals.F
         assert abs(f_vap - f_dro) <= 1e-8 * max(1.0, abs(f_vap))
+        assert abs(petit.vapor.functionals.N - petit.N_vd) <= 1e-12 * petit.N_vd
         assert petit.delta_Gamma < 0.0
         assert petit.delta_E < 0.0
         assert petit.delta_S < 0.0

@@ -62,6 +62,41 @@ def test_droplet_free_energy_slope_in_alpha_at_fixed_mass(monkeypatch):
     assert slope == pytest.approx(-interaction, rel=1e-10)
 
 
+def test_vapor_free_energy_slope_in_alpha_at_fixed_mass(monkeypatch):
+    # each vapor at N_vd is a seeded mass match from the cold launch, at its
+    # alpha, at a gamma 1e-3 below the crossing's, so each is read off its
+    # bordered Newton solve and certified, and holds N_vd to 1e-12
+    # relative.  Richardson's combination of centred differences at h and
+    # h/2, h = 1e-4 alpha, then reads 2.9e-11 relative, and 3e-12 to 6e-11
+    # with the seeds at gammas 1e-4 to 1e-2 either side: the roundoff of F
+    # over 2h.  Launched vapors hold the mass only to 1e-9 relative
+    dom = field.make_domain(15.0, n=64)
+    gamma = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N_VD_15, model=EXT).gamma - 1e-3
+    certified = []
+    real = phase._certified_vapor
+
+    def spy(*args):
+        certified.append(real(*args))
+        return certified[-1]
+
+    monkeypatch.setattr(phase, "_certified_vapor", spy)
+
+    def vapor(alpha):
+        seed = field.minimal_solution(SPEC_Y, alpha, gamma, dom, model=EXT)
+        return phase.constrained_solve(SPEC_Y, alpha, dom, N_VD_15, model=EXT, seed=(gamma, seed))
+
+    base = vapor(ALPHA_31).solution.field
+    interaction = functionals._interaction(base, field.apply_kernel(SPEC_Y, 1.0, base.domain, base.values))
+
+    def centred(h):
+        return (vapor(ALPHA_31 + h).functionals.F - vapor(ALPHA_31 - h).functionals.F) / (2.0 * h)
+
+    h = 1e-4 * ALPHA_31
+    slope = (4.0 * centred(0.5 * h) - centred(h)) / 3.0
+    assert len(certified) == 5
+    assert slope == pytest.approx(-interaction, rel=1e-10)
+
+
 def test_grand_line_clausius_clapeyron_slope():
     # gamma_gl at R=15, n=64 (petit-r15's grid and gamma bracket).
     # Richardson's combination of centred differences at h = 1e-4 alpha
@@ -123,12 +158,11 @@ def test_pressure_slopes_at_fixed_gamma(branch, rel_gamma, rel_alpha):
 
 def test_petit_line_slope():
     # N_vd at R=15, n=64 (petit-r15's grid, mass bracket and gamma bracket).
-    # Each N_vd is moved by its residual gap over delta_Gamma, with each
-    # branch's F first carried to N_vd on dF/dN = Gamma.  Richardson's
-    # combination of centred differences at h = 1e-4 alpha and h/2 then reads
-    # 3.4e-10 relative, and so it does at h = 3e-4 alpha.  Moved by the gap
-    # alone it reads 6.9e-8: the vapor mass match stops about 2e-8 off N_vd.
-    # The plain N_vd reads 6.0e-5, the F-gap closure's stop
+    # Each N_vd is moved by its residual F gap over delta_Gamma: both branches
+    # hold N_vd to 1e-12 relative, so the gap compares F at one mass.
+    # Richardson's combination of centred differences at h = 1e-4 alpha and
+    # h/2 then reads 2.7e-10 relative.  The plain N_vd reads 6.0e-5, the
+    # F-gap closure's stop
     dom = field.make_domain(15.0, n=64)
 
     def petit(alpha):
@@ -142,9 +176,7 @@ def test_petit_line_slope():
 
     def n_vd(alpha):
         line = petit(alpha)
-        gap = [point.functionals.F - point.gamma * (point.functionals.N - line.N_vd)
-               for point in (line.vapor, line.droplet)]
-        return line.N_vd + (gap[0] - gap[1]) / line.delta_Gamma
+        return line.N_vd + (line.vapor.functionals.F - line.droplet.functionals.F) / line.delta_Gamma
 
     line = petit(ALPHA_31)
     slope = (interaction(ALPHA_31, line.droplet)

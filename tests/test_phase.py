@@ -1192,11 +1192,13 @@ class TestFinishTraffic:
             N_bracket=(0.965 * N_HAT_15, 0.968 * N_HAT_15),
             model=EXT, gamma_gl=-4.655290873521921))
         # 5 of the Newton solves are droplets' bordered finishes, fired at arming
-        # (the first, from the ball trial, takes 4 Jacobian solves), and 5 are the
-        # vapor mass matches' bordered starts, of 5, 3, 2, 1 and 1 steps; each vapor
-        # then launches once, so the launches' finishes check 7 bounds, not 12
-        assert (count["newton"], count["bound"]) == (17, 7)
-        assert count["solve"] <= 52 and count["steps"] <= 120
+        # (the first, from the ball trial, takes 4 Jacobian solves), 5 are the
+        # vapor mass matches' bordered solves, of 5, 3, 2, 1 and 1 steps, and 2
+        # finish the gas/liquid pair at gamma_gl; each vapor is its bordered
+        # profile, certified, with no launch, so the 7 bounds are those 5
+        # certificates and the pair's 2 finishes
+        assert (count["newton"], count["bound"]) == (12, 7)
+        assert count["solve"] <= 32 and count["steps"] <= 66
 
 
 def test_van_der_waals_transition_agrees_across_grids():
@@ -1349,24 +1351,31 @@ class TestVaporSeed:
         assert len(launched) == len(set(launched))
 
     def test_vapors_equal_cold_launches(self, monkeypatch):
+        # each vapor, read off its bordered solve, lies within 1e-9 (sup
+        # norm) of the cold launch at its gamma, and holds its target mass
+        # to 1e-12 relative, where a launch holds it only to 1e-9: the vapor
+        # at the crossing holds N_vd as the droplet does, so the F gap the
+        # locator closes compares F at one mass
         dom = field.make_domain(15.0, n=64)
         vapors = []
         real = phase.constrained_solve
 
         def spy(*args, **kwargs):
-            vapors.append(real(*args, **kwargs))
-            return vapors[-1]
+            vapors.append((args[3], real(*args, **kwargs)))
+            return vapors[-1][1]
 
         monkeypatch.setattr(phase, "constrained_solve", spy)
         result = phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, **self.KWARGS)
-        assert len(vapors) >= 2 and any(p is result.vapor for p in vapors)
-        for point in vapors:
+        assert len(vapors) >= 2 and any(p is result.vapor for _, p in vapors)
+        for point in (result.vapor, result.droplet):
+            assert abs(point.functionals.N - result.N_vd) <= 1e-12 * result.N_vd
+        for N, point in vapors:
             cold = field.minimal_solution(SPEC_Y, ALPHA_31, point.gamma, dom, model=EXT)
-            assert np.array_equal(point.solution.field.values, cold.field.values)
-            assert (point.solution.iterations, point.solution.residual) == \
-                (cold.iterations, cold.residual)
-            assert point.functionals == functionals.functional_values(
-                SPEC_Y, ALPHA_31, point.gamma, cold.field, model=EXT)
+            assert np.max(np.abs(point.solution.field.values - cold.field.values)) <= 1e-9
+            assert abs(point.functionals.N - N) <= 1e-12 * N
+            assert point.solution.residual < field._RESIDUAL_TOL
+            assert (point.solution.branch_label, point.solution.monotone_direction) == \
+                ("minimal", "up")
 
     @staticmethod
     def bordered_gamma(dom, seed, N):
@@ -1398,18 +1407,18 @@ class TestVaporSeed:
     def test_direct_solve_launches_at_every_evaluation(self, monkeypatch):
         # without a seed each Newton evaluation launches; seeded with the
         # cold launch at its first gamma, the solve reads the seed first,
-        # evaluates the bordered solve's gamma second, launches at all but
-        # the seed's gamma and returns the cold launch at its gamma
+        # evaluates the bordered solve's gamma second, certifies the
+        # bordered profile there as the minimal solution and launches nowhere
         dom, N, direct, evaluated, seed, calls, launched = self.direct_and_seed(monkeypatch)
+        bordered = self.bordered_gamma(dom, seed, N)
         seeded = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, model=EXT, seed=seed)
-        [evaluated_seeded] = calls
-        assert evaluated_seeded[:2] == [evaluated[0], self.bordered_gamma(dom, seed, N)]
-        assert launched == evaluated_seeded[1:] and len(launched) < len(evaluated)
+        assert calls == [[evaluated[0], bordered]] and launched == []
+        assert seeded.gamma == bordered
         cold = field.minimal_solution(SPEC_Y, ALPHA_31, seeded.gamma, dom, model=EXT)
-        assert np.array_equal(seeded.solution.field.values, cold.field.values)
-        assert abs(seeded.functionals.N - N) <= 1e-9 * N
-        # both hold the mass to 1e-9 N (4.4e-7), and N moves about 1400 per
-        # unit gamma here: the two gammas read 1.0e-10 apart
+        assert np.max(np.abs(seeded.solution.field.values - cold.field.values)) <= 1e-9
+        assert abs(seeded.functionals.N - N) <= 1e-12 * N
+        # the direct match holds the mass to 1e-9 N (4.4e-7), and N moves
+        # about 1400 per unit gamma here: the two gammas read 1.0e-10 apart
         assert abs(seeded.gamma - direct.gamma) <= 1e-9
 
     def test_failed_bordered_solve_runs_the_plain_match(self, monkeypatch):
@@ -1431,12 +1440,25 @@ class TestVaporSeed:
         assert np.array_equal(seeded.solution.field.values, direct.solution.field.values)
         assert seeded.functionals == direct.functionals
 
-    def test_launch_off_the_bordered_profile_is_not_returned(self, monkeypatch):
-        # a bordered profile moved 1e-6 off at the bordered gamma: the launch
-        # there meets the mass but lies off that profile, so its evaluation
-        # fails, once, and the one match retreats halfway toward the seed,
-        # its last good gamma, and steps on from there to the cold launch
-        # at the gamma it returns
+    @staticmethod
+    def refusals(monkeypatch):
+        """The conditions `field._certificate` fails on, None where it certifies, in call order."""
+        failed = []
+        real = field._certificate
+
+        def spy(*args):
+            out = real(*args)
+            failed.append(None if out[0] is None else out[0][0])
+            return out
+
+        monkeypatch.setattr(field, "_certificate", spy)
+        return failed
+
+    def test_moved_bordered_profile_is_refused(self, monkeypatch):
+        # a bordered profile moved 1e-6 off at the bordered gamma fails its
+        # certificate on its residual, once, and the one match retreats
+        # halfway toward the seed, its last good gamma, and steps on from
+        # there by launches to the cold launch at the gamma it returns
         dom, N, direct, evaluated, seed, calls, launched = self.direct_and_seed(monkeypatch)
         newton = field._newton
 
@@ -1444,24 +1466,24 @@ class TestVaporSeed:
             eta, *rest = newton(*args, **kwargs)
             return (eta + 1e-6 if kwargs.get("border") is not None else eta, *rest)
 
-        monkeypatch.setattr(field, "_newton", moved)
         bordered = self.bordered_gamma(dom, seed, N)
+        monkeypatch.setattr(field, "_newton", moved)
+        failed = self.refusals(monkeypatch)
         seeded = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, model=EXT, seed=seed)
         [evaluated_seeded] = calls
         assert evaluated_seeded[:3] == [seed[0], bordered, 0.5 * (bordered + seed[0])]
         assert evaluated_seeded.count(bordered) == 1 and seeded.gamma != bordered
-        assert launched == evaluated_seeded[1:]
-        at_bordered = field.minimal_solution(SPEC_Y, ALPHA_31, bordered, dom, model=EXT)
-        assert abs(total_mass(dom, at_bordered.field) - N) <= 1e-9 * N
+        assert launched == evaluated_seeded[2:] and failed[0] == "residual"
         cold = field.minimal_solution(SPEC_Y, ALPHA_31, seeded.gamma, dom, model=EXT)
         assert np.array_equal(seeded.solution.field.values, cold.field.values)
         assert abs(seeded.functionals.N - N) <= phase._MASS_RTOL * N
 
-    def test_each_seeded_vapor_launches_once(self, monkeypatch):
-        # petit-r15's five vapors: each mass match launches once, at the
-        # gamma it returns
+    def test_certified_seeded_vapors_launch_nowhere(self, monkeypatch):
+        # petit-r15's five vapors: each mass match certifies its bordered
+        # profile, at the gamma it returns, and launches nowhere
         dom = field.make_domain(15.0, n=64)
         launched = self.launches(monkeypatch)
+        failed = self.refusals(monkeypatch)
         per_match, vapors = [], []
         real = phase.constrained_solve
 
@@ -1473,8 +1495,44 @@ class TestVaporSeed:
 
         monkeypatch.setattr(phase, "constrained_solve", spy)
         phase.petit_canonical_transition(SPEC_Y, ALPHA_31, dom, **self.KWARGS)
-        assert len(vapors) == 5
-        assert per_match == [[point.gamma] for point in vapors]
+        assert len(vapors) == 5 and per_match == [[]] * 5
+        assert failed and set(failed) == {None}
+
+    def test_uncertified_bordered_profile_retreats_to_launches(self, monkeypatch):
+        # next to the vapor fold of a large ball (R=320 on 64 nodes, a
+        # coarse grid that keeps the test quick) the contraction bound over
+        # [wp'(gamma), v*] is not below 1 (it reads 1.0013): the bordered
+        # profile is refused, the match retreats halfway toward the seed and
+        # returns the cold launch at its gamma, bit for bit
+        dom = field.make_domain(320.0, n=64)
+        gamma_hat = uniform.gamma_boundaries(ALPHA_31 * L1_Y)[1]
+        top = total_mass(dom, field.minimal_solution(SPEC_Y, ALPHA_31, gamma_hat - 1e-9, dom,
+                                                     model=EXT).field)
+        point = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, 0.99 * top, model=EXT)
+        seed, N = (point.gamma, point.solution), 0.999 * top
+        bordered = self.bordered_gamma(dom, seed, N)
+        calls = self.mass_match_evaluations(monkeypatch)
+        launched = self.launches(monkeypatch)
+        failed = self.refusals(monkeypatch)
+        seeded = phase.constrained_solve(SPEC_Y, ALPHA_31, dom, N, model=EXT, seed=seed)
+        [evaluated] = calls
+        assert evaluated[:3] == [seed[0], bordered, 0.5 * (bordered + seed[0])]
+        assert failed[0] == "bound" and launched == evaluated[2:]
+        cold = field.minimal_solution(SPEC_Y, ALPHA_31, seeded.gamma, dom, model=EXT)
+        assert np.array_equal(seeded.solution.field.values, cold.field.values)
+        assert abs(seeded.functionals.N - N) <= phase._MASS_RTOL * N
+
+    def test_ideal_gas_is_never_certified(self):
+        # the certificate's bound takes wp'' at its peak, which the ideal
+        # gas's exponential lacks: its own minimal solution, handed over as
+        # a bordered profile, is refused before any bound is formed
+        dom, ideal = field.make_domain(15.0, n=64), eos.EosModel(mode=eos.MODE_IDEAL_GAS)
+        alpha, gamma = 0.1 / L1_Y, -7.0
+        cold = field.minimal_solution(SPEC_Y, alpha, gamma, dom, model=ideal)
+        attraction = field._Attraction(SPEC_Y, alpha, dom)
+        with pytest.raises(ValueError, match=r"^the bordered profile at gamma -7\.0 is not "
+                                             r"certified minimal: the ideal gas"):
+            phase._certified_vapor(attraction, ideal, gamma, cold.field.values, 0)
 
     def test_seed_at_its_own_mass_returns_without_launching(self, monkeypatch):
         dom = field.make_domain(15.0, n=64)
