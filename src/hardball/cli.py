@@ -29,7 +29,6 @@ class ConfigError(Exception):
 _MODES = {
     "hard-sphere": eos.MODE_HARD_SPHERE,
     "cs-extended": eos.MODE_CS_EXTENDED,
-    "ideal-gas": eos.MODE_IDEAL_GAS,
 }
 
 UNITS_PAGE = """\

@@ -26,7 +26,6 @@ __all__ = [
     "GAMMA_FS",
     "MODE_HARD_SPHERE",
     "MODE_CS_EXTENDED",
-    "MODE_IDEAL_GAS",
     "MODES",
     "EosModel",
     "g1",
@@ -38,7 +37,6 @@ __all__ = [
     "speedy_g4",
     "g4_inverse",
     "find_inflection",
-    "ideal_gas_wp_prime",
 ]
 
 ETA_FS_LO = 0.49  # freezing packing fraction, fluid side
@@ -52,8 +50,7 @@ SPEEDY_C = 0.601
 
 MODE_HARD_SPHERE = "hard-sphere-CS-Speedy"
 MODE_CS_EXTENDED = "CS-extended-to-(0,1)"
-MODE_IDEAL_GAS = "ideal-gas"
-MODES = (MODE_HARD_SPHERE, MODE_CS_EXTENDED, MODE_IDEAL_GAS)
+MODES = (MODE_HARD_SPHERE, MODE_CS_EXTENDED)
 
 # Inversion bracket and residual tolerance for the gamma -> eta solves.
 _BRACKET_LO = 1e-12
@@ -342,19 +339,6 @@ def find_inflection():
 _ETA_WR, _GAMMA_WR, _K_GAMMA_FS = find_inflection()
 
 
-_IDEAL_GAS_HI = 700.0  # largest ideal-gas gamma, clear of exp overflow
-
-
-def ideal_gas_wp_prime(gamma):
-    """Ideal-gas density e^gamma, for low-density cross-checks."""
-    g = np.asarray(gamma, dtype=float)
-    if not np.isfinite(g).all():
-        raise ValueError("gamma must be finite")
-    if np.any(g > _IDEAL_GAS_HI):
-        raise OverflowError("gamma too large for the ideal-gas exponential")
-    return _scalar_like(gamma, np.exp(g))
-
-
 # Anchors pressure continuity at the kink: the solid branch is shifted by
 # the constant g1(0.49) - g3(0.54) so wp matches from both sides, while the
 # density relation g4 is left untouched.
@@ -367,9 +351,9 @@ class EosModel:
 
     hard-sphere-CS-Speedy composes the Carnahan-Starling fluid branch
     with Speedy's solid branch across the kink at gamma_fs; CS-extended
-    keeps the fluid formulas on all of eta in (0,1); ideal-gas replaces
-    the density map by e^gamma.  Only mode is settable; the freezing
-    and inflection constants are the module's, read-only on the class.
+    keeps the fluid formulas on all of eta in (0,1).  Only mode is
+    settable; the freezing and inflection constants are the module's,
+    read-only on the class.
     """
 
     mode: str = MODE_HARD_SPHERE
@@ -388,15 +372,11 @@ class EosModel:
         """Reduced pressure as a function of chemical potential.
 
         Read off eta = wp_prime(gamma) in closed form, as response_at
-        reads wp'': g1(eta) on the fluid branch, the shifted
-        speedy_g3(eta) on the solid branch (eta >= 0.54 in hard-sphere
-        mode), and eta itself for the ideal gas.
+        reads wp'': g1(eta) on the fluid branch, the shifted speedy_g3(eta)
+        on the solid branch (eta >= 0.54 in hard-sphere mode).
         """
-        eta = self.wp_prime(gamma)
-        if self.mode == MODE_IDEAL_GAS:
-            return eta
         # a scalar runs as a one-lane array, so it rounds as array lanes do
-        e = np.atleast_1d(np.asarray(eta, dtype=float))
+        e = np.atleast_1d(np.asarray(self.wp_prime(gamma), dtype=float))
         p = _g1(e)
         if self.mode == MODE_HARD_SPHERE:
             p = np.where(e < ETA_FS_HI, p,
@@ -410,8 +390,6 @@ class EosModel:
         the fluid's 0.49.  Each lane is inverted from the table alone, so
         the same gamma gives the same bits in any call.
         """
-        if self.mode == MODE_IDEAL_GAS:
-            return ideal_gas_wp_prime(gamma)
         if self.mode == MODE_CS_EXTENDED:
             return g2_inverse(gamma)
         g = np.atleast_1d(np.asarray(gamma, dtype=float))
@@ -442,13 +420,10 @@ class EosModel:
     def response_at(self, eta):
         """wp'' where wp' equals eta, read off eta with no inversion.
 
-        eta/g3'(eta) on the solid branch (eta >= 0.54 in hard-sphere
-        mode), eta for the ideal gas, 1/g2'(eta) otherwise; for
-        eta = wp_prime(gamma) this is wp_double_prime(gamma).
+        1/g2'(eta), or eta/g3'(eta) on the hard-sphere solid branch
+        (eta >= 0.54); at eta = wp_prime(gamma) it is wp_double_prime(gamma).
         """
         e = np.asarray(eta, dtype=float)
-        if self.mode == MODE_IDEAL_GAS:
-            return e
         if self.mode == MODE_CS_EXTENDED:
             return 1.0 / _g2_prime(e)
         solid = np.minimum(np.maximum(e, ETA_FS_HI), _G4_HI_ETA)
@@ -457,13 +432,11 @@ class EosModel:
     def gamma_at(self, eta):
         """Chemical potential at which wp' equals eta, in closed form.
 
-        g2(eta), speedy_g4(eta) or log(eta) by mode and branch, with no
-        inversion; in hard-sphere mode the coexistence gap (0.49, 0.54)
-        maps to the kink gamma_fs and close packing to the solid top.
+        g2(eta) or speedy_g4(eta) by mode and branch, with no inversion;
+        in hard-sphere mode the coexistence gap (0.49, 0.54) maps to the
+        kink gamma_fs and close packing to the solid top.
         """
-        e = _check_range(eta, 0.0, math.inf if self.mode == MODE_IDEAL_GAS else 1.0)
-        if self.mode == MODE_IDEAL_GAS:
-            return _scalar_like(eta, np.log(e))
+        e = _check_range(eta, 0.0, 1.0)
         if self.mode == MODE_CS_EXTENDED:
             return _scalar_like(eta, _g2(e))
         solid = np.minimum(np.maximum(e, ETA_FS_HI), _G4_HI_ETA)
@@ -473,10 +446,8 @@ class EosModel:
     def gamma_range(self):
         """Lowest and highest gamma that wp_prime accepts in this mode.
 
-        The floor is the fluid inversion's, density 1e-12, for every
-        mode; the ceiling is the fluid branch's near eta = 1
-        (CS-extended), the solid branch's near close packing
-        (hard-sphere) or the exponential's overflow guard (ideal gas).
+        The floor is the fluid inversion's, density 1e-12; the ceiling is
+        the fluid branch's near eta = 1 (CS-extended) or the solid
+        branch's near close packing (hard-sphere).
         """
-        top = {MODE_CS_EXTENDED: _G2_HI, MODE_HARD_SPHERE: _G4_HI}
-        return _G2_LO, top.get(self.mode, _IDEAL_GAS_HI)
+        return _G2_LO, _G2_HI if self.mode == MODE_CS_EXTENDED else _G4_HI

@@ -488,12 +488,12 @@ def _fixed_point(attraction, model, V, gamma_rule, max_iter, tol, finishes=None)
     change, direction); a non-None answer (profile, potential, residual,
     steps, gamma) stops the column there, with its steps added to the
     iteration count and its gamma returned.  A stopped column's report
-    is built by `_report`, and the column leaves the block.  A column
-    that leaves (0, 1) raises ValueError, and one still open after
-    max_iter steps `NoConvergence`, each naming that column's gamma.  The
-    bits of each column are those of a one-column block from the same
-    start: `_Attraction.apply` and wp' treat the columns apart.  Returns
-    one (report, gamma) per column, in column order.
+    is built by `_report`, and the column leaves the block.  wp' maps
+    into (0, 1) in both modes, so every iterate stays there.  A column
+    still open after max_iter steps raises `NoConvergence`, naming its
+    gamma.  The bits of each column are those of a one-column block from
+    the same start: `_Attraction.apply` and wp' treat the columns apart.
+    Returns one (report, gamma) per column, in column order.
     """
     k = V.shape[1]
     finishes = finishes or [None] * k
@@ -502,10 +502,6 @@ def _fixed_point(attraction, model, V, gamma_rule, max_iter, tol, finishes=None)
     for it in range(1, max_iter + 1):
         U = attraction.apply(V)
         G, new = gamma_rule(cols, U, V)
-        if (new >= 1.0).any() or (new <= 0.0).any():
-            j = int(np.argmax(((new >= 1.0) | (new <= 0.0)).any(axis=0)))
-            raise ValueError("iteration left the volume-fraction range (0, 1) "
-                             f"at gamma {float(G[j])!r}, iteration {it}")
         last, changes = changes, np.abs(new - V).max(axis=0).tolist()
         if it == 1:
             directions = [_direction(V[:, j], new[:, j], changes[j]) for j in range(k)]
@@ -588,15 +584,11 @@ def _certificate(attraction, gamma, model, v, star, residual, direction, y):
     `_contraction_bound` below 1 over the order interval between v and
     star, star its fixed end.  By (a) and the map's monotonicity the
     sequence's limit L lies in that interval, and by (c) the map has one
-    fixed point there, so L = star to the residual over 1 - bound.  The
-    bound leans on wp'' being unimodal, which the ideal gas's is not, so
-    the ideal gas is never certified.  Returns (failed, y): failed is
-    None, or (condition, message) for the first condition that fails,
-    one of "model", "side", "residual" and "bound"; y is the bound's
-    power-step vector, from which a later check goes on.
+    fixed point there, so L = star to the residual over 1 - bound.
+    Returns (failed, y): failed is None, or (condition, message) for the
+    first condition that fails, "side", "residual" or "bound"; y is the
+    bound's power-step vector, from which a later check goes on.
     """
-    if model.mode == eos.MODE_IDEAL_GAS:
-        return ("model", "the ideal gas's wp'' has no peak to bound the map by"), y
     lo, hi = (v, star) if direction == "up" else (star, v)
     if np.any(lo > hi + _NEWTON_TOL):
         return ("side", f"it lies up to {float(np.max(lo - hi)):.3e} on the wrong side of "
@@ -942,7 +934,7 @@ def _picard(spec, alpha, gammas, starts, domain, tol, model):
         return G, np.asarray(model.wp_prime(G + U), dtype=float)
 
     finishes = None
-    if model.mode != eos.MODE_IDEAL_GAS and attraction.finishable:
+    if attraction.finishable:
         finishes = [_NewtonFinish(attraction, model, tol=tol) for _ in gammas]
     return [report for report, _ in
             _fixed_point(attraction, model, starts, rule, _PICARD_STEPS, tol, finishes)]
@@ -953,15 +945,14 @@ def picard_iterate(spec, alpha, gamma, eta0, tol=1e-10, model=eos.EosModel()):
 
     Runs the shared loop `_fixed_point` on a one-column block with a
     constant gamma; see there for the stopping rule and the monotone
-    direction.  A monotone sequence (n <= 512, not the ideal gas) with
-    more than `_FINISH_COST` Picard steps left to tol is finished by
-    one damped Newton solve whose limit is accepted only with a
-    certificate that it is the limit the monotone sequence converges
-    to: the Collatz-Wielandt bound of `_contraction_bound` below 1 on
-    the order interval between the last iterate and the Newton limit
-    (see `_NewtonFinish`).  Without the certificate the iteration runs
-    on as plain Picard.  The report then counts Picard and Newton
-    steps.
+    direction.  A monotone sequence (n <= 512) with more than
+    `_FINISH_COST` Picard steps left to tol is finished by one damped
+    Newton solve whose limit is accepted only with a certificate that
+    it is the limit the monotone sequence converges to: the
+    Collatz-Wielandt bound of `_contraction_bound` below 1 on the order
+    interval between the last iterate and the Newton limit (see
+    `_NewtonFinish`).  Without the certificate the iteration runs on as
+    plain Picard.  The report then counts Picard and Newton steps.
     """
     return _picard(spec, alpha, [gamma], eta0.values[:, None], eta0.domain, tol, model)[0]
 
@@ -1017,8 +1008,6 @@ def _certification(alpha_phi, gamma, model):
 
 def _ceiling(spec, alpha, gamma, domain, model):
     """The constant supersolution maximal_solution descends from, and its certification."""
-    if model.mode == eos.MODE_IDEAL_GAS:
-        raise ValueError("supersolution construction needs a hard-sphere branch")
     alpha_phi = alpha * kernels.phi_lambda(spec, domain.R)
     certification = _certification(alpha_phi, gamma, model)
     if certification == "fluid-ceiling":
@@ -1258,7 +1247,7 @@ def _newton(attraction, gamma, model, v, tol, max_iter, callback=None, border=No
             cand = x + lam * step
             try:
                 Fc, uc, etac = resid(cand)
-            except (ValueError, OverflowError):
+            except ValueError:
                 # candidate left the branch's invertible range; shorten
                 lam *= 0.5
                 continue

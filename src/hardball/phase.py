@@ -219,11 +219,11 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
         gamma_bracket = (max(g_check, g_min) + 1e-6, g_hat - 1e-6)
     ends = (float(gamma_bracket[0]), float(gamma_bracket[1]))
     if not ends[0] < ends[1]:
-        raise ValueError("gamma_bracket must be increasing")
+        raise ValueError(f"gamma_bracket {ends} must be increasing ({_grid(alpha, domain)})")
     if ends[0] < g_min or ends[1] > g_max:
         raise ValueError(
             f"gamma bracket [{ends[0]!r}, {ends[1]!r}] leaves the EOS range "
-            f"[{g_min!r}, {g_max!r}] (alpha {alpha!r}, R {domain.R!r}, n {domain.n})")
+            f"[{g_min!r}, {g_max!r}] ({_grid(alpha, domain)})")
     launch = _launch_memo(spec, alpha, domain, model)
 
     def no_crossing():  # names both ends' gaps: the low end is launched here if not yet
@@ -344,19 +344,19 @@ def constrained_solve(spec, alpha, domain, N_target, model=eos.EosModel(), seed=
     nothing: the bordered profile is the minimal solution there where
     `field._certificate` accepts it as the limit of the launch from
     wp'(gamma) (see `_certified_vapor`), and holds N_target to Newton's
-    tolerance.  A profile it refuses (the ideal gas's always) did not
-    follow the seed's branch, or cannot be shown to: that evaluation,
-    made once, raises ValueError naming gamma and the failed condition,
-    and the Newton retreats toward the seed, or steps from it on its
-    slope where the bordered solve fails or leaves the window.  Every
-    other evaluation launches, and without a seed the Newton starts
-    from the uniform estimate.
+    tolerance.  A profile it refuses did not follow the seed's branch,
+    or cannot be shown to: that evaluation, made once, raises ValueError
+    naming gamma and the failed condition, and the Newton retreats
+    toward the seed, or steps from it on its slope where the bordered
+    solve fails or leaves the window.  Every other evaluation launches,
+    and without a seed the Newton starts from the uniform estimate.
     """
     N_target = float(N_target)
     D = functionals.volume_weights(domain)
     volume = float(np.sum(D))
     if not 0.0 < N_target < volume:
-        raise ValueError("N_target outside the attainable mass range")
+        raise ValueError(f"N_target {N_target!r} outside the attainable mass range "
+                         f"(0, {volume!r}) ({_grid(alpha, domain)})")
     if seed is not None:
         where = f"minimal mass match from a seed at gamma {seed[0]!r}"
         if seed[1].branch_label != "minimal":
@@ -419,12 +419,14 @@ def constrained_solve(spec, alpha, domain, N_target, model=eos.EosModel(), seed=
     gamma0 = model.gamma_at(mean) - alpha * phi * mean if seed is None else seed[0]
     gamma, h, report = _newton_on_gamma(
         evaluate, float(gamma0), (g_floor, g_ceil), ftol, lambda g: 1e-15 * max(1.0, abs(g)),
-        "N_target appears beyond the minimal branch's fold", _OUTER_STEPS + 1,
+        f"N_target {N_target!r} appears beyond the minimal branch's fold "
+        f"({_grid(alpha, domain)}; gamma window [{g_floor!r}, {g_ceil!r}])", _OUTER_STEPS + 1,
         None if predicted is None else predicted[0],
     )
     if abs(h) > ftol:
         raise ValueError(f"no mass match within {_OUTER_STEPS} outer steps on the minimal "
-                         "branch; N_target may be outside its range")
+                         f"branch; N_target {N_target!r} may be outside its range "
+                         f"({_grid(alpha, domain)}; last gamma {gamma!r}, mass gap {h:.6e})")
     return _branch_point(spec, alpha, gamma, report, model)
 
 
@@ -645,10 +647,9 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
     """
     crit = droplet_criterion(spec, alpha)
     if not crit["fires"]:
-        raise ValueError(
-            "droplet criterion does not fire at this alpha; no droplet "
-            "branch is expected"
-        )
+        raise ValueError("droplet criterion does not fire, so no droplet branch is expected: "
+                         f"alpha l1 {crit['lhs']!r} is not above {crit['rhs']!r} "
+                         f"({_grid(alpha, domain)})")
 
     if gamma_gl is None:
         grand = grand_canonical_transition(spec, alpha, domain, gamma_bracket, model)
@@ -667,7 +668,7 @@ def petit_canonical_transition(spec, alpha, domain, N_bracket=None, model=eos.Eo
         N_bracket = (gas.functionals.N, hat.functionals.N)
     n_lo, n_hi = float(N_bracket[0]), float(N_bracket[1])
     if not n_lo < n_hi:
-        raise ValueError("N_bracket must be increasing")
+        raise ValueError(f"N_bracket {(n_lo, n_hi)} must be increasing ({_grid(alpha, domain)})")
 
     droplet_cache = []  # (N, values) for warm starts
     last_vapor = [(gamma_gl, gas.solution)]  # the seed of the next vapor mass match
@@ -767,17 +768,22 @@ def pressure_crossing_bracket(spec, alpha, domain, gamma_bracket, model=eos.EosM
     return ends
 
 
+def _grid(alpha, domain):
+    """alpha and the grid, for an error message."""
+    return f"alpha {alpha!r}, R {domain.R!r}, n {domain.n}"
+
+
 def _inputs(alpha, domain, bracket, gaps):
     """alpha, the grid, a bracket and the gap at each of its ends, for an error message."""
     (a, b), (gap_a, gap_b) = bracket, gaps
-    return (f"alpha {alpha!r}, R {domain.R!r}, n {domain.n}; bracket ends {a!r} "
-            f"and {b!r}, gaps {float(gap_a):.6e} and {float(gap_b):.6e}")
+    return (f"{_grid(alpha, domain)}; bracket ends {a!r} and {b!r}, "
+            f"gaps {float(gap_a):.6e} and {float(gap_b):.6e}")
 
 
 def _located(alpha, domain, bracket, point, gap):
     """alpha, the grid, a bracket, the point located in it and the gap left there."""
-    return (f"alpha {alpha!r}, R {domain.R!r}, n {domain.n}; bracket ends {bracket[0]!r} "
-            f"and {bracket[1]!r}, located at {point!r}, gap left {float(gap):.6e}")
+    return (f"{_grid(alpha, domain)}; bracket ends {bracket[0]!r} and {bracket[1]!r}, "
+            f"located at {point!r}, gap left {float(gap):.6e}")
 
 
 def decreasing_rearrangement(fld):

@@ -88,6 +88,16 @@ class TestParsing:
         message = capsys.readouterr().err
         assert "radius" in message and "wide" in message
 
+    @pytest.mark.parametrize("command", ["check", "solve", "transition"])
+    def test_ideal_gas_mode_is_config_error(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[eos]\nmode = ideal-gas\n")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert ("config error: eos.mode: must be one of ['cs-extended', 'hard-sphere']"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_mass_grid_is_not_a_key(self, tmp_path, capsys):
         # no subcommand sweeps a mass grid, so the key is rejected
         bad = tmp_path / "bad.ini"

@@ -6,6 +6,7 @@ checked against mpmath.diff, the solid chemical potential against
 arbitrary-precision quadrature of g3'(x)/x).
 """
 
+import math
 import re
 
 import numpy as np
@@ -107,6 +108,10 @@ class TestG2Inverse:
             eos.g2_inverse(-100.0)
         with pytest.raises(ValueError):
             eos.g2_inverse(np.inf)
+
+    def test_low_density_limit(self):
+        ratio = eos.g2_inverse(-15.0) / math.exp(-15.0)
+        assert ratio == pytest.approx(1.0, abs=1e-3)
 
     def test_shape_preserved(self):
         out = eos.g2_inverse(np.array([[0.0, 1.0], [2.0, 3.0]]))
@@ -270,7 +275,7 @@ class TestInversionWork:
         lo, hi = model.gamma_range()
         # above 1e4 on the solid branch one ulp of eta moves g4 by more
         # than the tolerance, and those lanes stop on their bracket width
-        top = {eos.MODE_CS_EXTENDED: 1e6, eos.MODE_HARD_SPHERE: 1e4}.get(mode, hi)
+        top = {eos.MODE_CS_EXTENDED: 1e6, eos.MODE_HARD_SPHERE: 1e4}[mode]
         fs = eos.GAMMA_FS
         inner = np.concatenate([np.linspace(-27.0, 100.0, 20001)[1:],
                                 np.geomspace(100.0, top, 2001)[1:-1],
@@ -278,12 +283,13 @@ class TestInversionWork:
         gamma = np.concatenate([inner, [lo, np.nextafter(lo, np.inf),
                                         np.nextafter(hi, -np.inf), hi]])
         eta = np.asarray(model.wp_prime(gamma))
+        # wp' maps into (0, 1), so no Picard iterate leaves the volume fractions
+        assert np.all((eta > 0.0) & (eta < 1.0))
         scale = np.maximum(1.0, np.abs(gamma))
         assert np.max(np.abs(model.gamma_at(eta) - gamma) / scale) < 1e-12
         counts = _count_sweeps(monkeypatch)
         assert np.array_equal(model.wp_prime(inner), eta[:inner.size])
-        evaluations = 0 if mode == eos.MODE_IDEAL_GAS else 2
-        assert counts["lanes"] == evaluations * inner.size
+        assert counts["lanes"] == 2 * inner.size
 
     @pytest.mark.parametrize("invert, fn, gamma, pole", [
         (eos.g2_inverse, eos.g2, np.linspace(-27.0, 100.0, 20001), 1e20),
@@ -327,16 +333,11 @@ _OUT_OF_RANGE = {
                            {-100.0: _BRACKET, 1e37: _BRACKET}),
     eos.MODE_HARD_SPHERE: (eos.EosModel(eos.MODE_HARD_SPHERE).wp_prime,
                            {-100.0: _BRACKET, 1e14: _SOLID}),
-    eos.MODE_IDEAL_GAS: (eos.EosModel(eos.MODE_IDEAL_GAS).wp_prime,
-                         {701.0: (OverflowError, "gamma too large for the ideal-gas exponential",
-                                  None)}),
 }
 
 
 def _out_of_range_message(g, prefix, ends):
     """The whole message for gamma g out of range: the prefix, then g and the bracket's ends."""
-    if ends is None:
-        return prefix
     return f"{prefix}: gamma {g!r} is not in [{ends[0]!r}, {ends[1]!r}]"
 
 
@@ -462,24 +463,14 @@ class TestThermodynamicIdentity:
         assert np.max(np.abs(lhs - eos.g1_prime(eta))) < 1e-10
 
 
-class TestIdealGas:
-    def test_values(self):
-        assert eos.ideal_gas_wp_prime(0.0) == pytest.approx(1.0)
-        assert eos.ideal_gas_wp_prime(np.log(2.0)) == pytest.approx(2.0)
-
-    def test_overflow_guard(self):
-        with pytest.raises(OverflowError):
-            eos.ideal_gas_wp_prime(701.0)
-
-    def test_low_density_limit(self):
-        ratio = eos.g2_inverse(-15.0) / eos.ideal_gas_wp_prime(-15.0)
-        assert ratio == pytest.approx(1.0, abs=1e-3)
-
-
 class TestEosModel:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             eos.EosModel(mode="none-such")
+        # the paper's two equations of state, and no ideal gas
+        assert eos.MODES == (eos.MODE_HARD_SPHERE, eos.MODE_CS_EXTENDED)
+        with pytest.raises(ValueError, match="^unknown mode 'ideal-gas'"):
+            eos.EosModel(mode="ideal-gas")
 
     def test_only_mode_is_settable(self):
         with pytest.raises(TypeError):
@@ -546,14 +537,6 @@ class TestEosModel:
     def test_branch_restriction(self):
         assert eos.g2_inverse(eos.GAMMA_FS + 0.1) > 0.49
 
-    def test_ideal_mode(self):
-        model = eos.EosModel(mode=eos.MODE_IDEAL_GAS)
-        for gamma in (-3.0, 0.0, 2.0):
-            expected = np.exp(gamma)
-            assert model.wp(gamma) == pytest.approx(expected)
-            assert model.wp_prime(gamma) == pytest.approx(expected)
-            assert model.wp_double_prime(gamma) == pytest.approx(expected)
-
 
 @pytest.mark.parametrize("mode", eos.MODES)
 def test_wp_is_the_pressure_at_wp_prime_bit_for_bit(mode):
@@ -567,15 +550,12 @@ def test_wp_is_the_pressure_at_wp_prime_bit_for_bit(mode):
         np.geomspace(100.0, hi, 1001)[1:-1],
         [fs, np.nextafter(fs, -np.inf), np.nextafter(fs, np.inf)],
     ])
-    if mode == eos.MODE_IDEAL_GAS:
-        want = eos.ideal_gas_wp_prime(gamma)
-    else:
-        solid = gamma > fs if mode == eos.MODE_HARD_SPHERE else np.zeros(gamma.shape, bool)
-        shift = float(eos.g1(eos.ETA_FS_LO)) - float(eos.speedy_g3(eos.ETA_FS_HI))
-        want = np.empty_like(gamma)
-        want[~solid] = eos.g1(eos.g2_inverse(gamma[~solid]))
-        if solid.any():
-            want[solid] = shift + eos.speedy_g3(eos.g4_inverse(gamma[solid]))
+    solid = gamma > fs if mode == eos.MODE_HARD_SPHERE else np.zeros(gamma.shape, bool)
+    shift = float(eos.g1(eos.ETA_FS_LO)) - float(eos.speedy_g3(eos.ETA_FS_HI))
+    want = np.empty_like(gamma)
+    want[~solid] = eos.g1(eos.g2_inverse(gamma[~solid]))
+    if solid.any():
+        want[solid] = shift + eos.speedy_g3(eos.g4_inverse(gamma[solid]))
     assert np.array_equal(model.wp(gamma), want)
     for g, w in zip(gamma[::997], want[::997]):
         assert model.wp(float(g)) == w

@@ -661,20 +661,6 @@ class TestPicard:
         (before, _), (last, ratio) = reported
         assert ratio == pytest.approx(last / before, rel=1e-3)
 
-    def test_ideal_gas_leaves_branch(self, dom5):
-        # e^(gamma+u) crosses 1 once the potential lifts the argument past 0
-        model = eos.EosModel(mode=eos.MODE_IDEAL_GAS)
-        start = field.constant_field(dom5, float(math.exp(-0.05)))
-        with pytest.raises(ValueError):
-            field.picard_iterate(SPEC_Y, 0.1, -0.05, start, model=model)
-
-    def test_leaving_the_range_names_gamma_and_iteration(self, dom5):
-        model = eos.EosModel(mode=eos.MODE_IDEAL_GAS)
-        start = field.constant_field(dom5, float(math.exp(-0.05)))
-        with pytest.raises(ValueError, match=r"^iteration left the volume-fraction "
-                           r"range \(0, 1\) at gamma -0\.05, iteration 1$"):
-            field.picard_iterate(SPEC_Y, 0.1, -0.05, start, model=model)
-
     def test_certified_fluid_flag(self, dom5):
         rep = field.minimal_solution(SPEC_Y, 10.0 / PHI_Y5, -2.0, dom5)
         assert rep.certified_fluid
@@ -762,11 +748,6 @@ class TestExtremalSolutions:
         with pytest.raises(ValueError, match=r"^supersolution unavailable: .* at "
                            rf"alpha {alpha!r}, gamma 12\.0$"):
             field.maximal_solution(SPEC_Y, alpha, 12.0, dom5)
-
-    def test_ideal_gas_maximal_rejected(self, dom5):
-        with pytest.raises(ValueError):
-            field.maximal_solution(SPEC_Y, 0.1, -0.5, dom5,
-                                   model=eos.EosModel(mode=eos.MODE_IDEAL_GAS))
 
 
 @pytest.fixture(scope="module")
@@ -985,14 +966,6 @@ class TestExtremalPairs:
         with pytest.raises(RuntimeError, match=r"^no convergence within 3 iterations: "
                            r"last gamma -3\.0, sup-norm change"):
             field.extremal_pairs(SPEC_Y, self.CLI_ALPHA, (-20.0, -3.0), dom)
-
-    def test_leaving_the_range_names_the_column_gamma(self, dom5):
-        # e^(gamma+u) stays below 1 at gamma -5 and crosses it at -0.05
-        model = eos.EosModel(mode=eos.MODE_IDEAL_GAS)
-        starts = np.exp(np.array([[-5.0, -0.05]])).repeat(dom5.n, axis=0)
-        with pytest.raises(ValueError, match=r"^iteration left the volume-fraction "
-                           r"range \(0, 1\) at gamma -0\.05, iteration 1$"):
-            field._picard(SPEC_Y, 0.1, [-5.0, -0.05], starts, dom5, 1e-10, model)
 
 
 class TestSubsolutionLaunch:
@@ -1820,12 +1793,6 @@ class TestPredicates:
         rep31 = field.predicates(SPEC_Y, 31.0 / PHI_Y5, -2.0, dom5)
         assert not rep31.uniqueness_contraction
 
-    def test_far_below_gas_side_ideal_gas(self, dom5):
-        # at gamma = -700 the uniform root lies near e^-700, well inside the
-        # fluid range; the ideal-gas EOS still inverts there
-        rep = field.predicates(SPEC_Y, 1.0, -700.0, dom5, model=eos.EosModel(eos.MODE_IDEAL_GAS))
-        assert rep.existence_sufficient
-
     def test_far_below_gas_side_hard_sphere_raises_eos_error(self, dom5):
         with pytest.raises(ValueError, match="invertible bracket"):
             field.predicates(SPEC_Y, 1.0, -700.0, dom5)
@@ -1935,21 +1902,3 @@ class TestPdeCrossChecks:
         integral, _ = quad(lambda s: s**2 * cs(s), 0.0, R, limit=200)
         rhs = 4 * math.pi / R * integral
         assert abs(lhs - rhs) / abs(rhs) < 1e-6
-
-    def test_ideal_gas_variant(self):
-        # same elliptic identity with the exponential density map
-        model = eos.EosModel(mode=eos.MODE_IDEAL_GAS)
-        res = []
-        for n in (128, 256, 512):
-            dom = field.make_domain(5.0, n=n)
-            rep = field.minimal_solution(SPEC_Y, 0.3, -3.0, dom, model=model)
-            h = 5.0 / (n + 1)
-            r = np.linspace(h, 5.0 - h, n)
-            u = field.convolve_at(SPEC_Y, 0.3, rep.field, r)
-            pot = u / 0.3
-            eta = np.exp(-3.0 + u)
-            lap = (pot[2:] - 2 * pot[1:-1] + pot[:-2]) / h**2 \
-                + (pot[2:] - pot[:-2]) / (h * r[1:-1])
-            res.append(np.max(np.abs(-lap + pot[1:-1] - 4 * math.pi * eta[1:-1])))
-        orders = [math.log2(a / b) for a, b in zip(res, res[1:])]
-        assert min(orders) > 1.85

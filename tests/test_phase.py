@@ -203,10 +203,23 @@ class TestConstrainedSolve:
             phase.droplet_solve(SPEC_Y, 1.0 / PHI_Y5, dom5, 5.0)
 
     def test_mass_beyond_vapor_fold(self, dom15):
-        with pytest.raises(ValueError):
+        N = 1.4 * N_HAT_15
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"N_target {N!r} appears beyond the minimal branch's fold "
+                f"(alpha {ALPHA_31!r}, R 15.0, n 256; gamma window [")):
             phase.constrained_solve(
-                SPEC_Y, ALPHA_31, dom15, 1.4 * N_HAT_15, model=EXT,
+                SPEC_Y, ALPHA_31, dom15, N, model=EXT,
             )
+
+    def test_no_mass_match_names_the_last_gamma(self, dom15, monkeypatch):
+        # one outer step from the uniform estimate leaves the mass unmatched
+        monkeypatch.setattr(phase, "_OUTER_STEPS", 1)
+        N = 0.9 * N_HAT_15
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "no mass match within 1 outer steps on the minimal branch; "
+                f"N_target {N!r} may be outside its range (alpha {ALPHA_31!r}, R 15.0, "
+                "n 256; last gamma ") + r"-4\.\d+, mass gap \S+\)$"):
+            phase.constrained_solve(SPEC_Y, ALPHA_31, dom15, N, model=EXT)
 
     @pytest.mark.parametrize("spec", [
         kernels.KernelSpec(a_n=1.0), kernels.KernelSpec(a_y=1.0, a_n=0.5),
@@ -242,10 +255,11 @@ class TestConstrainedSolve:
 
     def test_invalid_inputs(self, dom5):
         vol = float(functionals.volume_weights(dom5).sum())
-        with pytest.raises(ValueError):
-            phase.constrained_solve(SPEC_Y, 0.0, dom5, 0.0)
-        with pytest.raises(ValueError):
-            phase.constrained_solve(SPEC_Y, 0.0, dom5, 1.1 * vol)
+        for N in (0.0, 1.1 * vol):
+            with pytest.raises(ValueError, match="^" + re.escape(
+                    f"N_target {N!r} outside the attainable mass range (0, {vol!r}) "
+                    "(alpha 0.0, R 5.0, n 256)") + "$"):
+                phase.constrained_solve(SPEC_Y, 0.0, dom5, N)
 
 
 class TestConstrainedWork:
@@ -542,7 +556,6 @@ class TestMassMatch:
         (eos.MODE_CS_EXTENDED, np.linspace(0.0, 8.0, 64), -4.0),
         # gamma + u runs from 10 to 20, across the freezing point ~15.2
         (eos.MODE_HARD_SPHERE, np.linspace(0.0, 10.0, 64), 10.0),
-        (eos.MODE_IDEAL_GAS, np.linspace(0.0, 3.0, 64), -3.0),
     ]
     D = functionals.volume_weights(field.make_domain(15.0, n=64))
 
@@ -585,11 +598,8 @@ class TestMassMatch:
     def test_unreachable_targets_raise(self, mode, u, gamma):
         model, eta, _ = self.target(mode, u, gamma)
         volume = float(np.sum(self.D))
-        # below a density of 1e-12 everywhere; for the fluid modes, above eta = 1
-        targets = [1e-14 * volume]
-        if mode != eos.MODE_IDEAL_GAS:
-            targets.append(volume)
-        for N in targets:
+        # below a density of 1e-12 everywhere, and above eta = 1
+        for N in (1e-14 * volume, volume):
             with pytest.raises(ValueError, match="outside the gamma window"):
                 phase._gamma_for_mass(model, self.D, u, N, eta)
 
@@ -693,6 +703,14 @@ class TestGrandTransition:
         assert -4.70 < tr.gamma_gl < -4.50
         assert tr.delta_N > 0
         assert tr.gas.functionals.N < tr.liquid.functionals.N
+
+    def test_reversed_bracket_names_its_ends(self, dom15, monkeypatch):
+        monkeypatch.setattr(field, "_fixed_point", None)  # nothing is launched
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "gamma_bracket (-4.3, -4.45) must be increasing "
+                f"(alpha {ALPHA_31!r}, R 15.0, n 256)") + "$"):
+            phase.grand_canonical_transition(SPEC_Y, ALPHA_31, dom15, (-4.30, -4.45),
+                                             model=EXT)
 
     def test_coincident_bracket_rejected(self, dom15):
         # the launches coincide at both ends, so no Newton can start
@@ -1094,9 +1112,23 @@ class TestPetitTransition:
         assert tr.crossings == 1
 
     def test_requires_droplet_regime(self, dom15):
-        with pytest.raises(ValueError):
+        alpha = 23.0 / L1_Y
+        crit = phase.droplet_criterion(SPEC_Y, alpha)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "droplet criterion does not fire, so no droplet branch is expected: "
+                f"alpha l1 {crit['lhs']!r} is not above {crit['rhs']!r} "
+                f"(alpha {alpha!r}, R 15.0, n 256)") + "$"):
             phase.petit_canonical_transition(
-                SPEC_Y, 23.0 / L1_Y, dom15, N_bracket=(100.0, 200.0), model=EXT,
+                SPEC_Y, alpha, dom15, N_bracket=(100.0, 200.0), model=EXT,
+            )
+
+    def test_reversed_mass_bracket_names_its_ends(self, dom15):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                "N_bracket (200.0, 100.0) must be increasing "
+                f"(alpha {ALPHA_31!r}, R 15.0, n 256)") + "$"):
+            phase.petit_canonical_transition(
+                SPEC_Y, ALPHA_31, dom15, N_bracket=(200.0, 100.0), model=EXT,
+                gamma_gl=-4.655291,
             )
 
     def test_no_crossing_in_bracket(self, dom15):
@@ -1521,18 +1553,6 @@ class TestVaporSeed:
         cold = field.minimal_solution(SPEC_Y, ALPHA_31, seeded.gamma, dom, model=EXT)
         assert np.array_equal(seeded.solution.field.values, cold.field.values)
         assert abs(seeded.functionals.N - N) <= phase._MASS_RTOL * N
-
-    def test_ideal_gas_is_never_certified(self):
-        # the certificate's bound takes wp'' at its peak, which the ideal
-        # gas's exponential lacks: its own minimal solution, handed over as
-        # a bordered profile, is refused before any bound is formed
-        dom, ideal = field.make_domain(15.0, n=64), eos.EosModel(mode=eos.MODE_IDEAL_GAS)
-        alpha, gamma = 0.1 / L1_Y, -7.0
-        cold = field.minimal_solution(SPEC_Y, alpha, gamma, dom, model=ideal)
-        attraction = field._Attraction(SPEC_Y, alpha, dom)
-        with pytest.raises(ValueError, match=r"^the bordered profile at gamma -7\.0 is not "
-                                             r"certified minimal: the ideal gas"):
-            phase._certified_vapor(attraction, ideal, gamma, cold.field.values, 0)
 
     def test_seed_at_its_own_mass_returns_without_launching(self, monkeypatch):
         dom = field.make_domain(15.0, n=64)
