@@ -164,7 +164,8 @@ class DensityField:
 class SolveReport:
     """Outcome of one solve.
 
-    certification is only set by maximal_solution: "fluid-ceiling" when
+    certification is set only on maximal launches (`maximal_solution`
+    and `extremal_pairs`): "fluid-ceiling" when
     the freezing constant itself was the supersolution, so the result
     is maximal among all fluid fields; "algebraic-ceiling" when only an
     algebraic root was available, certifying maximality below that root.
@@ -974,9 +975,7 @@ def _minimal_start(spec, alpha, gamma, domain, model, neighbour=None):
     """The start of a minimal launch at gamma, cold or from a neighbour; see `extremal_pairs`."""
     start = np.full(domain.n, float(model.wp_prime(gamma)))
     if neighbour is not None:
-        fault = _neighbour_fault(spec, alpha, gamma, domain, model, "minimal", neighbour)
-        if fault is not None:
-            raise ValueError(fault)
+        _neighbour_fault(gamma, domain, "minimal", neighbour)
         start = np.maximum(start, neighbour[1].field.values)
     return start
 
@@ -998,22 +997,13 @@ def minimal_solution(spec, alpha, gamma, domain, model=eos.EosModel(), tol=1e-10
     return _labelled(report, "minimal", "up")
 
 
-def _certification(alpha_phi, gamma, model):
-    """How maximal_solution's ceiling certifies it at gamma; see there."""
-    if model.mode == eos.MODE_HARD_SPHERE and (
-            gamma - eos.GAMMA_FS + alpha_phi * eos.ETA_FS_LO <= 0.0):
-        return "fluid-ceiling"
-    return "algebraic-ceiling"
-
-
 def _ceiling(spec, alpha, gamma, domain, model):
     """The constant supersolution maximal_solution descends from, and its certification."""
     alpha_phi = alpha * kernels.phi_lambda(spec, domain.R)
-    certification = _certification(alpha_phi, gamma, model)
-    if certification == "fluid-ceiling":
-        return eos.ETA_FS_LO, certification
     if model.mode == eos.MODE_CS_EXTENDED:
-        return uniform.largest_root(alpha_phi, gamma), certification
+        return uniform.largest_root(alpha_phi, gamma), "algebraic-ceiling"
+    if gamma - eos.GAMMA_FS + alpha_phi * eos.ETA_FS_LO <= 0.0:
+        return eos.ETA_FS_LO, "fluid-ceiling"
     fluid = [r for r in uniform.solve_uniform(alpha_phi, gamma).roots
              if r <= eos.ETA_FS_LO + 1e-12]
     if not fluid:
@@ -1021,56 +1011,44 @@ def _ceiling(spec, alpha, gamma, domain, model):
             "supersolution unavailable: no algebraic root in the fluid range "
             f"at alpha {alpha!r}, gamma {gamma!r}"
         )
-    return fluid[-1], certification
+    return fluid[-1], "algebraic-ceiling"
 
 
-def _neighbour_fault(spec, alpha, gamma, domain, model, branch, neighbour):
-    """Why neighbour=(gamma', report) cannot start branch's launch at gamma, or None.
+def _neighbour_fault(gamma, domain, branch, neighbour):
+    """Raise ValueError if neighbour=(gamma', report) cannot start branch's launch at gamma.
 
     The neighbour must be a solution of that branch on a grid of the
     same (R, n), at gamma' below gamma for the minimal branch and above
-    it for the maximal one.  A maximal neighbour must also carry the
-    certification the launch at gamma gets and descend from a ceiling
-    at least as high.  The largest algebraic root (CS-extended) rises
-    with gamma, and the fluid ceiling is 0.49 at every gamma, so only
-    hard-sphere algebraic ceilings are solved for and compared.
+    it for the maximal one.
     """
     g_n, rep = neighbour
     where = f"{branch} launch at gamma {gamma!r} from a neighbour at gamma {g_n!r}"
     if rep.branch_label != branch:
-        return f"{where}: the neighbour is a {rep.branch_label} solution"
+        raise ValueError(f"{where}: the neighbour is a {rep.branch_label} solution")
     if not (g_n < gamma if branch == "minimal" else g_n > gamma):
         side = "below" if branch == "minimal" else "above"
-        return f"{where}: the neighbour must lie {side} gamma"
+        raise ValueError(f"{where}: the neighbour must lie {side} gamma")
     grid = rep.field.domain
     if (grid.R, grid.n) != (domain.R, domain.n):
-        return (f"{where}: the neighbour was solved on another grid "
-                f"(R {grid.R!r}, n {grid.n}), not (R {domain.R!r}, n {domain.n})")
-    if branch == "minimal":
-        return None
-    alpha_phi = alpha * kernels.phi_lambda(spec, domain.R)
-    certification = _certification(alpha_phi, gamma, model)
-    if rep.certification != certification:
-        return (f"{where}: the neighbour's certification {rep.certification!r} is not "
-                f"this launch's {certification!r}")
-    if model.mode == eos.MODE_HARD_SPHERE and certification == "algebraic-ceiling":
-        ceiling = _ceiling(spec, alpha, gamma, domain, model)[0]
-        above = _ceiling(spec, alpha, g_n, domain, model)[0]
-        if above < ceiling:
-            return (f"{where}: the neighbour's ceiling {above!r} lies below "
-                    f"this launch's {ceiling!r}")
-    return None
+        raise ValueError(f"{where}: the neighbour was solved on another grid "
+                         f"(R {grid.R!r}, n {grid.n}), not (R {domain.R!r}, n {domain.n})")
 
 
 def _maximal_start(spec, alpha, gamma, domain, model, neighbour=None):
-    """The start of a maximal launch at gamma and its certification; see `extremal_pairs`."""
+    """The start of a maximal launch at gamma and its certification; see `extremal_pairs`.
+
+    A neighbour starts the descent only where it descended from a
+    ceiling at least this launch's; otherwise the launch starts cold.
+    The CS-extended ceiling, the largest algebraic root, rises with
+    gamma, so only hard-sphere ceilings are compared.
+    """
     start_value, certification = _ceiling(spec, alpha, gamma, domain, model)
     start = np.full(domain.n, start_value)
     if neighbour is not None:
-        fault = _neighbour_fault(spec, alpha, gamma, domain, model, "maximal", neighbour)
-        if fault is not None:
-            raise ValueError(fault)
-        start = np.minimum(start, neighbour[1].field.values)
+        _neighbour_fault(gamma, domain, "maximal", neighbour)
+        if (model.mode == eos.MODE_CS_EXTENDED
+                or _ceiling(spec, alpha, neighbour[0], domain, model)[0] >= start_value):
+            start = np.minimum(start, neighbour[1].field.values)
     return start, certification
 
 
@@ -1123,12 +1101,12 @@ def extremal_pairs(spec, alpha, gammas, domain, model=eos.EosModel(), tol=1e-10,
     two is one, and a solution at gamma below c is a subsolution at
     gamma', so where above descended from a ceiling of at least c it
     lies above the maximal solution at gamma, and the descent ends there
-    with the same certification.  A neighbour that is not a solution of
-    its branch, lies on the wrong side of gamma, was solved on another
-    grid or, for the maximal branch, carries another certification or
-    descends from a lower ceiling raises ValueError naming both gammas,
-    and neighbours of another length than gammas raise ValueError
-    naming both lengths.
+    with the same certification.  A maximal neighbour from a lower
+    ceiling (hard-sphere mode only) is passed over: that launch starts
+    cold.  A neighbour that is not a solution of its branch, lies on the
+    wrong side of gamma or was solved on another grid raises ValueError
+    naming both gammas, and neighbours of another length than gammas
+    raise ValueError naming both lengths.
     """
     if neighbours is not None and len(neighbours) != len(gammas):
         raise ValueError(f"neighbours has length {len(neighbours)} but gammas has length "

@@ -165,9 +165,9 @@ def _launch_memo(spec, alpha, domain, model):
 
     A new gamma's minimal launch starts from the minimal solution at the
     nearest lower gamma solved, and its maximal launch from the maximal
-    solution at the nearest higher one, unless `field._neighbour_fault`
-    finds that one unfit; then, or with no neighbour, a launch starts
-    cold.  See `field.extremal_pairs`.
+    solution at the nearest higher one, which `field.extremal_pairs`
+    passes over where it descended from a lower ceiling; with no
+    neighbour a launch starts cold.
     """
     solved = {}  # float(gamma) -> _launch_gap's result
 
@@ -178,9 +178,6 @@ def _launch_memo(spec, alpha, domain, model):
             higher = [x for x in solved if x > g]
             below = (max(lower), solved[max(lower)][2]) if lower else None
             above = (min(higher), solved[min(higher)][3]) if higher else None
-            if above is not None and field._neighbour_fault(
-                    spec, alpha, g, domain, model, "maximal", above) is not None:
-                above = None
             solved[g] = _launch_gap(spec, alpha, g, domain, model, below, above)
         return solved[g]
 

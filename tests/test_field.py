@@ -810,15 +810,23 @@ class TestNeighbourStarts:
             ("minimal", -6.5, (-7.0, other_grid), r"the neighbour was solved on another grid "
              r"\(R 5.0, n 128\), not \(R 5.0, n 64\)"),
             ("maximal", -6.5, (-7.0, hi[-7.0]), "the neighbour must lie above gamma"),
-            ("maximal", -7.5, (-5.5, hi[-5.5]), "the neighbour's certification "
-             "'algebraic-ceiling' is not this launch's 'fluid-ceiling'"),
-            ("maximal", -6.0, (-5.5, hi[-5.5]),
-             r"the neighbour's ceiling 0\.08\d+ lies below this launch's 0\.10\d+"),
         ]
         for branch, gamma, neighbour, fault in cases:
             where = f"{branch} launch at gamma {gamma} from a neighbour at gamma {neighbour[0]}"
             with pytest.raises(ValueError, match=f"^{where}: {fault}$"):
                 self._launch(dom, branch, gamma, neighbour)
+
+    @pytest.mark.parametrize("gamma", [-7.5, -6.0])
+    def test_lower_ceiling_neighbour_starts_cold(self, dom, solved, gamma):
+        # the maximal solution at -5.5 descended from the algebraic root
+        # 0.08, below the ceiling at -7.5 (the freezing fraction 0.49) and
+        # at -6.0 (the root 0.10): the launch passes it over
+        hi = solved[1][-5.5]
+        ceilings = [field._ceiling(SPEC_Y, self.ALPHA, g, dom, eos.EosModel())[0]
+                    for g in (gamma, -5.5)]
+        assert ceilings[1] < ceilings[0]
+        warm = self._launch(dom, "maximal", gamma, (-5.5, hi))
+        _assert_same_report(warm, field.maximal_solution(SPEC_Y, self.ALPHA, gamma, dom))
 
 
 class TestLaunchDirection:

@@ -1019,14 +1019,28 @@ class TestWarmLaunches:
     def test_unfit_maximal_neighbours_start_cold(self, dom5, monkeypatch):
         # hard-sphere mode at alpha Phi = 45: the freezing fraction is the
         # ceiling up to gamma -6.84, above it the middle algebraic root,
-        # which falls as gamma rises; a neighbour across that edge has
-        # another certification, one above it a lower ceiling
+        # which falls as gamma rises; a neighbour from above -6.84 has
+        # descended from a lower ceiling than any launch below it
         alpha, hs = 45.0 / PHI_Y5, eos.EosModel()
         ladder = [-5.5, -6.0, -7.0, -7.5]
-        launched = record_launches(monkeypatch)
+        starts, maximal_start = [], field._maximal_start
+
+        def spy(*args):
+            start, certification = maximal_start(*args)
+            starts.append(start)
+            return start, certification
+
+        monkeypatch.setattr(field, "_maximal_start", spy)
         launch = phase._launch_memo(SPEC_Y, alpha, dom5, hs)
         pairs = [launch(g) for g in ladder]
-        assert self.neighbours(launched, "maximal") == [(-5.5, None), (-6.0, None), (-7.0, None), (-7.5, -7.0)]
+        # every neighbour is offered; only -7.0's, from the freezing
+        # fraction, starts the launch at -7.5
+        ceilings = [field._ceiling(SPEC_Y, alpha, g, dom5, hs)[0] for g in ladder]
+        used = [np.full(dom5.n, c) for c in ceilings[:3]]
+        used.append(np.minimum(ceilings[3], pairs[2][3].field.values))
+        assert len(starts) == len(used)
+        for start, want in zip(starts, used):
+            assert np.array_equal(start, want)
         certifications = [p[3].certification for p in pairs]
         assert certifications == ["algebraic-ceiling"] * 2 + ["fluid-ceiling"] * 2
         for g, (_, _, lo, hi) in zip(ladder, pairs):
@@ -1363,7 +1377,8 @@ class TestVaporSeed:
         root_finder = phase._newton_on_gamma
 
         def recording_root_finder(evaluate, *args):
-            if not args[4].startswith("N_target"):  # not a mass match
+            message = args[4]  # a mass match's is a string; a function launches if called
+            if not (isinstance(message, str) and message.startswith("N_target")):
                 return root_finder(evaluate, *args)
             calls.append([])
 
@@ -1663,7 +1678,7 @@ class TestPetitPolish:
         newton = phase._newton_on_gamma
 
         def one_step(evaluate, gamma, window, ftol, xtol, message, steps, *rest):
-            if message.startswith("the free-energy crossing"):
+            if isinstance(message, str) and message.startswith("the free-energy crossing"):
                 steps = 1
             return newton(evaluate, gamma, window, ftol, xtol, message, steps, *rest)
 
