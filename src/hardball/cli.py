@@ -26,11 +26,6 @@ class ConfigError(Exception):
     """Raised for malformed or inconsistent run configuration."""
 
 
-_MODES = {
-    "hard-sphere": eos.MODE_HARD_SPHERE,
-    "cs-extended": eos.MODE_CS_EXTENDED,
-}
-
 UNITS_PAGE = """\
 Dimensionless units
 
@@ -81,8 +76,8 @@ class RunConfig:
     out of headers: the same physics gives the same bytes anywhere.
     """
 
-    mode: str = _setting("hard-sphere", "eos.mode", rule=(
-        _MODES.__contains__, f"must be one of {sorted(_MODES)}"))
+    mode: str = _setting(eos.MODE_HARD_SPHERE, "eos.mode", rule=(
+        eos.MODES.__contains__, f"must be one of {sorted(eos.MODES)}"))
     a_y: float = _setting(1.0, "kernel.a_y", rule=_NON_NEGATIVE)
     a_w: float = _setting(0.0, "kernel.a_w", rule=_NON_NEGATIVE)
     a_n: float = _setting(0.0, "kernel.a_n", rule=_NON_NEGATIVE)
@@ -139,7 +134,7 @@ class RunConfig:
             varkappa=self.varkappa, kappa=self.kappa)
 
     def eos_model(self):
-        return eos.EosModel(mode=_MODES[self.mode])
+        return eos.EosModel(mode=self.mode)
 
     def domain(self):
         return field.make_domain(self.radius, n=self.nodes)
@@ -441,11 +436,10 @@ def cmd_spectral(cfg):
 
 
 def _check_rows(cfg):
-    eta_wr, gamma_wr, slope_inv = eos.find_inflection()
     checks = [
-        ("inflection_eta", eta_wr, 0.128, 0.132),
-        ("inflection_gamma", gamma_wr, -0.69, -0.65),
-        ("inflection_inverse_slope", slope_inv, 0.045, 0.049),
+        ("inflection_eta", eos.ETA_WR, 0.128, 0.132),
+        ("inflection_gamma", eos.GAMMA_WR, -0.69, -0.65),
+        ("inflection_inverse_slope", eos.K_GAMMA_FS, 0.045, 0.049),
         ("gamma_fs_fluid", float(eos.g2(eos.ETA_FS_LO)), 15.207, 15.210),
         ("gamma_fs_solid", float(eos.speedy_g4(eos.ETA_FS_HI)),
          15.198, 15.219),

@@ -7,13 +7,19 @@ solid branch.  Composing one against the inverse of the other yields
 the pressure as a function of chemical potential, wp(gamma), which is
 continuous and convex with a kink at the freezing point gamma_fs where
 the equilibrium density jumps from 0.49 to 0.54.
+
+The module is the one home of every equation-of-state constant: the
+freezing and melting fractions ETA_FS_LO and ETA_FS_HI, close packing
+ETA_FCC, the freezing potential GAMMA_FS, and g2's inflection ETA_WR,
+GAMMA_WR and K_GAMMA_FS = 1/g2'(ETA_WR).  The two modes are
+MODE_HARD_SPHERE and MODE_CS_EXTENDED, spelled as the `eos.mode` INI key
+takes them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -24,6 +30,9 @@ __all__ = [
     "ETA_FS_HI",
     "ETA_FCC",
     "GAMMA_FS",
+    "ETA_WR",
+    "GAMMA_WR",
+    "K_GAMMA_FS",
     "MODE_HARD_SPHERE",
     "MODE_CS_EXTENDED",
     "MODES",
@@ -48,8 +57,8 @@ SPEEDY_A = 0.5921
 SPEEDY_B = 0.7072
 SPEEDY_C = 0.601
 
-MODE_HARD_SPHERE = "hard-sphere-CS-Speedy"
-MODE_CS_EXTENDED = "CS-extended-to-(0,1)"
+MODE_HARD_SPHERE = "hard-sphere"
+MODE_CS_EXTENDED = "cs-extended"
 MODES = (MODE_HARD_SPHERE, MODE_CS_EXTENDED)
 
 # Inversion bracket and residual tolerance for the gamma -> eta solves.
@@ -336,7 +345,7 @@ def find_inflection():
     return float(eta_wr), float(g2(eta_wr)), float(1.0 / g2_derivs(eta_wr, 1))
 
 
-_ETA_WR, _GAMMA_WR, _K_GAMMA_FS = find_inflection()
+ETA_WR, GAMMA_WR, K_GAMMA_FS = find_inflection()
 
 
 # Anchors pressure continuity at the kink: the solid branch is shifted by
@@ -349,20 +358,13 @@ _SOLID_PRESSURE_SHIFT = float(g1(ETA_FS_LO)) - float(speedy_g3(ETA_FS_HI))
 class EosModel:
     """Piecewise equation of state selected by mode.
 
-    hard-sphere-CS-Speedy composes the Carnahan-Starling fluid branch
-    with Speedy's solid branch across the kink at gamma_fs; CS-extended
-    keeps the fluid formulas on all of eta in (0,1).  Only mode is
-    settable; the freezing and inflection constants are the module's,
-    read-only on the class.
+    hard-sphere composes the Carnahan-Starling fluid branch with
+    Speedy's solid branch across the kink at GAMMA_FS; cs-extended keeps
+    the fluid formulas on all of eta in (0,1).  The mode is all that
+    varies between models; the constants are the module's.
     """
 
     mode: str = MODE_HARD_SPHERE
-    eta_fs_lo: ClassVar[float] = ETA_FS_LO
-    eta_fs_hi: ClassVar[float] = ETA_FS_HI
-    gamma_fs: ClassVar[float] = GAMMA_FS
-    eta_wr: ClassVar[float] = _ETA_WR
-    gamma_wr: ClassVar[float] = _GAMMA_WR
-    K_gamma_fs: ClassVar[float] = _K_GAMMA_FS
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -393,7 +395,7 @@ class EosModel:
         if self.mode == MODE_CS_EXTENDED:
             return g2_inverse(gamma)
         g = np.atleast_1d(np.asarray(gamma, dtype=float))
-        fluid = g <= self.gamma_fs
+        fluid = g <= GAMMA_FS
         if fluid.all():  # g2_inverse rejects -inf; NaN and +inf are never fluid
             return _scalar_like(gamma, g2_inverse(g).reshape(np.shape(gamma)))
         if not np.isfinite(g).all():
@@ -407,9 +409,7 @@ class EosModel:
 
     def _reject_kink(self, gamma):
         """Raise ValueError if any gamma sits on the hard-sphere kink, where wp'' is undefined."""
-        if self.mode == MODE_HARD_SPHERE and np.any(
-            np.asarray(gamma, dtype=float) == self.gamma_fs
-        ):
+        if self.mode == MODE_HARD_SPHERE and np.any(np.asarray(gamma, dtype=float) == GAMMA_FS):
             raise ValueError("density response is undefined at the kink gamma_fs")
 
     def wp_double_prime(self, gamma):

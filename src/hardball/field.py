@@ -543,8 +543,8 @@ def _contraction_bound(attraction, gamma, model, lo, hi, y, star):
     the argument at node i stays within gamma + (alpha M lo)_i - s_i ..
     gamma + (alpha M hi)_i + s_i, s = N (hi - lo) with N the negative
     part of alpha M, and wp'' there is at most r_i, its value at
-    gamma_wr clipped into that range (the fluid wp'' is unimodal in
-    gamma with its peak at gamma_wr).  So |T(a) - T(b)| <= B|a - b|
+    GAMMA_WR clipped into that range (the fluid wp'' is unimodal in
+    gamma with its peak at GAMMA_WR).  So |T(a) - T(b)| <= B|a - b|
     with B = diag(r) |alpha M|, and for every positive y, max_i
     (By)_i/y_i bounds the contraction of T in the y-weighted sup norm
     (Varga, Matrix Iterative Analysis): below 1, T has at most one fixed
@@ -562,9 +562,9 @@ def _contraction_bound(attraction, gamma, model, lo, hi, y, star):
     ulo, uhi = attraction.apply(lo), attraction.apply(hi)
     spread = attraction.neg_apply(hi - lo)
     glo, ghi = gamma + ulo - spread, gamma + uhi + spread
-    if model.mode == eos.MODE_HARD_SPHERE and np.max(ghi) >= model.gamma_fs:
+    if model.mode == eos.MODE_HARD_SPHERE and np.max(ghi) >= eos.GAMMA_FS:
         return math.inf, y
-    peak = np.clip(model.gamma_wr, glo, ghi)
+    peak = np.clip(eos.GAMMA_WR, glo, ghi)
     r = model.response_at(np.asarray(model.wp_prime(peak)))
     bound, y = _perron_bound(r, attraction.abs_apply, y)
     if bound >= 1.0:
@@ -630,14 +630,14 @@ def _perron_bound(r, abs_apply, y):
 def _secant_slopes(model, xs, glo, ghi, r):
     """Per node, a bound on |wp'(x) - wp'(xs_i)| / |x - xs_i| over x in [glo_i, ghi_i].
 
-    xs is the argument of the fixed point v*, and r, wp'' at gamma_wr
+    xs is the argument of the fixed point v*, and r, wp'' at GAMMA_WR
     clipped into each node's range, bounds wp'' there.  On each side of
     xs_i the secant slope from xs_i to x is the mean of wp'' between
     them.  wp'' is unimodal, so where wp'' at the side's far end f is at
     least the secant S(f) to it, S(f) is the largest secant on that side
     (the mean still grows there, and past the peak wp'' stays above it);
-    elsewhere the side's largest wp'' bounds every secant: r if gamma_wr
-    lies on that side, else wp'' at the side's end nearer to gamma_wr.
+    elsewhere the side's largest wp'' bounds every secant: r if GAMMA_WR
+    lies on that side, else wp'' at the side's end nearer to GAMMA_WR.
     S(f) carries the inversion tolerance of its two wp' values over the
     width, so a difference lost to rounding cannot shrink it; on a side
     of zero width it is its limit, wp'' at xs_i.  Never above r, node by
@@ -652,7 +652,7 @@ def _secant_slopes(model, xs, glo, ghi, r):
                                      (2, hi - xs, eta[2] - eta[1], (xs, hi))):
         wide = width > 0.0
         secant = np.where(wide, (rise + fuzz) / np.where(wide, width, 1.0), c[1])
-        peak = np.where((a <= model.gamma_wr) & (model.gamma_wr <= b), r,
+        peak = np.where((a <= eos.GAMMA_WR) & (eos.GAMMA_WR <= b), r,
                         np.maximum(c[far], c[1]))
         slopes = np.maximum(slopes, np.where(c[far] >= secant, secant, peak))
     return np.minimum(slopes, r)
@@ -1293,7 +1293,7 @@ def predicates(spec, alpha, gamma, domain, model=eos.EosModel()):
     no_nonfluid = gamma - eos.GAMMA_FS + alpha * phi * eos.ETA_FCC <= 0.0
     floor = float(model.wp_prime(gamma))
     no_fluid = gamma - eos.GAMMA_FS + alpha * phi * floor >= 0.0
-    contraction = existence and model.K_gamma_fs * alpha * phi < 1.0
+    contraction = existence and eos.K_GAMMA_FS * alpha * phi < 1.0
     if spec.a_n > 0:
         triple = False  # Newton tail is not integrable over all of space
     else:

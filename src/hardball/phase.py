@@ -195,7 +195,8 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
     bracket and the range, before any launch.  The top end is
     launched first, and `_newton_on_gamma` starts there on the pressure
     gap P[maximal] - P[minimal] with the exact slope
-    N[maximal] - N[minimal], to a step of 1e-12 + 8.9e-16 |gamma|.
+    N[maximal] - N[minimal], to a step of `_gamma_xtol`, 1e-12 + 8.9e-16
+    |gamma|.
     The low end is launched only where the launches coincide at the top
     (the Newton then starts from the low end), where a Newton step is
     clamped onto it, or for an error message: near the liquid spinodal
@@ -203,9 +204,12 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
     finish (`field.NoConvergence`) fails its evaluation, and the Newton
     retreats halfway to its last good gamma, passing it over.  With no
     distinct end, or a Newton step clamped onto the end it evaluated
-    last, the error names alpha, the grid, the ends and their gaps; a
-    pressure gap still open where the Newton stops names the point it
-    reached and that gap.
+    last, the error names alpha, the grid, the ends and their gaps.  A
+    pressure gap left where the Newton stops is accepted up to the larger
+    of 1e-8 max(1, |P_gas|, |P_liquid|) and the Newton's own resolution,
+    |N_liquid - N_gas| `_gamma_xtol`(gamma_gl), which grows with the
+    ball; a wider one raises RuntimeError naming the point reached and
+    that gap.
     Only the two launches are solved, so above the dense gate no n x n
     matrix is formed; a middle (saddle) solution at the crossing is
     reached separately, by `field.newton_solve`.
@@ -240,23 +244,22 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
             raise ValueError(f"the launches coincide at gamma {g!r}")
         return gap, float(D @ (hi.field.values - lo.field.values)), None
 
-    gamma_gl = _newton_on_gamma(
-        evaluate, start, ends, 0.0, lambda g: 1e-12 + 8.9e-16 * abs(g),
-        no_crossing, _OUTER_STEPS,
-    )[0]
+    gamma_gl = _newton_on_gamma(evaluate, start, ends, 0.0, _gamma_xtol, no_crossing,
+                                _OUTER_STEPS)[0]
     delta, _, lo, hi = launch(gamma_gl)
     gas = _branch_point(spec, alpha, gamma_gl, lo, model)
     liquid = _branch_point(spec, alpha, gamma_gl, hi, model)
-    scale = max(1.0, abs(gas.functionals.P), abs(liquid.functionals.P))
-    if abs(delta) > 1e-8 * scale:
+    delta_N = liquid.functionals.N - gas.functionals.N
+    floor = 1e-8 * max(1.0, abs(gas.functionals.P), abs(liquid.functionals.P))
+    if abs(delta) > max(floor, abs(delta_N) * _gamma_xtol(gamma_gl)):
         raise RuntimeError("pressure gap at the located crossing is too wide "
                            f"({_located(alpha, domain, ends, gamma_gl, delta)})")
-    return GrandTransition(
-        gamma_gl=gamma_gl,
-        gas=gas,
-        liquid=liquid,
-        delta_N=liquid.functionals.N - gas.functionals.N,
-    )
+    return GrandTransition(gamma_gl=gamma_gl, gas=gas, liquid=liquid, delta_N=delta_N)
+
+
+def _gamma_xtol(gamma):
+    """The Newton on gamma's step resolution, 1e-12 + 8.9e-16 |gamma|."""
+    return 1e-12 + 8.9e-16 * abs(gamma)
 
 
 def _newton_on_gamma(evaluate, gamma, window, ftol, xtol, message, steps, second=None):
@@ -495,9 +498,10 @@ def droplet_trial(domain, N, ball_fraction):
     """Uniform ball of mass N on a floor of 1e-12, as droplet seed and comparator.
 
     The ball holds the fraction ball_fraction of the container volume;
-    its radius is snapped to a panel edge so the quadrature sees a
-    clean cut, and the ball density absorbs the floor's mass so the
-    discrete mass equals N exactly.
+    its radius is snapped to the nearest nonzero panel edge so the
+    quadrature sees a clean cut, or to the first edge above it whose
+    ball holds N below unit fraction, and the ball density absorbs the
+    floor's mass so the discrete mass equals N exactly.
     """
     N = float(N)
     ball_fraction = float(ball_fraction)
@@ -510,17 +514,16 @@ def droplet_trial(domain, N, ball_fraction):
             "overpacking: the ball cannot hold this mass below unit fraction"
         )
     edges = domain.edges
-    r_ball = edges[int(np.argmin(np.abs(edges - domain.R * ball_fraction ** (1.0 / 3.0))))]
-    inside = domain.nodes <= r_ball
-    covered = float(D @ inside)
-    if covered <= 0.0:
-        raise ValueError("ball_fraction too small for this grid")
-    density = (N - _TRIAL_FLOOR * (volume - covered)) / covered
-    if not _TRIAL_FLOOR < density < 1.0:
-        raise ValueError(
-            "overpacking: snapped ball cannot hold this mass below unit "
-            "fraction"
-        )
+    # edge 0 holds no node; the whole container holds N below unit fraction
+    nearest = max(1, int(np.argmin(np.abs(edges - domain.R * ball_fraction ** (1.0 / 3.0)))))
+    for r_ball in edges[nearest:]:
+        inside = domain.nodes <= r_ball
+        covered = float(D @ inside)
+        density = (N - _TRIAL_FLOOR * (volume - covered)) / covered
+        if density < 1.0:
+            break
+    if not _TRIAL_FLOOR < density:
+        raise ValueError("the trial ball's density does not exceed the floor")
     return field.DensityField(domain, np.where(inside, density, _TRIAL_FLOOR))
 
 

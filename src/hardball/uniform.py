@@ -29,8 +29,7 @@ from .roots import brentq
 
 # slope thresholds: below ALPHA_TAU_MIN the map eta -> g2(eta) - at*eta is
 # injective; at ALPHA_TAU_FS the small-slope root hits the freezing density
-ETA_WR = eos.EosModel.eta_wr
-ALPHA_TAU_MIN = float(eos.g2_derivs(ETA_WR, 1))
+ALPHA_TAU_MIN = float(eos.g2_derivs(eos.ETA_WR, 1))
 ALPHA_TAU_FS = float(eos.g2_derivs(eos.ETA_FS_LO, 1))
 # at ALPHA_TAU_KINK the small-eta tangent of g2 passes through the freezing
 # point (ETA_FS_LO, GAMMA_FS), so gamma_hat meets the fluid line there; the
@@ -38,7 +37,7 @@ ALPHA_TAU_FS = float(eos.g2_derivs(eos.ETA_FS_LO, 1))
 # moves from 0+ (where it is +inf) up to the inflection
 _ETA_KINK = brentq(
     lambda x: float(eos.g2(x) + eos.g2_derivs(x, 1) * (eos.ETA_FS_LO - x)) - eos.GAMMA_FS,
-    1e-3, ETA_WR, xtol=1e-15, rtol=8.9e-16,
+    1e-3, eos.ETA_WR, xtol=1e-15, rtol=8.9e-16,
 )
 ALPHA_TAU_KINK = float(eos.g2_derivs(_ETA_KINK, 1))
 
@@ -156,9 +155,9 @@ def eta_bounds(alpha_tau):
         return float(eos.g2_derivs(x, 1)) - alpha_tau
 
     lo = 0.5 / alpha_tau  # 1/eta term alone already exceeds alpha_tau here
-    eta_lt = brentq(slope_gap, lo, ETA_WR, xtol=1e-15, rtol=8.9e-16)
+    eta_lt = brentq(slope_gap, lo, eos.ETA_WR, xtol=1e-15, rtol=8.9e-16)
     hi = 1.0 - 0.8 * (6.0 / alpha_tau) ** 0.25  # (8-2eta)/(1-eta)^4 dominates
-    eta_gt = brentq(slope_gap, ETA_WR, hi, xtol=1e-15, rtol=8.9e-16)
+    eta_gt = brentq(slope_gap, eos.ETA_WR, hi, xtol=1e-15, rtol=8.9e-16)
     return eta_lt, eta_gt
 
 

@@ -183,11 +183,10 @@ def test_criterion_04_monotone_iteration_suite():
 def test_criterion_05_contraction_uniqueness():
     with verdict(5, "contraction uniqueness"):
         t0 = time.monotonic()
-        hs = eos.EosModel()
         dom = field.make_domain(5.0, n=512)
         phi = kernels.phi_lambda(SPEC_Y, 5.0)
-        alpha = 0.8 / (phi * hs.K_gamma_fs)
-        assert alpha * phi * hs.K_gamma_fs < 1.0
+        alpha = 0.8 / (phi * eos.K_GAMMA_FS)
+        assert alpha * phi * eos.K_GAMMA_FS < 1.0
         rng = np.random.default_rng(5)
         solutions = []
         for _ in range(10):
@@ -264,16 +263,15 @@ def test_criterion_08_transitions_at_r30():
     with verdict(8, "first-order transitions at R=30"):
         t0 = time.monotonic()
         dom = field.make_domain(30.0, n=512)
-        grand = phase.grand_canonical_transition(
-            SPEC_Y, ALPHA_31, dom, (-4.88, -4.15), model=EXT)
-        assert grand.gamma_gl == pytest.approx(GAMMA_GL_GOLDEN, abs=1e-6)
-        p_gas = grand.gas.functionals.P
-        p_liq = grand.liquid.functionals.P
-        assert abs(p_gas - p_liq) <= 1e-8 * max(1.0, abs(p_gas))
-        assert grand.delta_N > 1000.0
-
+        # one call, as `hardball transition` makes it, locates both transitions
         petit = phase.petit_canonical_transition(
-            SPEC_Y, ALPHA_31, dom, model=EXT, gamma_gl=grand.gamma_gl)
+            SPEC_Y, ALPHA_31, dom, model=EXT, gamma_bracket=(-4.88, -4.15))
+        assert petit.gamma_gl == pytest.approx(GAMMA_GL_GOLDEN, abs=1e-6)
+        p_gas = petit.gas.functionals.P
+        p_liq = petit.liquid.functionals.P
+        assert abs(p_gas - p_liq) <= 1e-8 * max(1.0, abs(p_gas))
+        assert petit.liquid.functionals.N - petit.gas.functionals.N > 1000.0
+
         assert petit.N_vd == pytest.approx(N_VD_GOLDEN, abs=0.01)
         f_vap = petit.vapor.functionals.F
         f_dro = petit.droplet.functionals.F
@@ -284,7 +282,7 @@ def test_criterion_08_transitions_at_r30():
         assert petit.delta_S < 0.0
         assert petit.embedding_ok
         assert petit.crossings >= 0
-        print(f"recorded: gamma_gl={grand.gamma_gl!r} "
+        print(f"recorded: gamma_gl={petit.gamma_gl!r} "
               f"N_vd={petit.N_vd!r} delta_Gamma={petit.delta_Gamma!r} "
               f"crossings={petit.crossings}", flush=True)
         assert time.monotonic() - t0 < 900.0

@@ -477,18 +477,17 @@ class TestEosModel:
             eos.EosModel(gamma_fs=1.0)
 
     def test_constants(self):
-        model = eos.EosModel()
-        assert model.gamma_fs == pytest.approx(eos.g2(model.eta_fs_lo), abs=1e-14)
-        assert model.gamma_fs == pytest.approx(eos.speedy_g4(model.eta_fs_hi), abs=1e-9)
-        assert 0 < model.eta_wr < model.eta_fs_lo
-        assert model.K_gamma_fs == pytest.approx(K_GAMMA_FS, rel=1e-10)
+        assert eos.GAMMA_FS == pytest.approx(eos.g2(eos.ETA_FS_LO), abs=1e-14)
+        assert eos.GAMMA_FS == pytest.approx(eos.speedy_g4(eos.ETA_FS_HI), abs=1e-9)
+        assert 0 < eos.ETA_WR < eos.ETA_FS_LO
+        assert eos.K_GAMMA_FS == pytest.approx(K_GAMMA_FS, rel=1e-10)
 
     def test_wp_continuity_at_kink(self):
         model = eos.EosModel()
-        below = model.wp(model.gamma_fs - 1e-9)
-        above = model.wp(model.gamma_fs + 1e-9)
+        below = model.wp(eos.GAMMA_FS - 1e-9)
+        above = model.wp(eos.GAMMA_FS + 1e-9)
         assert abs(below - above) < 1e-6
-        assert model.wp(model.gamma_fs) == pytest.approx(G1_AT_FREEZE, rel=1e-10)
+        assert model.wp(eos.GAMMA_FS) == pytest.approx(G1_AT_FREEZE, rel=1e-10)
 
     def test_wp_convex_across_kink(self):
         model = eos.EosModel()
@@ -499,7 +498,7 @@ class TestEosModel:
     def test_wp_prime_sides(self):
         # the kink takes the left derivative, the fluid's freezing fraction
         model = eos.EosModel()
-        assert model.wp_prime(model.gamma_fs) == pytest.approx(0.49, abs=1e-12)
+        assert model.wp_prime(eos.GAMMA_FS) == pytest.approx(0.49, abs=1e-12)
 
     def test_wp_prime_fluid_roundtrip(self):
         model = eos.EosModel()
@@ -515,17 +514,17 @@ class TestEosModel:
 
     def test_density_response_peaks_at_inflection(self):
         model = eos.EosModel()
-        grid = np.linspace(-10.0, model.gamma_fs - 1e-6, 4000)
+        grid = np.linspace(-10.0, eos.GAMMA_FS - 1e-6, 4000)
         resp = model.wp_double_prime(grid)
-        assert np.all(resp <= model.K_gamma_fs + 1e-9)
-        assert model.wp_double_prime(model.gamma_wr) == pytest.approx(
-            model.K_gamma_fs, rel=1e-10
+        assert np.all(resp <= eos.K_GAMMA_FS + 1e-9)
+        assert model.wp_double_prime(eos.GAMMA_WR) == pytest.approx(
+            eos.K_GAMMA_FS, rel=1e-10
         )
 
     def test_density_response_kink_error(self):
         model = eos.EosModel()
         with pytest.raises(ValueError):
-            model.wp_double_prime(model.gamma_fs)
+            model.wp_double_prime(eos.GAMMA_FS)
 
     def test_cs_extended_is_smooth(self):
         model = eos.EosModel(mode=eos.MODE_CS_EXTENDED)

@@ -1544,7 +1544,7 @@ class TestSecantCertificate:
         ulo, uhi = aM @ lo, aM @ hi
         spread = np.maximum(-aM, 0.0) @ (hi - lo)  # the negative part of aM, formed whole
         glo, ghi = gamma + ulo - spread, gamma + uhi + spread
-        r = model.response_at(np.asarray(model.wp_prime(np.clip(model.gamma_wr, glo, ghi))))
+        r = model.response_at(np.asarray(model.wp_prime(np.clip(eos.GAMMA_WR, glo, ghi))))
         return spread, glo, ghi, gamma + (ulo if star == "lo" else uhi), r
 
     @pytest.fixture(scope="class")

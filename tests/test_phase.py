@@ -403,6 +403,18 @@ class TestDropletTrial:
         with pytest.raises(ValueError):
             phase.droplet_trial(dom15, vol * 0.2, 0.2)
 
+    def test_ball_moves_up_to_the_first_edge_that_holds_the_mass(self):
+        dom = field.make_domain(8.0, n=64)
+        assert np.array_equal(dom.edges, np.arange(9.0))
+        D = functionals.volume_weights(dom)
+        # nearest edges 0 (no node inside) and 1 (density 1.5 there); both take the next edge
+        for N, frac, edge in ((0.1, 1e-4, 1.0),
+                              (1.5 * float(D @ (dom.nodes <= 1.0)), (1.4 / 8.0) ** 3, 2.0)):
+            trial = phase.droplet_trial(dom, N, frac)
+            assert float(D @ trial.values) == pytest.approx(N, rel=1e-12)
+            assert np.array_equal(trial.values > 1e-12, dom.nodes <= edge)
+            assert trial.values.max() < 1.0
+
     def test_bad_fraction(self, dom15):
         for frac in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):

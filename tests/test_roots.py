@@ -104,9 +104,9 @@ class TestErrors:
 def test_import_time_roots_match_scipy():
     # the two roots found while the package is imported
     eta_wr = optimize.brentq(lambda e: eos.g2_derivs(e, 2), 1e-6, eos.ETA_FS_LO, xtol=1e-15)
-    assert eos.EosModel.eta_wr == eta_wr == 0.13044388419245392
+    assert eos.ETA_WR == eta_wr == 0.13044388419245392
     eta_kink = optimize.brentq(
         lambda x: float(eos.g2(x) + eos.g2_derivs(x, 1) * (eos.ETA_FS_LO - x)) - eos.GAMMA_FS,
-        1e-3, uniform.ETA_WR, xtol=1e-15, rtol=8.9e-16,
+        1e-3, eos.ETA_WR, xtol=1e-15, rtol=8.9e-16,
     )
     assert uniform.ALPHA_TAU_KINK == float(eos.g2_derivs(eta_kink, 1)) == 40.12729975380033

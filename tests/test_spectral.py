@@ -113,7 +113,7 @@ class TestSpinodalGammaHat:
         alpha = 23.0 / rep.v_lambda
         ceiling = spectral.spinodal_gamma_hat(23.0)
         above = field.minimal_solution(SPEC_Y, alpha, ceiling + 0.05, dom)
-        exceeded = above.field.values.max() > uniform.ETA_WR
+        exceeded = above.field.values.max() > eos.ETA_WR
         assert exceeded or not above.certified_fluid
         below = field.minimal_solution(SPEC_Y, alpha, ceiling - 0.3, dom)
-        assert below.field.values.max() < uniform.ETA_WR
+        assert below.field.values.max() < eos.ETA_WR

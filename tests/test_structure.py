@@ -10,8 +10,10 @@ reads the dense gate `_DENSE_MAX`.  In field.py the Yukawa and Newton
 Green's terms have one home, `_green_terms`, and the kink split one,
 `_split`.  Every public name has a use in the package outside its own
 definition, or README.md names it, but for a known few that wait on a
-caller.  The source is read with `ast`, so docstrings and comments do
-not count.
+caller.  Each equation-of-state constant and mode has one name, in
+`eos`: `EosModel` holds only its mode, and no module aliases a constant
+or maps one mode string to another.  The source is read with `ast`, so
+docstrings and comments do not count.
 """
 
 import ast
@@ -206,3 +208,39 @@ def test_public_names_without_a_use_are_the_known_few():
             if uses[name] == own[name] and not re.search(rf"\b{re.escape(name)}\b", readme):
                 unused.add(f"{module}.{name}")
     assert unused == expected
+
+
+_EOS_CONSTANTS = {"ETA_FS_LO", "ETA_FS_HI", "ETA_FCC", "GAMMA_FS", "ETA_WR", "GAMMA_WR",
+                  "K_GAMMA_FS"}
+_EOS_ALIASES = {"eta_fs_lo", "eta_fs_hi", "gamma_fs", "eta_wr", "gamma_wr", "K_gamma_fs"}
+
+
+def test_one_name_per_eos_constant_and_mode():
+    eos_tree = ast.parse((SRC / "eos.py").read_text())
+    model = next(node for node in eos_tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "EosModel")
+    state = [node for node in model.body if not isinstance(node, ast.FunctionDef)
+             and not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))]
+    assert [ast.unparse(node) for node in state] == ["mode: str = MODE_HARD_SPHERE"]
+    modes = {node.targets[0].id: node.value.value for node in eos_tree.body
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+             and node.targets[0].id.startswith("MODE_")}
+    strays = []
+    for path in sorted([*SRC.glob("*.py"), *SRC.parent.parent.joinpath("tests").glob("*.py")]):
+        in_src = path.parent == SRC
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and (node.attr in _EOS_ALIASES or (
+                    node.attr.lstrip("_") in _EOS_CONSTANTS and _dotted(node.value) != "eos")):
+                strays.append((path.name, _dotted(node)))
+            if isinstance(node, ast.Name) and node.id == "_MODES":
+                strays.append((path.name, node.id))
+            if not in_src or path.name == "eos.py":
+                continue
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id.lstrip("_") in _EOS_CONSTANTS
+                    for t in node.targets):
+                strays.append((path.name, ast.unparse(node)))
+            if isinstance(node, ast.Constant) and node.value in modes.values():
+                strays.append((path.name, node.value))
+    assert modes == {"MODE_HARD_SPHERE": "hard-sphere", "MODE_CS_EXTENDED": "cs-extended"}
+    assert strays == []
