@@ -535,12 +535,11 @@ def _fixed_point(attraction, model, V, gamma_rule, max_iter, tol, finishes=None)
                         f"sup-norm change {changes[0]:.3e}, change ratio {ratio:.6f}")
 
 
-def _contraction_bound(attraction, gamma, model, lo, hi, y, star):
+def _contraction_bound(attraction, gamma, model, lo, hi, y):
     """Collatz-Wielandt bound on the Picard map's contraction over [lo, hi].
 
-    T(eta) = wp'(gamma + alpha M eta), and star ("lo" or "hi") names the
-    end of the interval that is a fixed point v*.  Over lo <= eta <= hi
-    the argument at node i stays within gamma + (alpha M lo)_i - s_i ..
+    T(eta) = wp'(gamma + alpha M eta).  Over lo <= eta <= hi the
+    argument at node i stays within gamma + (alpha M lo)_i - s_i ..
     gamma + (alpha M hi)_i + s_i, s = N (hi - lo) with N the negative
     part of alpha M, and wp'' there is at most r_i, its value at
     GAMMA_WR clipped into that range (the fluid wp'' is unimodal in
@@ -548,16 +547,11 @@ def _contraction_bound(attraction, gamma, model, lo, hi, y, star):
     with B = diag(r) |alpha M|, and for every positive y, max_i
     (By)_i/y_i bounds the contraction of T in the y-weighted sup norm
     (Varga, Matrix Iterative Analysis): below 1, T has at most one fixed
-    point in [lo, hi].  Where that bound (`_perron_bound` from the given
-    y) is not below 1, r gives way to `_secant_slopes`, which is never
-    larger: a second fixed point L in [lo, hi] would have |L - v*| =
-    |T(L) - T(v*)| <= diag(slopes) |alpha M| |L - v*|, so the same bound
-    below 1 with the secant slopes rules it out.  The secant power steps
-    go on from the vector the first ones reached.  The `_Attraction`
-    attraction applies alpha M as Picard does, and N and |alpha M|, so a
-    check forms no n x n array.  Returns the smallest bound seen, or inf
-    when an argument reaches the hard-sphere kink, and the last y, from
-    which a later call goes on.
+    point in [lo, hi].  The bound is `_perron_bound`'s from the given y.
+    The `_Attraction` attraction applies alpha M as Picard does, and N
+    and |alpha M|, so a check forms no n x n array.  Returns the
+    smallest bound seen, or inf when an argument reaches the hard-sphere
+    kink, and the last y, from which a later call goes on.
     """
     ulo, uhi = attraction.apply(lo), attraction.apply(hi)
     spread = attraction.neg_apply(hi - lo)
@@ -566,12 +560,7 @@ def _contraction_bound(attraction, gamma, model, lo, hi, y, star):
         return math.inf, y
     peak = np.clip(eos.GAMMA_WR, glo, ghi)
     r = model.response_at(np.asarray(model.wp_prime(peak)))
-    bound, y = _perron_bound(r, attraction.abs_apply, y)
-    if bound >= 1.0:
-        slopes = _secant_slopes(model, gamma + (ulo if star == "lo" else uhi), glo, ghi, r)
-        secant, y = _perron_bound(slopes, attraction.abs_apply, y)
-        bound = min(bound, secant)
-    return bound, y
+    return _perron_bound(r, attraction.abs_apply, y)
 
 
 def _certificate(attraction, gamma, model, v, star, residual, direction, y):
@@ -583,9 +572,9 @@ def _certificate(attraction, gamma, model, v, star, residual, direction, y):
     Newton's tolerance (above v going up, below it going down); (b) have
     a fixed-point residual below _RESIDUAL_TOL; and (c) give a
     `_contraction_bound` below 1 over the order interval between v and
-    star, star its fixed end.  By (a) and the map's monotonicity the
-    sequence's limit L lies in that interval, and by (c) the map has one
-    fixed point there, so L = star to the residual over 1 - bound.
+    star.  By (a) and the map's monotonicity the sequence's limit L
+    lies in that interval, and by (c) the map has one fixed point
+    there, so L = star to the residual over 1 - bound.
     Returns (failed, y): failed is None, or (condition, message) for the
     first condition that fails, "side", "residual" or "bound"; y is the
     bound's power-step vector, from which a later check goes on.
@@ -596,8 +585,7 @@ def _certificate(attraction, gamma, model, v, star, residual, direction, y):
                         "the sequence"), y
     if not residual < _RESIDUAL_TOL:
         return ("residual", f"its residual {residual:.3e} is not below {_RESIDUAL_TOL:g}"), y
-    bound, y = _contraction_bound(attraction, gamma, model, np.minimum(lo, hi), hi, y,
-                                  "hi" if direction == "up" else "lo")
+    bound, y = _contraction_bound(attraction, gamma, model, np.minimum(lo, hi), hi, y)
     if not bound < 1.0:
         return ("bound", f"its contraction bound {bound:.6f} is not below 1"), y
     return None, y
@@ -625,37 +613,6 @@ def _perron_bound(r, abs_apply, y):
         if bound < 1.0 or np.min(ratios) >= 1.0 or moved <= _POWER_MOVED:
             break
     return bound, y
-
-
-def _secant_slopes(model, xs, glo, ghi, r):
-    """Per node, a bound on |wp'(x) - wp'(xs_i)| / |x - xs_i| over x in [glo_i, ghi_i].
-
-    xs is the argument of the fixed point v*, and r, wp'' at GAMMA_WR
-    clipped into each node's range, bounds wp'' there.  On each side of
-    xs_i the secant slope from xs_i to x is the mean of wp'' between
-    them.  wp'' is unimodal, so where wp'' at the side's far end f is at
-    least the secant S(f) to it, S(f) is the largest secant on that side
-    (the mean still grows there, and past the peak wp'' stays above it);
-    elsewhere the side's largest wp'' bounds every secant: r if GAMMA_WR
-    lies on that side, else wp'' at the side's end nearer to GAMMA_WR.
-    S(f) carries the inversion tolerance of its two wp' values over the
-    width, so a difference lost to rounding cannot shrink it; on a side
-    of zero width it is its limit, wp'' at xs_i.  Never above r, node by
-    node.
-    """
-    lo, hi = np.minimum(glo, xs), np.maximum(ghi, xs)
-    eta = np.asarray(model.wp_prime(np.stack((lo, xs, hi))))
-    c = model.response_at(eta)  # wp'' at lo, xs and hi
-    fuzz = 2.0 * eos._RESIDUAL_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))) * r
-    slopes = np.zeros_like(r)
-    for far, width, rise, (a, b) in ((0, xs - lo, eta[1] - eta[0], (lo, xs)),
-                                     (2, hi - xs, eta[2] - eta[1], (xs, hi))):
-        wide = width > 0.0
-        secant = np.where(wide, (rise + fuzz) / np.where(wide, width, 1.0), c[1])
-        peak = np.where((a <= eos.GAMMA_WR) & (eos.GAMMA_WR <= b), r,
-                        np.maximum(c[far], c[1]))
-        slopes = np.maximum(slopes, np.where(c[far] >= secant, secant, peak))
-    return np.minimum(slopes, r)
 
 
 class _Attraction:
@@ -841,14 +798,11 @@ class _NewtonFinish:
     v*] going up, [v*, v_k] going down), since the map is monotone and
     v* is fixed.  v* is accepted once `_contraction_bound` on that
     interval is below 1: T then has one fixed point there, so L = v*
-    (to Newton's residual over 1 - bound).  Next to a fold the
-    peak of wp'' over the interval keeps that bound above 1 long after
-    v* is found, so the bound falls back on the secant slopes of wp'
-    from v*'s own argument, which is all the uniqueness argument needs.
-    Otherwise Picard goes on, and the bound is checked again against a
-    newer v_k each time the change has halved, with no second solve and
-    with its power steps going on from the vector the last check
-    reached.  A v* on the wrong side is dropped.
+    (to Newton's residual over 1 - bound).  Otherwise Picard goes on,
+    and the bound is checked again against a newer v_k each time the
+    change has halved, with no second solve and with its power steps
+    going on from the vector the last check reached.  A v* on the wrong
+    side is dropped.
 
     With a mass border (D, N) the solve is `_newton`'s bordered one in
     (eta, gamma) from (v_k, gamma_k), for the mass-matched iteration

@@ -34,8 +34,9 @@ finish's contraction certificate shows it to be the minimal solution
 at its gamma, no launch is made.
 `grand_canonical_transition` is the one gas/liquid locator: one
 safeguarded Newton on gamma, started from the top end of its bracket
-(by default the algebraic band) where its launches are distinct, and
-from the low end only where they coincide at the top.
+(by default the algebraic band, in hard-sphere mode its fluid part)
+where its launches are distinct, and from the low end only where they
+coincide at the top.
 """
 
 import functools
@@ -190,9 +191,16 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
 
     gamma_bracket defaults to the algebraic band `gamma_boundaries`
     moved 1e-6 inward, its low end raised to 1e-6 above the floor of
-    `model.gamma_range()` where the band reaches below it.  An end
-    outside that range raises ValueError, naming alpha, R, n, the
-    bracket and the range, before any launch.  The top end is
+    `model.gamma_range()` where the band reaches below it.  In
+    hard-sphere mode that band is fluid-restricted: above
+    `uniform.ALPHA_TAU_KINK` its top lies lower, past which the
+    hard-sphere ceiling drops to the small algebraic root and the
+    launches coincide.  Where the uniform coexistence gamma lies above
+    that top, the liquid at coexistence is past freezing: ValueError
+    names alpha, R, n, that gamma and the top, as it names alpha, R and
+    n where the band is empty.  An end outside the EOS range raises
+    ValueError, naming alpha, R, n, the bracket and the range.  All are
+    raised before any launch.  The top end is
     launched first, and `_newton_on_gamma` starts there on the pressure
     gap P[maximal] - P[minimal] with the exact slope
     N[maximal] - N[minimal], to a step of `_gamma_xtol`, 1e-12 + 8.9e-16
@@ -216,7 +224,17 @@ def grand_canonical_transition(spec, alpha, domain, gamma_bracket=None,
     """
     g_min, g_max = model.gamma_range()
     if gamma_bracket is None:
-        g_check, g_hat = uniform.gamma_boundaries(alpha * kernels.l1_norm_r3(spec))
+        atau, hard = alpha * kernels.l1_norm_r3(spec), model.mode == eos.MODE_HARD_SPHERE
+        try:
+            g_check, g_hat = uniform.gamma_boundaries(atau, fluid_restricted=hard)
+        except ValueError as exc:  # the fluid band is empty
+            raise ValueError(f"{exc} ({_grid(alpha, domain)})") from None
+        coexistence = uniform.coexistence_gamma(atau) if hard else -math.inf
+        if coexistence > g_hat:
+            raise ValueError(
+                f"uniform coexistence at gamma {coexistence!r} lies above the top {g_hat!r} "
+                f"of the hard-sphere fluid band: the liquid there is past freezing "
+                f"({_grid(alpha, domain)})")
         gamma_bracket = (max(g_check, g_min) + 1e-6, g_hat - 1e-6)
     ends = (float(gamma_bracket[0]), float(gamma_bracket[1]))
     if not ends[0] < ends[1]:
@@ -585,8 +603,11 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=eos.EosModel(),
     iteration is heading, within twice its predicted remaining
     distance, and otherwise the iteration runs on with no second solve.
     The report's iterations count mass-matched steps plus Newton steps.
-    The converged gamma is the chemical potential of the droplet, and
-    the profile solves the fixed-gamma equation to the usual residual.
+    A ValueError or RuntimeError of the iteration, a mass it cannot
+    match or a loop that does not converge, is raised again as its own
+    type with N, alpha, R and n added.  The converged gamma is the
+    chemical potential of the droplet, and the profile solves the
+    fixed-gamma equation to the usual residual.
     """
     D = functionals.volume_weights(domain)
     N = float(N)
@@ -601,10 +622,13 @@ def droplet_solve(spec, alpha, domain, N, start=None, model=eos.EosModel(),
 
     finishes = [field._NewtonFinish(attraction, model, border=(D, N))
                 if attraction.finishable else None]
-    [(report, gamma)] = field._fixed_point(
-        attraction, model, start.values[:, None], rule, _DROPLET_STEPS, _DROPLET_TOL,
-        finishes,
-    )
+    try:
+        [(report, gamma)] = field._fixed_point(
+            attraction, model, start.values[:, None], rule, _DROPLET_STEPS, _DROPLET_TOL,
+            finishes,
+        )
+    except (ValueError, RuntimeError) as exc:  # the same type, so that callers retreat as before
+        raise type(exc)(f"{exc} (droplet at N {N!r}, {_grid(alpha, domain)})") from exc
     if check_collapse:
         vapor = field.minimal_solution(spec, alpha, gamma, domain, model=model)
         if float(np.max(np.abs(report.field.values - vapor.field.values))) < _COLLAPSED:

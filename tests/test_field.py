@@ -488,10 +488,10 @@ class TestRingSign:
     Lagrange basis, whose weights can be negative.  min(M)/max(M) on the
     petit-r15 grid (R=15, n=64) and on the other grids pinned here is
     negative, so the spread term of `field._contraction_bound`, the
-    negative part of alpha M applied to hi - lo, must stay
-    (`TestSecantCertificate` sees it positive in a check there).  Every
-    negative entry lies in an own-panel 8 x 8 block, which is what lets
-    `_Attraction.abs_apply` apply |alpha M| from alpha M and those blocks.
+    negative part of alpha M applied to hi - lo, must stay (it is
+    positive on every grid pinned here).  Every negative entry lies in
+    an own-panel 8 x 8 block, which is what lets `_Attraction.abs_apply`
+    apply |alpha M| from alpha M and those blocks.
     """
 
     ALPHA = 31.0 / kernels.l1_norm_r3(SPEC_Y)
@@ -541,7 +541,7 @@ class TestRingSign:
         attraction = field._Attraction(SPEC_Y, self.ALPHA, field.make_domain(80.0, n=n))
         model = eos.EosModel(mode=eos.MODE_CS_EXTENDED)
         lo, hi = np.full(n, 0.05), np.full(n, 0.06)
-        args = (attraction, -4.7, model, lo, hi, np.ones(n), "lo")
+        args = (attraction, -4.7, model, lo, hi, np.ones(n))
         first = field._contraction_bound(*args)  # forms alpha M and N outside the trace
         tracemalloc.start()
         try:
@@ -1461,7 +1461,7 @@ class TestNewtonFinish:
         # the 1e-10 that ends a call, runs them down toward rho(K)
         y, moved = np.ones(dom30.n), 1.0
         while moved > 1e-10:
-            bound, z = field._contraction_bound(attraction, self.GAMMA, self.EXT, v, v, y, "lo")
+            bound, z = field._contraction_bound(attraction, self.GAMMA, self.EXT, v, v, y)
             y, moved = z, float(np.max(np.abs(z - y)))
             assert bound >= rho
         assert rho <= bound <= rho + 1e-6
@@ -1469,17 +1469,14 @@ class TestNewtonFinish:
 
     def test_bound_reaches_one_around_the_middle_solution(self, ball_triple):
         # the Newton middle solution is unstable, so no interval holding
-        # it can certify a unique fixed point, whichever end the secant
-        # slopes are taken from
+        # it can certify a unique fixed point
         dom, spec, alpha, gamma, small, large, middle = ball_triple
         attraction = field._Attraction(spec, alpha, dom)
         assert np.all(small <= middle) and np.all(middle <= large)
         for lo, hi in ((middle, middle), (small, middle), (middle, large), (small, large)):
-            for star in ("lo", "hi"):
-                for y in (np.ones(dom.n), middle, large):
-                    bound, _ = field._contraction_bound(attraction, gamma, self.EXT, lo, hi, y,
-                                                        star)
-                    assert bound >= 1.0
+            for y in (np.ones(dom.n), middle, large):
+                bound, _ = field._contraction_bound(attraction, gamma, self.EXT, lo, hi, y)
+                assert bound >= 1.0
 
     def test_bound_stops_where_no_vector_can_certify(self, ball_triple, monkeypatch):
         # across the whole triple every ratio (By)_i/y_i at y = ones is
@@ -1487,15 +1484,13 @@ class TestNewtonFinish:
         # settles it: the call gives what a one-step call gives
         dom, spec, alpha, gamma, small, large, _ = ball_triple
         attraction = field._Attraction(spec, alpha, dom)
-        for star in ("lo", "hi"):
-            full = field._contraction_bound(attraction, gamma, self.EXT, small, large,
-                                            np.ones(dom.n), star)
-            with monkeypatch.context() as patch:
-                patch.setattr(field, "_POWER_STEPS", 1)
-                one = field._contraction_bound(attraction, gamma, self.EXT, small, large,
-                                               np.ones(dom.n), star)
-            assert full[0] == one[0] >= 1.0
-            assert np.array_equal(full[1], one[1])
+        full = field._contraction_bound(attraction, gamma, self.EXT, small, large, np.ones(dom.n))
+        with monkeypatch.context() as patch:
+            patch.setattr(field, "_POWER_STEPS", 1)
+            one = field._contraction_bound(attraction, gamma, self.EXT, small, large,
+                                           np.ones(dom.n))
+        assert full[0] == one[0] >= 1.0
+        assert np.array_equal(full[1], one[1])
 
     def test_finish_refuses_a_limit_it_cannot_certify(self, ball_triple):
         # handed the middle solution as its Newton limit below a
@@ -1526,122 +1521,52 @@ class TestNewtonFinish:
 
 
 class TestSecantCertificate:
-    """The secant slopes of `_contraction_bound`, next to the liquid spinodal.
+    """Certified finishes next to the liquid spinodal.
 
-    Where the peak of wp'' over the interval keeps the Collatz-Wielandt
-    bound at 1 or above, the slopes of wp' from the fixed point's own
-    argument bound the map's contraction instead.  Oracles: wp' sampled
-    on both sides of that argument, the peak-clipped bound (never
-    below), plain Picard, and the peak-clipped certificate alone.
+    There the Picard map's secant slopes come close to 1, and the
+    peak of wp'' over the order interval keeps the Collatz-Wielandt
+    bound of `_contraction_bound` above 1 for many checks after the
+    Newton limit is found.  Oracle: plain Picard run to a change of
+    1e-13.
     """
 
     ALPHA = 31.0 / kernels.l1_norm_r3(SPEC_Y)
     EXT = eos.EosModel(mode=eos.MODE_CS_EXTENDED)
 
-    @staticmethod
-    def _ranges(aM, gamma, model, lo, hi, star):
-        """Each node's argument range, v*'s argument and the peak-clipped slopes."""
-        ulo, uhi = aM @ lo, aM @ hi
-        spread = np.maximum(-aM, 0.0) @ (hi - lo)  # the negative part of aM, formed whole
-        glo, ghi = gamma + ulo - spread, gamma + uhi + spread
-        r = model.response_at(np.asarray(model.wp_prime(np.clip(eos.GAMMA_WR, glo, ghi))))
-        return spread, glo, ghi, gamma + (ulo if star == "lo" else uhi), r
-
-    @pytest.fixture(scope="class")
-    def petit_grid_check(self):
-        # the maximal launch at gamma -4.7 on the petit-r15 grid (R=15,
-        # n=64), where M has a negative entry, and its one certificate check
-        dom = field.make_domain(15.0, n=64)
-        checks, real = [], field._contraction_bound
-
-        def spy(*args):
-            checks.append((args, real(*args)))
-            return checks[-1][1]
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(field, "_contraction_bound", spy)
-            report = field.maximal_solution(SPEC_Y, self.ALPHA, -4.7, dom, model=self.EXT)
-        return dom, report, checks
-
-    def test_petit_grid_check_passes_on_the_secant_slopes(self, petit_grid_check):
-        _, report, checks = petit_grid_check
-        [((attraction, gamma, model, lo, hi, y, star), (bound, _))] = checks
-        aM = attraction.alpha * attraction.dense
-        assert (star, report.monotone_direction) == ("lo", "down")
-        spread, glo, ghi, xs, r = self._ranges(aM, gamma, model, lo, hi, star)
-        assert spread.max() > 0.0  # the range reaches below v*'s argument too
-        assert np.all(glo <= xs) and np.any(glo < xs)
-        assert field._perron_bound(r, np.abs(aM).__matmul__, y)[0] >= 1.0 > bound
-
-    def test_secant_slopes_bound_every_sampled_secant(self, petit_grid_check):
-        # on both sides of v*'s argument, up to the rounding of a sampled
-        # difference of two wp' values over its width
-        _, _, checks = petit_grid_check
-        [((attraction, gamma, model, lo, hi, _, star), _)] = checks
-        _, glo, ghi, xs, r = self._ranges(attraction.alpha * attraction.dense, gamma, model,
-                                          lo, hi, star)
-        slopes = field._secant_slopes(model, xs, glo, ghi, r)
-        assert np.all(slopes <= r) and np.any(slopes < r)
-        base = np.asarray(model.wp_prime(xs))[:, None]
-        t = np.linspace(0.0, 1.0, 2001)[1:]
-        for end in (glo, ghi):
-            width = (end - xs)[:, None] * t
-            x = xs[:, None] + width
-            wide = width != 0.0
-            secant = (np.asarray(model.wp_prime(x)) - base)[wide] / width[wide]
-            assert np.all(secant <= np.broadcast_to(slopes[:, None], x.shape)[wide]
-                          + 1e-14 / np.abs(width[wide]))
-
-    def test_petit_grid_limit_is_the_picard_limit(self, petit_grid_check):
-        dom, report, _ = petit_grid_check
+    def _launch_and_plain(self, dom, gamma):
+        """The maximal launch at gamma, after checking it against plain Picard; Picard's steps."""
+        report = field.maximal_solution(SPEC_Y, self.ALPHA, gamma, dom, model=self.EXT)
         start = field.constant_field(
-            dom, field._ceiling(SPEC_Y, self.ALPHA, -4.7, dom, self.EXT)[0])
-        values, _, steps, _ = _plain_monotone_picard(SPEC_Y, self.ALPHA, -4.7, start,
+            dom, field._ceiling(SPEC_Y, self.ALPHA, gamma, dom, self.EXT)[0])
+        values, _, steps, _ = _plain_monotone_picard(SPEC_Y, self.ALPHA, gamma, start,
                                                      self.EXT, tol=1e-13)
         assert float(np.max(np.abs(report.field.values - values))) <= 1e-10
+        assert (report.branch_label, report.monotone_direction) == ("maximal", "down")
+        return report, steps
+
+    def test_petit_grid_limit_is_the_picard_limit(self):
+        # the maximal launch at gamma -4.7 on the petit-r15 grid (R=15,
+        # n=64), where M has a negative entry
+        report, steps = self._launch_and_plain(field.make_domain(15.0, n=64), -4.7)
         assert report.iterations < steps
 
-    def test_secant_bound_never_above_the_peak_bound(self, dom30):
-        # the first check of grand-r30's slowest launch, whose bound the
-        # peak-clipped slopes keep above 1; the secant slopes lie below
-        # them node by node, and so does the bound from any vector
-        checks, real = [], field._contraction_bound
+    def test_fold_launch_certified_within_208_iterations(self, dom30, monkeypatch):
+        # grand-r30's low bracket end: the maximal launch contracts at
+        # 0.987 and its Newton limit is found at step 6, but the bound
+        # first falls below 1 at the check of step 200 (208 with the 8
+        # Newton steps), far below plain Picard's count
+        finished = []
+        real = field._NewtonFinish.__call__
 
-        def spy(*args):
-            checks.append(args)
-            return real(*args)
+        def spy(finish, *args):
+            limit = real(finish, *args)
+            finished.append(limit is not None)
+            return limit
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(field, "_contraction_bound", spy)
-            field.maximal_solution(SPEC_Y, self.ALPHA, -4.88, dom30, model=self.EXT)
-        attraction, gamma, model, lo, hi, _, star = checks[0]
-        aM = attraction.alpha * attraction.dense
-        _, glo, ghi, xs, r = self._ranges(aM, gamma, model, lo, hi, star)
-        slopes = field._secant_slopes(model, xs, glo, ghi, r)
-        assert np.all(slopes <= r) and np.any(slopes < r)
-        for y in (np.ones(dom30.n), lo, hi):
-            peak = field._perron_bound(r, np.abs(aM).__matmul__, y)[0]
-            assert peak >= 1.0
-            assert field._contraction_bound(attraction, gamma, model, lo, hi, y, star)[0] <= peak
-
-    def test_fold_launch_certified_within_160_iterations(self, dom30, monkeypatch):
-        # grand-r30's low bracket end, next to the liquid spinodal: the
-        # maximal launch contracts at 0.987 and its Newton limit is found
-        # at step 6, but the peak-clipped bound alone waited until step
-        # 200 (208 with the 8 Newton steps); the limit, and so every bit
-        # of the profile, is the same either way
-        def launch():
-            return field.maximal_solution(SPEC_Y, self.ALPHA, -4.88, dom30, model=self.EXT)
-
-        report = launch()
-        assert report.iterations <= 160
-        monkeypatch.setattr(field, "_secant_slopes", lambda model, xs, glo, ghi, r: r)
-        peak_only = launch()
-        assert peak_only.iterations == 208
-        assert np.array_equal(report.field.values, peak_only.field.values)
-        for name in ("residual", "monotone_direction", "branch_label", "certified_fluid",
-                     "certification"):
-            assert getattr(report, name) == getattr(peak_only, name), name
+        monkeypatch.setattr(field._NewtonFinish, "__call__", spy)
+        report, steps = self._launch_and_plain(dom30, -4.88)
+        assert finished[-1]  # the launch ended on its certified Newton limit
+        assert report.iterations <= 208 < steps // 4
 
     @pytest.mark.parametrize("R,n,gamma", [(30.0, 256, -4.88), (30.0, 256, -4.7),
                                            (15.0, 64, -4.7)])

@@ -27,7 +27,10 @@ between the gas's mass and the liquid's, and a droplet at a lower
 chemical potential than the vapor; any other outcome is a ValueError
 or RuntimeError that names alpha, R and n.  Four draws and the explicit
 examples fit about two seconds; the two overpacked droplet trials
-locate, and the xfail examples are known breaks of the naming rule.
+locate, and the other two examples end in a droplet mass match that
+fails (a mass in the jump across the hard-sphere kink, and a droplet
+warm-started far from its mass), whose error `phase.droplet_solve`
+names.
 """
 
 import os
@@ -111,15 +114,9 @@ def test_grand_transition_dilates(spec, alpha_l1, R, mode, lam):
 @example(spec=kernels.KernelSpec(a_w=1.7551720454573272, varkappa=0.9176315967708457),
          alpha_l1=38.0736193954387, R=20.50347360525474, mode=eos.MODE_HARD_SPHERE)
 @example(spec=kernels.KernelSpec(a_w=1.4899300299169465, varkappa=1.8305604383571377),
-         alpha_l1=35.5126970883169, R=47.26983406572031, mode=eos.MODE_HARD_SPHERE).xfail(
-    raises=AssertionError,
-    reason="a droplet mass match falls in the jump of the mass across the hard-sphere "
-           "kink, and its RuntimeError names neither alpha, R nor n")
+         alpha_l1=35.5126970883169, R=47.26983406572031, mode=eos.MODE_HARD_SPHERE)
 @example(spec=kernels.KernelSpec(a_y=1.0, kappa=2.0), alpha_l1=50.0, R=12.0,
-         mode=eos.MODE_CS_EXTENDED).xfail(
-    raises=AssertionError,
-    reason="a droplet warm-started from a much heavier one cannot match a mass next to "
-           "the gas's, and its ValueError names neither alpha, R nor n")
+         mode=eos.MODE_CS_EXTENDED)
 def test_petit_transition_is_located_or_named(spec, alpha_l1, R, mode):
     alpha = alpha_l1 / kernels.l1_norm_r3(spec)
     dom = field.make_domain(R, n=64)

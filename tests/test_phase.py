@@ -965,6 +965,70 @@ class TestDefaultBand:
         assert tr.delta_N > 0.0
 
 
+class TestHardSphereBand:
+    """In hard-sphere mode the default gamma bracket is the fluid band.
+
+    Above `uniform.ALPHA_TAU_KINK` = 40.127 its top lies below the
+    algebraic band's, past which the hard-sphere launches coincide; on
+    the algebraic band the couplings located here raise "no
+    pressure-gap sign change".  Where uniform coexistence lies above the
+    fluid band's top, or the fluid band is empty, the locator says so
+    before any launch.  The petit transition's default mass bracket
+    still ends at the algebraic band's top.  R=15, n=128, unit Yukawa.
+    """
+
+    HS = eos.EosModel(mode=eos.MODE_HARD_SPHERE)
+
+    @pytest.fixture(scope="class")
+    def dom15(self):
+        return field.make_domain(15.0, n=128)
+
+    @pytest.mark.parametrize("alpha_l1,gamma_gl", [
+        (41.0, -6.410520228952345),
+        (43.0, -6.800212813765804),
+        (45.0, -7.200464201710145),
+    ])
+    def test_located_on_the_fluid_band(self, dom15, alpha_l1, gamma_gl):
+        tr = phase.grand_canonical_transition(SPEC_Y, alpha_l1 / L1_Y, dom15, model=self.HS)
+        assert tr.gamma_gl == pytest.approx(gamma_gl, rel=1e-12)
+        g_check, g_top = uniform.gamma_boundaries(alpha_l1, fluid_restricted=True)
+        assert g_check < tr.gamma_gl < g_top < uniform.gamma_boundaries(alpha_l1)[1]
+        assert np.max(tr.liquid.solution.field.values) < eos.ETA_FS_LO
+        g_check, g_hat = uniform.gamma_boundaries(alpha_l1)
+        with pytest.raises(ValueError, match="no pressure-gap sign change"):
+            phase.grand_canonical_transition(SPEC_Y, alpha_l1 / L1_Y, dom15,
+                                             (g_check + 1e-6, g_hat - 1e-6), model=self.HS)
+
+    def test_coexistence_past_freezing_is_named_before_any_launch(self, dom15, monkeypatch):
+        alpha = 50.0 / L1_Y
+        monkeypatch.setattr(field, "extremal_pairs", None)  # a launch would raise TypeError
+        with pytest.raises(ValueError) as excinfo:
+            phase.grand_canonical_transition(SPEC_Y, alpha, dom15, model=self.HS)
+        assert str(excinfo.value) == (
+            "uniform coexistence at gamma -9.197060750158098 lies above the top "
+            "-9.291517410172814 of the hard-sphere fluid band: the liquid there is past "
+            f"freezing (alpha {alpha!r}, R 15.0, n 128)")
+
+    def test_empty_fluid_band_is_named(self, dom15):
+        # from alpha l1 = g2'(ETA_FS_LO) = 105.8 on the fluid band is empty
+        alpha = 110.0 / L1_Y
+        with pytest.raises(ValueError, match="fluid-restricted band is empty") as excinfo:
+            phase.grand_canonical_transition(SPEC_Y, alpha, dom15, model=self.HS)
+        assert str(excinfo.value).endswith(f"(alpha {alpha!r}, R 15.0, n 128)")
+
+    def test_petit_mass_bracket_reaches_the_algebraic_top(self, dom15):
+        # the vapor is a minimal launch, which the fluid band's top does not
+        # limit: the crossing lies above the mass of the vapor there (144.8)
+        alpha = 41.0 / L1_Y
+        tr = phase.petit_canonical_transition(SPEC_Y, alpha, dom15, model=self.HS)
+        assert tr.gamma_gl == pytest.approx(-6.410520228952345, rel=1e-12)
+        assert tr.N_vd == pytest.approx(185.2583114761211, rel=1e-9)
+        g_top = uniform.gamma_boundaries(41.0, fluid_restricted=True)[1]
+        top = field.minimal_solution(SPEC_Y, alpha, g_top, dom15, model=self.HS)
+        assert float(functionals.volume_weights(dom15) @ top.field.values) < tr.N_vd
+        assert tr.embedding_ok and tr.delta_Gamma < 0.0
+
+
 class TestWarmLaunches:
     """The locator's memo starts each launch from the nearest gamma solved on its side.
 
@@ -1239,7 +1303,7 @@ class TestFinishTraffic:
     def test_grand_r30(self, monkeypatch):
         count = self._counted(monkeypatch, lambda: phase.grand_canonical_transition(
             SPEC_Y, ALPHA_31, field.make_domain(30.0, n=256), (-4.88, -4.15), model=EXT))
-        # the Newton starts from the top end, so the 157-step maximal
+        # the Newton starts from the top end, so the 208-step maximal
         # launch at -4.88 and its certificate checks are not run
         assert (count["newton"], count["solve"], count["bound"]) == (6, 19, 6)
         assert count["steps"] <= 170

@@ -12,7 +12,10 @@ Green's terms have one home, `_green_terms`, and the kink split one,
 definition, or README.md names it, but for a known few that wait on a
 caller.  Each equation-of-state constant and mode has one name, in
 `eos`: `EosModel` holds only its mode, and no module aliases a constant
-or maps one mode string to another.  The source is read with `ast`, so
+or maps one mode string to another.  The Picard map's contraction has
+one bound, `field._contraction_bound`, on the peak of wp'' alone: no
+secant-slope fallback, no argument naming the fixed end, and no read of
+`eos._RESIDUAL_TOL` in `field`.  The source is read with `ast`, so
 docstrings and comments do not count.
 """
 
@@ -244,3 +247,13 @@ def test_one_name_per_eos_constant_and_mode():
                 strays.append((path.name, node.value))
     assert modes == {"MODE_HARD_SPHERE": "hard-sphere", "MODE_CS_EXTENDED": "cs-extended"}
     assert strays == []
+
+
+def test_one_contraction_bound():
+    tree = ast.parse((SRC / "field.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_secant_slopes" not in functions
+    assert [a.arg for a in functions["_contraction_bound"].args.args] == [
+        "attraction", "gamma", "model", "lo", "hi", "y"]
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "_RESIDUAL_TOL"
+                   for node in ast.walk(tree))
